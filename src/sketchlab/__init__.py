@@ -20,7 +20,6 @@ from .attack import (
     verify_certificate,
 )
 from .dgauss import (
-    GaussianSpec,
     SubspaceGaussianSpec,
     pmf_dgauss_1d,
     sample_dgauss_1d,

@@ -33,6 +33,9 @@ from .rng import derive
 from .sketch import GapNormOracle, GapNormParams, build_sketch
 
 
+EXPLOITS_WRITTEN = 200  # exploits kept per run in exploits.json
+
+
 def _load_schema():
     with resources.files("sketchlab").joinpath("config_schema.json").open() as fh:
         return json.load(fh)
@@ -114,8 +117,7 @@ def _build_attack_pieces(acfg, root_seed):
 
 def _single_attack_run(args):
     """One seeded attack run (top-level so a process pool can pickle it)."""
-    acfg, root_seed, run_seed, do_verify = args
-    sk, params, cfg = _build_attack_pieces(acfg, root_seed)
+    (sk, params, cfg), root_seed, run_seed, do_verify = args
     oracle = GapNormOracle(sk, params)
     out = run_attack(oracle, sk.n, sk.r, cfg, derive(root_seed, "attack", run_seed))
     result = {
@@ -134,7 +136,7 @@ def _single_attack_run(args):
                 oracle, out.certificate, cfg.verify_trials,
                 derive(root_seed, "verify", run_seed),
             )
-            result["exploits"] = [asdict(e) for e in rep["exploits"]]
+            result["exploits"] = [asdict(e) for e in rep["exploits"][:EXPLOITS_WRITTEN]]
             result["failure_rate"] = rep["failure_rate"]
         except NoExploitFound:
             result["exploits"] = []
@@ -152,7 +154,9 @@ def cmd_attack_run(args):
     acfg = cfg["attack"]
     seeds = acfg.get("seeds", [0])
     do_verify = bool(acfg.get("verify", True))
-    jobs = [(acfg, root_seed, s, do_verify) for s in seeds]
+    # the sketch depends only on the sketch seed: build it once for all runs
+    pieces = _build_attack_pieces(acfg, root_seed)
+    jobs = [(pieces, root_seed, s, do_verify) for s in seeds]
 
     threads = int(os.environ.get("SKETCHLAB_THREADS", "1"))
     if threads > 1 and len(jobs) > 1:
@@ -191,7 +195,7 @@ def cmd_attack_run(args):
     _write_json(
         os.path.join(out_dir, "exploits.json"),
         [{"run_seed": r["run_seed"], "failure_rate": r["failure_rate"],
-          "exploits": (r["exploits"] or [])[:200]} for r in results],
+          "exploits": r["exploits"] or []} for r in results],
     )
     report = {
         "runs": len(results),

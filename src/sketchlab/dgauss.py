@@ -98,14 +98,21 @@ def _rounded_gaussian_pmf(u, sigma):
     return ndtr(-(au - 0.5) / sigma) - ndtr(-(au + 0.5) / sigma)
 
 
+def _squeeze(w, q, c_env):
+    """Acceptance ratio at the support bound (the last scan point) less 1e-9
+    relative: a lower bound on the ratio over the whole support, since w/q
+    falls as |u| grows (q/w ~ int_{-1/2}^{1/2} e^{-s^2/2sigma^2} cosh(us/sigma^2) ds)."""
+    return min(float(w[-1] / (c_env * q[-1])), 1.0) * (1.0 - 1e-9)
+
+
 @lru_cache(maxsize=256)
 def _centered_envelope(sigma2):
-    """Envelope max_z w(z)/q(z) over integer |z| <= K, where
-    w(z)=exp(-z^2/2sigma^2) and q is the rounded-continuous proposal pmf.
+    """(c_env, K, squeeze): c_env bounds w(z)/q(z) over integer |z| <= K,
+    where w(z)=exp(-z^2/2sigma^2) and q is the rounded-continuous proposal pmf.
 
-    The ratio is monotone increasing in |z| (log-concavity of the Gaussian),
-    so for very large K a subsampled scan that includes the dense center and
-    the endpoint is exact enough; small K is scanned fully."""
+    The ratio decreases in |z| (see _squeeze), so for very large K a
+    subsampled scan that includes the dense center and the endpoint is exact
+    enough; small K is scanned fully."""
     sigma = math.sqrt(sigma2)
     K = int(math.ceil(TAIL_SIGMAS * sigma)) + 1
     if K <= 20000:
@@ -117,20 +124,23 @@ def _centered_envelope(sigma2):
         ]))
     w = np.exp(-z * z / (2.0 * sigma2))
     q = _rounded_gaussian_pmf(z, sigma)
-    return float(np.max(w / q)) * (1.0 + 1e-9), K
+    c_env = float(np.max(w / q)) * (1.0 + 1e-9)
+    return c_env, K, _squeeze(w, q, c_env)
 
 
 @lru_cache(maxsize=64)
 def _offset_envelope(sigma2):
-    """Envelope for real-valued center offsets, scanned on a fine grid over
-    |u| <= 8 sigma. Proposals beyond the grid are acceptance-capped; their
-    mass is < 1e-14, far below every statistical tolerance used here."""
+    """(c_env, 8 sigma, squeeze) for real-valued center offsets, scanned on a
+    fine grid over |u| <= 8 sigma. Proposals beyond the grid are
+    acceptance-capped; their mass is < 1e-14, far below every statistical
+    tolerance used here."""
     sigma = math.sqrt(sigma2)
     lim = 8.0 * sigma
     u = np.linspace(0.0, lim, 4096)
     w = np.exp(-u * u / (2.0 * sigma2))
     q = _rounded_gaussian_pmf(u, sigma)
-    return float(np.max(w / q)) * 1.05, lim
+    c_env = float(np.max(w / q)) * 1.05
+    return c_env, lim, _squeeze(w, q, c_env)
 
 
 def _sample_table(sigma2, rng, size):
@@ -146,25 +156,34 @@ def _sample_table(sigma2, rng, size):
     return out if size is not None else int(out)
 
 
-def _sample_rejection_centered(sigma2, rng, size):
+def _sample_at_centers(centers, sigma2, envelope, rng):
+    """Exact discrete Gaussians of variance sigma2, one at each real entry of
+    `centers`: rejection from round(center + N(0, sigma2)) under envelope =
+    (c_env, support bound, squeeze). Below the squeeze a proposal in the
+    support is accepted without its ratio, which is never smaller there, so
+    the output and the random stream are those of the plain ratio test."""
+    c_env, bound, squeeze = envelope
     sigma = math.sqrt(sigma2)
-    c_env, K = _centered_envelope(sigma2)
-    m = int(np.prod(size)) if size is not None else 1
-    out = np.empty(m, dtype=np.int64)
-    pending = np.arange(m)
+    flat = np.asarray(centers, dtype=float).ravel()
+    out = np.empty(flat.shape, dtype=np.int64)
+    pending, c = np.arange(flat.size), flat
     while pending.size:
-        z = np.rint(sigma * rng.standard_normal(pending.size))
-        w = np.exp(-z * z / (2.0 * sigma2))
-        q = _rounded_gaussian_pmf(z, sigma)
-        ok = np.abs(z) <= K
+        z = np.rint(c + sigma * rng.standard_normal(pending.size))
+        u = z - c
+        ok = np.abs(u) <= bound
+        U = rng.random(pending.size)
+        accept = ok & (U < squeeze)
+        rest = np.flatnonzero(ok & ~accept)
+        ur = u[rest]
+        w = np.exp(-ur * ur / (2.0 * sigma2))
+        q = _rounded_gaussian_pmf(ur, sigma)
         with np.errstate(divide="ignore", invalid="ignore"):
-            a = np.where(q > 0, w / (c_env * q), 0.0)
-        accept = ok & (rng.random(pending.size) < a)
-        out[pending[accept]] = z[accept].astype(np.int64)
+            a = np.where(q > 0, np.minimum(w / (c_env * q), 1.0), 0.0)
+        accept[rest] = U[rest] < a
+        out[pending] = z  # a later pass overwrites the rejected entries
         pending = pending[~accept]
-    if size is None:
-        return int(out[0])
-    return out.reshape(size)
+        c = flat[pending]
+    return out.reshape(np.shape(centers))
 
 
 def sample_dgauss_1d(sigma2, rng, size=None):
@@ -178,51 +197,9 @@ def sample_dgauss_1d(sigma2, rng, size=None):
     rng = as_generator(rng)
     if sigma2 < TABLE_SIGMA2_MAX:
         return _sample_table(sigma2, rng, size)
-    return _sample_rejection_centered(sigma2, rng, size)
-
-
-def _sample_dgauss_at_centers(centers, r0sq, rng):
-    """Coordinatewise discrete Gaussians of variance r0^2 centered at the
-    (real) entries of `centers`; vectorized rejection."""
-    sigma = math.sqrt(r0sq)
-    c_env, lim = _offset_envelope(r0sq)
-    flat = np.asarray(centers, dtype=float).ravel()
-    out = np.empty(flat.shape, dtype=np.int64)
-    pending = np.arange(flat.size)
-    while pending.size:
-        c = flat[pending]
-        z = np.rint(c + sigma * rng.standard_normal(pending.size))
-        u = z - c
-        w = np.exp(-u * u / (2.0 * r0sq))
-        q = _rounded_gaussian_pmf(u, sigma)
-        ok = np.abs(u) <= lim
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a = np.where(q > 0, np.minimum(w / (c_env * q), 1.0), 0.0)
-        accept = ok & (rng.random(pending.size) < a)
-        out[pending[accept]] = z[accept].astype(np.int64)
-        pending = pending[~accept]
-    return out.reshape(np.asarray(centers).shape)
-
-
-@dataclass
-class GaussianSpec:
-    """A centered or shifted Gaussian specification used by samplers/tests."""
-
-    n: int
-    covariance: np.ndarray
-    center: np.ndarray = None
-    kind: str = "discrete"  # "discrete" (over Z^n) or "continuous"
-
-    def __post_init__(self):
-        self.covariance = np.asarray(self.covariance, dtype=float)
-        if self.center is None:
-            self.center = np.zeros(self.n)
-        if self.covariance.shape != (self.n, self.n):
-            raise ValueError("covariance shape mismatch")
-        if np.max(np.abs(self.covariance - self.covariance.T)) > 1e-10:
-            raise ValueError("covariance not symmetric")
-        if np.min(np.linalg.eigvalsh(self.covariance)) <= 0:
-            raise ValueError("covariance not positive definite")
+    centers = np.zeros(size if size is not None else ())
+    out = _sample_at_centers(centers, sigma2, _centered_envelope(sigma2), rng)
+    return out if size is not None else int(out)
 
 
 @dataclass
@@ -278,7 +255,7 @@ def sample_dgauss_ellipsoidal(Sigma, rng, size=None, eps=SMOOTHING_EPS):
     sqrt_cont = vecs @ np.diag(np.sqrt(vals - r0sq)) @ vecs.T
     m = 1 if size is None else int(size)
     y = rng.standard_normal((m, n)) @ sqrt_cont
-    z = _sample_dgauss_at_centers(y, r0sq, rng)
+    z = _sample_at_centers(y, r0sq, _offset_envelope(r0sq), rng)
     return z[0] if size is None else z
 
 
@@ -317,5 +294,5 @@ def sample_subspace_query(spec: SubspaceGaussianSpec, kind, rng, size=None, eps=
     y = a * G
     if len(spec.V):
         y = y - (a - b) * ((G @ V.T) @ V)
-    z = _sample_dgauss_at_centers(y, r0sq, rng)
+    z = _sample_at_centers(y, r0sq, _offset_envelope(r0sq), rng)
     return z[0] if size is None else z

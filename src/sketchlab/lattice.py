@@ -16,6 +16,7 @@ from .errors import (
     BoundViolated,
     DegenerateLattice,
     FullRank,
+    Int64Overflow,
     LengthBoundUnachieved,
     TooManyRows,
 )
@@ -43,7 +44,10 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows, bound=None):
-        arr = np.asarray(rows, dtype=np.int64)
+        try:
+            arr = np.asarray(rows, dtype=np.int64)
+        except OverflowError as exc:
+            raise Int64Overflow("entries exceed IntMatrix's int64 storage (|x| < 2^63)") from exc
         if bound is None:
             bound = max(1, int(np.max(np.abs(arr))))
         return cls(arr, int(bound))
@@ -189,9 +193,10 @@ def preprocess_sketch(A: IntMatrix, short_circuit=True):
     With short_circuit=True (default), if the full reduced kernel of A already
     meets the bound, A' = A and the full kernel is returned.
 
-    Raises TooManyRows if r > 0.25 n, and LengthBoundUnachieved when even the
+    Raises TooManyRows if r > 0.25 n, LengthBoundUnachieved when even the
     n - 4r shortest reduced kernel vectors exceed the target (surfaced with
-    the best achieved length, never hidden).
+    the best achieved length, never hidden), and Int64Overflow when the
+    stacked Siegel rows outgrow IntMatrix's int64 storage.
     """
     r, n = A.rows, A.cols
     if r > 0.25 * n:

@@ -1,11 +1,12 @@
-"""Integer linear sketches with turnstile-stream ingestion, concrete sketch
-constructions, L2 estimators, and the GapNorm oracle wrapper the attack
-interrogates.
+"""Integer linear sketches, concrete sketch constructions, L2 estimators, and
+the GapNorm oracle wrapper the attack interrogates.
 
 Central design rule: estimators receive only (seed-derived constants, A x).
-The query vector itself never reaches the estimator; `gap_bit` and
-`l2_estimate` are deterministic functions of the sketched value, so two
-queries with equal A x always get equal answers.
+The query vector itself never reaches the estimator; oracles answer a batch
+of queries X from the exact product A X^T alone, and `gap_bits` and
+`l2_estimates` are deterministic functions of those sketched values, so two
+queries with equal A x always get equal answers. `StreamState` accumulates
+A x from turnstile coordinate updates, for queries that arrive as streams.
 """
 
 import json
@@ -110,55 +111,64 @@ class IntegerSketch:
     def r(self):
         return self.A.rows
 
+    def apply_batch(self, X):
+        """Exact integer products A x for the rows x of X, as the (k, r) array
+        X A^T; Python integers (dtype object) where int64 could overflow."""
+        X = np.asarray(X)
+        if X.ndim != 2 or X.shape[1] != self.n:
+            raise DimensionMismatch(f"expected rows of dim {self.n}, got {X.shape}")
+        x_max = int(np.max(np.abs(X))) if X.size else 0
+        if self.A.max_abs_entry() * max(x_max, 1) * self.n >= _INT64_GUARD:
+            rows = self.A.to_lists()
+            Y = [[sum(a * int(b) for a, b in zip(row, x)) for row in rows] for x in X]
+            return np.array(Y, dtype=object).reshape(X.shape[0], self.r)
+        return X.astype(np.int64) @ self.A.entries.T
+
     def apply(self, x):
         """Exact integer product A x."""
         x = np.asarray(x)
         if x.shape != (self.n,):
             raise DimensionMismatch(f"expected dim {self.n}, got {x.shape}")
-        a_max = self.A.max_abs_entry()
-        x_max = int(np.max(np.abs(x))) if x.size else 0
-        if a_max * max(x_max, 1) * self.n >= _INT64_GUARD:
-            rows = self.A.to_lists()
-            xs = [int(v) for v in x]
-            return np.array([sum(a * b for a, b in zip(row, xs)) for row in rows],
-                            dtype=object)
-        return self.A.entries @ x.astype(np.int64)
+        return self.apply_batch(x[None, :])[0]
 
     def new_stream(self):
         return StreamState(self)
 
     def working_value(self, y):
-        """Sketched value in the orthonormal row basis: Q x = R (A x)."""
-        return self.R @ np.asarray(y, dtype=float)
+        """Sketched value(s) in the orthonormal row basis: Q x = R (A x), for
+        one y = A x or for the rows of a batch Y."""
+        return np.asarray(y, dtype=float) @ self.R.T
+
+    def l2_estimates(self, Y):
+        """Numeric estimates of ||x||^2 from the rows y = A x of Y."""
+        kind = self.family
+        est = self.estimator
+        Y = np.asarray(Y, dtype=float)
+        if kind in ("sign", "countsketch"):
+            # median over row groups (sign: mean of squares) or blocks
+            # (countsketch: sum of squares)
+            parts, reduce = ((est["groups"], np.mean) if kind == "sign"
+                             else (est["blocks"], np.sum))
+            vals = np.stack([reduce(Y[:, p] ** 2, axis=1) for p in parts], axis=1)
+            return np.median(vals, axis=1) * est["median_correction"]
+        if kind in ("rounded-gaussian", "projection-threshold"):
+            scale = self.n / self.r if kind == "rounded-gaussian" else 1.0
+            return scale * np.sum(self.working_value(Y) ** 2, axis=1)
+        raise BadParams(f"unknown family {kind}")
 
     def l2_estimate(self, y):
         """Numeric estimate of ||x||^2 from the sketched value y = A x."""
-        kind = self.family
-        est = self.estimator
-        y = np.asarray(y, dtype=float)
-        if kind == "sign":
-            groups = est["groups"]
-            vals = [np.sum(y[g] ** 2) / len(g) for g in groups]
-            return float(np.median(vals) * est["median_correction"])
-        if kind == "countsketch":
-            blocks = est["blocks"]
-            vals = [np.sum(y[b] ** 2) for b in blocks]
-            return float(np.median(vals) * est["median_correction"])
-        if kind == "rounded-gaussian":
-            w = self.working_value(y)
-            return float(self.n / self.r * np.sum(w**2))
-        if kind == "projection-threshold":
-            w = self.working_value(y)
-            return float(np.sum(w**2))
-        raise BadParams(f"unknown family {kind}")
+        return float(self.l2_estimates(np.asarray(y)[None, :])[0])
+
+    def gap_bits(self, Y, params: GapNormParams):
+        """Thresholded GapNorm answers (int8) for the rows y = A x of Y."""
+        mid = (self.estimator["tau"] if self.family == "projection-threshold"
+               else params.alpha * math.sqrt(params.B))
+        return (self.l2_estimates(Y) >= mid).astype(np.int8)
 
     def gap_bit(self, y, params: GapNormParams):
         """Thresholded GapNorm answer from the sketched value only."""
-        if self.family == "projection-threshold":
-            w = self.working_value(y)
-            return int(np.sum(w**2) >= self.estimator["tau"])
-        mid = params.alpha * math.sqrt(params.B)
-        return int(self.l2_estimate(y) >= mid)
+        return int(self.gap_bits(np.asarray(y)[None, :], params)[0])
 
     def spec_json(self):
         """Replayable build spec (family, n, r, seed, params)."""
@@ -304,8 +314,9 @@ def gapnorm_oracle(sketch: IntegerSketch, params: GapNormParams, x):
 class GapNormOracle:
     """Query interface handed to the attack: bits only, no access to A.
 
-    Queries are ingested as turnstile coordinate-update batches through
-    StreamState, honoring the streaming contract.
+    A batch of queries X is answered from the exact sketched values A X^T
+    (`IntegerSketch.apply_batch`) through the sketch's estimator; a single
+    query is a batch of one row.
     """
 
     safe_concurrent = True
@@ -321,13 +332,12 @@ class GapNormOracle:
         return self._sketch.n
 
     def query(self, x):
-        stream = self._sketch.new_stream()
-        stream.ingest_vector(x)
-        self.query_count += 1
-        return self._sketch.gap_bit(stream.value, self.params)
+        return int(self.query_batch(np.asarray(x)[None, :])[0])
 
     def query_batch(self, X):
-        return np.array([self.query(x) for x in np.asarray(X)], dtype=np.int8)
+        Y = self._sketch.apply_batch(X)
+        self.query_count += Y.shape[0]
+        return self._sketch.gap_bits(Y, self.params)
 
 
 class ExactNormOracle:

@@ -43,6 +43,30 @@ class TestAttackRun:
         header = a.decode().splitlines()[0]
         assert header == "run_id,seed,round,sigma2,rate,m_prime,score,accepted"
 
+    def test_sketch_built_once_for_all_seeds(self, tmp_path, monkeypatch):
+        import sketchlab.cli as cli_mod
+        builds = []
+        real_build = cli_mod.build_sketch
+        monkeypatch.setattr(cli_mod, "build_sketch",
+                            lambda *a, **k: builds.append(a) or real_build(*a, **k))
+        doc = json.loads(json.dumps(ATTACK_CFG))
+        doc["attack"]["seeds"] = [0, 1, 2]
+        out = str(tmp_path / "all")
+        assert main(["attack", "run", "--config", write_cfg(tmp_path, doc), "--out", out]) == 0
+        assert len(builds) == 2  # the auto-alpha probe and the attacked sketch
+        # each run sees the same sketch as a run of its seed alone
+        doc["attack"]["seeds"] = [1]
+        one = str(tmp_path / "one")
+        assert main(["attack", "run", "--config", write_cfg(tmp_path, doc, "one.json"),
+                     "--out", one]) == 0
+        rows = [json.loads(line) for line in open(os.path.join(out, "transcript.jsonl"))]
+        alone = [json.loads(line) for line in open(os.path.join(one, "transcript.jsonl"))]
+        assert [r for r in rows if r["run_seed"] == 1] == alone
+        exploits = json.load(open(os.path.join(out, "exploits.json")))
+        assert all(len(e["exploits"]) <= cli_mod.EXPLOITS_WRITTEN for e in exploits)
+        report = json.load(open(os.path.join(out, "report.json")))
+        assert report["verified"] == sum(1 for e in exploits if e["exploits"])
+
     def test_schema_violation_reports_path(self, tmp_path, capsys):
         bad = dict(ATTACK_CFG)
         bad = json.loads(json.dumps(ATTACK_CFG))

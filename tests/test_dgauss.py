@@ -4,6 +4,12 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, norm
 
+from oracles import (
+    ref_centered_envelope,
+    ref_offset_envelope,
+    ref_sample_dgauss_at_centers,
+    ref_sample_rejection_centered,
+)
 from sketchlab import dgauss
 from sketchlab.errors import NonPositiveVariance, VarianceTooSmall
 from sketchlab.numerics import OrthonormalBasis
@@ -89,6 +95,92 @@ class TestSample1d:
         a = dgauss.sample_dgauss_1d(50.0, derive(5, "det"), size=1000)
         b = dgauss.sample_dgauss_1d(50.0, derive(5, "det"), size=1000)
         assert np.array_equal(a, b)
+
+
+PINNED_SIGMA2 = (4.0, 24.65, 50.0, 1e4, 1e8)
+
+
+class TestRejectionBits:
+    """The merged rejection loop with its squeeze is pinned to the plain
+    per-proposal ratio loops of tests/oracles.py: same samples, same number
+    of draws taken from the generator, same envelope constants."""
+
+    @pytest.mark.parametrize("s2", PINNED_SIGMA2)
+    def test_centered_matches_reference(self, s2):
+        for seed in (0, 1, 2):
+            rng_a, rng_b = derive(seed, "pin", str(s2)), derive(seed, "pin", str(s2))
+            a = dgauss.sample_dgauss_1d(s2, rng_a, size=(300, 100))
+            b = ref_sample_rejection_centered(s2, rng_b, (300, 100))
+            assert np.array_equal(a, b)
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        one = dgauss.sample_dgauss_1d(s2, derive(9, "pin-one"))
+        assert isinstance(one, int)
+        assert one == ref_sample_rejection_centered(s2, derive(9, "pin-one"), None)
+
+    @pytest.mark.parametrize("s2", PINNED_SIGMA2)
+    def test_offset_matches_reference(self, s2):
+        gen = np.random.default_rng(17)
+        for seed in (0, 1, 2):
+            centers = gen.standard_normal((200, 64)) * 40.0 * math.sqrt(s2) \
+                + gen.uniform(-0.5, 0.5, (200, 64))
+            rng_a, rng_b = derive(seed, "pin-off", str(s2)), derive(seed, "pin-off", str(s2))
+            a = dgauss._sample_at_centers(centers, s2, dgauss._offset_envelope(s2), rng_a)
+            b = ref_sample_dgauss_at_centers(centers, s2, rng_b)
+            assert np.array_equal(a, b)
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_support_bound_applies_before_squeeze(self):
+        # a support bound of 1.5 sigma rejects ~13% of proposals outright;
+        # none of them may slip through the squeeze
+        s2 = 24.65
+        sigma = math.sqrt(s2)
+        c_env, _, _ = dgauss._offset_envelope(s2)
+        bound = 1.5 * sigma
+        q = dgauss._rounded_gaussian_pmf(bound, sigma)
+        squeeze = min(math.exp(-bound * bound / (2.0 * s2)) / (c_env * q), 1.0) * (1.0 - 1e-9)
+        centers = np.random.default_rng(18).uniform(-100.0, 100.0, (100, 64))
+        rng_a, rng_b = derive(3, "pin-bound"), derive(3, "pin-bound")
+        a = dgauss._sample_at_centers(centers, s2, (c_env, bound, squeeze), rng_a)
+        b = ref_sample_dgauss_at_centers(centers, s2, rng_b, envelope=(c_env, bound))
+        assert np.array_equal(a, b)
+        assert np.all(np.abs(a - centers) <= bound)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize("s2", PINNED_SIGMA2)
+    def test_envelope_constants_unchanged(self, s2):
+        c_env, K, _ = dgauss._centered_envelope(s2)
+        assert (c_env, K) == ref_centered_envelope(s2)
+        c_env, lim, _ = dgauss._offset_envelope(s2)
+        assert (c_env, lim) == ref_offset_envelope(s2)
+
+    @pytest.mark.parametrize("s2", PINNED_SIGMA2 + (2.5e6,))
+    def test_centered_squeeze_bounds_ratio_on_support(self, s2):
+        c_env, K, squeeze = dgauss._centered_envelope(s2)
+        z = np.arange(0, K + 1, dtype=float)
+        w = np.exp(-z * z / (2.0 * s2))
+        q = dgauss._rounded_gaussian_pmf(z, math.sqrt(s2))
+        ratio = w / (c_env * q)
+        assert 0.0 < squeeze <= float(np.min(ratio))
+        assert float(np.max(ratio)) < 1.0
+
+    @pytest.mark.parametrize("n", (8, 64, 128, 256, 4096))
+    def test_offset_squeeze_bounds_ratio_on_grid(self, n):
+        for s2 in (dgauss.smoothing_r0sq(n), 50.0, 1e4):
+            c_env, lim, squeeze = dgauss._offset_envelope(s2)
+            u = np.linspace(0.0, lim, 200_001)
+            w = np.exp(-u * u / (2.0 * s2))
+            q = dgauss._rounded_gaussian_pmf(u, math.sqrt(s2))
+            ratio = np.minimum(w / (c_env * q), 1.0)
+            assert 0.0 < squeeze <= float(np.min(ratio))
+
+    def test_ratio_falls_with_distance(self):
+        # the squeeze rests on w/q decreasing in |u|
+        for s2 in (4.0, 24.65, 1e4):
+            u = np.linspace(0.0, 8.0 * math.sqrt(s2), 5000)
+            w = np.exp(-u * u / (2.0 * s2))
+            q = dgauss._rounded_gaussian_pmf(u, math.sqrt(s2))
+            ratio = w / q
+            assert np.all(np.diff(ratio) <= 1e-12 * ratio[:-1])
 
 
 class TestEllipsoidal:

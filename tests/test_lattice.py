@@ -10,6 +10,8 @@ from sketchlab.errors import (
     DegenerateLattice,
     DependentInput,
     FullRank,
+    Int64Overflow,
+    SketchLabError,
     TooManyRows,
 )
 from sketchlab.intlinalg import norm_sq, row_hnf, same_lattice
@@ -150,6 +152,15 @@ class TestPreprocessSketch:
         kb.check_against(Ap)  # orthogonal to original and added rows
         # A' contains A's rows verbatim
         assert Ap.to_lists()[0] == [1] * 8
+
+    def test_int64_storage_overflow_is_typed(self):
+        # stacked Siegel rows outgrow int64 on this input; the failure names
+        # the storage limit instead of escaping as a bare OverflowError
+        A = IntMatrix.from_rows(derive(4, "prep").integers(-50, 51, size=(3, 32)), bound=50)
+        with pytest.raises(Int64Overflow, match="int64"):
+            preprocess_sketch(A, short_circuit=False)
+        with pytest.raises(SketchLabError):
+            IntMatrix.from_rows([[2**63, 0]])
 
     def test_too_many_rows(self):
         with pytest.raises(TooManyRows):

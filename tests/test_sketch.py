@@ -185,6 +185,118 @@ class TestGapNormOracle:
         assert 0 <= hits <= trials  # reported, not asserted
 
 
+FAMILY_PARAMS = (
+    ("sign", None),
+    ("rounded-gaussian", None),
+    ("countsketch", {"reps": 2}),
+    ("projection-threshold", {"alpha": 300.0, "B": 8.0}),
+)
+
+
+def straddling_queries(sk, params, k, rng):
+    """Integer queries whose estimates spread across the family's threshold:
+    each row is scaled so its estimate lands at a random factor in
+    [1/4, 4] of the threshold."""
+    if sk.family == "projection-threshold":
+        mid = sk.estimator["tau"]
+    else:
+        mid = params.alpha * math.sqrt(params.B)
+    X = rng.integers(-20, 21, size=(k, sk.n))
+    est = np.array([sk.l2_estimate(sk.apply(x)) for x in X])
+    factor = np.exp(rng.uniform(np.log(0.25), np.log(4.0), size=k))
+    scale = np.sqrt(factor * mid / np.maximum(est, 1.0))
+    return np.rint(X * scale[:, None]).astype(np.int64)
+
+
+def reference_estimate(sk, y):
+    """||x||^2 estimate from y = A x, written out per family."""
+    y = np.asarray(y, dtype=float)
+    est = sk.estimator
+    if sk.family == "sign":
+        return np.median([np.mean(y[g] ** 2) for g in est["groups"]]) * est["median_correction"]
+    if sk.family == "countsketch":
+        return np.median([np.sum(y[b] ** 2) for b in est["blocks"]]) * est["median_correction"]
+    w = np.linalg.solve(np.linalg.inv(sk.R), y)  # Q x = R y
+    scale = sk.n / sk.r if sk.family == "rounded-gaussian" else 1.0
+    return scale * float(w @ w)
+
+
+class TestBatchOracle:
+    @pytest.mark.parametrize("family,fam_params", FAMILY_PARAMS)
+    def test_batch_matches_stream(self, family, fam_params):
+        sk = build_sketch(family, 64, 8, fam_params, seed=41)
+        params = GapNormParams(B=8.0, alpha=300.0)
+        X = straddling_queries(sk, params, 400, derive(35, "straddle", family))
+        oracle = GapNormOracle(sk, params)
+        bits = oracle.query_batch(X)
+        assert oracle.query_count == len(X)
+        streamed = []
+        for x in X:
+            st = sk.new_stream()
+            st.ingest_vector(x)
+            streamed.append(sk.gap_bit(st.value, params))
+        assert bits.dtype == np.int8
+        assert bits.tolist() == streamed
+        assert 0.2 <= float(np.mean(bits)) <= 0.8  # the batch straddles the threshold
+        mid = sk.estimator["tau"] if family == "projection-threshold" \
+            else params.alpha * math.sqrt(params.B)
+        ref = np.array([reference_estimate(sk, sk.apply(x)) for x in X])
+        differ = bits != (ref >= mid)
+        assert np.all(np.abs(ref[differ] - mid) <= 1e-9 * mid)
+        assert [oracle.query(x) for x in X[:20]] == streamed[:20]
+        assert oracle.query_count == len(X) + 20
+
+    def test_projection_bits_match_rowspan_energy(self):
+        sk = build_sketch("projection-threshold", 64, 8, {"alpha": 300.0, "B": 8.0}, seed=42)
+        params = GapNormParams(B=8.0, alpha=300.0)
+        X = straddling_queries(sk, params, 1000, derive(35, "rowspan"))
+        bits = GapNormOracle(sk, params).query_batch(X)
+        # ||P_rowspan(A) x||^2 from A alone, by least squares
+        A = sk.A.entries.astype(float)
+        coef = np.linalg.lstsq(A.T, X.T.astype(float), rcond=None)[0]
+        energy = np.sum((A.T @ coef) ** 2, axis=0)
+        tau = sk.estimator["tau"]
+        exact = (energy >= tau).astype(np.int8)
+        differ = bits != exact
+        assert np.all(np.abs(energy[differ] - tau) <= 1e-9 * tau)
+        assert 0.2 <= float(np.mean(exact)) <= 0.8
+
+    @pytest.mark.parametrize("family,fam_params", FAMILY_PARAMS)
+    def test_int64_guard_object_fallback(self, family, fam_params):
+        sk = build_sketch(family, 64, 8, fam_params, seed=43)
+        params = GapNormParams(B=8.0, alpha=300.0)
+        big = 2**62 // (sk.A.max_abs_entry() * sk.n) + 1
+        rng = derive(35, "guard", family)
+        X = rng.integers(-3, 4, size=(6, sk.n)).astype(object) * big
+        X[0] = 0
+        X[1, 0] = big  # one large entry trips the guard for the whole batch
+        Y = sk.apply_batch(X)
+        assert Y.dtype == object and Y.shape == (6, sk.r)
+        rows = sk.A.to_lists()
+        exact = [[sum(a * int(b) for a, b in zip(row, x)) for row in rows] for x in X]
+        assert Y.tolist() == exact
+        assert all(isinstance(v, int) for v in Y.ravel())
+        oracle = GapNormOracle(sk, params)
+        bits = oracle.query_batch(X)
+        assert oracle.query_count == 6
+        assert bits.tolist() == [sk.gap_bit(np.array(y, dtype=object), params) for y in exact]
+        assert bits[0] == 0
+        # below the guard the same rows take the int64 path and agree exactly
+        small = X // big
+        assert sk.apply_batch(small).dtype == np.int64
+        assert (sk.apply_batch(small) * big).tolist() == exact
+
+    def test_apply_is_one_row_of_apply_batch(self):
+        sk = build_sketch("rounded-gaussian", 32, 4, seed=44)
+        X = derive(35, "rows").integers(-50, 51, size=(10, 32))
+        Y = sk.apply_batch(X)
+        assert Y.shape == (10, 4)
+        assert all(np.array_equal(sk.apply(x), y) for x, y in zip(X, Y))
+        with pytest.raises(DimensionMismatch):
+            sk.apply_batch(np.zeros((3, 31), dtype=int))
+        assert sk.apply_batch(np.zeros((0, 32), dtype=int)).shape == (0, 4)
+
+
 class TestExactNormOracle:
     def test_threshold_semantics(self):
         params = GapNormParams(B=8.0, alpha=100.0)
