@@ -23,7 +23,7 @@ while True:
     if np.linalg.matrix_rank(A.astype(float)) == 2:
         break
 sk = IntegerSketch.from_matrix(A)
-rep = stats.cell_lemma_check(sk, sigma2=1e8, trials=50_000, rng=rng)
+rep = stats.cell_lemma_check(sk, 1e8, trials=50_000, rng=rng)
 print("cell lemma, r=2, n=8, sigma^2=1e8:")
 print(f"  certified kernel length: {rep['certified_kernel_length']:.2f}")
 print(f"  TVD(discrete image + cell noise, continuous image) = "

@@ -41,7 +41,6 @@ from .lattice import (
     integer_kernel_basis,
     preprocess_sketch,
     reduce_basis,
-    round_to_column_lattice,
     short_kernel_vector,
 )
 from .numerics import (

@@ -25,15 +25,25 @@ from .rng import derive
 from .sketch import ExactNormOracle, GapNormOracle, GapNormParams, build_sketch
 
 
+def alpha_lattice_term(n, ell, eps=1e-6):
+    """The lattice term of the alpha policy: ell^2 ln(2n(1+1/eps))/pi for a
+    certified orthogonal-lattice length ell."""
+    return ell**2 * math.log(2 * n * (1 + 1 / eps)) / math.pi
+
+
+def alpha_floor(n):
+    """The discrete-sampling floor of the alpha policy, 8 r0^2."""
+    return 8.0 * dgauss.smoothing_r0sq(n)
+
+
 def auto_alpha(sketch, eps=1e-6):
     """Automatic alpha policy: the certified orthogonal-lattice length of the
     pre-processed sketch, squared, times ln(2n(1+1/eps))/pi; floored at the
-    discrete-sampling requirement 8 r0^2."""
+    discrete-sampling requirement 8 r0^2. Returns (alpha, length)."""
     _, kb = preprocess_sketch(sketch.A)
     n = sketch.n
     ell = max(kb.certified_max_len, 1.0)
-    a = ell**2 * math.log(2 * n * (1 + 1 / eps)) / math.pi
-    return max(a, 8.0 * dgauss.smoothing_r0sq(n)), ell
+    return max(alpha_lattice_term(n, ell, eps), alpha_floor(n)), ell
 
 
 def _attack_setup(seed, n=128, r=8, B=8.0, m=2000, grid_points=16):
@@ -300,8 +310,6 @@ def criterion_9_conditional_gap(fast=False):
 
 class _PlantedOracle:
     """Synthetic oracle: 1 iff <u, x>^2 >= 3 sigma0^2 for a planted unit u."""
-
-    safe_concurrent = True
 
     def __init__(self, u, sigma0_sq):
         self.u = np.asarray(u, dtype=float)

@@ -295,13 +295,8 @@ def verify_certificate(oracle, cert: FailureCertificate, trials, rng, n=None):
             f"no exploit in {trials} trials for {cert.side}-side certificate"
         )
     exploits = [
-        Exploit(
-            x=[int(v) for v in X[i]],
-            norm_sq=float(norms[i]),
-            answer=int(answers[i]),
-            wrong=True,
-        )
-        for i in idx
+        Exploit(x=x, norm_sq=float(norms[i]), answer=int(answers[i]), wrong=True)
+        for i, x in zip(idx, X[idx].tolist())
     ]
     return {"failure_rate": idx.size / int(trials), "exploits": exploits}
 

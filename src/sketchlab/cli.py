@@ -80,6 +80,9 @@ def _write_json(path, obj):
 
 
 def _build_attack_pieces(acfg, root_seed):
+    """The attacked sketch, its GapNormParams and AttackConfig, and how alpha
+    was set: the sampling floor, the lattice term (None for a fixed alpha)
+    and which of floor, lattice or fixed binds."""
     n, r = acfg["n"], acfg["r"]
     B = float(acfg["B"])
     family = acfg["family"]
@@ -92,9 +95,16 @@ def _build_attack_pieces(acfg, root_seed):
         if family == "projection-threshold":
             probe_params.update({"alpha": 1.0, "B": B, "m_cal": 16})
         probe = build_sketch(family, n, r, probe_params, seed=sketch_seed)
-        alpha, _ = acceptance.auto_alpha(probe)
+        alpha, ell = acceptance.auto_alpha(probe)
+        lattice_term = acceptance.alpha_lattice_term(n, ell)
+        binds = "lattice" if alpha == lattice_term else "floor"
     else:
-        alpha = float(policy)
+        alpha, lattice_term, binds = float(policy), None, "fixed"
+    alpha_report = {
+        "alpha_floor": acceptance.alpha_floor(n),
+        "alpha_lattice_term": lattice_term,
+        "alpha_binds": binds,
+    }
 
     if family == "projection-threshold":
         fam_params.update({"alpha": alpha, "B": B})
@@ -112,7 +122,7 @@ def _build_attack_pieces(acfg, root_seed):
         zeta=acfg.get("zeta"),
         verify_trials=int(acfg.get("verify_trials", 10_000)),
     )
-    return sk, params, cfg
+    return sk, params, cfg, alpha_report
 
 
 def _single_attack_run(args):
@@ -136,7 +146,7 @@ def _single_attack_run(args):
                 oracle, out.certificate, cfg.verify_trials,
                 derive(root_seed, "verify", run_seed),
             )
-            result["exploits"] = [asdict(e) for e in rep["exploits"][:EXPLOITS_WRITTEN]]
+            result["exploits"] = [dict(vars(e)) for e in rep["exploits"][:EXPLOITS_WRITTEN]]
             result["failure_rate"] = rep["failure_rate"]
         except NoExploitFound:
             result["exploits"] = []
@@ -155,7 +165,7 @@ def cmd_attack_run(args):
     seeds = acfg.get("seeds", [0])
     do_verify = bool(acfg.get("verify", True))
     # the sketch depends only on the sketch seed: build it once for all runs
-    pieces = _build_attack_pieces(acfg, root_seed)
+    *pieces, alpha_report = _build_attack_pieces(acfg, root_seed)
     jobs = [(pieces, root_seed, s, do_verify) for s in seeds]
 
     threads = int(os.environ.get("SKETCHLAB_THREADS", "1"))
@@ -202,6 +212,7 @@ def cmd_attack_run(args):
         "certificates": sum(c is not None for c in certs),
         "verified": sum(1 for r in results if r["exploits"]),
         "alpha": results[0]["alpha"],
+        **alpha_report,
         "out_dir": out_dir,
     }
     _write_json(os.path.join(out_dir, "report.json"), report)

@@ -1,11 +1,19 @@
 """Exact integer linear algebra: Hermite-normal-form elimination, integer
 kernel bases, and LLL reduction in all-integer (de Weger) arithmetic.
 
-Everything here works on Python big integers; nothing is floating point, so
-results feed the certified length bounds directly.
+Everything here is exact integer arithmetic; nothing is floating point, so
+results feed the certified length bounds directly. Inner products run as one
+int64 product where `int64_rows` shows no sum can overflow, and on Python big
+integers otherwise.
 """
 
+import numpy as np
+
 from .errors import DependentInput
+
+# A sum of n integer products, each at most M in magnitude, is exact in int64
+# while n * M stays below this guard.
+INT64_GUARD = 2**62
 
 
 def iround_div(a: int, b: int) -> int:
@@ -21,6 +29,27 @@ def dot(u, v) -> int:
 
 def norm_sq(v) -> int:
     return sum(x * x for x in v)
+
+
+def int64_rows(rows):
+    """`rows` as an (k, n) int64 array when every inner product between them
+    is exact in int64 (n * max|x|^2 < INT64_GUARD); None otherwise."""
+    try:
+        arr = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return None
+    if arr.ndim != 2 or arr.size == 0:
+        return None
+    m = max(int(arr.max()), -int(arr.min()))
+    return arr if arr.shape[1] * m * m < INT64_GUARD else None
+
+
+def norms_sq(rows):
+    """Exact squared lengths of integer vectors, as Python ints."""
+    arr = int64_rows(rows)
+    if arr is None:
+        return [norm_sq(v) for v in rows]
+    return np.einsum("ij,ij->i", arr, arr).tolist()
 
 
 def _gcd_eliminate_column(W, col, start_row, n_rows):
@@ -112,6 +141,8 @@ def lll_reduce_int(basis, delta=(99, 100)):
 
     All-integer variant (Cohen, Alg. 2.6.3): Gram-Schmidt data is carried as
     integers lambda[i][j] and subdeterminants d[i], so the reduction is exact.
+    The inner products <b_k, b_j> come from an int64 mirror of the basis rows
+    while `int64_rows` admits them, and from Python integers once it does not.
     Raises DependentInput if the vectors are dependent.
     """
     b = [list(map(int, v)) for v in basis]
@@ -122,10 +153,29 @@ def lll_reduce_int(basis, delta=(99, 100)):
     d = [0] * (kn + 1)
     d[0] = 1
     lam = [[0] * kn for _ in range(kn)]
+    # rows changed by red/swap are copied into the mirror at the next Gram
+    # step, not at every change; mirror is None for the rest of the run once
+    # a copied row fails the int64 guard
+    mirror = int64_rows(b)
+    dirty = set()
+
+    def gram_row(k):
+        """<b_k, b_j> for j = 0..k, exact."""
+        nonlocal mirror
+        if mirror is not None and dirty:
+            idx = list(dirty)
+            fresh = int64_rows([b[i] for i in idx])
+            if fresh is None:
+                mirror = None
+            else:
+                mirror[idx] = fresh
+            dirty.clear()
+        if mirror is None:
+            return [dot(b[k], b[j]) for j in range(k + 1)]
+        return (mirror[: k + 1] @ mirror[k]).tolist()
 
     def incremental_gram(k):
-        for j in range(k + 1):
-            u = dot(b[k], b[j])
+        for j, u in enumerate(gram_row(k)):
             for i in range(j):
                 u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
             if j < k:
@@ -140,12 +190,14 @@ def lll_reduce_int(basis, delta=(99, 100)):
             m = iround_div(lam[k][l], d[l + 1])
             bk, bl = b[k], b[l]
             b[k] = [x - m * y for x, y in zip(bk, bl)]
+            dirty.add(k)
             lam[k][l] -= m * d[l + 1]
             for i in range(l):
                 lam[k][i] -= m * lam[l][i]
 
     def swap(k, k_max):
         b[k], b[k - 1] = b[k - 1], b[k]
+        dirty.update((k, k - 1))
         for j in range(k - 1):
             lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
         lam_ = lam[k][k - 1]

@@ -99,11 +99,16 @@ class KernelBasis:
 
     def check_against(self, A: IntMatrix):
         """Exact check that every vector is annihilated by A."""
-        rows = A.to_lists()
-        for v in self.vectors:
-            for row in rows:
-                if intlinalg.dot(row, v) != 0:
-                    raise AssertionError("kernel vector not annihilated exactly")
+        V = intlinalg.int64_rows(self.vectors)
+        W = intlinalg.int64_rows(A.entries)
+        if V is not None and W is not None:
+            # exact: every |<a, v>| <= n max(|a|, |v|)^2 < INT64_GUARD
+            annihilated = not np.any(W @ V.T)
+        else:
+            annihilated = all(intlinalg.dot(row, v) == 0
+                              for row in A.to_lists() for v in self.vectors)
+        if not annihilated:
+            raise AssertionError("kernel vector not annihilated exactly")
 
 
 def integer_kernel_basis(A: IntMatrix) -> KernelBasis:
@@ -114,7 +119,7 @@ def integer_kernel_basis(A: IntMatrix) -> KernelBasis:
     vecs = intlinalg.kernel_basis_int(A.to_lists())
     if not vecs:
         raise FullRank("matrix has full column rank; integer kernel is trivial")
-    max_len = max(math.sqrt(intlinalg.norm_sq(v)) for v in vecs)
+    max_len = math.sqrt(max(intlinalg.norms_sq(vecs)))
     kb = KernelBasis(A.cols, vecs, max_len)
     kb.check_against(A)
     return kb
@@ -130,7 +135,9 @@ def reduce_basis(basis, delta=(99, 100), check=False):
     if not vecs:
         return []
     reduced = intlinalg.lll_reduce_int(vecs, delta=delta)
-    reduced.sort(key=intlinalg.norm_sq)
+    keys = intlinalg.norms_sq(reduced)
+    order = sorted(range(len(reduced)), key=keys.__getitem__)
+    reduced = [reduced[i] for i in order]
     if check and not intlinalg.same_lattice(vecs, reduced):
         raise AssertionError("reduction changed the generated lattice")
     return reduced
@@ -206,7 +213,7 @@ def preprocess_sketch(A: IntMatrix, short_circuit=True):
 
     kb = integer_kernel_basis(A)
     reduced = reduce_basis(kb.vectors)
-    lengths = [math.sqrt(intlinalg.norm_sq(v)) for v in reduced]
+    lengths = [math.sqrt(s) for s in intlinalg.norms_sq(reduced)]
 
     if short_circuit and lengths and max(lengths) <= target:
         full = KernelBasis(n, reduced, max(lengths))
@@ -337,11 +344,6 @@ class CellRounder:
         coords = np.linalg.solve(B.T, np.asarray(Y, dtype=float).T).T
         coeffs = np.floor(coords + 1e-12).astype(np.int64)
         return coeffs @ self.basis
-
-
-def round_to_column_lattice(rounder: CellRounder, y):
-    """Nearest point of the column lattice to y; see CellRounder.round."""
-    return rounder.round(y)
 
 
 def fundamental_cell_uniform(rounder: CellRounder, rng, size=None):

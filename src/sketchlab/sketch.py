@@ -17,13 +17,12 @@ import numpy as np
 
 from . import dgauss
 from .errors import BadParams, DimensionMismatch
+from .intlinalg import INT64_GUARD
 from .lattice import IntMatrix
 from .numerics import orthonormalize_rows
 from .rng import derive
 
 FAMILIES = ("sign", "rounded-gaussian", "countsketch", "projection-threshold")
-
-_INT64_GUARD = 2**62
 
 
 @dataclass
@@ -49,22 +48,34 @@ class GapNormParams:
 
 
 class StreamState:
-    """Accumulated sketch value A x for x = sum of turnstile updates (i, delta)."""
+    """Accumulated sketch value A x for x = sum of turnstile updates (i, delta).
+
+    The value is int64 until an update could carry a row past INT64_GUARD,
+    and Python integers (dtype object) from then on, so it never wraps.
+    """
 
     def __init__(self, sketch):
         self._A = sketch.A.entries
+        self._a_max = sketch.A.max_abs_entry()
         self.value = np.zeros(self._A.shape[0], dtype=np.int64)
         self.update_count = 0
 
     def update(self, i, delta):
-        self.value += self._A[:, i] * int(delta)
-        self.update_count += 1
+        self.ingest_updates([i], [delta])
 
     def ingest_updates(self, indices, deltas):
         indices = np.asarray(indices, dtype=np.intp)
         deltas = np.asarray(deltas, dtype=np.int64)
         if indices.size:
-            self.value += self._A[:, indices] @ deltas
+            cols = self._A[:, indices]
+            if self.value.dtype != object:
+                v_max = max(int(self.value.max()), -int(self.value.min()))
+                d_max = max(int(deltas.max()), -int(deltas.min()))
+                if v_max + self._a_max * d_max * indices.size >= INT64_GUARD:
+                    self.value = self.value.astype(object)
+            if self.value.dtype == object:
+                cols, deltas = cols.astype(object), deltas.astype(object)
+            self.value += cols @ deltas
         self.update_count += int(indices.size)
 
     def ingest_vector(self, x):
@@ -118,7 +129,7 @@ class IntegerSketch:
         if X.ndim != 2 or X.shape[1] != self.n:
             raise DimensionMismatch(f"expected rows of dim {self.n}, got {X.shape}")
         x_max = int(np.max(np.abs(X))) if X.size else 0
-        if self.A.max_abs_entry() * max(x_max, 1) * self.n >= _INT64_GUARD:
+        if self.A.max_abs_entry() * max(x_max, 1) * self.n >= INT64_GUARD:
             rows = self.A.to_lists()
             Y = [[sum(a * int(b) for a, b in zip(row, x)) for row in rows] for x in X]
             return np.array(Y, dtype=object).reshape(X.shape[0], self.r)
@@ -319,9 +330,6 @@ class GapNormOracle:
     query is a batch of one row.
     """
 
-    safe_concurrent = True
-    is_ground_truth = False
-
     def __init__(self, sketch: IntegerSketch, params: GapNormParams):
         self._sketch = sketch
         self.params = params
@@ -347,9 +355,6 @@ class ExactNormOracle:
     3 alpha (n-d) and the high-side demands at sigma^2 >= alpha B / 2 for the
     desk-scale B used here, so this oracle admits no failure certificate.
     """
-
-    safe_concurrent = True
-    is_ground_truth = True
 
     def __init__(self, n, params: GapNormParams, threshold=None):
         self.n = n

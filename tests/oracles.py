@@ -1,7 +1,8 @@
 """Independent oracles used by the tests: Jacobi SVD, brute-force lattice
-enumeration, closed-form TVD, quadrature, and the plain rejection loops of the
-discrete Gaussian sampler (no squeeze). These deliberately avoid the code
-paths they check."""
+enumeration, closed-form TVD, quadrature, the plain rejection loops of the
+discrete Gaussian sampler (no squeeze), and the all-integer LLL with its
+inner products on Python integers. These deliberately avoid the code paths
+they check."""
 
 import itertools
 import math
@@ -193,3 +194,76 @@ def ref_sample_dgauss_at_centers(centers, r0sq, rng, envelope=None):
         out[pending[accept]] = z[accept].astype(np.int64)
         pending = pending[~accept]
     return out.reshape(np.asarray(centers).shape)
+
+
+def ref_lll_reduce_int(basis, delta=(99, 100)):
+    """All-integer LLL (Cohen, Alg. 2.6.3) with every inner product a Python
+    integer sum; the reference for sketchlab.intlinalg.lll_reduce_int."""
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    def iround_div(a, b):
+        if b < 0:
+            a, b = -a, -b
+        return (2 * a + b) // (2 * b)
+
+    b = [list(map(int, v)) for v in basis]
+    kn = len(b)
+    if kn == 0:
+        return []
+    p, q = int(delta[0]), int(delta[1])
+    d = [0] * (kn + 1)
+    d[0] = 1
+    lam = [[0] * kn for _ in range(kn)]
+
+    def incremental_gram(k):
+        for j in range(k + 1):
+            u = dot(b[k], b[j])
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            else:
+                if u == 0:
+                    raise ValueError("LLL input vectors are linearly dependent")
+                d[k + 1] = u
+
+    def red(k, l):
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            m = iround_div(lam[k][l], d[l + 1])
+            b[k] = [x - m * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= m * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= m * lam[l][i]
+
+    def swap(k, k_max):
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        lam_ = lam[k][k - 1]
+        B = (d[k - 1] * d[k + 1] + lam_ * lam_) // d[k]
+        for i in range(k + 1, k_max + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lam_ * t) // d[k]
+            lam[i][k - 1] = (B * t + lam_ * lam[i][k]) // d[k + 1]
+        d[k] = B
+
+    d[1] = dot(b[0], b[0])
+    if d[1] == 0:
+        raise ValueError("LLL input contains the zero vector")
+    k = 1
+    k_max = 0
+    while k < kn:
+        if k > k_max:
+            k_max = k
+            incremental_gram(k)
+        red(k, k - 1)
+        if q * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2) < p * d[k] ** 2:
+            swap(k, k_max)
+            k = max(k - 1, 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                red(k, l)
+            k += 1
+    return b

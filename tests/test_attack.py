@@ -24,8 +24,6 @@ ALPHA = 800.0
 
 
 class _ConstOracle:
-    safe_concurrent = True
-
     def __init__(self, bit, n):
         self.bit = bit
         self.n = n

@@ -42,6 +42,23 @@ class TestAttackRun:
         assert a == b  # byte-identical replay
         header = a.decode().splitlines()[0]
         assert header == "run_id,seed,round,sigma2,rate,m_prime,score,accepted"
+        report = json.load(open(os.path.join(out1, "report.json")))
+        assert report["alpha"] == max(report["alpha_floor"], report["alpha_lattice_term"])
+        assert report["alpha_binds"] in ("floor", "lattice")
+
+    def test_alpha_decomposition(self):
+        import sketchlab.cli as cli_mod
+        from sketchlab import acceptance
+        floor = acceptance.alpha_floor(64)
+        _, params, _, auto = cli_mod._build_attack_pieces(ATTACK_CFG["attack"], 7)
+        assert auto["alpha_floor"] == floor
+        assert params.alpha == max(auto["alpha_lattice_term"], floor)
+        binds = "lattice" if auto["alpha_lattice_term"] >= floor else "floor"
+        assert auto["alpha_binds"] == binds
+        fixed = dict(ATTACK_CFG["attack"], alpha_policy=900.0)
+        _, params, _, rep = cli_mod._build_attack_pieces(fixed, 7)
+        assert params.alpha == 900.0
+        assert rep == {"alpha_floor": floor, "alpha_lattice_term": None, "alpha_binds": "fixed"}
 
     def test_sketch_built_once_for_all_seeds(self, tmp_path, monkeypatch):
         import sketchlab.cli as cli_mod
@@ -92,7 +109,7 @@ class TestAttackRun:
         sk_file = str(tmp_path / "sk.json")
         import sketchlab.cli as cli_mod
         # the sketch spec comes from the attack pieces; write it for verify
-        sk, _, _ = cli_mod._build_attack_pieces(ATTACK_CFG["attack"], 7)
+        sk, _, _, _ = cli_mod._build_attack_pieces(ATTACK_CFG["attack"], 7)
         open(sk_file, "w").write(sk.spec_json())
         rc = main(["attack", "verify", "--certificate", cert_file,
                    "--sketch", sk_file, "--trials", "500"])

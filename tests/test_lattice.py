@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_closest_lattice_point, brute_shortest_lattice_vector, enumerate_integer_kernel
+from oracles import (
+    brute_closest_lattice_point,
+    brute_shortest_lattice_vector,
+    enumerate_integer_kernel,
+    ref_lll_reduce_int,
+)
+from sketchlab import intlinalg
 from sketchlab.errors import (
     DegenerateLattice,
     DependentInput,
@@ -18,14 +24,15 @@ from sketchlab.intlinalg import norm_sq, row_hnf, same_lattice
 from sketchlab.lattice import (
     CellRounder,
     IntMatrix,
+    KernelBasis,
     fundamental_cell_uniform,
     integer_kernel_basis,
     preprocess_sketch,
     reduce_basis,
-    round_to_column_lattice,
     short_kernel_vector,
 )
 from sketchlab.rng import derive
+from sketchlab.sketch import FAMILIES, build_sketch
 
 
 class TestIntegerKernelBasis:
@@ -126,6 +133,77 @@ class TestReduceBasis:
         assert norms == sorted(norms)
 
 
+class TestLllInt64Mirror:
+    """lll_reduce_int takes its inner products from an int64 mirror of the
+    basis while the guard admits them; its output must be the reference
+    Python-integer LLL's, vector for vector."""
+
+    def test_siegel_instances_match_reference(self):
+        # criterion 3's generator
+        rng = derive(3, "siegel")
+        for _ in range(100):
+            n = int(rng.integers(2, 25))
+            r = int(rng.integers(1, max(2, n // 2 + 1)))
+            M = int(rng.integers(1, 101))
+            A = rng.integers(-M, M + 1, size=(r, n))
+            if not np.any(A):
+                A[0, 0] = 1
+            vecs = integer_kernel_basis(IntMatrix.from_rows(A, bound=M)).vectors
+            assert intlinalg.lll_reduce_int(vecs) == ref_lll_reduce_int(vecs)
+
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_family_kernels_match_reference(self, family, n):
+        params = {"alpha": 1.0, "B": 8.0, "m_cal": 16} if family == "projection-threshold" else {}
+        vecs = integer_kernel_basis(build_sketch(family, n, 8, params, seed=0).A).vectors
+        ref = ref_lll_reduce_int(vecs)
+        assert intlinalg.lll_reduce_int(vecs) == ref
+        assert reduce_basis(vecs) == sorted(ref, key=norm_sq)
+
+    def test_above_guard_matches_reference(self, monkeypatch):
+        admitted = []
+        real = intlinalg.int64_rows
+
+        def spy(rows):
+            arr = real(rows)
+            admitted.append(arr is not None)
+            return arr
+
+        monkeypatch.setattr(intlinalg, "int64_rows", spy)
+        rng = derive(11, "lll-guard")
+        # entries near 2^70 never fit: Python integers from the start
+        for _ in range(5):
+            B = [[int(x) << 41 for x in row]
+                 for row in rng.integers(-2**29, 2**29 + 1, size=(6, 8))]
+            admitted.clear()
+            assert intlinalg.lll_reduce_int(B) == ref_lll_reduce_int(B)
+            assert admitted == [False]
+        # at 2^29 and n = 8 the start fits, and size reduction can carry a
+        # row past the guard during the run
+        switched = []
+        for _ in range(40):
+            B = rng.integers(-2**29, 2**29 + 1, size=(6, 8)).tolist()
+            admitted.clear()
+            assert intlinalg.lll_reduce_int(B) == ref_lll_reduce_int(B)
+            switched.append(admitted[0] and not all(admitted))
+        assert any(switched)
+
+    @pytest.mark.parametrize("scale", [1, 2**40])
+    def test_check_against_exact_in_both_regimes(self, scale):
+        A = IntMatrix.from_rows([[1, 2, 3], [0, 1, -1]])
+        good = KernelBasis(3, [[-5 * scale, scale, scale]], 0.0)
+        good.check_against(A)
+        bad = KernelBasis(3, [[-5 * scale, scale, scale], [-5 * scale, scale, scale + 1]], 0.0)
+        assert (intlinalg.int64_rows(bad.vectors) is None) == (scale > 1)
+        with pytest.raises(AssertionError):
+            bad.check_against(A)
+
+    def test_reduce_basis_check_on_family_kernel(self):
+        A = build_sketch("sign", 64, 8, seed=0).A
+        out = reduce_basis(integer_kernel_basis(A).vectors, check=True)
+        KernelBasis(64, out, 0.0).check_against(A)
+
+
 class TestPreprocessSketch:
     def test_all_ones_row(self):
         A = IntMatrix.from_rows([[1, 1, 1, 1]], bound=1)
@@ -180,12 +258,12 @@ class TestPreprocessSketch:
 class TestCellRounder:
     def test_round_identity_lattice(self):
         rounder = CellRounder(np.eye(2, dtype=np.int64))
-        _, p = round_to_column_lattice(rounder, np.array([0.6, -1.4]))
+        _, p = rounder.round(np.array([0.6, -1.4]))
         assert p.tolist() == [1, -1]
 
     def test_round_even_lattice(self):
         rounder = CellRounder(2 * np.eye(2, dtype=np.int64))
-        _, p = round_to_column_lattice(rounder, np.array([0.9, 0.9]))
+        _, p = rounder.round(np.array([0.9, 0.9]))
         assert p.tolist() == [0, 0]
 
     def test_round_matches_bruteforce(self):

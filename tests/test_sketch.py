@@ -56,6 +56,24 @@ class TestApplyAndStreams:
         x[7] = 3
         assert np.array_equal(st.value, sk.apply(x))
 
+    def test_stream_does_not_wrap(self):
+        # x = (2^62, 2^62, 0, ...): rows with equal signs in the first two
+        # columns reach 2^63, one past int64
+        sk = build_sketch("sign", 16, 4, seed=0)
+        x = np.zeros(16, dtype=np.int64)
+        x[0] = x[1] = 2**62
+        assert 2**63 in np.abs(sk.apply(x)).tolist()
+        st = sk.new_stream()
+        st.ingest_vector(x)
+        assert st.value.tolist() == sk.apply(x).tolist()
+        st = sk.new_stream()
+        st.update(0, 2**62)
+        st.update(1, 2**62)
+        st.update(1, -2**62)
+        x[1] = 0
+        assert st.value.tolist() == sk.apply(x).tolist()
+        assert st.update_count == 3
+
     def test_linearity_exact(self):
         rng = derive(31, "lin")
         sk = build_sketch("rounded-gaussian", 32, 4, seed=4)
