@@ -99,7 +99,6 @@ class AttackConfig:
 class AttackState:
     t: int
     V: OrthonormalBasis
-    stats: dict = field(default_factory=dict)       # (t, sigma2) -> record
     transcript: list = field(default_factory=list)  # ordered records
     accepted: list = field(default_factory=list)    # (t, sigma2, score)
 
@@ -194,27 +193,14 @@ def round_step(state: AttackState, oracle, n, r_budget, config: AttackConfig, rn
             "score": None,
             "accepted": False,
         }
-        state.stats[(t, float(sigma2))] = rec
         state.transcript.append(rec)
 
-        if sigma2 >= alpha * B / 2.0 and rate <= 1.0 - zeta:
+        high = sigma2 >= alpha * B / 2.0 and rate <= 1.0 - zeta
+        if high or (sigma2 <= 2.0 * alpha and rate >= zeta):
             cert = FailureCertificate(
                 subspace=[list(map(float, v)) for v in state.V],
                 sigma2=float(sigma2),
-                side="high",
-                empirical_rate=rate,
-                sample_count=config.m,
-                zeta=zeta,
-                alpha=alpha,
-                B=B,
-                round=t,
-            )
-            return "certificate", cert
-        if sigma2 <= 2.0 * alpha and rate >= zeta:
-            cert = FailureCertificate(
-                subspace=[list(map(float, v)) for v in state.V],
-                sigma2=float(sigma2),
-                side="low",
+                side="high" if high else "low",
                 empirical_rate=rate,
                 sample_count=config.m,
                 zeta=zeta,

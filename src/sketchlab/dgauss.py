@@ -26,6 +26,7 @@ from .rng import as_generator
 TAIL_SIGMAS = 12.0
 TABLE_SIGMA2_MAX = 4.0  # below this variance, sample by exact table inversion
 SMOOTHING_EPS = 1e-6
+SQUEEZE_BUCKETS = 1024  # buckets of |u| in the two-sided squeeze
 
 
 def smoothing_r0sq(n, eps=SMOOTHING_EPS):
@@ -98,11 +99,28 @@ def _rounded_gaussian_pmf(u, sigma):
     return ndtr(-(au - 0.5) / sigma) - ndtr(-(au + 0.5) / sigma)
 
 
-def _squeeze(w, q, c_env):
-    """Acceptance ratio at the support bound (the last scan point) less 1e-9
-    relative: a lower bound on the ratio over the whole support, since w/q
-    falls as |u| grows (q/w ~ int_{-1/2}^{1/2} e^{-s^2/2sigma^2} cosh(us/sigma^2) ds)."""
-    return min(float(w[-1] / (c_env * q[-1])), 1.0) * (1.0 - 1e-9)
+def _acceptance_ratio(au, sigma2, c_env):
+    """min(w/(c_env q), 1) at offsets |u| = au, 0 where q underflows. It falls
+    as |u| grows (q/w ~ int_{-1/2}^{1/2} e^{-s^2/2sigma^2} cosh(us/sigma^2) ds),
+    so its value at the support bound less 1e-9 relative, the squeeze, is a
+    lower bound over the whole support."""
+    w = np.exp(-au * au / (2.0 * sigma2))
+    q = _rounded_gaussian_pmf(au, math.sqrt(sigma2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(q > 0, np.minimum(w / (c_env * q), 1.0), 0.0)
+
+
+@lru_cache(maxsize=256)
+def _squeeze_buckets(sigma2, c_env, bound):
+    """(lo, hi, scale): |u| in [0, bound] falls in bucket j = int(|u| * scale)
+    of SQUEEZE_BUCKETS equal ones (the last j is |u| = bound). As the ratio
+    falls with |u|, lo[j] (its value at the right edge, less 1e-9 relative)
+    <= ratio(u) <= hi[j] (at the left edge, plus 1e-9 for rounding)."""
+    r = _acceptance_ratio(np.linspace(0.0, bound, SQUEEZE_BUCKETS + 1), sigma2, c_env)
+    lo = np.append(r[1:], r[-1]) * (1.0 - 1e-9)
+    hi = np.append(r[:-1], r[-1]) * (1.0 + 1e-9)
+    lo.flags.writeable = hi.flags.writeable = False
+    return lo, hi, SQUEEZE_BUCKETS / bound
 
 
 @lru_cache(maxsize=256)
@@ -110,7 +128,7 @@ def _centered_envelope(sigma2):
     """(c_env, K, squeeze): c_env bounds w(z)/q(z) over integer |z| <= K,
     where w(z)=exp(-z^2/2sigma^2) and q is the rounded-continuous proposal pmf.
 
-    The ratio decreases in |z| (see _squeeze), so for very large K a
+    The ratio decreases in |z| (see _acceptance_ratio), so for very large K a
     subsampled scan that includes the dense center and the endpoint is exact
     enough; small K is scanned fully."""
     sigma = math.sqrt(sigma2)
@@ -125,22 +143,22 @@ def _centered_envelope(sigma2):
     w = np.exp(-z * z / (2.0 * sigma2))
     q = _rounded_gaussian_pmf(z, sigma)
     c_env = float(np.max(w / q)) * (1.0 + 1e-9)
-    return c_env, K, _squeeze(w, q, c_env)
+    return c_env, K, float(_acceptance_ratio(K, sigma2, c_env)) * (1.0 - 1e-9)
 
 
 @lru_cache(maxsize=64)
 def _offset_envelope(sigma2):
     """(c_env, 8 sigma, squeeze) for real-valued center offsets, scanned on a
-    fine grid over |u| <= 8 sigma. Proposals beyond the grid are
-    acceptance-capped; their mass is < 1e-14, far below every statistical
-    tolerance used here."""
+    fine grid over |u| <= 8 sigma. The support is cut at 8 sigma:
+    _sample_at_centers rejects every proposal beyond it, and the target mass
+    there is < 1e-14, far below every statistical tolerance used here."""
     sigma = math.sqrt(sigma2)
     lim = 8.0 * sigma
     u = np.linspace(0.0, lim, 4096)
     w = np.exp(-u * u / (2.0 * sigma2))
     q = _rounded_gaussian_pmf(u, sigma)
     c_env = float(np.max(w / q)) * 1.05
-    return c_env, lim, _squeeze(w, q, c_env)
+    return c_env, lim, float(_acceptance_ratio(lim, sigma2, c_env)) * (1.0 - 1e-9)
 
 
 def _sample_table(sigma2, rng, size):
@@ -156,34 +174,49 @@ def _sample_table(sigma2, rng, size):
     return out if size is not None else int(out)
 
 
-def _sample_at_centers(centers, sigma2, envelope, rng):
+def _sample_at_centers(centers, sigma2, envelope, rng, shape=None):
     """Exact discrete Gaussians of variance sigma2, one at each real entry of
-    `centers`: rejection from round(center + N(0, sigma2)) under envelope =
-    (c_env, support bound, squeeze). Below the squeeze a proposal in the
-    support is accepted without its ratio, which is never smaller there, so
-    the output and the random stream are those of the plain ratio test."""
+    `centers` (None: at 0 in `shape`, with no center arithmetic): rejection
+    from round(center + N(0, sigma2)) under envelope = (c_env, support
+    bound, squeeze). A proposal beyond the bound is rejected; in the support
+    U < squeeze accepts, else the bucket of |u| accepts if U < lo[j] and
+    rejects if U >= hi[j], and only U in [lo[j], hi[j]) computes the ratio.
+    As squeeze <= lo[j] <= ratio <= hi[j], every decision, the output and
+    the random stream are those of the plain ratio test. The first pass
+    covers the whole batch unindexed; later passes re-draw the rejected."""
     c_env, bound, squeeze = envelope
-    sigma = math.sqrt(sigma2)
-    flat = np.asarray(centers, dtype=float).ravel()
-    out = np.empty(flat.shape, dtype=np.int64)
-    pending, c = np.arange(flat.size), flat
-    while pending.size:
-        z = np.rint(c + sigma * rng.standard_normal(pending.size))
-        u = z - c
-        ok = np.abs(u) <= bound
-        U = rng.random(pending.size)
+    lo, hi, scale = _squeeze_buckets(sigma2, c_env, bound)
+    if centers is not None:
+        shape = np.shape(centers)
+        centers = np.asarray(centers, dtype=float).ravel()
+    out = np.empty(shape, dtype=np.int64)
+    flat_out = out.reshape(-1)
+    pending, k = slice(None), out.size
+    while k:
+        z = rng.standard_normal(k)
+        z *= math.sqrt(sigma2)
+        if centers is not None:
+            c = centers[pending]
+            z += c
+        np.rint(z, out=z)
+        flat_out[pending] = z  # a later pass overwrites the rejected entries
+        if centers is not None:
+            z -= c
+        au = np.abs(z, out=z)
+        U = rng.random(k)
+        ok = au <= bound
         accept = ok & (U < squeeze)
-        rest = np.flatnonzero(ok & ~accept)
-        ur = u[rest]
-        w = np.exp(-ur * ur / (2.0 * sigma2))
-        q = _rounded_gaussian_pmf(ur, sigma)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a = np.where(q > 0, np.minimum(w / (c_env * q), 1.0), 0.0)
-        accept[rest] = U[rest] < a
-        out[pending] = z  # a later pass overwrites the rejected entries
-        pending = pending[~accept]
-        c = flat[pending]
-    return out.reshape(np.shape(centers))
+        miss = np.flatnonzero(ok ^ accept)
+        Um, am = U[miss], au[miss]
+        j = (am * scale).astype(np.intp)
+        decided = Um < lo[j]
+        band = np.flatnonzero(~decided & (Um < hi[j]))
+        decided[band] = Um[band] < _acceptance_ratio(am[band], sigma2, c_env)
+        accept[miss] = decided
+        rejected = np.flatnonzero(~accept)
+        pending = rejected if isinstance(pending, slice) else pending[rejected]
+        k = pending.size
+    return out
 
 
 def sample_dgauss_1d(sigma2, rng, size=None):
@@ -197,8 +230,8 @@ def sample_dgauss_1d(sigma2, rng, size=None):
     rng = as_generator(rng)
     if sigma2 < TABLE_SIGMA2_MAX:
         return _sample_table(sigma2, rng, size)
-    centers = np.zeros(size if size is not None else ())
-    out = _sample_at_centers(centers, sigma2, _centered_envelope(sigma2), rng)
+    out = _sample_at_centers(None, sigma2, _centered_envelope(sigma2), rng,
+                             shape=size if size is not None else ())
     return out if size is not None else int(out)
 
 

@@ -183,6 +183,129 @@ class TestRejectionBits:
             assert np.all(np.diff(ratio) <= 1e-12 * ratio[:-1])
 
 
+def _ratio(u, s2, c_env):
+    """min(w/(c_env q), 1) written out, as in the reference loops."""
+    w = np.exp(-u * u / (2.0 * s2))
+    q = dgauss._rounded_gaussian_pmf(u, math.sqrt(s2))
+    return np.minimum(w / (c_env * q), 1.0)
+
+
+def _ref_subspace_query(n, V, s2, rng, m):
+    """sample_subspace_query's continuous part written out, rounded by the
+    plain reference loop."""
+    r0sq = dgauss.smoothing_r0sq(n)
+    a, b = math.sqrt(s2 - r0sq), math.sqrt(s2 / 4.0 - r0sq)
+    G = rng.standard_normal((m, n))
+    y = a * G
+    if len(V):
+        y = y - (a - b) * ((G @ V.matrix.T) @ V.matrix)
+    return ref_sample_dgauss_at_centers(y, r0sq, rng)
+
+
+class TestTwoSidedSqueeze:
+    """The bucketed squeeze brackets the acceptance ratio in every bucket,
+    so it decides as the plain ratio test does; the samplers built on it are
+    pinned to the reference loops; and it leaves almost no proposal to the
+    exact ratio."""
+
+    @staticmethod
+    def assert_brackets(s2, envelope, u):
+        c_env, bound, squeeze = envelope
+        lo, hi, scale = dgauss._squeeze_buckets(s2, c_env, bound)
+        j = (u * scale).astype(np.intp)
+        ratio = _ratio(u, s2, c_env)
+        assert squeeze <= float(np.min(lo))
+        assert np.all(lo[j] <= ratio)
+        assert np.all(ratio <= hi[j])
+
+    @pytest.mark.parametrize("s2", PINNED_SIGMA2 + (2.5e6,))
+    def test_buckets_bracket_centered_ratio(self, s2):
+        envelope = dgauss._centered_envelope(s2)
+        self.assert_brackets(s2, envelope, np.arange(0, envelope[1] + 1, dtype=float))
+
+    @pytest.mark.parametrize("n", (8, 64, 128, 256, 4096))
+    def test_buckets_bracket_offset_ratio(self, n):
+        s2 = dgauss.smoothing_r0sq(n)
+        envelope = dgauss._offset_envelope(s2)
+        # 64 intervals in each bucket, both edges included
+        u = np.linspace(0.0, envelope[1], 64 * dgauss.SQUEEZE_BUCKETS + 1)
+        self.assert_brackets(s2, envelope, u)
+
+    def test_buckets_bracket_ratio_under_cut_support(self):
+        s2 = 24.65
+        sigma = math.sqrt(s2)
+        c_env, _, _ = dgauss._offset_envelope(s2)
+        bound = 1.5 * sigma
+        squeeze = float(_ratio(bound, s2, c_env)) * (1.0 - 1e-9)
+        u = np.linspace(0.0, bound, 64 * dgauss.SQUEEZE_BUCKETS + 1)
+        self.assert_brackets(s2, (c_env, bound, squeeze), u)
+
+    @pytest.mark.parametrize("k", (0, 8))
+    def test_subspace_query_matches_reference(self, k):
+        n, m = 128, 2000
+        basis = np.linalg.qr(np.random.default_rng(19).standard_normal((n, 8)))[0].T
+        V = OrthonormalBasis(n, list(basis[:k])) if k else OrthonormalBasis.empty(n)
+        for s2 in (8.0 * dgauss.smoothing_r0sq(n), 1e4):
+            spec = dgauss.SubspaceGaussianSpec(n, V, s2)
+            rng_a, rng_b = derive(4, "pin-sub", k, str(s2)), derive(4, "pin-sub", k, str(s2))
+            a = dgauss.sample_subspace_query(spec, "discrete", rng_a, size=m)
+            b = _ref_subspace_query(n, V, s2, rng_b, m)
+            assert np.array_equal(a, b)
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_ellipsoidal_matches_reference(self):
+        n, m = 16, 3000
+        Sigma = np.diag(np.linspace(60.0, 900.0, n))
+        Q = np.linalg.qr(np.random.default_rng(20).standard_normal((n, n)))[0]
+        Sigma = Q @ Sigma @ Q.T
+        rng_a, rng_b = derive(4, "pin-ell"), derive(4, "pin-ell")
+        a = dgauss.sample_dgauss_ellipsoidal(Sigma, rng_a, size=m)
+        r0sq = dgauss.smoothing_r0sq(n)
+        vals, vecs = np.linalg.eigh(Sigma)
+        y = rng_b.standard_normal((m, n)) @ (vecs @ np.diag(np.sqrt(vals - r0sq)) @ vecs.T)
+        b = ref_sample_dgauss_at_centers(y, r0sq, rng_b)
+        assert np.array_equal(a, b)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @staticmethod
+    def count_ratio_points(monkeypatch):
+        seen = []
+        pmf = dgauss._rounded_gaussian_pmf
+
+        def spy(u, sigma):
+            seen.append(np.size(u))
+            return pmf(u, sigma)
+
+        monkeypatch.setattr(dgauss, "_rounded_gaussian_pmf", spy)
+        return seen
+
+    def test_ratio_evaluated_for_few_proposals(self, monkeypatch):
+        n, m = 128, 2000
+        spec = dgauss.SubspaceGaussianSpec(n, OrthonormalBasis.empty(n),
+                                           8.0 * dgauss.smoothing_r0sq(n))
+        dgauss.sample_subspace_query(spec, "discrete", derive(6, "warm"), size=1)
+        seen = self.count_ratio_points(monkeypatch)
+        dgauss.sample_subspace_query(spec, "discrete", derive(6, "spy"), size=m)
+        assert sum(seen) < 0.01 * m * n
+
+    def test_wide_band_goes_through_exact_ratio(self, monkeypatch):
+        # buckets 10 sigma wide leave lo[0] ~ 0.81 against hi[0] ~ 0.95, so
+        # a seventh of the proposals is decided by the ratio itself
+        s2 = 24.65
+        c_env, _, _ = dgauss._offset_envelope(s2)
+        envelope = (c_env, 1e4 * math.sqrt(s2), 0.0)
+        centers = np.random.default_rng(21).uniform(-100.0, 100.0, (200, 64))
+        dgauss._squeeze_buckets(s2, c_env, envelope[1])  # cached before the spy
+        seen = self.count_ratio_points(monkeypatch)
+        rng_a, rng_b = derive(5, "pin-band"), derive(5, "pin-band")
+        a = dgauss._sample_at_centers(centers, s2, envelope, rng_a)
+        monkeypatch.undo()
+        b = ref_sample_dgauss_at_centers(centers, s2, rng_b, envelope=envelope[:2])
+        assert sum(seen) > 0.05 * centers.size
+        assert np.array_equal(a, b)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
 class TestEllipsoidal:
     def test_isotropic_per_coordinate_gof(self):
         n, s2 = 16, 1e4
