@@ -2,31 +2,31 @@
 with discrete Gaussian queries shaped around the learned subspace, terminate
 on a rate contradiction, and extract concrete integer exploit queries.
 
-Run: python demos/03_adaptive_attack.py        (about half a minute)
+Run: python demos/03_adaptive_attack.py        (a few seconds)
 """
 
-from sketchlab.acceptance import auto_alpha
-from sketchlab.attack import AttackConfig, invariant_diagnostic, run_attack, verify_certificate
+from sketchlab.acceptance import attack_setup
+from sketchlab.attack import invariant_diagnostic, run_attack, verify_certificate
 from sketchlab.rng import derive
-from sketchlab.sketch import ExactNormOracle, GapNormOracle, GapNormParams, build_sketch
+from sketchlab.sketch import ExactNormOracle, GapNormOracle
 
-n, r, B = 128, 8, 8.0
+# the attack block of a config (config_schema.json); alpha_policy "auto" sets
+# alpha from the certified orthogonal-lattice length of the pre-processed
+# sketch, squared, times ln(2n(1+1/eps))/pi, floored at the sampling margin
+sketch, params, config, how = attack_setup(
+    {"n": 128, "r": 8, "family": "projection-threshold", "B": 8.0,
+     "alpha_policy": "auto", "m": 2000, "grid": {"points": 16}},
+    seed=1,
+)
+n, r, alpha = sketch.n, sketch.r, params.alpha
+print(f"lattice term {how['alpha_lattice_term']:.1f}, sampling floor "
+      f"{how['alpha_floor']:.1f}  ->  alpha = {alpha:.1f} ({how['alpha_binds']} binds)")
 
-# alpha policy: certified orthogonal-lattice length of the pre-processed
-# sketch, squared, times ln(2n(1+1/eps))/pi (floored at the sampling margin)
-probe = build_sketch("projection-threshold", n, r,
-                     {"alpha": 1.0, "B": B, "m_cal": 16}, seed=1)
-alpha, ell = auto_alpha(probe)
-print(f"certified lattice length {ell:.2f}  ->  alpha = {alpha:.1f}")
-
-sketch = build_sketch("projection-threshold", n, r, {"alpha": alpha, "B": B}, seed=1)
 est = sketch.estimator
 print(f"threshold calibration: tau={est['tau']:.0f}, "
       f"false rates low/high = {est['false_low']:.3f}/{est['false_high']:.3f}")
 
-params = GapNormParams(B=B, alpha=alpha)
 oracle = GapNormOracle(sketch, params)
-config = AttackConfig(gap=params, m=2000, grid_points=16)
 
 out = run_attack(oracle, n, r, config, derive(7, "attack"))
 print(f"\noutcome: {out.outcome} after {oracle.query_count} queries")

@@ -56,7 +56,6 @@ from .sketch import (
     IntegerSketch,
     StreamState,
     build_sketch,
-    gapnorm_oracle,
 )
 from .stats import TvdEstimate, cell_lemma_check, chi_square_mixture_check, empirical_tvd, pmf_ratio_check
 

@@ -46,16 +46,57 @@ def auto_alpha(sketch, eps=1e-6):
     return max(alpha_lattice_term(n, ell, eps), alpha_floor(n)), ell
 
 
-def _attack_setup(seed, n=128, r=8, B=8.0, m=2000, grid_points=16):
-    probe = build_sketch("projection-threshold", n, r,
-                         {"alpha": 1.0, "B": B, "m_cal": 16}, seed=seed)
-    alpha, _ = auto_alpha(probe)
-    # rebuild so the threshold calibration uses the final alpha
-    sk = build_sketch("projection-threshold", n, r,
-                      {"alpha": alpha, "B": B}, seed=seed)
+def attack_setup(acfg, seed):
+    """The attacked sketch, its GapNormParams and AttackConfig for a config's
+    `attack` block (config_schema.json) and sketch seed, and how alpha was
+    set: the sampling floor, the lattice term (None for a fixed alpha) and
+    which of floor, lattice or fixed binds."""
+    n, r, family = acfg["n"], acfg["r"], acfg["family"]
+    B = float(acfg["B"])
+    fam_params = acfg.get("family_params", {})
+    policy = acfg.get("alpha_policy", "auto")
+    # projection-threshold is the one family whose build reads alpha (its
+    # threshold calibration); any other sketch is final before alpha is set
+    calibrated = family == "projection-threshold"
+
+    def build(alpha, **extra):
+        params = dict(fam_params, alpha=alpha, B=B, **extra) if calibrated else fam_params
+        return build_sketch(family, n, r, params, seed=seed)
+
+    if policy == "auto":
+        # auto_alpha reads only A; a projection-threshold probe's cheap
+        # calibration (m_cal=16) is discarded with it
+        sk = build(1.0, m_cal=16)
+        alpha, ell = auto_alpha(sk)
+        lattice_term = alpha_lattice_term(n, ell)
+        binds = "lattice" if alpha == lattice_term else "floor"
+        if calibrated:
+            sk = build(alpha)
+    else:
+        alpha, lattice_term, binds = float(policy), None, "fixed"
+        sk = build(alpha)
+    alpha_report = {
+        "alpha_floor": alpha_floor(n),
+        "alpha_lattice_term": lattice_term,
+        "alpha_binds": binds,
+    }
     params = GapNormParams(B=B, alpha=alpha)
-    cfg = AttackConfig(gap=params, m=m, grid_points=grid_points)
-    return sk, params, cfg
+    grid = acfg.get("grid", {})
+    cfg = AttackConfig(
+        gap=params,
+        m=int(acfg.get("m", 2000)),
+        grid_points=int(grid.get("points", 16)),
+        positive_floor=acfg.get("positive_floor"),
+        round_cap=acfg.get("round_cap"),
+        zeta=acfg.get("zeta"),
+        verify_trials=int(acfg.get("verify_trials", 10_000)),
+    )
+    return sk, params, cfg, alpha_report
+
+
+# the attack block of criteria 1, 2 and 9
+ATTACK = {"n": 128, "r": 8, "family": "projection-threshold", "B": 8.0,
+          "m": 2000, "grid": {"points": 16}}
 
 
 def criterion_1_attack_end_to_end(fast=False):
@@ -68,7 +109,7 @@ def criterion_1_attack_end_to_end(fast=False):
     per_run = []
     for i in range(runs):
         t_run = time.time()
-        sk, params, cfg = _attack_setup(seed=1000 + i)
+        sk, params, cfg, _ = attack_setup(ATTACK, 1000 + i)
         oracle = GapNormOracle(sk, params)
         out = run_attack(oracle, sk.n, sk.r, cfg, derive(77, "attack", i))
         got = False
@@ -103,7 +144,7 @@ def criterion_2_negative_control(fast=False):
     ground-truth oracle."""
     t0 = time.time()
     runs = 10 if fast else 100
-    sk, params, cfg = _attack_setup(seed=4242)
+    sk, params, cfg, _ = attack_setup(ATTACK, 4242)
     verified = 0
     certs = 0
     for i in range(runs):
@@ -268,7 +309,7 @@ def criterion_9_conditional_gap(fast=False):
     """Delta-hat for a sketch row exceeds Delta-hat for a random direction
     orthogonal to the rowspan by >= 3 combined standard errors."""
     t0 = time.time()
-    sk, params, cfg = _attack_setup(seed=909)
+    sk, params, cfg, _ = attack_setup(ATTACK, 909)
     n = sk.n
     oracle = GapNormOracle(sk, params)
     rng = derive(9, "gap")
@@ -278,7 +319,7 @@ def criterion_9_conditional_gap(fast=False):
     for s2 in cfg.grid_for(n):
         spec = dgauss.SubspaceGaussianSpec(n, empty, float(s2))
         X = dgauss.sample_subspace_query(spec, "discrete", rng, size=1500)
-        rate = float(np.mean([oracle.query(x) for x in X]))
+        rate = float(np.mean(oracle.query_batch(X)))
         if 0.1 <= rate <= 0.9:
             chosen = (float(s2), rate)
             break
@@ -315,9 +356,6 @@ class _PlantedOracle:
         self.u = np.asarray(u, dtype=float)
         self.n = len(self.u)
         self.thresh = 3.0 * sigma0_sq
-
-    def query(self, x):
-        return int((np.asarray(x, float) @ self.u) ** 2 >= self.thresh)
 
     def query_batch(self, X):
         d = np.asarray(X, float) @ self.u

@@ -28,12 +28,9 @@ from .numerics import OrthonormalBasis, gram_schmidt_residual, top_right_singula
 from .rng import as_generator
 from .sketch import GapNormParams
 
-MAX_GRID_POINTS = 100_000
-
 
 def zeta_floor(B, n):
-    """Termination-rate resolution 1/(20 (Bn)^2 log(Bn)); the zeta grid is
-    spaced at this value."""
+    """Termination-rate resolution 1/(20 (Bn)^2 log(Bn))."""
     return 1.0 / (20.0 * (B * n) ** 2 * math.log(B * n))
 
 
@@ -45,10 +42,8 @@ class AttackConfig:
 
     gap: GapNormParams
     m: int = 2000
-    grid_kind: str = "geometric"   # "geometric" | "zeta" (arithmetic, zeta-spaced)
     grid_points: int = 16
     positive_floor: float = None   # min positive count; default m/(100 B^2 n)
-    slack_mode: str = "relative"   # sigma^2/(14Br) ("relative") or 1/(14Br)
     round_cap: int = None          # default r_budget + 1
     zeta: float = None             # default max(zeta_floor, 5/sqrt(m))
     verify_trials: int = 10_000
@@ -56,10 +51,6 @@ class AttackConfig:
     def __post_init__(self):
         if self.m < 100:
             raise BadParams(f"m must be >= 100, got {self.m}")
-        if self.grid_kind not in ("geometric", "zeta"):
-            raise BadParams(f"unknown grid kind {self.grid_kind!r}")
-        if self.slack_mode not in ("relative", "absolute"):
-            raise BadParams(f"unknown slack mode {self.slack_mode!r}")
 
     def validate_for(self, n):
         if self.gap.alpha / 4.0 < 2.0 * smoothing_r0sq(n):
@@ -78,21 +69,12 @@ class AttackConfig:
         return self.m / (100.0 * self.gap.B**2 * n)
 
     def slack(self, sigma2, r_budget):
-        denom = 14.0 * self.gap.B * r_budget
-        return sigma2 / denom if self.slack_mode == "relative" else 1.0 / denom
+        return sigma2 / (14.0 * self.gap.B * r_budget)
 
     def grid_for(self, n):
-        a, b = self.gap.alpha, self.gap.alpha * self.gap.B
-        if self.grid_kind == "geometric":
-            return np.geomspace(a, b, self.grid_points)
-        zeta = zeta_floor(self.gap.B, n)
-        count = int((b - a) / zeta) + 1
-        if count > MAX_GRID_POINTS:
-            raise BadParams(
-                f"zeta-spaced grid would need {count} points (> {MAX_GRID_POINTS}); "
-                "use the geometric grid at desk scale"
-            )
-        return a + zeta * np.arange(count)
+        """The variance grid: grid_points geometric steps over [alpha, alpha B],
+        the same at every n."""
+        return np.geomspace(self.gap.alpha, self.gap.alpha * self.gap.B, self.grid_points)
 
 
 @dataclass
@@ -159,9 +141,7 @@ class AttackOutcome:
 
 def _ask(oracle, X):
     try:
-        if hasattr(oracle, "query_batch"):
-            return np.asarray(oracle.query_batch(X), dtype=np.int8)
-        return np.array([oracle.query(x) for x in X], dtype=np.int8)
+        return np.asarray(oracle.query_batch(X), dtype=np.int8)
     except Exception as exc:  # noqa: BLE001 - wrapped per contract
         raise OracleFailure(str(exc)) from exc
 

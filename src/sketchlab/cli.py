@@ -27,7 +27,7 @@ from importlib import resources
 import numpy as np
 
 from . import acceptance, dgauss, harddist, stats
-from .attack import AttackConfig, FailureCertificate, run_attack, verify_certificate
+from .attack import FailureCertificate, run_attack, verify_certificate
 from .errors import NoExploitFound, SketchLabError
 from .rng import derive
 from .sketch import GapNormOracle, GapNormParams, build_sketch
@@ -79,52 +79,6 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def _build_attack_pieces(acfg, root_seed):
-    """The attacked sketch, its GapNormParams and AttackConfig, and how alpha
-    was set: the sampling floor, the lattice term (None for a fixed alpha)
-    and which of floor, lattice or fixed binds."""
-    n, r = acfg["n"], acfg["r"]
-    B = float(acfg["B"])
-    family = acfg["family"]
-    fam_params = dict(acfg.get("family_params", {}))
-    policy = acfg.get("alpha_policy", "auto")
-    sketch_seed = int(acfg.get("sketch_seed", root_seed))
-
-    if policy == "auto":
-        probe_params = dict(fam_params)
-        if family == "projection-threshold":
-            probe_params.update({"alpha": 1.0, "B": B, "m_cal": 16})
-        probe = build_sketch(family, n, r, probe_params, seed=sketch_seed)
-        alpha, ell = acceptance.auto_alpha(probe)
-        lattice_term = acceptance.alpha_lattice_term(n, ell)
-        binds = "lattice" if alpha == lattice_term else "floor"
-    else:
-        alpha, lattice_term, binds = float(policy), None, "fixed"
-    alpha_report = {
-        "alpha_floor": acceptance.alpha_floor(n),
-        "alpha_lattice_term": lattice_term,
-        "alpha_binds": binds,
-    }
-
-    if family == "projection-threshold":
-        fam_params.update({"alpha": alpha, "B": B})
-    sk = build_sketch(family, n, r, fam_params, seed=sketch_seed)
-    params = GapNormParams(B=B, alpha=alpha)
-    grid = acfg.get("grid", {})
-    cfg = AttackConfig(
-        gap=params,
-        m=int(acfg.get("m", 2000)),
-        grid_kind=grid.get("kind", "geometric"),
-        grid_points=int(grid.get("points", 16)),
-        positive_floor=acfg.get("positive_floor"),
-        slack_mode=acfg.get("slack_mode", "relative"),
-        round_cap=acfg.get("round_cap"),
-        zeta=acfg.get("zeta"),
-        verify_trials=int(acfg.get("verify_trials", 10_000)),
-    )
-    return sk, params, cfg, alpha_report
-
-
 def _single_attack_run(args):
     """One seeded attack run (top-level so a process pool can pickle it)."""
     (sk, params, cfg), root_seed, run_seed, do_verify = args
@@ -164,8 +118,8 @@ def cmd_attack_run(args):
     acfg = cfg["attack"]
     seeds = acfg.get("seeds", [0])
     do_verify = bool(acfg.get("verify", True))
-    # the sketch depends only on the sketch seed: build it once for all runs
-    *pieces, alpha_report = _build_attack_pieces(acfg, root_seed)
+    # the sketch depends only on the root seed: build it once for all runs
+    *pieces, alpha_report = acceptance.attack_setup(acfg, root_seed)
     jobs = [(pieces, root_seed, s, do_verify) for s in seeds]
 
     threads = int(os.environ.get("SKETCHLAB_THREADS", "1"))

@@ -261,14 +261,6 @@ class SubspaceGaussianSpec:
         return bool(np.all((np.abs(vals - lo) < tol * hi) | (np.abs(vals - hi) < tol * hi)))
 
 
-def dump_samples_csv(path, samples):
-    """Write a sample batch as CSV (one sample per row) for the stats module
-    and external tools."""
-    arr = np.atleast_2d(np.asarray(samples))
-    np.savetxt(path, arr, fmt="%d" if np.issubdtype(arr.dtype, np.integer) else "%.17g",
-               delimiter=",")
-
-
 def sample_dgauss_ellipsoidal(Sigma, rng, size=None, eps=SMOOTHING_EPS):
     """Sample from D(0, Sigma) over Z^n by continuous+discrete convolution.
 

@@ -66,17 +66,6 @@ class IntMatrix:
     def max_abs_entry(self):
         return int(np.max(np.abs(self.entries)))
 
-    def to_json(self):
-        """JSON array of integer rows (test-fixture format)."""
-        import json
-        return json.dumps({"rows": self.to_lists(), "bound": self.bound})
-
-    @classmethod
-    def from_json(cls, s):
-        import json
-        doc = json.loads(s)
-        return cls.from_rows(doc["rows"], bound=doc.get("bound"))
-
 
 @dataclass
 class KernelBasis:
@@ -91,11 +80,6 @@ class KernelBasis:
 
     def __len__(self):
         return len(self.vectors)
-
-    def as_array(self):
-        if not self.vectors:
-            return np.zeros((0, self.ambient), dtype=np.int64)
-        return np.asarray(self.vectors, dtype=np.int64)
 
     def check_against(self, A: IntMatrix):
         """Exact check that every vector is annihilated by A."""
@@ -294,9 +278,6 @@ class CellRounder:
     @property
     def rank(self):
         return self.basis.shape[0]
-
-    def cell_diameter(self):
-        return float(np.sum(np.linalg.norm(self.basis.astype(float), axis=1)))
 
     def _babai_coeffs(self, y):
         B, Bstar = self._gs

@@ -173,9 +173,3 @@ def orthonormalize_rows(A):
     # Q2 = L2^{-1} L1^{-1} A, so R = (L1 L2)^{-1}
     R = scipy.linalg.solve_triangular(L1 @ L2, np.eye(r), lower=True)
     return Q2, R
-
-
-def projector(basis_matrix):
-    """Projection matrix B^T B for a matrix with orthonormal rows."""
-    B = np.asarray(basis_matrix, dtype=float)
-    return B.T @ B

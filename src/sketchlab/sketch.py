@@ -38,14 +38,6 @@ class GapNormParams:
         if self.alpha <= 0:
             raise BadParams(f"alpha must be positive, got {self.alpha}")
 
-    def check_smoothing_floor(self, n):
-        floor = 8.0 * dgauss.smoothing_r0sq(n)
-        if self.alpha < floor:
-            raise BadParams(
-                f"alpha={self.alpha:.1f} below the discrete-sampling floor "
-                f"{floor:.1f} for n={n}"
-            )
-
 
 class StreamState:
     """Accumulated sketch value A x for x = sum of turnstile updates (i, delta).
@@ -167,19 +159,11 @@ class IntegerSketch:
             return scale * np.sum(self.working_value(Y) ** 2, axis=1)
         raise BadParams(f"unknown family {kind}")
 
-    def l2_estimate(self, y):
-        """Numeric estimate of ||x||^2 from the sketched value y = A x."""
-        return float(self.l2_estimates(np.asarray(y)[None, :])[0])
-
     def gap_bits(self, Y, params: GapNormParams):
         """Thresholded GapNorm answers (int8) for the rows y = A x of Y."""
         mid = (self.estimator["tau"] if self.family == "projection-threshold"
                else params.alpha * math.sqrt(params.B))
         return (self.l2_estimates(Y) >= mid).astype(np.int8)
-
-    def gap_bit(self, y, params: GapNormParams):
-        """Thresholded GapNorm answer from the sketched value only."""
-        return int(self.gap_bits(np.asarray(y)[None, :], params)[0])
 
     def spec_json(self):
         """Replayable build spec (family, n, r, seed, params)."""
@@ -315,11 +299,6 @@ def build_sketch(family, n, r, params=None, seed=0):
         estimator=est,
     )
     return sk
-
-
-def gapnorm_oracle(sketch: IntegerSketch, params: GapNormParams, x):
-    """One-shot GapNorm bit for query x, computed only from A x."""
-    return sketch.gap_bit(sketch.apply(x), params)
 
 
 class GapNormOracle:

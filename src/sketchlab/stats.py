@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import dgauss
 from .errors import DimensionTooLarge, PreconditionUnmet, TooFewSamples
@@ -142,12 +141,6 @@ def energy_two_sample(X, Y, sub=2000, perms=60, rng=None):
             "pass": bool(stat <= float(np.quantile(ref, 0.95)))}
 
 
-def _rounded_continuous_pmf_1d(z, sigma2):
-    sigma = math.sqrt(sigma2)
-    az = np.abs(np.asarray(z, dtype=float))
-    return ndtr(-(az - 0.5) / sigma) - ndtr(-(az + 0.5) / sigma)
-
-
 def pmf_ratio_check(sigma2, n, C, z_range=None):
     """Exact 1-D rendering of the discrete-vs-rounded-continuous pmf ratio.
 
@@ -162,8 +155,8 @@ def pmf_ratio_check(sigma2, n, C, z_range=None):
     if z_range is None:
         z_range = int(math.ceil(3 * math.sqrt(sigma2)))
     zs = np.arange(-int(z_range), int(z_range) + 1)
-    p1 = np.exp(-zs.astype(float) ** 2 / (2 * sigma2)) / dgauss.partition_1d(sigma2)
-    q1 = _rounded_continuous_pmf_1d(zs, sigma2)
+    p1 = dgauss.pmf_dgauss_1d(zs, sigma2)
+    q1 = dgauss._rounded_gaussian_pmf(zs, math.sqrt(sigma2))
     log_ratio_nd = n * (np.log(p1) - np.log(q1))
     dev = float(np.max(np.abs(np.expm1(log_ratio_nd))))
     bound = 1.0 / n**C

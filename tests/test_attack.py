@@ -15,7 +15,13 @@ from sketchlab.attack import (
     run_attack,
     verify_certificate,
 )
-from sketchlab.errors import BadParams, NoExploitFound, NoPositives, VarianceTooSmall
+from sketchlab.errors import (
+    BadParams,
+    NoExploitFound,
+    NoPositives,
+    OracleFailure,
+    VarianceTooSmall,
+)
 from sketchlab.numerics import OrthonormalBasis
 from sketchlab.rng import derive
 from sketchlab.sketch import ExactNormOracle, GapNormOracle, GapNormParams, build_sketch
@@ -27,9 +33,6 @@ class _ConstOracle:
     def __init__(self, bit, n):
         self.bit = bit
         self.n = n
-
-    def query(self, x):
-        return self.bit
 
     def query_batch(self, X):
         return np.full(len(X), self.bit, dtype=np.int8)
@@ -91,8 +94,6 @@ class TestRunAttackControls:
     def test_bad_config(self):
         with pytest.raises(BadParams):
             AttackConfig(gap=_params(), m=50)
-        with pytest.raises(BadParams):
-            AttackConfig(gap=_params(), grid_kind="linear")
 
 
 class TestRoundStep:
@@ -121,9 +122,6 @@ class TestRoundStep:
             def query_batch(self, X):
                 d = np.asarray(X, float) @ u
                 return (d * d >= 3 * s2).astype(np.int8)
-
-            def query(self, x):
-                return int((np.asarray(x, float) @ u) ** 2 >= 3 * s2)
 
         cfg = AttackConfig(gap=_params(B=8.0, alpha=s2), m=5000,
                            grid_points=4, zeta=1.1)
@@ -303,6 +301,23 @@ class TestInformationBoundary:
         out = run_attack(BitsOnly(), n, 4, cfg, derive(46, "seam"))
         assert out.outcome in ("certificate", "exhausted")
 
+    def test_query_only_oracle_fails(self):
+        """The attack asks in batches only: an oracle without query_batch is
+        an oracle failure, not a slower path."""
+        n = 32
+        inner = ExactNormOracle(n, _params())
+
+        class SingleOnly:
+            def __init__(self):
+                self.n = n
+
+            def query(self, x):
+                return inner.query(x)
+
+        cfg = AttackConfig(gap=_params(), m=200, grid_points=4)
+        with pytest.raises(OracleFailure):
+            run_attack(SingleOnly(), n, 4, cfg, derive(46, "single"))
+
 
 class TestTvdMonotonicitySurrogate:
     def test_planted_subspace_pairs(self):
@@ -326,12 +341,6 @@ class TestTvdMonotonicitySurrogate:
 
 
 class TestGridKinds:
-    def test_zeta_grid_guard(self):
-        # the zeta-spaced arithmetic grid is astronomically dense at desk alpha
-        cfg = AttackConfig(gap=_params(), m=200, grid_kind="zeta")
-        with pytest.raises(BadParams):
-            cfg.grid_for(128)
-
     def test_geometric_grid_spans_range(self):
         cfg = AttackConfig(gap=_params(), m=200, grid_points=16)
         g = cfg.grid_for(64)

@@ -1,9 +1,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from sketchlab.cli import main
+from sketchlab import acceptance
+from sketchlab.cli import load_config, main
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -47,24 +49,22 @@ class TestAttackRun:
         assert report["alpha_binds"] in ("floor", "lattice")
 
     def test_alpha_decomposition(self):
-        import sketchlab.cli as cli_mod
-        from sketchlab import acceptance
         floor = acceptance.alpha_floor(64)
-        _, params, _, auto = cli_mod._build_attack_pieces(ATTACK_CFG["attack"], 7)
+        _, params, _, auto = acceptance.attack_setup(ATTACK_CFG["attack"], 7)
         assert auto["alpha_floor"] == floor
         assert params.alpha == max(auto["alpha_lattice_term"], floor)
         binds = "lattice" if auto["alpha_lattice_term"] >= floor else "floor"
         assert auto["alpha_binds"] == binds
         fixed = dict(ATTACK_CFG["attack"], alpha_policy=900.0)
-        _, params, _, rep = cli_mod._build_attack_pieces(fixed, 7)
+        _, params, _, rep = acceptance.attack_setup(fixed, 7)
         assert params.alpha == 900.0
         assert rep == {"alpha_floor": floor, "alpha_lattice_term": None, "alpha_binds": "fixed"}
 
     def test_sketch_built_once_for_all_seeds(self, tmp_path, monkeypatch):
         import sketchlab.cli as cli_mod
         builds = []
-        real_build = cli_mod.build_sketch
-        monkeypatch.setattr(cli_mod, "build_sketch",
+        real_build = acceptance.build_sketch
+        monkeypatch.setattr(acceptance, "build_sketch",
                             lambda *a, **k: builds.append(a) or real_build(*a, **k))
         doc = json.loads(json.dumps(ATTACK_CFG))
         doc["attack"]["seeds"] = [0, 1, 2]
@@ -94,6 +94,19 @@ class TestAttackRun:
         err = capsys.readouterr().err
         assert "attack/B" in err
 
+    @pytest.mark.parametrize("key,value,path,why", [
+        ("grid", {"kind": "zeta", "points": 6}, "attack/grid/kind", "'geometric' was expected"),
+        ("slack_mode", "absolute", "attack", "'slack_mode' was unexpected"),
+    ], ids=["zeta-grid", "slack-mode"])
+    def test_removed_attack_keys_rejected(self, tmp_path, capsys, key, value, path, why):
+        bad = json.loads(json.dumps(ATTACK_CFG))
+        bad["attack"][key] = value
+        cfg = write_cfg(tmp_path, bad, "bad.json")
+        rc = main(["attack", "run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"config error at '{path}': " in err and why in err
+
     def test_missing_field_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, {"attack": {"n": 64}}, "m.json")
         assert main(["attack", "run", "--config", cfg]) == 1
@@ -107,13 +120,39 @@ class TestAttackRun:
         if not any(certs):
             pytest.skip("run produced no certificate at these tiny parameters")
         sk_file = str(tmp_path / "sk.json")
-        import sketchlab.cli as cli_mod
-        # the sketch spec comes from the attack pieces; write it for verify
-        sk, _, _, _ = cli_mod._build_attack_pieces(ATTACK_CFG["attack"], 7)
+        # the sketch spec comes from the attack set-up; write it for verify
+        sk, _, _, _ = acceptance.attack_setup(ATTACK_CFG["attack"], 7)
         open(sk_file, "w").write(sk.spec_json())
         rc = main(["attack", "verify", "--certificate", cert_file,
                    "--sketch", sk_file, "--trials", "500"])
         assert rc in (0, 2)
+
+
+class TestAttackSetup:
+    @pytest.mark.parametrize("family,policy,builds", [
+        ("projection-threshold", "auto", 2),  # the alpha probe, then the calibrated sketch
+        ("sign", "auto", 1),
+        ("projection-threshold", 900.0, 1),
+        ("sign", 900.0, 1),
+    ], ids=["projection-auto", "sign-auto", "projection-fixed", "sign-fixed"])
+    def test_build_count(self, monkeypatch, family, policy, builds):
+        calls = []
+        real_build = acceptance.build_sketch
+        monkeypatch.setattr(acceptance, "build_sketch",
+                            lambda *a, **k: calls.append(a) or real_build(*a, **k))
+        acfg = dict(ATTACK_CFG["attack"], family=family, alpha_policy=policy)
+        sk, params, cfg, _ = acceptance.attack_setup(acfg, 7)
+        assert len(calls) == builds
+        assert cfg.gap is params and sk.family == family
+        # the attacked sketch is the one a direct build at the final alpha gives
+        fam_params = {"alpha": params.alpha, "B": 8.0} if family == "projection-threshold" else None
+        direct = real_build(family, 64, 4, fam_params, seed=7)
+        assert np.array_equal(sk.A.entries, direct.A.entries)
+        assert sk.estimator.get("tau") == direct.estimator.get("tau")
+
+    def test_criteria_attack_block_validates(self, tmp_path):
+        path = write_cfg(tmp_path, {"seed": 0, "attack": acceptance.ATTACK})
+        assert load_config(path)["attack"] == acceptance.ATTACK
 
 
 class TestOtherCommands:
@@ -159,6 +198,5 @@ class TestOtherCommands:
 
 class TestShippedExampleConfig:
     def test_example_config_validates(self):
-        from sketchlab.cli import load_config
         cfg = load_config("demos/projection_r8_n128.json")
         assert cfg["attack"]["n"] == 128 and len(cfg["attack"]["seeds"]) == 10

@@ -367,13 +367,3 @@ class TestSubspaceQuery:
         spec = dgauss.SubspaceGaussianSpec(n, OrthonormalBasis.empty(n), s2)
         X = dgauss.sample_subspace_query(spec, "discrete", derive(23, "int"), size=10)
         assert np.issubdtype(X.dtype, np.integer)
-
-
-class TestCsvDump:
-    def test_dump_samples(self, tmp_path):
-        rng = derive(25, "csv")
-        x = dgauss.sample_dgauss_1d(25.0, rng, size=(20, 4))
-        path = tmp_path / "samples.csv"
-        dgauss.dump_samples_csv(path, x)
-        back = np.loadtxt(path, delimiter=",", dtype=np.int64)
-        assert np.array_equal(back, x)

@@ -340,11 +340,3 @@ class TestHnfEquality:
             B = rng.integers(-9, 10, size=(3, 5))
         R = reduce_basis(B)
         assert row_hnf(B.tolist()) == row_hnf(R)
-
-
-class TestSerialization:
-    def test_intmatrix_json_roundtrip(self):
-        A = IntMatrix.from_rows([[2, -3, 5], [0, 1, 4]], bound=5)
-        back = IntMatrix.from_json(A.to_json())
-        assert np.array_equal(back.entries, A.entries)
-        assert back.bound == 5

@@ -12,7 +12,6 @@ from sketchlab.sketch import (
     GapNormParams,
     IntegerSketch,
     build_sketch,
-    gapnorm_oracle,
 )
 
 
@@ -92,7 +91,7 @@ class TestBuildFamilies:
             nrm = float(x @ x)
             if nrm == 0:
                 continue
-            ratios.append(sk.l2_estimate(sk.apply(x)) / nrm)
+            ratios.append(sk.l2_estimates(sk.apply_batch(x[None, :]))[0] / nrm)
         mean_ratio = float(np.mean(ratios))
         assert 0.9 <= mean_ratio <= 1.1
 
@@ -111,7 +110,7 @@ class TestBuildFamilies:
         ratios = []
         for _ in range(800):
             x = rng.integers(-10, 11, size=128)
-            ratios.append(sk.l2_estimate(sk.apply(x)) / float(x @ x))
+            ratios.append(sk.l2_estimates(sk.apply_batch(x[None, :]))[0] / float(x @ x))
         assert 0.85 <= float(np.mean(ratios)) <= 1.15
 
     def test_rounded_gaussian_estimator(self):
@@ -120,14 +119,14 @@ class TestBuildFamilies:
         ratios = []
         for _ in range(500):
             x = rng.integers(-10, 11, size=128)
-            ratios.append(sk.l2_estimate(sk.apply(x)) / float(x @ x))
+            ratios.append(sk.l2_estimates(sk.apply_batch(x[None, :]))[0] / float(x @ x))
         assert 0.8 <= float(np.mean(ratios)) <= 1.2
 
     def test_projection_threshold_zero_answers_zero(self):
         sk = build_sketch("projection-threshold", 64, 4,
                           {"alpha": 2000.0, "B": 8.0}, seed=9)
         params = GapNormParams(B=8.0, alpha=2000.0)
-        assert gapnorm_oracle(sk, params, np.zeros(64, dtype=int)) == 0
+        assert GapNormOracle(sk, params).query(np.zeros(64, dtype=int)) == 0
 
     def test_projection_threshold_needs_params(self):
         with pytest.raises(BadParams):
@@ -188,7 +187,8 @@ class TestGapNormOracle:
         rot[:2, :2] = [[math.cos(theta), -math.sin(theta)],
                        [math.sin(theta), math.cos(theta)]]
         y2 = np.linalg.solve(self.sk.R, rot @ w)
-        assert self.sk.gap_bit(y, self.params) == self.sk.gap_bit(y2, self.params)
+        bit, bit2 = (self.sk.gap_bits(v[None, :], self.params)[0] for v in (y, y2))
+        assert bit == bit2
 
     def test_measured_spike_rate_reported(self):
         # single spike of squared norm 2 alpha B: measured (not asserted) rate
@@ -220,7 +220,7 @@ def straddling_queries(sk, params, k, rng):
     else:
         mid = params.alpha * math.sqrt(params.B)
     X = rng.integers(-20, 21, size=(k, sk.n))
-    est = np.array([sk.l2_estimate(sk.apply(x)) for x in X])
+    est = np.array([sk.l2_estimates(sk.apply_batch(x[None, :]))[0] for x in X])
     factor = np.exp(rng.uniform(np.log(0.25), np.log(4.0), size=k))
     scale = np.sqrt(factor * mid / np.maximum(est, 1.0))
     return np.rint(X * scale[:, None]).astype(np.int64)
@@ -252,7 +252,7 @@ class TestBatchOracle:
         for x in X:
             st = sk.new_stream()
             st.ingest_vector(x)
-            streamed.append(sk.gap_bit(st.value, params))
+            streamed.append(int(sk.gap_bits(st.value[None, :], params)[0]))
         assert bits.dtype == np.int8
         assert bits.tolist() == streamed
         assert 0.2 <= float(np.mean(bits)) <= 0.8  # the batch straddles the threshold
@@ -297,7 +297,8 @@ class TestBatchOracle:
         oracle = GapNormOracle(sk, params)
         bits = oracle.query_batch(X)
         assert oracle.query_count == 6
-        assert bits.tolist() == [sk.gap_bit(np.array(y, dtype=object), params) for y in exact]
+        assert bits.tolist() == [sk.gap_bits(np.array([y], dtype=object), params)[0]
+                                for y in exact]
         assert bits[0] == 0
         # below the guard the same rows take the int64 path and agree exactly
         small = X // big
