@@ -19,7 +19,12 @@ from .attack import (
     verify_certificate,
 )
 from .errors import LengthBoundUnachieved, NoExploitFound
-from .lattice import IntMatrix, preprocess_sketch, short_kernel_vector
+from .lattice import (
+    IntMatrix,
+    pairwise_reduced_kernel,
+    preprocess_sketch,
+    short_kernel_vector,
+)
 from .numerics import OrthonormalBasis, top_right_singular_vector
 from .rng import derive
 from .sketch import ExactNormOracle, GapNormOracle, GapNormParams, build_sketch
@@ -36,12 +41,30 @@ def alpha_floor(n):
     return 8.0 * dgauss.smoothing_r0sq(n)
 
 
+# alpha_floor(n) = 8 r0^2 = alpha_lattice_term(n, sqrt(32)): the floor binds
+# exactly when the certified basis has squared length < 32
+_FLOOR_LEN_SQ = 32
+
+
 def auto_alpha(sketch, eps=1e-6):
-    """Automatic alpha policy: the certified orthogonal-lattice length of the
-    pre-processed sketch, squared, times ln(2n(1+1/eps))/pi; floored at the
-    discrete-sampling requirement 8 r0^2. Returns (alpha, length)."""
-    _, kb = preprocess_sketch(sketch.A)
-    n = sketch.n
+    """Automatic alpha policy: a certified orthogonal-lattice length ell,
+    squared, times ln(2n(1+1/eps))/pi; floored at the discrete-sampling
+    requirement 8 r0^2. Returns (alpha, ell).
+
+    The lattice term holds for any n - r independent orthogonal-lattice
+    vectors (the lambda_n smoothing bound), not only an LLL basis. So ell
+    comes first from the pairwise-reduced HNF kernel basis
+    (`lattice.pairwise_reduced_kernel`), kept when every squared length is
+    below 32, where the floor binds, and at most n M^2, where pre-processing
+    would keep A' = A. Otherwise, and when r > n/4 (TooManyRows), ell is the
+    certified length of the pre-processed sketch (`preprocess_sketch`:
+    kernel + LLL)."""
+    A, n = sketch.A, sketch.n
+    M = A.max_abs_entry()
+    kb = (pairwise_reduced_kernel(A, min(_FLOOR_LEN_SQ, n * M * M + 1))
+          if 4 * A.rows <= n else None)
+    if kb is None:
+        _, kb = preprocess_sketch(A)
     ell = max(kb.certified_max_len, 1.0)
     return max(alpha_lattice_term(n, ell, eps), alpha_floor(n)), ell
 

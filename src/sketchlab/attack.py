@@ -9,9 +9,8 @@ direction whose positive-sample singular score crosses
 sigma^2 + sigma^2/4 + slack is orthogonalized into the learned basis.
 """
 
-import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -115,13 +114,6 @@ class FailureCertificate:
 
     def basis(self, n):
         return OrthonormalBasis(n, [np.asarray(v, float) for v in self.subspace])
-
-    def to_json(self):
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s):
-        return cls(**json.loads(s))
 
 
 @dataclass

@@ -3,8 +3,9 @@ kernel bases, and LLL reduction in all-integer (de Weger) arithmetic.
 
 Everything here is exact integer arithmetic; nothing is floating point, so
 results feed the certified length bounds directly. Inner products run as one
-int64 product where `int64_rows` shows no sum can overflow, and on Python big
-integers otherwise.
+int64 product where `int64_rows` shows no sum can overflow, and HNF row
+operations as int64 array steps while entries stay below `_ELIM_GUARD`; both
+run on Python big integers otherwise.
 """
 
 import numpy as np
@@ -52,27 +53,41 @@ def norms_sq(rows):
     return np.einsum("ij,ij->i", arr, arr).tolist()
 
 
-def _gcd_eliminate_column(W, col, start_row, n_rows):
-    """Zero out column `col` in rows >= start_row except one pivot row.
+# Row operations run in int64 while every entry stays below this guard, so
+# that 2a + b in a nearest quotient cannot overflow; on Python integers
+# (dtype object) from then on.
+_ELIM_GUARD = 2**61
 
-    Uses nearest-quotient gcd steps to keep entries small. Returns the index
-    of the surviving nonzero row, or None if the column is already zero.
+
+def _gcd_eliminate_column(W, col, start):
+    """Zero out column `col` of the (m, k) integer array W in rows >= start
+    except one pivot row.
+
+    Each step takes the first row of least nonzero |W[i, col]| as pivot p and
+    subtracts iround_div(W[i, col], p) times it from every other row, so
+    entries stay small. Returns W, widened to dtype object once an int64 step
+    could reach _ELIM_GUARD, and the index of the surviving nonzero row, or
+    None if the column is already zero.
     """
     while True:
-        idxs = [i for i in range(start_row, n_rows) if W[i][col] != 0]
-        if not idxs:
-            return None
-        if len(idxs) == 1:
-            return idxs[0]
-        i0 = min(idxs, key=lambda i: abs(W[i][col]))
-        p = W[i0][col]
-        for i in idxs:
-            if i == i0:
+        c = W[start:, col]
+        nz = np.flatnonzero(c)
+        if nz.size <= 1:
+            return W, (start + int(nz[0]) if nz.size else None)
+        k = nz[np.argmin(np.abs(c[nz]))]
+        p = c[k]
+        # iround_div(a, p) for every a in the column at once
+        q = (2 * c[nz] * (1 if p > 0 else -1) + abs(p)) // (2 * abs(p))
+        q[nz == k] = 0
+        todo = start + nz[q != 0]
+        q = q[q != 0][:, None]
+        if W.dtype != object:
+            reach = (int(np.max(np.abs(W[todo]))) + int(np.max(np.abs(q)))
+                     * int(np.max(np.abs(W[start + k]))))
+            if reach >= _ELIM_GUARD:
+                W = W.astype(object)
                 continue
-            q = iround_div(W[i][col], p)
-            if q:
-                Wi, W0 = W[i], W[i0]
-                W[i] = [a - q * b for a, b in zip(Wi, W0)]
+        W[todo] -= q * W[start + k]
 
 
 def kernel_basis_int(rows):
@@ -82,23 +97,19 @@ def kernel_basis_int(rows):
     [A^T | I_n] with unimodular operations; the transform rows whose left
     block vanishes form a (saturated) basis of ker(A) over Z.
     """
-    r = len(rows)
-    n = len(rows[0])
-    W = [
-        [int(rows[i][j]) for i in range(r)] + [1 if t == j else 0 for t in range(n)]
-        for j in range(n)
-    ]
+    A = np.array(rows, dtype=object)
+    if max(abs(x) for x in A.flat) < _ELIM_GUARD:
+        A = A.astype(np.int64)
+    r, n = A.shape
+    W = np.concatenate([A.T, np.eye(n, dtype=A.dtype)], axis=1)
     row = 0
     for col in range(r):
-        piv = _gcd_eliminate_column(W, col, row, n)
+        W, piv = _gcd_eliminate_column(W, col, row)
         if piv is not None:
-            W[row], W[piv] = W[piv], W[row]
+            W[[row, piv]] = W[[piv, row]]
             row += 1
-    kernel = []
-    for i in range(row, n):
-        assert all(x == 0 for x in W[i][:r])
-        kernel.append(W[i][r:])
-    return kernel
+    assert not np.any(W[row:, :r])
+    return W[row:, r:].tolist()
 
 
 def row_hnf(rows):
@@ -107,29 +118,23 @@ def row_hnf(rows):
     Unique per lattice: pivots positive, entries above each pivot reduced into
     [0, pivot), zero rows dropped. Used as a lattice-equality certificate.
     """
-    W = [list(map(int, v)) for v in rows]
-    W = [v for v in W if any(v)]
-    if not W:
+    W = np.array([list(map(int, v)) for v in rows if any(v)], dtype=object)
+    if not W.size:
         return ()
-    n = len(W[0])
-    m = len(W)
+    m, n = W.shape
     row = 0
     for col in range(n):
-        piv = _gcd_eliminate_column(W, col, row, m)
+        W, piv = _gcd_eliminate_column(W, col, row)
         if piv is None:
             continue
-        W[row], W[piv] = W[piv], W[row]
-        if W[row][col] < 0:
-            W[row] = [-x for x in W[row]]
-        p = W[row][col]
-        for i in range(row):
-            q = W[i][col] // p
-            if q:
-                W[i] = [a - q * b for a, b in zip(W[i], W[row])]
+        W[[row, piv]] = W[[piv, row]]
+        if W[row, col] < 0:
+            W[row] = -W[row]
+        W[:row] -= (W[:row, col] // W[row, col])[:, None] * W[row]
         row += 1
         if row == m:
             break
-    return tuple(tuple(v) for v in W[:row])
+    return tuple(map(tuple, W[:row].tolist()))
 
 
 def same_lattice(rows_a, rows_b) -> bool:

@@ -22,6 +22,10 @@ from .lattice import IntMatrix
 from .numerics import orthonormalize_rows
 from .rng import derive
 
+# float64 holds every integer below 2^53 in magnitude exactly, so a float64
+# product whose partial sums all stay below it is exact.
+FLOAT64_EXACT = 2**53
+
 FAMILIES = ("sign", "rounded-gaussian", "countsketch", "projection-threshold")
 
 
@@ -116,16 +120,22 @@ class IntegerSketch:
 
     def apply_batch(self, X):
         """Exact integer products A x for the rows x of X, as the (k, r) array
-        X A^T; Python integers (dtype object) where int64 could overflow."""
+        X A^T: int64 from a float64 BLAS product while every partial sum is
+        an integer below 2^53, from numpy's int64 loop while it is below
+        INT64_GUARD, and Python integers (dtype object) beyond that."""
         X = np.asarray(X)
         if X.ndim != 2 or X.shape[1] != self.n:
             raise DimensionMismatch(f"expected rows of dim {self.n}, got {X.shape}")
-        x_max = int(np.max(np.abs(X))) if X.size else 0
-        if self.A.max_abs_entry() * max(x_max, 1) * self.n >= INT64_GUARD:
+        x_max = max(int(X.max()), -int(X.min())) if X.size else 0
+        bound = self.A.max_abs_entry() * max(x_max, 1) * self.n
+        if bound >= INT64_GUARD:
             rows = self.A.to_lists()
             Y = [[sum(a * int(b) for a, b in zip(row, x)) for row in rows] for x in X]
             return np.array(Y, dtype=object).reshape(X.shape[0], self.r)
-        return X.astype(np.int64) @ self.A.entries.T
+        X = X.astype(np.int64, copy=False)
+        if bound < FLOAT64_EXACT:
+            return (X.astype(float) @ self.A.entries.T.astype(float)).astype(np.int64)
+        return X @ self.A.entries.T
 
     def apply(self, x):
         """Exact integer product A x."""
@@ -305,8 +315,7 @@ class GapNormOracle:
     """Query interface handed to the attack: bits only, no access to A.
 
     A batch of queries X is answered from the exact sketched values A X^T
-    (`IntegerSketch.apply_batch`) through the sketch's estimator; a single
-    query is a batch of one row.
+    (`IntegerSketch.apply_batch`) through the sketch's estimator.
     """
 
     def __init__(self, sketch: IntegerSketch, params: GapNormParams):
@@ -317,9 +326,6 @@ class GapNormOracle:
     @property
     def n(self):
         return self._sketch.n
-
-    def query(self, x):
-        return int(self.query_batch(np.asarray(x)[None, :])[0])
 
     def query_batch(self, X):
         Y = self._sketch.apply_batch(X)
@@ -341,11 +347,6 @@ class ExactNormOracle:
         self.threshold = float(threshold if threshold is not None
                                else 3.0 * params.alpha * n)
         self.query_count = 0
-
-    def query(self, x):
-        self.query_count += 1
-        x = np.asarray(x, dtype=float)
-        return int(x @ x >= self.threshold)
 
     def query_batch(self, X):
         X = np.asarray(X, dtype=float)

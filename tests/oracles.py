@@ -1,8 +1,9 @@
 """Independent oracles used by the tests: Jacobi SVD, brute-force lattice
 enumeration, closed-form TVD, quadrature, the plain rejection loops of the
-discrete Gaussian sampler (no squeeze), and the all-integer LLL with its
-inner products on Python integers. These deliberately avoid the code paths
-they check."""
+discrete Gaussian sampler (no squeeze), the all-integer LLL with its
+inner products on Python integers, and the HNF kernel and canonical HNF with
+row operations on Python integer lists. These deliberately avoid the code
+paths they check."""
 
 import itertools
 import math
@@ -267,3 +268,70 @@ def ref_lll_reduce_int(basis, delta=(99, 100)):
                 red(k, l)
             k += 1
     return b
+
+
+def _ref_gcd_eliminate_column(W, col, start_row, n_rows):
+    """Zero column `col` of the list rows W[start_row:n_rows] except one pivot
+    row, one Python-integer row operation at a time; returns the pivot index
+    or None."""
+
+    def iround_div(a, b):
+        if b < 0:
+            a, b = -a, -b
+        return (2 * a + b) // (2 * b)
+
+    while True:
+        idxs = [i for i in range(start_row, n_rows) if W[i][col] != 0]
+        if not idxs:
+            return None
+        if len(idxs) == 1:
+            return idxs[0]
+        i0 = min(idxs, key=lambda i: abs(W[i][col]))
+        p = W[i0][col]
+        for i in idxs:
+            if i == i0:
+                continue
+            q = iround_div(W[i][col], p)
+            if q:
+                W[i] = [a - q * b for a, b in zip(W[i], W[i0])]
+
+
+def ref_kernel_basis_int(rows):
+    """Integer kernel basis by HNF elimination on [A^T | I_n] over Python
+    integer lists; the reference for sketchlab.intlinalg.kernel_basis_int."""
+    r, n = len(rows), len(rows[0])
+    W = [[int(rows[i][j]) for i in range(r)] + [1 if t == j else 0 for t in range(n)]
+         for j in range(n)]
+    row = 0
+    for col in range(r):
+        piv = _ref_gcd_eliminate_column(W, col, row, n)
+        if piv is not None:
+            W[row], W[piv] = W[piv], W[row]
+            row += 1
+    return [W[i][r:] for i in range(row, n)]
+
+
+def ref_row_hnf(rows):
+    """Canonical row HNF over Python integer lists; the reference for
+    sketchlab.intlinalg.row_hnf."""
+    W = [list(map(int, v)) for v in rows if any(v)]
+    if not W:
+        return ()
+    m, n = len(W), len(W[0])
+    row = 0
+    for col in range(n):
+        piv = _ref_gcd_eliminate_column(W, col, row, m)
+        if piv is None:
+            continue
+        W[row], W[piv] = W[piv], W[row]
+        if W[row][col] < 0:
+            W[row] = [-x for x in W[row]]
+        p = W[row][col]
+        for i in range(row):
+            q = W[i][col] // p
+            if q:
+                W[i] = [a - q * b for a, b in zip(W[i], W[row])]
+        row += 1
+        if row == m:
+            break
+    return tuple(tuple(v) for v in W[:row])

@@ -9,9 +9,11 @@ from oracles import (
     brute_closest_lattice_point,
     brute_shortest_lattice_vector,
     enumerate_integer_kernel,
+    ref_kernel_basis_int,
     ref_lll_reduce_int,
+    ref_row_hnf,
 )
-from sketchlab import intlinalg
+from sketchlab import acceptance, intlinalg, lattice
 from sketchlab.errors import (
     DegenerateLattice,
     DependentInput,
@@ -27,6 +29,7 @@ from sketchlab.lattice import (
     KernelBasis,
     fundamental_cell_uniform,
     integer_kernel_basis,
+    pairwise_reduced_kernel,
     preprocess_sketch,
     reduce_basis,
     short_kernel_vector,
@@ -197,11 +200,62 @@ class TestLllInt64Mirror:
         assert (intlinalg.int64_rows(bad.vectors) is None) == (scale > 1)
         with pytest.raises(AssertionError):
             bad.check_against(A)
+        KernelBasis(3, [], 0.0).check_against(A)  # nothing to annihilate
 
     def test_reduce_basis_check_on_family_kernel(self):
         A = build_sketch("sign", 64, 8, seed=0).A
         out = reduce_basis(integer_kernel_basis(A).vectors, check=True)
         KernelBasis(64, out, 0.0).check_against(A)
+
+
+class TestArrayElimination:
+    """kernel_basis_int and row_hnf run their row operations as int64 array
+    steps, widening to Python integers near the guard; the output must be
+    the list-based reference's, vector for vector."""
+
+    def test_siegel_instances_match_reference(self):
+        # criterion 3's generator
+        rng = derive(3, "siegel")
+        for _ in range(100):
+            n = int(rng.integers(2, 25))
+            r = int(rng.integers(1, max(2, n // 2 + 1)))
+            M = int(rng.integers(1, 101))
+            A = rng.integers(-M, M + 1, size=(r, n)).tolist()
+            assert intlinalg.kernel_basis_int(A) == ref_kernel_basis_int(A)
+            assert row_hnf(A) == ref_row_hnf(A)
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_family_kernels_match_reference(self, family, n):
+        A = family_sketch(family, n).A.to_lists()
+        vecs = intlinalg.kernel_basis_int(A)
+        assert vecs == ref_kernel_basis_int(A)
+        assert all(type(x) is int for v in vecs for x in v)
+
+    def test_large_entries_widen_and_match_reference(self, monkeypatch):
+        widened = []
+        real = intlinalg._gcd_eliminate_column
+
+        def spy(W, col, start):
+            before = W.dtype
+            W, piv = real(W, col, start)
+            widened.append((before, W.dtype))
+            return W, piv
+
+        monkeypatch.setattr(intlinalg, "_gcd_eliminate_column", spy)
+        rng = derive(12, "elim-guard")
+        for bits in (40, 58, 60, 61, 62, 70):
+            for _ in range(10):
+                r = int(rng.integers(1, 4))
+                n = int(rng.integers(r + 1, 8))
+                A = [[int(x) << (bits - 20) for x in row]
+                     for row in rng.integers(-2**20, 2**20 + 1, size=(r, n))]
+                A[0][0] += 1  # an odd entry keeps the kernel from scaling trivially
+                assert intlinalg.kernel_basis_int(A) == ref_kernel_basis_int(A)
+                assert row_hnf(A) == ref_row_hnf(A)
+        int64 = np.dtype(np.int64)
+        assert (int64, np.dtype(object)) in widened  # widened during a run
+        assert (int64, int64) in widened and (np.dtype(object),) * 2 in widened
 
 
 class TestPreprocessSketch:
@@ -253,6 +307,86 @@ class TestPreprocessSketch:
             _, kb = preprocess_sketch(IntMatrix.from_rows(A, bound=50))
             ok += int(kb.certified_max_len <= target)
         assert ok >= 19
+
+
+def family_sketch(family, n, seed=0):
+    """A sketch of each family as `acceptance.attack_setup` probes it."""
+    params = {"alpha": 1.0, "B": 8.0, "m_cal": 16} if family == "projection-threshold" else {}
+    return build_sketch(family, n, 8, params, seed=seed)
+
+
+def lll_alpha(sketch):
+    """auto_alpha's value when ell always comes from kernel + LLL."""
+    _, kb = preprocess_sketch(sketch.A)
+    ell = max(kb.certified_max_len, 1.0)
+    return max(acceptance.alpha_lattice_term(sketch.n, ell), acceptance.alpha_floor(sketch.n))
+
+
+@pytest.fixture
+def lll_calls(monkeypatch):
+    """Counts lattice.reduce_basis calls."""
+    calls = []
+    real = lattice.reduce_basis
+    monkeypatch.setattr(lattice, "reduce_basis",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+class TestAutoAlpha:
+    """auto_alpha certifies the sampling floor from the pairwise-reduced
+    kernel basis and runs LLL only when that basis does not reach it."""
+
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("family,lll", [("projection-threshold", 0), ("sign", 0),
+                                            ("countsketch", 0), ("rounded-gaussian", 1)])
+    def test_alpha_equals_lll_alpha(self, lll_calls, family, lll, n):
+        sk = family_sketch(family, n)
+        alpha, _ = acceptance.auto_alpha(sk)
+        assert len(lll_calls) == lll
+        assert alpha == lll_alpha(sk)
+
+    def test_cli_n256_config(self, lll_calls):
+        # the sketch `attack-cli-n256` attacks at root seed 7
+        sk = family_sketch("projection-threshold", 256, seed=7)
+        alpha, ell = acceptance.auto_alpha(sk)
+        assert lll_calls == []
+        assert alpha == lll_alpha(sk) == acceptance.alpha_floor(256)
+        assert ell * ell < 32
+
+    @pytest.mark.parametrize("family", ["projection-threshold", "sign", "countsketch"])
+    def test_fast_path_basis_is_certified(self, family):
+        A = family_sketch(family, 64).A
+        kb = pairwise_reduced_kernel(A, 32)
+        assert kb is not None and len(kb) == 64 - 8
+        rows = A.to_lists()
+        assert all(intlinalg.dot(a, v) == 0 for a in rows for v in kb.vectors)
+        norms = [norm_sq(v) for v in kb.vectors]
+        assert max(norms) < 32
+        assert kb.certified_max_len == math.sqrt(max(norms))
+        assert same_lattice(kb.vectors, integer_kernel_basis(A).vectors)
+
+    def test_too_many_rows_still_raises(self):
+        with pytest.raises(TooManyRows):
+            acceptance.auto_alpha(family_sketch("sign", 16))
+
+    def test_lattice_bound_sketch_returns_none(self):
+        assert pairwise_reduced_kernel(family_sketch("rounded-gaussian", 64).A, 32) is None
+
+    @pytest.mark.parametrize("shift,lll", [(2**10, 0), (2**40, 1)])
+    def test_basis_past_int64_guard_falls_back_to_lll(self, monkeypatch, lll_calls, shift, lll):
+        # the same lattice from a basis v_0, v_k + shift v_0: below the guard
+        # the pass undoes the shift; past it the pass is abandoned for LLL
+        sk = family_sketch("sign", 32)
+        kb = integer_kernel_basis(sk.A)
+        v0 = kb.vectors[0]
+        skewed = [v0] + [[a + shift * b for a, b in zip(v, v0)] for v in kb.vectors[1:]]
+        assert (intlinalg.int64_rows(skewed) is None) == (shift > 2**20)
+        monkeypatch.setattr(lattice, "integer_kernel_basis",
+                            lambda A: KernelBasis(A.cols, skewed, 0.0))
+        assert (pairwise_reduced_kernel(sk.A, 32) is None) == bool(lll)
+        alpha, _ = acceptance.auto_alpha(sk)
+        assert len(lll_calls) == lll
+        assert alpha == acceptance.alpha_floor(32) == lll_alpha(sk)
 
 
 class TestCellRounder:

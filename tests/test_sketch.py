@@ -6,13 +6,20 @@ import pytest
 from sketchlab.errors import BadParams, DimensionMismatch
 from sketchlab.lattice import integer_kernel_basis
 from sketchlab.rng import derive
+from sketchlab.intlinalg import INT64_GUARD
 from sketchlab.sketch import (
+    FLOAT64_EXACT,
     ExactNormOracle,
     GapNormOracle,
     GapNormParams,
     IntegerSketch,
     build_sketch,
 )
+
+
+def query_one(oracle, x):
+    """An oracle's answer to the single query x, as a batch of one row."""
+    return int(oracle.query_batch(np.asarray(x)[None, :])[0])
 
 
 class TestApplyAndStreams:
@@ -126,7 +133,7 @@ class TestBuildFamilies:
         sk = build_sketch("projection-threshold", 64, 4,
                           {"alpha": 2000.0, "B": 8.0}, seed=9)
         params = GapNormParams(B=8.0, alpha=2000.0)
-        assert GapNormOracle(sk, params).query(np.zeros(64, dtype=int)) == 0
+        assert query_one(GapNormOracle(sk, params), np.zeros(64, dtype=int)) == 0
 
     def test_projection_threshold_needs_params(self):
         with pytest.raises(BadParams):
@@ -166,14 +173,14 @@ class TestGapNormOracle:
         x = scale * v
         assert float(x @ x) >= target
         assert np.array_equal(self.sk.apply(x), np.zeros(4, dtype=np.int64))
-        assert self.oracle.query(x) == 0
+        assert query_one(self.oracle, x) == 0
 
     def test_oracle_purity(self):
         rng = derive(33, "pure")
         kb = integer_kernel_basis(self.sk.A)
         k = np.array(kb.vectors[0], dtype=np.int64)
         x = rng.integers(-30, 31, size=64)
-        bits = {self.oracle.query(x + t * k) for t in range(-2, 3)}
+        bits = {query_one(self.oracle, x + t * k) for t in range(-2, 3)}
         assert len(bits) == 1  # equal A x implies equal answer
 
     def test_level_set_invariance(self):
@@ -199,7 +206,7 @@ class TestGapNormOracle:
         for _ in range(trials):
             x = np.zeros(64, dtype=np.int64)
             x[rng.integers(0, 64)] = mag
-            hits += self.oracle.query(x)
+            hits += query_one(self.oracle, x)
         assert 0 <= hits <= trials  # reported, not asserted
 
 
@@ -261,7 +268,7 @@ class TestBatchOracle:
         ref = np.array([reference_estimate(sk, sk.apply(x)) for x in X])
         differ = bits != (ref >= mid)
         assert np.all(np.abs(ref[differ] - mid) <= 1e-9 * mid)
-        assert [oracle.query(x) for x in X[:20]] == streamed[:20]
+        assert [query_one(oracle, x) for x in X[:20]] == streamed[:20]
         assert oracle.query_count == len(X) + 20
 
     def test_projection_bits_match_rowspan_energy(self):
@@ -305,6 +312,36 @@ class TestBatchOracle:
         assert sk.apply_batch(small).dtype == np.int64
         assert (sk.apply_batch(small) * big).tolist() == exact
 
+    @pytest.mark.parametrize("family,fam_params", FAMILY_PARAMS)
+    def test_float64_tier_matches_int64_and_python(self, family, fam_params):
+        sk = build_sketch(family, 64, 8, fam_params, seed=45)
+        rows = sk.A.to_lists()
+        rng = derive(35, "tiers", family)
+        for x_max in (1, 300, FLOAT64_EXACT // (sk.A.max_abs_entry() * sk.n) - 1):
+            X = rng.integers(-x_max, x_max + 1, size=(50, sk.n))
+            X[0, :] = x_max  # one row at the largest partial sums of the tier
+            Y = sk.apply_batch(X)
+            assert Y.dtype == np.int64
+            assert np.array_equal(Y, X @ sk.A.entries.T)
+            assert Y.tolist() == [[sum(a * int(b) for a, b in zip(row, x)) for row in rows]
+                                  for x in X]
+
+    def test_batch_past_float64_guard_is_exact(self):
+        sk = IntegerSketch.from_matrix([[1] * 64, [1, -1] * 32])
+        # just past the float64 guard (n M max|x| = 2^53 + 64); row 1's first
+        # sum, 2^53 + 63, is odd and so has no float64 representation
+        x_max = FLOAT64_EXACT // 64 + 1
+        assert FLOAT64_EXACT <= 64 * x_max < INT64_GUARD
+        X = np.full((3, 64), x_max, dtype=np.int64)
+        X[1, 0] = x_max - 1
+        X[2, ::2] = -x_max
+        Y = sk.apply_batch(X)
+        assert Y.dtype == np.int64
+        exact = [[sum(a * int(b) for a, b in zip(row, x)) for row in sk.A.to_lists()]
+                 for x in X]
+        assert Y.tolist() == exact
+        assert (X.astype(float) @ sk.A.entries.T.astype(float)).astype(np.int64).tolist() != exact
+
     def test_apply_is_one_row_of_apply_batch(self):
         sk = build_sketch("rounded-gaussian", 32, 4, seed=44)
         X = derive(35, "rows").integers(-50, 51, size=(10, 32))
@@ -320,8 +357,8 @@ class TestExactNormOracle:
     def test_threshold_semantics(self):
         params = GapNormParams(B=8.0, alpha=100.0)
         oracle = ExactNormOracle(16, params, threshold=50.0)
-        assert oracle.query(np.array([8] + [0] * 15)) == 1
-        assert oracle.query(np.array([7] + [0] * 15)) == 0
+        assert query_one(oracle, np.array([8] + [0] * 15)) == 1
+        assert query_one(oracle, np.array([7] + [0] * 15)) == 0
 
     def test_batch_matches_single(self):
         params = GapNormParams(B=8.0, alpha=100.0)
@@ -329,7 +366,7 @@ class TestExactNormOracle:
         rng = derive(34, "batch")
         X = rng.integers(-60, 61, size=(50, 8))
         batch = oracle.query_batch(X)
-        singles = [oracle.query(x) for x in X]
+        singles = [query_one(oracle, x) for x in X]
         assert batch.tolist() == singles
 
 
