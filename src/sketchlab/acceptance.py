@@ -6,6 +6,7 @@ prints one pass/fail line per criterion and exits 2 on any failure. All
 tolerances are pinned here, not in the callers.
 """
 
+import functools
 import math
 import time
 
@@ -27,13 +28,19 @@ from .lattice import (
 )
 from .numerics import OrthonormalBasis, top_right_singular_vector
 from .rng import derive
-from .sketch import ExactNormOracle, GapNormOracle, GapNormParams, build_sketch
+from .sketch import (
+    ExactNormOracle,
+    GapNormOracle,
+    GapNormParams,
+    IntegerSketch,
+    build_sketch,
+)
 
 
-def alpha_lattice_term(n, ell, eps=1e-6):
+def alpha_lattice_term(n, ell):
     """The lattice term of the alpha policy: ell^2 ln(2n(1+1/eps))/pi for a
-    certified orthogonal-lattice length ell."""
-    return ell**2 * math.log(2 * n * (1 + 1 / eps)) / math.pi
+    certified orthogonal-lattice length ell, at eps = dgauss.SMOOTHING_EPS."""
+    return ell**2 * math.log(2 * n * (1 + 1 / dgauss.SMOOTHING_EPS)) / math.pi
 
 
 def alpha_floor(n):
@@ -46,7 +53,7 @@ def alpha_floor(n):
 _FLOOR_LEN_SQ = 32
 
 
-def auto_alpha(sketch, eps=1e-6):
+def auto_alpha(sketch):
     """Automatic alpha policy: a certified orthogonal-lattice length ell,
     squared, times ln(2n(1+1/eps))/pi; floored at the discrete-sampling
     requirement 8 r0^2. Returns (alpha, ell).
@@ -66,7 +73,7 @@ def auto_alpha(sketch, eps=1e-6):
     if kb is None:
         _, kb = preprocess_sketch(A)
     ell = max(kb.certified_max_len, 1.0)
-    return max(alpha_lattice_term(n, ell, eps), alpha_floor(n)), ell
+    return max(alpha_lattice_term(n, ell), alpha_floor(n)), ell
 
 
 def attack_setup(acfg, seed):
@@ -117,16 +124,36 @@ def attack_setup(acfg, seed):
     return sk, params, cfg, alpha_report
 
 
+ALL_CRITERIA = []
+
+
+def criterion(cid, name):
+    """Append a criterion to ALL_CRITERIA (criteria are defined in id order,
+    so entry i - 1 is criterion i). The criterion returns (ok, detail); the
+    registered function times it and returns the record
+    {"id", "name", "ok", "elapsed_s", "detail"}."""
+    def register(check):
+        @functools.wraps(check)
+        def run(fast=False):
+            t0 = time.time()
+            ok, detail = check(fast)
+            return {"id": cid, "name": name, "ok": bool(ok),
+                    "elapsed_s": round(time.time() - t0, 2), "detail": detail}
+        ALL_CRITERIA.append(run)
+        return run
+    return register
+
+
 # the attack block of criteria 1, 2 and 9
 ATTACK = {"n": 128, "r": 8, "family": "projection-threshold", "B": 8.0,
           "m": 2000, "grid": {"points": 16}}
 
 
-def criterion_1_attack_end_to_end(fast=False):
+@criterion(1, "attack end-to-end (certificate + exploit)")
+def criterion_1_attack_end_to_end(fast):
     """Certificate + >= 1 verified integer exploit in >= 8/10 seeded runs
     against the projection-threshold sketch (n=128, r=8, B=8, m=2000,
     16-point geometric grid); each run <= 5 minutes."""
-    t0 = time.time()
     runs = 3 if fast else 10
     wins = 0
     per_run = []
@@ -153,19 +180,13 @@ def criterion_1_attack_end_to_end(fast=False):
         wins += int(got)
     need = 2 if fast else 8
     ok = wins >= need and all(r["elapsed_s"] <= 300 for r in per_run)
-    return {
-        "id": 1,
-        "name": "attack end-to-end (certificate + exploit)",
-        "ok": bool(ok),
-        "elapsed_s": round(time.time() - t0, 2),
-        "detail": {"wins": wins, "runs": runs, "per_run": per_run},
-    }
+    return ok, {"wins": wins, "runs": runs, "per_run": per_run}
 
 
-def criterion_2_negative_control(fast=False):
+@criterion(2, "negative control (ground-truth oracle)")
+def criterion_2_negative_control(fast):
     """Zero verified certificates over 100 seeded runs against the exact
     ground-truth oracle."""
-    t0 = time.time()
     runs = 10 if fast else 100
     sk, params, cfg, _ = attack_setup(ATTACK, 4242)
     verified = 0
@@ -181,16 +202,11 @@ def criterion_2_negative_control(fast=False):
                 verified += 1
             except NoExploitFound:
                 pass
-    return {
-        "id": 2,
-        "name": "negative control (ground-truth oracle)",
-        "ok": verified == 0,
-        "elapsed_s": round(time.time() - t0, 2),
-        "detail": {"runs": runs, "certificates": certs, "verified": verified},
-    }
+    return verified == 0, {"runs": runs, "certificates": certs, "verified": verified}
 
 
-def criterion_3_siegel(fast=False):
+@criterion(3, "Siegel short-kernel bound")
+def criterion_3_siegel(fast):
     """1000 random instances (n <= 24, r <= n/2, M <= 100): the short kernel
     vector meets the Siegel bound exactly, zero violations, <= 60 s."""
     t0 = time.time()
@@ -208,20 +224,14 @@ def criterion_3_siegel(fast=False):
             short_kernel_vector(IntMatrix.from_rows(A, bound=M))
         except Exception:
             violations += 1
-    elapsed = time.time() - t0
-    return {
-        "id": 3,
-        "name": "Siegel short-kernel bound",
-        "ok": violations == 0 and elapsed <= 60,
-        "elapsed_s": round(elapsed, 2),
-        "detail": {"trials": trials, "violations": violations},
-    }
+    ok = violations == 0 and time.time() - t0 <= 60
+    return ok, {"trials": trials, "violations": violations}
 
 
-def criterion_4_preprocessing(fast=False):
+@criterion(4, "pre-processing length bound")
+def criterion_4_preprocessing(fast):
     """100 random A in Z^{3x32} with M=50: certified orthogonal-lattice basis
     length <= sqrt(32)*50 in >= 95 runs."""
-    t0 = time.time()
     trials = 20 if fast else 100
     rng = derive(4, "prep")
     target = math.sqrt(32) * 50
@@ -237,47 +247,27 @@ def criterion_4_preprocessing(fast=False):
                 failures.append({"trial": i, "achieved": kb.certified_max_len})
         except LengthBoundUnachieved as exc:
             failures.append({"trial": i, "achieved": exc.achieved})
-    need = int(0.95 * trials)
-    return {
-        "id": 4,
-        "name": "pre-processing length bound",
-        "ok": good >= need,
-        "elapsed_s": round(time.time() - t0, 2),
-        "detail": {"good": good, "trials": trials, "target": target,
-                   "failures": failures},
-    }
+    ok = good >= int(0.95 * trials)
+    return ok, {"good": good, "trials": trials, "target": target, "failures": failures}
 
 
-def criterion_5_pmf_ratio(fast=False):
-    t0 = time.time()
+@criterion(5, "pmf ratio (discrete vs rounded continuous)")
+def criterion_5_pmf_ratio(fast):
     rep = stats.pmf_ratio_check(sigma2=10_000.0, n=10, C=2)
-    return {
-        "id": 5,
-        "name": "pmf ratio (discrete vs rounded continuous)",
-        "ok": rep["ok"],
-        "elapsed_s": round(time.time() - t0, 2),
-        "detail": rep,
-    }
+    return rep["ok"], rep
 
 
-def criterion_6_normalization(fast=False):
-    t0 = time.time()
+@criterion(6, "normalization constant bracket")
+def criterion_6_normalization(fast):
     reports = [dgauss.verify_normalization_fact(s2)
                for s2 in (0.5, 1.0, 4.0, 100.0, 1e6)]
-    return {
-        "id": 6,
-        "name": "normalization constant bracket",
-        "ok": all(r["ok"] for r in reports),
-        "elapsed_s": round(time.time() - t0, 2),
-        "detail": reports,
-    }
+    return all(r["ok"] for r in reports), reports
 
 
-def criterion_7_cell_lemma(fast=False):
+@criterion(7, "cell lemma (noise path + rounding path)")
+def criterion_7_cell_lemma(fast):
     """r=2, n=8, sigma^2=1e8: both cell-lemma paths at TVD <= 0.05."""
-    t0 = time.time()
     rng = derive(7, "cell")
-    from .sketch import IntegerSketch
     while True:
         A = rng.integers(-10, 11, size=(2, 8))
         if np.linalg.matrix_rank(A.astype(float)) == 2:
@@ -286,19 +276,13 @@ def criterion_7_cell_lemma(fast=False):
     trials = 20_000 if fast else 100_000
     rep = stats.cell_lemma_check(sk, 1e8, trials=trials,
                                  rng=derive(7, "cell-run"))
-    return {
-        "id": 7,
-        "name": "cell lemma (noise path + rounding path)",
-        "ok": rep["pass"],
-        "elapsed_s": round(time.time() - t0, 2),
-        "detail": rep,
-    }
+    return rep["pass"], rep
 
 
-def criterion_8_subspace_covariance(fast=False):
+@criterion(8, "subspace-Gaussian covariance")
+def criterion_8_subspace_covariance(fast):
     """n=16, dim V = 2, sigma^2=1e4: measured E<w,x>^2 within 5% of
     sigma^2/4 on V and sigma^2 off V."""
-    t0 = time.time()
     n, s2 = 16, 1e4
     rng = derive(8, "cov")
     raw = rng.standard_normal((2, n))
@@ -319,19 +303,13 @@ def criterion_8_subspace_covariance(fast=False):
     }
     ok = all(abs(got - want) <= 0.05 * want for got, want in checks.values())
     ok = ok and spec.eigenvalue_check()
-    return {
-        "id": 8,
-        "name": "subspace-Gaussian covariance",
-        "ok": bool(ok),
-        "elapsed_s": round(time.time() - t0, 2),
-        "detail": {k: {"measured": g, "target": w} for k, (g, w) in checks.items()},
-    }
+    return ok, {k: {"measured": g, "target": w} for k, (g, w) in checks.items()}
 
 
-def criterion_9_conditional_gap(fast=False):
+@criterion(9, "conditional-gap diagnostic")
+def criterion_9_conditional_gap(fast):
     """Delta-hat for a sketch row exceeds Delta-hat for a random direction
     orthogonal to the rowspan by >= 3 combined standard errors."""
-    t0 = time.time()
     sk, params, cfg, _ = attack_setup(ATTACK, 909)
     n = sk.n
     oracle = GapNormOracle(sk, params)
@@ -347,9 +325,7 @@ def criterion_9_conditional_gap(fast=False):
             chosen = (float(s2), rate)
             break
     if chosen is None:
-        return {"id": 9, "name": "conditional-gap diagnostic", "ok": False,
-                "elapsed_s": round(time.time() - t0, 2),
-                "detail": "no grid point with positive rate in [0.1, 0.9]"}
+        return False, "no grid point with positive rate in [0.1, 0.9]"
     s2, rate = chosen
     spec = dgauss.SubspaceGaussianSpec(n, empty, s2)
     u_row = sk.Q[0] / np.linalg.norm(sk.Q[0])
@@ -361,15 +337,9 @@ def criterion_9_conditional_gap(fast=False):
     rep_rand = conditional_gap_estimate(oracle, spec, u_rand, m, derive(9, "gap-rand"))
     sep = rep_row["delta"] - rep_rand["delta"]
     se = math.hypot(rep_row["se"], rep_rand["se"])
-    return {
-        "id": 9,
-        "name": "conditional-gap diagnostic",
-        "ok": bool(sep >= 3.0 * se),
-        "elapsed_s": round(time.time() - t0, 2),
-        "detail": {"sigma2": s2, "rate_probe": rate, "row": rep_row,
-                   "random_perp": rep_rand, "separation": sep,
-                   "combined_se": se},
-    }
+    return sep >= 3.0 * se, {"sigma2": s2, "rate_probe": rate, "row": rep_row,
+                             "random_perp": rep_rand, "separation": sep,
+                             "combined_se": se}
 
 
 class _PlantedOracle:
@@ -385,10 +355,10 @@ class _PlantedOracle:
         return (d * d >= self.thresh).astype(np.int8)
 
 
-def criterion_10_planted_recovery(fast=False):
+@criterion(10, "planted-direction recovery")
+def criterion_10_planted_recovery(fast):
     """Planted-direction recovery: |<v, u>| >= 0.9 in >= 9/10 seeded runs
     (n=64, m=5000 samples at a grid point with positive rate in [0.05, 0.3])."""
-    t0 = time.time()
     n = 64
     runs = 4 if fast else 10
     wins = 0
@@ -411,69 +381,38 @@ def criterion_10_planted_recovery(fast=False):
         if abs(float(v @ u)) >= 0.9:
             wins += 1
     need = 3 if fast else 9
-    return {
-        "id": 10,
-        "name": "planted-direction recovery",
-        "ok": wins >= need,
-        "elapsed_s": round(time.time() - t0, 2),
-        "detail": {"wins": wins, "runs": runs, "positive_rates": rates},
-    }
+    return wins >= need, {"wins": wins, "runs": runs, "positive_rates": rates}
 
 
-_DESK_FAMILIES = [
-    ("lp-small", {"n": 1024, "eps": 0.1, "p": 1.5}),
-    ("lp-large", {"n": 1024, "p": 4.0, "delta": 1.0 / 9.0, "eps": 0.1}),
-    ("opnorm-alpha", {"n": 64, "alpha": 2.0}),
-    ("opnorm-eps", {"d": 64, "eps": 0.1}),
-    ("kyfan", {"n": 64, "s": 4}),
-    ("eigen", {"d": 64, "eps": 0.1}),
-    ("psd", {"d": 64, "p": math.inf, "eps": 0.1}),
-    ("cs", {"n": 256, "k": 8, "eps": 0.2}),
-]
-
-
-def criterion_11_hard_gap_battery(fast=False):
-    """Every family's separating event holds on the correct side in at least
-    95/100 seeded pairs, full battery <= 10 minutes."""
+@criterion(11, "hard-distribution gap events (8 families)")
+def criterion_11_hard_gap_battery(fast):
+    """Every family, at its default parameters, has its separating event hold
+    on the correct side in at least 95/100 seeded pairs; full battery <= 10
+    minutes."""
     t0 = time.time()
     pairs = 20 if fast else 100
     need = int(0.95 * pairs)
     results = {}
     ok = True
-    for name, params in _DESK_FAMILIES:
-        fam = harddist.HardFamily(name, dict(params))
-        rep = harddist.gap_event_battery(fam, pairs=pairs, seed=111)
+    for name in harddist.FAMILY_NAMES:
+        rep = harddist.gap_event_battery(harddist.HardFamily(name), pairs=pairs, seed=111)
         results[name] = {"both_hold": rep["both_hold"], "pairs": pairs}
         ok = ok and rep["both_hold"] >= need
-    elapsed = time.time() - t0
-    return {
-        "id": 11,
-        "name": "hard-distribution gap events (8 families)",
-        "ok": bool(ok and elapsed <= 600),
-        "elapsed_s": round(elapsed, 2),
-        "detail": results,
-    }
+    return ok and time.time() - t0 <= 600, results
 
 
-def criterion_12_singular_concentration(fast=False):
-    t0 = time.time()
+@criterion(12, "singular-value concentration")
+def criterion_12_singular_concentration(fast):
     trials = 20 if fast else 100
     rep = harddist.singular_value_concentration(
         400, 100, 1e4, trials, derive(12, "svc")
     )
-    need = int(0.95 * trials)
-    return {
-        "id": 12,
-        "name": "singular-value concentration",
-        "ok": rep["all_inside"] >= need,
-        "elapsed_s": round(time.time() - t0, 2),
-        "detail": {"all_inside": rep["all_inside"], "trials": trials,
-                   "lo": rep["lo"], "hi": rep["hi"]},
-    }
+    return rep["all_inside"] >= int(0.95 * trials), {
+        "all_inside": rep["all_inside"], "trials": trials, "lo": rep["lo"], "hi": rep["hi"]}
 
 
-def criterion_13_mgf(fast=False):
-    t0 = time.time()
+@criterion(13, "MGF cross-term bound")
+def criterion_13_mgf(fast):
     trials = 200_000 if fast else 1_000_000
     reports = {}
     ok = True
@@ -481,19 +420,13 @@ def criterion_13_mgf(fast=False):
         rep = harddist.mgf_cross_term_check(a, 1e4, trials, derive(13, "mgf", int(a * 10)))
         reports[str(a)] = rep
         ok = ok and rep["ok"]
-    return {
-        "id": 13,
-        "name": "MGF cross-term bound",
-        "ok": bool(ok),
-        "elapsed_s": round(time.time() - t0, 2),
-        "detail": reports,
-    }
+    return ok, reports
 
 
-def criterion_14_sketched_tvd(fast=False):
+@criterion(14, "sketched indistinguishability (small vs large spike)")
+def criterion_14_sketched_tvd(fast):
     """opnorm family, d=1 sketch: small-spike TVD <= 0.15; a decisively
     large spike reads >= 0.5 as the sanity control."""
-    t0 = time.time()
     n = 32
     trials = 20_000 if fast else 100_000
     small = harddist.HardFamily(
@@ -509,32 +442,7 @@ def criterion_14_sketched_tvd(fast=False):
         big, d=1, trials=trials, rng=derive(14, "tvd-big")
     )
     ok = rep_small["tvd"]["value"] <= 0.15 and rep_big["tvd"]["value"] >= 0.5
-    return {
-        "id": 14,
-        "name": "sketched indistinguishability (small vs large spike)",
-        "ok": bool(ok),
-        "elapsed_s": round(time.time() - t0, 2),
-        "detail": {"small_spike_tvd": rep_small["tvd"],
-                   "large_spike_tvd": rep_big["tvd"]},
-    }
-
-
-ALL_CRITERIA = [
-    criterion_1_attack_end_to_end,
-    criterion_2_negative_control,
-    criterion_3_siegel,
-    criterion_4_preprocessing,
-    criterion_5_pmf_ratio,
-    criterion_6_normalization,
-    criterion_7_cell_lemma,
-    criterion_8_subspace_covariance,
-    criterion_9_conditional_gap,
-    criterion_10_planted_recovery,
-    criterion_11_hard_gap_battery,
-    criterion_12_singular_concentration,
-    criterion_13_mgf,
-    criterion_14_sketched_tvd,
-]
+    return ok, {"small_spike_tvd": rep_small["tvd"], "large_spike_tvd": rep_big["tvd"]}
 
 
 def run_battery(fast=False, only=None, printer=print):

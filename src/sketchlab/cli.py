@@ -228,8 +228,12 @@ def cmd_sketch_info(args):
 
 
 def _family_from_args(args):
+    """The family, calibrated: calibration fills the spike parameters that
+    D2 instances are drawn with."""
     params = json.loads(args.params) if args.params else {}
-    return harddist.HardFamily(args.family, params)
+    fam = harddist.HardFamily(args.family, params)
+    harddist.calibrate_family(fam)
+    return fam
 
 
 def cmd_harddist_gen(args):

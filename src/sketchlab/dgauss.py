@@ -29,9 +29,10 @@ SMOOTHING_EPS = 1e-6
 SQUEEZE_BUCKETS = 1024  # buckets of |u| in the two-sided squeeze
 
 
-def smoothing_r0sq(n, eps=SMOOTHING_EPS):
-    """Smoothing margin r0^2 = 4 ln(2n(1+1/eps)) / pi for the lattice Z."""
-    return 4.0 * math.log(2.0 * n * (1.0 + 1.0 / eps)) / math.pi
+def smoothing_r0sq(n):
+    """Smoothing margin r0^2 = 4 ln(2n(1+1/eps)) / pi for the lattice Z, at
+    eps = SMOOTHING_EPS."""
+    return 4.0 * math.log(2.0 * n * (1.0 + 1.0 / SMOOTHING_EPS)) / math.pi
 
 
 def partition_1d(sigma2):
@@ -43,9 +44,9 @@ def partition_1d(sigma2):
     return float(1.0 + 2.0 * np.sum(np.exp(-k * k / (2.0 * sigma2))))
 
 
-def verify_normalization_fact(sigma2, dps=50):
+def verify_normalization_fact(sigma2):
     """Check max(sqrt(2 pi sigma^2), 1) <= Z(sigma^2) <= sqrt(2 pi sigma^2) + 1
-    with mpmath at `dps` digits.
+    with mpmath at dps = 50 digits.
 
     The truncated sum over |k| <= 40 sigma lower-bounds Z and an explicit
     geometric tail bound upper-bounds the remainder, so the upper inequality
@@ -56,6 +57,7 @@ def verify_normalization_fact(sigma2, dps=50):
     """
     import mpmath as mp
 
+    dps = 50
     with mp.workdps(dps):
         s2 = mp.mpf(sigma2)
         K = int(mp.ceil(40 * mp.sqrt(s2))) + 2
@@ -255,23 +257,25 @@ class SubspaceGaussianSpec:
         P_v = self.V.matrix.T @ self.V.matrix
         return self.sigma2 * np.eye(self.n) - 0.75 * self.sigma2 * P_v
 
-    def eigenvalue_check(self, tol=1e-8):
+    def eigenvalue_check(self):
+        """The covariance's eigenvalues are sigma^2/4 and sigma^2, to 1e-8
+        relative."""
         vals = np.linalg.eigvalsh(self.covariance())
-        lo, hi = self.sigma2 / 4.0, self.sigma2
+        lo, hi, tol = self.sigma2 / 4.0, self.sigma2, 1e-8
         return bool(np.all((np.abs(vals - lo) < tol * hi) | (np.abs(vals - hi) < tol * hi)))
 
 
-def sample_dgauss_ellipsoidal(Sigma, rng, size=None, eps=SMOOTHING_EPS):
+def sample_dgauss_ellipsoidal(Sigma, rng, size=None):
     """Sample from D(0, Sigma) over Z^n by continuous+discrete convolution.
 
     Requires the smallest eigenvalue of Sigma to be >= 2 r0^2 where r0^2 is
-    the smoothing margin for Z at failure parameter eps; raises
+    the smoothing margin for Z (`smoothing_r0sq`); raises
     VarianceTooSmall otherwise (the caller must rescale).
     """
     rng = as_generator(rng)
     Sigma = np.asarray(Sigma, dtype=float)
     n = Sigma.shape[0]
-    r0sq = smoothing_r0sq(n, eps)
+    r0sq = smoothing_r0sq(n)
     vals, vecs = np.linalg.eigh(Sigma)
     if np.min(vals) < 2.0 * r0sq:
         raise VarianceTooSmall(
@@ -284,7 +288,7 @@ def sample_dgauss_ellipsoidal(Sigma, rng, size=None, eps=SMOOTHING_EPS):
     return z[0] if size is None else z
 
 
-def sample_subspace_query(spec: SubspaceGaussianSpec, kind, rng, size=None, eps=SMOOTHING_EPS):
+def sample_subspace_query(spec: SubspaceGaussianSpec, kind, rng, size=None):
     """Sample from D(V^perp, sigma^2) (discrete) or G(V^perp, sigma^2)
     (continuous).
 
@@ -308,7 +312,7 @@ def sample_subspace_query(spec: SubspaceGaussianSpec, kind, rng, size=None, eps=
 
     if kind != "discrete":
         raise ValueError(f"unknown kind {kind!r}")
-    r0sq = smoothing_r0sq(n, eps)
+    r0sq = smoothing_r0sq(n)
     if s2 / 4.0 < 2.0 * r0sq:
         raise VarianceTooSmall(
             f"sigma^2/4 = {s2 / 4:.3f} below smoothing floor {2 * r0sq:.3f}"

@@ -9,6 +9,7 @@ construction.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -18,27 +19,27 @@ from . import dgauss, stats
 from .errors import BadParams, DimensionTooLarge
 from .rng import as_generator, derive
 
-FAMILY_NAMES = (
-    "lp-small",
-    "lp-large",
-    "opnorm-alpha",
-    "opnorm-eps",
-    "kyfan",
-    "eigen",
-    "psd",
-    "cs",
-)
-
-_DEFAULT_N = {
-    "lp-small": 1_000_000.0,
-    "lp-large": 1_000_000.0,
-    "opnorm-alpha": 10_000.0,
-    "opnorm-eps": 10_000.0,
-    "kyfan": 10_000.0,
-    "eigen": 10_000.0,
-    "psd": 10_000.0,
-    "cs": 1_000_000.0,
+# each family's default parameters, in the order they fill a family's params
+_DEFAULTS = {
+    "lp-small": {"N": 1_000_000.0, "n": 1024, "p": 1.5, "eps": 0.1},
+    "lp-large": {"N": 1_000_000.0, "n": 1024, "p": 4.0, "eps": 0.1, "delta": 1.0 / 9.0},
+    "opnorm-alpha": {"N": 10_000.0, "n": 64, "alpha": 2.0},
+    "opnorm-eps": {"N": 10_000.0, "d": 64, "eps": 0.1},
+    "kyfan": {"N": 10_000.0, "n": 64, "s": 4},
+    "eigen": {"N": 10_000.0, "d": 64, "eps": 0.1},
+    "psd": {"N": 10_000.0, "d": 64, "p": math.inf, "eps": 0.1},
+    "cs": {"N": 1_000_000.0, "n": 256, "k": 8, "eps": 0.2},
 }
+FAMILY_NAMES = tuple(_DEFAULTS)
+
+# the families whose payload is a Gaussian matrix block plus a rank-`count`
+# spike; psd embeds its block in a shifted symmetric matrix
+_SPIKED = ("opnorm-alpha", "opnorm-eps", "kyfan", "eigen")
+_MATRIX = _SPIKED + ("psd",)
+
+# calibration's fixed seed and null-side batch size
+_CAL_SEED, _CAL_TRIALS = 23, 40
+_TVD_CHUNK = 250  # matrices drawn at once by the sketched-TVD fast path
 
 
 @dataclass
@@ -47,51 +48,24 @@ class HardFamily:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.name not in FAMILY_NAMES:
-            raise BadParams(f"unknown family {self.name!r}")
+        name = self.name
+        if name not in _DEFAULTS:
+            raise BadParams(f"unknown family {name!r}")
         p = dict(self.params)
-        p.setdefault("N", _DEFAULT_N[self.name])
-        if self.name == "lp-small":
-            p.setdefault("n", 1024)
-            p.setdefault("p", 1.5)
-            p.setdefault("eps", 0.1)
+        for key, value in _DEFAULTS[name].items():
+            p.setdefault(key, value)
+        if name == "lp-small":
             if not (1.0 <= p["p"] <= 2.0):
                 raise BadParams("lp-small needs p in [1,2]")
             if not (0.0 < p["eps"] < 1.0):
                 raise BadParams("lp-small needs eps in (0,1)")
-        elif self.name == "lp-large":
-            p.setdefault("n", 1024)
-            p.setdefault("p", 4.0)
-            p.setdefault("eps", 0.1)
-            p.setdefault("delta", 1.0 / 9.0)
-            if p["p"] <= 2.0:
-                raise BadParams("lp-large needs p > 2")
-        elif self.name == "opnorm-alpha":
-            p.setdefault("n", 64)
-            p.setdefault("alpha", 2.0)
-            if p["alpha"] <= 1.0:
-                raise BadParams("opnorm-alpha needs approximation factor alpha > 1")
-        elif self.name == "opnorm-eps":
-            p.setdefault("d", 64)
-            p.setdefault("eps", 0.1)
-            if not (0.0 < p["eps"] < 1.0 / 3.0):
-                raise BadParams("opnorm-eps needs eps in (0, 1/3)")
-        elif self.name == "kyfan":
-            p.setdefault("n", 64)
-            p.setdefault("s", 4)
-        elif self.name == "eigen":
-            p.setdefault("d", 64)
-            p.setdefault("eps", 0.1)
-            if not (0.0 < p["eps"] < 1.0 / 3.0):
-                raise BadParams("eigen needs eps in (0, 1/3)")
-        elif self.name == "psd":
-            p.setdefault("d", 64)
-            p.setdefault("p", math.inf)
-            p.setdefault("eps", 0.1)
-        elif self.name == "cs":
-            p.setdefault("n", 256)
-            p.setdefault("k", 8)
-            p.setdefault("eps", 0.2)
+        elif name == "lp-large" and p["p"] <= 2.0:
+            raise BadParams("lp-large needs p > 2")
+        elif name == "opnorm-alpha" and p["alpha"] <= 1.0:
+            raise BadParams("opnorm-alpha needs approximation factor alpha > 1")
+        elif name in ("opnorm-eps", "eigen") and not (0.0 < p["eps"] < 1.0 / 3.0):
+            raise BadParams(f"{name} needs eps in (0, 1/3)")
+        elif name == "cs":
             if p["k"] >= p["n"]:
                 raise BadParams("cs needs k < n")
             root = math.isqrt(int(p["N"]))
@@ -112,14 +86,11 @@ class HardFamily:
         if "s1" in p:
             return float(p["s1"])
         if self.name == "opnorm-alpha":
-            gamma1 = p.get("gamma1", 6.0)
-            return gamma1 * p["alpha"] / math.sqrt(p["n"])
+            return p.get("gamma1", 6.0) * p["alpha"] / math.sqrt(p["n"])
         if self.name == "opnorm-eps":
-            a = p.get("a", 4.0)
-            return a * math.sqrt(p["eps"] / p["d"])
+            return p.get("a", 4.0) * math.sqrt(p["eps"] / p["d"])
         if self.name == "kyfan":
-            gamma = p.get("gamma", 6.0)
-            return gamma / math.sqrt(p["n"])
+            return p.get("gamma", 6.0) / math.sqrt(p["n"])
         if self.name == "eigen":
             return p.get("c_e", 7.0) * p["eps"]
         if self.name == "psd":
@@ -160,18 +131,18 @@ def _dg_matrix(var, shape, rng):
     return dgauss.sample_dgauss_1d(var, rng, size=shape)
 
 
-def _spike_pair(fam: HardFamily, rng, n_rows, n_cols, count=1):
-    """Draw spike factors u, v with entries from D(0, N) and the rounded
-    integer spike matrix round(s * sum_i u_i v_i^T)."""
-    N = fam.params["N"]
-    s1 = fam.spike_scale()
-    us = _dg_matrix(N, (count, n_rows), rng)
-    vs = _dg_matrix(N, (count, n_cols), rng)
-    spike_real = np.zeros((n_rows, n_cols))
-    for i in range(count):
-        spike_real += s1 * np.outer(us[i].astype(float), vs[i].astype(float))
-    spike = np.rint(spike_real).astype(np.int64)
-    return us, vs, s1, spike
+def _block_shape(family: HardFamily):
+    """The (rows, cols) of a matrix family's Gaussian block."""
+    p = family.params
+    if family.name == "opnorm-eps":
+        return int(round(p["d"] / p["eps"] ** 2)), p["d"]
+    side = p["d"] if family.name in ("eigen", "psd") else p["n"]
+    return side, side
+
+
+def _lp_large_t(p):
+    """lp-large's number of planted coordinates, log_3(1/sqrt(delta))."""
+    return max(1, round(math.log(1.0 / math.sqrt(p["delta"]), 3)))
 
 
 @lru_cache(maxsize=16)
@@ -223,72 +194,60 @@ def gen_hard_instance(family: HardFamily, side, rng) -> HardInstance:
 
     if name == "lp-large":
         n, pw, eps = p["n"], p["p"], p["eps"]
-        t = max(1, round(math.log(1.0 / math.sqrt(p["delta"]), 3)))
+        t = _lp_large_t(p)
         x = _dg_matrix(N * N, (n,), rng)
         if side == "D1":
             return HardInstance(family, side, x)
         E = expected_p_norm(n - t, pw)
-        C = p["C"] if "C" in p else _calibrated_lp_large_C(family)
+        C = p["C"] if "C" in p else calibrate_family(family)["C"]
         mag = int(round(C * eps ** (1.0 / pw) * N * E / t ** (1.0 / pw)))
         T = rng.choice(n, size=t, replace=False)
         z = x.copy()
         z[T] += mag
         return HardInstance(family, side, z, {"T": sorted(int(i) for i in T), "mag": mag})
 
-    if name in ("opnorm-alpha", "opnorm-eps", "kyfan", "eigen"):
-        if name == "opnorm-eps":
-            d = p["d"]
-            m, n_cols = int(round(d / p["eps"] ** 2)), d
-        elif name == "eigen":
-            m = n_cols = p["d"]
-        else:
-            m = n_cols = p["n"]
-        G = _dg_matrix(N * N, (m, n_cols), rng)
-        if side == "D1":
-            return HardInstance(family, side, G)
-        count = p["s"] if name == "kyfan" else 1
-        us, vs, s1, spike = _spike_pair(family, rng, m, n_cols, count)
-        return HardInstance(
-            family, side, G + spike,
-            {"u": us, "v": vs, "s1": s1, "spike": spike},
-        )
-
-    if name == "psd":
-        d = p["d"]
-        G = _dg_matrix(N * N, (d, d), rng)
-        shift = p["shift"] if "shift" in p else _calibrated_psd_shift(family)
+    if name in _MATRIX:
+        m, n_cols = _block_shape(family)
+        X = _dg_matrix(N * N, (m, n_cols), rng)
+        wit = {}
+        if name == "psd":
+            # calibration fills c_psd, so it runs before the spike is sized
+            wit["shift"] = p["shift"] if "shift" in p else calibrate_family(family)["shift"]
         if side == "D2":
-            us, vs, s1, spike = _spike_pair(family, rng, d, d, 1)
-            H = G + spike
-        else:
-            us = vs = spike = None
-            s1 = None
-            H = G
-        M = np.zeros((2 * d, 2 * d), dtype=np.int64)
-        M[:d, d:] = H
-        M[d:, :d] = H.T
-        M += shift * np.eye(2 * d, dtype=np.int64)
-        wit = {"shift": shift}
-        if side == "D2":
+            # spike factors u_i, v_i with entries from D(0, N), rounded
+            # integer spike round(s1 * sum_i u_i v_i^T)
+            s1 = family.spike_scale()
+            count = p["s"] if name == "kyfan" else 1
+            us = _dg_matrix(N, (count, m), rng)
+            vs = _dg_matrix(N, (count, n_cols), rng)
+            spike_real = np.zeros((m, n_cols))
+            for u, v in zip(us, vs):
+                spike_real += s1 * np.outer(u.astype(float), v.astype(float))
+            spike = np.rint(spike_real).astype(np.int64)
+            X = X + spike
             wit.update({"u": us, "v": vs, "s1": s1, "spike": spike})
-        return HardInstance(family, side, M, wit)
+        if name == "psd":
+            M = np.zeros((2 * m, 2 * m), dtype=np.int64)
+            M[:m, m:] = X
+            M[m:, :m] = X.T
+            M += wit["shift"] * np.eye(2 * m, dtype=np.int64)
+            X = M
+        return HardInstance(family, side, X, wit)
 
-    if name == "cs":
-        n, k, eps = p["n"], p["k"], p["eps"]
-        noise_var = eps * N * k / n
-        w = _dg_matrix(noise_var, (n,), rng)
-        if side == "D1":
-            return HardInstance(family, side, w)
-        count = p.get("family_count", default_support_count(n, k))
-        fam_sets = support_family(n, k, count, seed=p.get("family_seed", 11))
-        S = fam_sets[rng.integers(0, len(fam_sets))]
-        root = math.isqrt(int(N))
-        signs = rng.choice(np.array([-1, 1], dtype=np.int64), size=k)
-        z = np.zeros(n, dtype=np.int64)
-        z[list(S)] = signs * root
-        return HardInstance(family, side, z + w, {"S": list(S), "z": z})
-
-    raise BadParams(f"unhandled family {name}")
+    # cs
+    n, k, eps = p["n"], p["k"], p["eps"]
+    noise_var = eps * N * k / n
+    w = _dg_matrix(noise_var, (n,), rng)
+    if side == "D1":
+        return HardInstance(family, side, w)
+    count = p.get("family_count", default_support_count(n, k))
+    fam_sets = support_family(n, k, count, seed=p.get("family_seed", 11))
+    S = fam_sets[rng.integers(0, len(fam_sets))]
+    root = math.isqrt(int(N))
+    signs = rng.choice(np.array([-1, 1], dtype=np.int64), size=k)
+    z = np.zeros(n, dtype=np.int64)
+    z[list(S)] = signs * root
+    return HardInstance(family, side, z + w, {"S": list(S), "z": z})
 
 
 # ---------------------------------------------------------------------------
@@ -296,25 +255,7 @@ def gen_hard_instance(family: HardFamily, side, rng) -> HardInstance:
 # one-time null-side run and reported with the thresholds
 # ---------------------------------------------------------------------------
 
-def _null_spectra(family, rng, trials, shape):
-    vals = []
-    for _ in range(trials):
-        G = _dg_matrix(family.params["N"] ** 2, shape, rng)
-        vals.append(np.linalg.svd(G.astype(float), compute_uv=False))
-    return vals
-
-
-def _calibrated_lp_large_C(family):
-    thr = calibrate_family(family)
-    return thr["C"]
-
-
-def _calibrated_psd_shift(family):
-    thr = calibrate_family(family)
-    return thr["shift"]
-
-
-def calibrate_family(family: HardFamily, seed=23, trials=40):
+def calibrate_family(family: HardFamily):
     """Fit the family's existential constants from a null-side batch.
 
     Results are cached on the family object and recorded in every gap report.
@@ -324,11 +265,12 @@ def calibrate_family(family: HardFamily, seed=23, trials=40):
     cached = getattr(family, "_calibration", None)
     if cached is not None:
         return cached
-    rng = derive(seed, "calibrate", family.name)
+    rng = derive(_CAL_SEED, "calibrate", family.name)
     p = family.params
     N = p["N"]
     name = family.name
-    out = {"trials": trials, "seed": seed}
+    trials = _CAL_TRIALS
+    out = {"trials": trials, "seed": _CAL_SEED}
 
     if name == "lp-small":
         n, pw, eps = p["n"], p["p"], p["eps"]
@@ -337,7 +279,7 @@ def calibrate_family(family: HardFamily, seed=23, trials=40):
 
     elif name == "lp-large":
         n, pw, eps = p["n"], p["p"], p["eps"]
-        t = max(1, round(math.log(1.0 / math.sqrt(p["delta"]), 3)))
+        t = _lp_large_t(p)
         E = expected_p_norm(n - t, pw)
         base = np.empty(trials)
         coordq = []
@@ -361,14 +303,10 @@ def calibrate_family(family: HardFamily, seed=23, trials=40):
             }
         )
 
-    elif name in ("opnorm-alpha", "opnorm-eps", "kyfan", "eigen", "psd"):
-        if name == "opnorm-eps":
-            shape = (int(round(p["d"] / p["eps"] ** 2)), p["d"])
-        elif name in ("eigen", "psd"):
-            shape = (p["d"], p["d"])
-        else:
-            shape = (p["n"], p["n"])
-        svs = _null_spectra(family, rng, trials, shape)
+    elif name in _MATRIX:
+        shape = _block_shape(family)
+        svs = [np.linalg.svd(_dg_matrix(N ** 2, shape, rng).astype(float), compute_uv=False)
+               for _ in range(trials)]
         tops = np.array([s[0] for s in svs])
         scale = N * math.sqrt(shape[0])
         # top singular values concentrate tightly; max-over-batch plus 4%
@@ -470,6 +408,16 @@ def calibrate_family(family: HardFamily, seed=23, trials=40):
     return out
 
 
+# how a statistic meets its threshold when each side's event holds; every
+# other family's D1 event is `<=` and its D2 event `>=`
+_EVENT_TESTS = {
+    "opnorm-alpha": (operator.le, operator.gt),
+    "opnorm-eps": (operator.le, operator.gt),
+    "psd": (operator.ge, operator.le),  # psd's statistic is the least eigenvalue
+    "cs": (operator.lt, operator.gt),
+}
+
+
 def verify_gap_event(instance: HardInstance, thresholds=None):
     """Compute the family's separating statistic exactly and test the side's
     event. Returns {"statistic", "threshold", "event_holds", ...}."""
@@ -478,82 +426,43 @@ def verify_gap_event(instance: HardInstance, thresholds=None):
         thresholds = calibrate_family(fam)
     p = fam.params
     name = fam.name
-    x = instance.payload
-    side = instance.side
-
-    if name in ("lp-small", "lp-large"):
-        pw = p["p"]
-        stat = float(np.sum(np.abs(x.astype(float)) ** pw) ** (1.0 / pw))
-        thr = thresholds["lo"] if side == "D1" else thresholds["hi"]
-        holds = stat <= thr if side == "D1" else stat >= thr
-        return {"statistic": stat, "threshold": thr, "event_holds": bool(holds),
-                "thresholds": thresholds}
-
-    if name in ("opnorm-alpha", "opnorm-eps"):
-        sv = np.linalg.svd(x.astype(float), compute_uv=False)
-        stat = float(sv[0])
-        thr = thresholds["lo"] if side == "D1" else thresholds["hi"]
-        holds = stat <= thr if side == "D1" else stat > thr
-        return {"statistic": stat, "threshold": thr, "event_holds": bool(holds),
-                "thresholds": thresholds}
-
-    if name == "kyfan":
-        sv = np.linalg.svd(x.astype(float), compute_uv=False)
-        stat = float(np.sum(sv[: p["s"]]))
-        thr = thresholds["lo"] if side == "D1" else thresholds["hi"]
-        holds = stat <= thr if side == "D1" else stat >= thr
-        return {"statistic": stat, "threshold": thr, "event_holds": bool(holds),
-                "thresholds": thresholds}
-
-    if name == "eigen":
-        sv = np.linalg.svd(x.astype(float), compute_uv=False)
-        stat = float(sv[0])
-        fro = float(np.linalg.norm(x.astype(float)))
-        lo = thresholds["lo"]
-        if side == "D1":
-            holds = stat <= lo
-            thr = lo
-        else:
-            thr = lo + p["eps"] * fro
-            holds = stat >= thr
-        return {"statistic": stat, "threshold": thr, "event_holds": bool(holds),
-                "thresholds": thresholds}
+    x = instance.payload.astype(float)
+    d1 = instance.side == "D1"
+    extra, bar = {}, None  # bar: what the statistic is tested against, if not thr
 
     if name == "psd":
-        lam = np.linalg.eigvalsh(x.astype(float))
-        stat = float(lam[0])  # minimum eigenvalue
-        if side == "D1":
-            holds = stat >= 0.0
-            thr = 0.0
-        else:
-            pw = p["p"]
-            if math.isinf(pw):
-                snorm = float(np.max(np.abs(lam)))
-            else:
-                snorm = float(np.sum(np.abs(lam) ** pw) ** (1.0 / pw))
-            thr = -p["eps"] * snorm
-            holds = stat <= thr
-        return {"statistic": stat, "threshold": thr, "event_holds": bool(holds),
-                "thresholds": thresholds}
-
-    if name == "cs":
-        k = p["k"]
-        detect = thresholds["detect"]
-        mags = np.abs(x.astype(float))
-        if side == "D1":
+        lam = np.linalg.eigvalsh(x)
+        stat = float(lam[0])
+        snorm = (float(np.max(np.abs(lam))) if math.isinf(p["p"])
+                 else float(np.sum(np.abs(lam) ** p["p"]) ** (1.0 / p["p"])))
+        thr = 0.0 if d1 else -p["eps"] * snorm
+    elif name == "cs":
+        mags = np.abs(x)
+        thr = thresholds["detect"]
+        if d1:
             stat = float(np.max(mags))
-            return {"statistic": stat, "threshold": detect,
-                    "event_holds": bool(stat < detect), "thresholds": thresholds}
-        top = np.argsort(mags)[-k:]
-        decoded = set(int(i) for i in top)
-        S = set(instance.witness["S"])
-        margin_ok = mags[list(S)].min() > np.delete(mags, list(S)).max()
-        holds = decoded == S and bool(margin_ok)
-        return {"statistic": float(mags[list(S)].min()), "threshold": detect,
-                "event_holds": bool(holds), "decoded": sorted(decoded),
-                "thresholds": thresholds}
+        else:
+            S = list(instance.witness["S"])
+            stat = float(mags[S].min())
+            extra["decoded"] = sorted(int(i) for i in np.argsort(mags)[-p["k"]:])
+            # S decodes as the top k by magnitude exactly when its weakest
+            # entry is strictly above every other
+            bar = float(np.delete(mags, S).max())
+    else:
+        if name in ("lp-small", "lp-large"):
+            stat = float(np.sum(np.abs(x) ** p["p"]) ** (1.0 / p["p"]))
+        else:
+            sv = np.linalg.svd(x, compute_uv=False)
+            stat = float(np.sum(sv[: p["s"]])) if name == "kyfan" else float(sv[0])
+        if name == "eigen" and not d1:
+            thr = thresholds["lo"] + p["eps"] * float(np.linalg.norm(x))
+        else:
+            thr = thresholds["lo" if d1 else "hi"]
 
-    raise BadParams(f"unhandled family {name}")
+    test = _EVENT_TESTS.get(name, (operator.le, operator.ge))[0 if d1 else 1]
+    holds = test(stat, thr if bar is None else bar)
+    return {"statistic": stat, "threshold": thr, "event_holds": bool(holds), **extra,
+            "thresholds": thresholds}
 
 
 def gap_event_battery(family: HardFamily, pairs, seed=101):
@@ -611,7 +520,7 @@ def singular_value_concentration(m, n, N, trials, rng):
             "extremes": worst}
 
 
-def sketched_indistinguishability(family: HardFamily, d, trials, rng, chunk=250):
+def sketched_indistinguishability(family: HardFamily, d, trials, rng):
     """Empirical TVD between the d-dimensional sketched images of the two
     sides under a fixed random orthonormal sketch.
 
@@ -628,29 +537,27 @@ def sketched_indistinguishability(family: HardFamily, d, trials, rng, chunk=250)
 
     def images(side):
         out = np.empty((trials, d))
-        done = 0
-        if family.name in ("opnorm-alpha", "opnorm-eps", "kyfan", "eigen"):
-            shape = probe.payload.shape
-            N = family.params["N"]
-            count = family.params["s"] if family.name == "kyfan" else 1
-            while done < trials:
-                c = min(chunk, trials - done)
-                G = _dg_matrix(N * N, (c,) + shape, rng)
-                if side == "D2":
-                    s1 = family.spike_scale()
-                    spike = np.zeros((c,) + shape)
-                    for _ in range(count):
-                        u = _dg_matrix(N, (c, shape[0]), rng).astype(float)
-                        v = _dg_matrix(N, (c, shape[1]), rng).astype(float)
-                        spike += s1 * u[:, :, None] * v[:, None, :]
-                    G = G + np.rint(spike).astype(np.int64)
-                out[done:done + c] = G.reshape(c, dim).astype(float) @ B.T
-                done += c
+        if family.name not in _SPIKED:  # generic (slower) path
+            for i in range(trials):
+                inst = gen_hard_instance(family, side, rng)
+                out[i] = inst.payload.reshape(-1).astype(float) @ B.T
             return out
-        while done < trials:  # generic (slower) path
-            inst = gen_hard_instance(family, side, rng)
-            out[done] = inst.payload.reshape(-1).astype(float) @ B.T
-            done += 1
+        # the spiked families' instances, drawn _TVD_CHUNK at a time
+        shape = probe.payload.shape
+        N = family.params["N"]
+        count = family.params["s"] if family.name == "kyfan" else 1
+        for done in range(0, trials, _TVD_CHUNK):
+            c = min(_TVD_CHUNK, trials - done)
+            G = _dg_matrix(N * N, (c,) + shape, rng)
+            if side == "D2":
+                s1 = family.spike_scale()
+                spike = np.zeros((c,) + shape)
+                for _ in range(count):
+                    u = _dg_matrix(N, (c, shape[0]), rng).astype(float)
+                    v = _dg_matrix(N, (c, shape[1]), rng).astype(float)
+                    spike += s1 * u[:, :, None] * v[:, None, :]
+                G = G + np.rint(spike).astype(np.int64)
+            out[done:done + c] = G.reshape(c, dim).astype(float) @ B.T
         return out
 
     img1 = images("D1")

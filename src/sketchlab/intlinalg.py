@@ -141,8 +141,12 @@ def same_lattice(rows_a, rows_b) -> bool:
     return row_hnf(rows_a) == row_hnf(rows_b)
 
 
-def lll_reduce_int(basis, delta=(99, 100)):
-    """LLL-reduce an independent integer basis with parameter delta = p/q.
+LLL_DELTA = (99, 100)  # the Lovasz parameter delta = p/q of every reduction
+
+
+def lll_reduce_int(basis):
+    """LLL-reduce an independent integer basis with parameter delta = p/q =
+    LLL_DELTA.
 
     All-integer variant (Cohen, Alg. 2.6.3): Gram-Schmidt data is carried as
     integers lambda[i][j] and subdeterminants d[i], so the reduction is exact.
@@ -154,7 +158,7 @@ def lll_reduce_int(basis, delta=(99, 100)):
     kn = len(b)
     if kn == 0:
         return []
-    p, q = int(delta[0]), int(delta[1])
+    p, q = LLL_DELTA
     d = [0] * (kn + 1)
     d[0] = 1
     lam = [[0] * kn for _ in range(kn)]

@@ -151,7 +151,7 @@ def pairwise_reduced_kernel(A: IntMatrix, max_len_sq: int):
     return kb
 
 
-def reduce_basis(basis, delta=(99, 100), check=False):
+def reduce_basis(basis, check=False):
     """LLL-reduce independent integer vectors (exact arithmetic), sorted by norm.
 
     With check=True the output is verified to generate the same lattice as the
@@ -160,7 +160,7 @@ def reduce_basis(basis, delta=(99, 100), check=False):
     vecs = [list(map(int, v)) for v in basis]
     if not vecs:
         return []
-    reduced = intlinalg.lll_reduce_int(vecs, delta=delta)
+    reduced = intlinalg.lll_reduce_int(vecs)
     keys = intlinalg.norms_sq(reduced)
     order = sorted(range(len(reduced)), key=keys.__getitem__)
     reduced = [reduced[i] for i in order]

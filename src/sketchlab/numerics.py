@@ -41,7 +41,7 @@ class OrthonormalBasis:
             return np.zeros((0, self.dimension))
         return np.vstack(self.vectors)
 
-    def validate(self, tol=ORTHO_TOL):
+    def validate(self):
         B = self.matrix
         if B.shape[1] != self.dimension:
             raise ValueError("basis vector dimension mismatch")
@@ -49,7 +49,7 @@ class OrthonormalBasis:
             return
         G = B @ B.T
         err = np.max(np.abs(G - np.eye(len(self.vectors))))
-        if err > tol:
+        if err > ORTHO_TOL:
             raise ValueError(f"basis not orthonormal: max Gram deviation {err:.3e}")
 
     def project(self, x):

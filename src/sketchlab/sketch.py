@@ -105,7 +105,7 @@ class IntegerSketch:
     @classmethod
     def from_matrix(cls, rows, seed=0):
         """Wrap an explicit integer matrix (family "raw": no estimator;
-        apply/streams/orthonormal form only)."""
+        apply_batch/streams/orthonormal form only)."""
         A = IntMatrix.from_rows(rows)
         Q, R = orthonormalize_rows(A.entries.astype(float))
         return cls(A=A, seed=int(seed), family="raw", params={}, Q=Q, R=R)
@@ -136,13 +136,6 @@ class IntegerSketch:
         if bound < FLOAT64_EXACT:
             return (X.astype(float) @ self.A.entries.T.astype(float)).astype(np.int64)
         return X @ self.A.entries.T
-
-    def apply(self, x):
-        """Exact integer product A x."""
-        x = np.asarray(x)
-        if x.shape != (self.n,):
-            raise DimensionMismatch(f"expected dim {self.n}, got {x.shape}")
-        return self.apply_batch(x[None, :])[0]
 
     def new_stream(self):
         return StreamState(self)

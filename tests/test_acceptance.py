@@ -31,3 +31,11 @@ def _run(criterion_id):
 def test_acceptance_criterion(cid):
     rec = _run(cid)
     assert rec["ok"], f"criterion {cid} failed: {rec['detail']}"
+
+
+def test_criteria_registered_in_id_order():
+    ids = [int(fn.__name__.split("_")[1]) for fn in acceptance.ALL_CRITERIA]
+    assert ids == list(range(1, 15))
+    rec = _run(5)
+    assert list(rec) == ["id", "name", "ok", "elapsed_s", "detail"]
+    assert rec["id"] == 5 and rec["ok"] is True

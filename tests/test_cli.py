@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from sketchlab import acceptance
+from sketchlab import acceptance, harddist
 from sketchlab.cli import load_config, main
+from sketchlab.rng import derive
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -179,6 +180,18 @@ class TestOtherCommands:
         assert doc["side"] == "D2" and len(doc["payload"]) == 256
         assert main(["harddist", "gap", "--family", "eigen",
                      "--params", '{"d": 32}', "--pairs", "10"]) == 0
+
+    def test_harddist_gen_plants_calibrated_spike(self, tmp_path):
+        # D2 spikes are sized by calibration, as in the gap battery
+        out = str(tmp_path / "eigen.json")
+        assert main(["harddist", "gen", "--family", "eigen", "--params", '{"d": 16}',
+                     "--side", "D2", "--seed", "3", "--out", out]) == 0
+        doc = json.load(open(out))
+        fam = harddist.HardFamily("eigen", {"d": 16})
+        harddist.calibrate_family(fam)
+        inst = harddist.gen_hard_instance(fam, "D2", derive(3, "gen", "eigen", 0))
+        assert doc["payload"] == inst.payload.tolist()
+        assert doc["witness"]["s1"] == inst.witness["s1"] == fam.spike_scale()
 
     def test_harddist_tvd(self):
         assert main(["harddist", "tvd", "--family", "opnorm-alpha",

@@ -6,6 +6,7 @@ import pytest
 from sketchlab import stats
 from sketchlab.errors import BadParams, DimensionTooLarge
 from sketchlab.harddist import (
+    FAMILY_NAMES,
     HardFamily,
     calibrate_family,
     default_support_count,
@@ -32,6 +33,24 @@ class TestFamilies:
             HardFamily("lp-large", {"p": 1.5})
         with pytest.raises(BadParams):
             HardFamily("cs", {"n": 256, "k": 8, "N": 1_000_001})
+
+    def test_default_params_in_fill_order(self):
+        inf = math.inf
+        want = {
+            "lp-small": [("N", 1e6), ("n", 1024), ("p", 1.5), ("eps", 0.1)],
+            "lp-large": [("N", 1e6), ("n", 1024), ("p", 4.0), ("eps", 0.1),
+                         ("delta", 1.0 / 9.0)],
+            "opnorm-alpha": [("N", 1e4), ("n", 64), ("alpha", 2.0)],
+            "opnorm-eps": [("N", 1e4), ("d", 64), ("eps", 0.1)],
+            "kyfan": [("N", 1e4), ("n", 64), ("s", 4)],
+            "eigen": [("N", 1e4), ("d", 64), ("eps", 0.1)],
+            "psd": [("N", 1e4), ("d", 64), ("p", inf), ("eps", 0.1)],
+            "cs": [("N", 1e6), ("n", 256), ("k", 8), ("eps", 0.2),
+                   ("in_asymptotic_regime", False)],
+        }
+        assert list(FAMILY_NAMES) == list(want)
+        for name, items in want.items():
+            assert list(HardFamily(name).params.items()) == items, name
 
     def test_cs_regime_flag_recorded(self):
         fam = HardFamily("cs", {"n": 256, "k": 8, "eps": 0.2})
@@ -147,6 +166,26 @@ class TestGapEvents:
         fam = HardFamily("kyfan", {"n": 32, "s": 2})
         rep = verify_gap_event(gen_hard_instance(fam, "D1", derive(52, "ky")))
         assert "C" in rep["thresholds"]
+
+    def test_side_tests_at_the_threshold(self):
+        # thresholds equal to the instance's own statistic: D1 events are
+        # `<=` for every family whose null side is low; D2 events are strict
+        # `>` for the operator-norm families and `>=` for the others
+        small = {"lp-small": {"n": 64}, "lp-large": {"n": 64},
+                 "opnorm-alpha": {"n": 16}, "opnorm-eps": {"d": 8, "eps": 0.2},
+                 "kyfan": {"n": 16, "s": 2}, "eigen": {"d": 16}}
+        d2_holds = {"lp-small": True, "lp-large": True, "kyfan": True,
+                    "opnorm-alpha": False, "opnorm-eps": False}
+        for name, params in small.items():
+            fam = HardFamily(name, params)
+            sides = ("D1", "D2") if name in d2_holds else ("D1",)
+            for side in sides:
+                inst = gen_hard_instance(fam, side, derive(52, "at-thr", name, side))
+                stat = verify_gap_event(inst, {"lo": 0.0, "hi": 0.0})["statistic"]
+                rep = verify_gap_event(inst, {"lo": stat, "hi": stat})
+                assert rep["threshold"] == rep["statistic"] == stat, (name, side)
+                want = True if side == "D1" else d2_holds[name]
+                assert rep["event_holds"] is want, (name, side)
 
     def test_calibration_cached_and_deterministic(self):
         fam = HardFamily("opnorm-alpha", {"n": 32})

@@ -22,26 +22,31 @@ def query_one(oracle, x):
     return int(oracle.query_batch(np.asarray(x)[None, :])[0])
 
 
+def apply_one(sk, x):
+    """The exact product A x, as a batch of one row."""
+    return sk.apply_batch(np.asarray(x)[None, :])[0]
+
+
 class TestApplyAndStreams:
     def test_identity(self):
         sk = IntegerSketch.from_matrix(np.eye(5, dtype=np.int64))
         x = np.array([3, -1, 0, 7, 2])
-        assert np.array_equal(sk.apply(x), x)
+        assert np.array_equal(apply_one(sk, x), x)
 
     def test_zero_vector(self):
         sk = build_sketch("sign", 16, 4, seed=1)
-        assert np.array_equal(sk.apply(np.zeros(16, dtype=int)), np.zeros(4))
+        assert np.array_equal(apply_one(sk, np.zeros(16, dtype=int)), np.zeros(4))
 
     def test_dimension_mismatch(self):
         sk = build_sketch("sign", 16, 4, seed=1)
         with pytest.raises(DimensionMismatch):
-            sk.apply(np.zeros(15, dtype=int))
+            apply_one(sk, np.zeros(15, dtype=int))
 
     def test_stream_order_invariance(self):
         rng = derive(31, "stream")
         sk = build_sketch("sign", 64, 8, seed=2)
         x = rng.integers(-100, 101, size=64)
-        direct = sk.apply(x)
+        direct = apply_one(sk, x)
         for trial in range(3):
             order = rng.permutation(64)
             st = sk.new_stream()
@@ -60,7 +65,7 @@ class TestApplyAndStreams:
         st.update(7, 3)
         x = np.zeros(32, dtype=int)
         x[7] = 3
-        assert np.array_equal(st.value, sk.apply(x))
+        assert np.array_equal(st.value, apply_one(sk, x))
 
     def test_stream_does_not_wrap(self):
         # x = (2^62, 2^62, 0, ...): rows with equal signs in the first two
@@ -68,16 +73,16 @@ class TestApplyAndStreams:
         sk = build_sketch("sign", 16, 4, seed=0)
         x = np.zeros(16, dtype=np.int64)
         x[0] = x[1] = 2**62
-        assert 2**63 in np.abs(sk.apply(x)).tolist()
+        assert 2**63 in np.abs(apply_one(sk, x)).tolist()
         st = sk.new_stream()
         st.ingest_vector(x)
-        assert st.value.tolist() == sk.apply(x).tolist()
+        assert st.value.tolist() == apply_one(sk, x).tolist()
         st = sk.new_stream()
         st.update(0, 2**62)
         st.update(1, 2**62)
         st.update(1, -2**62)
         x[1] = 0
-        assert st.value.tolist() == sk.apply(x).tolist()
+        assert st.value.tolist() == apply_one(sk, x).tolist()
         assert st.update_count == 3
 
     def test_linearity_exact(self):
@@ -85,7 +90,7 @@ class TestApplyAndStreams:
         sk = build_sketch("rounded-gaussian", 32, 4, seed=4)
         x = rng.integers(-50, 51, size=32)
         y = rng.integers(-50, 51, size=32)
-        assert np.array_equal(sk.apply(x + y), sk.apply(x) + sk.apply(y))
+        assert np.array_equal(apply_one(sk, x + y), apply_one(sk, x) + apply_one(sk, y))
 
 
 class TestBuildFamilies:
@@ -172,7 +177,7 @@ class TestGapNormOracle:
         scale = int(math.ceil(math.sqrt(target / float(v @ v))))
         x = scale * v
         assert float(x @ x) >= target
-        assert np.array_equal(self.sk.apply(x), np.zeros(4, dtype=np.int64))
+        assert np.array_equal(apply_one(self.sk, x), np.zeros(4, dtype=np.int64))
         assert query_one(self.oracle, x) == 0
 
     def test_oracle_purity(self):
@@ -265,7 +270,7 @@ class TestBatchOracle:
         assert 0.2 <= float(np.mean(bits)) <= 0.8  # the batch straddles the threshold
         mid = sk.estimator["tau"] if family == "projection-threshold" \
             else params.alpha * math.sqrt(params.B)
-        ref = np.array([reference_estimate(sk, sk.apply(x)) for x in X])
+        ref = np.array([reference_estimate(sk, apply_one(sk, x)) for x in X])
         differ = bits != (ref >= mid)
         assert np.all(np.abs(ref[differ] - mid) <= 1e-9 * mid)
         assert [query_one(oracle, x) for x in X[:20]] == streamed[:20]
@@ -342,12 +347,12 @@ class TestBatchOracle:
         assert Y.tolist() == exact
         assert (X.astype(float) @ sk.A.entries.T.astype(float)).astype(np.int64).tolist() != exact
 
-    def test_apply_is_one_row_of_apply_batch(self):
+    def test_one_row_batches_match_the_full_batch(self):
         sk = build_sketch("rounded-gaussian", 32, 4, seed=44)
         X = derive(35, "rows").integers(-50, 51, size=(10, 32))
         Y = sk.apply_batch(X)
         assert Y.shape == (10, 4)
-        assert all(np.array_equal(sk.apply(x), y) for x, y in zip(X, Y))
+        assert all(np.array_equal(apply_one(sk, x), y) for x, y in zip(X, Y))
         with pytest.raises(DimensionMismatch):
             sk.apply_batch(np.zeros((3, 31), dtype=int))
         assert sk.apply_batch(np.zeros((0, 32), dtype=int)).shape == (0, 4)
