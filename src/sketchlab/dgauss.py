@@ -9,7 +9,9 @@ Tails are truncated at 12 sigma everywhere (mass < 1e-30). Ellipsoidal
 sampling over Z^n uses a continuous+discrete convolution: draw the continuous
 part with covariance Sigma - r0^2 I, then round coordinatewise with 1-D
 discrete Gaussians of variance r0^2 at the continuous centers; r0^2 is the
-smoothing margin for Z.
+smoothing margin for Z. An isotropic D(0, sigma^2 I) needs no convolution:
+it is a product of exact 1-D samples, which is how a subspace query with an
+empty forbidden subspace is drawn.
 """
 
 import math
@@ -292,9 +294,13 @@ def sample_subspace_query(spec: SubspaceGaussianSpec, kind, rng, size=None):
     """Sample from D(V^perp, sigma^2) (discrete) or G(V^perp, sigma^2)
     (continuous).
 
-    The discrete kind realizes D(0, Sigma_{sigma^2}) over Z^n via the
-    convolution sampler with a structured covariance square root (no n x n
-    eigendecomposition). The continuous kind returns
+    The discrete kind realizes D(0, Sigma_{sigma^2}) over Z^n. For empty V
+    that is D(0, sigma^2 I), a product of 1-D discrete Gaussians, drawn
+    exactly (up to the 12 sigma tail cut) by `sample_dgauss_1d` with one
+    normal and one uniform per coordinate. Otherwise it uses the convolution
+    sampler with a structured covariance square root (no n x n
+    eigendecomposition), which is eps-close. Both paths enforce the
+    smoothing floor sigma^2/4 >= 2 r0^2. The continuous kind returns
     P_perp g1 + g2 with g1 ~ N(0, 3 sigma^2/4 I), g2 ~ N(0, sigma^2/4 I).
     """
     rng = as_generator(rng)
@@ -317,11 +323,15 @@ def sample_subspace_query(spec: SubspaceGaussianSpec, kind, rng, size=None):
         raise VarianceTooSmall(
             f"sigma^2/4 = {s2 / 4:.3f} below smoothing floor {2 * r0sq:.3f}"
         )
+    if not len(spec.V):
+        z = sample_dgauss_1d(s2, rng, size=(m, n))
+        return z[0] if size is None else z
     a = math.sqrt(s2 - r0sq)        # continuous std on V^perp
     b = math.sqrt(s2 / 4.0 - r0sq)  # continuous std on V
     G = rng.standard_normal((m, n))
-    y = a * G
-    if len(spec.V):
-        y = y - (a - b) * ((G @ V.T) @ V)
-    z = _sample_at_centers(y, r0sq, _offset_envelope(r0sq), rng)
+    P = (G @ V.T) @ V
+    G *= a
+    P *= a - b
+    G -= P
+    z = _sample_at_centers(G, r0sq, _offset_envelope(r0sq), rng)
     return z[0] if size is None else z

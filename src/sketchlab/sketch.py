@@ -31,7 +31,10 @@ FAMILIES = ("sign", "rounded-gaussian", "countsketch", "projection-threshold")
 
 @dataclass
 class GapNormParams:
-    """Promise thresholds: answer 1 when ||x||^2 >= alpha*B, 0 when <= alpha."""
+    """Promise thresholds on the per-coordinate scale ||x||^2 / n: answer 1
+    when ||x||^2 >= alpha*B*n, 0 when ||x||^2 <= alpha*n. A query drawn at
+    variance sigma^2 has ||x||^2 ~ n sigma^2, so the attack's grid
+    sigma^2 in [alpha, alpha*B] spans the promise gap."""
 
     B: float
     alpha: float
@@ -163,9 +166,11 @@ class IntegerSketch:
         raise BadParams(f"unknown family {kind}")
 
     def gap_bits(self, Y, params: GapNormParams):
-        """Thresholded GapNorm answers (int8) for the rows y = A x of Y."""
+        """Thresholded GapNorm answers (int8) for the rows y = A x of Y: the
+        calibrated tau for projection-threshold, else the geometric midpoint
+        alpha*sqrt(B)*n of the promise sides."""
         mid = (self.estimator["tau"] if self.family == "projection-threshold"
-               else params.alpha * math.sqrt(params.B))
+               else params.alpha * math.sqrt(params.B) * self.n)
         return (self.l2_estimates(Y) >= mid).astype(np.int8)
 
     def spec_json(self):

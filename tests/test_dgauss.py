@@ -191,14 +191,16 @@ def _ratio(u, s2, c_env):
 
 
 def _ref_subspace_query(n, V, s2, rng, m):
-    """sample_subspace_query's continuous part written out, rounded by the
-    plain reference loop."""
+    """sample_subspace_query written out: for empty V the plain centered
+    reference loop on the (m, n) product, otherwise the continuous part
+    rounded by the plain reference loop at real centers."""
+    if not len(V):
+        return ref_sample_rejection_centered(s2, rng, (m, n))
     r0sq = dgauss.smoothing_r0sq(n)
     a, b = math.sqrt(s2 - r0sq), math.sqrt(s2 / 4.0 - r0sq)
     G = rng.standard_normal((m, n))
     y = a * G
-    if len(V):
-        y = y - (a - b) * ((G @ V.matrix.T) @ V.matrix)
+    y = y - (a - b) * ((G @ V.matrix.T) @ V.matrix)
     return ref_sample_dgauss_at_centers(y, r0sq, rng)
 
 
@@ -280,9 +282,10 @@ class TestTwoSidedSqueeze:
         return seen
 
     def test_ratio_evaluated_for_few_proposals(self, monkeypatch):
+        # dim V = 1, so the draw goes through the offset sampler at real centers
         n, m = 128, 2000
-        spec = dgauss.SubspaceGaussianSpec(n, OrthonormalBasis.empty(n),
-                                           8.0 * dgauss.smoothing_r0sq(n))
+        V = OrthonormalBasis(n, [np.eye(n)[0]])
+        spec = dgauss.SubspaceGaussianSpec(n, V, 8.0 * dgauss.smoothing_r0sq(n))
         dgauss.sample_subspace_query(spec, "discrete", derive(6, "warm"), size=1)
         seen = self.count_ratio_points(monkeypatch)
         dgauss.sample_subspace_query(spec, "discrete", derive(6, "spy"), size=m)
@@ -332,12 +335,31 @@ class TestEllipsoidal:
 
 
 class TestSubspaceQuery:
+    def test_empty_subspace_is_the_product_sampler(self):
+        n, m = 128, 500
+        spec = dgauss.SubspaceGaussianSpec(n, OrthonormalBasis.empty(n),
+                                           8.0 * dgauss.smoothing_r0sq(n))
+        rng_a, rng_b = derive(24, "prod"), derive(24, "prod")
+        a = dgauss.sample_subspace_query(spec, "discrete", rng_a, size=m)
+        b = dgauss.sample_dgauss_1d(spec.sigma2, rng_b, size=(m, n))
+        assert np.array_equal(a, b)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        one = dgauss.sample_subspace_query(spec, "discrete", derive(24, "one"))
+        assert np.array_equal(one, dgauss.sample_dgauss_1d(spec.sigma2, derive(24, "one"),
+                                                           size=(1, n))[0])
+
     def test_empty_subspace_is_isotropic(self):
         n, s2 = 8, 400.0
         spec = dgauss.SubspaceGaussianSpec(n, OrthonormalBasis.empty(n), s2)
         X = dgauss.sample_subspace_query(spec, "discrete", derive(23, "iso"),
                                          size=200_000 // n)
         assert gof_pvalue(X.ravel(), s2, 70) > 0.001
+        # attack scale: n = 128 at the grid's smallest variance 8 r0^2
+        n = 128
+        s2 = 8.0 * dgauss.smoothing_r0sq(n)
+        spec = dgauss.SubspaceGaussianSpec(n, OrthonormalBasis.empty(n), s2)
+        X = dgauss.sample_subspace_query(spec, "discrete", derive(24, "gof"), size=4000)
+        assert gof_pvalue(X.ravel(), s2, int(5 * math.sqrt(s2))) > 0.001
 
     def test_continuous_full_projection_kill(self):
         n, s2 = 6, 900.0

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from sketchlab import dgauss
+from sketchlab.attack import AttackConfig
 from sketchlab.errors import BadParams, DimensionMismatch
 from sketchlab.lattice import integer_kernel_basis
 from sketchlab.rng import derive
@@ -215,6 +217,22 @@ class TestGapNormOracle:
         assert 0 <= hits <= trials  # reported, not asserted
 
 
+@pytest.mark.parametrize("family", ["sign", "countsketch", "rounded-gaussian"])
+def test_estimator_families_separate_the_promise_sides(family):
+    # isotropic queries at the attack's certificate variances 2 alpha and
+    # alpha B / 2: at B = 64 the estimator's threshold alpha sqrt(B) n
+    # answers them right beyond the termination resolution zeta
+    n, alpha, m = 128, 200.0, 2000
+    params = GapNormParams(B=64.0, alpha=alpha)
+    zeta = AttackConfig(params, m=m).effective_zeta(n)
+    oracle = GapNormOracle(build_sketch(family, n, 8, seed=3), params)
+    rng = derive(36, "sides", family)
+    low = oracle.query_batch(dgauss.sample_dgauss_1d(2.0 * alpha, rng, size=(m, n)))
+    high = oracle.query_batch(dgauss.sample_dgauss_1d(alpha * params.B / 2.0, rng, size=(m, n)))
+    assert float(np.mean(low)) < zeta
+    assert float(np.mean(high)) > 1.0 - zeta
+
+
 FAMILY_PARAMS = (
     ("sign", None),
     ("rounded-gaussian", None),
@@ -230,7 +248,7 @@ def straddling_queries(sk, params, k, rng):
     if sk.family == "projection-threshold":
         mid = sk.estimator["tau"]
     else:
-        mid = params.alpha * math.sqrt(params.B)
+        mid = params.alpha * math.sqrt(params.B) * sk.n
     X = rng.integers(-20, 21, size=(k, sk.n))
     est = np.array([sk.l2_estimates(sk.apply_batch(x[None, :]))[0] for x in X])
     factor = np.exp(rng.uniform(np.log(0.25), np.log(4.0), size=k))
@@ -269,7 +287,7 @@ class TestBatchOracle:
         assert bits.tolist() == streamed
         assert 0.2 <= float(np.mean(bits)) <= 0.8  # the batch straddles the threshold
         mid = sk.estimator["tau"] if family == "projection-threshold" \
-            else params.alpha * math.sqrt(params.B)
+            else params.alpha * math.sqrt(params.B) * sk.n
         ref = np.array([reference_estimate(sk, apply_one(sk, x)) for x in X])
         differ = bits != (ref >= mid)
         assert np.all(np.abs(ref[differ] - mid) <= 1e-9 * mid)
