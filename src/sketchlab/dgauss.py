@@ -12,6 +12,14 @@ discrete Gaussians of variance r0^2 at the continuous centers; r0^2 is the
 smoothing margin for Z. An isotropic D(0, sigma^2 I) needs no convolution:
 it is a product of exact 1-D samples, which is how a subspace query with an
 empty forbidden subspace is drawn.
+
+Every draw at variance >= 4, centered or at real centers, comes from one
+exact rejection loop (`_sample_at_centers`): the proposal rounds a
+continuous Gaussian, the envelope constant is the exact maximum 1/q(0) of
+target over proposal, and a squeeze accepts most proposals outright. Only the
+candidates, the proposals the squeeze cannot decide, are drawn as Bernoulli
+positions and take a uniform (the squeeze method, Devroye 1986), so a draw
+costs about one normal per coordinate.
 """
 
 import math
@@ -26,6 +34,9 @@ from .numerics import OrthonormalBasis
 from .rng import as_generator
 
 TAIL_SIGMAS = 12.0
+# support bound, in sigmas, of the sampler at real centers: the target mass
+# beyond it is < 1e-14, far below every statistical tolerance used here
+OFFSET_SIGMAS = 8.0
 TABLE_SIGMA2_MAX = 4.0  # below this variance, sample by exact table inversion
 SMOOTHING_EPS = 1e-6
 SQUEEZE_BUCKETS = 1024  # buckets of |u| in the two-sided squeeze
@@ -128,41 +139,14 @@ def _squeeze_buckets(sigma2, c_env, bound):
 
 
 @lru_cache(maxsize=256)
-def _centered_envelope(sigma2):
-    """(c_env, K, squeeze): c_env bounds w(z)/q(z) over integer |z| <= K,
-    where w(z)=exp(-z^2/2sigma^2) and q is the rounded-continuous proposal pmf.
-
-    The ratio decreases in |z| (see _acceptance_ratio), so for very large K a
-    subsampled scan that includes the dense center and the endpoint is exact
-    enough; small K is scanned fully."""
-    sigma = math.sqrt(sigma2)
-    K = int(math.ceil(TAIL_SIGMAS * sigma)) + 1
-    if K <= 20000:
-        z = np.arange(0, K + 1, dtype=float)
-    else:
-        z = np.unique(np.concatenate([
-            np.arange(0, 2001, dtype=float),
-            np.round(np.linspace(2000.0, float(K), 8192)),
-        ]))
-    w = np.exp(-z * z / (2.0 * sigma2))
-    q = _rounded_gaussian_pmf(z, sigma)
-    c_env = float(np.max(w / q)) * (1.0 + 1e-9)
-    return c_env, K, float(_acceptance_ratio(K, sigma2, c_env)) * (1.0 - 1e-9)
-
-
-@lru_cache(maxsize=64)
-def _offset_envelope(sigma2):
-    """(c_env, 8 sigma, squeeze) for real-valued center offsets, scanned on a
-    fine grid over |u| <= 8 sigma. The support is cut at 8 sigma:
-    _sample_at_centers rejects every proposal beyond it, and the target mass
-    there is < 1e-14, far below every statistical tolerance used here."""
-    sigma = math.sqrt(sigma2)
-    lim = 8.0 * sigma
-    u = np.linspace(0.0, lim, 4096)
-    w = np.exp(-u * u / (2.0 * sigma2))
-    q = _rounded_gaussian_pmf(u, sigma)
-    c_env = float(np.max(w / q)) * 1.05
-    return c_env, lim, float(_acceptance_ratio(lim, sigma2, c_env)) * (1.0 - 1e-9)
+def _envelope(sigma2, bound):
+    """(c_env, bound, squeeze) for rejection from round(center + N(0, sigma2))
+    on the support |u| <= bound. The ratio w/q falls with |u| (see
+    _acceptance_ratio), so its maximum over every offset is 1/q(0), and
+    c_env = 1/q(0) plus 1e-9 relative bounds it; the squeeze is the ratio at
+    the bound less 1e-9 relative."""
+    c_env = 1.0 / float(_rounded_gaussian_pmf(0.0, math.sqrt(sigma2))) * (1.0 + 1e-9)
+    return c_env, bound, float(_acceptance_ratio(bound, sigma2, c_env)) * (1.0 - 1e-9)
 
 
 def _sample_table(sigma2, rng, size):
@@ -178,18 +162,36 @@ def _sample_table(sigma2, rng, size):
     return out if size is not None else int(out)
 
 
+def _candidates(k, p, rng):
+    """The sorted positions in range(k) that hold a candidate when each
+    position holds one independently with probability p: partial sums of
+    geometric gaps, less one, drawn in chunks until they pass k."""
+    m = int(k * p + 6.0 * math.sqrt(k * p)) + 16
+    pos = np.cumsum(rng.geometric(p, m)) - 1
+    while pos[-1] < k:
+        pos = np.concatenate([pos, pos[-1] + np.cumsum(rng.geometric(p, m))])
+    return pos[: np.searchsorted(pos, k)]
+
+
 def _sample_at_centers(centers, sigma2, envelope, rng, shape=None):
     """Exact discrete Gaussians of variance sigma2, one at each real entry of
     `centers` (None: at 0 in `shape`, with no center arithmetic): rejection
     from round(center + N(0, sigma2)) under envelope = (c_env, support
-    bound, squeeze). A proposal beyond the bound is rejected; in the support
-    U < squeeze accepts, else the bucket of |u| accepts if U < lo[j] and
+    bound, squeeze).
+
+    The plain test draws U ~ U[0, 1) per proposal and accepts a proposal in
+    the support if U < ratio(u). As squeeze <= ratio, U < squeeze accepts,
+    and that event does not depend on u. So the proposals with U >= squeeze,
+    the candidates, are drawn as independent Bernoulli(p) positions, p =
+    1 - squeeze (`_candidates`), and only a candidate draws its U, uniform
+    on [squeeze, 1); there the bucket of |u| accepts if U < lo[j] and
     rejects if U >= hi[j], and only U in [lo[j], hi[j]) computes the ratio.
-    As squeeze <= lo[j] <= ratio <= hi[j], every decision, the output and
-    the random stream are those of the plain ratio test. The first pass
-    covers the whole batch unindexed; later passes re-draw the rejected."""
+    Each decision has the law of the plain test (Devroye 1986, the squeeze
+    method). A proposal beyond the bound is rejected. The first pass covers
+    the whole batch unindexed; later passes re-draw the rejected."""
     c_env, bound, squeeze = envelope
     lo, hi, scale = _squeeze_buckets(sigma2, c_env, bound)
+    p = 1.0 - squeeze
     if centers is not None:
         shape = np.shape(centers)
         centers = np.asarray(centers, dtype=float).ravel()
@@ -207,17 +209,16 @@ def _sample_at_centers(centers, sigma2, envelope, rng, shape=None):
         if centers is not None:
             z -= c
         au = np.abs(z, out=z)
-        U = rng.random(k)
-        ok = au <= bound
-        accept = ok & (U < squeeze)
-        miss = np.flatnonzero(ok ^ accept)
-        Um, am = U[miss], au[miss]
-        j = (am * scale).astype(np.intp)
-        decided = Um < lo[j]
-        band = np.flatnonzero(~decided & (Um < hi[j]))
-        decided[band] = Um[band] < _acceptance_ratio(am[band], sigma2, c_env)
-        accept[miss] = decided
-        rejected = np.flatnonzero(~accept)
+        cand = _candidates(k, p, rng)
+        a = np.minimum(au[cand], bound)  # beyond the bound: rejected below
+        U = squeeze + p * rng.random(cand.size)
+        j = (a * scale).astype(np.intp)
+        accept = U < lo[j]
+        band = np.flatnonzero(~accept & (U < hi[j]))
+        accept[band] = U[band] < _acceptance_ratio(a[band], sigma2, c_env)
+        rejected = cand[~accept]
+        if au.max() > bound:
+            rejected = np.union1d(rejected, np.flatnonzero(au > bound))
         pending = rejected if isinstance(pending, slice) else pending[rejected]
         k = pending.size
     return out
@@ -234,7 +235,8 @@ def sample_dgauss_1d(sigma2, rng, size=None):
     rng = as_generator(rng)
     if sigma2 < TABLE_SIGMA2_MAX:
         return _sample_table(sigma2, rng, size)
-    out = _sample_at_centers(None, sigma2, _centered_envelope(sigma2), rng,
+    K = int(math.ceil(TAIL_SIGMAS * math.sqrt(sigma2))) + 1
+    out = _sample_at_centers(None, sigma2, _envelope(sigma2, K), rng,
                              shape=size if size is not None else ())
     return out if size is not None else int(out)
 
@@ -286,7 +288,7 @@ def sample_dgauss_ellipsoidal(Sigma, rng, size=None):
     sqrt_cont = vecs @ np.diag(np.sqrt(vals - r0sq)) @ vecs.T
     m = 1 if size is None else int(size)
     y = rng.standard_normal((m, n)) @ sqrt_cont
-    z = _sample_at_centers(y, r0sq, _offset_envelope(r0sq), rng)
+    z = _sample_at_centers(y, r0sq, _envelope(r0sq, OFFSET_SIGMAS * math.sqrt(r0sq)), rng)
     return z[0] if size is None else z
 
 
@@ -296,12 +298,12 @@ def sample_subspace_query(spec: SubspaceGaussianSpec, kind, rng, size=None):
 
     The discrete kind realizes D(0, Sigma_{sigma^2}) over Z^n. For empty V
     that is D(0, sigma^2 I), a product of 1-D discrete Gaussians, drawn
-    exactly (up to the 12 sigma tail cut) by `sample_dgauss_1d` with one
-    normal and one uniform per coordinate. Otherwise it uses the convolution
-    sampler with a structured covariance square root (no n x n
-    eigendecomposition), which is eps-close. Both paths enforce the
-    smoothing floor sigma^2/4 >= 2 r0^2. The continuous kind returns
-    P_perp g1 + g2 with g1 ~ N(0, 3 sigma^2/4 I), g2 ~ N(0, sigma^2/4 I).
+    exactly (up to the 12 sigma tail cut) by `sample_dgauss_1d`. Otherwise
+    it uses the convolution sampler with a structured covariance square
+    root (no n x n eigendecomposition), which is eps-close. Both paths
+    enforce the smoothing floor sigma^2/4 >= 2 r0^2. The continuous kind
+    returns P_perp g1 + g2 with g1 ~ N(0, 3 sigma^2/4 I),
+    g2 ~ N(0, sigma^2/4 I).
     """
     rng = as_generator(rng)
     n, s2 = spec.n, float(spec.sigma2)
@@ -333,5 +335,5 @@ def sample_subspace_query(spec: SubspaceGaussianSpec, kind, rng, size=None):
     G *= a
     P *= a - b
     G -= P
-    z = _sample_at_centers(G, r0sq, _offset_envelope(r0sq), rng)
+    z = _sample_at_centers(G, r0sq, _envelope(r0sq, OFFSET_SIGMAS * math.sqrt(r0sq)), rng)
     return z[0] if size is None else z

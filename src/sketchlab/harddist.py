@@ -39,6 +39,9 @@ _MATRIX = _SPIKED + ("psd",)
 
 # calibration's fixed seed and null-side batch size
 _CAL_SEED, _CAL_TRIALS = 23, 40
+# psd's shift bounds sigma1 of its null block t = 4.3 standard deviations
+# above the mean bound, so a D1 draw fails with probability below 1e-4
+_PSD_TAIL_T = 4.3
 _TVD_CHUNK = 250  # matrices drawn at once by the sketched-TVD fast path
 
 
@@ -374,7 +377,12 @@ def calibrate_family(family: HardFamily):
         elif name == "psd":
             d = p["d"]
             eps, pw = p["eps"], p["p"]
-            shift = int(math.ceil(C_cal * N * math.sqrt(d)))
+            # D1 holds when the shift is at least sigma1(G). For a d x d
+            # block of variance-N^2 Gaussian entries E sigma1 <= 2 N sqrt(d)
+            # (Davidson-Szarek) and sigma1 is N-Lipschitz in the standardized
+            # entries, so it exceeds N (2 sqrt(d) + t) with probability at
+            # most exp(-t^2/2); the D(0, N^2) entries are taken as Gaussian
+            shift = int(math.ceil(N * (2.0 * math.sqrt(d) + _PSD_TAIL_T)))
             p.setdefault("shift", shift)
             # required top singular value of H for the eps-far event, solved
             # by a short fixed point (the Schatten norm of the shifted

@@ -151,7 +151,8 @@ def lll_reduce_int(basis):
     All-integer variant (Cohen, Alg. 2.6.3): Gram-Schmidt data is carried as
     integers lambda[i][j] and subdeterminants d[i], so the reduction is exact.
     The inner products <b_k, b_j> come from an int64 mirror of the basis rows
-    while `int64_rows` admits them, and from Python integers once it does not.
+    whenever `int64_rows` admits rows 0..k, and from Python integers while
+    one of them is too wide.
     Raises DependentInput if the vectors are dependent.
     """
     b = [list(map(int, v)) for v in basis]
@@ -162,24 +163,32 @@ def lll_reduce_int(basis):
     d = [0] * (kn + 1)
     d[0] = 1
     lam = [[0] * kn for _ in range(kn)]
-    # rows changed by red/swap are copied into the mirror at the next Gram
-    # step, not at every change; mirror is None for the rest of the run once
-    # a copied row fails the int64 guard
-    mirror = int64_rows(b)
-    dirty = set()
+    # the int64 mirror of the basis rows: rows changed by red/swap are copied
+    # into it at the next Gram step, not at every change; a row whose
+    # entries fail the int64 guard stays out of it until size reduction has
+    # shrunk it enough to pass
+    mirror = np.zeros((kn, len(b[0])), dtype=np.int64)
+    wide = set()
+    dirty = set(range(kn))
 
     def gram_row(k):
         """<b_k, b_j> for j = 0..k, exact."""
-        nonlocal mirror
-        if mirror is not None and dirty:
+        if dirty:
             idx = list(dirty)
             fresh = int64_rows([b[i] for i in idx])
-            if fresh is None:
-                mirror = None
-            else:
+            if fresh is not None:
                 mirror[idx] = fresh
+                wide.difference_update(idx)
+            else:
+                for i in idx:
+                    row = int64_rows([b[i]])
+                    if row is None:
+                        wide.add(i)
+                    else:
+                        mirror[i] = row[0]
+                        wide.discard(i)
             dirty.clear()
-        if mirror is None:
+        if any(i <= k for i in wide):
             return [dot(b[k], b[j]) for j in range(k + 1)]
         return (mirror[: k + 1] @ mirror[k]).tolist()
 

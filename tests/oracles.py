@@ -1,6 +1,6 @@
 """Independent oracles used by the tests: Jacobi SVD, brute-force lattice
-enumeration, closed-form TVD, quadrature, the plain rejection loops of the
-discrete Gaussian sampler (no squeeze), the all-integer LLL with its
+enumeration, closed-form TVD, quadrature, the scanned envelope constant of
+the discrete Gaussian sampler, the all-integer LLL with its
 inner products on Python integers, and the HNF kernel and canonical HNF with
 row operations on Python integer lists. These deliberately avoid the code
 paths they check."""
@@ -118,13 +118,9 @@ def principal_angle_distance(B_v, B_w):
     return float(np.linalg.norm(Pv - Pw, 2))
 
 
-# -- reference rejection samplers --------------------------------------------
-# The two rejection loops of the discrete Gaussian sampler as they were before
-# the squeeze step and their merge into one loop: the centered loop for
-# D(0, sigma^2) and the loop at real centers used by the convolution sampler.
-# Each evaluates the acceptance ratio for every proposal. They draw the same
-# normals and uniforms in the same order, so at one seed they must give the
-# same samples and leave the generator in the same state.
+# -- reference envelope ---------------------------------------------------------
+# The centered sampler's envelope constant as it was first computed: the
+# maximum of w/q over a scan of the integer support (subsampled past 20,000).
 
 def _ref_rounded_gaussian_pmf(u, sigma):
     au = np.abs(np.asarray(u, dtype=float))
@@ -144,57 +140,6 @@ def ref_centered_envelope(sigma2):
     w = np.exp(-z * z / (2.0 * sigma2))
     q = _ref_rounded_gaussian_pmf(z, sigma)
     return float(np.max(w / q)) * (1.0 + 1e-9), K
-
-
-def ref_offset_envelope(sigma2):
-    sigma = math.sqrt(sigma2)
-    lim = 8.0 * sigma
-    u = np.linspace(0.0, lim, 4096)
-    w = np.exp(-u * u / (2.0 * sigma2))
-    q = _ref_rounded_gaussian_pmf(u, sigma)
-    return float(np.max(w / q)) * 1.05, lim
-
-
-def ref_sample_rejection_centered(sigma2, rng, size):
-    sigma = math.sqrt(sigma2)
-    c_env, K = ref_centered_envelope(sigma2)
-    m = int(np.prod(size)) if size is not None else 1
-    out = np.empty(m, dtype=np.int64)
-    pending = np.arange(m)
-    while pending.size:
-        z = np.rint(sigma * rng.standard_normal(pending.size))
-        w = np.exp(-z * z / (2.0 * sigma2))
-        q = _ref_rounded_gaussian_pmf(z, sigma)
-        ok = np.abs(z) <= K
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a = np.where(q > 0, w / (c_env * q), 0.0)
-        accept = ok & (rng.random(pending.size) < a)
-        out[pending[accept]] = z[accept].astype(np.int64)
-        pending = pending[~accept]
-    if size is None:
-        return int(out[0])
-    return out.reshape(size)
-
-
-def ref_sample_dgauss_at_centers(centers, r0sq, rng, envelope=None):
-    sigma = math.sqrt(r0sq)
-    c_env, lim = envelope or ref_offset_envelope(r0sq)
-    flat = np.asarray(centers, dtype=float).ravel()
-    out = np.empty(flat.shape, dtype=np.int64)
-    pending = np.arange(flat.size)
-    while pending.size:
-        c = flat[pending]
-        z = np.rint(c + sigma * rng.standard_normal(pending.size))
-        u = z - c
-        w = np.exp(-u * u / (2.0 * r0sq))
-        q = _ref_rounded_gaussian_pmf(u, sigma)
-        ok = np.abs(u) <= lim
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a = np.where(q > 0, np.minimum(w / (c_env * q), 1.0), 0.0)
-        accept = ok & (rng.random(pending.size) < a)
-        out[pending[accept]] = z[accept].astype(np.int64)
-        pending = pending[~accept]
-    return out.reshape(np.asarray(centers).shape)
 
 
 def ref_lll_reduce_int(basis, delta=(99, 100)):

@@ -150,6 +150,20 @@ class TestGapEvents:
         assert rep["event_holds"]
         assert rep["statistic"] >= 0.0
 
+    def test_psd_events_over_1000_pairs(self):
+        # the shift is the tail bound N (2 sqrt(d) + 4.3) on sigma1 of the
+        # null block, so a D1 draw fails with probability below 1e-4
+        fam = HardFamily("psd")
+        d, N = fam.params["d"], fam.params["N"]
+        assert calibrate_family(fam)["shift"] == math.ceil(N * (2 * math.sqrt(d) + 4.3))
+        d1 = d2 = 0
+        for i in range(1000):
+            rng = derive(5, "psd-rate", i)
+            d1 += verify_gap_event(gen_hard_instance(fam, "D1", rng))["event_holds"]
+            d2 += verify_gap_event(gen_hard_instance(fam, "D2", rng))["event_holds"]
+        assert d1 >= 999
+        assert d2 >= 999
+
     def test_eigen_pairs(self):
         fam = HardFamily("eigen", {"d": 32, "eps": 0.1})
         rep = gap_event_battery(fam, pairs=30, seed=52)

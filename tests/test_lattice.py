@@ -174,13 +174,13 @@ class TestLllInt64Mirror:
 
         monkeypatch.setattr(intlinalg, "int64_rows", spy)
         rng = derive(11, "lll-guard")
-        # entries near 2^70 never fit: Python integers from the start
+        # entries near 2^70 never fit: Python integers throughout
         for _ in range(5):
             B = [[int(x) << 41 for x in row]
                  for row in rng.integers(-2**29, 2**29 + 1, size=(6, 8))]
             admitted.clear()
             assert intlinalg.lll_reduce_int(B) == ref_lll_reduce_int(B)
-            assert admitted == [False]
+            assert admitted and not any(admitted)
         # at 2^29 and n = 8 the start fits, and size reduction can carry a
         # row past the guard during the run
         switched = []
@@ -190,6 +190,21 @@ class TestLllInt64Mirror:
             assert intlinalg.lll_reduce_int(B) == ref_lll_reduce_int(B)
             switched.append(admitted[0] and not all(admitted))
         assert any(switched)
+
+    def test_wide_row_rejoins_the_mirror(self, monkeypatch):
+        # v_5 + 2^40 v_0 fails the int64 guard; LLL shrinks it before row 6
+        # enters, so only its own Gram row (6 products) and the first
+        # <b_0, b_0> run on Python integers, and the rows after it take the
+        # int64 mirror again
+        vecs = integer_kernel_basis(family_sketch("sign", 32).A).vectors
+        skewed = [list(v) for v in vecs]
+        skewed[5] = [a + 2**40 * c for a, c in zip(vecs[5], vecs[0])]
+        python_dots = []
+        real = intlinalg.dot
+        monkeypatch.setattr(intlinalg, "dot",
+                            lambda u, v: python_dots.append(1) or real(u, v))
+        assert intlinalg.lll_reduce_int(skewed) == ref_lll_reduce_int(skewed)
+        assert len(python_dots) == 1 + 6
 
     @pytest.mark.parametrize("scale", [1, 2**40])
     def test_check_against_exact_in_both_regimes(self, scale):
