@@ -37,43 +37,30 @@ from .sketch import (
 )
 
 
-def alpha_lattice_term(n, ell):
-    """The lattice term of the alpha policy: ell^2 ln(2n(1+1/eps))/pi for a
-    certified orthogonal-lattice length ell, at eps = dgauss.SMOOTHING_EPS."""
-    return ell**2 * math.log(2 * n * (1 + 1 / dgauss.SMOOTHING_EPS)) / math.pi
-
-
-def alpha_floor(n):
-    """The discrete-sampling floor of the alpha policy, 8 r0^2."""
-    return 8.0 * dgauss.smoothing_r0sq(n)
-
-
-# alpha_floor(n) = 8 r0^2 = alpha_lattice_term(n, sqrt(32)): the floor binds
-# exactly when the certified basis has squared length < 32
-_FLOOR_LEN_SQ = 32
-
-
 def auto_alpha(sketch):
-    """Automatic alpha policy: a certified orthogonal-lattice length ell,
-    squared, times ln(2n(1+1/eps))/pi; floored at the discrete-sampling
-    requirement 8 r0^2. Returns (alpha, ell).
+    """Automatic alpha policy: the smoothing variance of the sketch's
+    orthogonal lattice, `dgauss.smoothing_sigma2(n, ell^2)` for a certified
+    length ell, floored at the sampling floor 8 r0^2 (its value at
+    SAMPLING_FLOOR_ELL_SQ). Returns (alpha, ell).
 
     The lattice term holds for any n - r independent orthogonal-lattice
     vectors (the lambda_n smoothing bound), not only an LLL basis. So ell
     comes first from the pairwise-reduced HNF kernel basis
     (`lattice.pairwise_reduced_kernel`), kept when every squared length is
-    below 32, where the floor binds, and at most n M^2, where pre-processing
-    would keep A' = A. Otherwise, and when r > n/4 (TooManyRows), ell is the
-    certified length of the pre-processed sketch (`preprocess_sketch`:
-    kernel + LLL)."""
+    below SAMPLING_FLOOR_ELL_SQ, where the floor binds, and at most n M^2,
+    where pre-processing would keep A' = A. Otherwise, and when r > n/4
+    (TooManyRows), ell is the certified length of the pre-processed sketch
+    (`preprocess_sketch`: kernel + LLL)."""
     A, n = sketch.A, sketch.n
     M = A.max_abs_entry()
-    kb = (pairwise_reduced_kernel(A, min(_FLOOR_LEN_SQ, n * M * M + 1))
+    floor_ell_sq = dgauss.SAMPLING_FLOOR_ELL_SQ
+    kb = (pairwise_reduced_kernel(A, min(floor_ell_sq, n * M * M + 1))
           if 4 * A.rows <= n else None)
     if kb is None:
         _, kb = preprocess_sketch(A)
     ell = max(kb.certified_max_len, 1.0)
-    return max(alpha_lattice_term(n, ell), alpha_floor(n)), ell
+    floor = dgauss.smoothing_sigma2(n, floor_ell_sq)
+    return max(dgauss.smoothing_sigma2(n, ell**2), floor), ell
 
 
 def attack_setup(acfg, seed):
@@ -98,7 +85,7 @@ def attack_setup(acfg, seed):
         # calibration (m_cal=16) is discarded with it
         sk = build(1.0, m_cal=16)
         alpha, ell = auto_alpha(sk)
-        lattice_term = alpha_lattice_term(n, ell)
+        lattice_term = dgauss.smoothing_sigma2(n, ell**2)
         binds = "lattice" if alpha == lattice_term else "floor"
         if calibrated:
             sk = build(alpha)
@@ -106,7 +93,7 @@ def attack_setup(acfg, seed):
         alpha, lattice_term, binds = float(policy), None, "fixed"
         sk = build(alpha)
     alpha_report = {
-        "alpha_floor": alpha_floor(n),
+        "alpha_floor": dgauss.smoothing_sigma2(n, dgauss.SAMPLING_FLOOR_ELL_SQ),
         "alpha_lattice_term": lattice_term,
         "alpha_binds": binds,
     }
@@ -367,7 +354,7 @@ def criterion_10_planted_recovery(fast):
         rng = derive(10, "plant", i)
         u = rng.standard_normal(n)
         u /= np.linalg.norm(u)
-        s2 = 8.0 * dgauss.smoothing_r0sq(n) * 4.0
+        s2 = 4.0 * dgauss.smoothing_sigma2(n, dgauss.SAMPLING_FLOOR_ELL_SQ)
         oracle = _PlantedOracle(u, s2)
         spec = dgauss.SubspaceGaussianSpec(n, OrthonormalBasis.empty(n), s2)
         X = dgauss.sample_subspace_query(spec, "discrete", rng, size=5000)

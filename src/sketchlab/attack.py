@@ -14,14 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dgauss import SubspaceGaussianSpec, sample_subspace_query, smoothing_r0sq
+from .dgauss import SubspaceGaussianSpec, sample_subspace_query
 from .errors import (
     BadParams,
     DegenerateResidual,
     NoExploitFound,
     NoPositives,
     OracleFailure,
-    VarianceTooSmall,
 )
 from .numerics import OrthonormalBasis, gram_schmidt_residual, top_right_singular_vector
 from .rng import as_generator
@@ -50,12 +49,6 @@ class AttackConfig:
     def __post_init__(self):
         if self.m < 100:
             raise BadParams(f"m must be >= 100, got {self.m}")
-
-    def validate_for(self, n):
-        if self.gap.alpha / 4.0 < 2.0 * smoothing_r0sq(n):
-            raise VarianceTooSmall(
-                f"alpha={self.gap.alpha} too small for exact discrete sampling at n={n}"
-            )
 
     def effective_zeta(self, n):
         if self.zeta is not None:
@@ -212,10 +205,11 @@ def run_attack(oracle, n, r_budget, config: AttackConfig, rng):
 
     Executes rounds t = 1..round_cap (default r_budget + 1); terminates with
     a FailureCertificate as soon as a grid point's answer rate contradicts
-    correctness, else reports exhaustion with the final state.
+    correctness, else reports exhaustion with the final state. The first
+    draw is at sigma^2 = alpha, so an alpha below the sampling floor raises
+    VarianceTooSmall from the sampler before any oracle query.
     """
     rng = as_generator(rng)
-    config.validate_for(n)
     cap = config.round_cap if config.round_cap is not None else r_budget + 1
     state = AttackState(t=1, V=OrthonormalBasis.empty(n))
     for t in range(1, cap + 1):
@@ -290,51 +284,17 @@ def conditional_gap_estimate(oracle, spec: SubspaceGaussianSpec, u, m, rng):
 
 
 def invariant_diagnostic(state: AttackState, true_sketch):
-    """White-box diagnostic (test-only): distance between the learned basis
-    V_t and the closest equal-dimensional subspace W_t inside rowspan(A).
+    """White-box diagnostic (test-only): the sine of the largest principal
+    angle between the learned basis V_t and rowspan(A), the norm of V_t's
+    part outside the rowspan.
 
-    W_t is built from the principal vectors of V_t against the rowspan;
-    distance is the operator norm of the projector difference.
+    For dim V_t <= r it equals sqrt(1 - sigma_min(V Q^T)^2) and the
+    operator-norm distance between the projectors onto V_t and onto the
+    closest equal-dimensional subspace of the rowspan; a V_t of dimension
+    above r holds a direction orthogonal to the rowspan and reads 1.
     """
-    Qa = true_sketch.Q  # (r, n) orthonormal rows
-    Bv = state.V.matrix  # (k, n)
-    k = Bv.shape[0]
-    n = Qa.shape[1]
-    if k == 0:
-        return {"t": state.t, "dim": 0, "distance": 0.0, "sin_theta_max": 0.0}
-    M = Bv @ Qa.T  # (k, r)
-    U, S, _ = np.linalg.svd(M)
-    S = np.clip(S, 0.0, 1.0)
-    principal_v = U.T @ Bv  # rows: principal directions of V
-    W_rows = []
-    for i in range(k):
-        w = (principal_v[i] @ Qa.T) @ Qa  # project onto rowspan
-        nrm = np.linalg.norm(w)
-        if nrm > 1e-9:
-            w = w / nrm
-            # orthogonalize against already-chosen rows for numerical safety
-            for prev in W_rows:
-                w = w - (w @ prev) * prev
-            nrm2 = np.linalg.norm(w)
-            if nrm2 > 1e-9:
-                W_rows.append(w / nrm2)
-                continue
-        # principal direction orthogonal to rowspan; pad with any rowspan
-        # direction orthogonal to the chosen ones
-        for cand in Qa:
-            w = cand.copy()
-            for prev in W_rows:
-                w = w - (w @ prev) * prev
-            nrm2 = np.linalg.norm(w)
-            if nrm2 > 1e-6:
-                W_rows.append(w / nrm2)
-                break
-    Bw = np.vstack(W_rows) if W_rows else np.zeros((0, n))
-    P_diff = Bv.T @ Bv - Bw.T @ Bw
-    dist = float(np.linalg.norm(P_diff, 2))
-    return {
-        "t": state.t,
-        "dim": k,
-        "distance": dist,
-        "sin_theta_max": float(math.sqrt(max(0.0, 1.0 - float(np.min(S)) ** 2))),
-    }
+    V, Q = state.V.matrix, true_sketch.Q  # orthonormal rows
+    sin = 0.0
+    if len(V):
+        sin = min(float(np.linalg.norm(V - (V @ Q.T) @ Q, 2)), 1.0)
+    return {"t": state.t, "dim": len(V), "distance": sin, "sin_theta_max": sin}

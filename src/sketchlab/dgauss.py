@@ -39,13 +39,26 @@ TAIL_SIGMAS = 12.0
 OFFSET_SIGMAS = 8.0
 TABLE_SIGMA2_MAX = 4.0  # below this variance, sample by exact table inversion
 SMOOTHING_EPS = 1e-6
+# the attack's sampling floor, sigma^2/4 >= 2 r0^2, is smoothing_sigma2 at
+# this squared length: 8 r0^2
+SAMPLING_FLOOR_ELL_SQ = 32
 SQUEEZE_BUCKETS = 1024  # buckets of |u| in the two-sided squeeze
 
 
+def smoothing_sigma2(n, ell_sq):
+    """ell_sq ln(2n(1+1/eps)) / pi at eps = SMOOTHING_EPS: the variance above
+    which a lattice in R^n with n independent vectors of squared length at
+    most ell_sq is eps-smooth (Micciancio & Regev 2004).
+
+    r0^2 is its value at 4 (the lattice Z), the convolution floor 2 r0^2 at
+    8 and the sampling floor 8 r0^2 at SAMPLING_FLOOR_ELL_SQ. These scalings
+    are powers of two, so each equality holds exactly in floating point."""
+    return ell_sq * math.log(2.0 * n * (1.0 + 1.0 / SMOOTHING_EPS)) / math.pi
+
+
 def smoothing_r0sq(n):
-    """Smoothing margin r0^2 = 4 ln(2n(1+1/eps)) / pi for the lattice Z, at
-    eps = SMOOTHING_EPS."""
-    return 4.0 * math.log(2.0 * n * (1.0 + 1.0 / SMOOTHING_EPS)) / math.pi
+    """Smoothing margin r0^2 for the lattice Z."""
+    return smoothing_sigma2(n, 4)
 
 
 def partition_1d(sigma2):
@@ -280,10 +293,11 @@ def sample_dgauss_ellipsoidal(Sigma, rng, size=None):
     Sigma = np.asarray(Sigma, dtype=float)
     n = Sigma.shape[0]
     r0sq = smoothing_r0sq(n)
+    floor = smoothing_sigma2(n, 8)  # 2 r0^2
     vals, vecs = np.linalg.eigh(Sigma)
-    if np.min(vals) < 2.0 * r0sq:
+    if np.min(vals) < floor:
         raise VarianceTooSmall(
-            f"min eigenvalue {np.min(vals):.3f} < 2*r0^2 = {2 * r0sq:.3f}"
+            f"min eigenvalue {np.min(vals):.3f} < 2*r0^2 = {floor:.3f}"
         )
     sqrt_cont = vecs @ np.diag(np.sqrt(vals - r0sq)) @ vecs.T
     m = 1 if size is None else int(size)
@@ -301,8 +315,8 @@ def sample_subspace_query(spec: SubspaceGaussianSpec, kind, rng, size=None):
     exactly (up to the 12 sigma tail cut) by `sample_dgauss_1d`. Otherwise
     it uses the convolution sampler with a structured covariance square
     root (no n x n eigendecomposition), which is eps-close. Both paths
-    enforce the smoothing floor sigma^2/4 >= 2 r0^2. The continuous kind
-    returns P_perp g1 + g2 with g1 ~ N(0, 3 sigma^2/4 I),
+    raise VarianceTooSmall below the sampling floor sigma^2/4 >= 2 r0^2.
+    The continuous kind returns P_perp g1 + g2 with g1 ~ N(0, 3 sigma^2/4 I),
     g2 ~ N(0, sigma^2/4 I).
     """
     rng = as_generator(rng)
@@ -320,14 +334,15 @@ def sample_subspace_query(spec: SubspaceGaussianSpec, kind, rng, size=None):
 
     if kind != "discrete":
         raise ValueError(f"unknown kind {kind!r}")
-    r0sq = smoothing_r0sq(n)
-    if s2 / 4.0 < 2.0 * r0sq:
+    floor = smoothing_sigma2(n, SAMPLING_FLOOR_ELL_SQ)
+    if s2 < floor:
         raise VarianceTooSmall(
-            f"sigma^2/4 = {s2 / 4:.3f} below smoothing floor {2 * r0sq:.3f}"
+            f"sigma^2 = {s2:.3f} below the sampling floor 8 r0^2 = {floor:.3f} at n={n}"
         )
     if not len(spec.V):
         z = sample_dgauss_1d(s2, rng, size=(m, n))
         return z[0] if size is None else z
+    r0sq = smoothing_r0sq(n)
     a = math.sqrt(s2 - r0sq)        # continuous std on V^perp
     b = math.sqrt(s2 / 4.0 - r0sq)  # continuous std on V
     G = rng.standard_normal((m, n))

@@ -75,7 +75,7 @@ class HardFamily:
             if root * root != int(p["N"]):
                 raise BadParams("cs needs N to be a perfect square (entries +-sqrt(N))")
             noise_var = p["eps"] * p["N"] * p["k"] / p["n"]
-            if noise_var < 2.0 * dgauss.smoothing_r0sq(p["n"]):
+            if noise_var < dgauss.smoothing_sigma2(p["n"], 8):  # 2 r0^2
                 raise BadParams("cs noise variance below the discrete sampling floor")
             # the asymptotic lower-bound regime; generation works outside it
             p["in_asymptotic_regime"] = bool(
@@ -117,9 +117,11 @@ class HardInstance:
 
 
 @lru_cache(maxsize=64)
-def expected_p_norm(n, p, trials=10_000, seed=7):
-    """E ||g||_p for g ~ N(0, I_n), Monte Carlo estimated once and cached."""
-    rng = derive(seed, "Ep", n, int(p * 1000))
+def expected_p_norm(n, p):
+    """E ||g||_p for g ~ N(0, I_n), Monte Carlo estimated once (10,000 draws,
+    a fixed seed) and cached."""
+    trials = 10_000
+    rng = derive(7, "Ep", n, int(p * 1000))
     total, chunk = 0.0, 500
     done = 0
     while done < trials:

@@ -2,10 +2,12 @@
 kernel bases, and LLL reduction in all-integer (de Weger) arithmetic.
 
 Everything here is exact integer arithmetic; nothing is floating point, so
-results feed the certified length bounds directly. Inner products run as one
+results feed the certified length bounds directly. Squared lengths run as one
 int64 product where `int64_rows` shows no sum can overflow, and HNF row
 operations as int64 array steps while entries stay below `_ELIM_GUARD`; both
-run on Python big integers otherwise.
+run on Python big integers otherwise. LLL runs on Python integers
+throughout: its cost is the bigint Gram-Schmidt recurrence, not the inner
+products.
 """
 
 import numpy as np
@@ -150,9 +152,6 @@ def lll_reduce_int(basis):
 
     All-integer variant (Cohen, Alg. 2.6.3): Gram-Schmidt data is carried as
     integers lambda[i][j] and subdeterminants d[i], so the reduction is exact.
-    The inner products <b_k, b_j> come from an int64 mirror of the basis rows
-    whenever `int64_rows` admits rows 0..k, and from Python integers while
-    one of them is too wide.
     Raises DependentInput if the vectors are dependent.
     """
     b = [list(map(int, v)) for v in basis]
@@ -163,37 +162,10 @@ def lll_reduce_int(basis):
     d = [0] * (kn + 1)
     d[0] = 1
     lam = [[0] * kn for _ in range(kn)]
-    # the int64 mirror of the basis rows: rows changed by red/swap are copied
-    # into it at the next Gram step, not at every change; a row whose
-    # entries fail the int64 guard stays out of it until size reduction has
-    # shrunk it enough to pass
-    mirror = np.zeros((kn, len(b[0])), dtype=np.int64)
-    wide = set()
-    dirty = set(range(kn))
-
-    def gram_row(k):
-        """<b_k, b_j> for j = 0..k, exact."""
-        if dirty:
-            idx = list(dirty)
-            fresh = int64_rows([b[i] for i in idx])
-            if fresh is not None:
-                mirror[idx] = fresh
-                wide.difference_update(idx)
-            else:
-                for i in idx:
-                    row = int64_rows([b[i]])
-                    if row is None:
-                        wide.add(i)
-                    else:
-                        mirror[i] = row[0]
-                        wide.discard(i)
-            dirty.clear()
-        if any(i <= k for i in wide):
-            return [dot(b[k], b[j]) for j in range(k + 1)]
-        return (mirror[: k + 1] @ mirror[k]).tolist()
 
     def incremental_gram(k):
-        for j, u in enumerate(gram_row(k)):
+        for j in range(k + 1):
+            u = dot(b[k], b[j])
             for i in range(j):
                 u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
             if j < k:
@@ -208,14 +180,12 @@ def lll_reduce_int(basis):
             m = iround_div(lam[k][l], d[l + 1])
             bk, bl = b[k], b[l]
             b[k] = [x - m * y for x, y in zip(bk, bl)]
-            dirty.add(k)
             lam[k][l] -= m * d[l + 1]
             for i in range(l):
                 lam[k][i] -= m * lam[l][i]
 
     def swap(k, k_max):
         b[k], b[k - 1] = b[k - 1], b[k]
-        dirty.update((k, k - 1))
         for j in range(k - 1):
             lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
         lam_ = lam[k][k - 1]

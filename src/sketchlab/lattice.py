@@ -151,63 +151,39 @@ def pairwise_reduced_kernel(A: IntMatrix, max_len_sq: int):
     return kb
 
 
-def reduce_basis(basis, check=False):
-    """LLL-reduce independent integer vectors (exact arithmetic), sorted by norm.
-
-    With check=True the output is verified to generate the same lattice as the
-    input via canonical HNF equality.
-    """
-    vecs = [list(map(int, v)) for v in basis]
-    if not vecs:
-        return []
-    reduced = intlinalg.lll_reduce_int(vecs)
+def reduce_basis(basis):
+    """LLL-reduce independent integer vectors (exact arithmetic), sorted by norm."""
+    reduced = intlinalg.lll_reduce_int(basis)
     keys = intlinalg.norms_sq(reduced)
-    order = sorted(range(len(reduced)), key=keys.__getitem__)
-    reduced = [reduced[i] for i in order]
-    if check and not intlinalg.same_lattice(vecs, reduced):
-        raise AssertionError("reduction changed the generated lattice")
-    return reduced
+    return [reduced[i] for i in sorted(range(len(reduced)), key=keys.__getitem__)]
+
+
+def reduced_kernel_basis(A: IntMatrix) -> KernelBasis:
+    """ker(A) ∩ Z^n as an LLL-reduced basis, shortest first; its certified
+    length is the longest vector's, exact up to the final square root.
+
+    Raises FullRank when the kernel is trivial."""
+    reduced = reduce_basis(integer_kernel_basis(A).vectors)
+    return KernelBasis(A.cols, reduced, math.sqrt(intlinalg.norm_sq(reduced[-1])))
 
 
 def _linf(v):
     return max(abs(x) for x in v)
 
 
-def _siegel_bound_ok(v, n, M, r) -> bool:
-    """Exact integer test: linf(v)^(n-r) <= (n*M)^r."""
-    return _linf(v) ** (n - r) <= (n * M) ** r
-
-
 def short_kernel_vector(A: IntMatrix):
-    """Nonzero integer x with A x = 0 and max|x_i| <= (nM)^{r/(n-r)}.
+    """Nonzero integer x with A x = 0 and max|x_i| <= (nM)^{r/(n-r)}: the
+    shortest member in l-infinity of the LLL-reduced kernel basis.
 
-    Obtained by LLL-reducing the exact kernel basis and picking the shortest
-    member in l-infinity, followed by a small greedy combination search. The
-    Siegel bound is asserted with exact integer arithmetic; violation raises
-    BoundViolated (signals a reduction bug, must never fire).
+    The Siegel bound is checked in exact integer arithmetic; a violation
+    raises BoundViolated (a reduction bug, never seen on a reduced basis).
     """
     r, n = A.rows, A.cols
     if r >= n:
         raise FullRank("need r < n for a kernel vector")
     M = max(1, A.max_abs_entry())
-    if M == 0:
-        raise ValueError("A must be nonzero")
-    kb = integer_kernel_basis(A)
-    reduced = reduce_basis(kb.vectors)
-    best = min(reduced, key=_linf)
-
-    if not _siegel_bound_ok(best, n, M, r):
-        # greedy pairwise improvement in l-infinity
-        improved = True
-        while improved and not _siegel_bound_ok(best, n, M, r):
-            improved = False
-            for w in reduced:
-                for s in (1, -1):
-                    cand = [a + s * b for a, b in zip(best, w)]
-                    if any(cand) and _linf(cand) < _linf(best):
-                        best = cand
-                        improved = True
-    if not _siegel_bound_ok(best, n, M, r):
+    best = min(reduced_kernel_basis(A).vectors, key=_linf)
+    if _linf(best) ** (n - r) > (n * M) ** r:
         raise BoundViolated(
             f"shortest vector linf={_linf(best)} exceeds (nM)^(r/(n-r)) "
             f"with n={n}, M={M}, r={r}"
@@ -237,18 +213,13 @@ def preprocess_sketch(A: IntMatrix, short_circuit=True):
     M = max(1, A.max_abs_entry())
     target = math.sqrt(n) * M
 
-    kb = integer_kernel_basis(A)
-    reduced = reduce_basis(kb.vectors)
-    lengths = [math.sqrt(s) for s in intlinalg.norms_sq(reduced)]
-
-    if short_circuit and lengths and max(lengths) <= target:
-        full = KernelBasis(n, reduced, max(lengths))
+    full = reduced_kernel_basis(A)
+    if short_circuit and full.certified_max_len <= target:
         return A, full
 
     keep = n - 4 * r
-    short_set = reduced[:keep]
-    short_lens = lengths[:keep]
-    achieved = max(short_lens) if short_lens else 0.0
+    short_set = full.vectors[:keep]
+    achieved = math.sqrt(intlinalg.norm_sq(short_set[-1])) if short_set else 0.0
     if achieved > target:
         raise LengthBoundUnachieved(
             f"best {keep} kernel vectors reach length {achieved:.3f} > target {target:.3f}",

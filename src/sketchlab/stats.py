@@ -13,8 +13,11 @@ import numpy as np
 
 from . import dgauss
 from .errors import DimensionTooLarge, PreconditionUnmet, TooFewSamples
-from .lattice import CellRounder, fundamental_cell_uniform, integer_kernel_basis, reduce_basis
+from .lattice import CellRounder, fundamental_cell_uniform, reduced_kernel_basis
 from .rng import as_generator
+
+TVD_BOOTSTRAP = 200  # multinomial resamples behind empirical_tvd's CI
+CELL_LEMMA_TVD = 0.05  # each cell-lemma path passes at TVD <= this
 
 
 @dataclass
@@ -58,13 +61,12 @@ def _bin_counts(X, Y, cells_per_axis):
     return cx, cy, total
 
 
-def empirical_tvd(samples1, samples2, bins=None, bootstrap=200, rng=None,
-                  projection=None):
+def empirical_tvd(samples1, samples2, rng=None, projection=None):
     """Histogram TVD with equal-mass adaptive bins and a bootstrap CI.
 
-    The total cell budget defaults to ceil(min(n1,n2)^(1/3)), split evenly
-    across axes; dimensions above 3 require a 1-D `projection` vector.
-    Bootstrap CIs come from 200 multinomial resamples of the binned counts
+    The total cell budget is ceil(min(n1,n2)^(1/3)), split evenly across
+    axes; dimensions above 3 require a 1-D `projection` vector. Bootstrap
+    CIs come from TVD_BOOTSTRAP multinomial resamples of the binned counts
     (equivalent to resampling the samples at fixed bin edges).
     """
     X = np.asarray(samples1, dtype=float)
@@ -85,16 +87,16 @@ def empirical_tvd(samples1, samples2, bins=None, bootstrap=200, rng=None,
     n1, n2 = len(X), len(Y)
     if min(n1, n2) < 1000:
         raise TooFewSamples(f"need >= 1000 samples per side, got {n1}, {n2}")
-    total_cells = bins if bins is not None else int(math.ceil(min(n1, n2) ** (1 / 3)))
+    total_cells = int(math.ceil(min(n1, n2) ** (1 / 3)))
     per_axis = max(2, int(math.ceil(total_cells ** (1 / d))))
 
     cx, cy, ncells = _bin_counts(X, Y, per_axis)
     value = 0.5 * float(np.sum(np.abs(cx / n1 - cy / n2)))
 
     rng = as_generator(rng)
-    boots = np.empty(bootstrap)
+    boots = np.empty(TVD_BOOTSTRAP)
     px, py = cx / n1, cy / n2
-    for b in range(bootstrap):
+    for b in range(TVD_BOOTSTRAP):
         rx = rng.multinomial(n1, px) / n1
         ry = rng.multinomial(n2, py) / n2
         boots[b] = 0.5 * float(np.sum(np.abs(rx - ry)))
@@ -171,13 +173,7 @@ def pmf_ratio_check(sigma2, n, C, z_range=None):
     }
 
 
-def _certified_kernel_length(A_int):
-    kb = integer_kernel_basis(A_int)
-    reduced = reduce_basis(kb.vectors)
-    return max(math.sqrt(sum(x * x for x in v)) for v in reduced)
-
-
-def cell_lemma_check(sketch, Sigma, trials, rng, C=1.0, tvd_threshold=0.05):
+def cell_lemma_check(sketch, Sigma, trials, rng):
     """Distributional check that the sketch of a discrete Gaussian plus
     fundamental-cell noise matches the continuous image N(0, Q Sigma Q^T).
 
@@ -189,7 +185,8 @@ def cell_lemma_check(sketch, Sigma, trials, rng, C=1.0, tvd_threshold=0.05):
 
     Sigma may be a scalar (isotropic sigma^2 I, the fast path) or a full
     covariance matrix. Preconditions (PreconditionUnmet): r <= 4 and
-    sqrt(min eig Sigma) >= certified kernel length * 10 C ln(n).
+    sqrt(min eig Sigma) >= certified kernel length * 10 ln(n). Each path
+    passes at TVD <= CELL_LEMMA_TVD.
     """
     rng = as_generator(rng)
     A = sketch.A
@@ -203,8 +200,8 @@ def cell_lemma_check(sketch, Sigma, trials, rng, C=1.0, tvd_threshold=0.05):
     else:
         Sigma = np.asarray(Sigma, dtype=float)
         min_eig = float(np.min(np.linalg.eigvalsh(Sigma)))
-    lam = _certified_kernel_length(A)
-    floor = lam * 10.0 * C * math.log(n)
+    lam = reduced_kernel_basis(A).certified_max_len
+    floor = lam * 10.0 * math.log(n)
     if math.sqrt(min_eig) < floor:
         raise PreconditionUnmet(
             f"sigma_min = {math.sqrt(min_eig):.1f} below lattice floor {floor:.1f}"
@@ -233,12 +230,12 @@ def cell_lemma_check(sketch, Sigma, trials, rng, C=1.0, tvd_threshold=0.05):
         "min_eig": min_eig,
         "trials": m,
         "certified_kernel_length": lam,
-        "threshold": tvd_threshold,
+        "threshold": CELL_LEMMA_TVD,
     }
     if r <= 3:
         est = empirical_tvd(obs, ref, rng=rng)
         report["tvd_noise_path"] = est.as_dict()
-        report["pass_noise_path"] = bool(est.value <= tvd_threshold)
+        report["pass_noise_path"] = bool(est.value <= CELL_LEMMA_TVD)
     else:
         res = energy_two_sample(obs, ref, rng=rng)
         report["energy_noise_path"] = res
@@ -253,7 +250,7 @@ def cell_lemma_check(sketch, Sigma, trials, rng, C=1.0, tvd_threshold=0.05):
     if r <= 3:
         est2 = empirical_tvd(Y_round, Y_disc.astype(float), rng=rng)
         report["tvd_round_path"] = est2.as_dict()
-        report["pass_round_path"] = bool(est2.value <= tvd_threshold)
+        report["pass_round_path"] = bool(est2.value <= CELL_LEMMA_TVD)
     else:
         res2 = energy_two_sample(Y_round, Y_disc.astype(float), rng=rng)
         report["energy_round_path"] = res2

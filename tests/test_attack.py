@@ -75,9 +75,15 @@ class TestRunAttackControls:
         assert out.state.t == r + 1
 
     def test_alpha_floor_guard(self):
+        # the first draw is at sigma^2 = alpha, so the sampler refuses an
+        # alpha below the floor before the oracle sees a query
         cfg = AttackConfig(gap=GapNormParams(B=8.0, alpha=50.0), m=200)
+        oracle = ExactNormOracle(64, cfg.gap)
         with pytest.raises(VarianceTooSmall):
-            run_attack(_ConstOracle(0, 64), 64, 4, cfg, derive(41, "floor"))
+            run_attack(oracle, 64, 4, cfg, derive(41, "floor"))
+        assert oracle.query_count == 0
+        floor = dgauss.smoothing_sigma2(64, dgauss.SAMPLING_FLOOR_ELL_SQ)
+        assert cfg.grid_for(64)[0] == 50.0 < floor
 
     def test_determinism(self):
         n = 32
@@ -284,6 +290,34 @@ class TestInvariantDiagnostic:
         state = AttackState(t=1, V=OrthonormalBasis.empty(16))
         rep = invariant_diagnostic(state, sk)
         assert rep["distance"] == 0.0
+
+    def test_random_bases_match_principal_angle_oracle(self):
+        # dim V <= r: the projector distance to the closest equal-dimensional
+        # subspace of the rowspan, the oracle's ||P_V - P_W|| with W spanned
+        # by the rowspan parts of V's principal vectors
+        n, r = 32, 4
+        sk = build_sketch("sign", n, r, seed=26)
+        rng = derive(46, "pa")
+        for k in range(1, r + 1):
+            mix = sk.Q.T @ rng.standard_normal((r, k)) + 0.3 * rng.standard_normal((n, k))
+            V = np.linalg.qr(mix)[0].T
+            U, _, _ = np.linalg.svd(V @ sk.Q.T, full_matrices=False)
+            W = np.linalg.qr(((U.T @ V) @ sk.Q.T @ sk.Q).T)[0].T
+            rep = invariant_diagnostic(AttackState(t=2, V=OrthonormalBasis(n, list(V))), sk)
+            assert rep["dim"] == k
+            assert rep["distance"] == rep["sin_theta_max"]
+            assert abs(rep["distance"] - principal_angle_distance(V, W)) <= 1e-10
+
+    def test_more_directions_than_rows_reads_one(self):
+        # the attack runs r + 1 rounds, so V can reach dim r + 1; such a V
+        # holds a direction orthogonal to the r-dim rowspan
+        n, r = 32, 4
+        sk = build_sketch("sign", n, r, seed=25)
+        V = np.linalg.qr(np.vstack([sk.Q, derive(46, "r+1").standard_normal(n)]).T)[0].T
+        rep = invariant_diagnostic(AttackState(t=r + 1, V=OrthonormalBasis(n, list(V))), sk)
+        assert rep["dim"] == r + 1
+        assert abs(rep["sin_theta_max"] - 1.0) <= 1e-12
+        assert rep["distance"] == rep["sin_theta_max"]
 
 
 class TestInformationBoundary:

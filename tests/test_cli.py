@@ -1,12 +1,17 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sketchlab import acceptance, harddist
+from sketchlab import acceptance, dgauss, harddist
 from sketchlab.cli import load_config, main
 from sketchlab.rng import derive
+
+
+def read_json(*path):
+    return json.loads(Path(*path).read_text())
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -40,17 +45,17 @@ class TestAttackRun:
         for f in ("transcript.jsonl", "summary.csv", "certificate.json",
                   "exploits.json", "report.json"):
             assert os.path.exists(os.path.join(out1, f))
-        a = open(os.path.join(out1, "summary.csv"), "rb").read()
-        b = open(os.path.join(out2, "summary.csv"), "rb").read()
+        a = Path(out1, "summary.csv").read_bytes()
+        b = Path(out2, "summary.csv").read_bytes()
         assert a == b  # byte-identical replay
         header = a.decode().splitlines()[0]
         assert header == "run_id,seed,round,sigma2,rate,m_prime,score,accepted"
-        report = json.load(open(os.path.join(out1, "report.json")))
+        report = read_json(out1, "report.json")
         assert report["alpha"] == max(report["alpha_floor"], report["alpha_lattice_term"])
         assert report["alpha_binds"] in ("floor", "lattice")
 
     def test_alpha_decomposition(self):
-        floor = acceptance.alpha_floor(64)
+        floor = dgauss.smoothing_sigma2(64, dgauss.SAMPLING_FLOOR_ELL_SQ)
         _, params, _, auto = acceptance.attack_setup(ATTACK_CFG["attack"], 7)
         assert auto["alpha_floor"] == floor
         assert params.alpha == max(auto["alpha_lattice_term"], floor)
@@ -77,12 +82,12 @@ class TestAttackRun:
         one = str(tmp_path / "one")
         assert main(["attack", "run", "--config", write_cfg(tmp_path, doc, "one.json"),
                      "--out", one]) == 0
-        rows = [json.loads(line) for line in open(os.path.join(out, "transcript.jsonl"))]
-        alone = [json.loads(line) for line in open(os.path.join(one, "transcript.jsonl"))]
+        rows = [json.loads(line) for line in Path(out, "transcript.jsonl").read_text().splitlines()]
+        alone = [json.loads(line) for line in Path(one, "transcript.jsonl").read_text().splitlines()]
         assert [r for r in rows if r["run_seed"] == 1] == alone
-        exploits = json.load(open(os.path.join(out, "exploits.json")))
+        exploits = read_json(out, "exploits.json")
         assert all(len(e["exploits"]) <= cli_mod.EXPLOITS_WRITTEN for e in exploits)
-        report = json.load(open(os.path.join(out, "report.json")))
+        report = read_json(out, "report.json")
         assert report["verified"] == sum(1 for e in exploits if e["exploits"])
 
     def test_schema_violation_reports_path(self, tmp_path, capsys):
@@ -117,13 +122,13 @@ class TestAttackRun:
         out = str(tmp_path / "o")
         assert main(["attack", "run", "--config", cfg, "--out", out]) == 0
         cert_file = os.path.join(out, "certificate.json")
-        certs = json.load(open(cert_file))
+        certs = read_json(cert_file)
         if not any(certs):
             pytest.skip("run produced no certificate at these tiny parameters")
         sk_file = str(tmp_path / "sk.json")
         # the sketch spec comes from the attack set-up; write it for verify
         sk, _, _, _ = acceptance.attack_setup(ATTACK_CFG["attack"], 7)
-        open(sk_file, "w").write(sk.spec_json())
+        Path(sk_file).write_text(sk.spec_json())
         rc = main(["attack", "verify", "--certificate", cert_file,
                    "--sketch", sk_file, "--trials", "500"])
         assert rc in (0, 2)
@@ -176,7 +181,7 @@ class TestOtherCommands:
         out = str(tmp_path / "inst.json")
         assert main(["harddist", "gen", "--family", "cs", "--side", "D2",
                      "--seed", "3", "--out", out]) == 0
-        doc = json.load(open(out))
+        doc = read_json(out)
         assert doc["side"] == "D2" and len(doc["payload"]) == 256
         assert main(["harddist", "gap", "--family", "eigen",
                      "--params", '{"d": 32}', "--pairs", "10"]) == 0
@@ -186,7 +191,7 @@ class TestOtherCommands:
         out = str(tmp_path / "eigen.json")
         assert main(["harddist", "gen", "--family", "eigen", "--params", '{"d": 16}',
                      "--side", "D2", "--seed", "3", "--out", out]) == 0
-        doc = json.load(open(out))
+        doc = read_json(out)
         fam = harddist.HardFamily("eigen", {"d": 16})
         harddist.calibrate_family(fam)
         inst = harddist.gen_hard_instance(fam, "D2", derive(3, "gen", "eigen", 0))

@@ -395,6 +395,35 @@ class TestTwoSidedSqueeze:
         _assert_acceptance_is_ratio(s2, envelope, -0.5, 300_000, derive(6, "pin-band"))
 
 
+class TestSmoothingSigma2:
+    """One formula behind r0^2, the convolution floor 2 r0^2, the sampling
+    floor 8 r0^2 and the alpha policy's lattice term; its power-of-two
+    scalings hold exactly in floating point."""
+
+    def test_scalings_are_exact(self):
+        for n in range(8, 1025):
+            log_term = math.log(2 * n * (1 + 1 / dgauss.SMOOTHING_EPS))
+            r0sq = dgauss.smoothing_r0sq(n)
+            assert r0sq == dgauss.smoothing_sigma2(n, 4) == 4.0 * log_term / math.pi
+            assert dgauss.smoothing_sigma2(n, 8) == 2 * r0sq
+            assert dgauss.smoothing_sigma2(n, dgauss.SAMPLING_FLOOR_ELL_SQ) == 8 * r0sq
+            for ell in (1.0, math.sqrt(31), math.sqrt(32), 17.3):
+                assert dgauss.smoothing_sigma2(n, ell**2) == ell**2 * log_term / math.pi
+
+    @pytest.mark.parametrize("n", [8, 128, 1024])
+    def test_floor_guard_at_the_boundary(self, n):
+        # sigma^2 < 8 r0^2 exactly when sigma^2/4 < 2 r0^2
+        floor = dgauss.smoothing_sigma2(n, dgauss.SAMPLING_FLOOR_ELL_SQ)
+        below = math.nextafter(floor, 0.0)
+        assert below / 4.0 < 2.0 * dgauss.smoothing_r0sq(n) <= floor / 4.0
+        empty = OrthonormalBasis.empty(n)
+        dgauss.sample_subspace_query(dgauss.SubspaceGaussianSpec(n, empty, floor),
+                                     "discrete", derive(25, "at"))
+        with pytest.raises(VarianceTooSmall):
+            dgauss.sample_subspace_query(dgauss.SubspaceGaussianSpec(n, empty, below),
+                                         "discrete", derive(25, "below"))
+
+
 class TestEllipsoidal:
     def test_isotropic_per_coordinate_gof(self):
         n, s2 = 16, 1e4

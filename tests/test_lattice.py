@@ -13,12 +13,14 @@ from oracles import (
     ref_lll_reduce_int,
     ref_row_hnf,
 )
-from sketchlab import acceptance, intlinalg, lattice
+from sketchlab import acceptance, dgauss, intlinalg, lattice
 from sketchlab.errors import (
+    BoundViolated,
     DegenerateLattice,
     DependentInput,
     FullRank,
     Int64Overflow,
+    LengthBoundUnachieved,
     SketchLabError,
     TooManyRows,
 )
@@ -32,6 +34,7 @@ from sketchlab.lattice import (
     pairwise_reduced_kernel,
     preprocess_sketch,
     reduce_basis,
+    reduced_kernel_basis,
     short_kernel_vector,
 )
 from sketchlab.rng import derive
@@ -103,6 +106,15 @@ class TestShortKernelVector:
         assert linf ** (n - r) <= (n * M) ** r
         assert all(int(np.dot(A[i], v)) == 0 for i in range(r))
 
+    def test_unreduced_basis_raises_bound_violated(self, monkeypatch):
+        # x + y + z = 0 has the kernel vector (1, -1, 0) with linf 1 = the
+        # Siegel bound (3 * 1)^(1/2) rounded down; a skewed basis of the
+        # same lattice has no member that short
+        A = IntMatrix.from_rows([[1, 1, 1]], bound=1)
+        monkeypatch.setattr(lattice, "reduce_basis", skew_basis)
+        with pytest.raises(BoundViolated):
+            short_kernel_vector(A)
+
 
 class TestReduceBasis:
     def test_identity_unchanged(self):
@@ -137,9 +149,8 @@ class TestReduceBasis:
 
 
 class TestLllInt64Mirror:
-    """lll_reduce_int takes its inner products from an int64 mirror of the
-    basis while the guard admits them; its output must be the reference
-    Python-integer LLL's, vector for vector."""
+    """lll_reduce_int's output must be the reference Python-integer LLL's,
+    vector for vector, on kernels and on entries far past int64."""
 
     def test_siegel_instances_match_reference(self):
         # criterion 3's generator
@@ -163,48 +174,22 @@ class TestLllInt64Mirror:
         assert intlinalg.lll_reduce_int(vecs) == ref
         assert reduce_basis(vecs) == sorted(ref, key=norm_sq)
 
-    def test_above_guard_matches_reference(self, monkeypatch):
-        admitted = []
-        real = intlinalg.int64_rows
-
-        def spy(rows):
-            arr = real(rows)
-            admitted.append(arr is not None)
-            return arr
-
-        monkeypatch.setattr(intlinalg, "int64_rows", spy)
+    def test_above_guard_matches_reference(self):
         rng = derive(11, "lll-guard")
-        # entries near 2^70 never fit: Python integers throughout
+        # entries near 2^70
         for _ in range(5):
             B = [[int(x) << 41 for x in row]
                  for row in rng.integers(-2**29, 2**29 + 1, size=(6, 8))]
-            admitted.clear()
             assert intlinalg.lll_reduce_int(B) == ref_lll_reduce_int(B)
-            assert admitted and not any(admitted)
-        # at 2^29 and n = 8 the start fits, and size reduction can carry a
-        # row past the guard during the run
-        switched = []
+        # entries near 2^29 at n = 8, whose inner products pass 2^62
         for _ in range(40):
             B = rng.integers(-2**29, 2**29 + 1, size=(6, 8)).tolist()
-            admitted.clear()
             assert intlinalg.lll_reduce_int(B) == ref_lll_reduce_int(B)
-            switched.append(admitted[0] and not all(admitted))
-        assert any(switched)
-
-    def test_wide_row_rejoins_the_mirror(self, monkeypatch):
-        # v_5 + 2^40 v_0 fails the int64 guard; LLL shrinks it before row 6
-        # enters, so only its own Gram row (6 products) and the first
-        # <b_0, b_0> run on Python integers, and the rows after it take the
-        # int64 mirror again
+        # one kernel row v_5 + 2^40 v_0, far longer than the rest
         vecs = integer_kernel_basis(family_sketch("sign", 32).A).vectors
         skewed = [list(v) for v in vecs]
         skewed[5] = [a + 2**40 * c for a, c in zip(vecs[5], vecs[0])]
-        python_dots = []
-        real = intlinalg.dot
-        monkeypatch.setattr(intlinalg, "dot",
-                            lambda u, v: python_dots.append(1) or real(u, v))
         assert intlinalg.lll_reduce_int(skewed) == ref_lll_reduce_int(skewed)
-        assert len(python_dots) == 1 + 6
 
     @pytest.mark.parametrize("scale", [1, 2**40])
     def test_check_against_exact_in_both_regimes(self, scale):
@@ -219,7 +204,9 @@ class TestLllInt64Mirror:
 
     def test_reduce_basis_check_on_family_kernel(self):
         A = build_sketch("sign", 64, 8, seed=0).A
-        out = reduce_basis(integer_kernel_basis(A).vectors, check=True)
+        vecs = integer_kernel_basis(A).vectors
+        out = reduce_basis(vecs)
+        assert same_lattice(vecs, out)
         KernelBasis(64, out, 0.0).check_against(A)
 
 
@@ -313,6 +300,15 @@ class TestPreprocessSketch:
         with pytest.raises(TooManyRows):
             preprocess_sketch(IntMatrix.from_rows(np.eye(3, 8, dtype=np.int64)))
 
+    def test_unreduced_basis_raises_length_bound_unachieved(self, monkeypatch):
+        # a skewed basis of the all-ones row's kernel: all but one vector
+        # longer than sqrt(n) M, so the n - 4r shortest miss the target
+        A = IntMatrix.from_rows([[1] * 8], bound=1)
+        monkeypatch.setattr(lattice, "reduce_basis", skew_basis)
+        with pytest.raises(LengthBoundUnachieved) as err:
+            preprocess_sketch(A)
+        assert err.value.achieved > err.value.target == math.sqrt(8)
+
     def test_random_batch_meets_bound(self):
         rng = derive(7, "prep")
         target = math.sqrt(32) * 50
@@ -322,6 +318,26 @@ class TestPreprocessSketch:
             _, kb = preprocess_sketch(IntMatrix.from_rows(A, bound=50))
             ok += int(kb.certified_max_len <= target)
         assert ok >= 19
+
+
+class TestReducedKernelBasis:
+    def test_is_the_sorted_lll_kernel(self):
+        A = family_sketch("sign", 64).A
+        kb = reduced_kernel_basis(A)
+        assert kb.vectors == reduce_basis(integer_kernel_basis(A).vectors)
+        kb.check_against(A)
+        # the length cell_lemma_check and preprocess_sketch certify
+        assert kb.certified_max_len == max(math.sqrt(norm_sq(v)) for v in kb.vectors)
+        assert preprocess_sketch(A)[1].certified_max_len == kb.certified_max_len
+
+
+def skew_basis(vecs):
+    """The lattice of `vecs` from the unimodular, unreduced basis v_0 + 5 v_1,
+    v_i + 7 (v_0 + 5 v_1) for i >= 1, sorted by norm as reduce_basis sorts."""
+    vecs = [list(map(int, v)) for v in vecs]
+    w0 = [a + 5 * b for a, b in zip(vecs[0], vecs[1])]
+    out = [w0] + [[a + 7 * b for a, b in zip(v, w0)] for v in vecs[1:]]
+    return sorted(out, key=norm_sq)
 
 
 def family_sketch(family, n, seed=0):
@@ -334,7 +350,11 @@ def lll_alpha(sketch):
     """auto_alpha's value when ell always comes from kernel + LLL."""
     _, kb = preprocess_sketch(sketch.A)
     ell = max(kb.certified_max_len, 1.0)
-    return max(acceptance.alpha_lattice_term(sketch.n, ell), acceptance.alpha_floor(sketch.n))
+    return max(dgauss.smoothing_sigma2(sketch.n, ell**2), floor(sketch.n))
+
+
+def floor(n):
+    return dgauss.smoothing_sigma2(n, dgauss.SAMPLING_FLOOR_ELL_SQ)
 
 
 @pytest.fixture
@@ -365,7 +385,7 @@ class TestAutoAlpha:
         sk = family_sketch("projection-threshold", 256, seed=7)
         alpha, ell = acceptance.auto_alpha(sk)
         assert lll_calls == []
-        assert alpha == lll_alpha(sk) == acceptance.alpha_floor(256)
+        assert alpha == lll_alpha(sk) == floor(256)
         assert ell * ell < 32
 
     @pytest.mark.parametrize("family", ["projection-threshold", "sign", "countsketch"])
@@ -401,7 +421,7 @@ class TestAutoAlpha:
         assert (pairwise_reduced_kernel(sk.A, 32) is None) == bool(lll)
         alpha, _ = acceptance.auto_alpha(sk)
         assert len(lll_calls) == lll
-        assert alpha == acceptance.alpha_floor(32) == lll_alpha(sk)
+        assert alpha == floor(32) == lll_alpha(sk)
 
 
 class TestCellRounder:
