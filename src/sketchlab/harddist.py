@@ -39,9 +39,10 @@ _MATRIX = _SPIKED + ("psd",)
 
 # calibration's fixed seed and null-side batch size
 _CAL_SEED, _CAL_TRIALS = 23, 40
-# psd's shift bounds sigma1 of its null block t = 4.3 standard deviations
-# above the mean bound, so a D1 draw fails with probability below 1e-4
-_PSD_TAIL_T = 4.3
+# the deviation t, in standard deviations, of every Davidson-Szarek edge
+# N (sqrt(m) +- sqrt(n) +- t): each edge is crossed with probability at most
+# exp(-t^2/2) < 1e-4 (psd's shift, criterion 12's interval)
+_SV_TAIL_T = 4.3
 _TVD_CHUNK = 250  # matrices drawn at once by the sketched-TVD fast path
 
 
@@ -134,6 +135,26 @@ def expected_p_norm(n, p):
 
 def _dg_matrix(var, shape, rng):
     return dgauss.sample_dgauss_1d(var, rng, size=shape)
+
+
+def _singular_values(X):
+    """Singular values of the matrix X, descending, as the square roots of
+    eigvalsh of its smaller Gram matrix (X^T X or X X^T), formed by one
+    float64 BLAS product.
+
+    For an integer X with max(rows, cols) * max|x|^2 < 2^53 every product
+    and every partial sum of the Gram matrix is an integer below 2^53, so
+    the Gram matrix is exact in float64 and eigvalsh's backward error is the
+    only rounding. Every default family meets this: the largest null block,
+    opnorm-eps's 6400 x 64 at N = 1e4, gives 6400 (12 N + 1)^2 ~ 9.2e13 at
+    the sampler's 12-sigma cut. Past that bound the result is a float64
+    approximation, as an SVD's is. Each sigma_i is off by about
+    eps sigma_1^2 / sigma_i, so the top values the statistics read keep
+    full relative precision and only values far below sigma_1 lose it.
+    """
+    X = np.asarray(X, dtype=float)
+    gram = X.T @ X if X.shape[0] >= X.shape[1] else X @ X.T
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[::-1], 0.0))
 
 
 def _block_shape(family: HardFamily):
@@ -310,8 +331,7 @@ def calibrate_family(family: HardFamily):
 
     elif name in _MATRIX:
         shape = _block_shape(family)
-        svs = [np.linalg.svd(_dg_matrix(N ** 2, shape, rng).astype(float), compute_uv=False)
-               for _ in range(trials)]
+        svs = [_singular_values(_dg_matrix(N ** 2, shape, rng)) for _ in range(trials)]
         tops = np.array([s[0] for s in svs])
         scale = N * math.sqrt(shape[0])
         # top singular values concentrate tightly; max-over-batch plus 4%
@@ -384,7 +404,7 @@ def calibrate_family(family: HardFamily):
             # (Davidson-Szarek) and sigma1 is N-Lipschitz in the standardized
             # entries, so it exceeds N (2 sqrt(d) + t) with probability at
             # most exp(-t^2/2); the D(0, N^2) entries are taken as Gaussian
-            shift = int(math.ceil(N * (2.0 * math.sqrt(d) + _PSD_TAIL_T)))
+            shift = int(math.ceil(N * (2.0 * math.sqrt(d) + _SV_TAIL_T)))
             p.setdefault("shift", shift)
             # required top singular value of H for the eps-far event, solved
             # by a short fixed point (the Schatten norm of the shifted
@@ -462,7 +482,7 @@ def verify_gap_event(instance: HardInstance, thresholds=None):
         if name in ("lp-small", "lp-large"):
             stat = float(np.sum(np.abs(x) ** p["p"]) ** (1.0 / p["p"]))
         else:
-            sv = np.linalg.svd(x, compute_uv=False)
+            sv = _singular_values(x)
             stat = float(np.sum(sv[: p["s"]])) if name == "kyfan" else float(sv[0])
         if name == "eigen" and not d1:
             thr = thresholds["lo"] + p["eps"] * float(np.linalg.norm(x))
@@ -499,7 +519,13 @@ def gap_event_battery(family: HardFamily, pairs, seed=101):
 
 def mgf_cross_term_check(a, sigma2, trials, rng):
     """Monte Carlo E[e^{a x y / sigma^2}] for scalar x, y ~ D(0, sigma^2),
-    compared against (1 - a^2)^(-1/2) with 2% headroom."""
+    compared against (1 - a^2)^(-1/2) with 2% headroom.
+
+    The reported standard error is std/sqrt(trials) for a < 1/2 and inf for
+    a >= 1/2: the estimator's second moment E[e^{2a x y / sigma^2}] is
+    (1 - 4a^2)^(-1/2) in the Gaussian limit, which diverges at a = 1/2, so
+    its variance is infinite (the 12-sigma cut only makes it astronomically
+    large) and the sample std estimates nothing."""
     if not (0.0 <= a < 1.0):
         raise BadParams("need |a| < 1")
     rng = as_generator(rng)
@@ -508,21 +534,24 @@ def mgf_cross_term_check(a, sigma2, trials, rng):
     vals = np.exp(a * x * y / sigma2)
     est = float(np.mean(vals))
     bound = (1.0 - a * a) ** -0.5 * 1.02
-    return {"estimate": est, "bound": bound, "ok": bool(est <= bound),
-            "se": float(np.std(vals) / math.sqrt(trials))}
+    se = float(np.std(vals) / math.sqrt(trials)) if a < 0.5 else math.inf
+    return {"estimate": est, "bound": bound, "ok": bool(est <= bound), "se": se}
 
 
 def singular_value_concentration(m, n, N, trials, rng):
-    """Fraction of discrete Gaussian m x n matrices whose singular values all
-    lie in N [sqrt(m) - 3 sqrt(n), sqrt(m) + 3 sqrt(n)]."""
+    """Fraction of discrete Gaussian m x n matrices (m >= n) whose singular
+    values all lie in the Davidson-Szarek interval
+    N [sqrt(m) - sqrt(n) - t, sqrt(m) + sqrt(n) + t], t = _SV_TAIL_T.
+
+    sigma_min and sigma_max are N-Lipschitz in the standardized entries, so
+    a draw leaves either edge with probability at most exp(-t^2/2)."""
     rng = as_generator(rng)
-    lo = N * (math.sqrt(m) - 3.0 * math.sqrt(n))
-    hi = N * (math.sqrt(m) + 3.0 * math.sqrt(n))
+    lo = N * (math.sqrt(m) - math.sqrt(n) - _SV_TAIL_T)
+    hi = N * (math.sqrt(m) + math.sqrt(n) + _SV_TAIL_T)
     good = 0
     worst = []
     for _ in range(trials):
-        G = _dg_matrix(N * N, (m, n), rng).astype(float)
-        sv = np.linalg.svd(G, compute_uv=False)
+        sv = _singular_values(_dg_matrix(N * N, (m, n), rng))
         inside = bool(sv[-1] >= lo and sv[0] <= hi)
         good += int(inside)
         worst.append((float(sv[-1]), float(sv[0])))

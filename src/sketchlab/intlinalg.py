@@ -139,10 +139,6 @@ def row_hnf(rows):
     return tuple(map(tuple, W[:row].tolist()))
 
 
-def same_lattice(rows_a, rows_b) -> bool:
-    return row_hnf(rows_a) == row_hnf(rows_b)
-
-
 LLL_DELTA = (99, 100)  # the Lovasz parameter delta = p/q of every reduction
 
 

@@ -1,8 +1,8 @@
 """Independent oracles used by the tests: Jacobi SVD, brute-force lattice
 enumeration, closed-form TVD, quadrature, the scanned envelope constant of
 the discrete Gaussian sampler, the all-integer LLL with its
-inner products on Python integers, and the HNF kernel and canonical HNF with
-row operations on Python integer lists. These deliberately avoid the code
+inner products on Python integers, and the HNF kernel, canonical HNF and
+lattice equality with row operations on Python integer lists. These deliberately avoid the code
 paths they check."""
 
 import itertools
@@ -280,3 +280,9 @@ def ref_row_hnf(rows):
         if row == m:
             break
     return tuple(tuple(v) for v in W[:row])
+
+
+def same_lattice(rows_a, rows_b):
+    """Whether two integer row sets span the same lattice: equal canonical
+    HNF by ref_row_hnf."""
+    return ref_row_hnf(rows_a) == ref_row_hnf(rows_b)

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from oracles import jacobi_svd
 
-from sketchlab import stats
+from sketchlab import harddist, stats
 from sketchlab.errors import BadParams, DimensionTooLarge
 from sketchlab.harddist import (
     FAMILY_NAMES,
@@ -215,21 +216,28 @@ class TestStructuralChecks:
     def test_mgf_zero_coupling(self):
         rep = mgf_cross_term_check(0.0, 1e4, 50_000, derive(53, "m0"))
         assert rep["ok"] and abs(rep["estimate"] - 1.0) < 0.01
+        assert 0.0 <= rep["se"] < math.inf
 
     def test_mgf_half(self):
+        # the estimator's second moment (1 - 4a^2)^(-1/2) diverges at a = 1/2
+        # in the Gaussian limit, so no standard error is reported
         rep = mgf_cross_term_check(0.5, 1e4, 300_000, derive(53, "m5"))
         assert rep["ok"]
+        assert rep["se"] == math.inf
 
     def test_mgf_bad_a(self):
         with pytest.raises(BadParams):
             mgf_cross_term_check(1.5, 1e4, 1000, derive(53, "mb"))
 
     def test_singular_concentration_continuous_oracle(self):
-        # pre-validate the [sqrt(m)-3sqrt(n), sqrt(m)+3sqrt(n)] constants on
-        # continuous Gaussians, then check the discrete run
+        # pre-validate the Davidson-Szarek edges sqrt(m) -+ (sqrt(n) + 4.3)
+        # on continuous Gaussians with LAPACK's SVD, then check the discrete
+        # run; both edges bind (lo > 0)
         rng = derive(53, "svc")
         m, n, N = 400, 100, 1e4
-        lo, hi = math.sqrt(m) - 3 * math.sqrt(n), math.sqrt(m) + 3 * math.sqrt(n)
+        lo = math.sqrt(m) - math.sqrt(n) - 4.3
+        hi = math.sqrt(m) + math.sqrt(n) + 4.3
+        assert lo > 0
         inside = 0
         for _ in range(10):
             G = rng.standard_normal((m, n)) * N
@@ -237,7 +245,63 @@ class TestStructuralChecks:
             inside += int(sv[-1] >= N * lo and sv[0] <= N * hi)
         assert inside == 10
         rep = singular_value_concentration(m, n, N, 10, derive(53, "svc-d"))
+        assert rep["lo"] == N * lo and rep["hi"] == N * hi
         assert rep["all_inside"] == 10
+
+
+class TestGramSpectrum:
+    @pytest.mark.parametrize("shape", [(400, 16), (64, 64), (16, 400)])
+    def test_matches_jacobi_on_integer_matrices(self, shape):
+        X = derive(55, "gram", *shape).integers(-1000, 1001, size=shape)
+        _assert_jacobi_spectrum(X)
+
+    @pytest.mark.parametrize("name, params", [
+        ("opnorm-eps", {"d": 32, "eps": 0.2}),
+        ("kyfan", {}),
+    ])
+    def test_matches_jacobi_on_calibrated_d2_payloads(self, name, params):
+        fam = HardFamily(name, params)
+        calibrate_family(fam)
+        _assert_jacobi_spectrum(gen_hard_instance(fam, "D2", derive(55, name)).payload)
+
+    def test_float_gram_is_exact_at_the_tail_cut(self):
+        # opnorm-eps's null block: 6400 x 64 with every entry at the
+        # sampler's 12-sigma cut, sigma = 1e4; 6400 (12 sigma + 1)^2 < 2^53,
+        # so the float64 product equals the exact integer Gram matrix
+        c = 12 * 10_000 + 1
+        X = c * derive(55, "signs").choice(np.array([-1, 1]), size=(6400, 64))
+        assert 6400 * c * c < 2**53
+        exact = X.T @ X  # int64, exact: every partial sum is below 2^63
+        G = X.astype(float).T @ X.astype(float)
+        assert [int(v) for v in G.ravel()] == exact.ravel().tolist()
+
+    def test_no_svd_on_the_hard_family_paths(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        small = {"opnorm-alpha": {"n": 16}, "opnorm-eps": {"d": 8, "eps": 0.2},
+                 "kyfan": {"n": 16, "s": 2}, "eigen": {"d": 16}, "psd": {"d": 16}}
+        assert set(small) == set(harddist._MATRIX)
+        for name, params in small.items():
+            fam = HardFamily(name, params)
+            thresholds = calibrate_family(fam)
+            rng = derive(55, "no-svd", name)
+            for side in ("D1", "D2"):
+                verify_gap_event(gen_hard_instance(fam, side, rng), thresholds)
+        singular_value_concentration(40, 10, 1e4, 2, derive(55, "no-svd-svc"))
+
+
+def _assert_jacobi_spectrum(X):
+    """harddist's Gram-matrix spectrum against the Jacobi oracle: every value
+    within 1e-12 of sigma_1, and the top four, which the statistics read,
+    within 1e-12 relative."""
+    got = harddist._singular_values(X)
+    ref, _ = jacobi_svd(X if X.shape[0] >= X.shape[1] else X.T)
+    assert got.shape == ref.shape == (min(X.shape),)
+    assert np.all(np.diff(got) <= 0)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * ref[0]
+    assert np.all(np.abs(got[:4] - ref[:4]) <= 1e-12 * ref[:4])
 
 
 class TestSketchedIndistinguishability:

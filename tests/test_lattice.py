@@ -12,6 +12,7 @@ from oracles import (
     ref_kernel_basis_int,
     ref_lll_reduce_int,
     ref_row_hnf,
+    same_lattice,
 )
 from sketchlab import acceptance, dgauss, intlinalg, lattice
 from sketchlab.errors import (
@@ -24,7 +25,7 @@ from sketchlab.errors import (
     SketchLabError,
     TooManyRows,
 )
-from sketchlab.intlinalg import norm_sq, row_hnf, same_lattice
+from sketchlab.intlinalg import norm_sq, row_hnf
 from sketchlab.lattice import (
     CellRounder,
     IntMatrix,
