@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from importlib import resources
 
@@ -124,6 +123,8 @@ def cmd_attack_run(args):
 
     threads = int(os.environ.get("SKETCHLAB_THREADS", "1"))
     if threads > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as ex:
             results = list(ex.map(_single_attack_run, jobs))
     else:

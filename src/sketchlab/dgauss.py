@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import NonPositiveVariance, VarianceTooSmall
 from .numerics import OrthonormalBasis
@@ -43,6 +42,8 @@ SMOOTHING_EPS = 1e-6
 # this squared length: 8 r0^2
 SAMPLING_FLOOR_ELL_SQ = 32
 SQUEEZE_BUCKETS = 1024  # buckets of |u| in the two-sided squeeze
+_SQRT_HALF = math.sqrt(0.5)
+_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 def smoothing_sigma2(n, ell_sq):
@@ -121,10 +122,13 @@ def pmf_dgauss_1d(z, sigma2):
 def _rounded_gaussian_pmf(u, sigma):
     """Mass that round(N(0, sigma^2)) puts at offset u from the center.
 
-    Evaluated through complementary tails so the difference stays accurate
-    (a plain CDF difference underflows to 0 beyond ~8 sigma)."""
+    Evaluated as a difference of complementary tails, Phi(-x) =
+    erfc(x/sqrt 2)/2 with `math.erfc` applied elementwise (the arrays here
+    are a squeeze grid or a band of proposals), so the difference stays
+    accurate where a plain CDF difference underflows to 0 (beyond ~8 sigma)."""
     au = np.abs(np.asarray(u, dtype=float))
-    return ndtr(-(au - 0.5) / sigma) - ndtr(-(au + 0.5) / sigma)
+    return 0.5 * (_erfc((au - 0.5) / sigma * _SQRT_HALF)
+                  - _erfc((au + 0.5) / sigma * _SQRT_HALF))
 
 
 def _acceptance_ratio(au, sigma2, c_env):
@@ -228,7 +232,8 @@ def _sample_at_centers(centers, sigma2, envelope, rng, shape=None):
         j = (a * scale).astype(np.intp)
         accept = U < lo[j]
         band = np.flatnonzero(~accept & (U < hi[j]))
-        accept[band] = U[band] < _acceptance_ratio(a[band], sigma2, c_env)
+        if band.size:  # most passes leave the band empty
+            accept[band] = U[band] < _acceptance_ratio(a[band], sigma2, c_env)
         rejected = cand[~accept]
         if au.max() > bound:
             rejected = np.union1d(rejected, np.flatnonzero(au > bound))

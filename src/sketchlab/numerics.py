@@ -5,7 +5,6 @@ All functions are pure and safe for concurrent invocation.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateResidual, NoConvergence, RankDeficient
 
@@ -135,6 +134,15 @@ def top_right_singular_vector(M):
     return v, s
 
 
+def _forward_solve(L, X):
+    """L^{-1} X for a lower-triangular L with a nonzero diagonal, by forward
+    substitution over its rows."""
+    Y = np.empty_like(X)
+    for k in range(L.shape[0]):
+        Y[k] = (X[k] - L[k, :k] @ Y[:k]) / L[k, k]
+    return Y
+
+
 def orthonormalize_rows(A):
     """Orthonormalize the rows of A, returning (Q, R) with R @ A = Q.
 
@@ -164,12 +172,12 @@ def orthonormalize_rows(A):
             L[k, k] = np.sqrt(pivot)
             if k + 1 < r:
                 L[k + 1:, k] = (G[k + 1:, k] - L[k + 1:, :k] @ L[k, :k]) / L[k, k]
-        Q = scipy.linalg.solve_triangular(L, X, lower=True)
+        Q = _forward_solve(L, X)
         return Q, L
 
     Q, L1 = cholesky_transform(A)
     # refinement pass tightens orthogonality to ~1e-12 for ill-conditioned rows
     Q2, L2 = cholesky_transform(Q)
     # Q2 = L2^{-1} L1^{-1} A, so R = (L1 L2)^{-1}
-    R = scipy.linalg.solve_triangular(L1 @ L2, np.eye(r), lower=True)
+    R = _forward_solve(L1 @ L2, np.eye(r))
     return Q2, R

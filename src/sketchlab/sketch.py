@@ -210,7 +210,9 @@ def _calibrate_projection_threshold(Q, R, n, r, alpha, B, rng, m_cal=4000):
     highs = dgauss.sample_dgauss_1d(hi_s2, rng, size=(m_cal, n)).astype(float)
     low_stat = np.sum((lows @ Q.T) ** 2, axis=1)
     high_stat = np.sum((highs @ Q.T) ** 2, axis=1)
-    cands = np.unique(np.concatenate([low_stat, high_stat]))
+    # np.unique's sorted distinct values; np.unique imports numpy.ma on first use
+    cands = np.sort(np.concatenate([low_stat, high_stat]))
+    cands = cands[np.concatenate(([True], cands[1:] != cands[:-1]))]
     # false_low: low-side samples answered 1; false_high: high-side answered 0
     false_low = 1.0 - np.searchsorted(np.sort(low_stat), cands, side="left") / m_cal
     false_high = np.searchsorted(np.sort(high_stat), cands, side="left") / m_cal

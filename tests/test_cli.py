@@ -1,10 +1,14 @@
+import concurrent.futures
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sketchlab
 from sketchlab import acceptance, dgauss, harddist
 from sketchlab.cli import load_config, main
 from sketchlab.rng import derive
@@ -89,6 +93,35 @@ class TestAttackRun:
         assert all(len(e["exploits"]) <= cli_mod.EXPLOITS_WRITTEN for e in exploits)
         report = read_json(out, "report.json")
         assert report["verified"] == sum(1 for e in exploits if e["exploits"])
+
+    def test_process_pool_matches_serial(self, tmp_path, monkeypatch):
+        # SKETCHLAB_THREADS > 1 runs the seeds in worker processes; results
+        # are still written in seed order, so every artefact is the serial
+        # run's, byte for byte (both runs write to one directory, which
+        # report.json names)
+        doc = json.loads(json.dumps(ATTACK_CFG))
+        doc["attack"]["seeds"] = [0, 1]
+        cfg, out = write_cfg(tmp_path, doc), str(tmp_path / "out")
+        files = ("transcript.jsonl", "summary.csv", "certificate.json",
+                 "exploits.json", "report.json")
+        pools = []
+
+        class Pool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        written = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SKETCHLAB_THREADS", threads)
+            assert main(["attack", "run", "--config", cfg, "--out", out]) == 0
+            written.append({f: Path(out, f).read_bytes() for f in files})
+        assert pools == [2]
+        assert written[0] == written[1]
+        rows = Path(out, "transcript.jsonl").read_text().splitlines()
+        seeds = [json.loads(line)["run_seed"] for line in rows]
+        assert seeds == sorted(seeds) and set(seeds) == {0, 1}
 
     def test_schema_violation_reports_path(self, tmp_path, capsys):
         bad = dict(ATTACK_CFG)
@@ -212,6 +245,20 @@ class TestOtherCommands:
         cfg = write_cfg(tmp_path, ATTACK_CFG)
         assert main(["attack", "run", "--config", cfg]) == 0
         assert os.path.exists(os.path.join(target, "summary.csv"))
+
+
+class TestImportHygiene:
+    def test_cold_import_loads_no_scipy_and_no_process_pool(self):
+        # the package runs on numpy and the standard library; the process
+        # pool is imported only when SKETCHLAB_THREADS asks for it
+        code = ("import sys, sketchlab, sketchlab.cli, sketchlab.acceptance; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+                "or m == 'concurrent.futures.process'))")
+        src = os.path.dirname(os.path.dirname(sketchlab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
 
 
 class TestShippedExampleConfig:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, norm
 
-from oracles import ref_centered_envelope
+from oracles import _ref_rounded_gaussian_pmf, ref_centered_envelope
 from sketchlab import dgauss
 from sketchlab.errors import NonPositiveVariance, VarianceTooSmall
 from sketchlab.numerics import OrthonormalBasis
@@ -261,6 +261,21 @@ class TestRejectionBits:
         if s2 <= 1e4:
             assert c_env == ref_c_env
         assert abs(c_env / ref_c_env - 1.0) < 2e-12
+
+    @pytest.mark.parametrize("s2", PINNED_SIGMA2 + (R0SQ_128, 2.5e6))
+    def test_erfc_tails_match_ndtr(self, s2):
+        # the math.erfc tails against scipy's ndtr: q(0), and so c_env, is
+        # bit-equal; over both squeeze grids every point agrees within 1e-10
+        # relative, inside the buckets' 1e-9 slack
+        sigma = math.sqrt(s2)
+        assert (float(dgauss._rounded_gaussian_pmf(0.0, sigma))
+                == float(_ref_rounded_gaussian_pmf(0.0, sigma)))
+        for c_env, bound, _ in (_centered_envelope(s2), _offset_envelope(s2)):
+            assert c_env == 1.0 / float(_ref_rounded_gaussian_pmf(0.0, sigma)) * (1.0 + 1e-9)
+            u = np.linspace(0.0, bound, dgauss.SQUEEZE_BUCKETS + 1)
+            q, ref = dgauss._rounded_gaussian_pmf(u, sigma), _ref_rounded_gaussian_pmf(u, sigma)
+            assert np.all(ref > 0.0)
+            assert np.max(np.abs(q / ref - 1.0)) <= 1e-10
 
     @pytest.mark.parametrize("s2", PINNED_SIGMA2 + (2.5e6,))
     def test_centered_squeeze_bounds_ratio_on_support(self, s2):

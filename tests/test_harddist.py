@@ -218,6 +218,32 @@ class TestStructuralChecks:
         assert rep["ok"] and abs(rep["estimate"] - 1.0) < 0.01
         assert 0.0 <= rep["se"] < math.inf
 
+    def test_mgf_rule_scales_with_trials(self):
+        # below a = 1/4 the bound is the limit plus 5 standard errors
+        a, trials = 0.2, 200_000
+        rep = mgf_cross_term_check(a, 1e4, trials, derive(53, "m2"))
+        limit = (1.0 - a * a) ** -0.5
+        assert rep["ok"] and 0.0 < rep["se"] < 1e-3
+        assert rep["bound"] == limit + 5.0 * rep["se"]
+
+    def test_mgf_rule_rejects_inflated_variance(self, monkeypatch):
+        # mutation: y drawn at 1.5 sigma^2 moves the mean to
+        # (1 - 1.5 a^2)^(-1/2) = 1.0314 at a = 0.2, inside the old 2%
+        # headroom (1.0410) but 20 standard errors above the limit 1.0206
+        a, s2 = 0.2, 1e4
+        draws = []
+        sample = harddist.dgauss.sample_dgauss_1d
+
+        def inflated(sigma2, rng, size=None):
+            draws.append(sigma2)
+            return sample(sigma2 * (1.5 if len(draws) == 2 else 1.0), rng, size=size)
+
+        monkeypatch.setattr(harddist.dgauss, "sample_dgauss_1d", inflated)
+        rep = mgf_cross_term_check(a, s2, 200_000, derive(53, "m2"))
+        assert draws == [s2, s2]
+        assert rep["estimate"] <= 1.02 * (1.0 - a * a) ** -0.5
+        assert not rep["ok"]
+
     def test_mgf_half(self):
         # the estimator's second moment (1 - 4a^2)^(-1/2) diverges at a = 1/2
         # in the Gaussian limit, so no standard error is reported

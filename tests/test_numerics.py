@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import jacobi_svd
+from sketchlab import numerics, sketch
 from sketchlab.errors import DegenerateResidual, RankDeficient
 from sketchlab.numerics import (
     OrthonormalBasis,
@@ -139,3 +141,41 @@ class TestOrthonormalizeRows:
         # rows match up to sign
         for q, q2 in zip(Q, Q2):
             assert min(np.linalg.norm(q - q2), np.linalg.norm(q + q2)) <= 1e-9
+
+
+class TestForwardSolve:
+    """orthonormalize_rows solves its two triangular systems by forward
+    substitution; LAPACK's solver (scipy) is the oracle. Q and R may differ
+    from it in their last bits, so the sketches and their oracle bits are
+    compared, not the bytes."""
+
+    @staticmethod
+    def build_both(monkeypatch, family, n, alpha, B):
+        params = {"alpha": alpha, "B": B}
+        sk = sketch.build_sketch(family, n, 8, params, seed=n)
+        with monkeypatch.context() as m:
+            m.setattr(numerics, "_forward_solve",
+                      lambda L, X: scipy.linalg.solve_triangular(L, X, lower=True))
+            ref = sketch.build_sketch(family, n, 8, params, seed=n)
+        return sk, ref
+
+    @pytest.mark.parametrize("family", sketch.FAMILIES)
+    @pytest.mark.parametrize("n", (64, 128, 256))
+    def test_matches_lapack_on_sketches(self, monkeypatch, family, n):
+        alpha, B = 200.0, 8.0
+        sk, ref = self.build_both(monkeypatch, family, n, alpha, B)
+        assert np.array_equal(sk.A.entries, ref.A.entries)
+        for got, want in ((sk.Q, ref.Q), (sk.R, ref.R)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(sk.Q @ sk.Q.T - np.eye(8))) <= 1e-12
+        if "tau" in ref.estimator:
+            assert abs(sk.estimator["tau"] / ref.estimator["tau"] - 1.0) <= 1e-12
+        # a batch whose squared norms run from alpha/2 to 2 alpha B, across
+        # the promise gap and tau
+        gen = derive(n, "solve-bits", family)
+        scale = np.sqrt(np.geomspace(alpha / 2.0, 2.0 * alpha * B, 4000))
+        X = np.rint(gen.standard_normal((4000, n)) * scale[:, None]).astype(np.int64)
+        params = sketch.GapNormParams(B=B, alpha=alpha)
+        bits = sketch.GapNormOracle(sk, params).query_batch(X)
+        assert 0 < np.sum(bits) < bits.size
+        assert np.array_equal(bits, sketch.GapNormOracle(ref, params).query_batch(X))
