@@ -257,7 +257,7 @@ class TestImportHygiene:
         src = os.path.dirname(os.path.dirname(sketchlab.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, check=True)
+                              capture_output=True, text=True, check=True, timeout=120)
         assert proc.stdout.strip() == "[]"
 
 
