@@ -33,7 +33,9 @@ print(f"sigma^2=0.01 draws: all zero? {bool(np.all(x == 0))}")
 # --- the attack's query distribution D(V^perp, sigma^2) --------------------
 # Covariance (3 sigma^2/4) P_{V^perp} + (sigma^2/4) I: variance sigma^2/4
 # along the learned subspace V, sigma^2 across it. Discrete sampling uses a
-# continuous + 1-D-discrete convolution above the smoothing margin.
+# continuous + 1-D-discrete convolution: continuous centres on V^perp only,
+# rounded at sigma^2/4, the covariance's least eigenvalue, which sits above
+# the smoothing margin.
 n, sigma2 = 16, 10_000.0
 V = OrthonormalBasis(n, [np.eye(n)[0]])
 spec = dgauss.SubspaceGaussianSpec(n, V, sigma2)

@@ -168,7 +168,6 @@ def cmd_attack_run(args):
         "verified": sum(1 for r in results if r["exploits"]),
         "alpha": results[0]["alpha"],
         **alpha_report,
-        "out_dir": out_dir,
     }
     _write_json(os.path.join(out_dir, "report.json"), report)
     print(json.dumps(report, indent=2))

@@ -6,11 +6,15 @@ exp(-x^T Sigma^{-1} x / 2), so Sigma plays the role of a covariance parameter
 is exp(-z^2 / (2 sigma^2)).
 
 Tails are truncated at 12 sigma everywhere (mass < 1e-30). Ellipsoidal
-sampling over Z^n uses a continuous+discrete convolution: draw the continuous
-part with covariance Sigma - r0^2 I, then round coordinatewise with 1-D
-discrete Gaussians of variance r0^2 at the continuous centers; r0^2 is the
-smoothing margin for Z. An isotropic D(0, sigma^2 I) needs no convolution:
-it is a product of exact 1-D samples, which is how a subspace query with an
+sampling over Z^n uses a continuous+discrete convolution (Peikert 2010):
+draw a continuous center c ~ N(0, Sigma - s^2 I), then round coordinatewise
+with 1-D discrete Gaussians D(Z - c, s^2) at the continuous centers. One rule
+sets the rounding variance: s^2 = lambda_min(Sigma), so the continuous part
+lives on the eigenspaces above the least eigenvalue and the rounding carries
+as much of the covariance as it can. The law is eps-close to D(0, Sigma)
+whenever s^2 is at least the smoothing margin r0^2 of Z, and the samplers
+require s^2 >= 2 r0^2. An isotropic D(0, sigma^2 I) needs no convolution: it
+is a product of exact 1-D samples, which is how a subspace query with an
 empty forbidden subspace is drawn.
 
 Every draw at variance >= 4, centered or at real centers, comes from one
@@ -55,11 +59,6 @@ def smoothing_sigma2(n, ell_sq):
     8 and the sampling floor 8 r0^2 at SAMPLING_FLOOR_ELL_SQ. These scalings
     are powers of two, so each equality holds exactly in floating point."""
     return ell_sq * math.log(2.0 * n * (1.0 + 1.0 / SMOOTHING_EPS)) / math.pi
-
-
-def smoothing_r0sq(n):
-    """Smoothing margin r0^2 for the lattice Z."""
-    return smoothing_sigma2(n, 4)
 
 
 def partition_1d(sigma2):
@@ -242,6 +241,12 @@ def _sample_at_centers(centers, sigma2, envelope, rng, shape=None):
     return out
 
 
+def _round_at_centers(centers, s2, rng):
+    """The convolution's rounding step: D(Z - c, s2) at each real center c,
+    on the support |u| <= OFFSET_SIGMAS sqrt(s2)."""
+    return _sample_at_centers(centers, s2, _envelope(s2, OFFSET_SIGMAS * math.sqrt(s2)), rng)
+
+
 def sample_dgauss_1d(sigma2, rng, size=None):
     """Exact sample(s) from D(0, sigma^2) on Z.
 
@@ -290,24 +295,25 @@ class SubspaceGaussianSpec:
 def sample_dgauss_ellipsoidal(Sigma, rng, size=None):
     """Sample from D(0, Sigma) over Z^n by continuous+discrete convolution.
 
-    Requires the smallest eigenvalue of Sigma to be >= 2 r0^2 where r0^2 is
-    the smoothing margin for Z (`smoothing_r0sq`); raises
-    VarianceTooSmall otherwise (the caller must rescale).
+    Rounds at s^2 = lambda_min(Sigma): the continuous center has covariance
+    Sigma - s^2 I, which is 0 on the least eigenspace, and each coordinate
+    is rounded with D(Z - c_i, s^2). The law is eps-close to D(0, Sigma) as
+    s^2 is above the smoothing margin r0^2 of Z. Requires s^2 >= 2 r0^2;
+    raises VarianceTooSmall otherwise (the caller must rescale).
     """
     rng = as_generator(rng)
     Sigma = np.asarray(Sigma, dtype=float)
     n = Sigma.shape[0]
-    r0sq = smoothing_r0sq(n)
     floor = smoothing_sigma2(n, 8)  # 2 r0^2
     vals, vecs = np.linalg.eigh(Sigma)
-    if np.min(vals) < floor:
-        raise VarianceTooSmall(
-            f"min eigenvalue {np.min(vals):.3f} < 2*r0^2 = {floor:.3f}"
-        )
-    sqrt_cont = vecs @ np.diag(np.sqrt(vals - r0sq)) @ vecs.T
+    s2 = float(vals[0])  # eigh sorts ascending
+    if s2 < floor:
+        raise VarianceTooSmall(f"min eigenvalue {s2:.3f} < 2*r0^2 = {floor:.3f}")
+    # the clip keeps a repeated least eigenvalue from a negative square root
+    sqrt_cont = (vecs * np.sqrt(np.maximum(vals - s2, 0.0))) @ vecs.T
     m = 1 if size is None else int(size)
     y = rng.standard_normal((m, n)) @ sqrt_cont
-    z = _sample_at_centers(y, r0sq, _envelope(r0sq, OFFSET_SIGMAS * math.sqrt(r0sq)), rng)
+    z = _round_at_centers(y, s2, rng)
     return z[0] if size is None else z
 
 
@@ -318,9 +324,13 @@ def sample_subspace_query(spec: SubspaceGaussianSpec, kind, rng, size=None):
     The discrete kind realizes D(0, Sigma_{sigma^2}) over Z^n. For empty V
     that is D(0, sigma^2 I), a product of 1-D discrete Gaussians, drawn
     exactly (up to the 12 sigma tail cut) by `sample_dgauss_1d`. Otherwise
-    it uses the convolution sampler with a structured covariance square
-    root (no n x n eigendecomposition), which is eps-close. Both paths
-    raise VarianceTooSmall below the sampling floor sigma^2/4 >= 2 r0^2.
+    it is the convolution sampler's rule with a structured covariance square
+    root (no n x n eigendecomposition): it rounds at sigma^2/4, the
+    covariance's least eigenvalue, at centers N(0, (3 sigma^2/4) P_perp)
+    that live on V^perp only, so the covariances add up to Sigma_{sigma^2}.
+    That is eps-close to the target because sigma^2/4 >= 2 r0^2 exceeds the
+    smoothing margin r0^2 of Z. Both paths raise VarianceTooSmall below the
+    sampling floor sigma^2/4 >= 2 r0^2.
     The continuous kind returns P_perp g1 + g2 with g1 ~ N(0, 3 sigma^2/4 I),
     g2 ~ N(0, sigma^2/4 I).
     """
@@ -347,13 +357,8 @@ def sample_subspace_query(spec: SubspaceGaussianSpec, kind, rng, size=None):
     if not len(spec.V):
         z = sample_dgauss_1d(s2, rng, size=(m, n))
         return z[0] if size is None else z
-    r0sq = smoothing_r0sq(n)
-    a = math.sqrt(s2 - r0sq)        # continuous std on V^perp
-    b = math.sqrt(s2 / 4.0 - r0sq)  # continuous std on V
     G = rng.standard_normal((m, n))
-    P = (G @ V.T) @ V
-    G *= a
-    P *= a - b
-    G -= P
-    z = _sample_at_centers(G, r0sq, _envelope(r0sq, OFFSET_SIGMAS * math.sqrt(r0sq)), rng)
+    G -= (G @ V.T) @ V
+    G *= math.sqrt(0.75 * s2)
+    z = _round_at_centers(G, s2 / 4.0, rng)
     return z[0] if size is None else z

@@ -107,8 +107,13 @@ class TestSample1d:
         assert np.array_equal(a, b)
 
 
+def r0sq(n):
+    """Smoothing margin r0^2 of the lattice Z at dimension n."""
+    return dgauss.smoothing_sigma2(n, 4)
+
+
 PINNED_SIGMA2 = (4.0, 24.65, 50.0, 1e4, 1e8)
-R0SQ_128 = dgauss.smoothing_r0sq(128)  # the attack's convolution variance at n = 128
+R0SQ_128 = r0sq(128)  # the smoothing margin at n = 128
 OFFSETS = (0.0, 0.3, 0.5, -0.5, 7.77)
 
 
@@ -289,7 +294,9 @@ class TestRejectionBits:
 
     @pytest.mark.parametrize("n", (8, 64, 128, 256, 4096))
     def test_offset_squeeze_bounds_ratio_on_grid(self, n):
-        for s2 in (dgauss.smoothing_r0sq(n), 50.0, 1e4):
+        # 2 r0^2 and 128 r0^2 are the ends of the rounding variance sigma^2/4
+        # over a B = 64 grid
+        for s2 in (r0sq(n), 2.0 * r0sq(n), 128.0 * r0sq(n), 50.0, 1e4):
             c_env, lim, squeeze = _offset_envelope(s2)
             u = np.linspace(0.0, lim, 200_001)
             w = np.exp(-u * u / (2.0 * s2))
@@ -330,11 +337,11 @@ class TestTwoSidedSqueeze:
 
     @pytest.mark.parametrize("n", (8, 64, 128, 256, 4096))
     def test_buckets_bracket_offset_ratio(self, n):
-        s2 = dgauss.smoothing_r0sq(n)
-        envelope = _offset_envelope(s2)
-        # 64 intervals in each bucket, both edges included
-        u = np.linspace(0.0, envelope[1], 64 * dgauss.SQUEEZE_BUCKETS + 1)
-        self.assert_brackets(s2, envelope, u)
+        for s2 in (r0sq(n), 2.0 * r0sq(n), 128.0 * r0sq(n)):
+            envelope = _offset_envelope(s2)
+            # 64 intervals in each bucket, both edges included
+            u = np.linspace(0.0, envelope[1], 64 * dgauss.SQUEEZE_BUCKETS + 1)
+            self.assert_brackets(s2, envelope, u)
 
     def test_buckets_bracket_ratio_under_cut_support(self):
         s2 = 24.65
@@ -360,7 +367,7 @@ class TestTwoSidedSqueeze:
         n, m = 128, 500
         basis = np.linalg.qr(np.random.default_rng(19).standard_normal((n, 8)))[0].T
         V = OrthonormalBasis(n, list(basis[:k])) if k else OrthonormalBasis.empty(n)
-        for s2 in (8.0 * dgauss.smoothing_r0sq(n), 1e4):
+        for s2 in (8.0 * r0sq(n), 1e4):
             spec = dgauss.SubspaceGaussianSpec(n, V, s2)
             self.assert_seeded(lambda rng: dgauss.sample_subspace_query(
                 spec, "discrete", rng, size=m))
@@ -388,7 +395,7 @@ class TestTwoSidedSqueeze:
         # dim V = 1, so the draw goes through the offset sampler at real centers
         n, m = 128, 2000
         V = OrthonormalBasis(n, [np.eye(n)[0]])
-        spec = dgauss.SubspaceGaussianSpec(n, V, 8.0 * dgauss.smoothing_r0sq(n))
+        spec = dgauss.SubspaceGaussianSpec(n, V, 8.0 * r0sq(n))
         dgauss.sample_subspace_query(spec, "discrete", derive(6, "warm"), size=1)
         seen = self.count_ratio_points(monkeypatch)
         dgauss.sample_subspace_query(spec, "discrete", derive(6, "spy"), size=m)
@@ -418,10 +425,10 @@ class TestSmoothingSigma2:
     def test_scalings_are_exact(self):
         for n in range(8, 1025):
             log_term = math.log(2 * n * (1 + 1 / dgauss.SMOOTHING_EPS))
-            r0sq = dgauss.smoothing_r0sq(n)
-            assert r0sq == dgauss.smoothing_sigma2(n, 4) == 4.0 * log_term / math.pi
-            assert dgauss.smoothing_sigma2(n, 8) == 2 * r0sq
-            assert dgauss.smoothing_sigma2(n, dgauss.SAMPLING_FLOOR_ELL_SQ) == 8 * r0sq
+            r0 = r0sq(n)
+            assert r0 == 4.0 * log_term / math.pi
+            assert dgauss.smoothing_sigma2(n, 8) == 2 * r0
+            assert dgauss.smoothing_sigma2(n, dgauss.SAMPLING_FLOOR_ELL_SQ) == 8 * r0
             for ell in (1.0, math.sqrt(31), math.sqrt(32), 17.3):
                 assert dgauss.smoothing_sigma2(n, ell**2) == ell**2 * log_term / math.pi
 
@@ -430,7 +437,7 @@ class TestSmoothingSigma2:
         # sigma^2 < 8 r0^2 exactly when sigma^2/4 < 2 r0^2
         floor = dgauss.smoothing_sigma2(n, dgauss.SAMPLING_FLOOR_ELL_SQ)
         below = math.nextafter(floor, 0.0)
-        assert below / 4.0 < 2.0 * dgauss.smoothing_r0sq(n) <= floor / 4.0
+        assert below / 4.0 < 2.0 * r0sq(n) <= floor / 4.0
         empty = OrthonormalBasis.empty(n)
         dgauss.sample_subspace_query(dgauss.SubspaceGaussianSpec(n, empty, floor),
                                      "discrete", derive(25, "at"))
@@ -464,11 +471,80 @@ class TestEllipsoidal:
         assert abs(v_out - s2) <= 0.05 * s2
 
 
+def oblique_pvalue(X, s2, theta, cells=12):
+    """Chi-square of 2-D integer samples X against the exact pmf of D(Z^2,
+    Sigma_{sigma^2}) for V = (cos theta, sin theta), mass prop. to
+    exp(-x^T Sigma^{-1} x / 2), over cells x cells cells cut at the exact
+    quantiles of <x, v> and <x, v_perp>."""
+    v = np.array([math.cos(theta), math.sin(theta)])
+    v_perp = np.array([-v[1], v[0]])
+    R = int(math.ceil(dgauss.TAIL_SIGMAS * math.sqrt(s2)))
+    axis = np.arange(-R, R + 1)
+    pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2).astype(float)
+    t, u = pts @ v, pts @ v_perp
+    pmf = np.exp(-(4.0 * t * t + u * u) / (2.0 * s2))
+    pmf /= pmf.sum()
+
+    def quantile_edges(x):
+        order = np.argsort(x)
+        cdf = np.cumsum(pmf[order])
+        return x[order][np.searchsorted(cdf, np.arange(1, cells) / cells)]
+
+    edges_t, edges_u = quantile_edges(t), quantile_edges(u)
+
+    def cell(Y):
+        Y = np.asarray(Y, dtype=float)
+        return (np.searchsorted(edges_t, Y @ v, side="right") * cells
+                + np.searchsorted(edges_u, Y @ v_perp, side="right"))
+
+    expected = np.bincount(cell(pts), weights=pmf, minlength=cells * cells)
+    observed = np.bincount(cell(X), minlength=cells * cells)
+    return float(chisquare(observed, expected * len(X)).pvalue)
+
+
+class TestSubspaceLaw:
+    """A V != empty draw rounds at sigma^2/4, the covariance's least
+    eigenvalue, at centers on V^perp, and its law is D(Z^n, Sigma_{sigma^2})
+    at an oblique V."""
+
+    THETA = 0.3
+
+    @pytest.mark.parametrize("s2", (8.0 * r0sq(2), 2000.0))
+    def test_oblique_subspace_matches_exact_pmf(self, s2):
+        V = OrthonormalBasis(2, [np.array([math.cos(self.THETA), math.sin(self.THETA)])])
+        spec = dgauss.SubspaceGaussianSpec(2, V, s2)
+        X = dgauss.sample_subspace_query(spec, "discrete", derive(26, "oblique", str(s2)),
+                                         size=400_000)
+        assert oblique_pvalue(X, s2, self.THETA) > GOF_FLOOR
+        Y = dgauss.sample_dgauss_ellipsoidal(spec.covariance(),
+                                             derive(27, "oblique", str(s2)), size=400_000)
+        assert oblique_pvalue(Y, s2, self.THETA) > GOF_FLOOR
+
+    def test_rounds_at_quarter_variance_on_v_perp(self, monkeypatch):
+        n, s2 = 128, 8.0 * r0sq(128)
+        basis = np.linalg.qr(np.random.default_rng(28).standard_normal((n, 4)))[0].T
+        V = OrthonormalBasis(n, list(basis))
+        seen = []
+        inner = dgauss._sample_at_centers
+
+        def spy(centers, sigma2, envelope, rng, shape=None):
+            seen.append((np.array(centers), sigma2, envelope))
+            return inner(centers, sigma2, envelope, rng, shape)
+
+        monkeypatch.setattr(dgauss, "_sample_at_centers", spy)
+        spec = dgauss.SubspaceGaussianSpec(n, V, s2)
+        dgauss.sample_subspace_query(spec, "discrete", derive(28, "spy"), size=500)
+        (G, sigma2, envelope), = seen
+        assert sigma2 == s2 / 4.0
+        assert envelope[1] == dgauss.OFFSET_SIGMAS * math.sqrt(s2 / 4.0)
+        assert np.linalg.norm(G @ basis.T) <= 1e-9 * np.linalg.norm(G)
+
+
 class TestSubspaceQuery:
     def test_empty_subspace_is_the_product_sampler(self):
         n, m = 128, 500
         spec = dgauss.SubspaceGaussianSpec(n, OrthonormalBasis.empty(n),
-                                           8.0 * dgauss.smoothing_r0sq(n))
+                                           8.0 * r0sq(n))
         rng_a, rng_b = derive(24, "prod"), derive(24, "prod")
         a = dgauss.sample_subspace_query(spec, "discrete", rng_a, size=m)
         b = dgauss.sample_dgauss_1d(spec.sigma2, rng_b, size=(m, n))
@@ -486,7 +562,7 @@ class TestSubspaceQuery:
         assert gof_pvalue(X.ravel(), s2, 70) > GOF_FLOOR
         # attack scale: n = 128 at the grid's smallest variance 8 r0^2
         n = 128
-        s2 = 8.0 * dgauss.smoothing_r0sq(n)
+        s2 = 8.0 * r0sq(n)
         spec = dgauss.SubspaceGaussianSpec(n, OrthonormalBasis.empty(n), s2)
         X = dgauss.sample_subspace_query(spec, "discrete", derive(24, "gof"), size=4000)
         assert gof_pvalue(X.ravel(), s2, int(5 * math.sqrt(s2))) > GOF_FLOOR
