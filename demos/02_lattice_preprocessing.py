@@ -59,7 +59,7 @@ recovered = rounder.cell_base_batch(points + eta)
 print(f"\ncolumn-lattice cells for a random 2x8 sketch:")
 print(f"  reduced basis rows: {rounder.basis.tolist()}")
 print(f"  per-axis unit distances (row gcds): {rounder.unit_distances.tolist()}")
-print(f"  cell_base(point + eta) == point for all 5 samples? "
+print(f"  cell_base_batch(point + eta) == point for all 5 samples? "
       f"{bool(np.all(recovered == points))}")
 
 # nearest-point rounding (Babai + exact candidate search for r <= 4)

@@ -103,7 +103,6 @@ def attack_setup(acfg, seed):
         gap=params,
         m=int(acfg.get("m", 2000)),
         grid_points=int(grid.get("points", 16)),
-        positive_floor=acfg.get("positive_floor"),
         round_cap=acfg.get("round_cap"),
         zeta=acfg.get("zeta"),
         verify_trials=int(acfg.get("verify_trials", 10_000)),

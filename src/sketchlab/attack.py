@@ -41,7 +41,6 @@ class AttackConfig:
     gap: GapNormParams
     m: int = 2000
     grid_points: int = 16
-    positive_floor: float = None   # min positive count; default m/(100 B^2 n)
     round_cap: int = None          # default r_budget + 1
     zeta: float = None             # default max(zeta_floor, 5/sqrt(m))
     verify_trials: int = 10_000
@@ -54,11 +53,6 @@ class AttackConfig:
         if self.zeta is not None:
             return self.zeta
         return max(zeta_floor(self.gap.B, n), 5.0 / math.sqrt(self.m))
-
-    def effective_floor(self, n):
-        if self.positive_floor is not None:
-            return self.positive_floor
-        return self.m / (100.0 * self.gap.B**2 * n)
 
     def slack(self, sigma2, r_budget):
         return sigma2 / (14.0 * self.gap.B * r_budget)
@@ -139,7 +133,6 @@ def round_step(state: AttackState, oracle, n, r_budget, config: AttackConfig, rn
     """
     rng = as_generator(rng)
     zeta = config.effective_zeta(n)
-    floor = config.effective_floor(n)
     alpha, B = config.gap.alpha, config.gap.B
     t = state.t
     found = None
@@ -178,7 +171,7 @@ def round_step(state: AttackState, oracle, n, r_budget, config: AttackConfig, rn
         # only the first above-threshold direction is consumed, so singular
         # scores are computed until one is found (later grid records carry
         # score None for this round)
-        if m_prime >= max(floor, 1) and found is None:
+        if m_prime >= 1 and found is None:
             positives = X[answers == 1].astype(float)
             v_sigma, _ = top_right_singular_vector(positives)
             score = float(np.mean((positives @ v_sigma) ** 2))

@@ -48,10 +48,6 @@ class DegenerateLattice(SketchLabError):
     """Generating set does not span the required space."""
 
 
-class Int64Overflow(SketchLabError, OverflowError):
-    """Integer entries exceed IntMatrix's int64 storage (|x| < 2^63)."""
-
-
 # dgauss
 class NonPositiveVariance(SketchLabError):
     """Variance parameter must be strictly positive."""

@@ -1,21 +1,25 @@
 """Exact integer linear algebra: Hermite-normal-form elimination, integer
 kernel bases, and LLL reduction in all-integer (de Weger) arithmetic.
 
-Everything here is exact integer arithmetic; nothing is floating point, so
-results feed the certified length bounds directly. Squared lengths run as one
-int64 product where `int64_rows` shows no sum can overflow, and HNF row
-operations as int64 array steps while entries stay below `_ELIM_GUARD`; both
-run on Python big integers otherwise. LLL runs on Python integers
-throughout: its cost is the bigint Gram-Schmidt recurrence, not the inner
-products.
+Everything here is exact integer arithmetic, so results feed A v = 0 checks
+and the certified length bounds directly. `exact_product` is the one integer
+matrix product: a float64 BLAS product while every partial sum is an integer
+below FLOAT64_EXACT, int64 below INT64_GUARD, Python big integers past that.
+Squared lengths run as one int64 product where `int64_rows` shows no sum can
+overflow, and HNF row operations as int64 array steps while entries stay
+below `_ELIM_GUARD`; both run on Python big integers otherwise. LLL runs on
+Python integers throughout: its cost is the bigint Gram-Schmidt recurrence,
+not the inner products.
 """
 
 import numpy as np
 
 from .errors import DependentInput
 
-# A sum of n integer products, each at most M in magnitude, is exact in int64
-# while n * M stays below this guard.
+# A sum of n integer products, each at most M in magnitude, is exact in
+# float64 while n * M stays below FLOAT64_EXACT (every integer of smaller
+# magnitude is a float64), and in int64 while it stays below INT64_GUARD.
+FLOAT64_EXACT = 2**53
 INT64_GUARD = 2**62
 
 
@@ -34,17 +38,44 @@ def norm_sq(v) -> int:
     return sum(x * x for x in v)
 
 
+def int_array(rows):
+    """`rows` as an int64 array, or as Python integers (dtype object) once an
+    entry passes int64."""
+    try:
+        return np.asarray(rows, dtype=np.int64)
+    except OverflowError:
+        return np.frompyfunc(int, 1, 1)(np.array(rows, dtype=object))
+
+
+def _sum_bound(X, Y):
+    """n max|X| max|Y|: a bound on every partial sum of the product X Y^T."""
+    def max_abs(a):
+        return max(int(a.max()), -int(a.min())) if a.size else 0
+    return X.shape[1] * max_abs(X) * max_abs(Y)
+
+
+def exact_product(X, Y):
+    """The exact product X Y^T of integer arrays X (k, n) and Y (m, n) (int64
+    or Python integers): int64 from a float64 BLAS product while
+    n max|X| max|Y| < FLOAT64_EXACT, from numpy's int64 loop below
+    INT64_GUARD, and Python integers (dtype object) past that."""
+    X, Y = np.asarray(X), np.asarray(Y)
+    bound = _sum_bound(X, Y)
+    if bound >= INT64_GUARD:
+        return X.astype(object) @ Y.T.astype(object)
+    X, Y = X.astype(np.int64, copy=False), Y.astype(np.int64, copy=False)
+    if bound < FLOAT64_EXACT:
+        return (X.astype(float) @ Y.T.astype(float)).astype(np.int64)
+    return X @ Y.T
+
+
 def int64_rows(rows):
     """`rows` as an (k, n) int64 array when every inner product between them
-    is exact in int64 (n * max|x|^2 < INT64_GUARD); None otherwise."""
-    try:
-        arr = np.array(rows, dtype=np.int64)
-    except OverflowError:
+    is exact in int64 (`exact_product`'s guard); None otherwise."""
+    arr = int_array(rows)
+    if arr.dtype == object or arr.ndim != 2 or arr.size == 0:
         return None
-    if arr.ndim != 2 or arr.size == 0:
-        return None
-    m = max(int(arr.max()), -int(arr.min()))
-    return arr if arr.shape[1] * m * m < INT64_GUARD else None
+    return arr if _sum_bound(arr, arr) < INT64_GUARD else None
 
 
 def norms_sq(rows):

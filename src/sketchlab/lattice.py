@@ -18,7 +18,6 @@ from .errors import (
     BoundViolated,
     DegenerateLattice,
     FullRank,
-    Int64Overflow,
     LengthBoundUnachieved,
     TooManyRows,
 )
@@ -29,27 +28,24 @@ from .rng import as_generator
 class IntMatrix:
     """Integer matrix with a recorded entry bound.
 
-    entries is an (r, n) numpy int64 array; exact routines convert to Python
-    ints internally, so int64 here is storage, not an arithmetic limit.
+    entries is an (r, n) numpy array (`intlinalg.int_array`): int64, or
+    Python integers (dtype object) once an entry passes int64.
     """
 
     entries: np.ndarray
     bound: int
 
     def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=np.int64)
+        self.entries = intlinalg.int_array(self.entries)
         if self.entries.ndim != 2 or self.entries.size == 0:
             raise ValueError("entries must be a nonempty 2-d integer array")
-        actual = int(np.max(np.abs(self.entries))) if self.entries.size else 0
+        actual = self.max_abs_entry()
         if actual > self.bound:
             raise ValueError(f"entry magnitude {actual} exceeds declared bound {self.bound}")
 
     @classmethod
     def from_rows(cls, rows, bound=None):
-        try:
-            arr = np.asarray(rows, dtype=np.int64)
-        except OverflowError as exc:
-            raise Int64Overflow("entries exceed IntMatrix's int64 storage (|x| < 2^63)") from exc
+        arr = intlinalg.int_array(rows)
         if bound is None:
             bound = max(1, int(np.max(np.abs(arr))))
         return cls(arr, int(bound))
@@ -85,15 +81,8 @@ class KernelBasis:
 
     def check_against(self, A: IntMatrix):
         """Exact check that every vector is annihilated by A."""
-        V = intlinalg.int64_rows(self.vectors)
-        W = intlinalg.int64_rows(A.entries)
-        if V is not None and W is not None:
-            # exact: every |<a, v>| <= n max(|a|, |v|)^2 < INT64_GUARD
-            annihilated = not np.any(W @ V.T)
-        else:
-            V = np.array(self.vectors, dtype=object).reshape(len(self), A.cols)
-            annihilated = not np.any(A.entries.astype(object) @ V.T)
-        if not annihilated:
+        V = intlinalg.int_array(self.vectors).reshape(len(self), A.cols)
+        if np.any(intlinalg.exact_product(A.entries, V)):
             raise AssertionError("kernel vector not annihilated exactly")
 
 
@@ -204,8 +193,7 @@ def preprocess_sketch(A: IntMatrix, short_circuit=True):
 
     Raises TooManyRows if r > 0.25 n, LengthBoundUnachieved when even the
     n - 4r shortest reduced kernel vectors exceed the target (surfaced with
-    the best achieved length, never hidden), and Int64Overflow when the
-    stacked Siegel rows outgrow IntMatrix's int64 storage.
+    the best achieved length, never hidden).
     """
     r, n = A.rows, A.cols
     if r > 0.25 * n:
@@ -324,16 +312,10 @@ class CellRounder:
         point = coeffs @ self.basis
         return coeffs, point
 
-    def cell_base(self, y):
-        """Lattice point of y's unit cell: floor of y in reduced-basis
-        coordinates. Exact inverse of adding fundamental_cell_uniform noise."""
-        B = self.basis.astype(float)
-        coords = np.linalg.solve(B.T, np.asarray(y, dtype=float))
-        coeffs = np.floor(coords + 1e-12).astype(np.int64)
-        return coeffs, coeffs @ self.basis
-
     def cell_base_batch(self, Y):
-        """Vectorized cell_base over rows of Y; returns lattice points."""
+        """Lattice points of the unit cells of the rows of Y: the floor of
+        each row in reduced-basis coordinates. Exact inverse of adding
+        fundamental_cell_uniform noise."""
         B = self.basis.astype(float)
         coords = np.linalg.solve(B.T, np.asarray(Y, dtype=float).T).T
         coeffs = np.floor(coords + 1e-12).astype(np.int64)
@@ -344,7 +326,7 @@ def fundamental_cell_uniform(rounder: CellRounder, rng, size=None):
     """Uniform sample(s) from the fundamental parallelepiped of the reduced
     basis: eta = sum_i u_i b_i with u_i ~ U[0,1).
 
-    cell_base(point + eta) recovers point for cell-interior samples.
+    cell_base_batch(point + eta) recovers point for cell-interior samples.
     """
     rng = as_generator(rng)
     r = rounder.rank

@@ -15,16 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dgauss
+from . import dgauss, intlinalg
 from .errors import BadParams, DimensionMismatch
-from .intlinalg import INT64_GUARD
 from .lattice import IntMatrix
 from .numerics import orthonormalize_rows
 from .rng import derive
-
-# float64 holds every integer below 2^53 in magnitude exactly, so a float64
-# product whose partial sums all stay below it is exact.
-FLOAT64_EXACT = 2**53
 
 FAMILIES = ("sign", "rounded-gaussian", "countsketch", "projection-threshold")
 
@@ -49,14 +44,12 @@ class GapNormParams:
 class StreamState:
     """Accumulated sketch value A x for x = sum of turnstile updates (i, delta).
 
-    The value is int64 until an update could carry a row past INT64_GUARD,
-    and Python integers (dtype object) from then on, so it never wraps.
+    The value is held as Python integers (dtype object), so it never wraps.
     """
 
     def __init__(self, sketch):
         self._A = sketch.A.entries
-        self._a_max = sketch.A.max_abs_entry()
-        self.value = np.zeros(self._A.shape[0], dtype=np.int64)
+        self.value = np.zeros(self._A.shape[0], dtype=object)
         self.update_count = 0
 
     def update(self, i, delta):
@@ -64,17 +57,9 @@ class StreamState:
 
     def ingest_updates(self, indices, deltas):
         indices = np.asarray(indices, dtype=np.intp)
-        deltas = np.asarray(deltas, dtype=np.int64)
         if indices.size:
-            cols = self._A[:, indices]
-            if self.value.dtype != object:
-                v_max = max(int(self.value.max()), -int(self.value.min()))
-                d_max = max(int(deltas.max()), -int(deltas.min()))
-                if v_max + self._a_max * d_max * indices.size >= INT64_GUARD:
-                    self.value = self.value.astype(object)
-            if self.value.dtype == object:
-                cols, deltas = cols.astype(object), deltas.astype(object)
-            self.value += cols @ deltas
+            deltas = intlinalg.int_array(deltas)[None, :]
+            self.value += intlinalg.exact_product(deltas, self._A[:, indices])[0]
         self.update_count += int(indices.size)
 
     def ingest_vector(self, x):
@@ -123,22 +108,12 @@ class IntegerSketch:
 
     def apply_batch(self, X):
         """Exact integer products A x for the rows x of X, as the (k, r) array
-        X A^T: int64 from a float64 BLAS product while every partial sum is
-        an integer below 2^53, from numpy's int64 loop while it is below
-        INT64_GUARD, and Python integers (dtype object) beyond that."""
+        X A^T (`intlinalg.exact_product`: int64, or Python integers once a
+        partial sum could pass int64)."""
         X = np.asarray(X)
         if X.ndim != 2 or X.shape[1] != self.n:
             raise DimensionMismatch(f"expected rows of dim {self.n}, got {X.shape}")
-        x_max = max(int(X.max()), -int(X.min())) if X.size else 0
-        bound = self.A.max_abs_entry() * max(x_max, 1) * self.n
-        if bound >= INT64_GUARD:
-            rows = self.A.to_lists()
-            Y = [[sum(a * int(b) for a, b in zip(row, x)) for row in rows] for x in X]
-            return np.array(Y, dtype=object).reshape(X.shape[0], self.r)
-        X = X.astype(np.int64, copy=False)
-        if bound < FLOAT64_EXACT:
-            return (X.astype(float) @ self.A.entries.T.astype(float)).astype(np.int64)
-        return X @ self.A.entries.T
+        return intlinalg.exact_product(X, self.A.entries)
 
     def new_stream(self):
         return StreamState(self)

@@ -144,6 +144,17 @@ class TestAttackRun:
         err = capsys.readouterr().err
         assert f"config error at '{path}': " in err and why in err
 
+    @pytest.mark.parametrize("block", [{"harddist": {"family": "cs"}},
+                                       {"stats": {"check": "pmf-ratio"}}],
+                             ids=["harddist", "stats"])
+    def test_unread_config_blocks_rejected(self, tmp_path, capsys, block):
+        bad = dict(json.loads(json.dumps(ATTACK_CFG)), **block)
+        cfg = write_cfg(tmp_path, bad, "bad.json")
+        rc = main(["attack", "run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"'{next(iter(block))}' was unexpected" in err
+
     def test_missing_field_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, {"attack": {"n": 64}}, "m.json")
         assert main(["attack", "run", "--config", cfg]) == 1

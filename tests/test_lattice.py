@@ -20,9 +20,7 @@ from sketchlab.errors import (
     DegenerateLattice,
     DependentInput,
     FullRank,
-    Int64Overflow,
     LengthBoundUnachieved,
-    SketchLabError,
     TooManyRows,
 )
 from sketchlab.intlinalg import norm_sq, row_hnf
@@ -211,6 +209,66 @@ class TestLllInt64Mirror:
         KernelBasis(64, out, 0.0).check_against(A)
 
 
+def py_product(X, Y):
+    """X Y^T in Python integers, the reference for exact_product."""
+    return [[sum(int(a) * int(b) for a, b in zip(x, y)) for y in Y] for x in X]
+
+
+class TestExactProduct:
+    """intlinalg.exact_product at the edges of its tiers; apply_batch's tests
+    in test_sketch.py cover the tiers on sketch matrices."""
+
+    def test_object_input_below_guard_is_int64(self):
+        X = np.array([[1, -2, 3], [2**40, 0, -1]], dtype=object)
+        Y = np.array([[4, 5, 6]], dtype=object)
+        out = intlinalg.exact_product(X, Y)
+        assert out.dtype == np.int64 and out.tolist() == py_product(X, Y)
+
+    def test_empty_batch(self):
+        Y = np.ones((3, 5), dtype=np.int64)
+        assert intlinalg.exact_product(np.zeros((0, 5), dtype=np.int64), Y).shape == (0, 3)
+        assert intlinalg.exact_product(Y, np.zeros((0, 5), dtype=object)).shape == (3, 0)
+
+    # (n, max|X|, max|Y|) with n max|X| max|Y| exactly at each tier edge:
+    # 2^53 - 1 = 6361 * 69431 * 20394401 and 2^62 - 1 = 3 * 715827883 * (2^31 - 1)
+    @pytest.mark.parametrize("n,mx,my,dtype", [
+        (6361, 69431, 20394401, np.int64),
+        (8, 2**25, 2**25, np.int64),
+        (3, 715827883, 2**31 - 1, np.int64),
+        (4, 2**30, 2**30, object),
+    ], ids=["2^53-1", "2^53", "2^62-1", "2^62"])
+    def test_mixed_sign_sums_at_tier_edges(self, n, mx, my, dtype):
+        signs = np.where(np.arange(n) % 2, -1, 1)
+        X = np.stack([np.full(n, mx), mx * signs, -mx * signs]).astype(np.int64)
+        X[2, -1] = 1 - mx  # the running sum turns back below its peak
+        Y = np.stack([np.full(n, my), -my * signs]).astype(np.int64)
+        bound = n * mx * my
+        assert bound in (2**53 - 1, 2**53, 2**62 - 1, 2**62)
+        out = intlinalg.exact_product(X, Y)
+        assert out.dtype == np.dtype(dtype)
+        assert out.tolist() == py_product(X, Y)
+        assert max(abs(v) for row in out.tolist() for v in row) == bound
+
+    def test_every_exact_layer_calls_it(self, monkeypatch):
+        calls = []
+        real = intlinalg.exact_product
+
+        def spy(X, Y):
+            calls.append(np.shape(X))
+            return real(X, Y)
+
+        monkeypatch.setattr(intlinalg, "exact_product", spy)
+        sk = build_sketch("sign", 16, 4, seed=0)
+        sk.apply_batch(np.ones((2, 16), dtype=np.int64))
+        assert calls == [(2, 16)]
+        sk.new_stream().ingest_updates([0, 3, 5], [1, -2, 2**62])
+        assert calls[1:] == [(1, 3)]
+        kb = integer_kernel_basis(sk.A)
+        del calls[:]
+        kb.check_against(sk.A)
+        assert calls == [(4, 16)]
+
+
 class TestArrayElimination:
     """kernel_basis_int and row_hnf run their row operations as int64 array
     steps, widening to Python integers near the guard; the output must be
@@ -288,14 +346,29 @@ class TestPreprocessSketch:
         # A' contains A's rows verbatim
         assert Ap.to_lists()[0] == [1] * 8
 
-    def test_int64_storage_overflow_is_typed(self):
-        # stacked Siegel rows outgrow int64 on this input; the failure names
-        # the storage limit instead of escaping as a bare OverflowError
-        A = IntMatrix.from_rows(derive(4, "prep").integers(-50, 51, size=(3, 32)), bound=50)
-        with pytest.raises(Int64Overflow, match="int64"):
-            preprocess_sketch(A, short_circuit=False)
-        with pytest.raises(SketchLabError):
-            IntMatrix.from_rows([[2**63, 0]])
+    def test_forced_siegel_rows_past_int64(self):
+        # criterion 4's first five inputs: the iterated Siegel rows pass
+        # int64, and IntMatrix keeps them as Python integers
+        rng = derive(4, "prep")
+        n = 32
+        for _ in range(5):
+            A = rng.integers(-50, 51, size=(3, n)).tolist()
+            Ap, kb = preprocess_sketch(IntMatrix.from_rows(A, bound=50), short_circuit=False)
+            rows = Ap.to_lists()
+            assert rows[:3] == A
+            kb.check_against(Ap)
+            assert all(sum(a * x for a, x in zip(row, v)) == 0
+                       for row in rows for v in kb.vectors)
+            # each added row y against the matrix S it was drawn from (A's
+            # rows, the short set and the rows added before it):
+            # |y|_inf^(n - r') <= (n M')^r' with r' = rows(S), M' = max|S|
+            for i in range(3, len(rows)):
+                S = rows[:3] + kb.vectors + rows[3:i]
+                r_s, M_s = len(S), max(abs(x) for row in S for x in row)
+                assert max(map(abs, rows[i])) ** (n - r_s) <= (n * M_s) ** r_s
+            assert kb.certified_max_len <= math.sqrt(n) * 50
+        big = IntMatrix.from_rows([[2**63, 0]])
+        assert big.to_lists() == [[2**63, 0]] and big.max_abs_entry() == 2**63
 
     def test_too_many_rows(self):
         with pytest.raises(TooManyRows):

@@ -8,9 +8,8 @@ from sketchlab.attack import AttackConfig
 from sketchlab.errors import BadParams, DimensionMismatch
 from sketchlab.lattice import integer_kernel_basis
 from sketchlab.rng import derive
-from sketchlab.intlinalg import INT64_GUARD
+from sketchlab.intlinalg import FLOAT64_EXACT, INT64_GUARD
 from sketchlab.sketch import (
-    FLOAT64_EXACT,
     ExactNormOracle,
     GapNormOracle,
     GapNormParams,

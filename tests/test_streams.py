@@ -1,9 +1,11 @@
-"""Stream guard: SHA-256 digests of fixed-seed draws from every sampler path
-and of a small attack transcript.
+"""Stream guard: SHA-256 digests of fixed-seed draws from every sampler path,
+of a small attack transcript, and of the exact integer layer's outputs
+(batch products in each tier, a turnstile value past int64, the n = 256
+kernel bases and auto alpha).
 
 A fixed seed must give the same bits. A change that moves one of these
-digests changes a random stream; if that is deliberate, update the digest
-here and record in CHANGES.md which stream changed and why.
+digests changes a random stream or an exact result; if that is deliberate,
+update the digest here and record in CHANGES.md which output changed and why.
 """
 
 import hashlib
@@ -13,14 +15,21 @@ import numpy as np
 import pytest
 
 from sketchlab import dgauss
+from sketchlab.acceptance import auto_alpha
 from sketchlab.attack import AttackConfig, run_attack
+from sketchlab.lattice import integer_kernel_basis, pairwise_reduced_kernel
 from sketchlab.numerics import OrthonormalBasis
 from sketchlab.rng import derive
-from sketchlab.sketch import GapNormOracle, GapNormParams, build_sketch
+from sketchlab.sketch import GapNormOracle, GapNormParams, IntegerSketch, build_sketch
 
 
 def digest(x):
     return hashlib.sha256(np.ascontiguousarray(x, dtype="<i8").tobytes()).hexdigest()
+
+
+def json_digest(obj):
+    """Digest of a JSON-able value; Python integers of any size hash exactly."""
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
 
 
 DGAUSS_1D = {
@@ -72,3 +81,62 @@ def test_attack_transcript():
     text = json.dumps(out.state.transcript, sort_keys=True)
     assert (hashlib.sha256(text.encode()).hexdigest()
             == "57dcd23c37c3edd8d63754d520f6de2efdd89b34b639dfaf951ad24c3d0ad863")
+
+
+# keyed by the tier of n max|A| max|x|: below 2^53, below 2^62, past 2^62
+APPLY_BATCH = {
+    "float64": ("int64", 0, 2**53,
+                "2f33d4fedc9fd313e94495697aa6a63874cc1c5838f541d4b89070a7a5b016ed"),
+    "int64": ("int64", 2**53, 2**62,
+              "6c3c944a67d003a54c27c1bd542cc3ad403785fb5f53a9acad5a69ba398e587f"),
+    "python": ("object", 2**62, 2**80,
+               "f7fbd903ea5d9f292ecab53ace2b1d531e9edfcc48851a3fe8c1ab1c1a2fbaae"),
+}
+
+
+@pytest.mark.parametrize("tier", APPLY_BATCH)
+def test_apply_batch_tiers(tier):
+    dtype, lo, hi, want = APPLY_BATCH[tier]
+    sk = build_sketch("rounded-gaussian", 64, 8, seed=16)
+    nM = sk.n * sk.A.max_abs_entry()
+    X = derive(14, "streams", "apply", tier).integers(-50, 51, size=(32, 64)).astype(object)
+    X[0, 0] = 50
+    X *= max(1, lo // (50 * nM) + 1)
+    assert lo <= nM * max(abs(x) for x in X.flat) < hi
+    Y = sk.apply_batch(X)
+    assert Y.dtype == np.dtype(dtype)
+    assert json_digest(Y.tolist()) == want
+
+
+def test_turnstile_value_past_int64():
+    sk = IntegerSketch.from_matrix([[1] * 16, [1, -1] * 8, list(range(16))])
+    st = sk.new_stream()
+    rng = derive(14, "streams", "turnstile")
+    for _ in range(8):
+        st.ingest_updates(rng.integers(0, 16, size=12), rng.integers(2**59, 2**61, size=12))
+    st.update(5, -2**62)
+    value = [int(v) for v in st.value]
+    assert max(map(abs, value)) >= 2**63 and st.update_count == 97
+    assert (json_digest(value)
+            == "4f3c8cd42e733ad9d0c998dee869cdd636f4ad810846f9fd195cf4d4315decbe")
+
+
+def test_n256_kernels_and_auto_alpha():
+    # the probe sketch `acceptance.attack_setup` hands auto_alpha for the
+    # n = 256 projection-threshold config of the attack-cli-n256 benchmark
+    sk = build_sketch("projection-threshold", 256, 8,
+                      {"alpha": 1.0, "B": 8.0, "m_cal": 16}, seed=1)
+    M = sk.A.max_abs_entry()
+    kernel = integer_kernel_basis(sk.A)
+    reduced = pairwise_reduced_kernel(sk.A, min(dgauss.SAMPLING_FLOOR_ELL_SQ, 256 * M * M + 1))
+    assert reduced is not None
+    got = {
+        "kernel": json_digest([kernel.vectors, kernel.certified_max_len]),
+        "pairwise": json_digest([reduced.vectors, reduced.certified_max_len]),
+        "auto_alpha": json_digest(auto_alpha(sk)),
+    }
+    assert got == {
+        "kernel": "5783ee82539eb0464984e167b900ddcfb0752c85411406a202b29a335b46215f",
+        "pairwise": "b8a997c3394b90ad1253eb2b6961fc740233e5ca3fa201a872ba9fed576521f9",
+        "auto_alpha": "e13797c47fe3329bc4425d4c331ccc3e975b2f34bf3972d413cfbbf1a14e0c6b",
+    }
