@@ -45,7 +45,7 @@ if out.certificate is not None:
 # white-box diagnostic: how close is the learned basis to the rowspan?
 diag = invariant_diagnostic(out.state, sketch)
 print(f"\nlearned subspace: dim {diag['dim']}, "
-      f"projector distance to rowspan {diag['distance']:.4f}")
+      f"sin theta_max to rowspan {diag['sin_theta_max']:.4f}")
 
 # negative control: an oracle that answers from the true norm admits no
 # certificate at these rates

@@ -290,4 +290,4 @@ def invariant_diagnostic(state: AttackState, true_sketch):
     sin = 0.0
     if len(V):
         sin = min(float(np.linalg.norm(V - (V @ Q.T) @ Q, 2)), 1.0)
-    return {"t": state.t, "dim": len(V), "distance": sin, "sin_theta_max": sin}
+    return {"t": state.t, "dim": len(V), "sin_theta_max": sin}

@@ -165,12 +165,12 @@ class IntegerSketch:
 def _median_correction(group_sizes, rng, trials=4000):
     """Monte Carlo correction so the median-of-group-means estimator is
     unbiased on Gaussian-like inputs (the median of chi^2 means sits below 1)."""
-    sims = np.empty(trials)
-    for t in range(trials):
-        vals = [np.mean(rng.standard_normal(k) ** 2) for k in group_sizes]
-        sims[t] = np.median(vals)
-    m = float(np.mean(sims))
-    return 1.0 / m
+    # one row per trial, each row the trial's groups side by side: the same
+    # normals in the same order as one draw per group per trial
+    sq = rng.standard_normal((trials, sum(group_sizes))) ** 2
+    edges = np.cumsum(group_sizes)[:-1]
+    vals = np.stack([np.mean(g, axis=1) for g in np.split(sq, edges, axis=1)], axis=1)
+    return 1.0 / float(np.mean(np.median(vals, axis=1)))
 
 
 def _calibrate_projection_threshold(Q, R, n, r, alpha, B, rng, m_cal=4000):

@@ -2,12 +2,13 @@
 enumeration, closed-form TVD, quadrature, the scanned envelope constant of
 the discrete Gaussian sampler, the all-integer LLL with its
 inner products on Python integers, and the HNF kernel, canonical HNF and
-lattice equality with row operations on Python integer lists. These deliberately avoid the code
-paths they check."""
+lattice equality with row operations on Python integer lists, and E ||g||_p
+by mpmath quadrature. These deliberately avoid the code paths they check."""
 
 import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 from scipy import integrate
 from scipy.special import ndtr
@@ -286,3 +287,64 @@ def same_lattice(rows_a, rows_b):
     """Whether two integer row sets span the same lattice: equal canonical
     HNF by ref_row_hnf."""
     return ref_row_hnf(rows_a) == ref_row_hnf(rows_b)
+
+
+def _abs_normal_moment(q):
+    """E |g|^q for g ~ N(0, 1), in mpmath."""
+    return 2 ** (q / 2) * mp.gamma((q + 1) / 2) / mp.sqrt(mp.pi)
+
+
+def _abs_normal_laplace(p):
+    """(L, M) with L(t) = E e^(-t|g|^p) and M(t) = E |g|^p e^(-t|g|^p) = -L'(t),
+    from closed forms: power series in t for p < 2, where both converge for
+    every t, and Bessel K for p = 4."""
+    if p < 2:
+        def series(t, shift):
+            total, j, term = mp.mpf(0), 0, mp.mpf(1)
+            while True:
+                tj = term * _abs_normal_moment((j + shift) * p)
+                total += tj
+                if j > 3 and abs(tj) < mp.eps * abs(total):
+                    return total
+                j += 1
+                term *= -t / j
+        return (lambda t: series(t, 0)), (lambda t: series(t, 1))
+    if p != 4:
+        raise ValueError("closed forms for p < 2 and p = 4 only")
+    # int_0^inf e^(-t x^4 - x^2/2) dx = sqrt(1/(2t))/4 e^z K_1/4(z), z = 1/(32t),
+    # and its t-derivative from K_nu'(z) = -K_(nu-1)(z) - nu K_nu(z)/z
+    c = mp.sqrt(2 / mp.pi) / (4 * mp.sqrt(2))
+
+    def L(t):
+        z = 1 / (32 * t)
+        return c * t ** -0.5 * mp.exp(z) * mp.besselk(0.25, z)
+
+    def M(t):
+        z = 1 / (32 * t)
+        return (c * t ** -1.5 * mp.exp(z)
+                * ((mp.mpf(1) / 4 + z) * mp.besselk(0.25, z) - z * mp.besselk(0.75, z)))
+    return L, M
+
+
+def ref_expected_p_norm(n, p, dps):
+    """E ||g||_p for g ~ N(0, I_n), 1 < p < 2 or p = 4, by mpmath quadrature of
+    E S^a = 1/Gamma(1-a) int_0^inf n L(t)^(n-1) M(t) t^-a dt (S = sum |g_i|^p,
+    a = 1/p): the Laplace identity for S^a integrated by parts, so it shares
+    no split and no grid with the program's rule. Below s = ln t = lo the
+    integrand is n mu e^((1-a)s) up to a factor 1 + O(n mu t), integrated in
+    closed form; above s_c + ln 300 it is below e^-200 of its peak."""
+    with mp.workdps(dps):
+        p = mp.mpf(p)
+        a = 1 / p
+        L, M = _abs_normal_laplace(p)
+        mu = _abs_normal_moment(p)
+        s_c = -mp.log(n * mu)
+        lo = s_c - 25
+
+        def f(s):
+            t = mp.exp(s)
+            return n * L(t) ** (n - 1) * M(t) * mp.exp((1 - a) * s)
+
+        total = mp.quad(f, [lo, s_c - 3, s_c, s_c + 2, s_c + mp.log(300)])
+        total += n * mu * mp.exp((1 - a) * lo) / (1 - a)
+        return float(total / mp.gamma(1 - a))

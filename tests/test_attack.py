@@ -265,8 +265,8 @@ class TestInvariantDiagnostic:
         v = sk.Q[0]
         state = AttackState(t=2, V=OrthonormalBasis(32, [v]))
         rep = invariant_diagnostic(state, sk)
-        assert rep["distance"] <= 1e-9
-        assert rep["dim"] == 1
+        assert rep["sin_theta_max"] <= 1e-9
+        assert rep == {"t": 2, "dim": 1, "sin_theta_max": rep["sin_theta_max"]}
 
     def test_angled_vector_distance_sin_theta(self):
         sk = build_sketch("sign", 32, 4, seed=22)
@@ -279,17 +279,17 @@ class TestInvariantDiagnostic:
         v = math.cos(theta) * inside + math.sin(theta) * outside
         state = AttackState(t=2, V=OrthonormalBasis(32, [v]))
         rep = invariant_diagnostic(state, sk)
-        assert abs(rep["distance"] - math.sin(theta)) <= 1e-8
+        assert abs(rep["sin_theta_max"] - math.sin(theta)) <= 1e-8
         # principal-angle oracle agreement
         W = np.array([inside])
-        assert abs(rep["distance"]
+        assert abs(rep["sin_theta_max"]
                    - principal_angle_distance(np.array([v]), W)) <= 1e-8
 
     def test_empty_basis(self):
         sk = build_sketch("sign", 16, 2, seed=23)
         state = AttackState(t=1, V=OrthonormalBasis.empty(16))
         rep = invariant_diagnostic(state, sk)
-        assert rep["distance"] == 0.0
+        assert rep["sin_theta_max"] == 0.0
 
     def test_random_bases_match_principal_angle_oracle(self):
         # dim V <= r: the projector distance to the closest equal-dimensional
@@ -305,8 +305,7 @@ class TestInvariantDiagnostic:
             W = np.linalg.qr(((U.T @ V) @ sk.Q.T @ sk.Q).T)[0].T
             rep = invariant_diagnostic(AttackState(t=2, V=OrthonormalBasis(n, list(V))), sk)
             assert rep["dim"] == k
-            assert rep["distance"] == rep["sin_theta_max"]
-            assert abs(rep["distance"] - principal_angle_distance(V, W)) <= 1e-10
+            assert abs(rep["sin_theta_max"] - principal_angle_distance(V, W)) <= 1e-10
 
     def test_more_directions_than_rows_reads_one(self):
         # the attack runs r + 1 rounds, so V can reach dim r + 1; such a V
@@ -317,7 +316,6 @@ class TestInvariantDiagnostic:
         rep = invariant_diagnostic(AttackState(t=r + 1, V=OrthonormalBasis(n, list(V))), sk)
         assert rep["dim"] == r + 1
         assert abs(rep["sin_theta_max"] - 1.0) <= 1e-12
-        assert rep["distance"] == rep["sin_theta_max"]
 
 
 class TestInformationBoundary:

@@ -269,6 +269,20 @@ class TestImportHygiene:
                               capture_output=True, text=True, check=True, timeout=120)
         assert proc.stdout.strip() == "[]"
 
+    def test_cold_import_loads_only_numpy_past_the_stdlib(self):
+        # packages on disk that the imports add, beyond the standard library;
+        # mpmath and jsonschema load only where a caller needs them
+        code = ("import sys; before = set(sys.modules); "
+                "import sketchlab, sketchlab.cli, sketchlab.acceptance, sketchlab.harddist; "
+                "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+                "print(sorted(m for m in new if m not in sys.stdlib_module_names "
+                "and getattr(sys.modules.get(m), '__file__', None)))")
+        src = os.path.dirname(os.path.dirname(sketchlab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        assert proc.stdout.strip() == "['numpy', 'sketchlab']"
+
 
 class TestShippedExampleConfig:
     def test_example_config_validates(self):

@@ -1,8 +1,11 @@
 import math
+import time
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
-from oracles import jacobi_svd
+from oracles import jacobi_svd, ref_expected_p_norm
 
 from sketchlab import harddist, stats
 from sketchlab.errors import BadParams, DimensionTooLarge
@@ -11,6 +14,7 @@ from sketchlab.harddist import (
     HardFamily,
     calibrate_family,
     default_support_count,
+    expected_p_norm,
     gap_event_battery,
     gen_hard_instance,
     mgf_cross_term_check,
@@ -32,6 +36,9 @@ class TestFamilies:
             HardFamily("lp-small", {"p": 3.0})
         with pytest.raises(BadParams):
             HardFamily("lp-large", {"p": 1.5})
+        for bad in (math.inf, math.nan):
+            with pytest.raises(BadParams):
+                HardFamily("lp-large", {"p": bad})
         with pytest.raises(BadParams):
             HardFamily("cs", {"n": 256, "k": 8, "N": 1_000_001})
 
@@ -118,6 +125,57 @@ class TestFamilies:
             inst = gen_hard_instance(fam, "D1", derive(51, "lps", i))
             ratios.append(float(inst.payload @ inst.payload) / (N * N * 1024))
         assert 0.99 <= float(np.mean(ratios)) <= 1.01
+
+
+class TestExpectedPNorm:
+    def test_closed_form_at_p1(self):
+        for n in (1, 7, 1024):
+            want = n * math.sqrt(2.0 / math.pi)
+            assert abs(expected_p_norm(n, 1.0) - want) <= 1e-12 * want
+            # the quadrature just above p = 1, where a/Gamma(1 - a) -> 0:
+            # ||g||_p falls as p grows, and only by O(p - 1)
+            near = expected_p_norm(n, 1.0 + 1e-7)
+            assert want * (1.0 - 1e-5) < near <= want * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 1021, 1024])
+    def test_chi_mean_at_p2(self, n):
+        with mp.workdps(30):
+            want = float(mp.sqrt(2) * mp.gamma(mp.mpf(n + 1) / 2) / mp.gamma(mp.mpf(n) / 2))
+        assert abs(expected_p_norm(n, 2.0) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("n, p, dps", [(1024, 1.5, 20), (1021, 4.0, 40)])
+    def test_matches_mpmath_quadrature(self, n, p, dps):
+        # p = 4 needs the digits: M(t)'s Bessel terms cancel to 1/z^2 at small t
+        want = ref_expected_p_norm(n, p, dps)
+        assert abs(expected_p_norm(n, p) - want) <= 1e-10 * want
+
+    @pytest.mark.parametrize("n, p", [(64, 1.5), (16, 3.0)])
+    def test_matches_seeded_monte_carlo(self, n, p):
+        rng = derive(53, "Ep", n, str(p))
+        norms = np.concatenate([
+            np.sum(np.abs(rng.standard_normal((20_000, n))) ** p, axis=1) ** (1.0 / p)
+            for _ in range(10)
+        ])
+        se = float(np.std(norms)) / math.sqrt(norms.size)
+        assert abs(expected_p_norm(n, p) - float(np.mean(norms))) <= 5.0 * se
+
+    @pytest.mark.parametrize("p", [1.0, 1.001, 1.01, 1.5, 3.0, 8.0])
+    def test_fast_and_quiet(self, p):
+        uncached = expected_p_norm.__wrapped__
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            best = math.inf
+            for _ in range(3):
+                t0 = time.perf_counter()
+                value = uncached(1024, p)
+                best = min(best, time.perf_counter() - t0)
+        assert math.isfinite(value) and value > 0.0
+        assert best < 0.05
+
+    @pytest.mark.parametrize("p", [0.5, math.inf, math.nan])
+    def test_rejects_p_outside_range(self, p):
+        with pytest.raises(BadParams):
+            expected_p_norm.__wrapped__(16, p)
 
 
 class TestSupportFamily:

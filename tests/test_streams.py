@@ -1,7 +1,8 @@
 """Stream guard: SHA-256 digests of fixed-seed draws from every sampler path,
 of a small attack transcript, and of the exact integer layer's outputs
 (batch products in each tier, a turnstile value past int64, the n = 256
-kernel bases and auto alpha).
+kernel bases and auto alpha) and of seeded set-up constants (the cs support
+family and the median-estimator corrections).
 
 A fixed seed must give the same bits. A change that moves one of these
 digests changes a random stream or an exact result; if that is deliberate,
@@ -17,6 +18,7 @@ import pytest
 from sketchlab import dgauss
 from sketchlab.acceptance import auto_alpha
 from sketchlab.attack import AttackConfig, run_attack
+from sketchlab.harddist import support_family
 from sketchlab.lattice import integer_kernel_basis, pairwise_reduced_kernel
 from sketchlab.numerics import OrthonormalBasis
 from sketchlab.rng import derive
@@ -140,3 +142,24 @@ def test_n256_kernels_and_auto_alpha():
         "pairwise": "b8a997c3394b90ad1253eb2b6961fc740233e5ca3fa201a872ba9fed576521f9",
         "auto_alpha": "e13797c47fe3329bc4425d4c331ccc3e975b2f34bf3972d413cfbbf1a14e0c6b",
     }
+
+
+def test_support_family():
+    fam_sets = support_family(256, 8, 1024)
+    assert (json_digest(fam_sets)
+            == "9e146260f239892d54a318af4541ad723f6a44b6bd6adb07bb8376b016cca4fc")
+
+
+# keyed by (family, r): sign's groups and countsketch's blocks at n = 128
+MEDIAN_CORRECTION = {
+    ("sign", 8): "f4a2c3b6332eeca5b2f1a5d01cfef70fbbb95f6c4d48e8c58e4c0890f1606ad3",
+    ("sign", 64): "00fe90c3b368480053351d93ceb54c0d29c6b0d25082ca6dec2d925e4d3e09d5",
+    ("countsketch", 8): "79911c8300b061325bdc22c74ebba5ccd69751f423b7af795d831ee2d48ab0bf",
+    ("countsketch", 64): "0a82c2d25c0c73efea6437fd7a040815237e2748b983813a545d23ed4e402dcd",
+}
+
+
+@pytest.mark.parametrize("family, r", MEDIAN_CORRECTION)
+def test_median_correction(family, r):
+    sk = build_sketch(family, 128, r, seed=17)
+    assert json_digest(sk.estimator["median_correction"]) == MEDIAN_CORRECTION[family, r]
