@@ -8,6 +8,7 @@ tolerances are pinned here, not in the callers.
 
 import functools
 import math
+import sys
 import time
 
 import numpy as np
@@ -110,6 +111,24 @@ def attack_setup(acfg, seed):
     return sk, params, cfg, alpha_report
 
 
+def calibration_vs_zeta(sketch, cfg):
+    """The sketch's calibrated promise-side error rates next to the attack's
+    termination rate: {"zeta", "false_low", "false_high"}, the rates None for
+    a family without a calibration. A rate above zeta lets a round certify on
+    the sketch's isotropic error alone, with nothing learned, so that case
+    prints one line to stderr (stdout carries the CLI's report)."""
+    rates = {"zeta": cfg.effective_zeta(sketch.n),
+             "false_low": sketch.estimator.get("false_low"),
+             "false_high": sketch.estimator.get("false_high")}
+    over = [f"{k} {rates[k]:.3g}" for k in ("false_low", "false_high")
+            if rates[k] is not None and rates[k] > rates["zeta"]]
+    if over:
+        print(f"sketchlab: {sketch.family} sketch seed {sketch.seed}: calibration "
+              f"{' and '.join(over)} above zeta {rates['zeta']:.3g}; a certificate "
+              "needs no learned direction", file=sys.stderr)
+    return rates
+
+
 ALL_CRITERIA = []
 
 
@@ -161,7 +180,7 @@ def criterion_1_attack_end_to_end(fast):
         elapsed_run = time.time() - t_run
         per_run.append(
             {"seed": 1000 + i, "win": got, "outcome": out.outcome,
-             "elapsed_s": round(elapsed_run, 2)}
+             "elapsed_s": round(elapsed_run, 2), **calibration_vs_zeta(sk, cfg)}
         )
         wins += int(got)
     need = 2 if fast else 8

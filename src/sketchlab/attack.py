@@ -6,7 +6,10 @@ integer exploit queries from the certificate.
 Round structure: per round the variance grid is swept in ascending order,
 m queries are drawn from D(V_t^perp, sigma^2) per grid point, and the first
 direction whose positive-sample singular score crosses
-sigma^2 + sigma^2/4 + slack is orthogonalized into the learned basis.
+sigma^2 + sigma^2/4 + slack is orthogonalized into the learned basis. Only
+the low side (sigma^2 <= 2 alpha) and the high side (sigma^2 >= alpha B / 2)
+can certify, so once the round's direction is decided the middle points
+between them are not drawn: the transcript holds the points a round drew.
 """
 
 import math
@@ -129,6 +132,11 @@ def round_step(state: AttackState, oracle, n, r_budget, config: AttackConfig, rn
     """One attack round: sweep the grid, test termination per grid point,
     then fold the first above-threshold singular direction into the basis.
 
+    A grid point with 2 alpha < sigma^2 < alpha B / 2 can never certify; it
+    serves only to find the direction. Once the round's direction is
+    decided, such a point is skipped: no draw, no oracle query and no
+    transcript record. The low and high sides are always drawn and tested.
+
     Returns ("certificate", cert) | ("direction", v_t) | ("no-progress", None).
     """
     rng = as_generator(rng)
@@ -138,6 +146,10 @@ def round_step(state: AttackState, oracle, n, r_budget, config: AttackConfig, rn
     found = None
 
     for sigma2 in config.grid_for(n):
+        low, high = sigma2 <= 2.0 * alpha, sigma2 >= alpha * B / 2.0
+        decided = found is not None  # the round's direction is decided
+        if decided and not (low or high):
+            continue
         spec = SubspaceGaussianSpec(n, state.V, float(sigma2))
         X = sample_subspace_query(spec, "discrete", rng, size=config.m)
         answers = _ask(oracle, X)
@@ -153,12 +165,12 @@ def round_step(state: AttackState, oracle, n, r_budget, config: AttackConfig, rn
         }
         state.transcript.append(rec)
 
-        high = sigma2 >= alpha * B / 2.0 and rate <= 1.0 - zeta
-        if high or (sigma2 <= 2.0 * alpha and rate >= zeta):
+        high_fails = high and rate <= 1.0 - zeta
+        if high_fails or (low and rate >= zeta):
             cert = FailureCertificate(
                 subspace=[list(map(float, v)) for v in state.V],
                 sigma2=float(sigma2),
-                side="high" if high else "low",
+                side="high" if high_fails else "low",
                 empirical_rate=rate,
                 sample_count=config.m,
                 zeta=zeta,
@@ -171,7 +183,7 @@ def round_step(state: AttackState, oracle, n, r_budget, config: AttackConfig, rn
         # only the first above-threshold direction is consumed, so singular
         # scores are computed until one is found (later grid records carry
         # score None for this round)
-        if m_prime >= 1 and found is None:
+        if m_prime >= 1 and not decided:
             positives = X[answers == 1].astype(float)
             v_sigma, _ = top_right_singular_vector(positives)
             score = float(np.mean((positives @ v_sigma) ** 2))

@@ -118,8 +118,9 @@ def cmd_attack_run(args):
     seeds = acfg.get("seeds", [0])
     do_verify = bool(acfg.get("verify", True))
     # the sketch depends only on the root seed: build it once for all runs
-    *pieces, alpha_report = acceptance.attack_setup(acfg, root_seed)
-    jobs = [(pieces, root_seed, s, do_verify) for s in seeds]
+    sk, params, attack_cfg, alpha_report = acceptance.attack_setup(acfg, root_seed)
+    calibration = acceptance.calibration_vs_zeta(sk, attack_cfg)
+    jobs = [((sk, params, attack_cfg), root_seed, s, do_verify) for s in seeds]
 
     threads = int(os.environ.get("SKETCHLAB_THREADS", "1"))
     if threads > 1 and len(jobs) > 1:
@@ -130,7 +131,8 @@ def cmd_attack_run(args):
     else:
         results = [_single_attack_run(j) for j in jobs]
 
-    # transcript.jsonl: one record per (run, round, sigma2)
+    # transcript.jsonl: one record per (run, round, sigma2) that the round
+    # drew; a round whose direction is decided skips its middle grid points
     with open(os.path.join(out_dir, "transcript.jsonl"), "w") as fh:
         for res in results:
             for rec in res["transcript"]:
@@ -168,6 +170,7 @@ def cmd_attack_run(args):
         "verified": sum(1 for r in results if r["exploits"]),
         "alpha": results[0]["alpha"],
         **alpha_report,
+        **calibration,
     }
     _write_json(os.path.join(out_dir, "report.json"), report)
     print(json.dumps(report, indent=2))

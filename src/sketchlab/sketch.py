@@ -164,7 +164,11 @@ class IntegerSketch:
 
 def _median_correction(group_sizes, rng, trials=4000):
     """Monte Carlo correction so the median-of-group-means estimator is
-    unbiased on Gaussian-like inputs (the median of chi^2 means sits below 1)."""
+    unbiased on Gaussian-like inputs (the median of chi^2 means sits below 1).
+    One group makes the estimator a plain mean of chi^2 means, whose
+    expectation is exactly 1, so nothing is drawn."""
+    if len(group_sizes) == 1:
+        return 1.0
     # one row per trial, each row the trial's groups side by side: the same
     # normals in the same order as one draw per group per trial
     sq = rng.standard_normal((trials, sum(group_sizes))) ** 2

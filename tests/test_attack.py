@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import principal_angle_distance
-from sketchlab import dgauss, stats
+from sketchlab import attack, dgauss, stats
 from sketchlab.attack import (
     AttackConfig,
     AttackState,
@@ -163,6 +163,84 @@ class TestRoundStep:
         assert kind == "direction"
         assert abs(float(v_t @ base)) <= 1e-9
         assert len(state.V) == 2
+
+
+class TestDecidedRoundSkip:
+    """Once a round's direction is decided, the grid points with
+    2 alpha < sigma^2 < alpha B / 2 get no draw, no query and no record; the
+    low and high sides are drawn and tested for a certificate as before."""
+
+    n, B = 32, 64.0  # 16 points: 0-2 low side, 3-12 middle, 13-15 high side
+
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        """The sigma^2 of every sample_subspace_query call in round_step."""
+        calls = []
+
+        def spy(spec, *args, **kwargs):
+            calls.append(spec.sigma2)
+            return dgauss.sample_subspace_query(spec, *args, **kwargs)
+
+        monkeypatch.setattr(attack, "sample_subspace_query", spy)
+        return calls
+
+    class GridStub:
+        """Answers by the sigma^2 of the batch just drawn: one positive at
+        `accept` (a lone positive scores ||x||^2 ~ n sigma^2, far above the
+        threshold), `high_bit` on the high side, 0 elsewhere."""
+
+        def __init__(self, drawn, accept, high_bit, high_s2):
+            self.drawn, self.accept = drawn, accept
+            self.high_bit, self.high_s2 = high_bit, high_s2
+
+        def query_batch(self, X):
+            bits = np.zeros(len(X), dtype=np.int8)
+            s2 = self.drawn[-1]
+            if s2 >= self.high_s2:
+                bits[:] = self.high_bit
+            elif s2 == self.accept:
+                bits[0] = 1
+            return bits
+
+    def _round(self, drawn, accept_index, high_bit, zeta):
+        cfg = AttackConfig(gap=_params(B=self.B), m=200, grid_points=16, zeta=zeta)
+        grid = [float(g) for g in cfg.grid_for(self.n)]
+        high_s2 = ALPHA * self.B / 2.0
+        accept = grid[accept_index] if accept_index is not None else None
+        oracle = self.GridStub(drawn, accept, high_bit, high_s2)
+        state = AttackState(t=1, V=OrthonormalBasis.empty(self.n))
+        kind, payload = round_step(state, oracle, self.n, 4, cfg, derive(48, "skip"))
+        return kind, payload, state, grid, high_s2
+
+    @pytest.mark.parametrize("k", [1, 4, 12])
+    def test_records_stop_at_the_accepted_point_and_resume_on_the_high_side(self, drawn, k):
+        kind, _, state, grid, high_s2 = self._round(drawn, k, 1, zeta=1.1)
+        assert kind == "direction"
+        assert sum(g <= 2 * ALPHA for g in grid) == 3
+        assert sum(g >= high_s2 for g in grid) == 3
+        # past k only the sides are drawn: the low side's rest, if any, and
+        # every point >= alpha B / 2
+        want = grid[:k + 1] + [g for g in grid[k + 1:] if g <= 2 * ALPHA or g >= high_s2]
+        assert [rec["sigma2"] for rec in state.transcript] == want
+        assert [rec["accepted"] for rec in state.transcript].index(True) == k
+        # one sampler call per record, in record order
+        assert drawn == want
+
+    def test_round_without_a_direction_draws_every_point(self, drawn):
+        kind, _, state, grid, _ = self._round(drawn, None, 0, zeta=1.1)
+        assert kind == "no-progress"
+        assert [rec["sigma2"] for rec in state.transcript] == grid
+        assert drawn == grid
+
+    def test_high_side_certificate_after_the_skip(self, drawn):
+        # answers 0 on the high side: rate 0 <= 1 - zeta there, while the low
+        # side's rates (0 and 1/200) stay below zeta = 5/sqrt(200)
+        kind, cert, state, grid, high_s2 = self._round(drawn, 4, 0, zeta=None)
+        assert kind == "certificate"
+        assert cert.side == "high" and cert.sigma2 == grid[13] >= high_s2
+        assert cert.empirical_rate == 0.0 and cert.dim == 0
+        assert [rec["sigma2"] for rec in state.transcript] == grid[:5] + [grid[13]]
+        assert drawn == grid[:5] + [grid[13]]
 
 
 class TestVerifyCertificate:

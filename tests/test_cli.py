@@ -57,6 +57,30 @@ class TestAttackRun:
         assert report["alpha"] == max(report["alpha_floor"], report["alpha_lattice_term"])
         assert report["alpha_binds"] in ("floor", "lattice")
 
+    @pytest.mark.parametrize("family,zeta,warned", [
+        ("projection-threshold", None, True),  # both rates 0.326 > zeta 0.289
+        ("projection-threshold", 0.5, False),
+        ("sign", None, False),                 # no calibration: null rates
+    ], ids=["projection-over", "projection-under", "sign-null"])
+    def test_report_records_calibration_against_zeta(self, tmp_path, capsys,
+                                                     family, zeta, warned):
+        doc = json.loads(json.dumps(ATTACK_CFG))
+        doc["attack"].update(family=family, zeta=zeta)
+        out = str(tmp_path / "out")
+        assert main(["attack", "run", "--config", write_cfg(tmp_path, doc), "--out", out]) == 0
+        printed = capsys.readouterr()
+        report = read_json(out, "report.json")
+        assert json.loads(printed.out) == report
+        sk, _, cfg, _ = acceptance.attack_setup(doc["attack"], 7)
+        assert report["zeta"] == cfg.effective_zeta(64)
+        assert report["false_low"] == sk.estimator.get("false_low")
+        assert report["false_high"] == sk.estimator.get("false_high")
+        if family == "sign":
+            assert report["false_low"] is None and report["false_high"] is None
+        assert (max(report["false_low"] or 0, report["false_high"] or 0)
+                > report["zeta"]) == warned
+        assert printed.err.count("above zeta") == int(warned)
+
     def test_alpha_decomposition(self):
         floor = dgauss.smoothing_sigma2(64, dgauss.SAMPLING_FLOOR_ELL_SQ)
         _, params, _, auto = acceptance.attack_setup(ATTACK_CFG["attack"], 7)

@@ -126,6 +126,14 @@ class TestBuildFamilies:
             ratios.append(sk.l2_estimates(sk.apply_batch(x[None, :]))[0] / float(x @ x))
         assert 0.85 <= float(np.mean(ratios)) <= 1.15
 
+    @pytest.mark.parametrize("r", [8, 15])
+    def test_one_block_countsketch_correction_is_exactly_one(self, r):
+        # one block: the estimator is a plain mean of chi^2 means, unbiased
+        # as it stands, so no Monte Carlo correction is drawn
+        sk = build_sketch("countsketch", 128, r, seed=17)
+        assert len(sk.estimator["blocks"]) == 1
+        assert sk.estimator["median_correction"] == 1.0
+
     def test_rounded_gaussian_estimator(self):
         rng = derive(32, "rg")
         sk = build_sketch("rounded-gaussian", 128, 32, seed=8)
