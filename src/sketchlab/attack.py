@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import intlinalg
 from .dgauss import SubspaceGaussianSpec, sample_subspace_query
 from .errors import (
     BadParams,
@@ -241,11 +242,11 @@ def verify_certificate(oracle, cert: FailureCertificate, trials, rng, n=None):
     spec = SubspaceGaussianSpec(n, basis, cert.sigma2)
     X = sample_subspace_query(spec, "discrete", rng, size=int(trials))
     answers = _ask(oracle, X)
-    norms = np.sum(X.astype(float) ** 2, axis=1)
+    norms = intlinalg.norms_sq(X)  # exact squared lengths, as Python ints
     if cert.side == "high":
-        mask = (answers == 0) & (norms > cert.alpha * cert.B * (n - d) / 3.0)
+        mask = (answers == 0) & (np.asarray(norms) > cert.alpha * cert.B * (n - d) / 3.0)
     else:
-        mask = (answers == 1) & (norms < 3.0 * cert.alpha * (n - d))
+        mask = (answers == 1) & (np.asarray(norms) < 3.0 * cert.alpha * (n - d))
     idx = np.nonzero(mask)[0]
     if idx.size == 0:
         raise NoExploitFound(

@@ -51,7 +51,8 @@ def _sum_bound(X, Y):
     """n max|X| max|Y|: a bound on every partial sum of the product X Y^T."""
     def max_abs(a):
         return max(int(a.max()), -int(a.min())) if a.size else 0
-    return X.shape[1] * max_abs(X) * max_abs(Y)
+    mx = max_abs(X)
+    return X.shape[1] * mx * (mx if Y is X else max_abs(Y))
 
 
 def exact_product(X, Y):

@@ -1,6 +1,6 @@
-"""Statistical verification harnesses: empirical total variation distance,
-cell-lemma closeness checks, exact pmf-ratio checks, and the chi-square
-mixture bound.
+"""Statistical verification harnesses: empirical total variation distance
+and its label-permutation null bound, cell-lemma closeness checks, exact
+pmf-ratio checks, and the chi-square mixture bound.
 
 Asymptotic 1/poly(n) closeness bounds are rendered as fixed desk-scale
 thresholds (0.05 TVD, 0.01 ratio) recorded in the reports.
@@ -17,6 +17,8 @@ from .lattice import CellRounder, fundamental_cell_uniform, reduced_kernel_basis
 from .rng import as_generator
 
 TVD_BOOTSTRAP = 200  # multinomial resamples behind empirical_tvd's CI
+TVD_NULL_LEVEL = 0.01  # tvd_null_bound's false-fail rate under the null
+TVD_NULL_PERMS = 999  # relabellings behind tvd_null_bound
 CELL_LEMMA_TVD = 0.05  # each cell-lemma path passes at TVD <= this
 
 
@@ -61,14 +63,10 @@ def _bin_counts(X, Y, cells_per_axis):
     return cx, cy, total
 
 
-def empirical_tvd(samples1, samples2, rng=None, projection=None):
-    """Histogram TVD with equal-mass adaptive bins and a bootstrap CI.
-
-    The total cell budget is ceil(min(n1,n2)^(1/3)), split evenly across
-    axes; dimensions above 3 require a 1-D `projection` vector. Bootstrap
-    CIs come from TVD_BOOTSTRAP multinomial resamples of the binned counts
-    (equivalent to resampling the samples at fixed bin edges).
-    """
+def _binned(samples1, samples2, projection):
+    """Both samples' counts in empirical_tvd's equal-mass cells, and the
+    binning: the total cell budget is ceil(min(n1,n2)^(1/3)), split evenly
+    across axes; dimensions above 3 require a 1-D `projection` vector."""
     X = np.asarray(samples1, dtype=float)
     Y = np.asarray(samples2, dtype=float)
     if X.ndim == 1:
@@ -89,8 +87,19 @@ def empirical_tvd(samples1, samples2, rng=None, projection=None):
         raise TooFewSamples(f"need >= 1000 samples per side, got {n1}, {n2}")
     total_cells = int(math.ceil(min(n1, n2) ** (1 / 3)))
     per_axis = max(2, int(math.ceil(total_cells ** (1 / d))))
-
     cx, cy, ncells = _bin_counts(X, Y, per_axis)
+    return cx, cy, {"cells_per_axis": per_axis, "dims": d, "total_cells": int(ncells)}
+
+
+def empirical_tvd(samples1, samples2, rng=None, projection=None):
+    """Histogram TVD with equal-mass adaptive bins and a bootstrap CI.
+
+    Bins as `_binned`. Bootstrap CIs come from TVD_BOOTSTRAP multinomial
+    resamples of the binned counts (equivalent to resampling the samples at
+    fixed bin edges).
+    """
+    cx, cy, binning = _binned(samples1, samples2, projection)
+    n1, n2 = int(cx.sum()), int(cy.sum())
     value = 0.5 * float(np.sum(np.abs(cx / n1 - cy / n2)))
 
     rng = as_generator(rng)
@@ -101,13 +110,27 @@ def empirical_tvd(samples1, samples2, rng=None, projection=None):
         ry = rng.multinomial(n2, py) / n2
         boots[b] = 0.5 * float(np.sum(np.abs(rx - ry)))
     ci = 1.96 * float(np.std(boots))
-    return TvdEstimate(
-        value=value,
-        ci_halfwidth=ci,
-        n1=n1,
-        n2=n2,
-        binning={"cells_per_axis": per_axis, "dims": d, "total_cells": int(ncells)},
-    )
+    return TvdEstimate(value=value, ci_halfwidth=ci, n1=n1, n2=n2, binning=binning)
+
+
+def tvd_null_bound(samples1, samples2, rng=None):
+    """The permutation bound on empirical_tvd's value for these samples.
+
+    Under the null that both samples share one law, every relabelling of
+    the pooled samples is equally likely. The cell edges depend only on the
+    pool, so a relabelling keeps the binning, and the first sample's counts
+    are multivariate hypergeometric in the pooled counts. The bound is the
+    ceil((P + 1)(1 - level))-th smallest of P = TVD_NULL_PERMS relabelled
+    TVDs, so under the null the observed value exceeds it with probability
+    at most level = TVD_NULL_LEVEL: that is a check's false-fail rate.
+    """
+    cx, cy, _ = _binned(samples1, samples2, None)
+    n1, n2 = int(cx.sum()), int(cy.sum())
+    pooled = (cx + cy).astype(np.int64)
+    rx = as_generator(rng).multivariate_hypergeometric(pooled, n1, size=TVD_NULL_PERMS)
+    null = 0.5 * np.sum(np.abs(rx / n1 - (pooled - rx) / n2), axis=1)
+    k = math.ceil((TVD_NULL_PERMS + 1) * (1.0 - TVD_NULL_LEVEL))
+    return float(np.sort(null)[k - 1])
 
 
 def energy_two_sample(X, Y, sub=2000, perms=60, rng=None):

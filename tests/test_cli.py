@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 import sketchlab
-from sketchlab import acceptance, dgauss, harddist
-from sketchlab.cli import load_config, main
+from sketchlab import acceptance, dgauss, harddist, stats
+from sketchlab.attack import FailureCertificate, verify_certificate
+from sketchlab.cli import EXPLOITS_WRITTEN, _load_schema, load_config, main
 from sketchlab.rng import derive
+from sketchlab.sketch import GapNormOracle
 
 
 def read_json(*path):
@@ -183,6 +185,48 @@ class TestAttackRun:
         cfg = write_cfg(tmp_path, {"attack": {"n": 64}}, "m.json")
         assert main(["attack", "run", "--config", cfg]) == 1
 
+    def test_exploits_are_the_verification_exploits(self, tmp_path):
+        # exploits.json holds, per seed, the first EXPLOITS_WRITTEN exploits
+        # that verify_certificate finds on that seed's verification stream,
+        # with exact integer coordinates and squared lengths
+        doc = json.loads(json.dumps(ATTACK_CFG))
+        doc["attack"]["seeds"] = [0, 1]
+        out = str(tmp_path / "out")
+        assert main(["attack", "run", "--config", write_cfg(tmp_path, doc), "--out", out]) == 0
+        sk, params, cfg, _ = acceptance.attack_setup(doc["attack"], 7)
+        oracle = GapNormOracle(sk, params)
+        certs, entries = read_json(out, "certificate.json"), read_json(out, "exploits.json")
+        for seed, cert, entry in zip(doc["attack"]["seeds"], certs, entries):
+            rep = verify_certificate(oracle, FailureCertificate(**cert), cfg.verify_trials,
+                                     derive(7, "verify", seed))
+            want = rep["exploits"][:EXPLOITS_WRITTEN]
+            assert entry["run_seed"] == seed
+            assert entry["failure_rate"] == rep["failure_rate"]
+            assert len(entry["exploits"]) == len(want) > 0
+            for got, e in zip(entry["exploits"], want):
+                assert all(type(v) is int for v in got["x"]) and got["x"] == e.x
+                assert got["norm_sq"] == e.norm_sq == float(sum(v * v for v in e.x))
+                assert (got["answer"], got["wrong"]) == (e.answer, e.wrong)
+
+    def test_json_artefacts_are_one_line(self, tmp_path):
+        # every JSON artefact is one compact line; verify reads the compact
+        # certificate.json against the spec `sketch build --out` writes
+        out = str(tmp_path / "out")
+        assert main(["attack", "run", "--config", write_cfg(tmp_path, ATTACK_CFG),
+                     "--out", out]) == 0
+        alpha = read_json(out, "report.json")["alpha"]
+        sk_file = str(tmp_path / "sk.json")
+        assert main(["sketch", "build", "--family", "projection-threshold", "--n", "64",
+                     "--r", "4", "--seed", "7", "--params",
+                     json.dumps({"alpha": alpha, "B": 8.0}), "--out", sk_file]) == 0
+        for path in (Path(out, "certificate.json"), Path(out, "exploits.json"),
+                     Path(out, "report.json"), Path(sk_file)):
+            text = path.read_text()
+            assert text.endswith("\n") and text.count("\n") == 1, path.name
+            assert text == json.dumps(json.loads(text), sort_keys=True) + "\n", path.name
+        assert main(["attack", "verify", "--certificate", str(Path(out, "certificate.json")),
+                     "--sketch", sk_file, "--trials", "500"]) == 0
+
     def test_verify_roundtrip(self, tmp_path):
         cfg = write_cfg(tmp_path, ATTACK_CFG)
         out = str(tmp_path / "o")
@@ -235,6 +279,24 @@ class TestOtherCommands:
 
     def test_stats_check_normalization(self):
         assert main(["stats", "check", "normalization"]) == 0
+
+    def test_stats_check_tvd_null_small_sample(self, capsys):
+        # at 2,000 trials the null TVD sits near 0.044, above the old fixed
+        # 0.03; the permutation bound follows n and fails at its stated rate
+        fails = 0
+        for seed in range(40):
+            rc = main(["stats", "check", "tvd-null", "--trials", "2000", "--seed", str(seed)])
+            rep = json.loads(capsys.readouterr().out)
+            assert rep["false_fail_rate"] == stats.TVD_NULL_LEVEL == 0.01
+            assert rep["bound"] > 0.03 and rc == (0 if rep["value"] <= rep["bound"] else 2)
+            fails += rc != 0
+        assert fails <= 3  # P(Binomial(40, 0.01) >= 4) < 1e-3
+
+    def test_stats_check_tvd_null_default_trials(self, capsys):
+        assert main(["stats", "check", "tvd-null", "--seed", "5"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["n1"] == rep["n2"] == 100_000
+        assert rep["value"] <= rep["bound"] <= 0.03
 
     def test_sketch_build_info(self, tmp_path):
         out = str(tmp_path / "sk.json")
@@ -309,6 +371,15 @@ class TestImportHygiene:
 
 
 class TestShippedExampleConfig:
+    def test_schema_passes_its_metaschema(self):
+        # load_config validates against the schema without checking the
+        # schema itself; this is that check
+        from jsonschema.validators import validator_for
+
+        schema = _load_schema()
+        assert schema["$schema"] == "https://json-schema.org/draft/2020-12/schema"
+        validator_for(schema).check_schema(schema)
+
     def test_example_config_validates(self):
         cfg = load_config("demos/projection_r8_n128.json")
         assert cfg["attack"]["n"] == 128 and len(cfg["attack"]["seeds"]) == 10

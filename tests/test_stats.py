@@ -47,6 +47,19 @@ class TestEmpiricalTvd:
         est = stats.empirical_tvd(X, Y, projection=np.ones(5) / np.sqrt(5), rng=rng)
         assert est.value <= 0.05
 
+    def test_null_bound_follows_sample_size(self):
+        # the permutation bound shrinks with n and still catches a 0.1 shift
+        bounds = {}
+        for n in (2000, 100_000):
+            x = derive(61, "bx", n).standard_normal(n)
+            y = derive(61, "by", n).standard_normal(n)
+            bounds[n] = stats.tvd_null_bound(x, y, rng=derive(61, "bb", n))
+            assert stats.empirical_tvd(x, y, rng=derive(61, "bv", n)).value <= bounds[n]
+        assert bounds[100_000] <= 0.03 < bounds[2000]
+        y = derive(61, "by", 100_000).standard_normal(100_000) + 0.1
+        assert stats.empirical_tvd(x, y, rng=derive(61, "bv")).value > \
+            stats.tvd_null_bound(x, y, rng=derive(61, "bb"))
+
     def test_ci_reported(self):
         x = derive(61, "cx").standard_normal(3000)
         y = derive(61, "cy").standard_normal(3000)
