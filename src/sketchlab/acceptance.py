@@ -33,7 +33,6 @@ from .sketch import (
     ExactNormOracle,
     GapNormOracle,
     GapNormParams,
-    IntegerSketch,
     build_sketch,
 )
 
@@ -272,12 +271,7 @@ def criterion_6_normalization(fast):
 @criterion(7, "cell lemma (noise path + rounding path)")
 def criterion_7_cell_lemma(fast):
     """r=2, n=8, sigma^2=1e8: both cell-lemma paths at TVD <= 0.05."""
-    rng = derive(7, "cell")
-    while True:
-        A = rng.integers(-10, 11, size=(2, 8))
-        if np.linalg.matrix_rank(A.astype(float)) == 2:
-            break
-    sk = IntegerSketch.from_matrix(A, seed=7)
+    sk = stats.cell_lemma_sketch(2, 8, derive(7, "cell"), seed=7)
     trials = 20_000 if fast else 100_000
     rep = stats.cell_lemma_check(sk, 1e8, trials=trials,
                                  rng=derive(7, "cell-run"))

@@ -186,8 +186,8 @@ def round_step(state: AttackState, oracle, n, r_budget, config: AttackConfig, rn
         # score None for this round)
         if m_prime >= 1 and not decided:
             positives = X[answers == 1].astype(float)
-            v_sigma, _ = top_right_singular_vector(positives)
-            score = float(np.mean((positives @ v_sigma) ** 2))
+            v_sigma, s = top_right_singular_vector(positives)
+            score = s * s / m_prime
             rec["score"] = score
             threshold = sigma2 + sigma2 / 4.0 + config.slack(sigma2, r_budget)
             if score >= threshold:

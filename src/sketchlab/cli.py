@@ -181,6 +181,14 @@ def cmd_attack_run(args):
     return 0
 
 
+def _load_sketch(path):
+    """Rebuild the sketch a `sketch build --out` spec file describes."""
+    with open(path) as fh:
+        spec = json.load(fh)
+    return build_sketch(spec["family"], spec["n"], spec["r"],
+                        spec.get("params"), seed=spec["seed"])
+
+
 def cmd_attack_verify(args):
     with open(args.certificate) as fh:
         payload = json.load(fh)
@@ -190,10 +198,7 @@ def cmd_attack_verify(args):
             print("no certificate in file", file=sys.stderr)
             return 1
     cert = FailureCertificate(**payload)
-    with open(args.sketch) as fh:
-        spec = json.load(fh)
-    sk = build_sketch(spec["family"], spec["n"], spec["r"],
-                      spec.get("params"), seed=spec["seed"])
+    sk = _load_sketch(args.sketch)
     params = GapNormParams(B=cert.B, alpha=cert.alpha)
     oracle = GapNormOracle(sk, params)
     try:
@@ -217,10 +222,7 @@ def cmd_sketch_build(args):
 
 
 def cmd_sketch_info(args):
-    with open(getattr(args, "in")) as fh:
-        spec = json.load(fh)
-    sk = build_sketch(spec["family"], spec["n"], spec["r"],
-                      spec.get("params"), seed=spec["seed"])
+    sk = _load_sketch(getattr(args, "in"))
     info = {
         "family": sk.family,
         "n": sk.n,
@@ -299,13 +301,8 @@ def cmd_stats_check(args):
         rep = [dgauss.verify_normalization_fact(s) for s in sigmas]
         ok = all(r["ok"] for r in rep)
     elif name == "cell-lemma":
-        from .sketch import IntegerSketch
-        gen = derive(args.seed, "cell-A")
-        while True:
-            A = gen.integers(-10, 11, size=(args.r, args.n))
-            if np.linalg.matrix_rank(A.astype(float)) == args.r:
-                break
-        sk = IntegerSketch.from_matrix(A, seed=args.seed)
+        sk = stats.cell_lemma_sketch(args.r, args.n, derive(args.seed, "cell-A"),
+                                     seed=args.seed)
         rep = stats.cell_lemma_check(sk, args.sigma2, args.trials, rng)
         ok = rep["pass"]
     elif name == "chi2-mixture":

@@ -10,10 +10,6 @@ class DegenerateResidual(SketchLabError):
     """Vector lies (numerically) in the span of the basis."""
 
 
-class NoConvergence(SketchLabError):
-    """Iterative solver hit its iteration cap without converging."""
-
-
 class RankDeficient(SketchLabError):
     """Matrix has numerical rank below the number of rows."""
 

@@ -1,18 +1,17 @@
 """Dense real vector/matrix kernels: projections, orthonormalization,
-Gram-Schmidt residuals, and top-singular-vector extraction by power iteration.
+Gram-Schmidt residuals, and the top eigenpair of a symmetric matrix by
+`np.linalg.eigh` (behind the top right singular vector of M, via M^T M).
 
 All functions are pure and safe for concurrent invocation.
 """
 
 import numpy as np
 
-from .errors import DegenerateResidual, NoConvergence, RankDeficient
+from .errors import DegenerateResidual, RankDeficient
 
 ORTHO_TOL = 1e-10       # pairwise dot / unit-norm tolerance for a valid basis
 RESIDUAL_TOL = 1e-9     # below this residual norm a vector counts as in-span
 RANK_PIVOT_REL = 1e-10  # pivot threshold relative to ||A||_2
-
-_RESTART_SEED = 0x5EED1E57  # fixed seed for the single random restart
 
 
 class OrthonormalBasis:
@@ -86,52 +85,25 @@ def gram_schmidt_residual(v, basis: OrthonormalBasis):
     return r / nrm
 
 
-def _power_iterate(B, v0, max_iter, rel_tol):
-    """Power iteration on symmetric PSD B. Returns (v, rayleigh, rel_change)."""
-    v = v0 / np.linalg.norm(v0)
-    ray = float(v @ (B @ v))
-    rel = np.inf
-    for _ in range(max_iter):
-        w = B @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            # v is in the kernel of B; treat as stagnation
-            return v, 0.0, np.inf
-        v = w / nw
-        new_ray = float(v @ (B @ v))
-        denom = max(abs(new_ray), 1e-300)
-        rel = abs(new_ray - ray) / denom
-        ray = new_ray
-        if rel < rel_tol:
-            break
-    return v, ray, rel
+def top_eigenpair(S):
+    """Largest algebraic eigenvalue of a symmetric S (S may be indefinite)
+    and a unit eigenvector, by `np.linalg.eigh`. Sign rule: the entry of
+    largest magnitude is positive, the first such entry on a tie."""
+    w, U = np.linalg.eigh(np.asarray(S, dtype=float))
+    v = U[:, -1]
+    if v[np.argmax(np.abs(v))] < 0:
+        v = -v
+    return float(w[-1]), v
 
 
 def top_right_singular_vector(M):
-    """Top right singular vector and value of M by power iteration on M^T M.
-
-    Deterministic all-ones start; one seeded random restart on stagnation.
-    Raises NoConvergence if the Rayleigh quotient still moves by more than
-    1e-6 relative after 10*cols iterations on both attempts.
-    """
+    """Top right singular vector v and value s = ||M v|| of M, as the top
+    eigenpair of M^T M (sign rule of `top_eigenpair`)."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or not np.any(M):
         raise ValueError("M must be a nonzero 2-d matrix")
-    n = M.shape[1]
-    B = M.T @ M
-    # 10*cols per the convergence contract; floored so small test matrices
-    # with modest spectral gaps still reach oracle-grade vector accuracy
-    max_iter = max(10 * n, 300)
-
-    v0 = np.ones(n)
-    v, _, rel = _power_iterate(B, v0, max_iter, rel_tol=1e-12)
-    if rel > 1e-6:
-        rng = np.random.Generator(np.random.PCG64(_RESTART_SEED))
-        v, _, rel = _power_iterate(B, rng.standard_normal(n), max_iter, rel_tol=1e-12)
-        if rel > 1e-6:
-            raise NoConvergence(f"power iteration stalled at relative change {rel:.3e}")
-    s = float(np.linalg.norm(M @ v))
-    return v, s
+    _, v = top_eigenpair(M.T @ M)
+    return v, float(np.linalg.norm(M @ v))
 
 
 def _forward_solve(L, X):

@@ -15,6 +15,7 @@ from . import dgauss
 from .errors import DimensionTooLarge, PreconditionUnmet, TooFewSamples
 from .lattice import CellRounder, fundamental_cell_uniform, reduced_kernel_basis
 from .rng import as_generator
+from .sketch import IntegerSketch
 
 TVD_BOOTSTRAP = 200  # multinomial resamples behind empirical_tvd's CI
 TVD_NULL_LEVEL = 0.01  # tvd_null_bound's false-fail rate under the null
@@ -194,6 +195,16 @@ def pmf_ratio_check(sigma2, n, C, z_range=None):
         "C": C,
         "z_range": int(z_range),
     }
+
+
+def cell_lemma_sketch(r, n, rng, seed):
+    """IntegerSketch of an r x n matrix with entries uniform on [-10, 10],
+    redrawn from rng until it has full row rank: the matrix the cell-lemma
+    check runs on."""
+    while True:
+        A = rng.integers(-10, 11, size=(r, n))
+        if np.linalg.matrix_rank(A.astype(float)) == r:
+            return IntegerSketch.from_matrix(A, seed=seed)
 
 
 def cell_lemma_check(sketch, Sigma, trials, rng):

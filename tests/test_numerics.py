@@ -11,6 +11,7 @@ from sketchlab.numerics import (
     OrthonormalBasis,
     gram_schmidt_residual,
     orthonormalize_rows,
+    top_eigenpair,
     top_right_singular_vector,
 )
 from sketchlab.rng import derive
@@ -104,6 +105,39 @@ class TestTopRightSingularVector:
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError):
             top_right_singular_vector(np.zeros((3, 3)))
+
+    def test_near_degenerate_matches_jacobi_oracle(self):
+        # sigma_2 / sigma_1 = 0.99: an iteration that stops on the Rayleigh
+        # quotient leaves the vector off by ~1e-4 here
+        rng = derive(2, "near-degenerate")
+        U = np.linalg.qr(rng.standard_normal((4, 3)))[0]
+        W = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        M = U @ np.diag([1.0, 0.99, 0.3]) @ W.T
+        v, s = top_right_singular_vector(M)
+        svals, V = jacobi_svd(M)
+        assert min(np.linalg.norm(v - V[:, 0]), np.linalg.norm(v + V[:, 0])) <= 1e-12
+        assert abs(s - svals[0]) <= 1e-12
+
+
+class TestTopEigenpair:
+    def test_indefinite_takes_largest_algebraic(self):
+        lam, v = top_eigenpair(np.diag([1.0, -5.0]))
+        assert lam == pytest.approx(1.0, abs=1e-15)
+        assert np.array_equal(v, [1.0, 0.0])
+
+    def test_sign_rule(self):
+        rng = derive(2, "sign-rule")
+        for _ in range(20):
+            X = rng.standard_normal((5, 5))
+            S = X + X.T
+            lam, v = top_eigenpair(S)
+            lam2, v2 = top_eigenpair(S)
+            assert lam == lam2 and np.array_equal(v, v2)
+            assert v[np.argmax(np.abs(v))] > 0
+            assert np.linalg.norm(S @ v - lam * v) <= 1e-12 * np.linalg.norm(S)
+        # on a tie in magnitude the first entry is the positive one
+        _, v = top_eigenpair(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        assert v[0] > 0 > v[1]
 
 
 class TestOrthonormalizeRows:

@@ -82,7 +82,7 @@ def test_attack_transcript():
     assert (out.outcome, out.state.t, len(out.state.V)) == ("certificate", 3, 2)
     text = json.dumps(out.state.transcript, sort_keys=True)
     assert (hashlib.sha256(text.encode()).hexdigest()
-            == "bafa1aad7d0ce770ba32bfbdf628517a457e73323b044e30628956a0062d64f7")
+            == "495d51996ddcb7ce293c4fc737030d431c5a6223f3a6846ea0fa25812ad9caf1")
 
 
 # keyed by the tier of n max|A| max|x|: below 2^53, below 2^62, past 2^62
