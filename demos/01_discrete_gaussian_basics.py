@@ -22,8 +22,8 @@ for sigma2 in (0.5, 1.0, 100.0):
           f"  bracket [{rep['bound_lo']:.6f}, {rep['bound_hi']:.6f}]  ok={rep['ok']}")
 
 # --- exact sampling --------------------------------------------------------
-# Small variances use table inversion; larger ones a rejection sampler whose
-# proposal is a rounded continuous Gaussian.
+# Every variance uses one exact rejection sampler whose proposal is a rounded
+# continuous Gaussian.
 x = dgauss.sample_dgauss_1d(100.0, rng, size=200_000)
 print(f"\nsigma^2=100 draws: mean {x.mean():+.4f}, variance {x.var():.2f} (target 100)")
 

@@ -27,9 +27,11 @@ rep = stats.cell_lemma_check(sk, 1e8, trials=50_000, rng=rng)
 print("cell lemma, r=2, n=8, sigma^2=1e8:")
 print(f"  certified kernel length: {rep['certified_kernel_length']:.2f}")
 print(f"  TVD(discrete image + cell noise, continuous image) = "
-      f"{rep['tvd_noise_path']['value']:.4f}  (threshold {rep['threshold']})")
+      f"{rep['tvd_noise_path']['value']:.4f}  (null bound "
+      f"{rep['tvd_noise_path']['null_bound']:.4f})")
 print(f"  TVD(rounded continuous image, discrete image)      = "
-      f"{rep['tvd_round_path']['value']:.4f}")
+      f"{rep['tvd_round_path']['value']:.4f}  (null bound "
+      f"{rep['tvd_round_path']['null_bound']:.4f})")
 
 # --- exact pmf ratio ----------------------------------------------------------
 rep = stats.pmf_ratio_check(sigma2=10_000.0, n=10, C=2)

@@ -270,7 +270,8 @@ def criterion_6_normalization(fast):
 
 @criterion(7, "cell lemma (noise path + rounding path)")
 def criterion_7_cell_lemma(fast):
-    """r=2, n=8, sigma^2=1e8: both cell-lemma paths at TVD <= 0.05."""
+    """r=2, n=8, sigma^2=1e8: each cell-lemma path's TVD at most the
+    permutation null bound of its own samples."""
     sk = stats.cell_lemma_sketch(2, 8, derive(7, "cell"), seed=7)
     trials = 20_000 if fast else 100_000
     rep = stats.cell_lemma_check(sk, 1e8, trials=trials,

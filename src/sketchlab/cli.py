@@ -29,7 +29,7 @@ import numpy as np
 
 from . import acceptance, dgauss, harddist, stats
 from .attack import FailureCertificate, run_attack, verify_certificate
-from .errors import NoExploitFound, SketchLabError
+from .errors import BadParams, NoExploitFound, SketchLabError
 from .rng import derive
 from .sketch import GapNormOracle, GapNormParams, build_sketch
 
@@ -246,6 +246,8 @@ def _family_from_args(args):
 
 
 def cmd_harddist_gen(args):
+    if args.count < 1:
+        raise BadParams(f"--count must be at least 1, got {args.count}")
     fam = _family_from_args(args)
     out = []
     for i in range(args.count):

@@ -17,7 +17,7 @@ require s^2 >= 2 r0^2. An isotropic D(0, sigma^2 I) needs no convolution: it
 is a product of exact 1-D samples, which is how a subspace query with an
 empty forbidden subspace is drawn.
 
-Every draw at variance >= 4, centered or at real centers, comes from one
+Every draw, at any variance, centered or at real centers, comes from one
 exact rejection loop (`_sample_at_centers`): the proposal rounds a
 continuous Gaussian, the envelope constant is the exact maximum 1/q(0) of
 target over proposal, and a squeeze accepts most proposals outright. Only the
@@ -40,7 +40,6 @@ TAIL_SIGMAS = 12.0
 # support bound, in sigmas, of the sampler at real centers: the target mass
 # beyond it is < 1e-14, far below every statistical tolerance used here
 OFFSET_SIGMAS = 8.0
-TABLE_SIGMA2_MAX = 4.0  # below this variance, sample by exact table inversion
 SMOOTHING_EPS = 1e-6
 # the attack's sampling floor, sigma^2/4 >= 2 r0^2, is smoothing_sigma2 at
 # this squared length: 8 r0^2
@@ -165,19 +164,6 @@ def _envelope(sigma2, bound):
     return c_env, bound, float(_acceptance_ratio(bound, sigma2, c_env)) * (1.0 - 1e-9)
 
 
-def _sample_table(sigma2, rng, size):
-    """Exact inversion sampling from a truncated pmf table (small variances)."""
-    sigma = math.sqrt(sigma2)
-    K = max(1, int(math.ceil(TAIL_SIGMAS * sigma)))
-    support = np.arange(-K, K + 1)
-    w = np.exp(-support.astype(float) ** 2 / (2.0 * sigma2))
-    cdf = np.cumsum(w / np.sum(w))
-    u = rng.random(size if size is not None else ())
-    idx = np.searchsorted(cdf, u, side="right")
-    out = support[np.minimum(idx, 2 * K)]
-    return out if size is not None else int(out)
-
-
 def _candidates(k, p, rng):
     """The sorted positions in range(k) that hold a candidate when each
     position holds one independently with probability p: partial sums of
@@ -248,16 +234,14 @@ def _round_at_centers(centers, s2, rng):
 
 
 def sample_dgauss_1d(sigma2, rng, size=None):
-    """Exact sample(s) from D(0, sigma^2) on Z.
-
-    Inversion on a truncated table for sigma^2 < 4; otherwise rejection with
-    a rounded-continuous proposal and a precomputed envelope constant.
+    """Exact sample(s) from D(0, sigma^2) on Z, at every sigma^2 > 0, by
+    rejection from a rounded-continuous proposal on the support
+    |z| <= ceil(12 sigma) + 1. The ratio w/q falls with |z| at any sigma, so
+    the envelope constant 1/q(0) is exact for small variances too.
     """
     if sigma2 <= 0:
         raise NonPositiveVariance(f"sigma2={sigma2}")
     rng = as_generator(rng)
-    if sigma2 < TABLE_SIGMA2_MAX:
-        return _sample_table(sigma2, rng, size)
     K = int(math.ceil(TAIL_SIGMAS * math.sqrt(sigma2))) + 1
     out = _sample_at_centers(None, sigma2, _envelope(sigma2, K), rng,
                              shape=size if size is not None else ())

@@ -34,8 +34,7 @@ FAMILY_NAMES = tuple(_DEFAULTS)
 
 # the families whose payload is a Gaussian matrix block plus a rank-`count`
 # spike; psd embeds its block in a shifted symmetric matrix
-_SPIKED = ("opnorm-alpha", "opnorm-eps", "kyfan", "eigen")
-_MATRIX = _SPIKED + ("psd",)
+_MATRIX = ("opnorm-alpha", "opnorm-eps", "kyfan", "eigen", "psd")
 
 # calibration's fixed seed and null-side batch size
 _CAL_SEED, _CAL_TRIALS = 23, 40
@@ -43,7 +42,7 @@ _CAL_SEED, _CAL_TRIALS = 23, 40
 # N (sqrt(m) +- sqrt(n) +- t): each edge is crossed with probability at most
 # exp(-t^2/2) < 1e-4 (psd's shift, criterion 12's interval)
 _SV_TAIL_T = 4.3
-_TVD_CHUNK = 250  # matrices drawn at once by the sketched-TVD fast path
+_TVD_CHUNK = 250  # instances the sketched TVD draws at once per side
 
 
 @dataclass
@@ -251,75 +250,87 @@ def default_support_count(n, k):
     return int(2 ** round(k * math.log2(n / k) / 4))
 
 
-def gen_hard_instance(family: HardFamily, side, rng) -> HardInstance:
-    """Sample one labeled instance: D1 = null construction, D2 = planted."""
-    rng = as_generator(rng)
+def _draw(family: HardFamily, side, size, rng):
+    """`size` instances of one side as (payloads, witness): the payloads and
+    each per-instance witness entry (an array or list) have `size` as a
+    leading axis; scalar entries (s1, mag, shift) are shared. The draws come
+    in one order: the null block, then the spike factors u (size, count, m)
+    and v (size, count, n), then the plant."""
     p = family.params
     N = p["N"]
     name = family.name
 
     if name == "lp-small":
-        n = p["n"]
         var = N * N if side == "D1" else (1.0 + 4.0 * p["eps"]) ** 2 * N * N
-        x = _dg_matrix(var, (n,), rng)
-        return HardInstance(family, side, x)
+        return _dg_matrix(var, (size, p["n"]), rng), {}
 
     if name == "lp-large":
         n, pw, eps = p["n"], p["p"], p["eps"]
         t = _lp_large_t(p)
-        x = _dg_matrix(N * N, (n,), rng)
+        x = _dg_matrix(N * N, (size, n), rng)
         if side == "D1":
-            return HardInstance(family, side, x)
+            return x, {}
         E = expected_p_norm(n - t, pw)
         C = p["C"] if "C" in p else calibrate_family(family)["C"]
         mag = int(round(C * eps ** (1.0 / pw) * N * E / t ** (1.0 / pw)))
-        T = rng.choice(n, size=t, replace=False)
-        z = x.copy()
-        z[T] += mag
-        return HardInstance(family, side, z, {"T": sorted(int(i) for i in T), "mag": mag})
+        Ts = [sorted(int(i) for i in rng.choice(n, size=t, replace=False))
+              for _ in range(size)]
+        for row, T in zip(x, Ts):
+            row[T] += mag
+        return x, {"T": Ts, "mag": mag}
 
     if name in _MATRIX:
         m, n_cols = _block_shape(family)
-        X = _dg_matrix(N * N, (m, n_cols), rng)
+        X = _dg_matrix(N * N, (size, m, n_cols), rng)
         wit = {}
         if name == "psd":
             # calibration fills c_psd, so it runs before the spike is sized
             wit["shift"] = p["shift"] if "shift" in p else calibrate_family(family)["shift"]
         if side == "D2":
             # spike factors u_i, v_i with entries from D(0, N), rounded
-            # integer spike round(s1 * sum_i u_i v_i^T)
+            # integer spike round(s1 * sum_i u_i v_i^T); each term is
+            # s1 * (u_i v_i^T), in place, so a chunk of the sketched TVD
+            # allocates no temporary beyond the product
             s1 = family.spike_scale()
             count = p["s"] if name == "kyfan" else 1
-            us = _dg_matrix(N, (count, m), rng)
-            vs = _dg_matrix(N, (count, n_cols), rng)
-            spike_real = np.zeros((m, n_cols))
-            for u, v in zip(us, vs):
-                spike_real += s1 * np.outer(u.astype(float), v.astype(float))
-            spike = np.rint(spike_real).astype(np.int64)
-            X = X + spike
+            us = _dg_matrix(N, (size, count, m), rng)
+            vs = _dg_matrix(N, (size, count, n_cols), rng)
+            uf, vf = us.astype(float), vs.astype(float)
+            spike = uf[:, 0, :, None] * vf[:, 0, None, :]
+            spike *= s1
+            for i in range(1, count):
+                spike += s1 * (uf[:, i, :, None] * vf[:, i, None, :])
+            spike = np.rint(spike, out=spike).astype(np.int64)
+            X += spike
             wit.update({"u": us, "v": vs, "s1": s1, "spike": spike})
         if name == "psd":
-            M = np.zeros((2 * m, 2 * m), dtype=np.int64)
-            M[:m, m:] = X
-            M[m:, :m] = X.T
+            M = np.zeros((size, 2 * m, 2 * m), dtype=np.int64)
+            M[:, :m, m:] = X
+            M[:, m:, :m] = X.transpose(0, 2, 1)
             M += wit["shift"] * np.eye(2 * m, dtype=np.int64)
             X = M
-        return HardInstance(family, side, X, wit)
+        return X, wit
 
     # cs
     n, k, eps = p["n"], p["k"], p["eps"]
-    noise_var = eps * N * k / n
-    w = _dg_matrix(noise_var, (n,), rng)
+    w = _dg_matrix(eps * N * k / n, (size, n), rng)
     if side == "D1":
-        return HardInstance(family, side, w)
+        return w, {}
     count = p.get("family_count", default_support_count(n, k))
     fam_sets = support_family(n, k, count, seed=p.get("family_seed", 11))
-    S = fam_sets[rng.integers(0, len(fam_sets))]
-    root = math.isqrt(int(N))
-    signs = rng.choice(np.array([-1, 1], dtype=np.int64), size=k)
-    z = np.zeros(n, dtype=np.int64)
-    z[list(S)] = signs * root
-    return HardInstance(family, side, z + w, {"S": list(S), "z": z})
+    Ss = [list(fam_sets[j]) for j in rng.integers(0, len(fam_sets), size=size)]
+    signs = rng.choice(np.array([-1, 1], dtype=np.int64), size=(size, k))
+    z = np.zeros((size, n), dtype=np.int64)
+    for row, S, sg in zip(z, Ss, signs):
+        row[S] = sg * math.isqrt(int(N))
+    return z + w, {"S": Ss, "z": z}
+
+
+def gen_hard_instance(family: HardFamily, side, rng) -> HardInstance:
+    """Sample one labeled instance: D1 = null construction, D2 = planted."""
+    X, wit = _draw(family, side, 1, as_generator(rng))
+    return HardInstance(family, side, X[0],
+                        {k: v if np.isscalar(v) else v[0] for k, v in wit.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +555,8 @@ def verify_gap_event(instance: HardInstance, thresholds=None):
 def gap_event_battery(family: HardFamily, pairs, seed=101):
     """Generate `pairs` seeded D1/D2 instance pairs and count how often each
     side's separating event holds."""
+    if pairs < 1:
+        raise BadParams(f"the gap battery needs at least one pair, got {pairs}")
     thresholds = calibrate_family(family)
     ok = 0
     details = []
@@ -617,7 +630,10 @@ def sketched_indistinguishability(family: HardFamily, d, trials, rng):
     sides under a fixed random orthonormal sketch.
 
     Histogram TVD estimation is only feasible in low dimension (d <= 3).
+    Both sides are drawn by the one instance generator, _TVD_CHUNK at a time.
     """
+    if d < 1:
+        raise BadParams(f"sketch dimension d must be at least 1, got {d}")
     if d > 3:
         raise DimensionTooLarge("histogram TVD estimation needs d <= 3")
     rng = as_generator(rng)
@@ -629,27 +645,10 @@ def sketched_indistinguishability(family: HardFamily, d, trials, rng):
 
     def images(side):
         out = np.empty((trials, d))
-        if family.name not in _SPIKED:  # generic (slower) path
-            for i in range(trials):
-                inst = gen_hard_instance(family, side, rng)
-                out[i] = inst.payload.reshape(-1).astype(float) @ B.T
-            return out
-        # the spiked families' instances, drawn _TVD_CHUNK at a time
-        shape = probe.payload.shape
-        N = family.params["N"]
-        count = family.params["s"] if family.name == "kyfan" else 1
         for done in range(0, trials, _TVD_CHUNK):
             c = min(_TVD_CHUNK, trials - done)
-            G = _dg_matrix(N * N, (c,) + shape, rng)
-            if side == "D2":
-                s1 = family.spike_scale()
-                spike = np.zeros((c,) + shape)
-                for _ in range(count):
-                    u = _dg_matrix(N, (c, shape[0]), rng).astype(float)
-                    v = _dg_matrix(N, (c, shape[1]), rng).astype(float)
-                    spike += s1 * u[:, :, None] * v[:, None, :]
-                G = G + np.rint(spike).astype(np.int64)
-            out[done:done + c] = G.reshape(c, dim).astype(float) @ B.T
+            X, _ = _draw(family, side, c, rng)
+            out[done:done + c] = X.reshape(c, dim).astype(float) @ B.T
         return out
 
     img1 = images("D1")

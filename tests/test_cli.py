@@ -331,6 +331,35 @@ class TestOtherCommands:
                      "--params", '{"n": 16, "s1": 0.0}', "--d", "1",
                      "--trials", "3000"]) == 0
 
+    @pytest.mark.parametrize("argv, why", [
+        (["harddist", "tvd", "--family", "opnorm-alpha", "--params", '{"n": 16}',
+          "--d", "0"], "d must be at least 1"),
+        (["harddist", "tvd", "--family", "opnorm-alpha", "--params", '{"n": 16}',
+          "--d", "-1"], "d must be at least 1"),
+        (["harddist", "gen", "--family", "cs", "--count", "0"], "--count must be at least 1"),
+        (["harddist", "gap", "--family", "eigen", "--params", '{"d": 16}', "--pairs", "0"],
+         "at least one pair"),
+    ], ids=["tvd-d0", "tvd-d-1", "gen-count0", "gap-pairs0"])
+    def test_harddist_bad_sizes_exit_1(self, capsys, argv, why):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and why in err
+
+    def test_stats_check_cell_lemma_bound_follows_trials(self, capsys):
+        # at 2,000 trials seed 0's noise path reads TVD 0.0625, above the old
+        # fixed 0.05; each path is held to its own samples' null bound
+        for trials in (2000, 20_000):
+            rc = main(["stats", "check", "cell-lemma", "--trials", str(trials), "--seed", "0"])
+            rep = json.loads(capsys.readouterr().out)
+            assert rep["false_fail_rate"] == stats.TVD_NULL_LEVEL
+            for path in ("noise", "round"):
+                tvd = rep[f"tvd_{path}_path"]
+                assert tvd["n1"] == tvd["n2"] == trials
+                assert rep[f"pass_{path}_path"] == (tvd["value"] <= tvd["null_bound"])
+            assert rc == (0 if rep["pass"] else 2)
+            if trials == 2000:
+                assert rep["tvd_noise_path"]["value"] > 0.05 and rc == 0
+
     def test_suite_acceptance_subset(self):
         assert main(["suite", "acceptance", "--fast", "--only", "5,6"]) == 0
 

@@ -96,10 +96,12 @@ class TestSample1d:
         x = dgauss.sample_dgauss_1d(25.0, rng, size=1_000_000)
         assert gof_pvalue(x, 25.0, 30) > GOF_FLOOR
 
-    def test_gof_table_branch(self):
-        rng = derive(21, "gof-small")
-        x = dgauss.sample_dgauss_1d(2.5, rng, size=500_000)
-        assert gof_pvalue(x, 2.5, 8) > GOF_FLOOR
+    def test_gof_small_variance(self):
+        # below sigma^2 = 4 the draws come from the same rejection loop
+        for s2, radius in ((0.3, 4), (2.5, 8)):
+            rng = derive(21, "gof-small", str(s2))
+            x = dgauss.sample_dgauss_1d(s2, rng, size=500_000)
+            assert gof_pvalue(x, s2, radius) > GOF_FLOOR, s2
 
     def test_seed_determinism(self):
         a = dgauss.sample_dgauss_1d(50.0, derive(5, "det"), size=1000)

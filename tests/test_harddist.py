@@ -223,6 +223,10 @@ class TestGapEvents:
         assert d1 >= 999
         assert d2 >= 999
 
+    def test_battery_needs_a_pair(self):
+        with pytest.raises(BadParams):
+            gap_event_battery(HardFamily("eigen", {"d": 16}), pairs=0)
+
     def test_eigen_pairs(self):
         fam = HardFamily("eigen", {"d": 32, "eps": 0.1})
         rep = gap_event_battery(fam, pairs=30, seed=52)
@@ -388,11 +392,64 @@ def _assert_jacobi_spectrum(X):
     assert np.all(np.abs(got[:4] - ref[:4]) <= 1e-12 * ref[:4])
 
 
+# every family at a small size: a TVD chunk of 250 default opnorm-eps
+# instances (6400 x 64 each) would take gigabytes
+SMALL_FAMILIES = {
+    "lp-small": {"n": 64},
+    "lp-large": {"n": 64},
+    "opnorm-alpha": {"n": 16},
+    "opnorm-eps": {"d": 8, "eps": 0.2},
+    "kyfan": {"n": 16, "s": 2},
+    "eigen": {"d": 16},
+    "psd": {"d": 16},
+    "cs": {"n": 64, "k": 4},
+}
+
+
 class TestSketchedIndistinguishability:
     def test_dimension_guard(self):
         fam = HardFamily("opnorm-alpha", {"n": 16})
         with pytest.raises(DimensionTooLarge):
             sketched_indistinguishability(fam, d=4, trials=2000, rng=derive(54, "d"))
+        for d in (0, -1):
+            with pytest.raises(BadParams):
+                sketched_indistinguishability(fam, d=d, trials=2000, rng=derive(54, "d"))
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_every_family_draws_through_the_generator(self, name, monkeypatch):
+        # both sides come from the one instance generator in _TVD_CHUNK
+        # batches, after the D1 probe that sizes the sketch
+        calls = []
+        draw = harddist._draw
+
+        def spy(family, side, size, rng):
+            calls.append((side, size))
+            return draw(family, side, size, rng)
+
+        monkeypatch.setattr(harddist, "_draw", spy)
+        fam = HardFamily(name, SMALL_FAMILIES[name])
+        trials = 1100
+        rep = sketched_indistinguishability(fam, d=2, trials=trials, rng=derive(54, "all", name))
+        chunks = [harddist._TVD_CHUNK] * (trials // harddist._TVD_CHUNK) + [100]
+        assert calls == [("D1", 1)] + [("D1", c) for c in chunks] + [("D2", c) for c in chunks]
+        tvd = rep["tvd"]
+        assert tvd["n1"] == tvd["n2"] == trials and 0.0 <= tvd["value"] <= 1.0
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_every_batched_row_is_planted(self, name):
+        # each row of a batch carries its own plant: at the defaults every
+        # row of a D2 batch meets the D2 event, and a matrix row's spike is
+        # the rounded s1 sum_j u_j v_j^T of its own factors
+        fam = HardFamily(name)
+        X, wit = harddist._draw(fam, "D2", 3, derive(54, "batch", name))
+        assert X.shape[0] == 3
+        for i in range(3):
+            row = {k: v if np.isscalar(v) else v[i] for k, v in wit.items()}
+            assert verify_gap_event(harddist.HardInstance(fam, "D2", X[i], row))["event_holds"]
+            if "spike" in row:
+                pairs = zip(row["u"].astype(float), row["v"].astype(float))
+                want = np.rint(sum(row["s1"] * np.outer(u, v) for u, v in pairs))
+                assert np.array_equal(row["spike"], want)
 
     def test_null_and_spiked(self):
         n = 16

@@ -1,8 +1,9 @@
 """Stream guard: SHA-256 digests of fixed-seed draws from every sampler path,
 of a small attack transcript, and of the exact integer layer's outputs
 (batch products in each tier, a turnstile value past int64, the n = 256
-kernel bases and auto alpha) and of seeded set-up constants (the cs support
-family and the median-estimator corrections).
+kernel bases and auto alpha), of seeded set-up constants (the cs support
+family and the median-estimator corrections), of every hard family's
+instances and of the benchmark's sketched TVD values.
 
 A fixed seed must give the same bits. A change that moves one of these
 digests changes a random stream or an exact result; if that is deliberate,
@@ -11,6 +12,7 @@ update the digest here and record in CHANGES.md which output changed and why.
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ import pytest
 from sketchlab import dgauss
 from sketchlab.acceptance import auto_alpha
 from sketchlab.attack import AttackConfig, run_attack
-from sketchlab.harddist import support_family
+from sketchlab.harddist import (HardFamily, gen_hard_instance, sketched_indistinguishability,
+                                support_family)
 from sketchlab.lattice import integer_kernel_basis, pairwise_reduced_kernel
 from sketchlab.numerics import OrthonormalBasis
 from sketchlab.rng import derive
@@ -163,3 +166,47 @@ MEDIAN_CORRECTION = {
 def test_median_correction(family, r):
     sk = build_sketch(family, 128, r, seed=17)
     assert json_digest(sk.estimator["median_correction"]) == MEDIAN_CORRECTION[family, r]
+
+
+# gen_hard_instance at each family's defaults, keyed by (family, side): the
+# digest of [payload shape, payload digest, witness as JSON]
+HARD_INSTANCE = {
+    ("lp-small", "D1"): "a7731384c854b38d17f2d5d650c12b4bf3ef1887634327794ba200af1eb280b1",
+    ("lp-small", "D2"): "59f0443f9fa700cfb1a3951663b91436989e155b8dd0606f7255bd9e30f90fee",
+    ("lp-large", "D1"): "d0c5e28a1f4bc420754c84d7a4b8fddb12726192815bbecc51046e43a94a25b0",
+    ("lp-large", "D2"): "c22aefb176688a417b735d2701b385e863a516ed4f38a57eb4a4343441fe5c2b",
+    ("opnorm-alpha", "D1"): "aed83127934404d355857c3484fbb91ed194188ab521c32762b96f4262fba9ce",
+    ("opnorm-alpha", "D2"): "0567c781ad99e02d3c9a49b3109954b574c2855a62c856bba651add6b54d8e31",
+    ("opnorm-eps", "D1"): "b863567b4ce1a566161dc8850c11a8b0f8b231893d270b81430853db397385eb",
+    ("opnorm-eps", "D2"): "84b9ccac6c516e542ebfcf39bbd515dd12c832c6d5ad78412e28531cf9eebb45",
+    ("kyfan", "D1"): "f85eb2853a8d3af27fb3f46a304f38237ac6a6e9d1ac55d29a20160d41bdfaae",
+    ("kyfan", "D2"): "da386953532305ff95ec88dfac3f095f03cd6ef37260da56505097cd670bc30f",
+    ("eigen", "D1"): "135d2ca128bebbba3e8e86bb4c7bf0a8d556b0ae698c70e1cab657d888c025db",
+    ("eigen", "D2"): "640d5eeded302a032e39c1aaf8896edc69f6ea347d74f91fc30b67fe6653db92",
+    ("psd", "D1"): "345e08552ac6ad0625b127105b0559219d2a222fa9ef3761f24a66acafb128a5",
+    ("psd", "D2"): "eda4a9c778359257e7137efde92f0cc6cd82dd74b33c4c3692d7d2ca4f2c2842",
+    ("cs", "D1"): "c541b0779cf85866a8c1a04219734132afd4afa30ad0e88fdc95dbc1b84cdfdf",
+    ("cs", "D2"): "75f0e3c7143a77511714db4bc0a5e5341b32588e7a6902d17d82d72579504f65",
+}
+
+
+@pytest.mark.parametrize("family, side", HARD_INSTANCE)
+def test_hard_instance(family, side):
+    inst = gen_hard_instance(HardFamily(family), side, derive(14, "streams", "hard", family, side))
+    witness = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
+               for k, v in inst.witness.items()}
+    got = json_digest([list(inst.payload.shape), digest(inst.payload), witness])
+    assert got == HARD_INSTANCE[family, side]
+
+
+# the harddist benchmark's opnorm-alpha TVD (n = 32, 10,000 trials per side)
+# at seed 1, keyed by its spike label and scale
+SKETCHED_TVD = {("small", 0.1): 0.02380000000000001, ("large", 40.0): 0.7124999999999999}
+
+
+@pytest.mark.parametrize("label, spike", SKETCHED_TVD)
+def test_sketched_tvd(label, spike):
+    fam = HardFamily("opnorm-alpha", {"n": 32, "alpha": 2.0, "s1": spike / math.sqrt(32)})
+    rep = sketched_indistinguishability(fam, d=1, trials=10_000,
+                                        rng=derive(1, "bench-tvd", label))
+    assert rep["tvd"]["value"] == SKETCHED_TVD[label, spike]
