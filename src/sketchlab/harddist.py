@@ -42,7 +42,10 @@ _CAL_SEED, _CAL_TRIALS = 23, 40
 # N (sqrt(m) +- sqrt(n) +- t): each edge is crossed with probability at most
 # exp(-t^2/2) < 1e-4 (psd's shift, criterion 12's interval)
 _SV_TAIL_T = 4.3
-_TVD_CHUNK = 250  # instances the sketched TVD draws at once per side
+# the sketched TVD draws at most _TVD_CHUNK instances at once per side, and
+# at most _TVD_CHUNK_ENTRIES payload entries (250 instances of 1024) unless
+# one instance is larger, so each of a chunk's arrays stays a few MB
+_TVD_CHUNK, _TVD_CHUNK_ENTRIES = 250, 256_000
 
 
 @dataclass
@@ -630,7 +633,8 @@ def sketched_indistinguishability(family: HardFamily, d, trials, rng):
     sides under a fixed random orthonormal sketch.
 
     Histogram TVD estimation is only feasible in low dimension (d <= 3).
-    Both sides are drawn by the one instance generator, _TVD_CHUNK at a time.
+    Both sides are drawn by the one instance generator in chunks of
+    min(_TVD_CHUNK, _TVD_CHUNK_ENTRIES // dim) instances, at least one.
     """
     if d < 1:
         raise BadParams(f"sketch dimension d must be at least 1, got {d}")
@@ -643,10 +647,12 @@ def sketched_indistinguishability(family: HardFamily, d, trials, rng):
     Bq, _ = np.linalg.qr(Braw)
     B = Bq.T  # (d, dim) orthonormal rows
 
+    chunk = min(_TVD_CHUNK, max(1, _TVD_CHUNK_ENTRIES // dim))
+
     def images(side):
         out = np.empty((trials, d))
-        for done in range(0, trials, _TVD_CHUNK):
-            c = min(_TVD_CHUNK, trials - done)
+        for done in range(0, trials, chunk):
+            c = min(chunk, trials - done)
             X, _ = _draw(family, side, c, rng)
             out[done:done + c] = X.reshape(c, dim).astype(float) @ B.T
         return out

@@ -11,7 +11,7 @@ import pytest
 import sketchlab
 from sketchlab import acceptance, dgauss, harddist, stats
 from sketchlab.attack import FailureCertificate, verify_certificate
-from sketchlab.cli import EXPLOITS_WRITTEN, _load_schema, load_config, main
+from sketchlab.cli import EXPLOITS_WRITTEN, _load_schema, _violation, load_config, main
 from sketchlab.rng import derive
 from sketchlab.sketch import GapNormOracle
 
@@ -184,6 +184,19 @@ class TestAttackRun:
     def test_missing_field_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, {"attack": {"n": 64}}, "m.json")
         assert main(["attack", "run", "--config", cfg]) == 1
+
+    @pytest.mark.parametrize("text", ['{"seed": 1, "attack": {', None],
+                             ids=["truncated", "missing"])
+    def test_unreadable_config_exit_1(self, tmp_path, capsys, text):
+        # a malformed or missing file is one config error line naming the
+        # file, not a traceback
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        rc = main(["attack", "run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error in '{path}': ") and err.count("\n") == 1
 
     def test_exploits_are_the_verification_exploits(self, tmp_path):
         # exploits.json holds, per seed, the first EXPLOITS_WRITTEN exploits
@@ -386,7 +399,8 @@ class TestImportHygiene:
 
     def test_cold_import_loads_only_numpy_past_the_stdlib(self):
         # packages on disk that the imports add, beyond the standard library;
-        # mpmath and jsonschema load only where a caller needs them
+        # mpmath loads only where a caller needs it, and jsonschema, a test
+        # oracle, never loads (test_config_check_loads_no_jsonschema)
         code = ("import sys; before = set(sys.modules); "
                 "import sketchlab, sketchlab.cli, sketchlab.acceptance, sketchlab.harddist; "
                 "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
@@ -397,6 +411,118 @@ class TestImportHygiene:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True, timeout=120)
         assert proc.stdout.strip() == "['numpy', 'sketchlab']"
+
+
+    def test_config_check_loads_no_jsonschema(self, tmp_path):
+        # checking the shipped demo config and a small attack run, each in a
+        # fresh interpreter, never import jsonschema
+        demo = str(Path(__file__).resolve().parent.parent / "demos" / "projection_r8_n128.json")
+        cfg, out = write_cfg(tmp_path, ATTACK_CFG), str(tmp_path / "o")
+        code = ("import sys; from sketchlab.cli import load_config, main; "
+                "load_config(sys.argv[1]); "
+                "rc = main(['attack', 'run', '--config', sys.argv[2], '--out', sys.argv[3]]); "
+                "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema'), "
+                "file=sys.stderr)")
+        src = os.path.dirname(os.path.dirname(sketchlab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code, demo, cfg, out], env=env,
+                              capture_output=True, text=True, check=True, timeout=300)
+        assert proc.stderr.strip().splitlines()[-1] == "0 []"
+
+
+# every value a mutated config field takes in the cross-check against
+# jsonschema: each JSON type, bounds on either side of every minimum, the
+# schema's own constants, and arrays with bad items
+MUTATION_VALUES = [
+    None, True, False, 0, 1, -1, 2, 7, 8, 99, 100, 0.0, 0.5, 1.0, 2.5, -0.5, 8.0,
+    7.5, 1e9, "", "auto", "geometric", "zeta", "sign", "projection-threshold",
+    [], [0], [0, 3], [1.5], [2.0], ["a"], [None], {}, {"kind": "geometric"},
+    {"points": 1},
+]
+
+# a config that sets every property of the shipped schema
+FULL_CFG = {
+    "seed": 7,
+    "out": "o",
+    "attack": dict(ATTACK_CFG["attack"], family_params={"k": 1}, round_cap=3,
+                   zeta=0.25, verify=True),
+}
+
+
+def _mutations():
+    """Each property of the shipped schema set to each MUTATION_VALUE and
+    removed, and one unknown key added at each object level."""
+    def walk(schema, path):
+        yield path, schema
+        for key, sub in schema.get("properties", {}).items():
+            yield from walk(sub, (*path, key))
+
+    def at(path, edit):
+        cfg = json.loads(json.dumps(FULL_CFG))
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        edit(parent, path[-1])
+        return cfg
+
+    for path, schema in walk(_load_schema(), ()):
+        if path:
+            for value in MUTATION_VALUES:
+                yield at(path, lambda obj, key, value=value: obj.__setitem__(key, value))
+            yield at(path, lambda obj, key: obj.pop(key))
+        if schema.get("type") == "object":
+            yield at((*path, "unknown"), lambda obj, key: obj.__setitem__(key, 1))
+
+
+class TestConfigCheck:
+    def test_agrees_with_jsonschema(self):
+        # the package's schema check against jsonschema's best match, on
+        # accept/reject and the error path, over single-field mutations; the
+        # messages agree too, except where best_match descends into oneOf
+        from jsonschema.exceptions import best_match
+        from jsonschema.validators import validator_for
+
+        schema = _load_schema()
+        oracle = validator_for(schema)(schema)
+        cases = list(_mutations())
+        rejected, wrong = 0, []
+        for cfg in cases:
+            ours = _violation(schema, cfg)
+            theirs = best_match(oracle.iter_errors(cfg))
+            rejected += theirs is not None
+            if (None if ours is None else list(ours[0])) != (
+                    None if theirs is None else list(theirs.absolute_path)):
+                wrong.append((cfg, ours, theirs and theirs.message))
+            elif theirs is not None and theirs.parent is None and ours[1] != theirs.message:
+                wrong.append((cfg, ours, theirs.message))  # wording, past oneOf
+        assert _violation(schema, FULL_CFG) is None
+        assert wrong == []
+        assert len(cases) > 500 and 0 < rejected < len(cases)
+
+    def test_json_semantics_beyond_the_shipped_schema(self):
+        # draft 2020-12 rules the shipped schema does not reach today: true
+        # is not 1, 1.0 is an integer, and oneOf means exactly one
+        assert _violation({"const": 1}, True) == ((), "1 was expected")
+        assert _violation({"enum": [1]}, 1.0) is None
+        assert _violation({"type": "integer"}, 3.0) is None
+        both = {"oneOf": [{"type": "number"}, {"type": "integer"}]}
+        assert _violation(both, 1.5) is None
+        assert _violation(both, 1) == ((), "1 is valid under more than one of the given schemas")
+
+    @pytest.mark.parametrize("where,keyword", [
+        (("properties", "out"), {"pattern": "^o"}),
+        ((), {"additionalProperties": {"type": "integer"}}),
+    ], ids=["pattern", "additional-properties-schema"])
+    def test_uninterpreted_keyword_raises(self, where, keyword):
+        # a schema keyword the check does not interpret is refused, never
+        # skipped
+        schema = _load_schema()
+        node = schema
+        for key in where:
+            node = node[key]
+        node.update(keyword)
+        with pytest.raises(ValueError, match=next(iter(keyword))):
+            _violation(schema, FULL_CFG)
 
 
 class TestShippedExampleConfig:

@@ -417,23 +417,48 @@ class TestSketchedIndistinguishability:
 
     @pytest.mark.parametrize("name", FAMILY_NAMES)
     def test_every_family_draws_through_the_generator(self, name, monkeypatch):
-        # both sides come from the one instance generator in _TVD_CHUNK
-        # batches, after the D1 probe that sizes the sketch
+        # both sides come from the one instance generator, after the D1 probe
+        # that sizes the sketch, in chunks of 250 instances or 256,000
+        # entries, whichever is fewer: opnorm-eps's 1600-entry blocks come
+        # 160 at a time
         calls = []
         draw = harddist._draw
 
         def spy(family, side, size, rng):
-            calls.append((side, size))
-            return draw(family, side, size, rng)
+            X, wit = draw(family, side, size, rng)
+            calls.append((side, size, X[0].size))
+            return X, wit
 
         monkeypatch.setattr(harddist, "_draw", spy)
         fam = HardFamily(name, SMALL_FAMILIES[name])
         trials = 1100
         rep = sketched_indistinguishability(fam, d=2, trials=trials, rng=derive(54, "all", name))
-        chunks = [harddist._TVD_CHUNK] * (trials // harddist._TVD_CHUNK) + [100]
-        assert calls == [("D1", 1)] + [("D1", c) for c in chunks] + [("D2", c) for c in chunks]
+        dim = calls[0][2]
+        chunk = min(250, 256_000 // dim)
+        chunks = [chunk] * (trials // chunk) + [trials % chunk] * (trials % chunk > 0)
+        assert calls == ([("D1", 1, dim)] + [("D1", c, dim) for c in chunks]
+                         + [("D2", c, dim) for c in chunks])
+        assert (chunk < 250) == (name == "opnorm-eps")
         tvd = rep["tvd"]
         assert tvd["n1"] == tvd["n2"] == trials and 0.0 <= tvd["value"] <= 1.0
+
+    def test_chunks_stay_within_the_entry_budget(self, monkeypatch):
+        # at opnorm-eps's defaults one instance is a 6400 x 64 block, so the
+        # TVD draws one instance at a time, not 250 (some GB per chunk)
+        fam = HardFamily("opnorm-eps")
+        shape = harddist._block_shape(fam)
+        assert shape == (6400, 64)
+        sizes = []
+
+        def zeros(family, side, size, rng):
+            sizes.append(size)
+            return np.zeros((size, *shape), dtype=np.int64), {}
+
+        monkeypatch.setattr(harddist, "_draw", zeros)
+        rep = sketched_indistinguishability(fam, d=1, trials=1000, rng=derive(54, "budget"))
+        assert rep["tvd"]["n1"] == rep["tvd"]["n2"] == 1000
+        # 409,600 entries each: past the 256,000-entry budget, so one per call
+        assert sizes == [1] * 2001
 
     @pytest.mark.parametrize("name", FAMILY_NAMES)
     def test_every_batched_row_is_planted(self, name):
