@@ -9,6 +9,7 @@ construction.
 """
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -58,6 +59,9 @@ class HardFamily:
         if name not in _DEFAULTS:
             raise BadParams(f"unknown family {name!r}")
         p = dict(self.params)
+        for key, value in p.items():
+            if not isinstance(value, numbers.Real):
+                raise BadParams(f"{name} param {key!r} must be a number, got {value!r}")
         for key, value in _DEFAULTS[name].items():
             p.setdefault(key, value)
         if name == "lp-small":
@@ -344,13 +348,34 @@ def gen_hard_instance(family: HardFamily, side, rng) -> HardInstance:
 def calibrate_family(family: HardFamily):
     """Fit the family's existential constants from a null-side batch.
 
-    Results are cached on the family object and recorded in every gap report.
-    Calibration also fills the family's derived spike parameters (gamma1, a,
-    gamma, c_e, c_psd, shift, C) when not explicitly given.
+    The batch is drawn at the fixed seed _CAL_SEED, so the fit is a pure
+    function of the family's name and params. It is memoized per process,
+    keyed by both as they stand before calibration, so an equal family
+    reuses it without drawing again. The result is recorded in every gap
+    report; each family object keeps its own copy and gets it back on every
+    call. Calibration also fills the family's derived spike parameters
+    (gamma1, a, gamma, c_e, shift, c_psd) when not explicitly given;
+    lp-large's C is reported with the thresholds.
     """
     cached = getattr(family, "_calibration", None)
     if cached is not None:
         return cached
+    # each value with its type: 64 and 64.0 hash alike, but only one is a size
+    key = frozenset((k, type(v), v) for k, v in family.params.items())
+    thresholds, derived = _fit_calibration(family.name, key)
+    for k, v in derived:
+        family.params.setdefault(k, v)
+    family._calibration = dict(thresholds)
+    return family._calibration
+
+
+@lru_cache(maxsize=64)
+def _fit_calibration(name, key):
+    """calibrate_family's fit for the params {k: v for k, _, v in key}: the
+    thresholds, and the derived parameters as (key, value) pairs in the
+    order they fill."""
+    family = HardFamily(name, {k: v for k, _, v in key})
+    given = set(family.params)
     rng = derive(_CAL_SEED, "calibrate", family.name)
     p = family.params
     N = p["N"]
@@ -494,8 +519,7 @@ def calibrate_family(family: HardFamily):
         root = math.isqrt(int(N))
         out.update({"detect": root / 2.0})
 
-    family._calibration = out
-    return out
+    return out, tuple((k, v) for k, v in p.items() if k not in given)
 
 
 # how a statistic meets its threshold when each side's event holds; every

@@ -358,6 +358,14 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and why in err
 
+    @pytest.mark.parametrize("value", ["[64]", '{"d": 64}', '"64"'],
+                             ids=["list", "dict", "string"])
+    def test_harddist_non_number_param_exits_1(self, capsys, value):
+        argv = ["harddist", "gen", "--family", "opnorm-alpha", "--params", f'{{"n": {value}}}']
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: opnorm-alpha param 'n' must be a number, got {json.loads(value)!r}\n"
+
     def test_stats_check_cell_lemma_bound_follows_trials(self, capsys):
         # at 2,000 trials seed 0's noise path reads TVD 0.0625, above the old
         # fixed 0.05; each path is held to its own samples' null bound

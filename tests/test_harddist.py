@@ -41,6 +41,9 @@ class TestFamilies:
                 HardFamily("lp-large", {"p": bad})
         with pytest.raises(BadParams):
             HardFamily("cs", {"n": 256, "k": 8, "N": 1_000_001})
+        for bad in ([64], {"n": 64}, "64", None):
+            with pytest.raises(BadParams, match="'n' must be a number"):
+                HardFamily("opnorm-alpha", {"n": bad})
 
     def test_default_params_in_fill_order(self):
         inf = math.inf
@@ -274,6 +277,68 @@ class TestGapEvents:
         assert c["C_cal"] == a["C_cal"]
 
 
+class TestCalibrationMemo:
+    # each case's params and the derived parameters calibration fills
+    CASES = [("opnorm-alpha", {"n": 16}, ["gamma1"]),
+             ("psd", {"d": 16}, ["shift", "c_psd"]),
+             ("lp-large", {"n": 64}, [])]
+
+    @pytest.mark.parametrize("name, params, derived", CASES)
+    def test_equal_family_draws_nothing(self, name, params, derived, monkeypatch):
+        harddist._fit_calibration.cache_clear()
+        first = HardFamily(name, dict(params))
+        keys = list(first.params)
+        want = calibrate_family(first)
+        assert list(first.params) == keys + derived
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("calibration drew again")
+
+        monkeypatch.setattr(harddist.dgauss, "sample_dgauss_1d", no_draw)
+        # the memo's key ignores the params' order: `first` lists its given
+        # keys first, this family lists every key in the defaults' order
+        fam = HardFamily(name, {**harddist._DEFAULTS[name], **params})
+        keys = list(fam.params)
+        assert keys != list(first.params)[:len(keys)]
+        got = calibrate_family(fam)
+        assert got == want and got is not want
+        assert calibrate_family(fam) is got
+        assert fam.params == first.params
+        assert list(fam.params) == keys + derived
+
+    @pytest.mark.parametrize("name, params, key, value", [
+        ("opnorm-alpha", {"n": 16}, "gamma1", 9.0),
+        ("psd", {"d": 16}, "shift", 123_456),
+    ])
+    def test_given_derived_constant_is_kept(self, name, params, key, value):
+        filled = HardFamily(name, dict(params))
+        calibrate_family(filled)
+        assert filled.params[key] != value
+        fam = HardFamily(name, {**params, key: value})
+        thresholds = calibrate_family(fam)
+        assert fam.params[key] == value
+        # the thresholds are fit for the given value, not read from the
+        # default entry; psd reports the shift it derives, whatever is given
+        if key == "gamma1":
+            assert thresholds["gamma1"] == value
+        else:
+            assert thresholds["shift"] == filled.params["shift"]
+            assert fam.spike_scale() == filled.spike_scale()
+        again = HardFamily(name, dict(params))
+        calibrate_family(again)
+        assert again.params[key] == filled.params[key]
+
+    def test_edits_stay_with_their_object(self):
+        a = HardFamily("eigen", {"d": 16})
+        thresholds = calibrate_family(a)
+        want_thr, want_params = dict(thresholds), dict(a.params)
+        thresholds["lo"] = -1.0
+        a.params["c_e"] = 0.0
+        b = HardFamily("eigen", {"d": 16})
+        assert calibrate_family(b) == want_thr
+        assert b.params == want_params
+
+
 class TestStructuralChecks:
     def test_mgf_zero_coupling(self):
         rep = mgf_cross_term_check(0.0, 1e4, 50_000, derive(53, "m0"))
@@ -367,6 +432,8 @@ class TestGramSpectrum:
         def no_svd(*args, **kwargs):
             raise AssertionError("np.linalg.svd called")
 
+        # an earlier test's memoized calibration would skip the fit
+        harddist._fit_calibration.cache_clear()
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         small = {"opnorm-alpha": {"n": 16}, "opnorm-eps": {"d": 8, "eps": 0.2},
                  "kyfan": {"n": 16, "s": 2}, "eigen": {"d": 16}, "psd": {"d": 16}}

@@ -3,7 +3,7 @@ of a small attack transcript, and of the exact integer layer's outputs
 (batch products in each tier, a turnstile value past int64, the n = 256
 kernel bases and auto alpha), of seeded set-up constants (the cs support
 family and the median-estimator corrections), of every hard family's
-instances and of the benchmark's sketched TVD values.
+instances and calibration, and of the benchmark's sketched TVD values.
 
 A fixed seed must give the same bits. A change that moves one of these
 digests changes a random stream or an exact result; if that is deliberate,
@@ -20,8 +20,8 @@ import pytest
 from sketchlab import dgauss
 from sketchlab.acceptance import auto_alpha
 from sketchlab.attack import AttackConfig, run_attack
-from sketchlab.harddist import (HardFamily, gen_hard_instance, sketched_indistinguishability,
-                                support_family)
+from sketchlab.harddist import (FAMILY_NAMES, HardFamily, calibrate_family, gen_hard_instance,
+                                sketched_indistinguishability, support_family)
 from sketchlab.lattice import integer_kernel_basis, pairwise_reduced_kernel
 from sketchlab.numerics import OrthonormalBasis
 from sketchlab.rng import derive
@@ -197,6 +197,27 @@ def test_hard_instance(family, side):
                for k, v in inst.witness.items()}
     got = json_digest([list(inst.payload.shape), digest(inst.payload), witness])
     assert got == HARD_INSTANCE[family, side]
+
+
+# calibrate_family at each family's defaults: the digest of [thresholds,
+# filled params] as JSON, so every value and the key order of both count
+CALIBRATION = {
+    "lp-small": "9bbfc816858d2008305e6eac377c2420ba1c9b7830aaff5731eb53328e3f0cda",
+    "lp-large": "dac585f93b6a38e5e1b3c4ac48bc2812029244071d84d8b03b26d30e7d93b0ff",
+    "opnorm-alpha": "80ad1e6900b9ee769e63f44185f6e92da5b90af90400e006b31408d870b81b60",
+    "opnorm-eps": "d9d8df31a7ff06470e5f4106cc82ead7f4184c32a733b6c423df5fe67c00d08f",
+    "kyfan": "5d206bc7fd4b2936b557cea7a5cdfddff431b62ef9ac7f0312a3c43555f8aefe",
+    "eigen": "2d22087adf3eb6f655535813f3634b940091156e6f3844579a33b77313d926ca",
+    "psd": "066ad85544b20f7d784c92951db5ebfcedffb436774fbce0cf097369a4cf9a43",
+    "cs": "f88d9cf208677989a6dbc5bfe8edd2bab7ce6bf2d3824c4d362c6606da1cf775",
+}
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_calibration(family):
+    fam = HardFamily(family)
+    thresholds = calibrate_family(fam)
+    assert json_digest([thresholds, fam.params]) == CALIBRATION[family]
 
 
 # the harddist benchmark's opnorm-alpha TVD (n = 32, 10,000 trials per side)
