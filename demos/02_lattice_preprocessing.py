@@ -1,6 +1,7 @@
 """Integer-lattice machinery: exact kernels, Siegel-style short vectors, the
-row-adding pre-processing that makes a sketch's orthogonal lattice short, and
-the fundamental-cell structure used to blur sketched values.
+row-adding pre-processing that makes a sketch's orthogonal lattice short (its
+3r rows one LLL-reduced kernel basis), and the fundamental-cell structure used
+to blur sketched values.
 
 Run: python demos/02_lattice_preprocessing.py
 """
@@ -40,7 +41,9 @@ print(f"  linf = {max(abs(x) for x in v)}, bound (nM)^(r/(n-r)) = {bound:.2f}")
 C = rng.integers(-50, 51, size=(3, 32))
 Ap, basis = preprocess_sketch(IntMatrix.from_rows(C, bound=50))
 print(f"\npre-processing a 3x32 sketch (M=50):")
-print(f"  rows after: {Ap.rows} (<= 4r = 12)")
+print(f"  rows after: {Ap.rows} (4r = 12)")
+print(f"  largest A' entry: {Ap.max_abs_entry()} (added rows: "
+      f"{int(np.max(np.abs(Ap.entries[3:])))})  M = 50, sqrt(n) M = {math.sqrt(32) * 50:.2f}")
 print(f"  certified orthogonal-basis length: {basis.certified_max_len:.2f}"
       f"  target sqrt(n) M = {math.sqrt(32) * 50:.2f}")
 

@@ -20,11 +20,12 @@ from .attack import (
     run_attack,
     verify_certificate,
 )
-from .errors import LengthBoundUnachieved, NoExploitFound
+from .errors import LengthBoundUnachieved, NoExploitFound, TooManyRows
 from .lattice import (
     IntMatrix,
     pairwise_reduced_kernel,
     preprocess_sketch,
+    reduced_kernel_basis,
     short_kernel_vector,
 )
 from .numerics import OrthonormalBasis, top_right_singular_vector
@@ -48,16 +49,17 @@ def auto_alpha(sketch):
     comes first from the pairwise-reduced HNF kernel basis
     (`lattice.pairwise_reduced_kernel`), kept when every squared length is
     below SAMPLING_FLOOR_ELL_SQ, where the floor binds, and at most n M^2,
-    where pre-processing would keep A' = A. Otherwise, and when r > n/4
-    (TooManyRows), ell is the certified length of the pre-processed sketch
-    (`preprocess_sketch`: kernel + LLL)."""
+    the pre-processing target. Otherwise ell is the longest vector of the
+    LLL-reduced kernel basis of A (`lattice.reduced_kernel_basis`). Raises
+    TooManyRows if r > n/4, as pre-processing would."""
     A, n = sketch.A, sketch.n
+    if 4 * A.rows > n:
+        raise TooManyRows(f"pre-processing requires r <= n/4 (got r={A.rows}, n={n})")
     M = A.max_abs_entry()
     floor_ell_sq = dgauss.SAMPLING_FLOOR_ELL_SQ
-    kb = (pairwise_reduced_kernel(A, min(floor_ell_sq, n * M * M + 1))
-          if 4 * A.rows <= n else None)
+    kb = pairwise_reduced_kernel(A, min(floor_ell_sq, n * M * M + 1))
     if kb is None:
-        _, kb = preprocess_sketch(A)
+        kb = reduced_kernel_basis(A)
     ell = max(kb.certified_max_len, 1.0)
     floor = dgauss.smoothing_sigma2(n, floor_ell_sq)
     return max(dgauss.smoothing_sigma2(n, ell**2), floor), ell
@@ -235,16 +237,19 @@ def criterion_3_siegel(fast):
 @criterion(4, "pre-processing length bound")
 def criterion_4_preprocessing(fast):
     """100 random A in Z^{3x32} with M=50: certified orthogonal-lattice basis
-    length <= sqrt(32)*50 in >= 95 runs."""
+    length <= sqrt(32)*50 in >= 95 runs. Records each run's A' row count and
+    entry bound, and the largest bound."""
     trials = 20 if fast else 100
     rng = derive(4, "prep")
     target = math.sqrt(32) * 50
     good = 0
     failures = []
+    runs = []
     for i in range(trials):
         A = rng.integers(-50, 51, size=(3, 32))
         try:
-            _, kb = preprocess_sketch(IntMatrix.from_rows(A, bound=50))
+            Ap, kb = preprocess_sketch(IntMatrix.from_rows(A, bound=50))
+            runs.append({"rows": Ap.rows, "bound": Ap.bound})
             if kb.certified_max_len <= target:
                 good += 1
             else:
@@ -252,7 +257,8 @@ def criterion_4_preprocessing(fast):
         except LengthBoundUnachieved as exc:
             failures.append({"trial": i, "achieved": exc.achieved})
     ok = good >= int(0.95 * trials)
-    return ok, {"good": good, "trials": trials, "target": target, "failures": failures}
+    return ok, {"good": good, "trials": trials, "target": target, "failures": failures,
+                "runs": runs, "max_bound": max((run["bound"] for run in runs), default=None)}
 
 
 @criterion(5, "pmf ratio (discrete vs rounded continuous)")

@@ -91,13 +91,12 @@ class FailureCertificate:
     round: int
 
     def __post_init__(self):
-        a, b = self.alpha, self.alpha * self.B
-        if self.side == "high" and not (self.sigma2 >= a * self.B / 2.0):
-            raise ValueError("high-side certificate needs sigma^2 >= alpha*B/2")
-        if self.side == "low" and not (self.sigma2 <= 2.0 * a):
-            raise ValueError("low-side certificate needs sigma^2 <= 2*alpha")
+        if self.side == "high" and not (self.sigma2 >= self.alpha * self.B / 2.0):
+            raise BadParams("high-side certificate needs sigma^2 >= alpha*B/2")
+        if self.side == "low" and not (self.sigma2 <= 2.0 * self.alpha):
+            raise BadParams("low-side certificate needs sigma^2 <= 2*alpha")
         if self.side not in ("high", "low"):
-            raise ValueError(f"bad side {self.side}")
+            raise BadParams(f"bad side {self.side}")
 
     @property
     def dim(self):

@@ -14,8 +14,9 @@ uses (jsonschema is a test-only oracle for it); the interpreter refuses a
 schema with any other keyword.
 
 Exit codes: 0 success, 1 error (including an unreadable or malformed config
-file, reported by name, and config schema violations, reported with the
-offending field path), 2 threshold failure in acceptance/check mode.
+file, reported by name, config schema violations, reported with the
+offending field path, and a bad --params, --certificate, --sketch or --in,
+reported in one `error:` line), 2 threshold failure in acceptance/check mode.
 
 Environment: SKETCHLAB_OUT overrides the output directory, SKETCHLAB_THREADS
 the worker count for independent seeded attack runs.
@@ -23,7 +24,6 @@ the worker count for independent seeded attack runs.
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -120,6 +120,16 @@ def _violation(schema, x, path=()):
     return next(filter(None, (_violation(s, v, p) for p, s, v in children)), None)
 
 
+def _read_json(path, what):
+    """The JSON in the file at `path`; BadParams "<what> '<path>': <reason>"
+    when the file is unreadable or malformed."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise BadParams(f"{what} '{path}': {getattr(exc, 'strerror', None) or exc}") from None
+
+
 def load_config(path):
     """Read a config file and check it against the shipped
     config_schema.json with _violation, the package's own interpreter of
@@ -129,11 +139,9 @@ def load_config(path):
     checked against its metaschema here; the test suite does that once,
     and cross-checks _violation against jsonschema."""
     try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except (OSError, ValueError) as exc:
-        print(f"config error in '{path}': {getattr(exc, 'strerror', None) or exc}",
-              file=sys.stderr)
+        cfg = _read_json(path, "config error in")
+    except BadParams as exc:
+        print(exc, file=sys.stderr)
         raise SystemExit(1)
     bad = _violation(_load_schema(), cfg)
     if bad is not None:
@@ -228,21 +236,19 @@ def cmd_attack_run(args):
                 fh.write("\n")
 
     # summary.csv (byte-stable: fixed column order and float repr)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["run_id", "seed", "round", "sigma2", "rate", "m_prime", "score", "accepted"]
-    )
-    for run_id, res in enumerate(results):
-        for rec in res["transcript"]:
-            writer.writerow([
-                run_id, res["run_seed"], rec["round"], repr(rec["sigma2"]),
-                repr(rec["rate"]), rec["m_prime"],
-                "" if rec["score"] is None else repr(rec["score"]),
-                int(rec["accepted"]),
-            ])
-    with open(os.path.join(out_dir, "summary.csv"), "w") as fh:
-        fh.write(buf.getvalue())
+    with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(
+            ["run_id", "seed", "round", "sigma2", "rate", "m_prime", "score", "accepted"]
+        )
+        for run_id, res in enumerate(results):
+            for rec in res["transcript"]:
+                writer.writerow([
+                    run_id, res["run_seed"], rec["round"], repr(rec["sigma2"]),
+                    repr(rec["rate"]), rec["m_prime"],
+                    "" if rec["score"] is None else repr(rec["score"]),
+                    int(rec["accepted"]),
+                ])
 
     certs = [r["certificate"] for r in results]
     _write_json(os.path.join(out_dir, "certificate.json"), certs)
@@ -264,26 +270,36 @@ def cmd_attack_run(args):
     return 0
 
 
-def _load_sketch(path):
+def _params_arg(text):
+    """--params as a dict, {} when absent; BadParams unless a JSON object."""
+    try:
+        params = json.loads(text or "{}")
+    except ValueError as exc:
+        raise BadParams(f"--params is not valid JSON: {exc}") from None
+    if not isinstance(params, dict):
+        raise BadParams(f"--params must be a JSON object, got {text}")
+    return params
+
+
+def _load_sketch(path, option):
     """Rebuild the sketch a `sketch build --out` spec file describes."""
-    with open(path) as fh:
-        spec = json.load(fh)
+    spec = _read_json(path, option)
+    if not (isinstance(spec, dict) and {"family", "n", "r", "seed"} <= spec.keys()):
+        raise BadParams(f"{option} '{path}' is not a sketch spec (family, n, r, seed)")
     return build_sketch(spec["family"], spec["n"], spec["r"],
                         spec.get("params"), seed=spec["seed"])
 
 
 def cmd_attack_verify(args):
-    with open(args.certificate) as fh:
-        payload = json.load(fh)
-    if isinstance(payload, list):
+    payload = _read_json(args.certificate, "--certificate")
+    if isinstance(payload, list):  # certificate.json: one entry per run, null for none
         payload = next((c for c in payload if c), None)
-        if payload is None:
-            print("no certificate in file", file=sys.stderr)
-            return 1
-    cert = FailureCertificate(**payload)
-    sk = _load_sketch(args.sketch)
-    params = GapNormParams(B=cert.B, alpha=cert.alpha)
-    oracle = GapNormOracle(sk, params)
+    try:
+        cert = FailureCertificate(**payload)
+    except TypeError as exc:
+        raise BadParams(f"--certificate '{args.certificate}' holds no certificate: {exc}") from None
+    sk = _load_sketch(args.sketch, "--sketch")
+    oracle = GapNormOracle(sk, GapNormParams(B=cert.B, alpha=cert.alpha))
     try:
         rep = verify_certificate(oracle, cert, args.trials, derive(args.seed, "verify"))
     except NoExploitFound:
@@ -295,8 +311,7 @@ def cmd_attack_verify(args):
 
 
 def cmd_sketch_build(args):
-    params = json.loads(args.params) if args.params else None
-    sk = build_sketch(args.family, args.n, args.r, params, seed=args.seed)
+    sk = build_sketch(args.family, args.n, args.r, _params_arg(args.params), seed=args.seed)
     spec = json.loads(sk.spec_json())
     if args.out:
         _write_json(args.out, spec)
@@ -305,7 +320,7 @@ def cmd_sketch_build(args):
 
 
 def cmd_sketch_info(args):
-    sk = _load_sketch(getattr(args, "in"))
+    sk = _load_sketch(getattr(args, "in"), "--in")
     info = {
         "family": sk.family,
         "n": sk.n,
@@ -322,8 +337,7 @@ def cmd_sketch_info(args):
 def _family_from_args(args):
     """The family, calibrated: calibration fills the spike parameters that
     D2 instances are drawn with."""
-    params = json.loads(args.params) if args.params else {}
-    fam = harddist.HardFamily(args.family, params)
+    fam = harddist.HardFamily(args.family, _params_arg(args.params))
     harddist.calibrate_family(fam)
     return fam
 
@@ -395,16 +409,13 @@ def cmd_stats_check(args):
             ("pm", args.a), args.sigma2, args.d, args.trials, rng
         )
         ok = rep["ok"]
-    elif name == "tvd-null":
+    else:  # tvd-null; argparse's choices admit no other name
         x = rng.standard_normal(args.trials)
         y = rng.standard_normal(args.trials)
         est = stats.empirical_tvd(x, y, rng=rng)
         bound = stats.tvd_null_bound(x, y, rng=rng)
         rep = dict(est.as_dict(), bound=bound, false_fail_rate=stats.TVD_NULL_LEVEL)
         ok = est.value <= bound
-    else:
-        print(f"unknown check {name}", file=sys.stderr)
-        return 1
     print(json.dumps(rep, indent=2, default=_json_default))
     return 0 if ok else 2
 

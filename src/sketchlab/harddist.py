@@ -489,8 +489,8 @@ def _fit_calibration(name, key):
             # (Davidson-Szarek) and sigma1 is N-Lipschitz in the standardized
             # entries, so it exceeds N (2 sqrt(d) + t) with probability at
             # most exp(-t^2/2); the D(0, N^2) entries are taken as Gaussian
-            shift = int(math.ceil(N * (2.0 * math.sqrt(d) + _SV_TAIL_T)))
-            p.setdefault("shift", shift)
+            p.setdefault("shift", int(math.ceil(N * (2.0 * math.sqrt(d) + _SV_TAIL_T))))
+            shift = p["shift"]
             # required top singular value of H for the eps-far event, solved
             # by a short fixed point (the Schatten norm of the shifted
             # embedding depends on sigma1 itself); the bulk spectrum is

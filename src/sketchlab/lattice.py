@@ -1,5 +1,6 @@
 """Integer lattice machinery: kernel bases, Siegel-style short kernel vectors,
-sketch pre-processing, LLL reduction, and rounding in the column lattice.
+sketch pre-processing from two LLL-reduced kernel bases, LLL reduction, and
+rounding in the column lattice.
 
 All kernel/HNF arithmetic is exact (int64 under a guard, Python big integers
 past it); A @ v = 0 holds exactly, never within tolerance. Floating point
@@ -180,20 +181,19 @@ def short_kernel_vector(A: IntMatrix):
     return best
 
 
-def preprocess_sketch(A: IntMatrix, short_circuit=True):
-    """Pre-process a sketch so its orthogonal lattice has a short certified basis.
+def preprocess_sketch(A: IntMatrix):
+    """The paper's pre-processing: A' = [A; Y], whose orthogonal lattice has a
+    short certified basis.
 
-    Returns (A', kernel_basis) where A' contains A's rows plus at most 3r
-    Siegel-style rows, and kernel_basis holds >= n - 4r independent integer
-    vectors orthogonal to every row of A', each of length <= sqrt(n) * M
-    (certified_max_len records the realized maximum).
+    S is the n - 4r shortest vectors of the LLL-reduced kernel of A, each of
+    length <= sqrt(n) * M; Y is the LLL-reduced basis of ker([A; S]) ∩ Z^n,
+    3r vectors for a full-row-rank A, so A' has 4r rows, A's first. Returns
+    (A', S) with S checked exactly against A' and certified_max_len S's
+    longest length.
 
-    With short_circuit=True (default), if the full reduced kernel of A already
-    meets the bound, A' = A and the full kernel is returned.
-
-    Raises TooManyRows if r > 0.25 n, LengthBoundUnachieved when even the
-    n - 4r shortest reduced kernel vectors exceed the target (surfaced with
-    the best achieved length, never hidden).
+    Raises TooManyRows if r > 0.25 n, LengthBoundUnachieved when the n - 4r
+    shortest reduced kernel vectors exceed the target (surfaced with the best
+    achieved length, never hidden).
     """
     r, n = A.rows, A.cols
     if r > 0.25 * n:
@@ -201,34 +201,17 @@ def preprocess_sketch(A: IntMatrix, short_circuit=True):
     M = max(1, A.max_abs_entry())
     target = math.sqrt(n) * M
 
-    full = reduced_kernel_basis(A)
-    if short_circuit and full.certified_max_len <= target:
-        return A, full
-
     keep = n - 4 * r
-    short_set = full.vectors[:keep]
+    short_set = reduced_kernel_basis(A).vectors[:keep]
     achieved = math.sqrt(intlinalg.norm_sq(short_set[-1])) if short_set else 0.0
     if achieved > target:
         raise LengthBoundUnachieved(
             f"best {keep} kernel vectors reach length {achieved:.3f} > target {target:.3f}",
-            achieved=achieved,
-            target=target,
-        )
+            achieved=achieved, target=target)
 
-    # iterated Siegel rows: each orthogonal to A's rows, the short set, and
-    # the rows added so far
-    added = []
-    base_rows = A.to_lists()
-    for _ in range(3 * r):
-        stacked = base_rows + short_set + added
-        S = IntMatrix.from_rows(stacked)
-        if S.rows >= n:
-            break
-        y = short_kernel_vector(S)
-        added.append(y)
-
-    new_rows = base_rows + added
-    A_prime = IntMatrix.from_rows(new_rows)
+    rows = A.to_lists()
+    A_prime = IntMatrix.from_rows(
+        rows + reduced_kernel_basis(IntMatrix.from_rows(rows + short_set)).vectors)
     result = KernelBasis(n, short_set, achieved)
     result.check_against(A_prime)
     return A_prime, result
@@ -268,12 +251,10 @@ class CellRounder:
         B = self.basis.astype(float)
         # Gram-Schmidt of the basis rows for nearest-plane rounding
         Bstar = np.zeros_like(B)
-        mu = np.zeros((r, r))
         for i in range(r):
             Bstar[i] = B[i]
             for j in range(i):
-                mu[i, j] = (B[i] @ Bstar[j]) / (Bstar[j] @ Bstar[j])
-                Bstar[i] = Bstar[i] - mu[i, j] * Bstar[j]
+                Bstar[i] = Bstar[i] - (B[i] @ Bstar[j]) / (Bstar[j] @ Bstar[j]) * Bstar[j]
         self._gs = (B, Bstar)
 
     @property

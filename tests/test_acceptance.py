@@ -39,3 +39,12 @@ def test_criteria_registered_in_id_order():
     rec = _run(5)
     assert list(rec) == ["id", "name", "ok", "elapsed_s", "detail"]
     assert rec["id"] == 5 and rec["ok"] is True
+
+
+def test_preprocessing_rows_and_entries():
+    # criterion 4's A' on every run: 4r = 12 rows, every entry within
+    # sqrt(32) * 50, checked in integers
+    detail = _run(4)["detail"]
+    assert detail["good"] == detail["trials"]
+    assert all(run["rows"] == 12 for run in detail["runs"])
+    assert detail["max_bound"] ** 2 <= 32 * 50**2

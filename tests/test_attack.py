@@ -269,7 +269,7 @@ class TestVerifyCertificate:
             verify_certificate(oracle, cert, trials=2000, rng=derive(43, "v1"), n=n)
 
     def test_certificate_side_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadParams):
             FailureCertificate(subspace=[], sigma2=ALPHA, side="high",
                                empirical_rate=0.0, sample_count=1, zeta=0.1,
                                alpha=ALPHA, B=8.0, round=1)

@@ -366,6 +366,52 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert err == f"error: opnorm-alpha param 'n' must be a number, got {json.loads(value)!r}\n"
 
+    @pytest.mark.parametrize("argv, why", [
+        (["sketch", "build", "--family", "sign", "--n", "16", "--r", "2", "--params", "[1]"],
+         "--params must be a JSON object"),
+        (["sketch", "build", "--family", "sign", "--n", "16", "--r", "2", "--params", "{"],
+         "--params is not valid JSON"),
+        (["harddist", "gen", "--family", "opnorm-alpha", "--params", "[1]"],
+         "--params must be a JSON object"),
+        (["harddist", "gen", "--family", "opnorm-alpha", "--params", "{"],
+         "--params is not valid JSON"),
+        (["harddist", "gap", "--family", "eigen", "--params", "[1]"],
+         "--params must be a JSON object"),
+        (["harddist", "tvd", "--family", "opnorm-alpha", "--params", "{"],
+         "--params is not valid JSON"),
+        (["attack", "verify", "--certificate", "missing.json", "--sketch", "sk.json"],
+         "--certificate '"),
+        (["attack", "verify", "--certificate", "garbage.json", "--sketch", "sk.json"],
+         "--certificate '"),
+        (["attack", "verify", "--certificate", "sk.json", "--sketch", "sk.json"],
+         "holds no certificate"),
+        (["attack", "verify", "--certificate", "low.json", "--sketch", "sk.json"],
+         "low-side certificate needs sigma^2 <= 2*alpha"),
+        (["attack", "verify", "--certificate", "cert.json", "--sketch", "missing.json"],
+         "--sketch '"),
+        (["attack", "verify", "--certificate", "cert.json", "--sketch", "garbage.json"],
+         "--sketch '"),
+        (["sketch", "info", "--in", "missing.json"], "--in '"),
+        (["sketch", "info", "--in", "garbage.json"], "--in '"),
+        (["sketch", "info", "--in", "cert.json"], "is not a sketch spec"),
+    ], ids=["build-list", "build-json", "gen-list", "gen-json", "gap-list", "tvd-json",
+            "cert-missing", "cert-malformed", "cert-not-certificate", "cert-bad-side",
+            "sketch-missing", "sketch-malformed", "in-missing", "in-malformed", "in-not-spec"])
+    def test_bad_input_exits_1_with_one_line(self, tmp_path, capsys, argv, why):
+        cert = {"subspace": [[1.0] + [0.0] * 15], "sigma2": 4.0, "side": "high",
+                "empirical_rate": 0.2, "sample_count": 100, "zeta": 0.1, "alpha": 0.5,
+                "B": 8.0, "round": 1}
+        (tmp_path / "cert.json").write_text(json.dumps([cert]))
+        (tmp_path / "low.json").write_text(json.dumps(dict(cert, side="low")))
+        (tmp_path / "garbage.json").write_text("{")
+        assert main(["sketch", "build", "--family", "sign", "--n", "16", "--r", "2",
+                     "--out", str(tmp_path / "sk.json")]) == 0
+        capsys.readouterr()
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and why in err
+
     def test_stats_check_cell_lemma_bound_follows_trials(self, capsys):
         # at 2,000 trials seed 0's noise path reads TVD 0.0625, above the old
         # fixed 0.05; each path is held to its own samples' null bound

@@ -318,12 +318,11 @@ class TestCalibrationMemo:
         thresholds = calibrate_family(fam)
         assert fam.params[key] == value
         # the thresholds are fit for the given value, not read from the
-        # default entry; psd reports the shift it derives, whatever is given
-        if key == "gamma1":
-            assert thresholds["gamma1"] == value
-        else:
-            assert thresholds["shift"] == filled.params["shift"]
-            assert fam.spike_scale() == filled.spike_scale()
+        # default entry; psd sizes its spike for the matrix it shifts
+        assert thresholds[key] == value
+        if key == "shift":
+            assert thresholds["c_psd"] == fam.params["c_psd"] != filled.params["c_psd"]
+            assert thresholds["sigma1_required"] > value
         again = HardFamily(name, dict(params))
         calibrate_family(again)
         assert again.params[key] == filled.params[key]

@@ -320,25 +320,9 @@ class TestArrayElimination:
 
 
 class TestPreprocessSketch:
-    def test_all_ones_row(self):
-        A = IntMatrix.from_rows([[1, 1, 1, 1]], bound=1)
-        Ap, kb = preprocess_sketch(A)
-        assert Ap.rows <= 4
-        assert len(kb) >= 3
-        assert kb.certified_max_len <= math.sqrt(4) * 1
-        kb.check_against(Ap)
-
-    def test_identity_prefix_short_circuits(self):
-        rows = np.zeros((2, 16), dtype=np.int64)
-        rows[0, 0] = rows[1, 1] = 1
-        Ap, kb = preprocess_sketch(IntMatrix.from_rows(rows))
-        assert Ap.rows == 2  # already satisfies the bound, no rows added
-        assert len(kb) == 14
-        assert kb.certified_max_len <= 1.0 + 1e-12
-
     def test_forced_row_addition(self):
         A = IntMatrix.from_rows([[1, 1, 1, 1, 1, 1, 1, 1]], bound=1)
-        Ap, kb = preprocess_sketch(A, short_circuit=False)
+        Ap, kb = preprocess_sketch(A)
         assert Ap.rows == 4  # r + 3r rows
         assert len(kb) == 4  # n - 4r
         assert kb.certified_max_len <= math.sqrt(8)
@@ -346,29 +330,30 @@ class TestPreprocessSketch:
         # A' contains A's rows verbatim
         assert Ap.to_lists()[0] == [1] * 8
 
-    def test_forced_siegel_rows_past_int64(self):
-        # criterion 4's first five inputs: the iterated Siegel rows pass
-        # int64, and IntMatrix keeps them as Python integers
+    def test_added_rows_from_one_reduced_basis(self):
+        # criterion 4's first five inputs: 3r = 9 rows from the reduced
+        # basis of ker([A; S]), each entry within sqrt(n) M (in integers)
         rng = derive(4, "prep")
-        n = 32
+        n, M = 32, 50
         for _ in range(5):
-            A = rng.integers(-50, 51, size=(3, n)).tolist()
-            Ap, kb = preprocess_sketch(IntMatrix.from_rows(A, bound=50), short_circuit=False)
+            A = rng.integers(-M, M + 1, size=(3, n)).tolist()
+            Ap, kb = preprocess_sketch(IntMatrix.from_rows(A, bound=M))
             rows = Ap.to_lists()
-            assert rows[:3] == A
+            assert len(rows) == 12 and rows[:3] == A
             kb.check_against(Ap)
-            assert all(sum(a * x for a, x in zip(row, v)) == 0
-                       for row in rows for v in kb.vectors)
-            # each added row y against the matrix S it was drawn from (A's
-            # rows, the short set and the rows added before it):
-            # |y|_inf^(n - r') <= (n M')^r' with r' = rows(S), M' = max|S|
-            for i in range(3, len(rows)):
-                S = rows[:3] + kb.vectors + rows[3:i]
-                r_s, M_s = len(S), max(abs(x) for row in S for x in row)
-                assert max(map(abs, rows[i])) ** (n - r_s) <= (n * M_s) ** r_s
-            assert kb.certified_max_len <= math.sqrt(n) * 50
+            assert all(max(abs(x) for x in y) ** 2 <= n * M * M for y in rows[3:])
+            assert kb.certified_max_len <= math.sqrt(n) * M
         big = IntMatrix.from_rows([[2**63, 0]])
         assert big.to_lists() == [[2**63, 0]] and big.max_abs_entry() == 2**63
+
+    @pytest.mark.parametrize("family", ["sign", "countsketch"])
+    def test_n128_r16_sketch(self, family):
+        sk = build_sketch(family, 128, 16, seed=3)
+        Ap, kb = preprocess_sketch(sk.A)
+        assert Ap.rows == 64 and Ap.entries.dtype == np.int64
+        assert Ap.to_lists()[:16] == sk.A.to_lists()
+        assert len(kb) == 128 - 64
+        assert all(intlinalg.dot(a, v) == 0 for a in Ap.to_lists() for v in kb.vectors)
 
     def test_too_many_rows(self):
         with pytest.raises(TooManyRows):
@@ -395,14 +380,29 @@ class TestPreprocessSketch:
 
 
 class TestReducedKernelBasis:
+    def test_all_ones_row(self):
+        A = IntMatrix.from_rows([[1, 1, 1, 1]], bound=1)
+        kb = reduced_kernel_basis(A)
+        assert len(kb) >= 3
+        assert kb.certified_max_len <= math.sqrt(4) * 1
+        kb.check_against(A)
+
+    def test_identity_prefix_kernel(self):
+        rows = np.zeros((2, 16), dtype=np.int64)
+        rows[0, 0] = rows[1, 1] = 1
+        kb = reduced_kernel_basis(IntMatrix.from_rows(rows))
+        assert len(kb) == 14
+        assert kb.certified_max_len <= 1.0 + 1e-12
+
     def test_is_the_sorted_lll_kernel(self):
         A = family_sketch("sign", 64).A
         kb = reduced_kernel_basis(A)
         assert kb.vectors == reduce_basis(integer_kernel_basis(A).vectors)
         kb.check_against(A)
-        # the length cell_lemma_check and preprocess_sketch certify
+        # the length cell_lemma_check and auto_alpha certify
         assert kb.certified_max_len == max(math.sqrt(norm_sq(v)) for v in kb.vectors)
-        assert preprocess_sketch(A)[1].certified_max_len == kb.certified_max_len
+        # pre-processing keeps its n - 4r shortest vectors
+        assert preprocess_sketch(A)[1].vectors == kb.vectors[:64 - 4 * 8]
 
 
 def skew_basis(vecs):
@@ -422,7 +422,7 @@ def family_sketch(family, n, seed=0):
 
 def lll_alpha(sketch):
     """auto_alpha's value when ell always comes from kernel + LLL."""
-    _, kb = preprocess_sketch(sketch.A)
+    kb = reduced_kernel_basis(sketch.A)
     ell = max(kb.certified_max_len, 1.0)
     return max(dgauss.smoothing_sigma2(sketch.n, ell**2), floor(sketch.n))
 
@@ -448,8 +448,10 @@ class TestAutoAlpha:
     @pytest.mark.parametrize("n", [64, 128])
     @pytest.mark.parametrize("family,lll", [("projection-threshold", 0), ("sign", 0),
                                             ("countsketch", 0), ("rounded-gaussian", 1)])
-    def test_alpha_equals_lll_alpha(self, lll_calls, family, lll, n):
+    def test_alpha_equals_lll_alpha(self, monkeypatch, lll_calls, family, lll, n):
         sk = family_sketch(family, n)
+        monkeypatch.setattr(acceptance, "preprocess_sketch",
+                            lambda A: pytest.fail("auto_alpha pre-processed"))
         alpha, _ = acceptance.auto_alpha(sk)
         assert len(lll_calls) == lll
         assert alpha == lll_alpha(sk)

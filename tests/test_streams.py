@@ -1,9 +1,10 @@
 """Stream guard: SHA-256 digests of fixed-seed draws from every sampler path,
 of a small attack transcript, and of the exact integer layer's outputs
 (batch products in each tier, a turnstile value past int64, the n = 256
-kernel bases and auto alpha), of seeded set-up constants (the cs support
-family and the median-estimator corrections), of every hard family's
-instances and calibration, and of the benchmark's sketched TVD values.
+kernel bases and auto alpha, auto alpha of each family's probe sketch), of
+seeded set-up constants (the cs support family and the median-estimator
+corrections), of every hard family's instances and calibration, and of the
+benchmark's sketched TVD values.
 
 A fixed seed must give the same bits. A change that moves one of these
 digests changes a random stream or an exact result; if that is deliberate,
@@ -145,6 +146,28 @@ def test_n256_kernels_and_auto_alpha():
         "pairwise": "b8a997c3394b90ad1253eb2b6961fc740233e5ca3fa201a872ba9fed576521f9",
         "auto_alpha": "e13797c47fe3329bc4425d4c331ccc3e975b2f34bf3972d413cfbbf1a14e0c6b",
     }
+
+
+# auto_alpha of each family's probe sketch (r = 8, seed 0, as
+# test_lattice.family_sketch builds it) at n = 64 and 128; rounded-gaussian
+# reads 231.74 and 246.51, through LLL
+AUTO_ALPHA = {
+    ("projection-threshold", 64): "7ea1c3cf2fc2d7e4586970fbcf5ab36a822b1261f147c00ea6c3e42d3fe7b195",
+    ("projection-threshold", 128): "87de5a88c506b1dfbdaf0d13c3a3f2905ff257958d03c08a5c85346a0a3544db",
+    ("sign", 64): "1518d652bcc602df9a7b4647b1a3b59ccebfcae6c4e99636622158bcbddf0b48",
+    ("sign", 128): "6ae70f847e4f52322854c5612b78ccb8823040d9d594a60a9867933284713f39",
+    ("countsketch", 64): "cf9fe42db723330d91895a84b0633c6ba0eb157b9755164ae6878d64c831f2ff",
+    ("countsketch", 128): "27bb37d9646f460d23efb425ccc9ab7ce16ddf2aad5f686180ed334cce7da5f9",
+    ("rounded-gaussian", 64): "bc1442f36e900d93da5ce4d9deaed0fb398ce456d6978eac4992acb51dfdf6c3",
+    ("rounded-gaussian", 128): "cc6f0c4f5652667045d80e1931ef145284b11dfcfd7646a11ad1745d81d21c1f",
+}
+
+
+@pytest.mark.parametrize("family, n", AUTO_ALPHA)
+def test_auto_alpha(family, n):
+    params = {"alpha": 1.0, "B": 8.0, "m_cal": 16} if family == "projection-threshold" else {}
+    sk = build_sketch(family, n, 8, params, seed=0)
+    assert json_digest(auto_alpha(sk)) == AUTO_ALPHA[family, n]
 
 
 def test_support_family():
