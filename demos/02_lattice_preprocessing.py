@@ -61,11 +61,5 @@ eta = fundamental_cell_uniform(rounder, rng, size=5)
 recovered = rounder.cell_base_batch(points + eta)
 print(f"\ncolumn-lattice cells for a random 2x8 sketch:")
 print(f"  reduced basis rows: {rounder.basis.tolist()}")
-print(f"  per-axis unit distances (row gcds): {rounder.unit_distances.tolist()}")
 print(f"  cell_base_batch(point + eta) == point for all 5 samples? "
       f"{bool(np.all(recovered == points))}")
-
-# nearest-point rounding (Babai + exact candidate search for r <= 4)
-y = np.array([0.6, -1.4])
-_, p = CellRounder(np.eye(2, dtype=np.int64)).round(y)
-print(f"  nearest lattice point to {y.tolist()} in Z^2: {p.tolist()}")

@@ -11,8 +11,10 @@ from sketchlab.rng import derive
 from sketchlab.sketch import ExactNormOracle, GapNormOracle
 
 # the attack block of a config (config_schema.json); alpha_policy "auto" sets
-# alpha from the certified orthogonal-lattice length of the pre-processed
-# sketch, squared, times ln(2n(1+1/eps))/pi, floored at the sampling margin
+# alpha from the certified length of a reduced basis of the sketch's
+# orthogonal lattice ker(A) (pairwise-reduced, else LLL-reduced; no
+# pre-processing), squared, times ln(2n(1+1/eps))/pi, floored at the
+# sampling margin
 sketch, params, config, how = attack_setup(
     {"n": 128, "r": 8, "family": "projection-threshold", "B": 8.0,
      "alpha_policy": "auto", "m": 2000, "grid": {"points": 16}},

@@ -20,7 +20,7 @@ from .attack import (
     run_attack,
     verify_certificate,
 )
-from .errors import LengthBoundUnachieved, NoExploitFound, TooManyRows
+from .errors import BadParams, LengthBoundUnachieved, NoExploitFound, TooManyRows
 from .lattice import (
     IntMatrix,
     pairwise_reduced_kernel,
@@ -454,7 +454,11 @@ def criterion_14_sketched_tvd(fast):
 
 
 def run_battery(fast=False, only=None, printer=print):
-    """Run the acceptance battery; returns the list of records."""
+    """Run the acceptance battery, or the criteria whose ids are in `only`;
+    returns the list of records. Raises BadParams for an unknown id."""
+    unknown = sorted(set(only or ()) - set(range(1, len(ALL_CRITERIA) + 1)))
+    if unknown:
+        raise BadParams(f"unknown criterion id(s) {unknown}; ids run 1-{len(ALL_CRITERIA)}")
     records = []
     for idx, fn in enumerate(ALL_CRITERIA, start=1):
         if only is not None and idx not in only:

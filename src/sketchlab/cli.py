@@ -281,6 +281,19 @@ def _params_arg(text):
     return params
 
 
+def _number(text, option, kind=float):
+    """One comma-separated token of `option` as a finite `kind`; BadParams
+    otherwise."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        noun = "an integer" if kind is int else "a finite number"
+        raise BadParams(f"{option} token {text!r} is not {noun}")
+    return value
+
+
 def _load_sketch(path, option):
     """Rebuild the sketch a `sketch build --out` spec file describes."""
     spec = _read_json(path, option)
@@ -395,9 +408,8 @@ def cmd_stats_check(args):
         rep = stats.pmf_ratio_check(args.sigma2, args.n, args.C)
         ok = rep["ok"]
     elif name == "normalization":
-        sigmas = [float(s) for s in (args.values.split(",") if args.values
-                                     else ["0.5", "1", "4", "100", "1e6"])]
-        rep = [dgauss.verify_normalization_fact(s) for s in sigmas]
+        tokens = args.values.split(",") if args.values else ["0.5", "1", "4", "100", "1e6"]
+        rep = [dgauss.verify_normalization_fact(_number(s, "--values")) for s in tokens]
         ok = all(r["ok"] for r in rep)
     elif name == "cell-lemma":
         sk = stats.cell_lemma_sketch(args.r, args.n, derive(args.seed, "cell-A"),
@@ -421,7 +433,7 @@ def cmd_stats_check(args):
 
 
 def cmd_suite_acceptance(args):
-    only = set(int(x) for x in args.only.split(",")) if args.only else None
+    only = {_number(x, "--only", int) for x in args.only.split(",")} if args.only else None
     records = acceptance.run_battery(fast=args.fast, only=only)
     if args.out:
         _write_json(args.out, records)

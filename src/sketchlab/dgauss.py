@@ -78,8 +78,11 @@ def verify_normalization_fact(sigma2):
     is certified outright. The lower inequality is tight to within the
     Poisson-summation remainder ~ 2 exp(-2 pi^2 sigma^2), which for large
     sigma^2 is below any finite precision; it is therefore certified to
-    10^(2-dps) relative. Returns bracketing values and `ok`.
+    10^(2-dps) relative. Returns bracketing values and `ok`. Raises
+    NonPositiveVariance for sigma2 <= 0.
     """
+    if not sigma2 > 0:
+        raise NonPositiveVariance(f"sigma2 must be positive, got {sigma2}")
     import mpmath as mp
 
     dps = 50

@@ -1,10 +1,10 @@
 """Integer lattice machinery: kernel bases, Siegel-style short kernel vectors,
 sketch pre-processing from two LLL-reduced kernel bases, LLL reduction, and
-rounding in the column lattice.
+the fundamental cells of the column lattice.
 
 All kernel/HNF arithmetic is exact (int64 under a guard, Python big integers
 past it); A @ v = 0 holds exactly, never within tolerance. Floating point
-appears only in the geometric rounding helpers, where cell sizes dwarf
+appears only in the cell floor and cell noise, where cell sizes dwarf
 representation error, and in picking the multipliers of the pairwise
 reduction, whose results are exact.
 """
@@ -219,79 +219,27 @@ def preprocess_sketch(A: IntMatrix):
 
 @dataclass
 class CellRounder:
-    """Rounding and fundamental-cell structure for the column lattice A Z^n.
-
-    Fields: the generating columns, an LLL-reduced integer basis of the
-    lattice, per-axis unit distances (gcd of each row of A), and cached
-    Gram-Schmidt data for Babai rounding.
-    """
+    """Fundamental cells of the column lattice A Z^n: the generating columns
+    and an LLL-reduced integer basis of the lattice they span, whose
+    parallelepiped is the cell the cell lemma adds noise from."""
 
     generators: np.ndarray          # (r, n) int64, the sketch matrix A
     basis: np.ndarray = field(init=False)       # (r, r) int64 reduced basis rows
-    unit_distances: np.ndarray = field(init=False)
-    exact_cvp: bool = field(init=False)
-    _gs: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         A = np.asarray(self.generators, dtype=np.int64)
-        r, n = A.shape
+        r = A.shape[0]
         # columns of A generate the lattice; a basis is the row HNF of A^T
         hnf = intlinalg.row_hnf([list(map(int, col)) for col in A.T])
         if len(hnf) < r:
             raise DegenerateLattice(
                 f"column lattice has rank {len(hnf)} < r={r}"
             )
-        reduced = reduce_basis([list(v) for v in hnf])
-        self.basis = np.asarray(reduced, dtype=np.int64)
-        self.unit_distances = np.asarray(
-            [math.gcd(*[int(x) for x in row]) if np.any(row) else 0 for row in A],
-            dtype=np.int64,
-        )
-        self.exact_cvp = r <= 4
-        B = self.basis.astype(float)
-        # Gram-Schmidt of the basis rows for nearest-plane rounding
-        Bstar = np.zeros_like(B)
-        for i in range(r):
-            Bstar[i] = B[i]
-            for j in range(i):
-                Bstar[i] = Bstar[i] - (B[i] @ Bstar[j]) / (Bstar[j] @ Bstar[j]) * Bstar[j]
-        self._gs = (B, Bstar)
+        self.basis = np.asarray(reduce_basis([list(v) for v in hnf]), dtype=np.int64)
 
     @property
     def rank(self):
         return self.basis.shape[0]
-
-    def _babai_coeffs(self, y):
-        B, Bstar = self._gs
-        r = self.rank
-        resid = np.asarray(y, dtype=float).copy()
-        coeffs = np.zeros(r, dtype=np.int64)
-        for j in range(r - 1, -1, -1):
-            c = round(float(resid @ Bstar[j]) / float(Bstar[j] @ Bstar[j]))
-            coeffs[j] = c
-            resid -= c * B[j]
-        return coeffs
-
-    def round(self, y):
-        """Nearest lattice point to y (exact for r <= 4 via candidate
-        enumeration around the Babai plane solution; Babai approximation,
-        flagged by .exact_cvp, above that).
-
-        Returns (coeffs, point): point = coeffs @ basis.
-        """
-        coeffs = self._babai_coeffs(y)
-        B = self.basis.astype(float)
-        if self.exact_cvp:
-            r = self.rank
-            grids = np.meshgrid(*([np.array([-1, 0, 1])] * r), indexing="ij")
-            offsets = np.stack([g.ravel() for g in grids], axis=1)
-            cands = coeffs[None, :] + offsets
-            pts = cands.astype(float) @ B
-            d2 = np.sum((pts - np.asarray(y, dtype=float)) ** 2, axis=1)
-            best = int(np.argmin(d2))
-            coeffs = cands[best].astype(np.int64)
-        point = coeffs @ self.basis
-        return coeffs, point
 
     def cell_base_batch(self, Y):
         """Lattice points of the unit cells of the rows of Y: the floor of

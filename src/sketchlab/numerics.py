@@ -106,50 +106,30 @@ def top_right_singular_vector(M):
     return v, float(np.linalg.norm(M @ v))
 
 
-def _forward_solve(L, X):
-    """L^{-1} X for a lower-triangular L with a nonzero diagonal, by forward
-    substitution over its rows."""
-    Y = np.empty_like(X)
-    for k in range(L.shape[0]):
-        Y[k] = (X[k] - L[k, :k] @ Y[:k]) / L[k, k]
-    return Y
-
-
 def orthonormalize_rows(A):
     """Orthonormalize the rows of A, returning (Q, R) with R @ A = Q.
 
     Q has orthonormal rows spanning the rowspan of A; R records the change of
-    basis so sketched values transform as Q x = R (A x). Raises RankDeficient
-    when the numerical rank (pivot threshold 1e-10 * ||A||_2) is below the
-    row count.
+    basis so sketched values transform as Q x = R (A x). Q comes from
+    `np.linalg.qr(A.T)`, signed so that L in A = L Q is lower triangular with
+    a positive diagonal (the Cholesky factor of A A^T), and R = L^{-1}.
+    Raises RankDeficient when r > n or a diagonal entry of L is
+    <= 1e-10 * ||A||_2 (the numerical rank is below the row count).
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.size == 0:
         raise ValueError("A must be a nonempty 2-d matrix")
-    r = A.shape[0]
+    r, n = A.shape
+    if r > n:
+        raise RankDeficient(f"{r} rows in R^{n}")
     norm_a = np.linalg.norm(A, 2)
     if norm_a == 0.0:
         raise RankDeficient("zero matrix")
-    pivot_floor = (RANK_PIVOT_REL * norm_a) ** 2
-
-    def cholesky_transform(X):
-        G = X @ X.T
-        L = np.zeros((r, r))
-        for k in range(r):
-            pivot = G[k, k] - L[k, :k] @ L[k, :k]
-            if pivot <= pivot_floor:
-                raise RankDeficient(
-                    f"pivot {max(pivot, 0.0):.3e} below threshold at row {k}"
-                )
-            L[k, k] = np.sqrt(pivot)
-            if k + 1 < r:
-                L[k + 1:, k] = (G[k + 1:, k] - L[k + 1:, :k] @ L[k, :k]) / L[k, k]
-        Q = _forward_solve(L, X)
-        return Q, L
-
-    Q, L1 = cholesky_transform(A)
-    # refinement pass tightens orthogonality to ~1e-12 for ill-conditioned rows
-    Q2, L2 = cholesky_transform(Q)
-    # Q2 = L2^{-1} L1^{-1} A, so R = (L1 L2)^{-1}
-    R = _forward_solve(L1 @ L2, np.eye(r))
-    return Q2, R
+    Qt, U = np.linalg.qr(A.T)
+    signs = np.where(np.diag(U) < 0.0, -1.0, 1.0)
+    L = (U * signs[:, None]).T
+    low = np.flatnonzero(np.diag(L) <= RANK_PIVOT_REL * norm_a)
+    if low.size:
+        k = int(low[0])
+        raise RankDeficient(f"diagonal {L[k, k]:.3e} of L below threshold at row {k}")
+    return Qt.T * signs[:, None], np.linalg.inv(L)

@@ -11,6 +11,7 @@ A x from turnstile coordinate updates, for queries that arrive as streams.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -222,6 +223,10 @@ def build_sketch(family, n, r, params=None, seed=0):
     if not (1 <= r <= n):
         raise BadParams(f"need 1 <= r <= n, got r={r}, n={n}")
     params = dict(params or {})
+    for key in ("entry_std", "alpha", "B", "groups", "reps", "m_cal"):
+        value = params.get(key, 0.0)
+        if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            raise BadParams(f"{family} param {key!r} must be a finite number, got {value!r}")
     rng = derive(seed, "sketch", family)
     est = {}
 
@@ -238,8 +243,8 @@ def build_sketch(family, n, r, params=None, seed=0):
             raise BadParams("rounded-gaussian entries all zero; increase entry_std")
     elif family == "countsketch":
         reps = int(params.get("reps", max(1, r // 8)))
-        if r % reps != 0:
-            raise BadParams(f"reps={reps} must divide r={r}")
+        if reps < 1 or r % reps != 0:
+            raise BadParams(f"countsketch param 'reps' must be >= 1 and divide r={r}, got {reps}")
         buckets = r // reps
         A = np.zeros((r, n), dtype=np.int64)
         blocks = []
@@ -256,6 +261,8 @@ def build_sketch(family, n, r, params=None, seed=0):
 
     if family == "sign":
         g = int(params.get("groups", min(5, r)))
+        if not 1 <= g <= r:
+            raise BadParams(f"sign param 'groups' must be in [1, r={r}], got {g}")
         groups = np.array_split(np.arange(r), g)
         est["groups"] = groups
         est["median_correction"] = _median_correction(
@@ -270,11 +277,14 @@ def build_sketch(family, n, r, params=None, seed=0):
     elif family == "projection-threshold":
         if "alpha" not in params or "B" not in params:
             raise BadParams("projection-threshold needs params alpha and B")
+        m_cal = int(params.get("m_cal", 4000))
+        if m_cal < 1:
+            raise BadParams(f"projection-threshold param 'm_cal' must be >= 1, got {m_cal}")
         est.update(
             _calibrate_projection_threshold(
                 Q, R, n, r, float(params["alpha"]), float(params["B"]),
                 derive(seed, "sketch-cal", family),
-                m_cal=int(params.get("m_cal", 4000)),
+                m_cal=m_cal,
             )
         )
 

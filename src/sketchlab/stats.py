@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dgauss
-from .errors import DimensionTooLarge, PreconditionUnmet, TooFewSamples
+from .errors import (BadParams, DimensionTooLarge, NonPositiveVariance, PreconditionUnmet,
+                     TooFewSamples)
 from .lattice import CellRounder, fundamental_cell_uniform, reduced_kernel_basis
 from .rng import as_generator
 from .sketch import IntegerSketch
@@ -175,6 +176,8 @@ def pmf_ratio_check(sigma2, n, C, z_range=None):
     (z, z, ..., z) over |z| <= z_range (default 3 sigma) as the n-th power of
     the per-coordinate ratio, and compares against 1/n^C. Deterministic.
     """
+    if n < 1:
+        raise BadParams(f"pmf ratio needs n >= 1, got {n}")
     if sigma2 <= n ** (C + 1):
         raise PreconditionUnmet(
             f"need sigma^2 > n^(C+1) = {n ** (C + 1)}, got {sigma2}"
@@ -201,7 +204,9 @@ def pmf_ratio_check(sigma2, n, C, z_range=None):
 def cell_lemma_sketch(r, n, rng, seed):
     """IntegerSketch of an r x n matrix with entries uniform on [-10, 10],
     redrawn from rng until it has full row rank: the matrix the cell-lemma
-    check runs on."""
+    check runs on. Raises BadParams unless 1 <= r <= n."""
+    if not 1 <= r <= n:
+        raise BadParams(f"cell-lemma sketch needs 1 <= r <= n, got r={r}, n={n}")
     while True:
         A = rng.integers(-10, 11, size=(r, n))
         if np.linalg.matrix_rank(A.astype(float)) == r:
@@ -218,8 +223,9 @@ def cell_lemma_check(sketch, Sigma, trials, rng):
     Also runs the rounding-path variant: the cell-rounded image of a
     continuous Gaussian versus the exact discrete image.
 
-    Sigma may be a scalar (isotropic sigma^2 I, the fast path) or a full
-    covariance matrix. Preconditions (PreconditionUnmet): r <= 4 and
+    Sigma may be a scalar sigma^2 > 0 (isotropic sigma^2 I, the fast path) or
+    a positive-definite covariance matrix; else NonPositiveVariance.
+    Preconditions (PreconditionUnmet): r <= 4 and
     sqrt(min eig Sigma) >= certified kernel length * 10 ln(n). A histogram
     path passes while its TVD is at most `tvd_null_bound` of its own samples
     (recorded as its "null_bound"), so each path false-fails with probability
@@ -229,7 +235,7 @@ def cell_lemma_check(sketch, Sigma, trials, rng):
     A = sketch.A
     r, n = A.rows, A.cols
     if r > 4:
-        raise PreconditionUnmet(f"exact cell rounding needs r <= 4, got {r}")
+        raise PreconditionUnmet(f"the cell lemma's two-sample tests need r <= 4, got {r}")
     isotropic = np.isscalar(Sigma)
     if isotropic:
         sigma2 = float(Sigma)
@@ -237,6 +243,8 @@ def cell_lemma_check(sketch, Sigma, trials, rng):
     else:
         Sigma = np.asarray(Sigma, dtype=float)
         min_eig = float(np.min(np.linalg.eigvalsh(Sigma)))
+    if not min_eig > 0:
+        raise NonPositiveVariance(f"Sigma's least eigenvalue must be positive, got {min_eig}")
     lam = reduced_kernel_basis(A).certified_max_len
     floor = lam * 10.0 * math.log(n)
     if math.sqrt(min_eig) < floor:
@@ -306,10 +314,16 @@ def chi_square_mixture_check(mixture, sigma2, d, trials, rng):
     `mixture` is ("point0",), ("pm", a) for (1/2)(delta_{a e1} + delta_{-a e1}),
     or ("gauss", s) for N(0, s^2 I_d). Asserts LHS <= RHS + 3 combined SE.
     """
+    if d < 1:
+        raise BadParams(f"chi^2 mixture check needs d >= 1, got {d}")
     if d > 2:
         raise DimensionTooLarge("density-ratio estimation limited to d <= 2")
-    rng = as_generator(rng)
+    if not sigma2 > 0:
+        raise NonPositiveVariance(f"sigma2 must be positive, got {sigma2}")
     m = int(trials)
+    if m < 2:
+        raise TooFewSamples(f"chi^2 mixture check needs >= 2 trials, got {m}")
+    rng = as_generator(rng)
     kind = mixture[0]
     sig = math.sqrt(sigma2)
 

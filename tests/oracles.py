@@ -1,9 +1,10 @@
 """Independent oracles used by the tests: Jacobi SVD, brute-force lattice
 enumeration, closed-form TVD, quadrature, the scanned envelope constant of
-the discrete Gaussian sampler, the all-integer LLL with its
-inner products on Python integers, and the HNF kernel, canonical HNF and
-lattice equality with row operations on Python integer lists, and E ||g||_p
-by mpmath quadrature. These deliberately avoid the code paths they check."""
+the discrete Gaussian sampler, row orthonormalization by Cholesky QR2, the
+all-integer LLL with its inner products on Python integers, and the HNF
+kernel, canonical HNF and lattice equality with row operations on Python
+integer lists, and E ||g||_p by mpmath quadrature. These deliberately avoid
+the code paths they check."""
 
 import itertools
 import math
@@ -74,23 +75,6 @@ def brute_shortest_lattice_vector(basis, coeff_bound=3):
     return math.sqrt(best)
 
 
-def brute_closest_lattice_point(basis, y, coeff_radius=4, center_coeffs=None):
-    """Exhaustive CVP over an integer-coefficient box around center_coeffs."""
-    B = np.asarray(basis, dtype=float)
-    k = B.shape[0]
-    if center_coeffs is None:
-        center_coeffs = np.rint(np.linalg.lstsq(B.T, np.asarray(y, float), rcond=None)[0])
-    best, best_d = None, np.inf
-    ranges = [range(int(c) - coeff_radius, int(c) + coeff_radius + 1)
-              for c in center_coeffs]
-    for coeffs in itertools.product(*ranges):
-        p = np.asarray(coeffs, float) @ B
-        d = float(np.linalg.norm(p - y))
-        if d < best_d:
-            best_d, best = d, p
-    return best, best_d
-
-
 def tvd_two_gaussians_1d(mu1, s1, mu2, s2):
     """Closed-form-ish TVD via numerically locating density crossings."""
     f = lambda x: norm.pdf(x, mu1, s1) - norm.pdf(x, mu2, s2)
@@ -141,6 +125,42 @@ def ref_centered_envelope(sigma2):
     w = np.exp(-z * z / (2.0 * sigma2))
     q = _ref_rounded_gaussian_pmf(z, sigma)
     return float(np.max(w / q)) * (1.0 + 1e-9), K
+
+
+# -- reference row orthonormalization -----------------------------------------
+# Cholesky QR run twice, with its own forward substitution: the way
+# sketchlab.numerics.orthonormalize_rows first computed (Q, R).
+
+def _forward_solve(L, X):
+    """L^{-1} X for a lower-triangular L with a nonzero diagonal."""
+    Y = np.empty_like(X)
+    for k in range(L.shape[0]):
+        Y[k] = (X[k] - L[k, :k] @ Y[:k]) / L[k, k]
+    return Y
+
+
+def ref_cholesky_qr2(A, pivot_rel=1e-10):
+    """(Q, R) with R A = Q and orthonormal rows Q, by Cholesky QR plus one
+    refinement pass. Raises ValueError when a squared pivot is
+    <= (pivot_rel ||A||_2)^2."""
+    A = np.asarray(A, dtype=float)
+    r = A.shape[0]
+    pivot_floor = (pivot_rel * np.linalg.norm(A, 2)) ** 2
+
+    def cholesky_transform(X):
+        G = X @ X.T
+        L = np.zeros((r, r))
+        for k in range(r):
+            pivot = G[k, k] - L[k, :k] @ L[k, :k]
+            if pivot <= pivot_floor:
+                raise ValueError(f"pivot {pivot:.3e} below threshold at row {k}")
+            L[k, k] = np.sqrt(pivot)
+            L[k + 1:, k] = (G[k + 1:, k] - L[k + 1:, :k] @ L[k, :k]) / L[k, k]
+        return _forward_solve(L, X), L
+
+    Q, L1 = cholesky_transform(A)
+    Q2, L2 = cholesky_transform(Q)
+    return Q2, _forward_solve(L1 @ L2, np.eye(r))
 
 
 def ref_lll_reduce_int(basis, delta=(99, 100)):

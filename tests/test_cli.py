@@ -284,6 +284,18 @@ class TestAttackSetup:
         assert load_config(path)["attack"] == acceptance.ATTACK
 
 
+# build_sketch params that each raise BadParams naming the key: (family,
+# params, message after "<family> param ") for r = 4
+BAD_FAMILY_PARAMS = [
+    ("sign", {"groups": 0}, "'groups' must be in [1, r=4], got 0"),
+    ("sign", {"groups": "x"}, "'groups' must be a finite number, got 'x'"),
+    ("countsketch", {"reps": 0}, "'reps' must be >= 1 and divide r=4, got 0"),
+    ("countsketch", {"reps": 3}, "'reps' must be >= 1 and divide r=4, got 3"),
+    ("projection-threshold", {"alpha": 1, "B": 8, "m_cal": 0}, "'m_cal' must be >= 1, got 0"),
+    ("rounded-gaussian", {"entry_std": [1]}, "'entry_std' must be a finite number, got [1]"),
+]
+
+
 class TestOtherCommands:
     def test_stats_check_pmf_ratio(self):
         rc = main(["stats", "check", "pmf-ratio", "--n", "10", "--C", "2",
@@ -411,6 +423,61 @@ class TestOtherCommands:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and why in err
+
+    @pytest.mark.parametrize("via, family, params, why", [
+        (via, *case) for via in ("sketch-build", "attack-run") for case in BAD_FAMILY_PARAMS
+    ] + [
+        # an attack block sets alpha and B itself
+        ("sketch-build", "projection-threshold", {"alpha": "1", "B": 8},
+         "'alpha' must be a finite number, got '1'"),
+        ("sketch-build", "projection-threshold", {"alpha": 1, "B": None},
+         "'B' must be a finite number, got None"),
+    ])
+    def test_bad_family_params_exit_1(self, tmp_path, capsys, via, family, params, why):
+        if via == "sketch-build":
+            argv = ["sketch", "build", "--family", family, "--n", "64", "--r", "4",
+                    "--params", json.dumps(params)]
+        else:
+            cfg = json.loads(json.dumps(ATTACK_CFG))
+            cfg["attack"].update(family=family, family_params=params)
+            argv = ["attack", "run", "--config", write_cfg(tmp_path, cfg),
+                    "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {family} param {why}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, why", [
+        (["normalization", "--values", "abc"], "--values token 'abc' is not a finite number"),
+        (["normalization", "--values", "1,nan"], "--values token 'nan' is not a finite number"),
+        (["normalization", "--values", "-1"], "sigma2 must be positive, got -1.0"),
+        (["pmf-ratio", "--n", "0"], "pmf ratio needs n >= 1, got 0"),
+        (["cell-lemma", "--r", "0"], "cell-lemma sketch needs 1 <= r <= n, got r=0, n=10"),
+        (["cell-lemma", "--r", "3", "--n", "2"], "needs 1 <= r <= n, got r=3, n=2"),
+        (["cell-lemma", "--sigma2", "-1"], "least eigenvalue must be positive, got -1.0"),
+        (["chi2-mixture", "--d", "0"], "chi^2 mixture check needs d >= 1, got 0"),
+        (["chi2-mixture", "--sigma2", "-1"], "sigma2 must be positive, got -1.0"),
+        (["chi2-mixture", "--trials", "1"], "needs >= 2 trials, got 1"),
+    ], ids=["values-abc", "values-nan", "values-negative", "pmf-n0", "cell-r0", "cell-r-above-n", "cell-sigma2-negative",
+            "chi2-d0", "chi2-sigma2-negative", "chi2-trials1"])
+    def test_stats_check_bad_numbers_exit_1(self, capsys, argv, why):
+        assert main(["stats", "check", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and why in err
+
+    @pytest.mark.parametrize("only, why", [
+        ("99", "unknown criterion id(s) [99]; ids run 1-14"),
+        ("5,0", "unknown criterion id(s) [0]"),
+        ("abc", "--only token 'abc' is not an integer"),
+        ("5,", "--only token '' is not an integer"),
+    ], ids=["unknown", "zero", "not-integer", "empty-token"])
+    def test_suite_acceptance_only_refuses_bad_ids(self, capsys, monkeypatch, only, why):
+        ran = []
+        monkeypatch.setattr(acceptance, "ALL_CRITERIA",
+                            [lambda fast, i=i: ran.append(i) for i in range(1, 15)])
+        assert main(["suite", "acceptance", "--only", only]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and why in err
+        assert ran == []
 
     def test_stats_check_cell_lemma_bound_follows_trials(self, capsys):
         # at 2,000 trials seed 0's noise path reads TVD 0.0625, above the old

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    brute_closest_lattice_point,
     brute_shortest_lattice_vector,
     enumerate_integer_kernel,
     ref_kernel_basis_int,
@@ -501,48 +500,9 @@ class TestAutoAlpha:
 
 
 class TestCellRounder:
-    def test_round_identity_lattice(self):
-        rounder = CellRounder(np.eye(2, dtype=np.int64))
-        _, p = rounder.round(np.array([0.6, -1.4]))
-        assert p.tolist() == [1, -1]
-
-    def test_round_even_lattice(self):
-        rounder = CellRounder(2 * np.eye(2, dtype=np.int64))
-        _, p = rounder.round(np.array([0.9, 0.9]))
-        assert p.tolist() == [0, 0]
-
-    def test_round_matches_bruteforce(self):
-        rng = derive(8, "cvp")
-        for _ in range(15):
-            A = rng.integers(-6, 7, size=(2, 6))
-            try:
-                rounder = CellRounder(A)
-            except DegenerateLattice:
-                continue
-            y = rng.uniform(-20, 20, size=2)
-            _, p = rounder.round(y)
-            oracle_p, oracle_d = brute_closest_lattice_point(rounder.basis, y)
-            assert abs(np.linalg.norm(p - y) - oracle_d) <= 1e-9
-
-    def test_round_idempotent_on_lattice_points(self):
-        rng = derive(8, "idem")
-        A = rng.integers(-5, 6, size=(3, 7))
-        rounder = CellRounder(A)
-        for _ in range(10):
-            z = rng.integers(-4, 5, size=7)
-            pt = (A @ z).astype(float)
-            _, p = rounder.round(pt)
-            assert np.allclose(p, pt)
-            _, p2 = rounder.round(p.astype(float))
-            assert np.array_equal(p, p2)
-
     def test_degenerate(self):
         with pytest.raises(DegenerateLattice):
             CellRounder(np.array([[1, 2], [2, 4]], dtype=np.int64))
-
-    def test_unit_distances_are_row_gcds(self):
-        r = CellRounder(np.array([[2, 4, 6], [3, 5, 7]], dtype=np.int64))
-        assert r.unit_distances.tolist() == [2, 1]
 
 
 class TestFundamentalCellUniform:

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import jacobi_svd
-from sketchlab import numerics, sketch
+from oracles import jacobi_svd, ref_cholesky_qr2
+from sketchlab import sketch
 from sketchlab.errors import DegenerateResidual, RankDeficient
 from sketchlab.numerics import (
+    RANK_PIVOT_REL,
     OrthonormalBasis,
     gram_schmidt_residual,
     orthonormalize_rows,
@@ -15,6 +15,7 @@ from sketchlab.numerics import (
     top_right_singular_vector,
 )
 from sketchlab.rng import derive
+from test_streams import straddling_batch
 
 
 class TestGramSchmidtResidual:
@@ -163,9 +164,9 @@ class TestOrthonormalizeRows:
         assert np.max(np.abs(Q.T @ Q - P_oracle)) <= 1e-8
 
     def test_rank_deficient(self):
-        A = np.array([[1.0, 2.0], [2.0, 4.0]])
-        with pytest.raises(RankDeficient):
-            orthonormalize_rows(A)
+        for A in ([[1.0, 2.0], [2.0, 4.0]], np.zeros((2, 3)), np.eye(3)[:, :2]):
+            with pytest.raises(RankDeficient):
+                orthonormalize_rows(A)
 
     def test_idempotence(self):
         rng = derive(3, "idem")
@@ -178,9 +179,9 @@ class TestOrthonormalizeRows:
 
 
 class TestForwardSolve:
-    """orthonormalize_rows solves its two triangular systems by forward
-    substitution; LAPACK's solver (scipy) is the oracle. Q and R may differ
-    from it in their last bits, so the sketches and their oracle bits are
+    """orthonormalize_rows against the Cholesky QR2 reference, which solves
+    its triangular systems by forward substitution. Q and R may differ from
+    it in their last bits, so the sketches and their oracle bits are
     compared, not the bytes."""
 
     @staticmethod
@@ -188,8 +189,7 @@ class TestForwardSolve:
         params = {"alpha": alpha, "B": B}
         sk = sketch.build_sketch(family, n, 8, params, seed=n)
         with monkeypatch.context() as m:
-            m.setattr(numerics, "_forward_solve",
-                      lambda L, X: scipy.linalg.solve_triangular(L, X, lower=True))
+            m.setattr(sketch, "orthonormalize_rows", ref_cholesky_qr2)
             ref = sketch.build_sketch(family, n, 8, params, seed=n)
         return sk, ref
 
@@ -204,12 +204,25 @@ class TestForwardSolve:
         assert np.max(np.abs(sk.Q @ sk.Q.T - np.eye(8))) <= 1e-12
         if "tau" in ref.estimator:
             assert abs(sk.estimator["tau"] / ref.estimator["tau"] - 1.0) <= 1e-12
-        # a batch whose squared norms run from alpha/2 to 2 alpha B, across
-        # the promise gap and tau
-        gen = derive(n, "solve-bits", family)
-        scale = np.sqrt(np.geomspace(alpha / 2.0, 2.0 * alpha * B, 4000))
-        X = np.rint(gen.standard_normal((4000, n)) * scale[:, None]).astype(np.int64)
+        X = straddling_batch(family, n, alpha, B)
         params = sketch.GapNormParams(B=B, alpha=alpha)
         bits = sketch.GapNormOracle(sk, params).query_batch(X)
         assert 0 < np.sum(bits) < bits.size
         assert np.array_equal(bits, sketch.GapNormOracle(ref, params).query_batch(X))
+
+    @pytest.mark.parametrize("factor", (4.0, 0.25))
+    def test_rank_threshold(self, factor):
+        # orthonormal rows scaled by 1 and d: ||A||_2 = 1 and L's diagonal is
+        # (1, d), with d `factor` times the pivot threshold
+        rows = np.linalg.qr(derive(3, "rank-threshold").standard_normal((6, 2)))[0].T
+        A = np.diag([1.0, factor * RANK_PIVOT_REL]) @ rows
+        if factor > 1.0:
+            Q, R = orthonormalize_rows(A)
+            assert np.max(np.abs(Q - ref_cholesky_qr2(A)[0])) <= 1e-9
+            assert np.max(np.abs(Q - rows)) <= 1e-9
+            assert np.max(np.abs(R @ A - Q)) <= 1e-9
+        else:
+            with pytest.raises(RankDeficient):
+                orthonormalize_rows(A)
+            with pytest.raises(ValueError):
+                ref_cholesky_qr2(A)

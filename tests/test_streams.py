@@ -3,7 +3,8 @@ of a small attack transcript, and of the exact integer layer's outputs
 (batch products in each tier, a turnstile value past int64, the n = 256
 kernel bases and auto alpha, auto alpha of each family's probe sketch), of
 seeded set-up constants (the cs support family and the median-estimator
-corrections), of every hard family's instances and calibration, and of the
+corrections), of each sketch family's GapNorm oracle bits, of every hard
+family's instances and calibration, and of the
 benchmark's sketched TVD values.
 
 A fixed seed must give the same bits. A change that moves one of these
@@ -168,6 +169,42 @@ def test_auto_alpha(family, n):
     params = {"alpha": 1.0, "B": 8.0, "m_cal": 16} if family == "projection-threshold" else {}
     sk = build_sketch(family, n, 8, params, seed=0)
     assert json_digest(auto_alpha(sk)) == AUTO_ALPHA[family, n]
+
+
+# GapNormOracle bits of each family's sketch (r = 8, seed n, alpha = 200,
+# B = 8) on 4,000 queries whose squared norms run from alpha/2 to 2 alpha B,
+# across the promise gap and tau
+ORACLE_BITS = {
+    ("sign", 64): "cfd0b544c7adc07c3b8fabf4425ca73cb0b1e729bec2add3dda5abdb31648fb1",
+    ("sign", 128): "afa889d278ea4189ae9a93a37f833ff5e2d8a06ac6c9f2a08afcc50d50370891",
+    ("sign", 256): "953c4326829f33e735cb85d82deaa0c940167620d66c529075cfbb907e53c944",
+    ("rounded-gaussian", 64): "4b49fdd495e3e578ef49a098b149751345cb951abb28a7bab6e496769458e92e",
+    ("rounded-gaussian", 128): "131f4e6504775de6aaf9289981e9364bed6c77fe13497aca75d99f4475fc138b",
+    ("rounded-gaussian", 256): "e240a0289edbef2c39d9e20db46dcc2bd39f53bcdbd8dcfef3ccf5f75195a12a",
+    ("countsketch", 64): "a56ff5d3b415979cb047ac8775a03ca33f7404582bec84cf1ef5a9e0eaf9222c",
+    ("countsketch", 128): "54b12493ac61c8ed36ab5bb575818512c6bdd8a6e76c20241737c67c7b438f6f",
+    ("countsketch", 256): "3d862f08ba882474cd5942eb2346a72a46d26a0df0c07e2b39a9fdc98d5cf3ec",
+    ("projection-threshold", 64): "93ccddb2f503f64c69e84c445feb06df5d32f0746b3ff872acd35ff4bc51f617",
+    ("projection-threshold", 128): "594bbbbce7faa4c110e5a7f13d9f754bf8a21ef8a9de90e5f846a995b8968cb0",
+    ("projection-threshold", 256): "1d0ef565040e30f5abc5c2c22d89d1f3ab8fec478547f15c9d90c2de0debce46",
+}
+
+
+def straddling_batch(family, n, alpha, B, size=4000):
+    """Integer queries whose squared norms run geometrically from alpha/2 to
+    2 alpha B, so their oracle bits cross both the promise gap and tau."""
+    gen = derive(n, "solve-bits", family)
+    scale = np.sqrt(np.geomspace(alpha / 2.0, 2.0 * alpha * B, size))
+    return np.rint(gen.standard_normal((size, n)) * scale[:, None]).astype(np.int64)
+
+
+@pytest.mark.parametrize("family, n", ORACLE_BITS)
+def test_oracle_bits(family, n):
+    alpha, B = 200.0, 8.0
+    sk = build_sketch(family, n, 8, {"alpha": alpha, "B": B}, seed=n)
+    bits = GapNormOracle(sk, GapNormParams(B=B, alpha=alpha)).query_batch(
+        straddling_batch(family, n, alpha, B))
+    assert digest(bits) == ORACLE_BITS[family, n]
 
 
 def test_support_family():
