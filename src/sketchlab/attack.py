@@ -231,8 +231,11 @@ def verify_certificate(oracle, cert: FailureCertificate, trials, rng, n=None):
 
     high side: exploits are queries answered 0 with ||x||^2 > alpha B (n-d)/3;
     low side: answered 1 with ||x||^2 < 3 alpha (n-d). Raises NoExploitFound
-    when no exploit shows up in `trials` queries (certificate spurious).
+    when no exploit shows up in `trials` queries (certificate spurious), and
+    BadParams when trials < 1.
     """
+    if trials < 1:
+        raise BadParams(f"verification needs trials >= 1, got {trials}")
     rng = as_generator(rng)
     if n is None:
         n = oracle.n
@@ -251,9 +254,11 @@ def verify_certificate(oracle, cert: FailureCertificate, trials, rng, n=None):
         raise NoExploitFound(
             f"no exploit in {trials} trials for {cert.side}-side certificate"
         )
+    rows = X[idx]
+    del X  # the batch goes before its exploits become Python lists
     exploits = [
         Exploit(x=x, norm_sq=float(norms[i]), answer=int(answers[i]), wrong=True)
-        for i, x in zip(idx, X[idx].tolist())
+        for i, x in zip(idx, rows.tolist())
     ]
     return {"failure_rate": idx.size / int(trials), "exploits": exploits}
 

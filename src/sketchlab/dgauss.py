@@ -23,7 +23,9 @@ continuous Gaussian, the envelope constant is the exact maximum 1/q(0) of
 target over proposal, and a squeeze accepts most proposals outright. Only the
 candidates, the proposals the squeeze cannot decide, are drawn as Bernoulli
 positions and take a uniform (the squeeze method, Devroye 1986), so a draw
-costs about one normal per coordinate.
+costs about one normal per coordinate. The normals stream through one buffer
+of _BLOCK floats, each block rounded straight into the int64 output, so the
+output is the only batch-sized array a draw holds.
 """
 
 import math
@@ -45,6 +47,7 @@ SMOOTHING_EPS = 1e-6
 # this squared length: 8 r0^2
 SAMPLING_FLOOR_ELL_SQ = 32
 SQUEEZE_BUCKETS = 1024  # buckets of |u| in the two-sided squeeze
+_BLOCK = 65_536  # normals per block of a pass's proposal stream (512 KB)
 _SQRT_HALF = math.sqrt(0.5)
 _erfc = np.vectorize(math.erfc, otypes=[float])
 
@@ -172,10 +175,37 @@ def _candidates(k, p, rng):
     position holds one independently with probability p: partial sums of
     geometric gaps, less one, drawn in chunks until they pass k."""
     m = int(k * p + 6.0 * math.sqrt(k * p)) + 16
-    pos = np.cumsum(rng.geometric(p, m)) - 1
+    pos = np.cumsum(rng.geometric(p, m))
+    pos -= 1
     while pos[-1] < k:
         pos = np.concatenate([pos, pos[-1] + np.cumsum(rng.geometric(p, m))])
     return pos[: np.searchsorted(pos, k)]
+
+
+def _propose(flat_out, pending, k, centers, sigma, bound, rng):
+    """One pass of proposals round(center + sigma g), written into flat_out
+    at the k pending positions (None: all of them, in order). The normals g
+    stream through one buffer of at most _BLOCK floats: consecutive draws
+    into it give the values of one draw of k. Returns the pass positions
+    whose proposal lies beyond the support bound."""
+    buf = np.empty(min(k, _BLOCK))
+    beyond = []
+    for start in range(0, k, _BLOCK):
+        z = buf[: min(k - start, _BLOCK)]
+        rng.standard_normal(out=z)
+        z *= sigma
+        at = slice(start, start + z.size) if pending is None else pending[start:start + z.size]
+        if centers is not None:
+            c = centers[at]
+            z += c
+        np.rint(z, out=z)
+        flat_out[at] = z  # a later pass overwrites the rejected entries
+        if centers is not None:
+            z -= c
+        au = np.abs(z, out=z)
+        if au.max() > bound:
+            beyond.append(start + np.flatnonzero(au > bound))
+    return beyond
 
 
 def _sample_at_centers(centers, sigma2, envelope, rng, shape=None):
@@ -192,8 +222,13 @@ def _sample_at_centers(centers, sigma2, envelope, rng, shape=None):
     on [squeeze, 1); there the bucket of |u| accepts if U < lo[j] and
     rejects if U >= hi[j], and only U in [lo[j], hi[j]) computes the ratio.
     Each decision has the law of the plain test (Devroye 1986, the squeeze
-    method). A proposal beyond the bound is rejected. The first pass covers
-    the whole batch unindexed; later passes re-draw the rejected."""
+    method). A proposal beyond the bound is rejected.
+
+    A pass proposes at every pending entry, the whole batch first and then
+    the rejected, as a stream of blocks rounded straight into the int64
+    output (`_propose`). A candidate reads its |u| back as |out - center|,
+    exact as the output holds the rounded float. So the output is the only
+    batch-sized array: the rest is one block and k p candidates."""
     c_env, bound, squeeze = envelope
     lo, hi, scale = _squeeze_buckets(sigma2, c_env, bound)
     p = 1.0 - squeeze
@@ -202,20 +237,13 @@ def _sample_at_centers(centers, sigma2, envelope, rng, shape=None):
         centers = np.asarray(centers, dtype=float).ravel()
     out = np.empty(shape, dtype=np.int64)
     flat_out = out.reshape(-1)
-    pending, k = slice(None), out.size
+    pending, k = None, out.size  # None: every entry, in order
     while k:
-        z = rng.standard_normal(k)
-        z *= math.sqrt(sigma2)
-        if centers is not None:
-            c = centers[pending]
-            z += c
-        np.rint(z, out=z)
-        flat_out[pending] = z  # a later pass overwrites the rejected entries
-        if centers is not None:
-            z -= c
-        au = np.abs(z, out=z)
+        beyond = _propose(flat_out, pending, k, centers, math.sqrt(sigma2), bound, rng)
         cand = _candidates(k, p, rng)
-        a = np.minimum(au[cand], bound)  # beyond the bound: rejected below
+        at = cand if pending is None else pending[cand]
+        a = flat_out[at] if centers is None else flat_out[at] - centers[at]
+        a = np.minimum(np.abs(a), bound)  # beyond the bound: rejected below
         U = squeeze + p * rng.random(cand.size)
         j = (a * scale).astype(np.intp)
         accept = U < lo[j]
@@ -223,9 +251,9 @@ def _sample_at_centers(centers, sigma2, envelope, rng, shape=None):
         if band.size:  # most passes leave the band empty
             accept[band] = U[band] < _acceptance_ratio(a[band], sigma2, c_env)
         rejected = cand[~accept]
-        if au.max() > bound:
-            rejected = np.union1d(rejected, np.flatnonzero(au > bound))
-        pending = rejected if isinstance(pending, slice) else pending[rejected]
+        if beyond:
+            rejected = np.union1d(rejected, np.concatenate(beyond))
+        pending = rejected if pending is None else pending[rejected]
         k = pending.size
     return out
 

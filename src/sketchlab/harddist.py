@@ -662,6 +662,8 @@ def sketched_indistinguishability(family: HardFamily, d, trials, rng):
     """
     if d < 1:
         raise BadParams(f"sketch dimension d must be at least 1, got {d}")
+    if trials < 1:
+        raise BadParams(f"trials must be at least 1, got {trials}")
     if d > 3:
         raise DimensionTooLarge("histogram TVD estimation needs d <= 3")
     rng = as_generator(rng)

@@ -3,8 +3,11 @@ kernel bases, and LLL reduction in all-integer (de Weger) arithmetic.
 
 Everything here is exact integer arithmetic, so results feed A v = 0 checks
 and the certified length bounds directly. `exact_product` is the one integer
-matrix product: a float64 BLAS product while every partial sum is an integer
+matrix product: float64 BLAS products while every partial sum is an integer
 below FLOAT64_EXACT, int64 below INT64_GUARD, Python big integers past that.
+The float64 tier converts and multiplies X in row blocks of about 64K
+entries, so a query batch is never copied whole; each block's product is
+exact, so any blocking gives the same int64 product.
 Squared lengths run as one int64 product where `int64_rows` shows no sum can
 overflow, and HNF row operations as int64 array steps while entries stay
 below `_ELIM_GUARD`; both run on Python big integers otherwise. LLL runs on
@@ -21,6 +24,7 @@ from .errors import DependentInput
 # magnitude is a float64), and in int64 while it stays below INT64_GUARD.
 FLOAT64_EXACT = 2**53
 INT64_GUARD = 2**62
+_PRODUCT_BLOCK = 65_536  # entries of X per float64 row block
 
 
 def iround_div(a: int, b: int) -> int:
@@ -57,17 +61,23 @@ def _sum_bound(X, Y):
 
 def exact_product(X, Y):
     """The exact product X Y^T of integer arrays X (k, n) and Y (m, n) (int64
-    or Python integers): int64 from a float64 BLAS product while
+    or Python integers): int64 from float64 BLAS products while
     n max|X| max|Y| < FLOAT64_EXACT, from numpy's int64 loop below
-    INT64_GUARD, and Python integers (dtype object) past that."""
+    INT64_GUARD, and Python integers (dtype object) past that. The float64
+    tier takes X in row blocks of about _PRODUCT_BLOCK entries."""
     X, Y = np.asarray(X), np.asarray(Y)
     bound = _sum_bound(X, Y)
     if bound >= INT64_GUARD:
         return X.astype(object) @ Y.T.astype(object)
     X, Y = X.astype(np.int64, copy=False), Y.astype(np.int64, copy=False)
-    if bound < FLOAT64_EXACT:
-        return (X.astype(float) @ Y.T.astype(float)).astype(np.int64)
-    return X @ Y.T
+    if bound >= FLOAT64_EXACT:
+        return X @ Y.T
+    Yt = Y.T.astype(float)
+    out = np.empty((X.shape[0], Y.shape[0]), dtype=np.int64)
+    rows = max(1, _PRODUCT_BLOCK // max(X.shape[1], 1))
+    for i in range(0, X.shape[0], rows):
+        out[i:i + rows] = X[i:i + rows].astype(float) @ Yt
+    return out
 
 
 def int64_rows(rows):

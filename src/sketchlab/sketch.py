@@ -186,10 +186,15 @@ def _calibrate_projection_threshold(Q, R, n, r, alpha, B, rng, m_cal=4000):
     infeasible; the achieved rates are recorded, not asserted.
     """
     lo_s2, hi_s2 = 2.0 * alpha, alpha * B / 2.0
-    lows = dgauss.sample_dgauss_1d(lo_s2, rng, size=(m_cal, n)).astype(float)
-    highs = dgauss.sample_dgauss_1d(hi_s2, rng, size=(m_cal, n)).astype(float)
-    low_stat = np.sum((lows @ Q.T) ** 2, axis=1)
-    high_stat = np.sum((highs @ Q.T) ** 2, axis=1)
+
+    def stat(sigma2):
+        """||Q x||^2 for one side's batch, drawn and reduced before the next
+        side is drawn."""
+        X = dgauss.sample_dgauss_1d(sigma2, rng, size=(m_cal, n)).astype(float)
+        return np.sum((X @ Q.T) ** 2, axis=1)
+
+    low_stat = stat(lo_s2)
+    high_stat = stat(hi_s2)
     # np.unique's sorted distinct values; np.unique imports numpy.ma on first use
     cands = np.sort(np.concatenate([low_stat, high_stat]))
     cands = cands[np.concatenate(([True], cands[1:] != cands[:-1]))]
@@ -227,6 +232,11 @@ def build_sketch(family, n, r, params=None, seed=0):
         value = params.get(key, 0.0)
         if not isinstance(value, numbers.Real) or not math.isfinite(value):
             raise BadParams(f"{family} param {key!r} must be a finite number, got {value!r}")
+    if family == "projection-threshold":
+        if "alpha" not in params or "B" not in params:
+            raise BadParams("projection-threshold needs params alpha and B")
+        # tau separates the promise sides, so they must be ones an oracle accepts
+        GapNormParams(B=params["B"], alpha=params["alpha"])
     rng = derive(seed, "sketch", family)
     est = {}
 
@@ -275,8 +285,6 @@ def build_sketch(family, n, r, params=None, seed=0):
             derive(seed, "sketch-cal", family),
         )
     elif family == "projection-threshold":
-        if "alpha" not in params or "B" not in params:
-            raise BadParams("projection-threshold needs params alpha and B")
         m_cal = int(params.get("m_cal", 4000))
         if m_cal < 1:
             raise BadParams(f"projection-threshold param 'm_cal' must be >= 1, got {m_cal}")

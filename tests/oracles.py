@@ -1,6 +1,7 @@
 """Independent oracles used by the tests: Jacobi SVD, brute-force lattice
 enumeration, closed-form TVD, quadrature, the scanned envelope constant of
-the discrete Gaussian sampler, row orthonormalization by Cholesky QR2, the
+the discrete Gaussian sampler, its rejection loop and the float64 integer
+product as whole-batch passes, row orthonormalization by Cholesky QR2, the
 all-integer LLL with its inner products on Python integers, and the HNF
 kernel, canonical HNF and lattice equality with row operations on Python
 integer lists, and E ||g||_p by mpmath quadrature. These deliberately avoid
@@ -14,6 +15,8 @@ import numpy as np
 from scipy import integrate
 from scipy.special import ndtr
 from scipy.stats import norm
+
+from sketchlab import dgauss
 
 
 def jacobi_svd(M, sweeps=60, tol=1e-14):
@@ -125,6 +128,57 @@ def ref_centered_envelope(sigma2):
     w = np.exp(-z * z / (2.0 * sigma2))
     q = _ref_rounded_gaussian_pmf(z, sigma)
     return float(np.max(w / q)) * (1.0 + 1e-9), K
+
+
+# -- reference rejection loop and integer product ------------------------------
+# The discrete Gaussian rejection loop and the float64 tier of the exact
+# integer product as they were before they streamed through fixed-size
+# blocks: each pass draws all its normals as one batch-sized float array, and
+# the product converts the whole batch to float64 at once. The loop takes the
+# sampler's own envelope, squeeze and candidate helpers, so a difference in
+# output or generator state can only come from the loop itself.
+
+def ref_sample_at_centers(centers, sigma2, envelope, rng, shape=None):
+    c_env, bound, squeeze = envelope
+    lo, hi, scale = dgauss._squeeze_buckets(sigma2, c_env, bound)
+    p = 1.0 - squeeze
+    if centers is not None:
+        shape = np.shape(centers)
+        centers = np.asarray(centers, dtype=float).ravel()
+    out = np.empty(shape, dtype=np.int64)
+    flat_out = out.reshape(-1)
+    pending, k = slice(None), out.size
+    while k:
+        z = rng.standard_normal(k)
+        z *= math.sqrt(sigma2)
+        if centers is not None:
+            c = centers[pending]
+            z += c
+        np.rint(z, out=z)
+        flat_out[pending] = z
+        if centers is not None:
+            z -= c
+        au = np.abs(z, out=z)
+        cand = dgauss._candidates(k, p, rng)
+        a = np.minimum(au[cand], bound)
+        U = squeeze + p * rng.random(cand.size)
+        j = (a * scale).astype(np.intp)
+        accept = U < lo[j]
+        band = np.flatnonzero(~accept & (U < hi[j]))
+        if band.size:
+            accept[band] = U[band] < dgauss._acceptance_ratio(a[band], sigma2, c_env)
+        rejected = cand[~accept]
+        if au.max() > bound:
+            rejected = np.union1d(rejected, np.flatnonzero(au > bound))
+        pending = rejected if isinstance(pending, slice) else pending[rejected]
+        k = pending.size
+    return out
+
+
+def ref_exact_product_float(X, Y):
+    """X Y^T for int64 X, Y whose partial sums are all below 2^53, from one
+    float64 copy of each."""
+    return (np.asarray(X).astype(float) @ np.asarray(Y).T.astype(float)).astype(np.int64)
 
 
 # -- reference row orthonormalization -----------------------------------------

@@ -268,6 +268,34 @@ class TestVerifyCertificate:
         with pytest.raises(NoExploitFound):
             verify_certificate(oracle, cert, trials=2000, rng=derive(43, "v1"), n=n)
 
+    @pytest.mark.parametrize("trials", (0, -5))
+    def test_trials_below_one_rejected(self, trials):
+        cert = FailureCertificate(
+            subspace=[], sigma2=ALPHA * 4.0, side="high", empirical_rate=0.0,
+            sample_count=200, zeta=0.1, alpha=ALPHA, B=8.0, round=1,
+        )
+        with pytest.raises(BadParams, match="trials >= 1"):
+            verify_certificate(_ConstOracle(0, 64), cert, trials=trials,
+                               rng=derive(43, "v2"), n=64)
+
+    def test_holds_one_copy_of_the_batch(self, traced_peak):
+        # the set-up of `sketchlab attack run` at n = 256: projection-threshold
+        # at the sampling floor, B = 8, whose runs certify the low side at the
+        # grid's second point with V = {} and verify on 10,000 queries
+        n, trials = 256, 10_000
+        alpha = dgauss.smoothing_sigma2(n, dgauss.SAMPLING_FLOOR_ELL_SQ)
+        params = _params(alpha=alpha)
+        sk = build_sketch("projection-threshold", n, 8, {"alpha": alpha, "B": 8.0}, seed=3)
+        sigma2 = float(AttackConfig(gap=params).grid_for(n)[1])
+        cert = FailureCertificate(
+            subspace=[], sigma2=sigma2, side="low", empirical_rate=0.25,
+            sample_count=2000, zeta=0.112, alpha=alpha, B=8.0, round=1,
+        )
+        oracle = GapNormOracle(sk, params)
+        rep, peak = traced_peak(verify_certificate, oracle, cert, trials, derive(44, "mem"))
+        assert rep["exploits"]
+        assert peak <= 1.25 * trials * n * 8
+
     def test_certificate_side_validation(self):
         with pytest.raises(BadParams):
             FailureCertificate(subspace=[], sigma2=ALPHA, side="high",

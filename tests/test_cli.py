@@ -403,12 +403,26 @@ class TestOtherCommands:
          "--sketch '"),
         (["attack", "verify", "--certificate", "cert.json", "--sketch", "garbage.json"],
          "--sketch '"),
+        (["attack", "verify", "--certificate", "cert.json", "--sketch", "sk.json",
+          "--trials", "0"], "verification needs trials >= 1, got 0"),
+        (["attack", "verify", "--certificate", "cert.json", "--sketch", "sk.json",
+          "--trials", "-5"], "verification needs trials >= 1, got -5"),
+        (["harddist", "tvd", "--family", "opnorm-alpha", "--params", '{"n": 16}',
+          "--d", "1", "--trials", "0"], "trials must be at least 1, got 0"),
+        (["harddist", "tvd", "--family", "opnorm-alpha", "--params", '{"n": 16}',
+          "--d", "1", "--trials", "-3"], "trials must be at least 1, got -3"),
+        (["sketch", "build", "--family", "projection-threshold", "--n", "16", "--r", "4",
+          "--params", '{"alpha": 1, "B": 2}'], "B must be >= 8, got 2"),
+        (["sketch", "build", "--family", "projection-threshold", "--n", "16", "--r", "4",
+          "--params", '{"alpha": -1, "B": 8}'], "alpha must be positive, got -1"),
         (["sketch", "info", "--in", "missing.json"], "--in '"),
         (["sketch", "info", "--in", "garbage.json"], "--in '"),
         (["sketch", "info", "--in", "cert.json"], "is not a sketch spec"),
     ], ids=["build-list", "build-json", "gen-list", "gen-json", "gap-list", "tvd-json",
             "cert-missing", "cert-malformed", "cert-not-certificate", "cert-bad-side",
-            "sketch-missing", "sketch-malformed", "in-missing", "in-malformed", "in-not-spec"])
+            "sketch-missing", "sketch-malformed", "verify-trials-0", "verify-trials-5",
+            "tvd-trials-0", "tvd-trials-3", "promise-B-2", "promise-alpha-negative",
+            "in-missing", "in-malformed", "in-not-spec"])
     def test_bad_input_exits_1_with_one_line(self, tmp_path, capsys, argv, why):
         cert = {"subspace": [[1.0] + [0.0] * 15], "sigma2": 4.0, "side": "high",
                 "empirical_rate": 0.2, "sample_count": 100, "zeta": 0.1, "alpha": 0.5,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, norm
 
-from oracles import _ref_rounded_gaussian_pmf, ref_centered_envelope
+from oracles import _ref_rounded_gaussian_pmf, ref_centered_envelope, ref_sample_at_centers
 from sketchlab import dgauss
 from sketchlab.errors import NonPositiveVariance, VarianceTooSmall
 from sketchlab.numerics import OrthonormalBasis
@@ -136,16 +136,23 @@ def _ratio(u, s2, c_env):
     return np.minimum(w / (c_env * q), 1.0)
 
 
+def _narrow_envelope(s2, sigmas):
+    """The offset envelope cut to a support bound of `sigmas` sigma."""
+    c_env = _offset_envelope(s2)[0]
+    bound = sigmas * math.sqrt(s2)
+    return c_env, bound, float(_ratio(bound, s2, c_env)) * (1.0 - 1e-9)
+
+
 class _Recorder:
     """A generator that records what the rejection loop draws from it: each
-    batch of normals, one per proposal, and the number of uniforms, one per
-    candidate."""
+    block of normals, one per proposal, whether returned or written into
+    `out`, and the number of uniforms, one per candidate."""
 
     def __init__(self, rng):
         self.rng, self.normals, self.uniforms = rng, [], 0
 
-    def standard_normal(self, k):
-        x = self.rng.standard_normal(k)
+    def standard_normal(self, size=None, out=None):
+        x = self.rng.standard_normal(size, out=out)
         self.normals.append(x.copy())
         return x
 
@@ -219,10 +226,8 @@ class TestRejectionBits:
         # none of them may slip through the squeeze, and what is accepted
         # follows the target law cut at the bound
         s2, c = 24.65, 0.3
-        sigma = math.sqrt(s2)
-        c_env = _offset_envelope(s2)[0]
-        bound = 1.5 * sigma
-        envelope = (c_env, bound, float(_ratio(bound, s2, c_env)) * (1.0 - 1e-9))
+        envelope = _narrow_envelope(s2, 1.5)
+        bound = envelope[1]
         centers = np.random.default_rng(18).uniform(-100.0, 100.0, (100, 64))
         a = dgauss._sample_at_centers(centers, s2, envelope, derive(3, "pin-bound"))
         assert np.all(np.abs(a - centers) <= bound)
@@ -317,6 +322,90 @@ class TestRejectionBits:
             assert np.all(np.diff(ratio) <= 1e-12 * ratio[:-1])
 
 
+BLOCK_EDGE_SIZES = (1, dgauss._BLOCK - 1, dgauss._BLOCK, dgauss._BLOCK + 1,
+                    3 * dgauss._BLOCK + 7)
+
+
+class TestBlockStream:
+    """The rejection loop streams each pass's normals through one buffer of
+    _BLOCK floats. At sizes on both sides of the block edges, centered and
+    at real centers, it gives the samples of the whole-batch loop it
+    replaced and leaves the generator in the same state."""
+
+    @staticmethod
+    def assert_same_as_reference(centers, s2, envelope, k, *path):
+        rng_new, rng_ref = derive(30, *path), derive(30, *path)
+        a = dgauss._sample_at_centers(centers, s2, envelope, rng_new, shape=(k,))
+        b = ref_sample_at_centers(centers, s2, envelope, rng_ref, shape=(k,))
+        assert np.array_equal(a, b)
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+    @pytest.mark.parametrize("kind", ("centered", "at-centers"))
+    @pytest.mark.parametrize("s2", (0.3, 2.5, 400.0, 1e8))
+    @pytest.mark.parametrize("k", BLOCK_EDGE_SIZES)
+    def test_matches_whole_batch_loop(self, k, s2, kind):
+        # the re-passes re-draw entries scattered over every block of the
+        # first pass
+        if kind == "centered":
+            envelope, centers = _centered_envelope(s2), None
+        else:
+            envelope = _offset_envelope(s2)
+            centers = np.random.default_rng(31).uniform(-100.0, 100.0, k)
+        self.assert_same_as_reference(centers, s2, envelope, k, "stream", kind, str(s2), str(k))
+
+    @pytest.mark.parametrize("sigmas", (1.5, 0.5))
+    @pytest.mark.parametrize("k", BLOCK_EDGE_SIZES)
+    def test_matches_under_narrow_bound(self, k, sigmas):
+        # the envelope of test_support_bound_applies_before_squeeze, so
+        # beyond-bound rejections fall in every block; a bound of 0.5 sigma
+        # rejects ~62 % of proposals outright, so the second pass of the
+        # largest size spans blocks of its own
+        s2 = 24.65
+        envelope = _narrow_envelope(s2, sigmas)
+        centers = np.random.default_rng(18).uniform(-100.0, 100.0, k)
+        self.assert_same_as_reference(centers, s2, envelope, k, "narrow", str(sigmas), str(k))
+        if k == 3 * dgauss._BLOCK + 7 and sigmas == 0.5:
+            rec = _Recorder(derive(30, "narrow", str(sigmas), str(k)))
+            ref_sample_at_centers(centers, s2, envelope, rec, shape=(k,))
+            assert rec.normals[1].size > dgauss._BLOCK
+
+
+MB = 2**20
+
+
+class TestBatchMemory:
+    """A 10,000 x 256 batch, what `attack verify` draws at n = 256: the output
+    is the only batch-sized array a draw holds, with the centers beside it
+    for V != {}. Besides them the loop holds one block of normals and a few
+    arrays over the candidates, k p of them (p = 1 - squeeze of the envelope
+    used). Those fit in 1 MB at the attack grid's top variance alpha B (B = 8,
+    alpha the sampling floor); p grows as the variance falls, so each check
+    also allows 6 words per expected candidate."""
+
+    N, M = 256, 10_000
+    FLOOR = dgauss.smoothing_sigma2(256, dgauss.SAMPLING_FLOOR_ELL_SQ)
+
+    @pytest.mark.parametrize("mult", (1, 8), ids=["alpha", "alpha-B"])
+    def test_centered_draw_holds_the_output(self, traced_peak, mult):
+        s2 = mult * self.FLOOR
+        dgauss.sample_dgauss_1d(s2, derive(32, "warm"))  # fill the envelope caches
+        X, peak = traced_peak(dgauss.sample_dgauss_1d, s2, derive(32, "mem"),
+                              size=(self.M, self.N))
+        p = 1.0 - _centered_envelope(s2)[2]
+        assert peak <= X.nbytes + MB + 48 * X.size * p
+
+    @pytest.mark.parametrize("mult", (1, 8), ids=["alpha", "alpha-B"])
+    def test_subspace_draw_holds_output_and_centers(self, traced_peak, mult):
+        s2 = mult * self.FLOOR
+        basis = np.linalg.qr(np.random.default_rng(33).standard_normal((self.N, 4)))[0].T
+        spec = dgauss.SubspaceGaussianSpec(self.N, OrthonormalBasis(self.N, list(basis)), s2)
+        dgauss.sample_subspace_query(spec, "discrete", derive(33, "warm"))
+        X, peak = traced_peak(dgauss.sample_subspace_query, spec, "discrete",
+                              derive(33, "mem"), size=self.M)
+        p = 1.0 - _offset_envelope(s2 / 4.0)[2]  # rounds at sigma^2 / 4
+        assert peak <= 2 * X.nbytes + MB + 48 * X.size * p
+
+
 class TestTwoSidedSqueeze:
     """The bucketed squeeze brackets the acceptance ratio in every bucket,
     so it decides as the plain ratio test does; the samplers built on it are
@@ -347,12 +436,9 @@ class TestTwoSidedSqueeze:
 
     def test_buckets_bracket_ratio_under_cut_support(self):
         s2 = 24.65
-        sigma = math.sqrt(s2)
-        c_env = _offset_envelope(s2)[0]
-        bound = 1.5 * sigma
-        squeeze = float(_ratio(bound, s2, c_env)) * (1.0 - 1e-9)
-        u = np.linspace(0.0, bound, 64 * dgauss.SQUEEZE_BUCKETS + 1)
-        self.assert_brackets(s2, (c_env, bound, squeeze), u)
+        envelope = _narrow_envelope(s2, 1.5)
+        u = np.linspace(0.0, envelope[1], 64 * dgauss.SQUEEZE_BUCKETS + 1)
+        self.assert_brackets(s2, envelope, u)
 
     @staticmethod
     def assert_seeded(draw):

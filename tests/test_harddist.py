@@ -480,6 +480,9 @@ class TestSketchedIndistinguishability:
         for d in (0, -1):
             with pytest.raises(BadParams):
                 sketched_indistinguishability(fam, d=d, trials=2000, rng=derive(54, "d"))
+        for trials in (0, -3):
+            with pytest.raises(BadParams, match="trials must be at least 1"):
+                sketched_indistinguishability(fam, d=1, trials=trials, rng=derive(54, "d"))
 
     @pytest.mark.parametrize("name", FAMILY_NAMES)
     def test_every_family_draws_through_the_generator(self, name, monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import (
     brute_shortest_lattice_vector,
     enumerate_integer_kernel,
+    ref_exact_product_float,
     ref_kernel_basis_int,
     ref_lll_reduce_int,
     ref_row_hnf,
@@ -247,6 +248,32 @@ class TestExactProduct:
         assert out.dtype == np.dtype(dtype)
         assert out.tolist() == py_product(X, Y)
         assert max(abs(v) for row in out.tolist() for v in row) == bound
+
+    def test_row_blocks_give_the_whole_batch_product(self):
+        # rows of X per block: _PRODUCT_BLOCK // 256 = 256, so 1,000 rows run
+        # as three whole blocks and a part, in the float64 tier with its
+        # bound n max|X| max|Y| just below 2^53
+        n, r = 256, 8
+        rng = np.random.default_rng(34)
+        mx = (intlinalg.FLOAT64_EXACT - 1) // (n * 7)
+        X = rng.integers(-mx, mx + 1, (1000, n))
+        X[:, 0] = mx
+        Y = rng.integers(-7, 8, (r, n))
+        Y[:, 0] = 7
+        assert intlinalg.FLOAT64_EXACT - n * 7 <= n * mx * 7 < intlinalg.FLOAT64_EXACT
+        assert X.shape[0] > 3 * (intlinalg._PRODUCT_BLOCK // n)
+        out = intlinalg.exact_product(X, Y)
+        assert out.dtype == np.int64
+        assert np.array_equal(out, ref_exact_product_float(X, Y))
+        assert np.array_equal(out, X @ Y.T)
+
+    def test_batch_product_holds_no_float_copy(self, traced_peak):
+        # the 10,000 x 256 batch `attack verify` draws at n = 256
+        X = np.random.default_rng(35).integers(-300, 301, (10_000, 256))
+        Y = np.random.default_rng(36).choice([-1, 1], (8, 256))
+        out, peak = traced_peak(intlinalg.exact_product, X, Y)
+        assert np.array_equal(out, ref_exact_product_float(X, Y))
+        assert peak <= out.nbytes + 2**20
 
     def test_every_exact_layer_calls_it(self, monkeypatch):
         calls = []

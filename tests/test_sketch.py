@@ -149,9 +149,17 @@ class TestBuildFamilies:
         params = GapNormParams(B=8.0, alpha=2000.0)
         assert query_one(GapNormOracle(sk, params), np.zeros(64, dtype=int)) == 0
 
-    def test_projection_threshold_needs_params(self):
-        with pytest.raises(BadParams):
-            build_sketch("projection-threshold", 64, 4, seed=9)
+    # tau is fitted between the promise sides of GapNormParams(B, alpha), so
+    # a pair that no oracle accepts is refused before any draw
+    @pytest.mark.parametrize("params, why", [
+        (None, "needs params alpha and B"),
+        ({"alpha": 1, "B": 2}, "B must be >= 8, got 2"),
+        ({"alpha": -1, "B": 8}, "alpha must be positive, got -1"),
+        ({"alpha": 0, "B": 8}, "alpha must be positive, got 0"),
+    ], ids=["missing", "B-2", "alpha-negative", "alpha-0"])
+    def test_projection_threshold_needs_params(self, params, why):
+        with pytest.raises(BadParams, match=why):
+            build_sketch("projection-threshold", 64, 4, params, seed=9)
 
     def test_unknown_family(self):
         with pytest.raises(BadParams):
@@ -168,6 +176,17 @@ class TestBuildFamilies:
         assert 0.0 <= est["false_low"] <= 1.0
         assert 0.0 <= est["false_high"] <= 1.0
         assert est["tau"] > 0
+
+    def test_calibration_holds_one_side_at_a_time(self, traced_peak):
+        # each side's m_cal x n batch is reduced to its statistic before the
+        # next is drawn: at most the int64 draw and its float64 copy at once,
+        # besides the statistics and the sampler's block
+        n, m_cal = 256, 4000
+        alpha = dgauss.smoothing_sigma2(n, dgauss.SAMPLING_FLOOR_ELL_SQ)
+        params = {"alpha": alpha, "B": 8.0, "m_cal": m_cal}
+        build_sketch("projection-threshold", n, 8, params, seed=3)  # fill the sampler's caches
+        _, peak = traced_peak(build_sketch, "projection-threshold", n, 8, params, seed=3)
+        assert peak <= 2 * m_cal * n * 8 + 2**20
 
 
 class TestGapNormOracle:
