@@ -23,6 +23,7 @@ the worker count for independent seeded attack runs.
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -356,30 +357,42 @@ def _family_from_args(args):
 
 
 def cmd_harddist_gen(args):
+    """Write the instances as one JSON value, an array when --count > 1, one
+    instance at a time: compact and key-sorted to --out, in generation order
+    to stdout. A D2 matrix instance's witness also carries its spike."""
     if args.count < 1:
         raise BadParams(f"--count must be at least 1, got {args.count}")
     fam = _family_from_args(args)
-    out = []
-    for i in range(args.count):
-        rng = derive(args.seed, "gen", fam.name, i)
-        inst = harddist.gen_hard_instance(fam, args.side, rng)
-        out.append({
+    params = {k: (None if isinstance(v, float) and math.isinf(v) else v)
+              for k, v in fam.params.items()}
+
+    def instance_json(i):
+        inst = harddist.gen_hard_instance(fam, args.side, derive(args.seed, "gen", fam.name, i))
+        witness = dict(inst.witness)
+        if "u" in witness:
+            witness["spike"] = harddist.planted_spike(witness)
+        doc = {
             "family": fam.name,
-            "params": {k: (None if isinstance(v, float) and math.isinf(v) else v)
-                       for k, v in fam.params.items()},
+            "params": params,
             "side": inst.side,
             "seed": args.seed,
             "index": i,
             "payload": inst.payload.tolist(),
             "witness": {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                        for k, v in inst.witness.items()},
-        })
-    doc = out if args.count > 1 else out[0]
+                        for k, v in witness.items()},
+        }
+        del inst, witness  # the lists hold every value while the text is built
+        return json.dumps(doc, sort_keys=bool(args.out), default=_json_default)
+
+    many = args.count > 1
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write("[" if many else "")
+        for i in range(args.count):
+            fh.write(", " if i else "")
+            fh.write(instance_json(i))
+        fh.write("]\n" if many else "\n")
     if args.out:
-        _write_json(args.out, doc)
         print(f"wrote {args.count} instance(s) to {args.out}")
-    else:
-        print(json.dumps(doc, default=_json_default))
     return 0
 
 

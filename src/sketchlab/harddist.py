@@ -4,7 +4,7 @@ empirically calibrated constants, and sketched-image indistinguishability
 estimates.
 
 All Gaussian draws are discrete (module dgauss). Planting is exactly linear:
-the D2 payload minus its integer witness spike is a sample from the D1
+the D2 payload minus `planted_spike(witness)` is a sample from the D1
 construction.
 """
 
@@ -32,6 +32,8 @@ _DEFAULTS = {
     "cs": {"N": 1_000_000.0, "n": 256, "k": 8, "eps": 0.2},
 }
 FAMILY_NAMES = tuple(_DEFAULTS)
+# the params that are sizes: integers >= 1
+_SIZES = frozenset(("n", "d", "s", "k"))
 
 # the families whose payload is a Gaussian matrix block plus a rank-`count`
 # spike; psd embeds its block in a shifted symmetric matrix
@@ -47,6 +49,8 @@ _SV_TAIL_T = 4.3
 # at most _TVD_CHUNK_ENTRIES payload entries (250 instances of 1024) unless
 # one instance is larger, so each of a chunk's arrays stays a few MB
 _TVD_CHUNK, _TVD_CHUNK_ENTRIES = 250, 256_000
+# float64 spike entries (512 KB) that a plant forms at once
+_SPIKE_BLOCK = 65_536
 
 
 @dataclass
@@ -64,20 +68,34 @@ class HardFamily:
                 raise BadParams(f"{name} param {key!r} must be a number, got {value!r}")
         for key, value in _DEFAULTS[name].items():
             p.setdefault(key, value)
+        for key in (k for k in _DEFAULTS[name] if k in _SIZES):
+            size = p[key]
+            if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 1:
+                raise BadParams(f"{name} param {key!r} must be an integer >= 1, got {size!r}")
+        if not (0.0 < p["N"] < math.inf):
+            raise BadParams(f"{name} param 'N' must be a finite number > 0, got {p['N']!r}")
         if name == "lp-small":
             if not (1.0 <= p["p"] <= 2.0):
                 raise BadParams("lp-small needs p in [1,2]")
             if not (0.0 < p["eps"] < 1.0):
                 raise BadParams("lp-small needs eps in (0,1)")
-        elif name == "lp-large" and not (2.0 < p["p"] < math.inf):
-            raise BadParams("lp-large needs finite p > 2")
+        elif name == "lp-large":
+            if not (2.0 < p["p"] < math.inf):
+                raise BadParams("lp-large needs finite p > 2")
+            if not (0.0 < p["delta"] < 1.0):
+                raise BadParams(f"lp-large param 'delta' must be in (0,1), got {p['delta']!r}")
+            if p["n"] <= _lp_large_t(p):
+                raise BadParams(f"lp-large param 'n' must exceed t = {_lp_large_t(p)}, the "
+                                f"planted coordinates at delta = {p['delta']!r}, got {p['n']}")
         elif name == "opnorm-alpha" and p["alpha"] <= 1.0:
             raise BadParams("opnorm-alpha needs approximation factor alpha > 1")
         elif name in ("opnorm-eps", "eigen") and not (0.0 < p["eps"] < 1.0 / 3.0):
             raise BadParams(f"{name} needs eps in (0, 1/3)")
+        elif name == "kyfan" and p["s"] > p["n"]:
+            raise BadParams(f"kyfan param 's' must be at most n = {p['n']}, got {p['s']}")
         elif name == "cs":
             if p["k"] >= p["n"]:
-                raise BadParams("cs needs k < n")
+                raise BadParams(f"cs param 'k' must be below n = {p['n']}, got {p['k']}")
             root = math.isqrt(int(p["N"]))
             if root * root != int(p["N"]):
                 raise BadParams("cs needs N to be a perfect square (entries +-sqrt(N))")
@@ -110,6 +128,17 @@ class HardFamily:
 
 @dataclass
 class HardInstance:
+    """One labeled instance. Its witness holds, by family and side:
+
+    - lp-small: nothing;
+    - lp-large D2: T, the sorted planted coordinates, and mag, the amount
+      added to each;
+    - opnorm-alpha, opnorm-eps, kyfan, eigen D2: the integer spike factors
+      u (count, m) and v (count, n) and the scale s1, from which
+      `planted_spike` rebuilds the spike (count is s for kyfan, else 1);
+    - psd: shift on both sides, and on D2 the spike factors as above;
+    - cs D2: S, the planted support, and z, the planted signed vector.
+    """
     family: HardFamily
     side: str                 # "D1" | "D2"
     payload: np.ndarray       # integer vector or matrix
@@ -260,9 +289,13 @@ def default_support_count(n, k):
 def _draw(family: HardFamily, side, size, rng):
     """`size` instances of one side as (payloads, witness): the payloads and
     each per-instance witness entry (an array or list) have `size` as a
-    leading axis; scalar entries (s1, mag, shift) are shared. The draws come
-    in one order: the null block, then the spike factors u (size, count, m)
-    and v (size, count, n), then the plant."""
+    leading axis; scalar entries (s1, mag, shift) are shared. The witness
+    holds what HardInstance lists: T and mag (lp-large D2), S and z (cs D2),
+    shift (psd), and the spike factors u (size, count, m), v (size, count, n)
+    and s1 of a D2 matrix family, whose spike is `planted_spike(witness)`.
+    A matrix family's draws come in one order: the null block, then u and
+    v, then the plant, which adds the spike into the block in row blocks, so
+    the payload is the one payload-sized array the draw holds."""
     p = family.params
     N = p["N"]
     name = family.name
@@ -294,27 +327,20 @@ def _draw(family: HardFamily, side, size, rng):
             # calibration fills c_psd, so it runs before the spike is sized
             wit["shift"] = p["shift"] if "shift" in p else calibrate_family(family)["shift"]
         if side == "D2":
-            # spike factors u_i, v_i with entries from D(0, N), rounded
-            # integer spike round(s1 * sum_i u_i v_i^T); each term is
-            # s1 * (u_i v_i^T), in place, so a chunk of the sketched TVD
-            # allocates no temporary beyond the product
-            s1 = family.spike_scale()
+            # spike factors u_i, v_i with entries from D(0, N); the integer
+            # spike is added into the block exactly, in int64
             count = p["s"] if name == "kyfan" else 1
-            us = _dg_matrix(N, (size, count, m), rng)
-            vs = _dg_matrix(N, (size, count, n_cols), rng)
-            uf, vf = us.astype(float), vs.astype(float)
-            spike = uf[:, 0, :, None] * vf[:, 0, None, :]
-            spike *= s1
-            for i in range(1, count):
-                spike += s1 * (uf[:, i, :, None] * vf[:, i, None, :])
-            spike = np.rint(spike, out=spike).astype(np.int64)
-            X += spike
-            wit.update({"u": us, "v": vs, "s1": s1, "spike": spike})
+            wit["u"] = _dg_matrix(N, (size, count, m), rng)
+            wit["v"] = _dg_matrix(N, (size, count, n_cols), rng)
+            wit["s1"] = family.spike_scale()
+            for rows, block in _spike_rows(wit):
+                X[:, rows] += block.astype(np.int64)
         if name == "psd":
             M = np.zeros((size, 2 * m, 2 * m), dtype=np.int64)
             M[:, :m, m:] = X
             M[:, m:, :m] = X.transpose(0, 2, 1)
-            M += wit["shift"] * np.eye(2 * m, dtype=np.int64)
+            diag = np.arange(2 * m)
+            M[:, diag, diag] += wit["shift"]
             X = M
         return X, wit
 
@@ -331,6 +357,38 @@ def _draw(family: HardFamily, side, size, rng):
     for row, S, sg in zip(z, Ss, signs):
         row[S] = sg * math.isqrt(int(N))
     return z + w, {"S": Ss, "z": z}
+
+
+def _spike_rows(witness):
+    """The rounded spike rint(s1 sum_i u_i v_i^T) of a D2 matrix witness, as
+    (rows, float64 block) pairs over consecutive row ranges of the spike,
+    each block of about _SPIKE_BLOCK entries across every leading index.
+    Each entry is s1 (u_0 v_0), plus s1 (u_i v_i) for each further i in
+    order, then rounded, so the blocks agree bit for bit with the whole
+    spike formed at once."""
+    u, v, s1 = witness["u"], witness["v"], witness["s1"]
+    vf = v.astype(float)
+    step = max(1, _SPIKE_BLOCK // vf[..., 0, :].size)
+    for lo in range(0, u.shape[-1], step):
+        rows = slice(lo, lo + step)
+        uf = u[..., rows].astype(float)
+        block = uf[..., 0, :, None] * vf[..., 0, None, :]
+        block *= s1
+        for i in range(1, u.shape[-2]):
+            block += s1 * (uf[..., i, :, None] * vf[..., i, None, :])
+        yield rows, np.rint(block, out=block)
+
+
+def planted_spike(witness):
+    """The int64 spike rint(s1 sum_i u_i v_i^T) that a D2 matrix instance
+    plants into its Gaussian block, from its witness's u, v and s1: one
+    instance's (m, n) spike, or a `_draw` batch's (size, m, n) spikes. For
+    psd the spike is that of the off-diagonal block."""
+    u, v = witness["u"], witness["v"]
+    out = np.empty(u.shape[:-2] + (u.shape[-1], v.shape[-1]), dtype=np.int64)
+    for rows, block in _spike_rows(witness):
+        out[..., rows, :] = block
+    return out
 
 
 def gen_hard_instance(family: HardFamily, side, rng) -> HardInstance:

@@ -1,11 +1,11 @@
 """Independent oracles used by the tests: Jacobi SVD, brute-force lattice
 enumeration, closed-form TVD, quadrature, the scanned envelope constant of
-the discrete Gaussian sampler, its rejection loop and the float64 integer
-product as whole-batch passes, row orthonormalization by Cholesky QR2, the
-all-integer LLL with its inner products on Python integers, and the HNF
-kernel, canonical HNF and lattice equality with row operations on Python
-integer lists, and E ||g||_p by mpmath quadrature. These deliberately avoid
-the code paths they check."""
+the discrete Gaussian sampler, its rejection loop, the float64 integer
+product and a planted hard instance's spike as whole-batch passes, row
+orthonormalization by Cholesky QR2, the all-integer LLL with its inner
+products on Python integers, and the HNF kernel, canonical HNF and lattice
+equality with row operations on Python integer lists, and E ||g||_p by
+mpmath quadrature. These deliberately avoid the code paths they check."""
 
 import itertools
 import math
@@ -179,6 +179,19 @@ def ref_exact_product_float(X, Y):
     """X Y^T for int64 X, Y whose partial sums are all below 2^53, from one
     float64 copy of each."""
     return (np.asarray(X).astype(float) @ np.asarray(Y).T.astype(float)).astype(np.int64)
+
+
+def ref_planted_spike(us, vs, s1):
+    """rint(s1 sum_i u_i v_i^T) for a batch of spike factors us (size,
+    count, m) and vs (size, count, n), as int64 from one float64 array of
+    every spike at once: s1 (u_0 v_0), then + s1 (u_i v_i) for each further
+    i in order, then rounded."""
+    uf, vf = us.astype(float), vs.astype(float)
+    spike = uf[:, 0, :, None] * vf[:, 0, None, :]
+    spike *= s1
+    for i in range(1, us.shape[1]):
+        spike += s1 * (uf[:, i, :, None] * vf[:, i, None, :])
+    return np.rint(spike, out=spike).astype(np.int64)
 
 
 # -- reference row orthonormalization -----------------------------------------

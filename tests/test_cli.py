@@ -351,6 +351,16 @@ class TestOtherCommands:
         assert doc["payload"] == inst.payload.tolist()
         assert doc["witness"]["s1"] == inst.witness["s1"] == fam.spike_scale()
 
+    def test_harddist_gen_holds_one_instance(self, tmp_path, traced_peak):
+        # each instance is written before the next is drawn, so three cost
+        # no more memory than one
+        argv = ["harddist", "gen", "--family", "opnorm-eps", "--params", '{"d": 16}',
+                "--out", str(tmp_path / "gen.json"), "--count"]
+        assert main(argv + ["1"]) == 0  # calibrate once, outside the traces
+        one = traced_peak(main, argv + ["1"])[1]
+        three = traced_peak(main, argv + ["3"])[1]
+        assert three <= 1.25 * one
+
     def test_harddist_tvd(self):
         assert main(["harddist", "tvd", "--family", "opnorm-alpha",
                      "--params", '{"n": 16, "s1": 0.0}', "--d", "1",
@@ -415,6 +425,24 @@ class TestOtherCommands:
           "--params", '{"alpha": 1, "B": 2}'], "B must be >= 8, got 2"),
         (["sketch", "build", "--family", "projection-threshold", "--n", "16", "--r", "4",
           "--params", '{"alpha": -1, "B": 8}'], "alpha must be positive, got -1"),
+        (["harddist", "gen", "--family", "opnorm-alpha", "--params", '{"n": 0}'],
+         "opnorm-alpha param 'n' must be an integer >= 1, got 0"),
+        (["harddist", "gen", "--family", "opnorm-alpha", "--params", '{"n": 16.0}'],
+         "opnorm-alpha param 'n' must be an integer >= 1, got 16.0"),
+        (["harddist", "gen", "--family", "kyfan", "--params", '{"s": 2.5}'],
+         "kyfan param 's' must be an integer >= 1, got 2.5"),
+        (["harddist", "gen", "--family", "kyfan", "--params", '{"s": 0}'],
+         "kyfan param 's' must be an integer >= 1, got 0"),
+        (["harddist", "gap", "--family", "opnorm-eps", "--params", '{"d": 0}'],
+         "opnorm-eps param 'd' must be an integer >= 1, got 0"),
+        (["harddist", "gen", "--family", "kyfan", "--params", '{"n": 4, "s": 5}'],
+         "kyfan param 's' must be at most n = 4, got 5"),
+        (["harddist", "gen", "--family", "lp-small", "--params", '{"n": -4}'],
+         "lp-small param 'n' must be an integer >= 1, got -4"),
+        (["harddist", "gen", "--family", "lp-large", "--params", '{"n": 1, "delta": 0.0001}'],
+         "lp-large param 'n' must exceed t = 4"),
+        (["harddist", "tvd", "--family", "opnorm-alpha", "--params", '{"N": -5}'],
+         "opnorm-alpha param 'N' must be a finite number > 0, got -5"),
         (["sketch", "info", "--in", "missing.json"], "--in '"),
         (["sketch", "info", "--in", "garbage.json"], "--in '"),
         (["sketch", "info", "--in", "cert.json"], "is not a sketch spec"),
@@ -422,6 +450,8 @@ class TestOtherCommands:
             "cert-missing", "cert-malformed", "cert-not-certificate", "cert-bad-side",
             "sketch-missing", "sketch-malformed", "verify-trials-0", "verify-trials-5",
             "tvd-trials-0", "tvd-trials-3", "promise-B-2", "promise-alpha-negative",
+            "gen-n0", "gen-n-float", "kyfan-s-float", "kyfan-s0", "gap-d0", "kyfan-s-above-n",
+            "lp-small-n-negative", "lp-large-n-below-t", "tvd-N-negative",
             "in-missing", "in-malformed", "in-not-spec"])
     def test_bad_input_exits_1_with_one_line(self, tmp_path, capsys, argv, why):
         cert = {"subspace": [[1.0] + [0.0] * 15], "sigma2": 4.0, "side": "high",

@@ -1,11 +1,12 @@
 import math
+import re
 import time
 import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
-from oracles import jacobi_svd, ref_expected_p_norm
+from oracles import jacobi_svd, ref_expected_p_norm, ref_planted_spike
 
 from sketchlab import harddist, stats
 from sketchlab.errors import BadParams, DimensionTooLarge
@@ -18,6 +19,7 @@ from sketchlab.harddist import (
     gap_event_battery,
     gen_hard_instance,
     mgf_cross_term_check,
+    planted_spike,
     singular_value_concentration,
     sketched_indistinguishability,
     support_family,
@@ -44,6 +46,30 @@ class TestFamilies:
         for bad in ([64], {"n": 64}, "64", None):
             with pytest.raises(BadParams, match="'n' must be a number"):
                 HardFamily("opnorm-alpha", {"n": bad})
+
+    @pytest.mark.parametrize("name, params, why", [
+        ("opnorm-alpha", {"n": 0}, "param 'n' must be an integer >= 1, got 0"),
+        ("opnorm-alpha", {"n": 16.0}, "param 'n' must be an integer >= 1, got 16.0"),
+        ("kyfan", {"s": 2.5}, "param 's' must be an integer >= 1, got 2.5"),
+        ("kyfan", {"s": 0}, "param 's' must be an integer >= 1, got 0"),
+        ("kyfan", {"n": 4, "s": 5}, "param 's' must be at most n = 4, got 5"),
+        ("opnorm-eps", {"d": 0}, "param 'd' must be an integer >= 1, got 0"),
+        ("lp-small", {"n": -4}, "param 'n' must be an integer >= 1, got -4"),
+        ("lp-large", {"n": 1, "delta": 1e-4}, "param 'n' must exceed t = 4"),
+        ("lp-large", {"delta": 0.0}, "param 'delta' must be in (0,1), got 0.0"),
+        ("cs", {"k": True}, "param 'k' must be an integer >= 1, got True"),
+        ("cs", {"n": 8, "k": 8}, "param 'k' must be below n = 8, got 8"),
+        ("eigen", {"N": -5}, "param 'N' must be a finite number > 0, got -5"),
+        ("psd", {"N": math.inf}, "param 'N' must be a finite number > 0, got inf"),
+        ("psd", {"N": math.nan}, "param 'N' must be a finite number > 0, got nan"),
+    ])
+    def test_bad_sizes_name_the_key(self, name, params, why):
+        with pytest.raises(BadParams, match=re.escape(f"{name} {why}")):
+            HardFamily(name, params)
+
+    def test_sizes_take_any_integer_type(self):
+        fam = HardFamily("kyfan", {"n": np.int64(8), "s": 8})
+        assert fam.params["n"] == fam.params["s"] == 8
 
     def test_default_params_in_fill_order(self):
         inf = math.inf
@@ -86,8 +112,8 @@ class TestFamilies:
         fam = HardFamily("opnorm-alpha", {"n": 16})
         rng = derive(51, "plant")
         inst = gen_hard_instance(fam, "D2", rng)
-        base = inst.payload - inst.witness["spike"]
-        # payload minus the integer witness spike is exactly a null-side draw
+        base = inst.payload - planted_spike(inst.witness)
+        # payload minus the integer planted spike is exactly a null-side draw
         assert np.issubdtype(base.dtype, np.integer)
         # distributional check: pooled entries of many reconstructed bases
         # match a fresh null batch
@@ -95,7 +121,7 @@ class TestFamilies:
         for i in range(40):
             r = derive(51, "plant2", i)
             d2 = gen_hard_instance(fam, "D2", r)
-            recon.append((d2.payload - d2.witness["spike"]).ravel())
+            recon.append((d2.payload - planted_spike(d2.witness)).ravel())
             fresh.append(gen_hard_instance(fam, "D1", derive(51, "plant3", i)).payload.ravel())
         est = stats.empirical_tvd(np.concatenate(recon).astype(float),
                                   np.concatenate(fresh).astype(float),
@@ -106,7 +132,7 @@ class TestFamilies:
         fam = HardFamily("opnorm-alpha", {"n": 64, "alpha": 2.0})
         thr = calibrate_family(fam)
         inst = gen_hard_instance(fam, "D2", derive(51, "rec"))
-        residual = (inst.payload - inst.witness["spike"]).astype(float)
+        residual = (inst.payload - planted_spike(inst.witness)).astype(float)
         sv = np.linalg.svd(residual, compute_uv=False)
         C1 = thr["C_cal"]
         N, n = fam.params["N"], fam.params["n"]
@@ -532,18 +558,55 @@ class TestSketchedIndistinguishability:
     @pytest.mark.parametrize("name", FAMILY_NAMES)
     def test_every_batched_row_is_planted(self, name):
         # each row of a batch carries its own plant: at the defaults every
-        # row of a D2 batch meets the D2 event, and a matrix row's spike is
-        # the rounded s1 sum_j u_j v_j^T of its own factors
+        # row of a D2 batch meets the D2 event, and every row's payload minus
+        # its own plant is the null row drawn from the same seed (lp-small's
+        # D2 draws at another variance and plants nothing)
         fam = HardFamily(name)
         X, wit = harddist._draw(fam, "D2", 3, derive(54, "batch", name))
         assert X.shape[0] == 3
         for i in range(3):
             row = {k: v if np.isscalar(v) else v[i] for k, v in wit.items()}
             assert verify_gap_event(harddist.HardInstance(fam, "D2", X[i], row))["event_holds"]
-            if "spike" in row:
-                pairs = zip(row["u"].astype(float), row["v"].astype(float))
-                want = np.rint(sum(row["s1"] * np.outer(u, v) for u, v in pairs))
-                assert np.array_equal(row["spike"], want)
+        if name == "lp-small":
+            return
+        null, _ = harddist._draw(fam, "D1", 3, derive(54, "batch", name))
+        base = unplant(name, X, wit)
+        assert base.dtype == np.int64 and np.array_equal(base, null)
+
+    def test_plant_is_exact_past_float64(self):
+        # planted entries near 1e17 are not all float64 integers, so only an
+        # int64 addition of the rounded spike leaves exactly the null block
+        fam = HardFamily("kyfan", {"N": 1e15, "n": 8, "s": 3, "s1": 100.0})
+        X, wit = harddist._draw(fam, "D2", 2, derive(54, "wide"))
+        null, _ = harddist._draw(fam, "D1", 2, derive(54, "wide"))
+        assert np.abs(X).max() > 2**53
+        assert np.array_equal(X - planted_spike(wit), null)
+
+    @pytest.mark.parametrize("name", harddist._MATRIX)
+    def test_planted_spike_matches_reference(self, name):
+        # one instance and a 3-row batch at the defaults (kyfan sums 4 spikes)
+        fam = HardFamily(name)
+        inst = gen_hard_instance(fam, "D2", derive(54, "spike", name))
+        w = inst.witness
+        assert set(w) == {"u", "v", "s1"} | ({"shift"} if name == "psd" else set())
+        want = ref_planted_spike(w["u"][None], w["v"][None], w["s1"])[0]
+        assert planted_spike(w).dtype == np.int64
+        assert np.array_equal(planted_spike(w), want)
+        _, wit = harddist._draw(fam, "D2", 3, derive(54, "spikes", name))
+        assert np.array_equal(planted_spike(wit), ref_planted_spike(wit["u"], wit["v"], wit["s1"]))
+
+    @pytest.mark.parametrize("params, size", [
+        ({"n": 32, "s1": 40.0 / math.sqrt(32)}, 250),  # a sketched-TVD chunk
+        ({"n": 5, "s1": 0.37}, 7),
+    ], ids=["tvd-chunk", "odd"])
+    def test_planted_spike_in_row_blocks(self, params, size, monkeypatch):
+        # blocks of a few rows, and blocks that do not divide the rows
+        fam = HardFamily("opnorm-alpha", params)
+        _, wit = harddist._draw(fam, "D2", size, derive(54, "blocks", size))
+        want = ref_planted_spike(wit["u"], wit["v"], wit["s1"])
+        for block in (harddist._SPIKE_BLOCK, 3 * size * params["n"], 1):
+            monkeypatch.setattr(harddist, "_SPIKE_BLOCK", block)
+            assert np.array_equal(planted_spike(wit), want)
 
     def test_null_and_spiked(self):
         n = 16
@@ -555,3 +618,48 @@ class TestSketchedIndistinguishability:
         rep1 = sketched_indistinguishability(big, d=1, trials=6000,
                                              rng=derive(54, "b"))
         assert rep1["tvd"]["value"] >= 0.4
+
+
+def unplant(name, X, wit):
+    """A D2 batch's payloads minus their plants."""
+    base = X.copy()
+    if name == "lp-large":
+        for row, T in zip(base, wit["T"]):
+            row[T] -= wit["mag"]
+    elif name == "cs":
+        base -= wit["z"]
+    elif name == "psd":
+        spike = planted_spike(wit)
+        m = spike.shape[1]
+        base[:, :m, m:] -= spike
+        base[:, m:, :m] -= spike.transpose(0, 2, 1)
+    else:
+        base -= planted_spike(wit)
+    return base
+
+
+MB = 1 << 20
+
+
+class TestPlantMemory:
+    """A planted draw holds its payload, the plant's bounded float blocks and
+    the sampler's own workspace, and a D2 matrix witness only the spike
+    factors."""
+
+    def test_single_instance_draw(self, traced_peak):
+        fam = HardFamily("opnorm-eps")  # a 6400 x 64 block, 3.3 MB
+        harddist._draw(fam, "D2", 1, derive(55, "warm"))  # fill the envelope caches
+        (X, _), peak = traced_peak(harddist._draw, fam, "D2", 1, derive(55, "mem"))
+        assert peak <= X.nbytes + X.size * 8 + MB
+
+    def test_tvd_chunk_draw(self, traced_peak):
+        fam = HardFamily("opnorm-alpha", {"n": 32, "s1": 40.0 / math.sqrt(32)})
+        harddist._draw(fam, "D2", 1, derive(55, "warm"))
+        (X, _), peak = traced_peak(harddist._draw, fam, "D2", 250, derive(55, "chunk"))
+        assert peak <= X.nbytes + X.size * 8 + MB
+
+    @pytest.mark.parametrize("name", harddist._MATRIX)
+    def test_witness_holds_the_factors(self, name):
+        inst = gen_hard_instance(HardFamily(name), "D2", derive(55, "witness", name))
+        held = sum(v.nbytes for v in inst.witness.values() if isinstance(v, np.ndarray))
+        assert 0 < held <= inst.payload.nbytes / 8

@@ -4,7 +4,7 @@ of a small attack transcript, and of the exact integer layer's outputs
 kernel bases and auto alpha, auto alpha of each family's probe sketch), of
 seeded set-up constants (the cs support family and the median-estimator
 corrections), of each sketch family's GapNorm oracle bits, of every hard
-family's instances and calibration, and of the
+family's instances and calibration, of `harddist gen`'s output, and of the
 benchmark's sketched TVD values.
 
 A fixed seed must give the same bits. A change that moves one of these
@@ -22,8 +22,9 @@ import pytest
 from sketchlab import dgauss
 from sketchlab.acceptance import auto_alpha
 from sketchlab.attack import AttackConfig, run_attack
+from sketchlab.cli import main
 from sketchlab.harddist import (FAMILY_NAMES, HardFamily, calibrate_family, gen_hard_instance,
-                                sketched_indistinguishability, support_family)
+                                planted_spike, sketched_indistinguishability, support_family)
 from sketchlab.lattice import integer_kernel_basis, pairwise_reduced_kernel
 from sketchlab.numerics import OrthonormalBasis
 from sketchlab.rng import derive
@@ -250,11 +251,16 @@ HARD_INSTANCE = {
 }
 
 
+# each digest covers the witness with a D2 matrix instance's spike appended
+# last, so the pins fix the spike as well as its factors
 @pytest.mark.parametrize("family, side", HARD_INSTANCE)
 def test_hard_instance(family, side):
     inst = gen_hard_instance(HardFamily(family), side, derive(14, "streams", "hard", family, side))
+    witness = dict(inst.witness)
+    if "u" in witness:
+        witness["spike"] = planted_spike(witness)
     witness = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-               for k, v in inst.witness.items()}
+               for k, v in witness.items()}
     got = json_digest([list(inst.payload.shape), digest(inst.payload), witness])
     assert got == HARD_INSTANCE[family, side]
 
@@ -291,3 +297,41 @@ def test_sketched_tvd(label, spike):
     rep = sketched_indistinguishability(fam, d=1, trials=10_000,
                                         rng=derive(1, "bench-tvd", label))
     assert rep["tvd"]["value"] == SKETCHED_TVD[label, spike]
+
+
+# `harddist gen --seed 7` (side D2) for each matrix family at its defaults,
+# keyed by (family, --count): the sha256 of the --out file and of stdout
+HARDDIST_GEN = {
+    ("opnorm-alpha", 1): ("1a3a31ab4e99b8784d865359c68b264255561b4156688ac1982f8d63a6eb4e11",
+                          "e5d37bb8983b159f031d48f574f9a8cb418a7c6332d49486097a1a595fcda75a"),
+    ("opnorm-alpha", 3): ("9befa05c4cecc06e86bc77a6ebc235edfa96dc369c9e116a5f3e363f02afead6",
+                          "46c05f1a2e3d60190726f31bfc703d5f2b8c98939abb10f1252c1f482ea04822"),
+    ("opnorm-eps", 1): ("f330dfe7b1291eb5dabae5fa4c4952a0bfc63fd4acd2d34ffcd1e2045913b98a",
+                        "53174a52b0d20e17af9ffef7485be467fcc48215fc2e572e73f5c4928587e875"),
+    ("opnorm-eps", 3): ("24aa1e84289a2520a6e0cf292dca564324045c5e5584252760c07ebf214a08b9",
+                        "27d1ab598f8b0a3a7f9622dbc068604a4a06de8cd2679d9b4df5a1a7ef63e4c4"),
+    ("kyfan", 1): ("32278e361f3db41a98cef3c8cdd0c6dddc8ada641577c3c49734beaa305a61cb",
+                   "d4106c99208c54da8c6208f0bfd371d60ac8c4bba5272351ef63614a4c07cf74"),
+    ("kyfan", 3): ("4465e20214db4fcf1d7c42361a5f323f01864722d84bf6eb857fa1028f60fb96",
+                   "b976e42877ce0d4f3128049a32b5e0093b558531584681f6fbec1ae40464ee2d"),
+    ("eigen", 1): ("8545815ddfcf9f10f9e56d902ff3437fc7b3569d60767ef9a5451e2682e1a181",
+                   "4ce5666f65eeacdd56cda12c414d673db114a0345bb787ef9827db44c5f4a619"),
+    ("eigen", 3): ("f3ce03a4f92b6fdd2a78e274258c21bdf8cd8040efdf32585363433668cfcf4a",
+                   "5906b186e1ccad3011f8893f4f60f4cb9b9f87e7075fa8a2cb9224d8d6be8aa5"),
+    ("psd", 1): ("f57a57716f57a72b2bd9e629aad21ee0a501159ffb8f691920d4e1612c3dac8f",
+                 "ab99724c7179240da5b1108cbb82c89b652d400d05bf9380c36721c501327430"),
+    ("psd", 3): ("64e791e490042f4ac03efa8dfdcd1d142f14f14f5201a43c911bd3089cdaff3e",
+                 "38ac493b47d3b6172b68c6ac7f8c6dcd62637f1b1afeb17ac3d2f9fbe44e23d1"),
+}
+
+
+@pytest.mark.parametrize("family, count", HARDDIST_GEN)
+def test_harddist_gen(family, count, tmp_path, capsys):
+    argv = ["harddist", "gen", "--family", family, "--count", str(count), "--seed", "7"]
+    out = tmp_path / "gen.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    got = tuple(hashlib.sha256(b).hexdigest() for b in (out.read_bytes(), printed.encode()))
+    assert got == HARDDIST_GEN[family, count]
