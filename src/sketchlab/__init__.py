@@ -23,7 +23,6 @@ from .dgauss import (
     SubspaceGaussianSpec,
     pmf_dgauss_1d,
     sample_dgauss_1d,
-    sample_dgauss_ellipsoidal,
     sample_subspace_query,
 )
 from .harddist import (

@@ -72,7 +72,6 @@ class AttackState:
     t: int
     V: OrthonormalBasis
     transcript: list = field(default_factory=list)  # ordered records
-    accepted: list = field(default_factory=list)    # (t, sigma2, score)
 
 
 @dataclass
@@ -191,17 +190,15 @@ def round_step(state: AttackState, oracle, n, r_budget, config: AttackConfig, rn
             threshold = sigma2 + sigma2 / 4.0 + config.slack(sigma2, r_budget)
             if score >= threshold:
                 rec["accepted"] = True
-                found = (v_sigma, float(sigma2), score)
+                found = v_sigma
 
     if found is None:
         return "no-progress", None
-    v_sigma, sigma2, score = found
     try:
-        v_t = gram_schmidt_residual(v_sigma, state.V)
+        v_t = gram_schmidt_residual(found, state.V)
     except DegenerateResidual:
         return "no-progress", None
     state.V = state.V.extended(v_t)
-    state.accepted.append((t, sigma2, score))
     return "direction", v_t
 
 
@@ -225,7 +222,7 @@ def run_attack(oracle, n, r_budget, config: AttackConfig, rng):
     return AttackOutcome("exhausted", state)
 
 
-def verify_certificate(oracle, cert: FailureCertificate, trials, rng, n=None):
+def verify_certificate(oracle, cert: FailureCertificate, trials, rng):
     """Draw fresh queries at the certificate's (V, sigma^2) and extract
     integer exploits.
 
@@ -237,8 +234,7 @@ def verify_certificate(oracle, cert: FailureCertificate, trials, rng, n=None):
     if trials < 1:
         raise BadParams(f"verification needs trials >= 1, got {trials}")
     rng = as_generator(rng)
-    if n is None:
-        n = oracle.n
+    n = oracle.n
     basis = cert.basis(n)
     d = cert.dim
     spec = SubspaceGaussianSpec(n, basis, cert.sigma2)

@@ -430,9 +430,7 @@ def cmd_stats_check(args):
         rep = stats.cell_lemma_check(sk, args.sigma2, args.trials, rng)
         ok = rep["pass"]
     elif name == "chi2-mixture":
-        rep = stats.chi_square_mixture_check(
-            ("pm", args.a), args.sigma2, args.d, args.trials, rng
-        )
+        rep = stats.chi_square_mixture_check(args.a, args.sigma2, args.d, args.trials, rng)
         ok = rep["ok"]
     else:  # tvd-null; argparse's choices admit no other name
         x = rng.standard_normal(args.trials)

@@ -5,17 +5,14 @@ exp(-x^T Sigma^{-1} x / 2), so Sigma plays the role of a covariance parameter
 (measured variances approach Sigma as it grows). In one dimension the weight
 is exp(-z^2 / (2 sigma^2)).
 
-Tails are truncated at 12 sigma everywhere (mass < 1e-30). Ellipsoidal
-sampling over Z^n uses a continuous+discrete convolution (Peikert 2010):
-draw a continuous center c ~ N(0, Sigma - s^2 I), then round coordinatewise
-with 1-D discrete Gaussians D(Z - c, s^2) at the continuous centers. One rule
-sets the rounding variance: s^2 = lambda_min(Sigma), so the continuous part
-lives on the eigenspaces above the least eigenvalue and the rounding carries
-as much of the covariance as it can. The law is eps-close to D(0, Sigma)
-whenever s^2 is at least the smoothing margin r0^2 of Z, and the samplers
-require s^2 >= 2 r0^2. An isotropic D(0, sigma^2 I) needs no convolution: it
-is a product of exact 1-D samples, which is how a subspace query with an
-empty forbidden subspace is drawn.
+Tails are truncated at 12 sigma everywhere (mass < 1e-30). An isotropic
+D(0, sigma^2 I) is a product of exact 1-D samples. A subspace query with a
+non-empty forbidden subspace V uses a continuous+discrete convolution
+(Peikert 2010): a continuous center on V^perp, then coordinatewise rounding
+with 1-D discrete Gaussians D(Z - c, s^2) at the center, with s^2 = sigma^2/4,
+the covariance's least eigenvalue. The law is eps-close to D(0, Sigma)
+whenever s^2 is at least the smoothing margin r0^2 of Z, and the sampler
+requires s^2 >= 2 r0^2.
 
 Every draw, at any variance, centered or at real centers, comes from one
 exact rejection loop (`_sample_at_centers`): the proposal rounds a
@@ -25,7 +22,9 @@ candidates, the proposals the squeeze cannot decide, are drawn as Bernoulli
 positions and take a uniform (the squeeze method, Devroye 1986), so a draw
 costs about one normal per coordinate. The normals stream through one buffer
 of _BLOCK floats, each block rounded straight into the int64 output, so the
-output is the only batch-sized array a draw holds.
+output is the only batch-sized array a draw holds. A rounding variance above
+MAX_SIGMA2 raises VarianceTooLarge: past it the proposal's pmf, a difference
+of float64 tails, loses its relative precision.
 """
 
 import math
@@ -34,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonPositiveVariance, VarianceTooSmall
+from .errors import NonPositiveVariance, VarianceTooLarge, VarianceTooSmall
 from .numerics import OrthonormalBasis
 from .rng import as_generator
 
@@ -46,6 +45,10 @@ SMOOTHING_EPS = 1e-6
 # the attack's sampling floor, sigma^2/4 >= 2 r0^2, is smoothing_sigma2 at
 # this squared length: 8 r0^2
 SAMPLING_FLOOR_ELL_SQ = 32
+# the samplers' ceiling on a rounding variance: up to it the proposal's pmf
+# is within about 2e-7 relative of its exact value on |u| <= 8 sigma; the
+# error grows with sigma, and q(0) rounds to 0 by sigma^2 = 1e32
+MAX_SIGMA2 = 1e16
 SQUEEZE_BUCKETS = 1024  # buckets of |u| in the two-sided squeeze
 _BLOCK = 65_536  # normals per block of a pass's proposal stream (512 KB)
 _SQRT_HALF = math.sqrt(0.5)
@@ -165,7 +168,9 @@ def _envelope(sigma2, bound):
     on the support |u| <= bound. The ratio w/q falls with |u| (see
     _acceptance_ratio), so its maximum over every offset is 1/q(0), and
     c_env = 1/q(0) plus 1e-9 relative bounds it; the squeeze is the ratio at
-    the bound less 1e-9 relative."""
+    the bound less 1e-9 relative. Raises VarianceTooLarge above MAX_SIGMA2."""
+    if sigma2 > MAX_SIGMA2:
+        raise VarianceTooLarge(f"sigma^2 = {sigma2:.4g} above the sampling ceiling {MAX_SIGMA2:g}")
     c_env = 1.0 / float(_rounded_gaussian_pmf(0.0, math.sqrt(sigma2))) * (1.0 + 1e-9)
     return c_env, bound, float(_acceptance_ratio(bound, sigma2, c_env)) * (1.0 - 1e-9)
 
@@ -258,17 +263,11 @@ def _sample_at_centers(centers, sigma2, envelope, rng, shape=None):
     return out
 
 
-def _round_at_centers(centers, s2, rng):
-    """The convolution's rounding step: D(Z - c, s2) at each real center c,
-    on the support |u| <= OFFSET_SIGMAS sqrt(s2)."""
-    return _sample_at_centers(centers, s2, _envelope(s2, OFFSET_SIGMAS * math.sqrt(s2)), rng)
-
-
 def sample_dgauss_1d(sigma2, rng, size=None):
-    """Exact sample(s) from D(0, sigma^2) on Z, at every sigma^2 > 0, by
-    rejection from a rounded-continuous proposal on the support
-    |z| <= ceil(12 sigma) + 1. The ratio w/q falls with |z| at any sigma, so
-    the envelope constant 1/q(0) is exact for small variances too.
+    """Exact sample(s) from D(0, sigma^2) on Z, at every 0 < sigma^2 <=
+    MAX_SIGMA2, by rejection from a rounded-continuous proposal on the
+    support |z| <= ceil(12 sigma) + 1. The ratio w/q falls with |z| at any
+    sigma, so the envelope constant 1/q(0) is exact for small variances too.
     """
     if sigma2 <= 0:
         raise NonPositiveVariance(f"sigma2={sigma2}")
@@ -305,31 +304,6 @@ class SubspaceGaussianSpec:
         vals = np.linalg.eigvalsh(self.covariance())
         lo, hi, tol = self.sigma2 / 4.0, self.sigma2, 1e-8
         return bool(np.all((np.abs(vals - lo) < tol * hi) | (np.abs(vals - hi) < tol * hi)))
-
-
-def sample_dgauss_ellipsoidal(Sigma, rng, size=None):
-    """Sample from D(0, Sigma) over Z^n by continuous+discrete convolution.
-
-    Rounds at s^2 = lambda_min(Sigma): the continuous center has covariance
-    Sigma - s^2 I, which is 0 on the least eigenspace, and each coordinate
-    is rounded with D(Z - c_i, s^2). The law is eps-close to D(0, Sigma) as
-    s^2 is above the smoothing margin r0^2 of Z. Requires s^2 >= 2 r0^2;
-    raises VarianceTooSmall otherwise (the caller must rescale).
-    """
-    rng = as_generator(rng)
-    Sigma = np.asarray(Sigma, dtype=float)
-    n = Sigma.shape[0]
-    floor = smoothing_sigma2(n, 8)  # 2 r0^2
-    vals, vecs = np.linalg.eigh(Sigma)
-    s2 = float(vals[0])  # eigh sorts ascending
-    if s2 < floor:
-        raise VarianceTooSmall(f"min eigenvalue {s2:.3f} < 2*r0^2 = {floor:.3f}")
-    # the clip keeps a repeated least eigenvalue from a negative square root
-    sqrt_cont = (vecs * np.sqrt(np.maximum(vals - s2, 0.0))) @ vecs.T
-    m = 1 if size is None else int(size)
-    y = rng.standard_normal((m, n)) @ sqrt_cont
-    z = _round_at_centers(y, s2, rng)
-    return z[0] if size is None else z
 
 
 def sample_subspace_query(spec: SubspaceGaussianSpec, kind, rng, size=None):
@@ -375,5 +349,8 @@ def sample_subspace_query(spec: SubspaceGaussianSpec, kind, rng, size=None):
     G = rng.standard_normal((m, n))
     G -= (G @ V.T) @ V
     G *= math.sqrt(0.75 * s2)
-    z = _round_at_centers(G, s2 / 4.0, rng)
+    # the rounding step: D(Z - c, sigma^2/4) at each center, on the support
+    # |u| <= OFFSET_SIGMAS sigma/2
+    s2 /= 4.0
+    z = _sample_at_centers(G, s2, _envelope(s2, OFFSET_SIGMAS * math.sqrt(s2)), rng)
     return z[0] if size is None else z

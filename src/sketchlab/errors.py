@@ -53,6 +53,10 @@ class VarianceTooSmall(SketchLabError):
     """Covariance falls below the smoothing margin for exact discrete sampling."""
 
 
+class VarianceTooLarge(SketchLabError):
+    """Variance lies above the ceiling where float64 sampling stays exact."""
+
+
 # sketch
 class DimensionMismatch(SketchLabError):
     """Vector dimension does not match the sketch."""

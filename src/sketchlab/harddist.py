@@ -82,8 +82,9 @@ class HardFamily:
         elif name == "lp-large":
             if not (2.0 < p["p"] < math.inf):
                 raise BadParams("lp-large needs finite p > 2")
-            if not (0.0 < p["delta"] < 1.0):
-                raise BadParams(f"lp-large param 'delta' must be in (0,1), got {p['delta']!r}")
+            for key in ("eps", "delta"):
+                if not (0.0 < p[key] < 1.0):
+                    raise BadParams(f"lp-large param {key!r} must be in (0,1), got {p[key]!r}")
             if p["n"] <= _lp_large_t(p):
                 raise BadParams(f"lp-large param 'n' must exceed t = {_lp_large_t(p)}, the "
                                 f"planted coordinates at delta = {p['delta']!r}, got {p['n']}")
@@ -91,6 +92,8 @@ class HardFamily:
             raise BadParams("opnorm-alpha needs approximation factor alpha > 1")
         elif name in ("opnorm-eps", "eigen") and not (0.0 < p["eps"] < 1.0 / 3.0):
             raise BadParams(f"{name} needs eps in (0, 1/3)")
+        elif name == "psd" and not p["p"] >= 1.0:
+            raise BadParams(f"psd param 'p' must be at least 1, got {p['p']!r}")
         elif name == "kyfan" and p["s"] > p["n"]:
             raise BadParams(f"kyfan param 's' must be at most n = {p['n']}, got {p['s']}")
         elif name == "cs":
@@ -365,8 +368,15 @@ def _spike_rows(witness):
     each block of about _SPIKE_BLOCK entries across every leading index.
     Each entry is s1 (u_0 v_0), plus s1 (u_i v_i) for each further i in
     order, then rounded, so the blocks agree bit for bit with the whole
-    spike formed at once."""
+    spike formed at once. Raises BadParams unless every entry is bounded
+    below 2^62 by s1 sum_i max|u_i| max|v_i|, so the spike and its sum with
+    the null block stay in int64."""
     u, v, s1 = witness["u"], witness["v"], witness["s1"]
+    bound = abs(s1) * float(np.max(np.sum(
+        np.abs(u).max(axis=-1).astype(float) * np.abs(v).max(axis=-1), axis=-1)))
+    if not bound < 2.0**62:
+        raise BadParams(f"planted spike bound s1 sum_i max|u_i| max|v_i| = {bound:.4g} "
+                        f"is not below 2^62 (int64) at s1 = {s1:.4g}")
     vf = v.astype(float)
     step = max(1, _SPIKE_BLOCK // vf[..., 0, :].size)
     for lo in range(0, u.shape[-1], step):

@@ -333,16 +333,15 @@ class GapNormOracle:
 class ExactNormOracle:
     """Negative control: answers from the true squared norm of the query.
 
-    Default threshold 3 alpha n sits between the verifier's low-side window
+    Its threshold 3 alpha n sits between the verifier's low-side window
     3 alpha (n-d) and the high-side demands at sigma^2 >= alpha B / 2 for the
     desk-scale B used here, so this oracle admits no failure certificate.
     """
 
-    def __init__(self, n, params: GapNormParams, threshold=None):
+    def __init__(self, n, params: GapNormParams):
         self.n = n
         self.params = params
-        self.threshold = float(threshold if threshold is not None
-                               else 3.0 * params.alpha * n)
+        self.threshold = 3.0 * params.alpha * n
         self.query_count = 0
 
     def query_batch(self, X):

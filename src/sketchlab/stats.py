@@ -1,6 +1,7 @@
 """Statistical verification harnesses: empirical total variation distance
-and its label-permutation null bound, cell-lemma closeness checks, exact
-pmf-ratio checks, and the chi-square mixture bound.
+and its label-permutation null bound, cell-lemma closeness checks at an
+isotropic D(0, sigma^2 I), exact pmf-ratio checks, and the chi-square
+mixture bound at the mixture of +-a e1.
 
 A histogram TVD check passes while its value is at most the permutation
 bound `tvd_null_bound` of its own samples, so its false-fail rate is
@@ -66,24 +67,21 @@ def _bin_counts(X, Y, cells_per_axis):
     return cx, cy, total
 
 
-def _binned(samples1, samples2, projection):
+def _binned(samples1, samples2):
     """Both samples' counts in empirical_tvd's equal-mass cells, and the
     binning: the total cell budget is ceil(min(n1,n2)^(1/3)), split evenly
-    across axes; dimensions above 3 require a 1-D `projection` vector."""
+    across axes; dimensions above 3 raise DimensionTooLarge (a caller
+    projects first)."""
     X = np.asarray(samples1, dtype=float)
     Y = np.asarray(samples2, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     if Y.ndim == 1:
         Y = Y[:, None]
-    if projection is not None:
-        p = np.asarray(projection, dtype=float)
-        X = (X @ p)[:, None]
-        Y = (Y @ p)[:, None]
     d = X.shape[1]
     if d > 3:
         raise DimensionTooLarge(
-            f"histogram mode handles d <= 3 (got {d}); pass a projection"
+            f"histogram mode handles d <= 3 (got {d}); project the samples first"
         )
     n1, n2 = len(X), len(Y)
     if min(n1, n2) < 1000:
@@ -94,14 +92,14 @@ def _binned(samples1, samples2, projection):
     return cx, cy, {"cells_per_axis": per_axis, "dims": d, "total_cells": int(ncells)}
 
 
-def empirical_tvd(samples1, samples2, rng=None, projection=None):
+def empirical_tvd(samples1, samples2, rng=None):
     """Histogram TVD with equal-mass adaptive bins and a bootstrap CI.
 
     Bins as `_binned`. Bootstrap CIs come from TVD_BOOTSTRAP multinomial
     resamples of the binned counts (equivalent to resampling the samples at
     fixed bin edges).
     """
-    cx, cy, binning = _binned(samples1, samples2, projection)
+    cx, cy, binning = _binned(samples1, samples2)
     n1, n2 = int(cx.sum()), int(cy.sum())
     value = 0.5 * float(np.sum(np.abs(cx / n1 - cy / n2)))
 
@@ -127,7 +125,7 @@ def tvd_null_bound(samples1, samples2, rng=None):
     TVDs, so under the null the observed value exceeds it with probability
     at most level = TVD_NULL_LEVEL: that is a check's false-fail rate.
     """
-    cx, cy, _ = _binned(samples1, samples2, None)
+    cx, cy, _ = _binned(samples1, samples2)
     n1, n2 = int(cx.sum()), int(cy.sum())
     pooled = (cx + cy).astype(np.int64)
     rx = as_generator(rng).multivariate_hypergeometric(pooled, n1, size=TVD_NULL_PERMS)
@@ -213,43 +211,38 @@ def cell_lemma_sketch(r, n, rng, seed):
             return IntegerSketch.from_matrix(A, seed=seed)
 
 
-def cell_lemma_check(sketch, Sigma, trials, rng):
+def cell_lemma_check(sketch, sigma2, trials, rng):
     """Distributional check that the sketch of a discrete Gaussian plus
-    fundamental-cell noise matches the continuous image N(0, Q Sigma Q^T).
+    fundamental-cell noise matches the continuous image N(0, sigma^2 I_r).
 
-    Draws x ~ D(0, Sigma), forms Q x + R eta with eta uniform over the
+    Draws x ~ D(0, sigma^2 I_n), forms Q x + R eta with eta uniform over the
     fundamental cell of the column lattice, and compares against
-    N(0, Q Sigma Q^T) via histogram TVD (r <= 3) or an energy test (r = 4).
-    Also runs the rounding-path variant: the cell-rounded image of a
-    continuous Gaussian versus the exact discrete image.
+    N(0, sigma^2 I_r), the image under Q's orthonormal rows, via histogram
+    TVD (r <= 3) or an energy test (r = 4). Also runs the rounding-path
+    variant: the cell-rounded image of a continuous Gaussian versus the
+    exact discrete image.
 
-    Sigma may be a scalar sigma^2 > 0 (isotropic sigma^2 I, the fast path) or
-    a positive-definite covariance matrix; else NonPositiveVariance.
-    Preconditions (PreconditionUnmet): r <= 4 and
-    sqrt(min eig Sigma) >= certified kernel length * 10 ln(n). A histogram
-    path passes while its TVD is at most `tvd_null_bound` of its own samples
-    (recorded as its "null_bound"), so each path false-fails with probability
-    at most TVD_NULL_LEVEL whatever `trials` is.
+    sigma2 must be positive, else NonPositiveVariance. Preconditions
+    (PreconditionUnmet): r <= 4 and sigma >= certified kernel length *
+    10 ln(n). A histogram path passes while its TVD is at most
+    `tvd_null_bound` of its own samples (recorded as its "null_bound"), so
+    each path false-fails with probability at most TVD_NULL_LEVEL whatever
+    `trials` is.
     """
     rng = as_generator(rng)
     A = sketch.A
     r, n = A.rows, A.cols
     if r > 4:
         raise PreconditionUnmet(f"the cell lemma's two-sample tests need r <= 4, got {r}")
-    isotropic = np.isscalar(Sigma)
-    if isotropic:
-        sigma2 = float(Sigma)
-        min_eig = sigma2
-    else:
-        Sigma = np.asarray(Sigma, dtype=float)
-        min_eig = float(np.min(np.linalg.eigvalsh(Sigma)))
-    if not min_eig > 0:
-        raise NonPositiveVariance(f"Sigma's least eigenvalue must be positive, got {min_eig}")
+    sigma2 = float(sigma2)
+    if not sigma2 > 0:
+        raise NonPositiveVariance(
+            f"Sigma = sigma2 I: its least eigenvalue must be positive, got {sigma2}")
     lam = reduced_kernel_basis(A).certified_max_len
     floor = lam * 10.0 * math.log(n)
-    if math.sqrt(min_eig) < floor:
+    if math.sqrt(sigma2) < floor:
         raise PreconditionUnmet(
-            f"sigma_min = {math.sqrt(min_eig):.1f} below lattice floor {floor:.1f}"
+            f"sigma_min = {math.sqrt(sigma2):.1f} below lattice floor {floor:.1f}"
         )
 
     rounder = CellRounder(A.entries)
@@ -257,13 +250,8 @@ def cell_lemma_check(sketch, Sigma, trials, rng):
     Af = A.entries.T.astype(float)
 
     # path 1: discrete image plus cell noise vs continuous image
-    if isotropic:
-        X = dgauss.sample_dgauss_1d(sigma2, rng, size=(m, n)).astype(float)
-        ref = rng.standard_normal((m, r)) * math.sqrt(sigma2)
-    else:
-        X = dgauss.sample_dgauss_ellipsoidal(Sigma, rng, size=m).astype(float)
-        img_cov = sketch.Q @ Sigma @ sketch.Q.T
-        ref = rng.multivariate_normal(np.zeros(r), img_cov, size=m)
+    X = dgauss.sample_dgauss_1d(sigma2, rng, size=(m, n)).astype(float)
+    ref = rng.standard_normal((m, r)) * math.sqrt(sigma2)
     Y_disc = X @ Af                                   # exact lattice points
     eta = fundamental_cell_uniform(rounder, rng, size=m)
     obs = (Y_disc + eta) @ sketch.R.T
@@ -271,8 +259,8 @@ def cell_lemma_check(sketch, Sigma, trials, rng):
     report = {
         "r": r,
         "n": n,
-        "sigma2": sigma2 if isotropic else None,
-        "min_eig": min_eig,
+        "sigma2": sigma2,
+        "min_eig": sigma2,
         "trials": m,
         "certified_kernel_length": lam,
     }
@@ -284,10 +272,7 @@ def cell_lemma_check(sketch, Sigma, trials, rng):
         report["pass_noise_path"] = res["pass"]
 
     # path 2: cell-rounded continuous image vs exact discrete image
-    if isotropic:
-        G = rng.standard_normal((m, n)) * math.sqrt(sigma2)
-    else:
-        G = rng.multivariate_normal(np.zeros(n), Sigma, size=m)
+    G = rng.standard_normal((m, n)) * math.sqrt(sigma2)
     Y_round = rounder.cell_base_batch(G @ Af).astype(float)
     if r <= 3:
         report["tvd_round_path"] = empirical_tvd(Y_round, Y_disc, rng=rng).as_dict()
@@ -307,12 +292,11 @@ def cell_lemma_check(sketch, Sigma, trials, rng):
     return report
 
 
-def chi_square_mixture_check(mixture, sigma2, d, trials, rng):
+def chi_square_mixture_check(a, sigma2, d, trials, rng):
     """Monte Carlo check of chi^2(N(0, sigma^2 I_d) * mu || N(0, sigma^2 I_d))
-    <= E[e^{<z,z'>/sigma^2}] - 1 for z, z' ~ mu independent.
-
-    `mixture` is ("point0",), ("pm", a) for (1/2)(delta_{a e1} + delta_{-a e1}),
-    or ("gauss", s) for N(0, s^2 I_d). Asserts LHS <= RHS + 3 combined SE.
+    <= E[e^{<z,z'>/sigma^2}] - 1 for z, z' ~ mu independent, at the mixture
+    mu = (1/2)(delta_{a e1} + delta_{-a e1}), whose right side is
+    cosh(a^2/sigma^2) - 1 in closed form. Asserts LHS <= RHS + 3 SE.
     """
     if d < 1:
         raise BadParams(f"chi^2 mixture check needs d >= 1, got {d}")
@@ -324,61 +308,27 @@ def chi_square_mixture_check(mixture, sigma2, d, trials, rng):
     if m < 2:
         raise TooFewSamples(f"chi^2 mixture check needs >= 2 trials, got {m}")
     rng = as_generator(rng)
-    kind = mixture[0]
-    sig = math.sqrt(sigma2)
-
-    if kind == "point0":
-        lhs, lhs_se = 0.0, 0.0
-        rhs, rhs_se = 0.0, 0.0
-    elif kind == "pm":
-        a = float(mixture[1])
-        e1 = np.zeros(d)
-        e1[0] = a
-        signs = rng.choice([-1.0, 1.0], size=m)
-        x = rng.standard_normal((m, d)) * sig + signs[:, None] * e1[None, :]
-        # p(x)/q(x) depends on the first coordinate only
-        t = x[:, 0]
-        ratio = 0.5 * (
-            np.exp((2 * a * t - a * a) / (2 * sigma2))
-            + np.exp((-2 * a * t - a * a) / (2 * sigma2))
-        )
-        vals = ratio - 1.0
-        lhs = float(np.mean(vals))
-        lhs_se = float(np.std(vals) / math.sqrt(m))
-        rhs = float(np.cosh(a * a / sigma2) - 1.0)
-        rhs_se = 0.0
-    elif kind == "gauss":
-        s = float(mixture[1])
-        if s * s >= sigma2:
-            raise PreconditionUnmet("gauss mixture needs s^2 < sigma^2 for a finite bound")
-        z = rng.standard_normal((m, d)) * s
-        x = z + rng.standard_normal((m, d)) * sig
-        tot = sigma2 + s * s
-        # p = N(0, tot I), q = N(0, sigma2 I): closed-form density ratio
-        log_ratio = (
-            d / 2 * math.log(sigma2 / tot)
-            + np.sum(x * x, axis=1) * (1 / sigma2 - 1 / tot) / 2
-        )
-        vals = np.exp(log_ratio) - 1.0
-        lhs = float(np.mean(vals))
-        lhs_se = float(np.std(vals) / math.sqrt(m))
-        z1 = rng.standard_normal((m, d)) * s
-        z2 = rng.standard_normal((m, d)) * s
-        rv = np.exp(np.sum(z1 * z2, axis=1) / sigma2)
-        rhs = float(np.mean(rv) - 1.0)
-        rhs_se = float(np.std(rv) / math.sqrt(m))
-    else:
-        raise ValueError(f"unknown mixture {mixture!r}")
-
-    combined_se = math.sqrt(lhs_se**2 + rhs_se**2)
-    ok = lhs <= rhs + 3.0 * combined_se + 1e-12
+    af = float(a)
+    signs = rng.choice([-1.0, 1.0], size=m)
+    x = rng.standard_normal((m, d)) * math.sqrt(sigma2)
+    x[:, 0] += signs * af
+    # p(x)/q(x) depends on the first coordinate only
+    t = x[:, 0]
+    ratio = 0.5 * (
+        np.exp((2 * af * t - af * af) / (2 * sigma2))
+        + np.exp((-2 * af * t - af * af) / (2 * sigma2))
+    )
+    vals = ratio - 1.0
+    lhs = float(np.mean(vals))
+    lhs_se = float(np.std(vals) / math.sqrt(m))
+    rhs = float(np.cosh(af * af / sigma2) - 1.0)
     return {
         "lhs_chi2": lhs,
         "lhs_se": lhs_se,
         "rhs_bound": rhs,
-        "rhs_se": rhs_se,
-        "ok": bool(ok),
-        "mixture": list(mixture),
+        "rhs_se": 0.0,
+        "ok": bool(lhs <= rhs + 3.0 * lhs_se + 1e-12),
+        "mixture": ["pm", a],
         "sigma2": sigma2,
         "d": d,
         "trials": m,

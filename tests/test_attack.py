@@ -251,7 +251,7 @@ class TestVerifyCertificate:
             sample_count=200, zeta=0.1, alpha=ALPHA, B=8.0, round=1,
         )
         rep = verify_certificate(_ConstOracle(0, n), cert, trials=2000,
-                                 rng=derive(43, "v0"), n=n)
+                                 rng=derive(43, "v0"))
         assert rep["failure_rate"] >= 0.95
         ex = rep["exploits"][0]
         assert ex.answer == 0 and ex.wrong
@@ -266,7 +266,7 @@ class TestVerifyCertificate:
             sample_count=200, zeta=0.1, alpha=ALPHA, B=8.0, round=1,
         )
         with pytest.raises(NoExploitFound):
-            verify_certificate(oracle, cert, trials=2000, rng=derive(43, "v1"), n=n)
+            verify_certificate(oracle, cert, trials=2000, rng=derive(43, "v1"))
 
     @pytest.mark.parametrize("trials", (0, -5))
     def test_trials_below_one_rejected(self, trials):
@@ -276,7 +276,7 @@ class TestVerifyCertificate:
         )
         with pytest.raises(BadParams, match="trials >= 1"):
             verify_certificate(_ConstOracle(0, 64), cert, trials=trials,
-                               rng=derive(43, "v2"), n=64)
+                               rng=derive(43, "v2"))
 
     def test_holds_one_copy_of_the_batch(self, traced_peak):
         # the set-up of `sketchlab attack run` at n = 256: projection-threshold

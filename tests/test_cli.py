@@ -443,6 +443,16 @@ class TestOtherCommands:
          "lp-large param 'n' must exceed t = 4"),
         (["harddist", "tvd", "--family", "opnorm-alpha", "--params", '{"N": -5}'],
          "opnorm-alpha param 'N' must be a finite number > 0, got -5"),
+        (["harddist", "gen", "--family", "lp-large", "--params", '{"eps": -0.1, "n": 64}'],
+         "lp-large param 'eps' must be in (0,1), got -0.1"),
+        (["harddist", "gen", "--family", "psd", "--params", '{"p": 0, "d": 8}'],
+         "psd param 'p' must be at least 1, got 0"),
+        (["harddist", "gap", "--family", "psd", "--params", '{"p": 0, "d": 8}'],
+         "psd param 'p' must be at least 1, got 0"),
+        (["harddist", "gen", "--family", "opnorm-alpha", "--params", '{"alpha": 1e300, "n": 8}'],
+         "is not below 2^62 (int64)"),
+        (["harddist", "gen", "--family", "opnorm-alpha", "--params", '{"N": 1e16, "n": 8}'],
+         "sigma^2 = 1e+32 above the sampling ceiling 1e+16"),
         (["sketch", "info", "--in", "missing.json"], "--in '"),
         (["sketch", "info", "--in", "garbage.json"], "--in '"),
         (["sketch", "info", "--in", "cert.json"], "is not a sketch spec"),
@@ -452,7 +462,8 @@ class TestOtherCommands:
             "tvd-trials-0", "tvd-trials-3", "promise-B-2", "promise-alpha-negative",
             "gen-n0", "gen-n-float", "kyfan-s-float", "kyfan-s0", "gap-d0", "kyfan-s-above-n",
             "lp-small-n-negative", "lp-large-n-below-t", "tvd-N-negative",
-            "in-missing", "in-malformed", "in-not-spec"])
+            "lp-large-eps-negative", "psd-p0-gen", "psd-p0-gap", "spike-past-int64",
+            "N-past-ceiling", "in-missing", "in-malformed", "in-not-spec"])
     def test_bad_input_exits_1_with_one_line(self, tmp_path, capsys, argv, why):
         cert = {"subspace": [[1.0] + [0.0] * 15], "sigma2": 4.0, "side": "high",
                 "empirical_rate": 0.2, "sample_count": 100, "zeta": 0.1, "alpha": 0.5,

@@ -6,7 +6,7 @@ from scipy.stats import chisquare, norm
 
 from oracles import _ref_rounded_gaussian_pmf, ref_centered_envelope, ref_sample_at_centers
 from sketchlab import dgauss
-from sketchlab.errors import NonPositiveVariance, VarianceTooSmall
+from sketchlab.errors import NonPositiveVariance, VarianceTooLarge, VarianceTooSmall
 from sketchlab.numerics import OrthonormalBasis
 from sketchlab.rng import derive
 
@@ -107,6 +107,37 @@ class TestSample1d:
         a = dgauss.sample_dgauss_1d(50.0, derive(5, "det"), size=1000)
         b = dgauss.sample_dgauss_1d(50.0, derive(5, "det"), size=1000)
         assert np.array_equal(a, b)
+
+
+class TestCeiling:
+    """Up to MAX_SIGMA2 the proposal's pmf, a difference of float64 tails,
+    keeps its relative precision; above it every sampler refuses."""
+
+    def test_pmf_precision_at_the_ceiling(self):
+        import mpmath as mp
+
+        sigma = math.sqrt(dgauss.MAX_SIGMA2)
+        with mp.workdps(40):
+            for k in np.linspace(0.0, dgauss.OFFSET_SIGMAS, 17):
+                u = float(round(k * sigma))
+                exact = (mp.erfc((u - 0.5) / (sigma * mp.sqrt(2)))
+                         - mp.erfc((u + 0.5) / (sigma * mp.sqrt(2)))) / 2
+                got = float(dgauss._rounded_gaussian_pmf(u, sigma))
+                assert abs(got / float(exact) - 1.0) <= 5e-7, k
+
+    def test_draws_at_the_ceiling(self):
+        x = dgauss.sample_dgauss_1d(dgauss.MAX_SIGMA2, derive(21, "ceil"), size=20_000)
+        assert abs(float(x.std()) / math.sqrt(dgauss.MAX_SIGMA2) - 1.0) <= 0.03
+
+    def test_above_the_ceiling_raises(self):
+        above = math.nextafter(dgauss.MAX_SIGMA2, math.inf)
+        for s2 in (above, 1e32):
+            with pytest.raises(VarianceTooLarge):
+                dgauss.sample_dgauss_1d(s2, derive(21, "above"))
+        # a subspace query with V != {} rounds at sigma^2/4
+        spec = dgauss.SubspaceGaussianSpec(2, OrthonormalBasis(2, [np.eye(2)[0]]), 4.0 * above)
+        with pytest.raises(VarianceTooLarge):
+            dgauss.sample_subspace_query(spec, "discrete", derive(21, "above"))
 
 
 def r0sq(n):
@@ -460,13 +491,6 @@ class TestTwoSidedSqueeze:
             self.assert_seeded(lambda rng: dgauss.sample_subspace_query(
                 spec, "discrete", rng, size=m))
 
-    def test_ellipsoidal_is_seeded(self):
-        n = 16
-        Sigma = np.diag(np.linspace(60.0, 900.0, n))
-        Q = np.linalg.qr(np.random.default_rng(20).standard_normal((n, n)))[0]
-        Sigma = Q @ Sigma @ Q.T
-        self.assert_seeded(lambda rng: dgauss.sample_dgauss_ellipsoidal(Sigma, rng, size=3000))
-
     @staticmethod
     def count_ratio_points(monkeypatch):
         seen = []
@@ -535,16 +559,18 @@ class TestSmoothingSigma2:
 
 
 class TestEllipsoidal:
-    def test_isotropic_per_coordinate_gof(self):
-        n, s2 = 16, 1e4
-        rng = derive(22, "ell")
-        z = dgauss.sample_dgauss_ellipsoidal(s2 * np.eye(n), rng, size=100_000 // n)
-        pooled = z.ravel()  # coordinates iid under isotropic covariance
-        assert gof_pvalue(pooled, s2, 300) > GOF_FLOOR
+    """The subspace family's ellipsoidal covariance (3 sigma^2/4) P_perp
+    + (sigma^2/4) I."""
 
     def test_variance_too_small(self):
+        # a non-empty V rounds at sigma^2/4, and the sampling floor is
+        # checked before the convolution draws anything
+        n = 8
+        V = OrthonormalBasis(n, [np.eye(n)[0]])
+        floor = dgauss.smoothing_sigma2(n, dgauss.SAMPLING_FLOOR_ELL_SQ)
+        spec = dgauss.SubspaceGaussianSpec(n, V, math.nextafter(floor, 0.0))
         with pytest.raises(VarianceTooSmall):
-            dgauss.sample_dgauss_ellipsoidal(np.eye(8), derive(0, "v"), size=4)
+            dgauss.sample_subspace_query(spec, "discrete", derive(0, "v"), size=4)
 
     def test_subspace_covariance_structure(self):
         n, s2 = 16, 1e4
@@ -604,9 +630,6 @@ class TestSubspaceLaw:
         X = dgauss.sample_subspace_query(spec, "discrete", derive(26, "oblique", str(s2)),
                                          size=400_000)
         assert oblique_pvalue(X, s2, self.THETA) > GOF_FLOOR
-        Y = dgauss.sample_dgauss_ellipsoidal(spec.covariance(),
-                                             derive(27, "oblique", str(s2)), size=400_000)
-        assert oblique_pvalue(Y, s2, self.THETA) > GOF_FLOOR
 
     def test_rounds_at_quarter_variance_on_v_perp(self, monkeypatch):
         n, s2 = 128, 8.0 * r0sq(128)

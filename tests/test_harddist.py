@@ -62,6 +62,11 @@ class TestFamilies:
         ("eigen", {"N": -5}, "param 'N' must be a finite number > 0, got -5"),
         ("psd", {"N": math.inf}, "param 'N' must be a finite number > 0, got inf"),
         ("psd", {"N": math.nan}, "param 'N' must be a finite number > 0, got nan"),
+        ("lp-large", {"eps": -0.1}, "param 'eps' must be in (0,1), got -0.1"),
+        ("lp-large", {"eps": 1.0}, "param 'eps' must be in (0,1), got 1.0"),
+        ("psd", {"p": 0}, "param 'p' must be at least 1, got 0"),
+        ("psd", {"p": 0.5}, "param 'p' must be at least 1, got 0.5"),
+        ("psd", {"p": math.nan}, "param 'p' must be at least 1, got nan"),
     ])
     def test_bad_sizes_name_the_key(self, name, params, why):
         with pytest.raises(BadParams, match=re.escape(f"{name} {why}")):
@@ -574,13 +579,31 @@ class TestSketchedIndistinguishability:
         assert base.dtype == np.int64 and np.array_equal(base, null)
 
     def test_plant_is_exact_past_float64(self):
-        # planted entries near 1e17 are not all float64 integers, so only an
+        # planted entries near 5e16 are not all float64 integers, so only an
         # int64 addition of the rounded spike leaves exactly the null block
-        fam = HardFamily("kyfan", {"N": 1e15, "n": 8, "s": 3, "s1": 100.0})
+        fam = HardFamily("kyfan", {"N": 1e6, "n": 8, "s": 3, "s1": 1e10})
         X, wit = harddist._draw(fam, "D2", 2, derive(54, "wide"))
         null, _ = harddist._draw(fam, "D1", 2, derive(54, "wide"))
         assert np.abs(X).max() > 2**53
         assert np.array_equal(X - planted_spike(wit), null)
+        assert not np.array_equal(X.astype(float) - planted_spike(wit).astype(float), null)
+
+    def test_spike_past_int64_is_refused(self):
+        # |s1| sum_i max|u_i| max|v_i| bounds every spike entry; at 2^62 or
+        # past it (or not finite) the int64 plant could wrap
+        why = re.escape("is not below 2^62 (int64)")
+        with pytest.raises(BadParams, match=why):
+            gen_hard_instance(HardFamily("opnorm-alpha", {"alpha": 1e300, "n": 8}), "D2",
+                              derive(54, "huge"))
+        with pytest.raises(BadParams, match=why):
+            harddist._draw(HardFamily("kyfan", {"N": 1e6, "n": 8, "s": 3, "s1": 1e12}),
+                           "D2", 2, derive(54, "wide"))
+        one = np.ones((1, 1), dtype=np.int64)
+        below = math.nextafter(2.0**62, 0.0)
+        assert planted_spike({"u": one, "v": one, "s1": -below})[0, 0] == -int(below)
+        for s1 in (2.0**62, -(2.0**62), math.inf, math.nan):
+            with pytest.raises(BadParams, match=why):
+                planted_spike({"u": one, "v": one, "s1": s1})
 
     @pytest.mark.parametrize("name", harddist._MATRIX)
     def test_planted_spike_matches_reference(self, name):

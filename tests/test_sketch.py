@@ -404,10 +404,12 @@ class TestBatchOracle:
 
 class TestExactNormOracle:
     def test_threshold_semantics(self):
+        # the threshold is 3 alpha n = 4800, between 69^2 and 70^2
         params = GapNormParams(B=8.0, alpha=100.0)
-        oracle = ExactNormOracle(16, params, threshold=50.0)
-        assert query_one(oracle, np.array([8] + [0] * 15)) == 1
-        assert query_one(oracle, np.array([7] + [0] * 15)) == 0
+        oracle = ExactNormOracle(16, params)
+        assert oracle.threshold == 4800.0
+        assert query_one(oracle, np.array([70] + [0] * 15)) == 1
+        assert query_one(oracle, np.array([69] + [0] * 15)) == 0
 
     def test_batch_matches_single(self):
         params = GapNormParams(B=8.0, alpha=100.0)

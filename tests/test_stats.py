@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -39,13 +40,15 @@ class TestEmpiricalTvd:
             stats.empirical_tvd(np.zeros(100), np.zeros(100))
 
     def test_dimension_guard_and_projection(self):
+        # past d = 3 the caller projects the samples first
         rng = derive(61, "proj")
         X = rng.standard_normal((5000, 5))
         Y = rng.standard_normal((5000, 5))
         with pytest.raises(DimensionTooLarge):
             stats.empirical_tvd(X, Y, rng=rng)
-        est = stats.empirical_tvd(X, Y, projection=np.ones(5) / np.sqrt(5), rng=rng)
-        assert est.value <= 0.05
+        p = np.ones(5) / np.sqrt(5)
+        est = stats.empirical_tvd(X @ p, Y @ p, rng=rng)
+        assert est.value <= 0.05 and est.binning["dims"] == 1
 
     def test_null_bound_follows_sample_size(self):
         # the permutation bound shrinks with n and still catches a 0.1 shift
@@ -114,32 +117,36 @@ class TestCellLemma:
             stats.cell_lemma_check(sk, 1e8, trials=5000,
                                    rng=derive(62, "c3"))
 
+    def test_four_rows_take_the_energy_path(self, monkeypatch):
+        # r = 4 holds both paths to the energy test, here at the sizes
+        # TestEnergyTwoSample uses
+        monkeypatch.setattr(stats, "energy_two_sample",
+                            functools.partial(stats.energy_two_sample, sub=800, perms=40))
+        sk = stats.cell_lemma_sketch(4, 16, derive(62, "c4-A"), seed=4)
+        rep = stats.cell_lemma_check(sk, 1e8, trials=5000, rng=derive(62, "c4"))
+        assert rep["r"] == 4 and "tvd_noise_path" not in rep
+        assert rep["energy_noise_path"]["pass"] and rep["energy_round_path"]["pass"]
+        assert rep["pass_noise_path"] and rep["pass_round_path"] and rep["pass"]
+
 
 class TestChiSquareMixture:
     def test_point_mass_zero(self):
-        rep = stats.chi_square_mixture_check(("point0",), 1.0, 1, 1000,
-                                             derive(63, "p0"))
+        # at a = 0 the mixture is the point mass at 0: no divergence, bound 0
+        rep = stats.chi_square_mixture_check(0.0, 1.0, 1, 1000, derive(63, "p0"))
         assert rep["lhs_chi2"] == 0.0 and rep["rhs_bound"] == 0.0 and rep["ok"]
 
     def test_pm_mixture_vs_quadrature_oracle(self):
         a, sigma = 0.5, 1.0
-        rep = stats.chi_square_mixture_check(("pm", a), sigma**2, 1, 400_000,
-                                             derive(63, "pm"))
-        assert rep["ok"]
+        rep = stats.chi_square_mixture_check(a, sigma**2, 1, 400_000, derive(63, "pm"))
+        assert rep["ok"] and rep["mixture"] == ["pm", a]
         truth = chi2_divergence_mixture_quadrature(a, sigma)
         assert abs(rep["lhs_chi2"] - truth) <= 4 * rep["lhs_se"] + 1e-4
         # closed-form RHS: cosh(a^2/sigma^2) - 1, and the bound truly holds
         assert truth <= math.cosh(a * a / sigma**2) - 1.0 + 1e-12
 
-    def test_gauss_mixture_2d(self):
-        rep = stats.chi_square_mixture_check(("gauss", 0.4), 1.0, 2, 200_000,
-                                             derive(63, "g2"))
-        assert rep["ok"]
-
     def test_dimension_guard(self):
         with pytest.raises(DimensionTooLarge):
-            stats.chi_square_mixture_check(("pm", 0.5), 1.0, 3, 2000,
-                                           derive(63, "dg"))
+            stats.chi_square_mixture_check(0.5, 1.0, 3, 2000, derive(63, "dg"))
 
 
 class TestEnergyTwoSample:
@@ -156,16 +163,3 @@ class TestEnergyTwoSample:
         Y = rng.standard_normal((3000, 4)) + 0.5
         rep = stats.energy_two_sample(X, Y, sub=800, perms=40, rng=rng)
         assert not rep["pass"]
-
-
-class TestCellLemmaMatrixCovariance:
-    def test_full_covariance_path(self):
-        rng = derive(62, "mat")
-        A = np.array([[3, 1, 0, 2, -1, 0, 1, 1]], dtype=np.int64)
-        sk = IntegerSketch.from_matrix(A)
-        n = 8
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        scales = 1e8 * np.linspace(1.0, 2.0, n)
-        Sigma = q @ np.diag(scales) @ q.T
-        rep = stats.cell_lemma_check(sk, Sigma, trials=20_000, rng=rng)
-        assert rep["pass"], rep
