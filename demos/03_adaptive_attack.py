@@ -39,7 +39,7 @@ if out.certificate is not None:
           f"rate={c.empirical_rate:.3f} (zeta={c.zeta:.3f}), round={c.round}")
     rep = verify_certificate(oracle, c, trials=10_000, rng=derive(7, "verify"))
     ex = rep["exploits"][0]
-    print(f"verified: {len(rep['exploits'])} exploits "
+    print(f"verified: {rep['exploit_count']} exploits "
           f"({rep['failure_rate']:.1%} of fresh queries)")
     print(f"example exploit: integer vector with ||x||^2 = {ex.norm_sq:.0f}, "
           f"oracle answered {ex.answer}")

@@ -10,6 +10,10 @@ sigma^2 + sigma^2/4 + slack is orthogonalized into the learned basis. Only
 the low side (sigma^2 <= 2 alpha) and the high side (sigma^2 >= alpha B / 2)
 can certify, so once the round's direction is decided the middle points
 between them are not drawn: the transcript holds the points a round drew.
+
+Verification streams its fresh queries in row blocks and counts every
+exploit, but keeps only the first EXPLOITS_KEPT as integer vectors, so its
+memory does not grow with the number of trials.
 """
 
 import math
@@ -29,6 +33,9 @@ from .errors import (
 from .numerics import OrthonormalBasis, gram_schmidt_residual, top_right_singular_vector
 from .rng import as_generator
 from .sketch import GapNormParams
+
+EXPLOITS_KEPT = 200  # exploits a verification report keeps, in draw order
+_VERIFY_BLOCK = 65_536  # query entries per verification block (512 KB of int64)
 
 
 def zeta_floor(B, n):
@@ -223,40 +230,48 @@ def run_attack(oracle, n, r_budget, config: AttackConfig, rng):
 
 
 def verify_certificate(oracle, cert: FailureCertificate, trials, rng):
-    """Draw fresh queries at the certificate's (V, sigma^2) and extract
-    integer exploits.
+    """Draw `trials` fresh queries at the certificate's (V, sigma^2) and
+    extract integer exploits.
 
     high side: exploits are queries answered 0 with ||x||^2 > alpha B (n-d)/3;
-    low side: answered 1 with ||x||^2 < 3 alpha (n-d). Raises NoExploitFound
-    when no exploit shows up in `trials` queries (certificate spurious), and
-    BadParams when trials < 1.
+    low side: answered 1 with ||x||^2 < 3 alpha (n-d). The queries are drawn
+    in blocks of about _VERIFY_BLOCK entries (at least one row), one
+    `sample_subspace_query` call per block on `rng`, and each block is
+    answered and reduced to its exploits before the next is drawn, so the
+    memory held does not grow with `trials`. Every exploit is counted
+    (`exploit_count`, `failure_rate` = exploit_count / trials); the first
+    EXPLOITS_KEPT, in draw order, are kept as Exploit objects. Raises
+    NoExploitFound when no exploit shows up in `trials` queries (certificate
+    spurious), and BadParams when trials < 1.
     """
     if trials < 1:
         raise BadParams(f"verification needs trials >= 1, got {trials}")
     rng = as_generator(rng)
+    trials = int(trials)
     n = oracle.n
-    basis = cert.basis(n)
     d = cert.dim
-    spec = SubspaceGaussianSpec(n, basis, cert.sigma2)
-    X = sample_subspace_query(spec, "discrete", rng, size=int(trials))
-    answers = _ask(oracle, X)
-    norms = intlinalg.norms_sq(X)  # exact squared lengths, as Python ints
-    if cert.side == "high":
-        mask = (answers == 0) & (np.asarray(norms) > cert.alpha * cert.B * (n - d) / 3.0)
-    else:
-        mask = (answers == 1) & (np.asarray(norms) < 3.0 * cert.alpha * (n - d))
-    idx = np.nonzero(mask)[0]
-    if idx.size == 0:
+    spec = SubspaceGaussianSpec(n, cert.basis(n), cert.sigma2)
+    rows = max(1, _VERIFY_BLOCK // n)
+    count, exploits = 0, []
+    for start in range(0, trials, rows):
+        X = sample_subspace_query(spec, "discrete", rng, size=min(rows, trials - start))
+        answers = _ask(oracle, X)
+        norms = np.asarray(intlinalg.norms_sq(X))  # exact squared lengths
+        if cert.side == "high":
+            mask = (answers == 0) & (norms > cert.alpha * cert.B * (n - d) / 3.0)
+        else:
+            mask = (answers == 1) & (norms < 3.0 * cert.alpha * (n - d))
+        idx = np.flatnonzero(mask)
+        count += idx.size
+        exploits += [
+            Exploit(x=X[i].tolist(), norm_sq=float(norms[i]), answer=int(answers[i]), wrong=True)
+            for i in idx[: EXPLOITS_KEPT - len(exploits)]
+        ]
+    if count == 0:
         raise NoExploitFound(
             f"no exploit in {trials} trials for {cert.side}-side certificate"
         )
-    rows = X[idx]
-    del X  # the batch goes before its exploits become Python lists
-    exploits = [
-        Exploit(x=x, norm_sq=float(norms[i]), answer=int(answers[i]), wrong=True)
-        for i, x in zip(idx, rows.tolist())
-    ]
-    return {"failure_rate": idx.size / int(trials), "exploits": exploits}
+    return {"failure_rate": count / trials, "exploit_count": count, "exploits": exploits}
 
 
 def conditional_gap_estimate(oracle, spec: SubspaceGaussianSpec, u, m, rng):

@@ -41,9 +41,6 @@ from .rng import derive
 from .sketch import GapNormOracle, GapNormParams, build_sketch
 
 
-EXPLOITS_WRITTEN = 200  # exploits kept per run in exploits.json
-
-
 def _load_schema():
     with resources.files("sketchlab").joinpath("config_schema.json").open() as fh:
         return json.load(fh)
@@ -195,7 +192,7 @@ def _single_attack_run(args):
                 oracle, out.certificate, cfg.verify_trials,
                 derive(root_seed, "verify", run_seed),
             )
-            result["exploits"] = [dict(vars(e)) for e in rep["exploits"][:EXPLOITS_WRITTEN]]
+            result["exploits"] = [dict(vars(e)) for e in rep["exploits"]]
             result["failure_rate"] = rep["failure_rate"]
         except NoExploitFound:
             result["exploits"] = []
@@ -320,7 +317,7 @@ def cmd_attack_verify(args):
         print(json.dumps({"failure_rate": 0.0, "exploits": 0}))
         return 2
     print(json.dumps({"failure_rate": rep["failure_rate"],
-                      "exploits": len(rep["exploits"])}))
+                      "exploits": rep["exploit_count"]}))
     return 0
 
 

@@ -5,9 +5,11 @@ exp(-x^T Sigma^{-1} x / 2), so Sigma plays the role of a covariance parameter
 (measured variances approach Sigma as it grows). In one dimension the weight
 is exp(-z^2 / (2 sigma^2)).
 
-Tails are truncated at 12 sigma everywhere (mass < 1e-30). An isotropic
-D(0, sigma^2 I) is a product of exact 1-D samples. A subspace query with a
-non-empty forbidden subspace V uses a continuous+discrete convolution
+Sampling tails are truncated at 12 sigma (mass < 1e-30); the partition
+function is summed directly below sigma^2 = 1 and in its Poisson form from
+1 up, so it costs the same at any variance. An isotropic D(0, sigma^2 I) is
+a product of exact 1-D samples. A subspace query with a non-empty
+forbidden subspace V uses a continuous+discrete convolution
 (Peikert 2010): a continuous center on V^perp, then coordinatewise rounding
 with 1-D discrete Gaussians D(Z - c, s^2) at the center, with s^2 = sigma^2/4,
 the covariance's least eigenvalue. The law is eps-close to D(0, Sigma)
@@ -67,9 +69,19 @@ def smoothing_sigma2(n, ell_sq):
 
 
 def partition_1d(sigma2):
-    """Z(sigma^2) = sum_k exp(-k^2/(2 sigma^2)), truncated at |k| <= ceil(12 sigma)+1."""
+    """Z(sigma^2) = sum_k exp(-k^2/(2 sigma^2)) over the integers k.
+
+    Below sigma^2 = 1 the sum is taken directly, truncated at |k| <=
+    ceil(12 sigma)+1. From 1 up it is taken in its Poisson-summation form
+    sqrt(2 pi sigma^2) (1 + 2 sum_{k>=1} exp(-2 pi^2 sigma^2 k^2)), whose
+    terms past k = 1 are below e^{-8 pi^2} < 1e-34 there, far below float64
+    resolution: only k = 1 is kept, so neither time nor memory grows with
+    sigma."""
     if sigma2 <= 0:
         raise NonPositiveVariance(f"sigma2={sigma2}")
+    if sigma2 >= 1.0:
+        tail = math.exp(-2.0 * math.pi**2 * sigma2)
+        return math.sqrt(2.0 * math.pi * sigma2) * (1.0 + 2.0 * tail)
     K = int(math.ceil(TAIL_SIGMAS * math.sqrt(sigma2))) + 1
     k = np.arange(1, K + 1, dtype=float)
     return float(1.0 + 2.0 * np.sum(np.exp(-k * k / (2.0 * sigma2))))

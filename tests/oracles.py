@@ -1,7 +1,9 @@
 """Independent oracles used by the tests: Jacobi SVD, brute-force lattice
-enumeration, closed-form TVD, quadrature, the scanned envelope constant of
+enumeration, closed-form TVD, quadrature, the 1-D partition function as an
+mpmath theta function, the scanned envelope constant of
 the discrete Gaussian sampler, its rejection loop, the float64 integer
-product and a planted hard instance's spike as whole-batch passes, row
+product and a planted hard instance's spike as whole-batch passes,
+certificate verification as a per-query loop over its blocks, row
 orthonormalization by Cholesky QR2, the all-integer LLL with its inner
 products on Python integers, and the HNF kernel, canonical HNF and lattice
 equality with row operations on Python integer lists, and E ||g||_p by
@@ -192,6 +194,42 @@ def ref_planted_spike(us, vs, s1):
     for i in range(1, us.shape[1]):
         spike += s1 * (uf[:, i, :, None] * vf[:, i, None, :])
     return np.rint(spike, out=spike).astype(np.int64)
+
+
+def ref_partition_1d(sigma2, dps=50):
+    """Z(sigma^2) = theta_3(0, e^{-1/(2 sigma^2)}) by mpmath at `dps` digits:
+    the theta series itself up to sigma^2 = 1e4, and past it its Jacobi
+    transform sqrt(2 pi sigma^2) theta_3(0, e^{-2 pi^2 sigma^2}), an exact
+    identity, as mpmath's series needs |q| well below 1."""
+    with mp.workdps(dps):
+        s2 = mp.mpf(sigma2)
+        if sigma2 <= 1e4:
+            return mp.jtheta(3, 0, mp.exp(-1 / (2 * s2)))
+        return mp.sqrt(2 * mp.pi * s2) * mp.jtheta(3, 0, mp.exp(-2 * mp.pi**2 * s2))
+
+
+def ref_verify_in_blocks(oracle, cert, trials, rng, rows, kept):
+    """Certificate verification as a hand loop: one subspace-query draw on
+    `rng` per block of `rows` queries, then, query by query, the oracle's
+    answer and the exact squared length as a Python integer, tested against
+    the certificate's side window. Returns (exploit count, the first `kept`
+    exploits as (x, norm_sq, answer) in draw order)."""
+    n, d = oracle.n, cert.dim
+    spec = dgauss.SubspaceGaussianSpec(n, cert.basis(n), cert.sigma2)
+    count, exploits = 0, []
+    for start in range(0, trials, rows):
+        X = dgauss.sample_subspace_query(spec, "discrete", rng, size=min(rows, trials - start))
+        for x, answer in zip(X.tolist(), oracle.query_batch(X).tolist()):
+            s = sum(v * v for v in x)
+            if cert.side == "high":
+                wrong = answer == 0 and s > cert.alpha * cert.B * (n - d) / 3.0
+            else:
+                wrong = answer == 1 and s < 3.0 * cert.alpha * (n - d)
+            if wrong:
+                count += 1
+                if len(exploits) < kept:
+                    exploits.append((x, float(s), answer))
+    return count, exploits
 
 
 # -- reference row orthonormalization -----------------------------------------

@@ -5,9 +5,10 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from oracles import principal_angle_distance
+from oracles import principal_angle_distance, ref_verify_in_blocks
 from sketchlab import attack, dgauss, stats
 from sketchlab.attack import (
+    EXPLOITS_KEPT,
     AttackConfig,
     AttackState,
     FailureCertificate,
@@ -29,6 +30,17 @@ from sketchlab.rng import derive
 from sketchlab.sketch import ExactNormOracle, GapNormOracle, GapNormParams, build_sketch
 
 ALPHA = 800.0
+
+
+class _ParityOracle:
+    """Answers the parity of a query's coordinate sum: a function of x alone
+    that errs on about half of each promise side's queries."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def query_batch(self, X):
+        return (np.asarray(X).sum(axis=1) % 2).astype(np.int8)
 
 
 class _ConstOracle:
@@ -278,11 +290,12 @@ class TestVerifyCertificate:
             verify_certificate(_ConstOracle(0, 64), cert, trials=trials,
                                rng=derive(43, "v2"))
 
-    def test_holds_one_copy_of_the_batch(self, traced_peak):
+    @staticmethod
+    def _n256_low_side():
         # the set-up of `sketchlab attack run` at n = 256: projection-threshold
         # at the sampling floor, B = 8, whose runs certify the low side at the
-        # grid's second point with V = {} and verify on 10,000 queries
-        n, trials = 256, 10_000
+        # grid's second point with V = {}
+        n = 256
         alpha = dgauss.smoothing_sigma2(n, dgauss.SAMPLING_FLOOR_ELL_SQ)
         params = _params(alpha=alpha)
         sk = build_sketch("projection-threshold", n, 8, {"alpha": alpha, "B": 8.0}, seed=3)
@@ -291,10 +304,58 @@ class TestVerifyCertificate:
             subspace=[], sigma2=sigma2, side="low", empirical_rate=0.25,
             sample_count=2000, zeta=0.112, alpha=alpha, B=8.0, round=1,
         )
-        oracle = GapNormOracle(sk, params)
-        rep, peak = traced_peak(verify_certificate, oracle, cert, trials, derive(44, "mem"))
-        assert rep["exploits"]
-        assert peak <= 1.25 * trials * n * 8
+        return GapNormOracle(sk, params), cert
+
+    def test_holds_one_copy_of_the_batch(self, traced_peak):
+        # one block of queries at a time, plus the kept exploits as Python
+        # lists (at most 36 bytes a coordinate)
+        oracle, cert = self._n256_low_side()
+        n = oracle.n
+        rep, peak = traced_peak(verify_certificate, oracle, cert, 10_000, derive(44, "mem"))
+        assert rep["exploit_count"] > EXPLOITS_KEPT == len(rep["exploits"])
+        assert peak <= attack._VERIFY_BLOCK * 8 + EXPLOITS_KEPT * n * 36 + 2**20
+
+    def test_memory_does_not_grow_with_trials(self, traced_peak):
+        oracle, cert = self._n256_low_side()
+        peaks = [traced_peak(verify_certificate, oracle, cert, trials, derive(44, "mem"))[1]
+                 for trials in (10_000, 40_000)]
+        assert peaks[1] <= 1.1 * peaks[0]
+
+    @pytest.mark.parametrize("dim", (0, 2), ids=("V-empty", "V-dim2"))
+    @pytest.mark.parametrize("side", ("high", "low"))
+    @pytest.mark.parametrize("trials", (lambda rows: 1, lambda rows: rows - 1,
+                                        lambda rows: rows, lambda rows: rows + 1,
+                                        lambda rows: 3 * rows + 7),
+                             ids=("1", "rows-1", "rows", "rows+1", "3rows+7"))
+    def test_blocks_are_a_hand_loop_of_draws(self, trials, side, dim):
+        # the same generator, drawn once per block of rows = _VERIFY_BLOCK // n
+        # queries: the same count, rate and kept exploits as the hand loop
+        n = 64
+        rows = attack._VERIFY_BLOCK // n
+        trials = trials(rows)
+        basis = np.zeros((dim, n))
+        if dim:
+            basis[0, 0] = 1.0
+            basis[1, 1:3] = math.sqrt(0.5)
+        cert = FailureCertificate(
+            subspace=basis.tolist(), sigma2=ALPHA * (4.0 if side == "high" else 2.0),
+            side=side, empirical_rate=0.5, sample_count=200, zeta=0.1, alpha=ALPHA,
+            B=8.0, round=1,
+        )
+        oracle = _ParityOracle(n)
+        count, want = ref_verify_in_blocks(oracle, cert, trials, derive(45, side, dim), rows,
+                                           EXPLOITS_KEPT)
+        if count == 0:
+            with pytest.raises(NoExploitFound):
+                verify_certificate(oracle, cert, trials, derive(45, side, dim))
+            return
+        rep = verify_certificate(oracle, cert, trials, derive(45, side, dim))
+        assert rep["exploit_count"] == count
+        assert rep["failure_rate"] == count / trials
+        assert [(e.x, e.norm_sq, e.answer, e.wrong) for e in rep["exploits"]] == \
+            [(x, s, a, True) for x, s, a in want]
+        if trials > rows:
+            assert count > EXPLOITS_KEPT  # the cap is exercised
 
     def test_certificate_side_validation(self):
         with pytest.raises(BadParams):

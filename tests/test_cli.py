@@ -10,8 +10,8 @@ import pytest
 
 import sketchlab
 from sketchlab import acceptance, dgauss, harddist, stats
-from sketchlab.attack import FailureCertificate, verify_certificate
-from sketchlab.cli import EXPLOITS_WRITTEN, _load_schema, _violation, load_config, main
+from sketchlab.attack import EXPLOITS_KEPT, FailureCertificate, verify_certificate
+from sketchlab.cli import _load_schema, _violation, load_config, main
 from sketchlab.rng import derive
 from sketchlab.sketch import GapNormOracle
 
@@ -96,7 +96,6 @@ class TestAttackRun:
         assert rep == {"alpha_floor": floor, "alpha_lattice_term": None, "alpha_binds": "fixed"}
 
     def test_sketch_built_once_for_all_seeds(self, tmp_path, monkeypatch):
-        import sketchlab.cli as cli_mod
         builds = []
         real_build = acceptance.build_sketch
         monkeypatch.setattr(acceptance, "build_sketch",
@@ -115,7 +114,7 @@ class TestAttackRun:
         alone = [json.loads(line) for line in Path(one, "transcript.jsonl").read_text().splitlines()]
         assert [r for r in rows if r["run_seed"] == 1] == alone
         exploits = read_json(out, "exploits.json")
-        assert all(len(e["exploits"]) <= cli_mod.EXPLOITS_WRITTEN for e in exploits)
+        assert all(len(e["exploits"]) <= EXPLOITS_KEPT for e in exploits)
         report = read_json(out, "report.json")
         assert report["verified"] == sum(1 for e in exploits if e["exploits"])
 
@@ -199,7 +198,7 @@ class TestAttackRun:
         assert err.startswith(f"config error in '{path}': ") and err.count("\n") == 1
 
     def test_exploits_are_the_verification_exploits(self, tmp_path):
-        # exploits.json holds, per seed, the first EXPLOITS_WRITTEN exploits
+        # exploits.json holds, per seed, the EXPLOITS_KEPT first exploits
         # that verify_certificate finds on that seed's verification stream,
         # with exact integer coordinates and squared lengths
         doc = json.loads(json.dumps(ATTACK_CFG))
@@ -212,7 +211,7 @@ class TestAttackRun:
         for seed, cert, entry in zip(doc["attack"]["seeds"], certs, entries):
             rep = verify_certificate(oracle, FailureCertificate(**cert), cfg.verify_trials,
                                      derive(7, "verify", seed))
-            want = rep["exploits"][:EXPLOITS_WRITTEN]
+            want = rep["exploits"]
             assert entry["run_seed"] == seed
             assert entry["failure_rate"] == rep["failure_rate"]
             assert len(entry["exploits"]) == len(want) > 0
@@ -220,6 +219,31 @@ class TestAttackRun:
                 assert all(type(v) is int for v in got["x"]) and got["x"] == e.x
                 assert got["norm_sq"] == e.norm_sq == float(sum(v * v for v in e.x))
                 assert (got["answer"], got["wrong"]) == (e.answer, e.wrong)
+
+    def test_counts_every_exploit_past_the_kept_ones(self, tmp_path, capsys):
+        # at 2,000 trials this certificate has more exploits than a report
+        # keeps: exploits.json holds EXPLOITS_KEPT of them, while its
+        # failure_rate and `attack verify`'s "exploits" count them all
+        doc = json.loads(json.dumps(ATTACK_CFG))
+        doc["attack"]["verify_trials"] = 2000
+        out = str(tmp_path / "out")
+        assert main(["attack", "run", "--config", write_cfg(tmp_path, doc), "--out", out]) == 0
+        sk, params, _, _ = acceptance.attack_setup(doc["attack"], 7)
+        oracle = GapNormOracle(sk, params)
+        cert = FailureCertificate(**read_json(out, "certificate.json")[0])
+        rep = verify_certificate(oracle, cert, 2000, derive(7, "verify", 0))
+        [entry] = read_json(out, "exploits.json")
+        assert rep["exploit_count"] > len(entry["exploits"]) == EXPLOITS_KEPT
+        assert entry["failure_rate"] == rep["exploit_count"] / 2000
+        sk_file = tmp_path / "sk.json"
+        sk_file.write_text(sk.spec_json())
+        capsys.readouterr()
+        assert main(["attack", "verify", "--certificate", str(Path(out, "certificate.json")),
+                     "--sketch", str(sk_file), "--trials", "2000", "--seed", "3"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        want = verify_certificate(oracle, cert, 2000, derive(3, "verify"))
+        assert printed == {"failure_rate": want["failure_rate"], "exploits": want["exploit_count"]}
+        assert printed["exploits"] > EXPLOITS_KEPT
 
     def test_json_artefacts_are_one_line(self, tmp_path):
         # every JSON artefact is one compact line; verify reads the compact

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, norm
 
-from oracles import _ref_rounded_gaussian_pmf, ref_centered_envelope, ref_sample_at_centers
+from oracles import (
+    _ref_rounded_gaussian_pmf,
+    ref_centered_envelope,
+    ref_partition_1d,
+    ref_sample_at_centers,
+)
 from sketchlab import dgauss
 from sketchlab.errors import NonPositiveVariance, VarianceTooLarge, VarianceTooSmall
 from sketchlab.numerics import OrthonormalBasis
@@ -66,6 +71,19 @@ class TestPmf:
             K = int(math.ceil(12 * math.sqrt(s2))) + 1
             total = float(np.sum(dgauss.pmf_dgauss_1d(np.arange(-K, K + 1), s2)))
             assert 1.0 - 1e-12 <= total <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("s2", (0.3, 1.0, 4.0, 24.65, 1e4, 1e8, 1e12, 1e16))
+    def test_partition_matches_mpmath(self, s2):
+        # below 1 the direct sum, from 1 up the Poisson form: within two
+        # ulps of mpmath's theta function either way
+        want = ref_partition_1d(s2)
+        assert abs(dgauss.partition_1d(s2) - want) <= 4.5e-16 * want
+        assert dgauss.pmf_dgauss_1d(0, s2) == 1.0 / dgauss.partition_1d(s2)
+
+    def test_partition_memory_does_not_grow_with_sigma(self, traced_peak):
+        p, peak = traced_peak(dgauss.pmf_dgauss_1d, 0, 1e16)
+        assert p == pytest.approx(1.0 / math.sqrt(2e16 * math.pi), rel=1e-15)
+        assert peak < 2**20
 
     def test_normalization_fact_bracket(self):
         for s2 in (0.5, 1.0, 4.0, 100.0, 1e6):

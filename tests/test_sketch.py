@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sketchlab import dgauss
+from sketchlab import sketch as sketch_mod
 from sketchlab.attack import AttackConfig
 from sketchlab.errors import BadParams, DimensionMismatch
 from sketchlab.lattice import integer_kernel_basis
@@ -179,14 +180,29 @@ class TestBuildFamilies:
 
     def test_calibration_holds_one_side_at_a_time(self, traced_peak):
         # each side's m_cal x n batch is reduced to its statistic before the
-        # next is drawn: at most the int64 draw and its float64 copy at once,
-        # besides the statistics and the sampler's block
+        # next is drawn, and the float64 product runs in row blocks: at most
+        # the int64 draw at once, besides the statistics, one block and the
+        # sampler's buffer
         n, m_cal = 256, 4000
         alpha = dgauss.smoothing_sigma2(n, dgauss.SAMPLING_FLOOR_ELL_SQ)
         params = {"alpha": alpha, "B": 8.0, "m_cal": m_cal}
         build_sketch("projection-threshold", n, 8, params, seed=3)  # fill the sampler's caches
         _, peak = traced_peak(build_sketch, "projection-threshold", n, 8, params, seed=3)
-        assert peak <= 2 * m_cal * n * 8 + 2**20
+        assert peak <= m_cal * n * 8 + 2**20
+
+    @pytest.mark.parametrize("n", (64, 128, 256))
+    def test_blocked_energy_is_the_whole_product(self, n):
+        # blocks of 1024, 512 and 256 rows: 4001 rows end in a short block,
+        # 4 blocks + 1 row in a row that joins the block before it, and a
+        # one-row batch is one block
+        sk = build_sketch("projection-threshold", n, 8,
+                          {"alpha": 789.0, "B": 8.0, "m_cal": 16}, seed=5)
+        step = sketch_mod._CAL_BLOCK // n
+        X = dgauss.sample_dgauss_1d(2 * 789.0, derive(5, "energy", n), size=(4001, n))
+        for rows in (X, X[: 4 * step + 1], X[:1]):
+            assert len(rows) == 1 or len(rows) % step
+            whole = np.sum((rows.astype(float) @ sk.Q.T) ** 2, axis=1)
+            assert np.array_equal(sketch_mod._sketched_energy(rows, sk.Q), whole)
 
 
 class TestGapNormOracle:
