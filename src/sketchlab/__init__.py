@@ -15,6 +15,7 @@ from .attack import (
     FailureCertificate,
     conditional_gap_estimate,
     invariant_diagnostic,
+    run_and_verify,
     run_attack,
     round_step,
     verify_certificate,

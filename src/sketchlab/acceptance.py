@@ -14,13 +14,8 @@ import time
 import numpy as np
 
 from . import dgauss, harddist, stats
-from .attack import (
-    AttackConfig,
-    conditional_gap_estimate,
-    run_attack,
-    verify_certificate,
-)
-from .errors import BadParams, LengthBoundUnachieved, NoExploitFound, TooManyRows
+from .attack import AttackConfig, conditional_gap_estimate, map_runs, run_and_verify
+from .errors import BadParams, BoundViolated, LengthBoundUnachieved, TooManyRows
 from .lattice import (
     IntMatrix,
     pairwise_reduced_kernel,
@@ -155,59 +150,48 @@ ATTACK = {"n": 128, "r": 8, "family": "projection-threshold", "B": 8.0,
           "m": 2000, "grid": {"points": 16}}
 
 
+def _end_to_end_run(i):
+    """Criterion 1's run i, on its own sketch (seed 1000 + i)."""
+    t_run = time.time()
+    sk, params, cfg, _ = attack_setup(ATTACK, 1000 + i)
+    out, rep = run_and_verify(GapNormOracle(sk, params), sk.r, cfg,
+                              derive(77, "attack", i), derive(77, "verify", i))
+    return {"seed": 1000 + i, "win": bool(rep and rep["exploit_count"]),
+            "outcome": out.outcome, "elapsed_s": round(time.time() - t_run, 2),
+            **calibration_vs_zeta(sk, cfg)}
+
+
 @criterion(1, "attack end-to-end (certificate + exploit)")
 def criterion_1_attack_end_to_end(fast):
     """Certificate + >= 1 verified integer exploit in >= 8/10 seeded runs
     against the projection-threshold sketch (n=128, r=8, B=8, m=2000,
     16-point geometric grid); each run <= 5 minutes."""
     runs = 3 if fast else 10
-    wins = 0
-    per_run = []
-    for i in range(runs):
-        t_run = time.time()
-        sk, params, cfg, _ = attack_setup(ATTACK, 1000 + i)
-        oracle = GapNormOracle(sk, params)
-        out = run_attack(oracle, sk.n, sk.r, cfg, derive(77, "attack", i))
-        got = False
-        if out.outcome == "certificate":
-            try:
-                rep = verify_certificate(
-                    oracle, out.certificate, trials=10_000,
-                    rng=derive(77, "verify", i),
-                )
-                got = rep["exploit_count"] >= 1
-            except NoExploitFound:
-                got = False
-        elapsed_run = time.time() - t_run
-        per_run.append(
-            {"seed": 1000 + i, "win": got, "outcome": out.outcome,
-             "elapsed_s": round(elapsed_run, 2), **calibration_vs_zeta(sk, cfg)}
-        )
-        wins += int(got)
+    per_run = map_runs(_end_to_end_run, list(range(runs)))
+    wins = sum(r["win"] for r in per_run)
     need = 2 if fast else 8
     ok = wins >= need and all(r["elapsed_s"] <= 300 for r in per_run)
     return ok, {"wins": wins, "runs": runs, "per_run": per_run}
 
 
+def _negative_control_run(job):
+    """Criterion 2's run i against the exact oracle: (certified, verified)."""
+    n, r, params, cfg, i = job
+    out, rep = run_and_verify(ExactNormOracle(n, params), r, cfg,
+                              derive(88, "neg", i), derive(88, "neg-verify", i))
+    return out.certificate is not None, bool(rep and rep["exploit_count"])
+
+
 @criterion(2, "negative control (ground-truth oracle)")
 def criterion_2_negative_control(fast):
     """Zero verified certificates over 100 seeded runs against the exact
-    ground-truth oracle."""
+    ground-truth oracle, all on the seed-4242 sketch."""
     runs = 10 if fast else 100
     sk, params, cfg, _ = attack_setup(ATTACK, 4242)
-    verified = 0
-    certs = 0
-    for i in range(runs):
-        oracle = ExactNormOracle(sk.n, params)
-        out = run_attack(oracle, sk.n, sk.r, cfg, derive(88, "neg", i))
-        if out.outcome == "certificate":
-            certs += 1
-            try:
-                verify_certificate(oracle, out.certificate, trials=10_000,
-                                   rng=derive(88, "neg-verify", i))
-                verified += 1
-            except NoExploitFound:
-                pass
+    results = map_runs(_negative_control_run,
+                       [(sk.n, sk.r, params, cfg, i) for i in range(runs)])
+    certs = sum(c for c, _ in results)
+    verified = sum(v for _, v in results)
     return verified == 0, {"runs": runs, "certificates": certs, "verified": verified}
 
 
@@ -228,7 +212,7 @@ def criterion_3_siegel(fast):
             A[0, 0] = 1
         try:
             short_kernel_vector(IntMatrix.from_rows(A, bound=M))
-        except Exception:
+        except BoundViolated:
             violations += 1
     ok = violations == 0 and time.time() - t0 <= 60
     return ok, {"trials": trials, "violations": violations}

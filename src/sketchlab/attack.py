@@ -17,6 +17,7 @@ memory does not grow with the number of trials.
 """
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -272,6 +273,39 @@ def verify_certificate(oracle, cert: FailureCertificate, trials, rng):
             f"no exploit in {trials} trials for {cert.side}-side certificate"
         )
     return {"failure_rate": count / trials, "exploit_count": count, "exploits": exploits}
+
+
+def verify_report(oracle, cert: FailureCertificate, trials, rng):
+    """verify_certificate's report, a spurious certificate (NoExploitFound)
+    reported as exploit_count 0, failure_rate 0.0 and no exploits."""
+    try:
+        return verify_certificate(oracle, cert, trials, rng)
+    except NoExploitFound:
+        return {"failure_rate": 0.0, "exploit_count": 0, "exploits": []}
+
+
+def run_and_verify(oracle, r_budget, config: AttackConfig, attack_rng, verify_rng):
+    """One seeded attack run: run_attack on `attack_rng`, then, when it
+    certifies, verify_report with config.verify_trials queries on
+    `verify_rng`. Returns (AttackOutcome, report), the report None when the
+    run exhausted its rounds or `verify_rng` is None (no verification)."""
+    out = run_attack(oracle, oracle.n, r_budget, config, attack_rng)
+    if out.certificate is None or verify_rng is None:
+        return out, None
+    return out, verify_report(oracle, out.certificate, config.verify_trials, verify_rng)
+
+
+def map_runs(fn, jobs):
+    """[fn(job) for job in jobs], on a pool of SKETCHLAB_THREADS worker
+    processes when that is above 1 and there are several jobs: `fn` must be
+    module-level and the jobs must pickle. Each job derives its own streams."""
+    threads = int(os.environ.get("SKETCHLAB_THREADS", "1"))
+    if threads > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=threads) as ex:
+            return list(ex.map(fn, jobs))
+    return [fn(job) for job in jobs]
 
 
 def conditional_gap_estimate(oracle, spec: SubspaceGaussianSpec, u, m, rng):

@@ -35,8 +35,8 @@ from importlib import resources
 import numpy as np
 
 from . import acceptance, dgauss, harddist, stats
-from .attack import FailureCertificate, run_attack, verify_certificate
-from .errors import BadParams, NoExploitFound, SketchLabError
+from .attack import FailureCertificate, map_runs, run_and_verify, verify_report
+from .errors import BadParams, SketchLabError
 from .rng import derive
 from .sketch import GapNormOracle, GapNormParams, build_sketch
 
@@ -175,29 +175,19 @@ def _write_json(path, obj):
 def _single_attack_run(args):
     """One seeded attack run (top-level so a process pool can pickle it)."""
     (sk, params, cfg), root_seed, run_seed, do_verify = args
-    oracle = GapNormOracle(sk, params)
-    out = run_attack(oracle, sk.n, sk.r, cfg, derive(root_seed, "attack", run_seed))
-    result = {
+    out, rep = run_and_verify(
+        GapNormOracle(sk, params), sk.r, cfg, derive(root_seed, "attack", run_seed),
+        derive(root_seed, "verify", run_seed) if do_verify else None,
+    )
+    return {
         "run_seed": run_seed,
         "alpha": params.alpha,
         "outcome": out.outcome,
         "transcript": out.state.transcript,
         "certificate": asdict(out.certificate) if out.certificate else None,
-        "exploits": None,
-        "failure_rate": None,
+        "exploits": [dict(vars(e)) for e in rep["exploits"]] if rep else None,
+        "failure_rate": rep["failure_rate"] if rep else None,
     }
-    if do_verify and out.certificate is not None:
-        try:
-            rep = verify_certificate(
-                oracle, out.certificate, cfg.verify_trials,
-                derive(root_seed, "verify", run_seed),
-            )
-            result["exploits"] = [dict(vars(e)) for e in rep["exploits"]]
-            result["failure_rate"] = rep["failure_rate"]
-        except NoExploitFound:
-            result["exploits"] = []
-            result["failure_rate"] = 0.0
-    return result
 
 
 def cmd_attack_run(args):
@@ -213,16 +203,8 @@ def cmd_attack_run(args):
     # the sketch depends only on the root seed: build it once for all runs
     sk, params, attack_cfg, alpha_report = acceptance.attack_setup(acfg, root_seed)
     calibration = acceptance.calibration_vs_zeta(sk, attack_cfg)
-    jobs = [((sk, params, attack_cfg), root_seed, s, do_verify) for s in seeds]
-
-    threads = int(os.environ.get("SKETCHLAB_THREADS", "1"))
-    if threads > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(_single_attack_run, jobs))
-    else:
-        results = [_single_attack_run(j) for j in jobs]
+    results = map_runs(_single_attack_run,
+                       [((sk, params, attack_cfg), root_seed, s, do_verify) for s in seeds])
 
     # transcript.jsonl: one record per (run, round, sigma2) that the round
     # drew; a round whose direction is decided skips its middle grid points
@@ -311,14 +293,10 @@ def cmd_attack_verify(args):
         raise BadParams(f"--certificate '{args.certificate}' holds no certificate: {exc}") from None
     sk = _load_sketch(args.sketch, "--sketch")
     oracle = GapNormOracle(sk, GapNormParams(B=cert.B, alpha=cert.alpha))
-    try:
-        rep = verify_certificate(oracle, cert, args.trials, derive(args.seed, "verify"))
-    except NoExploitFound:
-        print(json.dumps({"failure_rate": 0.0, "exploits": 0}))
-        return 2
+    rep = verify_report(oracle, cert, args.trials, derive(args.seed, "verify"))
     print(json.dumps({"failure_rate": rep["failure_rate"],
                       "exploits": rep["exploit_count"]}))
-    return 0
+    return 0 if rep["exploit_count"] else 2
 
 
 def cmd_sketch_build(args):

@@ -32,6 +32,10 @@ _DEFAULTS = {
     "cs": {"N": 1_000_000.0, "n": 256, "k": 8, "eps": 0.2},
 }
 FAMILY_NAMES = tuple(_DEFAULTS)
+# the params a family takes besides its defaults: those calibration fills, the
+# spike scale s1 and cs's regime flag
+_EXTRA_PARAMS = frozenset(("C", "shift", "c_psd", "gamma1", "a", "gamma", "c_e", "s1",
+                     "in_asymptotic_regime"))
 # the params that are sizes: integers >= 1
 _SIZES = frozenset(("n", "d", "s", "k"))
 
@@ -63,6 +67,10 @@ class HardFamily:
         if name not in _DEFAULTS:
             raise BadParams(f"unknown family {name!r}")
         p = dict(self.params)
+        unknown = sorted(set(p) - set(_DEFAULTS[name]) - _EXTRA_PARAMS)
+        if unknown:
+            raise BadParams(f"{name} param {unknown[0]!r} is unknown; it takes "
+                            f"{sorted(_DEFAULTS[name])} and {sorted(_EXTRA_PARAMS)}")
         for key, value in p.items():
             if not isinstance(value, numbers.Real):
                 raise BadParams(f"{name} param {key!r} must be a number, got {value!r}")
@@ -257,14 +265,15 @@ def _lp_large_t(p):
 
 
 @lru_cache(maxsize=16)
-def support_family(n, k, count, seed=11):
-    """Family of k-subsets of [n] with pairwise |S delta S'| >= k.
+def support_family(n, k, count):
+    """Family of k-subsets of [n] with pairwise |S delta S'| >= k, drawn at
+    the fixed seed 11.
 
     Proposals come from random partitions of [n] into k-blocks (so per-
     coordinate inclusion frequencies stay in a tight band around k/n);
     blocks violating the symmetric-difference constraint are rejected.
     """
-    rng = derive(seed, "cs-family", n, k)
+    rng = derive(11, "cs-family", n, k)
     usable = (n // k) * k
     kept = []
     masks = np.zeros((count, n), dtype=np.int8)  # row i: kept subset i
@@ -352,8 +361,7 @@ def _draw(family: HardFamily, side, size, rng):
     w = _dg_matrix(eps * N * k / n, (size, n), rng)
     if side == "D1":
         return w, {}
-    count = p.get("family_count", default_support_count(n, k))
-    fam_sets = support_family(n, k, count, seed=p.get("family_seed", 11))
+    fam_sets = support_family(n, k, default_support_count(n, k))
     Ss = [list(fam_sets[j]) for j in rng.integers(0, len(fam_sets), size=size)]
     signs = rng.choice(np.array([-1, 1], dtype=np.int64), size=(size, k))
     z = np.zeros((size, n), dtype=np.int64)

@@ -23,6 +23,10 @@ from .numerics import orthonormalize_rows
 from .rng import derive
 
 FAMILIES = ("sign", "rounded-gaussian", "countsketch", "projection-threshold")
+# each family's own param; every family also takes the promise thresholds
+# alpha and B, which only projection-threshold's calibration reads
+_OWN_PARAM = {"sign": "groups", "rounded-gaussian": "entry_std", "countsketch": "reps",
+              "projection-threshold": "m_cal"}
 _CAL_BLOCK = 65_536  # float64 entries per block of the calibration product
 
 
@@ -122,8 +126,14 @@ class IntegerSketch:
 
     def working_value(self, y):
         """Sketched value(s) in the orthonormal row basis: Q x = R (A x), for
-        one y = A x or for the rows of a batch Y."""
-        return np.asarray(y, dtype=float) @ self.R.T
+        one y = A x or for the rows of a batch Y. A row's value does not
+        depend on its batch: a one-row batch is padded to two rows, since a
+        lone row takes numpy's matrix-vector product, whose sums round
+        differently."""
+        y = np.asarray(y, dtype=float)
+        if y.ndim == 2 and len(y) == 1:
+            return (np.repeat(y, 2, axis=0) @ self.R.T)[:1]
+        return y @ self.R.T
 
     def l2_estimates(self, Y):
         """Numeric estimates of ||x||^2 from the rows y = A x of Y."""
@@ -247,6 +257,10 @@ def build_sketch(family, n, r, params=None, seed=0):
     if not (1 <= r <= n):
         raise BadParams(f"need 1 <= r <= n, got r={r}, n={n}")
     params = dict(params or {})
+    takes = {"alpha", "B", _OWN_PARAM[family]}
+    unknown = sorted(set(params) - takes)
+    if unknown:
+        raise BadParams(f"{family} param {unknown[0]!r} is unknown; it takes {sorted(takes)}")
     for key in ("entry_std", "alpha", "B", "groups", "reps", "m_cal"):
         value = params.get(key, 0.0)
         if not isinstance(value, numbers.Real) or not math.isfinite(value):

@@ -10,6 +10,7 @@ import os
 import pytest
 
 from sketchlab import acceptance
+from sketchlab.errors import BoundViolated
 
 FAST = os.environ.get("SKETCHLAB_FAST_ACCEPTANCE", "0") == "1"
 
@@ -48,3 +49,36 @@ def test_preprocessing_rows_and_entries():
     assert detail["good"] == detail["trials"]
     assert all(run["rows"] == 12 for run in detail["runs"])
     assert detail["max_bound"] ** 2 <= 32 * 50**2
+
+
+def _without_times(rec):
+    detail = dict(rec["detail"], per_run=[{k: v for k, v in run.items() if k != "elapsed_s"}
+                                          for run in rec["detail"]["per_run"]])
+    return {k: v for k, v in dict(rec, detail=detail).items() if k != "elapsed_s"}
+
+
+def test_end_to_end_runs_on_the_seed_pool(monkeypatch):
+    # criterion 1's runs map through the SKETCHLAB_THREADS pool: the same
+    # record, serially and on two workers, apart from the times
+    monkeypatch.delenv("SKETCHLAB_THREADS", raising=False)
+    serial = acceptance.criterion_1_attack_end_to_end(fast=True)
+    monkeypatch.setenv("SKETCHLAB_THREADS", "2")
+    pooled = acceptance.criterion_1_attack_end_to_end(fast=True)
+    assert _without_times(pooled) == _without_times(serial)
+    assert serial["detail"]["runs"] == len(serial["detail"]["per_run"]) == 3
+
+
+def test_siegel_counts_only_bound_violations(monkeypatch):
+    # a BoundViolated is a violation; any other exception is a crash and
+    # propagates
+    def raises(exc):
+        def short_kernel_vector(A):
+            raise exc
+        return short_kernel_vector
+
+    monkeypatch.setattr(acceptance, "short_kernel_vector", raises(BoundViolated("over")))
+    rec = acceptance.criterion_3_siegel(fast=True)
+    assert not rec["ok"] and rec["detail"]["violations"] == rec["detail"]["trials"] == 100
+    monkeypatch.setattr(acceptance, "short_kernel_vector", raises(TypeError("bug")))
+    with pytest.raises(TypeError, match="bug"):
+        acceptance.criterion_3_siegel(fast=True)

@@ -14,9 +14,12 @@ from sketchlab.attack import (
     FailureCertificate,
     conditional_gap_estimate,
     invariant_diagnostic,
+    map_runs,
     round_step,
+    run_and_verify,
     run_attack,
     verify_certificate,
+    verify_report,
 )
 from sketchlab.errors import (
     BadParams,
@@ -541,6 +544,51 @@ class TestTvdMonotonicitySurrogate:
         assert tvds[0.0] <= 0.03
         assert tvds[0.1] >= tvds[0.0]
         assert tvds[0.1] >= 0.04  # visible signal at d = 0.1
+
+
+def _square(x):
+    return x * x
+
+
+class TestRunAndVerify:
+    def test_is_run_attack_then_verify_certificate(self):
+        # the same streams give the same outcome and the same report as the
+        # two calls made by hand
+        n = 32
+        cfg = AttackConfig(gap=_params(), m=200, grid_points=8, verify_trials=700)
+        out, rep = run_and_verify(_ConstOracle(0, n), 4, cfg, derive(48, "a"), derive(48, "v"))
+        ref = run_attack(_ConstOracle(0, n), n, 4, cfg, derive(48, "a"))
+        assert out.certificate == ref.certificate and out.certificate.side == "high"
+        assert out.state.transcript == ref.state.transcript
+        assert rep == verify_certificate(_ConstOracle(0, n), ref.certificate, 700,
+                                         derive(48, "v"))
+        assert rep["exploit_count"] > 600
+
+    def test_no_report_without_a_certificate_or_a_verify_stream(self):
+        n = 32
+        cfg = AttackConfig(gap=_params(), m=200, grid_points=8)
+        out, rep = run_and_verify(_ConstOracle(0, n), 4, cfg, derive(48, "a"), None)
+        assert out.outcome == "certificate" and rep is None
+        truth = ExactNormOracle(128, _params())
+        out, rep = run_and_verify(truth, 4, AttackConfig(gap=_params(), m=600, grid_points=8),
+                                  derive(41, "truth"), derive(48, "v"))
+        assert out.outcome == "exhausted" and rep is None
+
+    def test_spurious_certificate_reports_zero(self):
+        oracle = ExactNormOracle(64, _params())
+        cert = FailureCertificate(
+            subspace=[], sigma2=2 * ALPHA, side="low", empirical_rate=0.5,
+            sample_count=200, zeta=0.1, alpha=ALPHA, B=8.0, round=1,
+        )
+        rep = verify_report(oracle, cert, 2000, derive(43, "v1"))
+        assert rep == {"failure_rate": 0.0, "exploit_count": 0, "exploits": []}
+
+    def test_map_runs_pool_keeps_job_order(self, monkeypatch):
+        jobs = list(range(7))
+        monkeypatch.delenv("SKETCHLAB_THREADS", raising=False)
+        serial = map_runs(_square, jobs)
+        monkeypatch.setenv("SKETCHLAB_THREADS", "2")
+        assert map_runs(_square, jobs) == serial == [j * j for j in jobs]
 
 
 class TestGridKinds:

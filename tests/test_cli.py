@@ -1,8 +1,10 @@
 import concurrent.futures
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +40,34 @@ ATTACK_CFG = {
         "grid": {"kind": "geometric", "points": 6},
         "seeds": [0],
         "verify_trials": 500,
+    },
+}
+
+
+# the attack-cli-n256 benchmark's config (perfbench/workloads.py)
+N256_CFG = {
+    "seed": 0,
+    "attack": {"n": 256, "r": 8, "family": "projection-threshold", "B": 8.0,
+               "alpha_policy": "auto", "m": 2000,
+               "grid": {"kind": "geometric", "points": 16},
+               "seeds": [0, 1, 2], "verify_trials": 10_000},
+}
+CONFIGS = {"demo": "demos/projection_r8_n128.json"}
+# sha256 prefixes of each artefact that `attack run --seed 7` writes
+ARTEFACT_PINS = {
+    "n256": {
+        "certificate.json": "e45ccc9252b18bd0",
+        "exploits.json": "9ea31d8635299556",
+        "report.json": "da84d0e7137f6d5e",
+        "summary.csv": "512f06f382bd7a46",
+        "transcript.jsonl": "87ec579a4d4bad8f",
+    },
+    "demo": {
+        "certificate.json": "5bd3028c0a8b7662",
+        "exploits.json": "79a72a177d6bc1d4",
+        "report.json": "99673563449a87bd",
+        "summary.csv": "ac2ff39abaa581e9",
+        "transcript.jsonl": "6415ba4a23d4b135",
     },
 }
 
@@ -145,6 +175,25 @@ class TestAttackRun:
         rows = Path(out, "transcript.jsonl").read_text().splitlines()
         seeds = [json.loads(line)["run_seed"] for line in rows]
         assert seeds == sorted(seeds) and set(seeds) == {0, 1}
+
+    @pytest.mark.parametrize("threads", ("1", "2"), ids=("serial", "pooled"))
+    @pytest.mark.parametrize("config", ARTEFACT_PINS)
+    def test_artefacts_pinned(self, tmp_path, config, threads):
+        # `attack run --seed 7` writes these bytes, serially and on the seed
+        # pool: the attack-cli-n256 benchmark's config and the demo config.
+        # One BLAS thread, as in the benchmark: the transcript's singular
+        # scores are float sums whose order follows the BLAS pool
+        path = CONFIGS[config] if config in CONFIGS else write_cfg(tmp_path, N256_CFG)
+        out = tmp_path / "out"
+        src = os.path.dirname(os.path.dirname(sketchlab.__file__))
+        env = dict(os.environ, PYTHONPATH=src, SKETCHLAB_THREADS=threads,
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        subprocess.run([sys.executable, "-m", "sketchlab.cli", "attack", "run", "--config", path,
+                        "--seed", "7", "--out", str(out)], env=env, capture_output=True,
+                       check=True, timeout=300)
+        got = {f: hashlib.sha256(Path(out, f).read_bytes()).hexdigest()[:16]
+               for f in ARTEFACT_PINS[config]}
+        assert got == ARTEFACT_PINS[config]
 
     def test_schema_violation_reports_path(self, tmp_path, capsys):
         bad = dict(ATTACK_CFG)
@@ -326,6 +375,13 @@ class TestOtherCommands:
                    "--sigma2", "10000"])
         assert rc == 0
 
+    def test_stats_check_pmf_ratio_at_the_ceiling_is_cheap(self, traced_peak):
+        # two points, not a grid of 6 sigma + 1 = 6e8 integers
+        t0 = time.perf_counter()
+        rc, peak = traced_peak(main, ["stats", "check", "pmf-ratio", "--sigma2", "1e16"])
+        assert time.perf_counter() - t0 < 1.0 and peak < 2**20
+        assert rc == 0
+
     def test_stats_check_normalization(self):
         assert main(["stats", "check", "normalization"]) == 0
 
@@ -477,6 +533,8 @@ class TestOtherCommands:
          "is not below 2^62 (int64)"),
         (["harddist", "gen", "--family", "opnorm-alpha", "--params", '{"N": 1e16, "n": 8}'],
          "sigma^2 = 1e+32 above the sampling ceiling 1e+16"),
+        (["harddist", "gen", "--family", "opnorm-alpha", "--params", '{"alpah": 3.0}'],
+         "opnorm-alpha param 'alpah' is unknown"),
         (["sketch", "info", "--in", "missing.json"], "--in '"),
         (["sketch", "info", "--in", "garbage.json"], "--in '"),
         (["sketch", "info", "--in", "cert.json"], "is not a sketch spec"),
@@ -487,7 +545,7 @@ class TestOtherCommands:
             "gen-n0", "gen-n-float", "kyfan-s-float", "kyfan-s0", "gap-d0", "kyfan-s-above-n",
             "lp-small-n-negative", "lp-large-n-below-t", "tvd-N-negative",
             "lp-large-eps-negative", "psd-p0-gen", "psd-p0-gap", "spike-past-int64",
-            "N-past-ceiling", "in-missing", "in-malformed", "in-not-spec"])
+            "N-past-ceiling", "gen-unknown-key", "in-missing", "in-malformed", "in-not-spec"])
     def test_bad_input_exits_1_with_one_line(self, tmp_path, capsys, argv, why):
         cert = {"subspace": [[1.0] + [0.0] * 15], "sigma2": 4.0, "side": "high",
                 "empirical_rate": 0.2, "sample_count": 100, "zeta": 0.1, "alpha": 0.5,
@@ -511,6 +569,10 @@ class TestOtherCommands:
          "'alpha' must be a finite number, got '1'"),
         ("sketch-build", "projection-threshold", {"alpha": 1, "B": None},
          "'B' must be a finite number, got None"),
+    ] + [
+        # a key the family does not read is refused, not left at its default
+        (via, "sign", {"grops": 2}, "'grops' is unknown; it takes ['B', 'alpha', 'groups']")
+        for via in ("sketch-build", "attack-run")
     ])
     def test_bad_family_params_exit_1(self, tmp_path, capsys, via, family, params, why):
         if via == "sketch-build":

@@ -47,6 +47,26 @@ class TestFamilies:
             with pytest.raises(BadParams, match="'n' must be a number"):
                 HardFamily("opnorm-alpha", {"n": bad})
 
+    @pytest.mark.parametrize("name, params, key", [
+        ("opnorm-alpha", {"alpah": 3.0}, "alpah"),
+        ("lp-small", {"n": 64, "d": 8}, "d"),
+        ("cs", {"family_count": 4}, "family_count"),
+        ("cs", {"family_seed": 12}, "family_seed"),
+    ])
+    def test_unknown_param_key_named(self, name, params, key):
+        with pytest.raises(BadParams, match=f"{name} param '{key}' is unknown"):
+            HardFamily(name, params)
+
+    def test_filled_params_accepted(self):
+        # calibration's derived constants, s1 and cs's regime flag are params
+        # a family takes besides its defaults
+        assert HardFamily("psd", {"d": 16, "shift": 99, "c_psd": 2.0, "s1": 0.5}).params["shift"] == 99
+        assert HardFamily("opnorm-alpha", {"gamma1": 5.0}).spike_scale() == 5.0 * 2.0 / 8.0
+        for name in FAMILY_NAMES:
+            fam = HardFamily(name)
+            again = HardFamily(name, dict(fam.params))
+            assert again.params == fam.params
+
     @pytest.mark.parametrize("name, params, why", [
         ("opnorm-alpha", {"n": 0}, "param 'n' must be an integer >= 1, got 0"),
         ("opnorm-alpha", {"n": 16.0}, "param 'n' must be an integer >= 1, got 16.0"),

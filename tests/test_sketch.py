@@ -166,6 +166,17 @@ class TestBuildFamilies:
         with pytest.raises(BadParams):
             build_sketch("fourier", 64, 4)
 
+    @pytest.mark.parametrize("family, params, key", [
+        ("sign", {"grops": 2}, "grops"),
+        ("rounded-gaussian", {"groups": 2}, "groups"),
+        ("countsketch", {"reps": 2, "m_cal": 16}, "m_cal"),
+        ("projection-threshold", {"alpha": 800.0, "B": 8.0, "tau": 1.0}, "tau"),
+    ])
+    def test_unknown_param_key_named(self, family, params, key):
+        # a misspelt or foreign key is refused, not silently left at its default
+        with pytest.raises(BadParams, match=f"{family} param '{key}' is unknown"):
+            build_sketch(family, 64, 4, params, seed=9)
+
     def test_entry_cap(self):
         with pytest.raises(BadParams):
             build_sketch("rounded-gaussian", 8, 2, {"entry_std": 1e6}, seed=1)
@@ -203,6 +214,21 @@ class TestBuildFamilies:
             assert len(rows) == 1 or len(rows) % step
             whole = np.sum((rows.astype(float) @ sk.Q.T) ** 2, axis=1)
             assert np.array_equal(sketch_mod._sketched_energy(rows, sk.Q), whole)
+
+
+@pytest.mark.parametrize("n", (64, 128, 256))
+@pytest.mark.parametrize("family", sketch_mod.FAMILIES)
+def test_estimate_does_not_depend_on_the_batch(family, n):
+    # a row's estimate is the same in batches of 1, 2, 7 and 300 rows: a
+    # lone row would otherwise take numpy's matrix-vector product
+    params = {"alpha": 800.0, "B": 8.0} if family == "projection-threshold" else None
+    sk = build_sketch(family, n, 8, params, seed=n)
+    X = np.rint(derive(36, "batch", n).standard_normal((300, n)) * 30).astype(np.int64)
+    Y = sk.apply_batch(X)
+    whole = sk.l2_estimates(Y)
+    for size in (1, 2, 7, 300):
+        parts = [sk.l2_estimates(Y[i:i + size]) for i in range(0, 300, size)]
+        assert np.array_equal(np.concatenate(parts), whole), size
 
 
 class TestGapNormOracle:

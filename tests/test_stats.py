@@ -6,7 +6,7 @@ import pytest
 
 from oracles import chi2_divergence_mixture_quadrature, tvd_two_gaussians_1d
 from sketchlab import dgauss, stats
-from sketchlab.errors import DimensionTooLarge, PreconditionUnmet, TooFewSamples
+from sketchlab.errors import DimensionTooLarge, PreconditionUnmet, TooFewSamples, VarianceTooLarge
 from sketchlab.rng import derive
 from sketchlab.sketch import IntegerSketch
 
@@ -94,6 +94,21 @@ class TestPmfRatioCheck:
     def test_precondition(self):
         with pytest.raises(PreconditionUnmet):
             stats.pmf_ratio_check(500.0, 10, 2)
+
+    @pytest.mark.parametrize("s2", (1e4, 2.5e5, 1e6 + 0.3))
+    def test_endpoints_are_the_grid_maximum(self, s2):
+        # w/q falls as |z| grows, so the deviation over the whole grid
+        # |z| <= 3 sigma peaks at z = 0 or at its end
+        z_range = int(math.ceil(3 * math.sqrt(s2)))
+        zs = np.arange(-z_range, z_range + 1)
+        p1 = dgauss.pmf_dgauss_1d(zs, s2)
+        q1 = dgauss._rounded_gaussian_pmf(zs, math.sqrt(s2))
+        grid = float(np.max(np.abs(np.expm1(10 * (np.log(p1) - np.log(q1))))))
+        assert stats.pmf_ratio_check(s2, 10, 2)["max_deviation"] == grid
+
+    def test_refused_above_the_sampling_ceiling(self):
+        with pytest.raises(VarianceTooLarge):
+            stats.pmf_ratio_check(1.01 * dgauss.MAX_SIGMA2, 10, 2)
 
 
 class TestCellLemma:
