@@ -10,11 +10,11 @@ from sketchlab.attack import invariant_diagnostic, run_attack, verify_certificat
 from sketchlab.rng import derive
 from sketchlab.sketch import ExactNormOracle, GapNormOracle
 
-# the attack block of a config (config_schema.json); alpha_policy "auto" sets
-# alpha from the certified length of a reduced basis of the sketch's
-# orthogonal lattice ker(A) (pairwise-reduced, else LLL-reduced; no
-# pre-processing), squared, times ln(2n(1+1/eps))/pi, floored at the
-# sampling margin
+# the attack block of a config (its keys: acceptance.ATTACK_FIELDS);
+# alpha_policy "auto" sets alpha from the certified length of a reduced basis
+# of the sketch's orthogonal lattice ker(A) (pairwise-reduced, else
+# LLL-reduced; no pre-processing), squared, times ln(2n(1+1/eps))/pi, floored
+# at the sampling margin
 sketch, params, config, how = attack_setup(
     {"n": 128, "r": 8, "family": "projection-threshold", "B": 8.0,
      "alpha_policy": "auto", "m": 2000, "grid": {"points": 16}},

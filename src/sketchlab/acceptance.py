@@ -6,8 +6,10 @@ prints one pass/fail line per criterion and exits 2 on any failure. All
 tolerances are pinned here, not in the callers.
 """
 
+import copy
 import functools
 import math
+import operator
 import sys
 import time
 
@@ -26,6 +28,7 @@ from .lattice import (
 from .numerics import OrthonormalBasis, top_right_singular_vector
 from .rng import derive
 from .sketch import (
+    FAMILIES,
     ExactNormOracle,
     GapNormOracle,
     GapNormParams,
@@ -60,15 +63,96 @@ def auto_alpha(sketch):
     return max(dgauss.smoothing_sigma2(n, ell**2), floor), ell
 
 
+REQUIRED = object()  # the default of a key that must be given
+
+# key -> (kinds, bound, default) for each key of a config block. Kinds are
+# types (an integral float reads as an int, a bool as no number) and literal
+# values; a bound is (op, limit) pairs on a number.
+GRID_FIELDS = {"kind": (("geometric",), (), "geometric"), "points": ((int,), ((">=", 2),), 16)}
+ATTACK_FIELDS = {
+    "n": ((int,), ((">=", 8),), REQUIRED),
+    "r": ((int,), ((">=", 1),), REQUIRED),
+    "family": (FAMILIES, (), REQUIRED),
+    "B": ((float,), ((">=", 8),), REQUIRED),
+    "family_params": ((dict,), (), {}),  # any key but alpha and B
+    "alpha_policy": (("auto", float), ((">", 0),), "auto"),
+    "m": ((int,), ((">=", 100),), 2000),
+    "grid": ((dict,), (), {}),  # read by GRID_FIELDS
+    "seeds": ((list,), (), [0]),  # distinct, each read as RUN_SEED
+    "round_cap": ((int, None), ((">=", 1),), None),
+    "zeta": ((float, None), ((">", 0), ("<=", 1)), None),  # no rate certifies above 1
+    "verify_trials": ((int,), ((">=", 100),), 10_000),
+    "verify": ((bool,), (), True),
+}
+# a run seed keys its streams by its low 32 bits (rng._key): 2**32 would rerun 0
+RUN_SEED = ((int,), ((">=", 0), ("<", 2**32)))
+_CMP = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
+_NAMES = {int: "an integer", float: "a finite number", bool: "a boolean", str: "a string",
+          dict: "an object", list: "an array", None: "null"}
+
+
+def _config_error(path, reason):
+    return BadParams(f"config error at '{'/'.join(map(str, path)) or '<root>'}': {reason}")
+
+
+def _read(x, kinds, bound, path):
+    """`x` as the first of `kinds` it is, within `bound`; a config error
+    naming `path` otherwise."""
+    for kind in kinds:
+        if kind in (int, float):
+            finite = type(x) in (int, float) and abs(x) <= sys.float_info.max  # in float64
+            if finite and (kind is float or x == int(x)):
+                if not all(_CMP[op](x, limit) for op, limit in bound):
+                    text = " and ".join(f"{op} {limit}" for op, limit in bound)
+                    raise _config_error(path, f"must be {text}, got {x!r}")
+                return kind(x)
+        elif type(x) is kind or type(x) is type(kind) and x == kind:
+            return copy.copy(x)
+    names = " or ".join(_NAMES.get(k, repr(k)) for k in kinds)
+    raise _config_error(path, f"{names} was expected, got {x!r}")
+
+
+def read_fields(obj, fields, path=()):
+    """The object `obj` read by the key table `fields`, an absent key set to
+    its default; BadParams("config error at '<path>': <reason>") on an
+    unknown or missing key, a wrong type or a value out of bounds."""
+    if type(obj) is not dict:
+        raise _config_error(path, f"an object was expected, got {obj!r}")
+    for key in obj:
+        if key not in fields:
+            raise _config_error(path, f"{key!r} was unexpected")
+    out = {}
+    for key, (kinds, bound, default) in fields.items():
+        if key not in obj and default is REQUIRED:
+            raise _config_error(path, f"{key!r} is a required property")
+        out[key] = _read(obj[key], kinds, bound, (*path, key)) if key in obj else copy.copy(default)
+    return out
+
+
+def read_attack_block(block):
+    """A config's `attack` block read by ATTACK_FIELDS, every default filled
+    and every integer field a Python int; nothing is built."""
+    acfg = read_fields(block, ATTACK_FIELDS, ("attack",))
+    acfg["grid"] = read_fields(acfg["grid"], GRID_FIELDS, ("attack", "grid"))
+    seeds = acfg["seeds"] = [_read(s, *RUN_SEED, ("attack", "seeds", i))
+                             for i, s in enumerate(acfg["seeds"])]
+    if len(set(seeds)) < len(seeds) or not seeds:
+        why = "has non-unique elements" if seeds else "should be non-empty"
+        raise _config_error(("attack", "seeds"), f"{block['seeds']!r} {why}")
+    for key in sorted({"alpha", "B"} & acfg["family_params"].keys()):
+        raise _config_error(("attack", "family_params"),
+                            f"{key!r} is not a family param here: the block sets alpha and B")
+    return acfg
+
+
 def attack_setup(acfg, seed):
     """The attacked sketch, its GapNormParams and AttackConfig for a config's
-    `attack` block (config_schema.json) and sketch seed, and how alpha was
-    set: the sampling floor, the lattice term (None for a fixed alpha) and
-    which of floor, lattice or fixed binds."""
-    n, r, family = acfg["n"], acfg["r"], acfg["family"]
-    B = float(acfg["B"])
-    fam_params = acfg.get("family_params", {})
-    policy = acfg.get("alpha_policy", "auto")
+    `attack` block (read by read_attack_block) and sketch seed, and how alpha
+    was set: the sampling floor, the lattice term (None for a fixed alpha)
+    and which of floor, lattice or fixed binds."""
+    acfg = read_attack_block(acfg)
+    n, r, family, B = acfg["n"], acfg["r"], acfg["family"], acfg["B"]
+    fam_params, policy = acfg["family_params"], acfg["alpha_policy"]
     # projection-threshold is the one family whose build reads alpha (its
     # threshold calibration); any other sketch is final before alpha is set
     calibrated = family == "projection-threshold"
@@ -87,7 +171,7 @@ def attack_setup(acfg, seed):
         if calibrated:
             sk = build(alpha)
     else:
-        alpha, lattice_term, binds = float(policy), None, "fixed"
+        alpha, lattice_term, binds = policy, None, "fixed"
         sk = build(alpha)
     alpha_report = {
         "alpha_floor": dgauss.smoothing_sigma2(n, dgauss.SAMPLING_FLOOR_ELL_SQ),
@@ -95,15 +179,9 @@ def attack_setup(acfg, seed):
         "alpha_binds": binds,
     }
     params = GapNormParams(B=B, alpha=alpha)
-    grid = acfg.get("grid", {})
-    cfg = AttackConfig(
-        gap=params,
-        m=int(acfg.get("m", 2000)),
-        grid_points=int(grid.get("points", 16)),
-        round_cap=acfg.get("round_cap"),
-        zeta=acfg.get("zeta"),
-        verify_trials=int(acfg.get("verify_trials", 10_000)),
-    )
+    cfg = AttackConfig(gap=params, m=acfg["m"], grid_points=acfg["grid"]["points"],
+                       round_cap=acfg["round_cap"], zeta=acfg["zeta"],
+                       verify_trials=acfg["verify_trials"])
     return sk, params, cfg, alpha_report
 
 

@@ -4,19 +4,21 @@ Subcommands: attack run|verify, sketch build|info, harddist gen|gap|tvd,
 stats check, suite acceptance. All randomness flows from one 64-bit root seed
 through the counter-based splitting scheme in sketchlab.rng. Outputs are a
 JSON-lines transcript, a CSV summary, and JSON certificate, exploit and report
-files; reruns with the same config and seed reproduce every file byte for byte.
-JSON artefacts are compact and key-sorted, one line each (written by the C
-encoder); the report is still printed indented on stdout.
+files; reruns with the same config and seed reproduce every file byte for byte
+at a fixed BLAS thread count (the transcript's `score`, a float product, rounds
+as the BLAS pool sums it). JSON artefacts are compact and key-sorted, one line
+each (written by the C encoder); the report is still printed indented on
+stdout.
 
-Configs are checked against the shipped config_schema.json by a small
-interpreter in this module of exactly the JSON Schema keywords that schema
-uses (jsonschema is a test-only oracle for it); the interpreter refuses a
-schema with any other keyword.
+A config is read key by key: its top level by CONFIG_FIELDS, its attack block
+by acceptance.read_attack_block, which holds each key's type, bound and
+default. An unknown or missing key, a wrong type or a value out of bounds is
+one `config error at '<path>'` line.
 
 Exit codes: 0 success, 1 error (including an unreadable or malformed config
-file, reported by name, config schema violations, reported with the
-offending field path, and a bad --params, --certificate, --sketch or --in,
-reported in one `error:` line), 2 threshold failure in acceptance/check mode.
+file, reported by name, a bad config field, reported with its path, and a bad
+--params, --certificate, --sketch or --in, reported in one `error:` line), 2
+threshold failure in acceptance/check mode.
 
 Environment: SKETCHLAB_OUT overrides the output directory, SKETCHLAB_THREADS
 the worker count for independent seeded attack runs.
@@ -30,7 +32,6 @@ import math
 import os
 import sys
 from dataclasses import asdict
-from importlib import resources
 
 import numpy as np
 
@@ -41,81 +42,9 @@ from .rng import derive
 from .sketch import GapNormOracle, GapNormParams, build_sketch
 
 
-def _load_schema():
-    with resources.files("sketchlab").joinpath("config_schema.json").open() as fh:
-        return json.load(fh)
-
-
-# the JSON Schema keywords _violation interprets, and the annotations it
-# skips; a schema with any other keyword is refused, not half-checked
-_KEYWORDS = {"type", "const", "enum", "oneOf", "minimum", "exclusiveMinimum", "required",
-             "properties", "additionalProperties", "items", "minItems"}
-_ANNOTATIONS = {"$schema", "title", "description"}
-_TYPES = {
-    "object": lambda x: isinstance(x, dict),
-    "array": lambda x: isinstance(x, list),
-    "string": lambda x: isinstance(x, str),
-    "boolean": lambda x: isinstance(x, bool),
-    "null": lambda x: x is None,
-    "number": lambda x: isinstance(x, (int, float)) and not isinstance(x, bool),
-    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
-                          or isinstance(x, float) and x.is_integer()),
-}
-
-
-def _same(a, b):
-    """JSON equality: true and 1 differ, 1 and 1.0 do not."""
-    return isinstance(a, bool) == isinstance(b, bool) and a == b
-
-
-def _violation(schema, x, path=()):
-    """The first place where `x` breaks `schema`, as (path, message) with
-    messages worded as jsonschema's, or None. It reads exactly the keywords
-    the shipped config_schema.json uses, with draft 2020-12 semantics, and
-    raises ValueError on any other keyword it meets."""
-    unknown = set(schema) - _KEYWORDS - _ANNOTATIONS
-    if schema.get("additionalProperties", False) is not False:
-        unknown.add("additionalProperties")  # only `false` is interpreted
-    if unknown:
-        raise ValueError(f"config schema keywords not interpreted: {sorted(unknown)}")
-    types = schema.get("type", [])
-    types = [types] if isinstance(types, str) else types
-    if types and not any(_TYPES[t](x) for t in types):
-        return path, f"{x!r} is not of type {', '.join(map(repr, types))}"
-    if "const" in schema and not _same(x, schema["const"]):
-        return path, f"{schema['const']!r} was expected"
-    if "enum" in schema and not any(_same(x, e) for e in schema["enum"]):
-        return path, f"{x!r} is not one of {schema['enum']!r}"
-    if "oneOf" in schema:
-        valid = sum(_violation(s, x, path) is None for s in schema["oneOf"])
-        if valid == 0:
-            return path, f"{x!r} is not valid under any of the given schemas"
-        if valid > 1:
-            return path, f"{x!r} is valid under more than one of the given schemas"
-    if _TYPES["number"](x):
-        if "minimum" in schema and x < schema["minimum"]:
-            return path, f"{x!r} is less than the minimum of {schema['minimum']!r}"
-        if "exclusiveMinimum" in schema and x <= schema["exclusiveMinimum"]:
-            return path, (f"{x!r} is less than or equal to the minimum of "
-                          f"{schema['exclusiveMinimum']!r}")
-    children = []
-    if isinstance(x, dict):
-        props = schema.get("properties", {})
-        missing = [k for k in schema.get("required", []) if k not in x]
-        if missing:
-            return path, f"{missing[0]!r} is a required property"
-        extra = sorted(k for k in x if k not in props)
-        if "additionalProperties" in schema and extra:
-            verb = "was" if len(extra) == 1 else "were"
-            return path, (f"Additional properties are not allowed "
-                          f"({', '.join(map(repr, extra))} {verb} unexpected)")
-        children = [((*path, k), props.get(k, {}), v) for k, v in x.items()]
-    elif isinstance(x, list):
-        if len(x) < schema.get("minItems", 0):
-            short = "should be non-empty" if schema["minItems"] == 1 else "is too short"
-            return path, f"{x!r} {short}"
-        children = [((*path, i), schema.get("items", {}), v) for i, v in enumerate(x)]
-    return next(filter(None, (_violation(s, v, p) for p, s, v in children)), None)
+# a config's top level (acceptance.ATTACK_FIELDS has its attack block)
+CONFIG_FIELDS = {"seed": ((int,), ((">=", 0),), acceptance.REQUIRED), "out": ((str,), (), None),
+                 "attack": ((dict,), (), acceptance.REQUIRED)}
 
 
 def _read_json(path, what):
@@ -129,22 +58,17 @@ def _read_json(path, what):
 
 
 def load_config(path):
-    """Read a config file and check it against the shipped
-    config_schema.json with _violation, the package's own interpreter of
-    the keywords that schema uses. An unreadable file, malformed JSON or a
-    schema violation prints one `config error` line (naming the file, or the
-    offending field path) and raises SystemExit(1). The schema is not
-    checked against its metaschema here; the test suite does that once,
-    and cross-checks _violation against jsonschema."""
+    """Read a config file and check it: its top level by CONFIG_FIELDS, its
+    attack block by acceptance.read_attack_block. An unreadable file,
+    malformed JSON or a bad field prints one `config error` line (naming
+    the file, or the offending field path) and raises SystemExit(1).
+    Returns the config as read."""
     try:
         cfg = _read_json(path, "config error in")
+        acceptance.read_fields(cfg, CONFIG_FIELDS)
+        acceptance.read_attack_block(cfg["attack"])
     except BadParams as exc:
         print(exc, file=sys.stderr)
-        raise SystemExit(1)
-    bad = _violation(_load_schema(), cfg)
-    if bad is not None:
-        loc = "/".join(map(str, bad[0])) or "<root>"
-        print(f"config error at '{loc}': {bad[1]}", file=sys.stderr)
         raise SystemExit(1)
     return cfg
 
@@ -192,19 +116,14 @@ def _single_attack_run(args):
 
 def cmd_attack_run(args):
     cfg = load_config(args.config)
-    if "attack" not in cfg:
-        print("config error at '<root>': missing 'attack' block", file=sys.stderr)
-        return 1
+    acfg = acceptance.read_attack_block(cfg["attack"])
     root_seed = int(args.seed if args.seed is not None else cfg["seed"])
     out_dir = _out_dir(cfg.get("out"), args.out)
-    acfg = cfg["attack"]
-    seeds = acfg.get("seeds", [0])
-    do_verify = bool(acfg.get("verify", True))
     # the sketch depends only on the root seed: build it once for all runs
     sk, params, attack_cfg, alpha_report = acceptance.attack_setup(acfg, root_seed)
     calibration = acceptance.calibration_vs_zeta(sk, attack_cfg)
-    results = map_runs(_single_attack_run,
-                       [((sk, params, attack_cfg), root_seed, s, do_verify) for s in seeds])
+    jobs = [((sk, params, attack_cfg), root_seed, s, acfg["verify"]) for s in acfg["seeds"]]
+    results = map_runs(_single_attack_run, jobs)
 
     # transcript.jsonl: one record per (run, round, sigma2) that the round
     # drew; a round whose direction is decided skips its middle grid points

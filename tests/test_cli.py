@@ -13,7 +13,8 @@ import pytest
 import sketchlab
 from sketchlab import acceptance, dgauss, harddist, stats
 from sketchlab.attack import EXPLOITS_KEPT, FailureCertificate, verify_certificate
-from sketchlab.cli import _load_schema, _violation, load_config, main
+from sketchlab.cli import load_config, main
+from sketchlab.errors import BadParams
 from sketchlab.rng import derive
 from sketchlab.sketch import GapNormOracle
 
@@ -26,6 +27,10 @@ def write_cfg(tmp_path, cfg, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(cfg))
     return str(p)
+
+
+# the config format as JSON Schema, a test-only oracle for load_config
+SCHEMA = read_json(Path(__file__).parent, "data", "config_schema.json")
 
 
 ATTACK_CFG = {
@@ -218,6 +223,45 @@ class TestAttackRun:
         err = capsys.readouterr().err
         assert f"config error at '{path}': " in err and why in err
 
+    @pytest.mark.parametrize("key,value,path,why", [
+        ("family_params", {"alpha": 1.0}, "attack/family_params", "'alpha' is not a family param"),
+        ("family_params", {"B": 8.0}, "attack/family_params", "'B' is not a family param"),
+        ("zeta", 1.5, "attack/zeta", "must be > 0 and <= 1, got 1.5"),
+        ("seeds", [0, 0], "attack/seeds", "[0, 0] has non-unique elements"),
+        ("seeds", [0, 2**32], "attack/seeds/1", "must be >= 0 and < 4294967296"),
+        ("seeds", [-1], "attack/seeds/0", "must be >= 0 and < 4294967296"),
+        ("B", float("inf"), "attack/B", "a finite number was expected, got inf"),
+    ], ids=["family-alpha", "family-B", "zeta-above-1", "seeds-repeated", "seed-2^32",
+            "seed-negative", "B-infinite"])
+    def test_ignored_or_aliased_values_rejected(self, tmp_path, capsys, key, value, path, why):
+        # values the run would ignore, alias or fail on are refused before
+        # any directory is made
+        bad = json.loads(json.dumps(ATTACK_CFG))
+        bad["attack"][key] = value
+        out = tmp_path / "o"
+        assert main(["attack", "run", "--config", write_cfg(tmp_path, bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error at '{path}': ") and why in err
+        assert err.count("\n") == 1 and not out.exists()
+
+    def test_integral_floats_run_as_ints(self, tmp_path):
+        # 64.0 is read as 64: a config written with integral floats writes
+        # its all-int twin's five artefacts, byte for byte
+        ints = json.loads(json.dumps(ATTACK_CFG))
+        ints["attack"]["round_cap"] = 5
+        floats = json.loads(json.dumps(ints))
+        floats["attack"].update(n=64.0, r=4.0, round_cap=5.0, m=300.0, seeds=[0.0],
+                                grid={"kind": "geometric", "points": 6.0})
+        written = []
+        for name, doc in (("ints", ints), ("floats", floats)):
+            out = tmp_path / name
+            assert main(["attack", "run", "--config", write_cfg(tmp_path, doc, f"{name}.json"),
+                         "--out", str(out)]) == 0
+            written.append({f: (out / f).read_bytes() for f in (
+                "transcript.jsonl", "summary.csv", "certificate.json", "exploits.json",
+                "report.json")})
+        assert written[0] == written[1]
+
     @pytest.mark.parametrize("block", [{"harddist": {"family": "cs"}},
                                        {"stats": {"check": "pmf-ratio"}}],
                              ids=["harddist", "stats"])
@@ -355,6 +399,32 @@ class TestAttackSetup:
     def test_criteria_attack_block_validates(self, tmp_path):
         path = write_cfg(tmp_path, {"seed": 0, "attack": acceptance.ATTACK})
         assert load_config(path)["attack"] == acceptance.ATTACK
+
+    @pytest.mark.parametrize("acfg,where", [
+        ({"n": 64, "r": 4, "family": "sign"}, "config error at 'attack': 'B' is a required property"),
+        (dict(ATTACK_CFG["attack"], m="300"), "config error at 'attack/m': "),
+        (dict(ATTACK_CFG["attack"], seeds=[0, 0]), "config error at 'attack/seeds': "),
+    ], ids=["missing-B", "m-string", "seeds-repeated"])
+    def test_library_callers_get_the_same_checks(self, monkeypatch, acfg, where):
+        # attack_setup reads the block before it builds anything, so a
+        # library caller's bad block is the CLI's config error
+        monkeypatch.setattr(acceptance, "build_sketch", None)
+        with pytest.raises(BadParams) as exc:
+            acceptance.attack_setup(acfg, 7)
+        assert str(exc.value).startswith(where)
+
+    def test_filled_block(self):
+        # every default filled, every integer field an int; a filled block
+        # reads as itself
+        acfg = acceptance.read_attack_block(
+            {"n": 64.0, "r": 4, "family": "sign", "B": 8, "seeds": [2.0]})
+        assert acfg == {"n": 64, "r": 4, "family": "sign", "B": 8.0, "family_params": {},
+                        "alpha_policy": "auto", "m": 2000,
+                        "grid": {"kind": "geometric", "points": 16}, "seeds": [2],
+                        "round_cap": None, "zeta": None, "verify_trials": 10_000,
+                        "verify": True}
+        assert type(acfg["n"]) is int and type(acfg["seeds"][0]) is int
+        assert acceptance.read_attack_block(acfg) == acfg
 
 
 # build_sketch params that each raise BadParams naming the key: (family,
@@ -578,9 +648,10 @@ class TestOtherCommands:
         if via == "sketch-build":
             argv = ["sketch", "build", "--family", family, "--n", "64", "--r", "4",
                     "--params", json.dumps(params)]
-        else:
+        else:  # the attack block sets alpha and B itself
             cfg = json.loads(json.dumps(ATTACK_CFG))
-            cfg["attack"].update(family=family, family_params=params)
+            cfg["attack"].update(family=family, family_params={
+                k: v for k, v in params.items() if k not in ("alpha", "B")})
             argv = ["attack", "run", "--config", write_cfg(tmp_path, cfg),
                     "--out", str(tmp_path / "o")]
         assert main(argv) == 1
@@ -698,11 +769,12 @@ class TestImportHygiene:
 MUTATION_VALUES = [
     None, True, False, 0, 1, -1, 2, 7, 8, 99, 100, 0.0, 0.5, 1.0, 2.5, -0.5, 8.0,
     7.5, 1e9, "", "auto", "geometric", "zeta", "sign", "projection-threshold",
-    [], [0], [0, 3], [1.5], [2.0], ["a"], [None], {}, {"kind": "geometric"},
-    {"points": 1},
+    [], [0], [0, 3], [1.5], [2.0], ["a"], [None], [0, 0], [0.0, 0], [-1],
+    [2**32 - 1], [2**32], {}, {"kind": "geometric"}, {"points": 1}, {"alpha": 1},
+    {"B": 8.0},
 ]
 
-# a config that sets every property of the shipped schema
+# a config that sets every property of the schema
 FULL_CFG = {
     "seed": 7,
     "out": "o",
@@ -712,8 +784,8 @@ FULL_CFG = {
 
 
 def _mutations():
-    """Each property of the shipped schema set to each MUTATION_VALUE and
-    removed, and one unknown key added at each object level."""
+    """Each property of the schema set to each MUTATION_VALUE and removed,
+    and one unknown key added at each object level."""
     def walk(schema, path):
         yield path, schema
         for key, sub in schema.get("properties", {}).items():
@@ -727,7 +799,7 @@ def _mutations():
         edit(parent, path[-1])
         return cfg
 
-    for path, schema in walk(_load_schema(), ()):
+    for path, schema in walk(SCHEMA, ()):
         if path:
             for value in MUTATION_VALUES:
                 yield at(path, lambda obj, key, value=value: obj.__setitem__(key, value))
@@ -736,66 +808,50 @@ def _mutations():
             yield at((*path, "unknown"), lambda obj, key: obj.__setitem__(key, 1))
 
 
+def _error_path(tmp_path, capsys, cfg):
+    """load_config's error path for `cfg` as a list of keys, None when it
+    accepts the config."""
+    path = write_cfg(tmp_path, cfg)
+    try:
+        load_config(path)
+    except SystemExit:
+        err = capsys.readouterr().err
+        assert err.startswith("config error at '") and err.count("\n") == 1, err
+        where = err.split("'")[1]
+        return [] if where == "<root>" else where.split("/")
+    return None
+
+
 class TestConfigCheck:
-    def test_agrees_with_jsonschema(self):
-        # the package's schema check against jsonschema's best match, on
-        # accept/reject and the error path, over single-field mutations; the
-        # messages agree too, except where best_match descends into oneOf
+    def test_agrees_with_jsonschema(self, tmp_path, capsys):
+        # load_config against jsonschema's best match on the test-side
+        # schema, on accept/reject and the error path, over single-field
+        # mutations
         from jsonschema.exceptions import best_match
         from jsonschema.validators import validator_for
 
-        schema = _load_schema()
-        oracle = validator_for(schema)(schema)
+        oracle = validator_for(SCHEMA)(SCHEMA)
         cases = list(_mutations())
         rejected, wrong = 0, []
         for cfg in cases:
-            ours = _violation(schema, cfg)
+            ours = _error_path(tmp_path, capsys, cfg)
             theirs = best_match(oracle.iter_errors(cfg))
             rejected += theirs is not None
-            if (None if ours is None else list(ours[0])) != (
-                    None if theirs is None else list(theirs.absolute_path)):
+            if ours != (None if theirs is None else list(map(str, theirs.absolute_path))):
                 wrong.append((cfg, ours, theirs and theirs.message))
-            elif theirs is not None and theirs.parent is None and ours[1] != theirs.message:
-                wrong.append((cfg, ours, theirs.message))  # wording, past oneOf
-        assert _violation(schema, FULL_CFG) is None
+        assert _error_path(tmp_path, capsys, FULL_CFG) is None
         assert wrong == []
         assert len(cases) > 500 and 0 < rejected < len(cases)
-
-    def test_json_semantics_beyond_the_shipped_schema(self):
-        # draft 2020-12 rules the shipped schema does not reach today: true
-        # is not 1, 1.0 is an integer, and oneOf means exactly one
-        assert _violation({"const": 1}, True) == ((), "1 was expected")
-        assert _violation({"enum": [1]}, 1.0) is None
-        assert _violation({"type": "integer"}, 3.0) is None
-        both = {"oneOf": [{"type": "number"}, {"type": "integer"}]}
-        assert _violation(both, 1.5) is None
-        assert _violation(both, 1) == ((), "1 is valid under more than one of the given schemas")
-
-    @pytest.mark.parametrize("where,keyword", [
-        (("properties", "out"), {"pattern": "^o"}),
-        ((), {"additionalProperties": {"type": "integer"}}),
-    ], ids=["pattern", "additional-properties-schema"])
-    def test_uninterpreted_keyword_raises(self, where, keyword):
-        # a schema keyword the check does not interpret is refused, never
-        # skipped
-        schema = _load_schema()
-        node = schema
-        for key in where:
-            node = node[key]
-        node.update(keyword)
-        with pytest.raises(ValueError, match=next(iter(keyword))):
-            _violation(schema, FULL_CFG)
 
 
 class TestShippedExampleConfig:
     def test_schema_passes_its_metaschema(self):
-        # load_config validates against the schema without checking the
-        # schema itself; this is that check
+        # the oracle that test_agrees_with_jsonschema reads is itself a
+        # valid draft 2020-12 schema
         from jsonschema.validators import validator_for
 
-        schema = _load_schema()
-        assert schema["$schema"] == "https://json-schema.org/draft/2020-12/schema"
-        validator_for(schema).check_schema(schema)
+        assert SCHEMA["$schema"] == "https://json-schema.org/draft/2020-12/schema"
+        validator_for(SCHEMA).check_schema(SCHEMA)
 
     def test_example_config_validates(self):
         cfg = load_config("demos/projection_r8_n128.json")
