@@ -6,10 +6,8 @@ prints one pass/fail line per criterion and exits 2 on any failure. All
 tolerances are pinned here, not in the callers.
 """
 
-import copy
 import functools
 import math
-import operator
 import sys
 import time
 
@@ -18,6 +16,7 @@ import numpy as np
 from . import dgauss, harddist, stats
 from .attack import AttackConfig, conditional_gap_estimate, map_runs, run_and_verify
 from .errors import BadParams, BoundViolated, LengthBoundUnachieved, TooManyRows
+from .fields import REQUIRED, config_error, read_fields, read_value
 from .lattice import (
     IntMatrix,
     pairwise_reduced_kernel,
@@ -27,6 +26,7 @@ from .lattice import (
 )
 from .numerics import OrthonormalBasis, top_right_singular_vector
 from .rng import derive
+from .sketch import _FIELDS as _SKETCH_FIELDS
 from .sketch import (
     FAMILIES,
     ExactNormOracle,
@@ -63,18 +63,15 @@ def auto_alpha(sketch):
     return max(dgauss.smoothing_sigma2(n, ell**2), floor), ell
 
 
-REQUIRED = object()  # the default of a key that must be given
-
-# key -> (kinds, bound, default) for each key of a config block. Kinds are
-# types (an integral float reads as an int, a bool as no number) and literal
-# values; a bound is (op, limit) pairs on a number.
+# key -> (kinds, bound, default) for each key of a config block, read by
+# fields.read_fields
 GRID_FIELDS = {"kind": (("geometric",), (), "geometric"), "points": ((int,), ((">=", 2),), 16)}
 ATTACK_FIELDS = {
     "n": ((int,), ((">=", 8),), REQUIRED),
     "r": ((int,), ((">=", 1),), REQUIRED),
     "family": (FAMILIES, (), REQUIRED),
     "B": ((float,), ((">=", 8),), REQUIRED),
-    "family_params": ((dict,), (), {}),  # any key but alpha and B
+    "family_params": ((dict,), (), {}),  # the family's params but alpha and B
     "alpha_policy": (("auto", float), ((">", 0),), "auto"),
     "m": ((int,), ((">=", 100),), 2000),
     "grid": ((dict,), (), {}),  # read by GRID_FIELDS
@@ -86,47 +83,6 @@ ATTACK_FIELDS = {
 }
 # a run seed keys its streams by its low 32 bits (rng._key): 2**32 would rerun 0
 RUN_SEED = ((int,), ((">=", 0), ("<", 2**32)))
-_CMP = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
-_NAMES = {int: "an integer", float: "a finite number", bool: "a boolean", str: "a string",
-          dict: "an object", list: "an array", None: "null"}
-
-
-def _config_error(path, reason):
-    return BadParams(f"config error at '{'/'.join(map(str, path)) or '<root>'}': {reason}")
-
-
-def _read(x, kinds, bound, path):
-    """`x` as the first of `kinds` it is, within `bound`; a config error
-    naming `path` otherwise."""
-    for kind in kinds:
-        if kind in (int, float):
-            finite = type(x) in (int, float) and abs(x) <= sys.float_info.max  # in float64
-            if finite and (kind is float or x == int(x)):
-                if not all(_CMP[op](x, limit) for op, limit in bound):
-                    text = " and ".join(f"{op} {limit}" for op, limit in bound)
-                    raise _config_error(path, f"must be {text}, got {x!r}")
-                return kind(x)
-        elif type(x) is kind or type(x) is type(kind) and x == kind:
-            return copy.copy(x)
-    names = " or ".join(_NAMES.get(k, repr(k)) for k in kinds)
-    raise _config_error(path, f"{names} was expected, got {x!r}")
-
-
-def read_fields(obj, fields, path=()):
-    """The object `obj` read by the key table `fields`, an absent key set to
-    its default; BadParams("config error at '<path>': <reason>") on an
-    unknown or missing key, a wrong type or a value out of bounds."""
-    if type(obj) is not dict:
-        raise _config_error(path, f"an object was expected, got {obj!r}")
-    for key in obj:
-        if key not in fields:
-            raise _config_error(path, f"{key!r} was unexpected")
-    out = {}
-    for key, (kinds, bound, default) in fields.items():
-        if key not in obj and default is REQUIRED:
-            raise _config_error(path, f"{key!r} is a required property")
-        out[key] = _read(obj[key], kinds, bound, (*path, key)) if key in obj else copy.copy(default)
-    return out
 
 
 def read_attack_block(block):
@@ -134,14 +90,14 @@ def read_attack_block(block):
     and every integer field a Python int; nothing is built."""
     acfg = read_fields(block, ATTACK_FIELDS, ("attack",))
     acfg["grid"] = read_fields(acfg["grid"], GRID_FIELDS, ("attack", "grid"))
-    seeds = acfg["seeds"] = [_read(s, *RUN_SEED, ("attack", "seeds", i))
+    seeds = acfg["seeds"] = [read_value(s, *RUN_SEED, ("attack", "seeds", i))
                              for i, s in enumerate(acfg["seeds"])]
     if len(set(seeds)) < len(seeds) or not seeds:
         why = "has non-unique elements" if seeds else "should be non-empty"
-        raise _config_error(("attack", "seeds"), f"{block['seeds']!r} {why}")
-    for key in sorted({"alpha", "B"} & acfg["family_params"].keys()):
-        raise _config_error(("attack", "family_params"),
-                            f"{key!r} is not a family param here: the block sets alpha and B")
+        raise config_error(("attack", "seeds"), f"{block['seeds']!r} {why}")
+    # the block sets alpha and B itself
+    own = {k: v for k, v in _SKETCH_FIELDS[acfg["family"]].items() if k not in ("alpha", "B")}
+    acfg["family_params"] = read_fields(acfg["family_params"], own, ("attack", "family_params"))
     return acfg
 
 

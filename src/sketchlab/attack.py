@@ -27,7 +27,6 @@ from .dgauss import SubspaceGaussianSpec, sample_subspace_query
 from .errors import (
     BadParams,
     DegenerateResidual,
-    NoExploitFound,
     NoPositives,
     OracleFailure,
 )
@@ -241,9 +240,10 @@ def verify_certificate(oracle, cert: FailureCertificate, trials, rng):
     answered and reduced to its exploits before the next is drawn, so the
     memory held does not grow with `trials`. Every exploit is counted
     (`exploit_count`, `failure_rate` = exploit_count / trials); the first
-    EXPLOITS_KEPT, in draw order, are kept as Exploit objects. Raises
-    NoExploitFound when no exploit shows up in `trials` queries (certificate
-    spurious), and BadParams when trials < 1.
+    EXPLOITS_KEPT, in draw order, are kept as Exploit objects. A spurious
+    certificate, with no exploit in `trials` queries, gets the zero report:
+    exploit_count 0, failure_rate 0.0 and no exploits. Raises BadParams when
+    trials < 1.
     """
     if trials < 1:
         raise BadParams(f"verification needs trials >= 1, got {trials}")
@@ -268,31 +268,18 @@ def verify_certificate(oracle, cert: FailureCertificate, trials, rng):
             Exploit(x=X[i].tolist(), norm_sq=float(norms[i]), answer=int(answers[i]), wrong=True)
             for i in idx[: EXPLOITS_KEPT - len(exploits)]
         ]
-    if count == 0:
-        raise NoExploitFound(
-            f"no exploit in {trials} trials for {cert.side}-side certificate"
-        )
     return {"failure_rate": count / trials, "exploit_count": count, "exploits": exploits}
-
-
-def verify_report(oracle, cert: FailureCertificate, trials, rng):
-    """verify_certificate's report, a spurious certificate (NoExploitFound)
-    reported as exploit_count 0, failure_rate 0.0 and no exploits."""
-    try:
-        return verify_certificate(oracle, cert, trials, rng)
-    except NoExploitFound:
-        return {"failure_rate": 0.0, "exploit_count": 0, "exploits": []}
 
 
 def run_and_verify(oracle, r_budget, config: AttackConfig, attack_rng, verify_rng):
     """One seeded attack run: run_attack on `attack_rng`, then, when it
-    certifies, verify_report with config.verify_trials queries on
+    certifies, verify_certificate with config.verify_trials queries on
     `verify_rng`. Returns (AttackOutcome, report), the report None when the
     run exhausted its rounds or `verify_rng` is None (no verification)."""
     out = run_attack(oracle, oracle.n, r_budget, config, attack_rng)
     if out.certificate is None or verify_rng is None:
         return out, None
-    return out, verify_report(oracle, out.certificate, config.verify_trials, verify_rng)
+    return out, verify_certificate(oracle, out.certificate, config.verify_trials, verify_rng)
 
 
 def map_runs(fn, jobs):

@@ -10,10 +10,11 @@ as the BLAS pool sums it). JSON artefacts are compact and key-sorted, one line
 each (written by the C encoder); the report is still printed indented on
 stdout.
 
-A config is read key by key: its top level by CONFIG_FIELDS, its attack block
-by acceptance.read_attack_block, which holds each key's type, bound and
-default. An unknown or missing key, a wrong type or a value out of bounds is
-one `config error at '<path>'` line.
+A config is read key by key (fields.read_fields): its top level by
+CONFIG_FIELDS, its attack block by acceptance.read_attack_block, a sketch
+spec by SPEC_FIELDS; each table holds each key's type, bound and default. An
+unknown or missing key, a wrong type or a value out of bounds is one
+`config error at '<path>'` line.
 
 Exit codes: 0 success, 1 error (including an unreadable or malformed config
 file, reported by name, a bad config field, reported with its path, and a bad
@@ -36,15 +37,20 @@ from dataclasses import asdict
 import numpy as np
 
 from . import acceptance, dgauss, harddist, stats
-from .attack import FailureCertificate, map_runs, run_and_verify, verify_report
+from .attack import FailureCertificate, map_runs, run_and_verify, verify_certificate
 from .errors import BadParams, SketchLabError
+from .fields import REQUIRED, read_fields
 from .rng import derive
-from .sketch import GapNormOracle, GapNormParams, build_sketch
+from .sketch import FAMILIES, GapNormOracle, GapNormParams, build_sketch
 
-
+# a root seed: rng.derive keys every stream by all 64 bits of it
+ROOT_SEED = ((int,), ((">=", 0), ("<", 2**64)), REQUIRED)
 # a config's top level (acceptance.ATTACK_FIELDS has its attack block)
-CONFIG_FIELDS = {"seed": ((int,), ((">=", 0),), acceptance.REQUIRED), "out": ((str,), (), None),
-                 "attack": ((dict,), (), acceptance.REQUIRED)}
+CONFIG_FIELDS = {"seed": ROOT_SEED, "out": ((str,), (), None), "attack": ((dict,), (), REQUIRED)}
+# a sketch spec, as `sketch build --out` writes it (IntegerSketch.spec_json)
+SPEC_FIELDS = {"family": (FAMILIES, (), REQUIRED), "n": ((int,), ((">=", 1),), REQUIRED),
+               "r": ((int,), ((">=", 1),), REQUIRED), "seed": ROOT_SEED,
+               "params": ((dict,), (), {})}
 
 
 def _read_json(path, what):
@@ -65,7 +71,7 @@ def load_config(path):
     Returns the config as read."""
     try:
         cfg = _read_json(path, "config error in")
-        acceptance.read_fields(cfg, CONFIG_FIELDS)
+        read_fields(cfg, CONFIG_FIELDS)
         acceptance.read_attack_block(cfg["attack"])
     except BadParams as exc:
         print(exc, file=sys.stderr)
@@ -118,9 +124,9 @@ def cmd_attack_run(args):
     cfg = load_config(args.config)
     acfg = acceptance.read_attack_block(cfg["attack"])
     root_seed = int(args.seed if args.seed is not None else cfg["seed"])
-    out_dir = _out_dir(cfg.get("out"), args.out)
     # the sketch depends only on the root seed: build it once for all runs
     sk, params, attack_cfg, alpha_report = acceptance.attack_setup(acfg, root_seed)
+    out_dir = _out_dir(cfg.get("out"), args.out)
     calibration = acceptance.calibration_vs_zeta(sk, attack_cfg)
     jobs = [((sk, params, attack_cfg), root_seed, s, acfg["verify"]) for s in acfg["seeds"]]
     results = map_runs(_single_attack_run, jobs)
@@ -195,11 +201,11 @@ def _number(text, option, kind=float):
 
 def _load_sketch(path, option):
     """Rebuild the sketch a `sketch build --out` spec file describes."""
-    spec = _read_json(path, option)
-    if not (isinstance(spec, dict) and {"family", "n", "r", "seed"} <= spec.keys()):
-        raise BadParams(f"{option} '{path}' is not a sketch spec (family, n, r, seed)")
-    return build_sketch(spec["family"], spec["n"], spec["r"],
-                        spec.get("params"), seed=spec["seed"])
+    try:
+        spec = read_fields(_read_json(path, option), SPEC_FIELDS)
+    except BadParams as exc:
+        raise BadParams(f"{option} '{path}' is not a sketch spec: {exc}") from None
+    return build_sketch(spec["family"], spec["n"], spec["r"], spec["params"], seed=spec["seed"])
 
 
 def cmd_attack_verify(args):
@@ -212,7 +218,7 @@ def cmd_attack_verify(args):
         raise BadParams(f"--certificate '{args.certificate}' holds no certificate: {exc}") from None
     sk = _load_sketch(args.sketch, "--sketch")
     oracle = GapNormOracle(sk, GapNormParams(B=cert.B, alpha=cert.alpha))
-    rep = verify_report(oracle, cert, args.trials, derive(args.seed, "verify"))
+    rep = verify_certificate(oracle, cert, args.trials, derive(args.seed, "verify"))
     print(json.dumps({"failure_rate": rep["failure_rate"],
                       "exploits": rep["exploit_count"]}))
     return 0 if rep["exploit_count"] else 2

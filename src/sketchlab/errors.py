@@ -72,7 +72,9 @@ class OracleFailure(SketchLabError):
 
 
 class NoExploitFound(SketchLabError):
-    """Certificate verification produced zero exploits; certificate judged spurious."""
+    """A certificate judged spurious (zero exploits). verify_certificate
+    reports that case as its zero report and raises nothing; the name stays
+    for callers that catch it."""
 
 
 class NoPositives(SketchLabError):

@@ -9,7 +9,6 @@ construction.
 """
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -18,26 +17,39 @@ import numpy as np
 
 from . import dgauss, stats
 from .errors import BadParams, DimensionTooLarge
+from .fields import OPTIONAL, read_fields
 from .rng import as_generator, derive
 
-# each family's default parameters, in the order they fill a family's params
-_DEFAULTS = {
-    "lp-small": {"N": 1_000_000.0, "n": 1024, "p": 1.5, "eps": 0.1},
-    "lp-large": {"N": 1_000_000.0, "n": 1024, "p": 4.0, "eps": 0.1, "delta": 1.0 / 9.0},
-    "opnorm-alpha": {"N": 10_000.0, "n": 64, "alpha": 2.0},
-    "opnorm-eps": {"N": 10_000.0, "d": 64, "eps": 0.1},
-    "kyfan": {"N": 10_000.0, "n": 64, "s": 4},
-    "eigen": {"N": 10_000.0, "d": 64, "eps": 0.1},
-    "psd": {"N": 10_000.0, "d": 64, "p": math.inf, "eps": 0.1},
-    "cs": {"N": 1_000_000.0, "n": 256, "k": 8, "eps": 0.2},
+# each family's params as a key table (fields.read_fields): its defaults in
+# the order they fill, then the constants calibration fills (and lp-large's
+# C, which it reports), then the spike scale s1 of a matrix family and cs's
+# regime flag
+_SIZE = ((int,), ((">=", 1),))
+_POSITIVE = ((float,), ((">", 0),))
+_UNIT = ((float,), ((">", 0), ("<", 1)))  # in (0, 1)
+_THIRD = ((float,), ((">", 0), ("<", 1 / 3)))  # in (0, 1/3)
+_CONST = ((float,), (), OPTIONAL)  # a calibrated constant
+_FIELDS = {
+    "lp-small": {"N": (*_POSITIVE, 1_000_000.0), "n": (*_SIZE, 1024),
+                 "p": ((float,), ((">=", 1), ("<=", 2)), 1.5), "eps": (*_UNIT, 0.1)},
+    "lp-large": {"N": (*_POSITIVE, 1_000_000.0), "n": (*_SIZE, 1024),
+                 "p": ((float,), ((">", 2),), 4.0), "eps": (*_UNIT, 0.1),
+                 "delta": (*_UNIT, 1.0 / 9.0), "C": _CONST},
+    "opnorm-alpha": {"N": (*_POSITIVE, 10_000.0), "n": (*_SIZE, 64),
+                     "alpha": ((float,), ((">", 1),), 2.0), "gamma1": _CONST, "s1": _CONST},
+    "opnorm-eps": {"N": (*_POSITIVE, 10_000.0), "d": (*_SIZE, 64), "eps": (*_THIRD, 0.1),
+                   "a": _CONST, "s1": _CONST},
+    "kyfan": {"N": (*_POSITIVE, 10_000.0), "n": (*_SIZE, 64), "s": (*_SIZE, 4),
+              "gamma": _CONST, "s1": _CONST},
+    "eigen": {"N": (*_POSITIVE, 10_000.0), "d": (*_SIZE, 64), "eps": (*_THIRD, 0.1),
+              "c_e": _CONST, "s1": _CONST},
+    "psd": {"N": (*_POSITIVE, 10_000.0), "d": (*_SIZE, 64),
+            "p": ((float, math.inf), ((">=", 1),), math.inf), "eps": (*_POSITIVE, 0.1),
+            "shift": ((int,), (), OPTIONAL), "c_psd": _CONST, "s1": _CONST},
+    "cs": {"N": (*_POSITIVE, 1_000_000.0), "n": (*_SIZE, 256), "k": (*_SIZE, 8),
+           "eps": (*_POSITIVE, 0.2), "in_asymptotic_regime": ((bool,), (), OPTIONAL)},
 }
-FAMILY_NAMES = tuple(_DEFAULTS)
-# the params a family takes besides its defaults: those calibration fills, the
-# spike scale s1 and cs's regime flag
-_EXTRA_PARAMS = frozenset(("C", "shift", "c_psd", "gamma1", "a", "gamma", "c_e", "s1",
-                     "in_asymptotic_regime"))
-# the params that are sizes: integers >= 1
-_SIZES = frozenset(("n", "d", "s", "k"))
+FAMILY_NAMES = tuple(_FIELDS)
 
 # the families whose payload is a Gaussian matrix block plus a rank-`count`
 # spike; psd embeds its block in a shifted symmetric matrix
@@ -64,51 +76,18 @@ class HardFamily:
 
     def __post_init__(self):
         name = self.name
-        if name not in _DEFAULTS:
+        if name not in _FIELDS:
             raise BadParams(f"unknown family {name!r}")
-        p = dict(self.params)
-        unknown = sorted(set(p) - set(_DEFAULTS[name]) - _EXTRA_PARAMS)
-        if unknown:
-            raise BadParams(f"{name} param {unknown[0]!r} is unknown; it takes "
-                            f"{sorted(_DEFAULTS[name])} and {sorted(_EXTRA_PARAMS)}")
-        for key, value in p.items():
-            if not isinstance(value, numbers.Real):
-                raise BadParams(f"{name} param {key!r} must be a number, got {value!r}")
-        for key, value in _DEFAULTS[name].items():
-            p.setdefault(key, value)
-        for key in (k for k in _DEFAULTS[name] if k in _SIZES):
-            size = p[key]
-            if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 1:
-                raise BadParams(f"{name} param {key!r} must be an integer >= 1, got {size!r}")
-        if not (0.0 < p["N"] < math.inf):
-            raise BadParams(f"{name} param 'N' must be a finite number > 0, got {p['N']!r}")
-        if name == "lp-small":
-            if not (1.0 <= p["p"] <= 2.0):
-                raise BadParams("lp-small needs p in [1,2]")
-            if not (0.0 < p["eps"] < 1.0):
-                raise BadParams("lp-small needs eps in (0,1)")
-        elif name == "lp-large":
-            if not (2.0 < p["p"] < math.inf):
-                raise BadParams("lp-large needs finite p > 2")
-            for key in ("eps", "delta"):
-                if not (0.0 < p[key] < 1.0):
-                    raise BadParams(f"lp-large param {key!r} must be in (0,1), got {p[key]!r}")
-            if p["n"] <= _lp_large_t(p):
-                raise BadParams(f"lp-large param 'n' must exceed t = {_lp_large_t(p)}, the "
-                                f"planted coordinates at delta = {p['delta']!r}, got {p['n']}")
-        elif name == "opnorm-alpha" and p["alpha"] <= 1.0:
-            raise BadParams("opnorm-alpha needs approximation factor alpha > 1")
-        elif name in ("opnorm-eps", "eigen") and not (0.0 < p["eps"] < 1.0 / 3.0):
-            raise BadParams(f"{name} needs eps in (0, 1/3)")
-        elif name == "psd" and not p["p"] >= 1.0:
-            raise BadParams(f"psd param 'p' must be at least 1, got {p['p']!r}")
+        p = read_fields(self.params, _FIELDS[name], (name,))
+        if name == "lp-large" and p["n"] <= _lp_large_t(p):
+            raise BadParams(f"lp-large param 'n' must exceed t = {_lp_large_t(p)}, the "
+                            f"planted coordinates at delta = {p['delta']!r}, got {p['n']}")
         elif name == "kyfan" and p["s"] > p["n"]:
             raise BadParams(f"kyfan param 's' must be at most n = {p['n']}, got {p['s']}")
         elif name == "cs":
             if p["k"] >= p["n"]:
                 raise BadParams(f"cs param 'k' must be below n = {p['n']}, got {p['k']}")
-            root = math.isqrt(int(p["N"]))
-            if root * root != int(p["N"]):
+            if math.isqrt(int(p["N"])) ** 2 != p["N"]:
                 raise BadParams("cs needs N to be a perfect square (entries +-sqrt(N))")
             noise_var = p["eps"] * p["N"] * p["k"] / p["n"]
             if noise_var < dgauss.smoothing_sigma2(p["n"], 8):  # 2 r0^2
@@ -436,9 +415,7 @@ def calibrate_family(family: HardFamily):
     cached = getattr(family, "_calibration", None)
     if cached is not None:
         return cached
-    # each value with its type: 64 and 64.0 hash alike, but only one is a size
-    key = frozenset((k, type(v), v) for k, v in family.params.items())
-    thresholds, derived = _fit_calibration(family.name, key)
+    thresholds, derived = _fit_calibration(family.name, frozenset(family.params.items()))
     for k, v in derived:
         family.params.setdefault(k, v)
     family._calibration = dict(thresholds)
@@ -447,10 +424,9 @@ def calibrate_family(family: HardFamily):
 
 @lru_cache(maxsize=64)
 def _fit_calibration(name, key):
-    """calibrate_family's fit for the params {k: v for k, _, v in key}: the
-    thresholds, and the derived parameters as (key, value) pairs in the
-    order they fill."""
-    family = HardFamily(name, {k: v for k, _, v in key})
+    """calibrate_family's fit for the params dict(key): the thresholds, and
+    the derived parameters as (key, value) pairs in the order they fill."""
+    family = HardFamily(name, dict(key))
     given = set(family.params)
     rng = derive(_CAL_SEED, "calibrate", family.name)
     p = family.params
@@ -681,29 +657,24 @@ def gap_event_battery(family: HardFamily, pairs, seed=101):
 
 def mgf_cross_term_check(a, sigma2, trials, rng):
     """Monte Carlo E[e^{a x y / sigma^2}] for scalar x, y ~ D(0, sigma^2),
-    against its Gaussian limit (1 - a^2)^(-1/2).
+    against its Gaussian limit (1 - a^2)^(-1/2), for 0 <= a < 1/2.
 
-    For a < 1/2 the estimate passes if it is at most the limit plus 5
-    standard errors, se = std/sqrt(trials), so the rule tightens as trials
-    grow. The estimator's k-th moment is (1 - k^2 a^2)^(-1/2) in the Gaussian
-    limit: se is itself a trustworthy estimate only while the fourth moment is
-    finite, a < 1/4. At a >= 1/2 the second moment diverges, the variance is
-    infinite (the 12-sigma cut only makes it astronomically large) and the
-    sample std estimates nothing: se is inf and the estimate is held to the
-    limit with a fixed 2% headroom, a rule that does not scale with trials."""
-    if not (0.0 <= a < 1.0):
-        raise BadParams("need |a| < 1")
+    The estimate passes if it is at most the limit plus 5 standard errors,
+    se = std/sqrt(trials), so the rule tightens as trials grow. The
+    estimator's k-th moment is (1 - k^2 a^2)^(-1/2) in the Gaussian limit:
+    se is itself a trustworthy estimate only while the fourth moment is
+    finite, a < 1/4. At a >= 1/2 the second moment diverges and the sample
+    std estimates nothing, so no rule that scales with trials exists there
+    and such an a raises BadParams."""
+    if not (0.0 <= a < 0.5):
+        raise BadParams(f"the MGF cross-term check needs 0 <= a < 1/2, got {a}")
     rng = as_generator(rng)
     x = dgauss.sample_dgauss_1d(sigma2, rng, size=trials).astype(float)
     y = dgauss.sample_dgauss_1d(sigma2, rng, size=trials).astype(float)
     vals = np.exp(a * x * y / sigma2)
     est = float(np.mean(vals))
-    limit = (1.0 - a * a) ** -0.5
-    if a < 0.5:
-        se = float(np.std(vals) / math.sqrt(trials))
-        bound = limit + 5.0 * se
-    else:
-        se, bound = math.inf, limit * 1.02
+    se = float(np.std(vals) / math.sqrt(trials))
+    bound = (1.0 - a * a) ** -0.5 + 5.0 * se
     return {"estimate": est, "bound": bound, "ok": bool(est <= bound), "se": se}
 
 

@@ -87,6 +87,19 @@ class KernelBasis:
             raise AssertionError("kernel vector not annihilated exactly")
 
 
+def _length(norm_sq):
+    """The length of a vector, as a float, from its exact integer squared
+    length: math.sqrt's correctly rounded value while norm_sq is exact in
+    float64 (below 2^53), and past that ceil(sqrt(norm_sq)) from math.isqrt,
+    rounded up to a float (inf from 2^1023 on), so a long vector's length
+    neither overflows nor is understated."""
+    if norm_sq < 2**53:
+        return math.sqrt(norm_sq)
+    root = math.isqrt(norm_sq - 1) + 1
+    f = float(root) if root.bit_length() <= 1023 else math.inf
+    return f if f >= root else math.nextafter(f, math.inf)
+
+
 def integer_kernel_basis(A: IntMatrix) -> KernelBasis:
     """Exact basis of ker(A) ∩ Z^n, via HNF elimination on [A^T | I].
 
@@ -95,8 +108,7 @@ def integer_kernel_basis(A: IntMatrix) -> KernelBasis:
     vecs = intlinalg.kernel_basis_int(A.to_lists())
     if not vecs:
         raise FullRank("matrix has full column rank; integer kernel is trivial")
-    max_len = math.sqrt(max(intlinalg.norms_sq(vecs)))
-    kb = KernelBasis(A.cols, vecs, max_len)
+    kb = KernelBasis(A.cols, vecs, _length(max(intlinalg.norms_sq(vecs))))
     kb.check_against(A)
     return kb
 
@@ -136,7 +148,7 @@ def pairwise_reduced_kernel(A: IntMatrix, max_len_sq: int):
             V[i], norms[i] = w, s
         if norms[i] >= max_len_sq:
             return None
-    kb = KernelBasis(n, V.tolist(), math.sqrt(int(norms.max())))
+    kb = KernelBasis(n, V.tolist(), _length(int(norms.max())))
     kb.check_against(A)
     return kb
 
@@ -154,7 +166,7 @@ def reduced_kernel_basis(A: IntMatrix) -> KernelBasis:
 
     Raises FullRank when the kernel is trivial."""
     reduced = reduce_basis(integer_kernel_basis(A).vectors)
-    return KernelBasis(A.cols, reduced, math.sqrt(intlinalg.norm_sq(reduced[-1])))
+    return KernelBasis(A.cols, reduced, _length(intlinalg.norm_sq(reduced[-1])))
 
 
 def _linf(v):
@@ -203,7 +215,7 @@ def preprocess_sketch(A: IntMatrix):
 
     keep = n - 4 * r
     short_set = reduced_kernel_basis(A).vectors[:keep]
-    achieved = math.sqrt(intlinalg.norm_sq(short_set[-1])) if short_set else 0.0
+    achieved = _length(intlinalg.norm_sq(short_set[-1])) if short_set else 0.0
     if achieved > target:
         raise LengthBoundUnachieved(
             f"best {keep} kernel vectors reach length {achieved:.3f} > target {target:.3f}",

@@ -10,6 +10,8 @@ import zlib
 
 import numpy as np
 
+from .errors import BadParams
+
 
 def _key(part) -> int:
     if isinstance(part, str):
@@ -20,10 +22,14 @@ def _key(part) -> int:
 def derive(root_seed: int, *path) -> np.random.Generator:
     """Derive an independent generator for (root_seed, *path).
 
-    ``path`` elements may be strings (hashed with crc32) or integers.
+    ``path`` elements may be strings (hashed with crc32) or integers. A root
+    seed outside [0, 2^64) raises BadParams: no two roots share a stream.
     """
+    root_seed = int(root_seed)
+    if not 0 <= root_seed < 2**64:
+        raise BadParams(f"root seed must be in [0, 2^64), got {root_seed}")
     spawn_key = tuple(_key(p) for p in path)
-    ss = np.random.SeedSequence(int(root_seed) & 0xFFFFFFFFFFFFFFFF, spawn_key=spawn_key)
+    ss = np.random.SeedSequence(root_seed, spawn_key=spawn_key)
     return np.random.Generator(np.random.PCG64(ss))
 
 

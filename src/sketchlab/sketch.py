@@ -11,22 +11,28 @@ A x from turnstile coordinate updates, for queries that arrive as streams.
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dgauss, intlinalg
 from .errors import BadParams, DimensionMismatch
+from .fields import OPTIONAL, read_fields
 from .lattice import IntMatrix
 from .numerics import orthonormalize_rows
 from .rng import derive
 
-FAMILIES = ("sign", "rounded-gaussian", "countsketch", "projection-threshold")
-# each family's own param; every family also takes the promise thresholds
-# alpha and B, which only projection-threshold's calibration reads
-_OWN_PARAM = {"sign": "groups", "rounded-gaussian": "entry_std", "countsketch": "reps",
-              "projection-threshold": "m_cal"}
+# each family's params as a key table (fields.read_fields): its own param,
+# whose default build_sketch computes from n and r, and the promise
+# thresholds alpha and B, which only projection-threshold's calibration reads
+_PROMISE = {"alpha": ((float,), (), OPTIONAL), "B": ((float,), (), OPTIONAL)}
+_FIELDS = {
+    "sign": {"groups": ((int,), ((">=", 1),), OPTIONAL), **_PROMISE},
+    "rounded-gaussian": {"entry_std": ((float,), ((">", 0),), OPTIONAL), **_PROMISE},
+    "countsketch": {"reps": ((int,), ((">=", 1),), OPTIONAL), **_PROMISE},
+    "projection-threshold": {"m_cal": ((int,), ((">=", 1),), OPTIONAL), **_PROMISE},
+}
+FAMILIES = tuple(_FIELDS)
 _CAL_BLOCK = 65_536  # float64 entries per block of the calibration product
 
 
@@ -208,7 +214,7 @@ def _sketched_energy(X, Q):
     return out
 
 
-def _calibrate_projection_threshold(Q, R, n, r, alpha, B, rng, m_cal=4000):
+def _calibrate_projection_threshold(Q, R, n, r, alpha, B, rng, m_cal):
     """Fit tau so false rates on both promise-side distributions (isotropic
     discrete Gaussians at sigma^2 in {2 alpha, alpha B / 2}) are minimized.
 
@@ -256,15 +262,7 @@ def build_sketch(family, n, r, params=None, seed=0):
         raise BadParams(f"unknown family {family!r}; choose from {FAMILIES}")
     if not (1 <= r <= n):
         raise BadParams(f"need 1 <= r <= n, got r={r}, n={n}")
-    params = dict(params or {})
-    takes = {"alpha", "B", _OWN_PARAM[family]}
-    unknown = sorted(set(params) - takes)
-    if unknown:
-        raise BadParams(f"{family} param {unknown[0]!r} is unknown; it takes {sorted(takes)}")
-    for key in ("entry_std", "alpha", "B", "groups", "reps", "m_cal"):
-        value = params.get(key, 0.0)
-        if not isinstance(value, numbers.Real) or not math.isfinite(value):
-            raise BadParams(f"{family} param {key!r} must be a finite number, got {value!r}")
+    params = read_fields(params or {}, _FIELDS[family], (family,))
     if family == "projection-threshold":
         if "alpha" not in params or "B" not in params:
             raise BadParams("projection-threshold needs params alpha and B")
@@ -276,7 +274,7 @@ def build_sketch(family, n, r, params=None, seed=0):
     if family in ("sign", "projection-threshold"):
         A = rng.choice(np.array([-1, 1], dtype=np.int64), size=(r, n))
     elif family == "rounded-gaussian":
-        s = float(params.get("entry_std", math.sqrt(n)))
+        s = params.get("entry_std", math.sqrt(n))
         A = np.rint(rng.standard_normal((r, n)) * s).astype(np.int64)
         if int(np.max(np.abs(A))) > n * n:
             raise BadParams(
@@ -285,8 +283,8 @@ def build_sketch(family, n, r, params=None, seed=0):
         if not np.any(A):
             raise BadParams("rounded-gaussian entries all zero; increase entry_std")
     elif family == "countsketch":
-        reps = int(params.get("reps", max(1, r // 8)))
-        if reps < 1 or r % reps != 0:
+        reps = params.get("reps", max(1, r // 8))
+        if r % reps != 0:
             raise BadParams(f"countsketch param 'reps' must be >= 1 and divide r={r}, got {reps}")
         buckets = r // reps
         A = np.zeros((r, n), dtype=np.int64)
@@ -303,8 +301,8 @@ def build_sketch(family, n, r, params=None, seed=0):
     Q, R = orthonormalize_rows(A.astype(float))
 
     if family == "sign":
-        g = int(params.get("groups", min(5, r)))
-        if not 1 <= g <= r:
+        g = params.get("groups", min(5, r))
+        if g > r:
             raise BadParams(f"sign param 'groups' must be in [1, r={r}], got {g}")
         groups = np.array_split(np.arange(r), g)
         est["groups"] = groups
@@ -318,14 +316,11 @@ def build_sketch(family, n, r, params=None, seed=0):
             derive(seed, "sketch-cal", family),
         )
     elif family == "projection-threshold":
-        m_cal = int(params.get("m_cal", 4000))
-        if m_cal < 1:
-            raise BadParams(f"projection-threshold param 'm_cal' must be >= 1, got {m_cal}")
         est.update(
             _calibrate_projection_threshold(
-                Q, R, n, r, float(params["alpha"]), float(params["B"]),
+                Q, R, n, r, params["alpha"], params["B"],
                 derive(seed, "sketch-cal", family),
-                m_cal=m_cal,
+                m_cal=params.get("m_cal", 4000),
             )
         )
 

@@ -19,11 +19,9 @@ from sketchlab.attack import (
     run_and_verify,
     run_attack,
     verify_certificate,
-    verify_report,
 )
 from sketchlab.errors import (
     BadParams,
-    NoExploitFound,
     NoPositives,
     OracleFailure,
     VarianceTooSmall,
@@ -280,8 +278,8 @@ class TestVerifyCertificate:
             subspace=[], sigma2=2 * ALPHA, side="low", empirical_rate=0.5,
             sample_count=200, zeta=0.1, alpha=ALPHA, B=8.0, round=1,
         )
-        with pytest.raises(NoExploitFound):
-            verify_certificate(oracle, cert, trials=2000, rng=derive(43, "v1"))
+        rep = verify_certificate(oracle, cert, trials=2000, rng=derive(43, "v1"))
+        assert rep == {"failure_rate": 0.0, "exploit_count": 0, "exploits": []}
 
     @pytest.mark.parametrize("trials", (0, -5))
     def test_trials_below_one_rejected(self, trials):
@@ -348,10 +346,6 @@ class TestVerifyCertificate:
         oracle = _ParityOracle(n)
         count, want = ref_verify_in_blocks(oracle, cert, trials, derive(45, side, dim), rows,
                                            EXPLOITS_KEPT)
-        if count == 0:
-            with pytest.raises(NoExploitFound):
-                verify_certificate(oracle, cert, trials, derive(45, side, dim))
-            return
         rep = verify_certificate(oracle, cert, trials, derive(45, side, dim))
         assert rep["exploit_count"] == count
         assert rep["failure_rate"] == count / trials
@@ -580,7 +574,7 @@ class TestRunAndVerify:
             subspace=[], sigma2=2 * ALPHA, side="low", empirical_rate=0.5,
             sample_count=200, zeta=0.1, alpha=ALPHA, B=8.0, round=1,
         )
-        rep = verify_report(oracle, cert, 2000, derive(43, "v1"))
+        rep = verify_certificate(oracle, cert, 2000, derive(43, "v1"))
         assert rep == {"failure_rate": 0.0, "exploit_count": 0, "exploits": []}
 
     def test_map_runs_pool_keeps_job_order(self, monkeypatch):

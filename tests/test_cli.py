@@ -211,8 +211,9 @@ class TestAttackRun:
         assert "attack/B" in err
 
     @pytest.mark.parametrize("key,value,path,why", [
-        ("grid", {"kind": "zeta", "points": 6}, "attack/grid/kind", "'geometric' was expected"),
-        ("slack_mode", "absolute", "attack", "'slack_mode' was unexpected"),
+        ("grid", {"kind": "zeta", "points": 6}, "attack/grid/kind",
+         "must be 'geometric', got 'zeta'"),
+        ("slack_mode", "absolute", "attack", "'slack_mode' is unknown"),
     ], ids=["zeta-grid", "slack-mode"])
     def test_removed_attack_keys_rejected(self, tmp_path, capsys, key, value, path, why):
         bad = json.loads(json.dumps(ATTACK_CFG))
@@ -224,13 +225,14 @@ class TestAttackRun:
         assert f"config error at '{path}': " in err and why in err
 
     @pytest.mark.parametrize("key,value,path,why", [
-        ("family_params", {"alpha": 1.0}, "attack/family_params", "'alpha' is not a family param"),
-        ("family_params", {"B": 8.0}, "attack/family_params", "'B' is not a family param"),
-        ("zeta", 1.5, "attack/zeta", "must be > 0 and <= 1, got 1.5"),
+        ("family_params", {"alpha": 1.0}, "attack/family_params",
+         "'alpha' is unknown; it takes ['m_cal']"),
+        ("family_params", {"B": 8.0}, "attack/family_params", "'B' is unknown; it takes ['m_cal']"),
+        ("zeta", 1.5, "attack/zeta", "must be a finite number > 0 and <= 1, got 1.5"),
         ("seeds", [0, 0], "attack/seeds", "[0, 0] has non-unique elements"),
-        ("seeds", [0, 2**32], "attack/seeds/1", "must be >= 0 and < 4294967296"),
-        ("seeds", [-1], "attack/seeds/0", "must be >= 0 and < 4294967296"),
-        ("B", float("inf"), "attack/B", "a finite number was expected, got inf"),
+        ("seeds", [0, 2**32], "attack/seeds/1", "must be an integer >= 0 and < 4294967296"),
+        ("seeds", [-1], "attack/seeds/0", "must be an integer >= 0 and < 4294967296"),
+        ("B", float("inf"), "attack/B", "must be a finite number, got inf"),
     ], ids=["family-alpha", "family-B", "zeta-above-1", "seeds-repeated", "seed-2^32",
             "seed-negative", "B-infinite"])
     def test_ignored_or_aliased_values_rejected(self, tmp_path, capsys, key, value, path, why):
@@ -271,7 +273,7 @@ class TestAttackRun:
         rc = main(["attack", "run", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert f"'{next(iter(block))}' was unexpected" in err
+        assert f"'{next(iter(block))}' is unknown" in err
 
     def test_missing_field_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, {"attack": {"n": 64}}, "m.json")
@@ -427,14 +429,15 @@ class TestAttackSetup:
         assert acceptance.read_attack_block(acfg) == acfg
 
 
-# build_sketch params that each raise BadParams naming the key: (family,
-# params, message after "<family> param ") for r = 4
+# build_sketch params that each raise BadParams naming the key, for r = 4:
+# (family, params, why), why "'<key>' <reason>"
 BAD_FAMILY_PARAMS = [
-    ("sign", {"groups": 0}, "'groups' must be in [1, r=4], got 0"),
-    ("sign", {"groups": "x"}, "'groups' must be a finite number, got 'x'"),
-    ("countsketch", {"reps": 0}, "'reps' must be >= 1 and divide r=4, got 0"),
+    ("sign", {"groups": 0}, "'groups' must be an integer >= 1, got 0"),
+    ("sign", {"groups": "x"}, "'groups' must be an integer, got 'x'"),
+    ("countsketch", {"reps": 0}, "'reps' must be an integer >= 1, got 0"),
     ("countsketch", {"reps": 3}, "'reps' must be >= 1 and divide r=4, got 3"),
-    ("projection-threshold", {"alpha": 1, "B": 8, "m_cal": 0}, "'m_cal' must be >= 1, got 0"),
+    ("projection-threshold", {"alpha": 1, "B": 8, "m_cal": 0},
+     "'m_cal' must be an integer >= 1, got 0"),
     ("rounded-gaussian", {"entry_std": [1]}, "'entry_std' must be a finite number, got [1]"),
 ]
 
@@ -511,6 +514,66 @@ class TestOtherCommands:
         three = traced_peak(main, argv + ["3"])[1]
         assert three <= 1.25 * one
 
+    def test_harddist_gen_reads_an_integral_shift(self, tmp_path, capsys):
+        # psd's shift is an integer: 99.0 writes the bytes of 99, and 99.5 is
+        # one error line, not a numpy traceback
+        argv = ["harddist", "gen", "--family", "psd", "--seed", "3", "--params"]
+        outs = []
+        for shift in ("99", "99.0"):
+            out = tmp_path / f"psd-{shift}.json"
+            assert main(argv + [f'{{"d": 4, "shift": {shift}}}', "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] and read_json(out)["params"]["shift"] == 99
+        capsys.readouterr()
+        assert main(argv + ['{"d": 4, "shift": 99.5}']) == 1
+        assert capsys.readouterr().err == (
+            "error: config error at 'psd/shift': must be an integer, got 99.5\n")
+
+    @pytest.mark.parametrize("edit, why", [
+        ({"n": "64"}, "config error at 'n': must be an integer, got '64'"),
+        ({"params": [1]}, "config error at 'params': must be an object, got [1]"),
+        ({"seed": -1}, "config error at 'seed': must be an integer >= 0 and "
+                       "< 18446744073709551616, got -1"),
+        ({"family": "fourier"}, "config error at 'family': must be 'sign' or"),
+        ({"params": {"groups": 2.5}}, "config error at 'sign/groups': must be an integer"),
+    ], ids=["n-string", "params-list", "seed-negative", "family-unknown", "groups-2.5"])
+    def test_bad_spec_file_exits_1(self, tmp_path, capsys, edit, why):
+        # `sketch info --in` and `attack verify --sketch` read a spec by one
+        # key table: a bad field is one error line naming it
+        spec = tmp_path / "sk.json"
+        assert main(["sketch", "build", "--family", "sign", "--n", "16", "--r", "2",
+                     "--out", str(spec)]) == 0
+        spec.write_text(json.dumps(dict(read_json(spec), **edit)))
+        cert = {"subspace": [], "sigma2": 4.0, "side": "high", "empirical_rate": 0.2,
+                "sample_count": 100, "zeta": 0.1, "alpha": 0.5, "B": 8.0, "round": 1}
+        (tmp_path / "cert.json").write_text(json.dumps(cert))
+        capsys.readouterr()
+        for argv, option in ((["sketch", "info", "--in", str(spec)], "--in"),
+                             (["attack", "verify", "--certificate", str(tmp_path / "cert.json"),
+                               "--sketch", str(spec)], "--sketch")):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            if why.startswith("config error at 'sign"):  # the family's own table
+                assert err.startswith(f"error: {why}")
+            else:
+                assert err.startswith(f"error: {option} '{spec}' is not a sketch spec: {why}")
+            assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("seed_arg, cfg_seed, why", [
+        (["--seed", "-1"], 7, "error: root seed must be in [0, 2^64), got -1"),
+        (["--seed", str(2**64)], 7, f"error: root seed must be in [0, 2^64), got {2**64}"),
+        ([], 2**64, f"config error at 'seed': must be an integer >= 0 and < {2**64}, "
+                    f"got {2**64}"),
+    ], ids=["seed-negative", "seed-2^64", "config-seed-2^64"])
+    def test_root_seed_outside_64_bits_exits_1(self, tmp_path, capsys, seed_arg, cfg_seed, why):
+        # rng.derive keys its streams by all 64 bits of the root seed, so -1
+        # would rerun 2^64 - 1 and 2^64 would rerun 0
+        cfg = dict(json.loads(json.dumps(ATTACK_CFG)), seed=cfg_seed)
+        out = tmp_path / "o"
+        argv = ["attack", "run", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]
+        assert main(argv + seed_arg) == 1
+        assert capsys.readouterr().err == why + "\n" and not out.exists()
+
     def test_harddist_tvd(self):
         assert main(["harddist", "tvd", "--family", "opnorm-alpha",
                      "--params", '{"n": 16, "s1": 0.0}', "--d", "1",
@@ -536,7 +599,8 @@ class TestOtherCommands:
         argv = ["harddist", "gen", "--family", "opnorm-alpha", "--params", f'{{"n": {value}}}']
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err == f"error: opnorm-alpha param 'n' must be a number, got {json.loads(value)!r}\n"
+        assert err == (f"error: config error at 'opnorm-alpha/n': must be an integer, "
+                       f"got {json.loads(value)!r}\n")
 
     @pytest.mark.parametrize("argv, why", [
         (["sketch", "build", "--family", "sign", "--n", "16", "--r", "2", "--params", "[1]"],
@@ -576,38 +640,40 @@ class TestOtherCommands:
         (["sketch", "build", "--family", "projection-threshold", "--n", "16", "--r", "4",
           "--params", '{"alpha": -1, "B": 8}'], "alpha must be positive, got -1"),
         (["harddist", "gen", "--family", "opnorm-alpha", "--params", '{"n": 0}'],
-         "opnorm-alpha param 'n' must be an integer >= 1, got 0"),
-        (["harddist", "gen", "--family", "opnorm-alpha", "--params", '{"n": 16.0}'],
-         "opnorm-alpha param 'n' must be an integer >= 1, got 16.0"),
+         "config error at 'opnorm-alpha/n': must be an integer >= 1, got 0"),
+        (["harddist", "gen", "--family", "opnorm-alpha", "--params", '{"n": 16.5}'],
+         "config error at 'opnorm-alpha/n': must be an integer, got 16.5"),
         (["harddist", "gen", "--family", "kyfan", "--params", '{"s": 2.5}'],
-         "kyfan param 's' must be an integer >= 1, got 2.5"),
+         "config error at 'kyfan/s': must be an integer, got 2.5"),
         (["harddist", "gen", "--family", "kyfan", "--params", '{"s": 0}'],
-         "kyfan param 's' must be an integer >= 1, got 0"),
+         "config error at 'kyfan/s': must be an integer >= 1, got 0"),
         (["harddist", "gap", "--family", "opnorm-eps", "--params", '{"d": 0}'],
-         "opnorm-eps param 'd' must be an integer >= 1, got 0"),
+         "config error at 'opnorm-eps/d': must be an integer >= 1, got 0"),
         (["harddist", "gen", "--family", "kyfan", "--params", '{"n": 4, "s": 5}'],
          "kyfan param 's' must be at most n = 4, got 5"),
         (["harddist", "gen", "--family", "lp-small", "--params", '{"n": -4}'],
-         "lp-small param 'n' must be an integer >= 1, got -4"),
+         "config error at 'lp-small/n': must be an integer >= 1, got -4"),
         (["harddist", "gen", "--family", "lp-large", "--params", '{"n": 1, "delta": 0.0001}'],
          "lp-large param 'n' must exceed t = 4"),
         (["harddist", "tvd", "--family", "opnorm-alpha", "--params", '{"N": -5}'],
-         "opnorm-alpha param 'N' must be a finite number > 0, got -5"),
+         "config error at 'opnorm-alpha/N': must be a finite number > 0, got -5"),
         (["harddist", "gen", "--family", "lp-large", "--params", '{"eps": -0.1, "n": 64}'],
-         "lp-large param 'eps' must be in (0,1), got -0.1"),
+         "config error at 'lp-large/eps': must be a finite number > 0 and < 1, got -0.1"),
         (["harddist", "gen", "--family", "psd", "--params", '{"p": 0, "d": 8}'],
-         "psd param 'p' must be at least 1, got 0"),
+         "config error at 'psd/p': must be a finite number >= 1, got 0"),
         (["harddist", "gap", "--family", "psd", "--params", '{"p": 0, "d": 8}'],
-         "psd param 'p' must be at least 1, got 0"),
+         "config error at 'psd/p': must be a finite number >= 1, got 0"),
         (["harddist", "gen", "--family", "opnorm-alpha", "--params", '{"alpha": 1e300, "n": 8}'],
          "is not below 2^62 (int64)"),
         (["harddist", "gen", "--family", "opnorm-alpha", "--params", '{"N": 1e16, "n": 8}'],
          "sigma^2 = 1e+32 above the sampling ceiling 1e+16"),
         (["harddist", "gen", "--family", "opnorm-alpha", "--params", '{"alpah": 3.0}'],
-         "opnorm-alpha param 'alpah' is unknown"),
+         "config error at 'opnorm-alpha': 'alpah' is unknown"),
         (["sketch", "info", "--in", "missing.json"], "--in '"),
         (["sketch", "info", "--in", "garbage.json"], "--in '"),
         (["sketch", "info", "--in", "cert.json"], "is not a sketch spec"),
+        (["sketch", "build", "--family", "sign", "--n", "16", "--r", "2", "--seed", "-1"],
+         "root seed must be in [0, 2^64), got -1"),
     ], ids=["build-list", "build-json", "gen-list", "gen-json", "gap-list", "tvd-json",
             "cert-missing", "cert-malformed", "cert-not-certificate", "cert-bad-side",
             "sketch-missing", "sketch-malformed", "verify-trials-0", "verify-trials-5",
@@ -615,7 +681,8 @@ class TestOtherCommands:
             "gen-n0", "gen-n-float", "kyfan-s-float", "kyfan-s0", "gap-d0", "kyfan-s-above-n",
             "lp-small-n-negative", "lp-large-n-below-t", "tvd-N-negative",
             "lp-large-eps-negative", "psd-p0-gen", "psd-p0-gap", "spike-past-int64",
-            "N-past-ceiling", "gen-unknown-key", "in-missing", "in-malformed", "in-not-spec"])
+            "N-past-ceiling", "gen-unknown-key", "in-missing", "in-malformed", "in-not-spec",
+            "build-seed-negative"])
     def test_bad_input_exits_1_with_one_line(self, tmp_path, capsys, argv, why):
         cert = {"subspace": [[1.0] + [0.0] * 15], "sigma2": 4.0, "side": "high",
                 "empirical_rate": 0.2, "sample_count": 100, "zeta": 0.1, "alpha": 0.5,
@@ -641,10 +708,18 @@ class TestOtherCommands:
          "'B' must be a finite number, got None"),
     ] + [
         # a key the family does not read is refused, not left at its default
-        (via, "sign", {"grops": 2}, "'grops' is unknown; it takes ['B', 'alpha', 'groups']")
+        (via, "sign", {"grops": 2}, "'grops' is unknown")
         for via in ("sketch-build", "attack-run")
     ])
     def test_bad_family_params_exit_1(self, tmp_path, capsys, via, family, params, why):
+        # `why` reads "'<key>' <reason>". The key table refuses a value with
+        # "config error at '<where>/<key>': <reason>" and an unknown key with
+        # "config error at '<where>': <why>...", <where> the family, or
+        # attack/family_params in a config (refused as it is read); a
+        # cross-field rule with "error: <family> param <why>".
+        key, reason = why[1:].split("' ", 1)
+        where, prefix = ((family, "error: ") if via == "sketch-build"
+                         else ("attack/family_params", ""))
         if via == "sketch-build":
             argv = ["sketch", "build", "--family", family, "--n", "64", "--r", "4",
                     "--params", json.dumps(params)]
@@ -656,7 +731,10 @@ class TestOtherCommands:
                     "--out", str(tmp_path / "o")]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {family} param {why}") and err.count("\n") == 1
+        table = (f"{prefix}config error at '{where}/{key}': {reason}\n",
+                 f"{prefix}config error at '{where}': {why}")
+        assert err.startswith(table) or err == f"error: {family} param {why}\n"
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, why", [
         (["normalization", "--values", "abc"], "--values token 'abc' is not a finite number"),
@@ -771,14 +849,14 @@ MUTATION_VALUES = [
     7.5, 1e9, "", "auto", "geometric", "zeta", "sign", "projection-threshold",
     [], [0], [0, 3], [1.5], [2.0], ["a"], [None], [0, 0], [0.0, 0], [-1],
     [2**32 - 1], [2**32], {}, {"kind": "geometric"}, {"points": 1}, {"alpha": 1},
-    {"B": 8.0},
+    {"B": 8.0}, 2**64,
 ]
 
 # a config that sets every property of the schema
 FULL_CFG = {
     "seed": 7,
     "out": "o",
-    "attack": dict(ATTACK_CFG["attack"], family_params={"k": 1}, round_cap=3,
+    "attack": dict(ATTACK_CFG["attack"], family_params={"m_cal": 16}, round_cap=3,
                    zeta=0.25, verify=True),
 }
 

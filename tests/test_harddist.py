@@ -44,7 +44,7 @@ class TestFamilies:
         with pytest.raises(BadParams):
             HardFamily("cs", {"n": 256, "k": 8, "N": 1_000_001})
         for bad in ([64], {"n": 64}, "64", None):
-            with pytest.raises(BadParams, match="'n' must be a number"):
+            with pytest.raises(BadParams, match="'opnorm-alpha/n': must be an integer, got"):
                 HardFamily("opnorm-alpha", {"n": bad})
 
     @pytest.mark.parametrize("name, params, key", [
@@ -54,7 +54,7 @@ class TestFamilies:
         ("cs", {"family_seed": 12}, "family_seed"),
     ])
     def test_unknown_param_key_named(self, name, params, key):
-        with pytest.raises(BadParams, match=f"{name} param '{key}' is unknown"):
+        with pytest.raises(BadParams, match=f"config error at '{name}': '{key}' is unknown"):
             HardFamily(name, params)
 
     def test_filled_params_accepted(self):
@@ -69,28 +69,58 @@ class TestFamilies:
 
     @pytest.mark.parametrize("name, params, why", [
         ("opnorm-alpha", {"n": 0}, "param 'n' must be an integer >= 1, got 0"),
-        ("opnorm-alpha", {"n": 16.0}, "param 'n' must be an integer >= 1, got 16.0"),
-        ("kyfan", {"s": 2.5}, "param 's' must be an integer >= 1, got 2.5"),
+        ("opnorm-alpha", {"n": 16.5}, "param 'n' must be an integer, got 16.5"),
+        ("kyfan", {"s": 2.5}, "param 's' must be an integer, got 2.5"),
         ("kyfan", {"s": 0}, "param 's' must be an integer >= 1, got 0"),
         ("kyfan", {"n": 4, "s": 5}, "param 's' must be at most n = 4, got 5"),
         ("opnorm-eps", {"d": 0}, "param 'd' must be an integer >= 1, got 0"),
         ("lp-small", {"n": -4}, "param 'n' must be an integer >= 1, got -4"),
         ("lp-large", {"n": 1, "delta": 1e-4}, "param 'n' must exceed t = 4"),
-        ("lp-large", {"delta": 0.0}, "param 'delta' must be in (0,1), got 0.0"),
-        ("cs", {"k": True}, "param 'k' must be an integer >= 1, got True"),
+        ("lp-large", {"delta": 0.0}, "param 'delta' must be a finite number > 0 and < 1, got 0.0"),
+        ("cs", {"k": True}, "param 'k' must be an integer, got True"),
         ("cs", {"n": 8, "k": 8}, "param 'k' must be below n = 8, got 8"),
         ("eigen", {"N": -5}, "param 'N' must be a finite number > 0, got -5"),
-        ("psd", {"N": math.inf}, "param 'N' must be a finite number > 0, got inf"),
-        ("psd", {"N": math.nan}, "param 'N' must be a finite number > 0, got nan"),
-        ("lp-large", {"eps": -0.1}, "param 'eps' must be in (0,1), got -0.1"),
-        ("lp-large", {"eps": 1.0}, "param 'eps' must be in (0,1), got 1.0"),
-        ("psd", {"p": 0}, "param 'p' must be at least 1, got 0"),
-        ("psd", {"p": 0.5}, "param 'p' must be at least 1, got 0.5"),
-        ("psd", {"p": math.nan}, "param 'p' must be at least 1, got nan"),
+        ("psd", {"N": math.inf}, "param 'N' must be a finite number, got inf"),
+        ("psd", {"N": math.nan}, "param 'N' must be a finite number, got nan"),
+        ("lp-large", {"eps": -0.1}, "param 'eps' must be a finite number > 0 and < 1, got -0.1"),
+        ("lp-large", {"eps": 1.0}, "param 'eps' must be a finite number > 0 and < 1, got 1.0"),
+        ("psd", {"p": 0}, "param 'p' must be a finite number >= 1, got 0"),
+        ("psd", {"p": 0.5}, "param 'p' must be a finite number >= 1, got 0.5"),
+        ("psd", {"p": math.nan}, "param 'p' must be a finite number or inf, got nan"),
     ])
     def test_bad_sizes_name_the_key(self, name, params, why):
-        with pytest.raises(BadParams, match=re.escape(f"{name} {why}")):
+        # the key table's refusal reads "config error at '<family>/<key>':
+        # <reason>"; a cross-field rule's names the family and key its own way
+        key, reason = re.fullmatch(r"param '(\w+)' (.*)", why).groups()
+        with pytest.raises(BadParams) as exc:
             HardFamily(name, params)
+        msg = str(exc.value)
+        assert msg == f"config error at '{name}/{key}': {reason}" or msg.startswith(f"{name} {why}")
+
+    @pytest.mark.parametrize("name, params, why", [
+        ("opnorm-alpha", {"N": True}, "'opnorm-alpha/N': must be a finite number, got True"),
+        ("opnorm-alpha", {"gamma1": True},
+         "'opnorm-alpha/gamma1': must be a finite number, got True"),
+        ("psd", {"d": 4, "shift": 99.5}, "'psd/shift': must be an integer, got 99.5"),
+        ("lp-small", {"s1": 0.5}, "'lp-small': 's1' is unknown; it takes ['N', 'eps', 'n', 'p']"),
+    ], ids=["N-true", "gamma1-true", "shift-99.5", "s1-without-spike"])
+    def test_bools_and_fractions_refused(self, name, params, why):
+        with pytest.raises(BadParams) as exc:
+            HardFamily(name, params)
+        assert str(exc.value) == f"config error at {why}"
+
+    def test_integral_floats_read_as_ints(self):
+        # 16.0 reads as 16 and 99.0 as 99: the same params, calibration and
+        # instance bytes as the all-int family
+        for name, floats, ints in [("opnorm-alpha", {"n": 16.0}, {"n": 16}),
+                                   ("psd", {"d": 4, "shift": 99.0}, {"d": 4, "shift": 99})]:
+            fams = [HardFamily(name, dict(p)) for p in (floats, ints)]
+            assert fams[0].params == fams[1].params
+            assert [calibrate_family(f) for f in fams][0] == calibrate_family(fams[1])
+            insts = [gen_hard_instance(f, "D2", derive(54, "int", name)) for f in fams]
+            assert insts[0].payload.dtype == insts[1].payload.dtype == np.int64
+            assert insts[0].payload.tobytes() == insts[1].payload.tobytes()
+            assert type(fams[0].params[next(iter(ints))]) is int
 
     def test_sizes_take_any_integer_type(self):
         fam = HardFamily("kyfan", {"n": np.int64(8), "s": 8})
@@ -346,11 +376,9 @@ class TestCalibrationMemo:
             raise AssertionError("calibration drew again")
 
         monkeypatch.setattr(harddist.dgauss, "sample_dgauss_1d", no_draw)
-        # the memo's key ignores the params' order: `first` lists its given
-        # keys first, this family lists every key in the defaults' order
-        fam = HardFamily(name, {**harddist._DEFAULTS[name], **params})
+        # an equal family that gives every default explicitly
+        fam = HardFamily(name, {**HardFamily(name).params, **params})
         keys = list(fam.params)
-        assert keys != list(first.params)[:len(keys)]
         got = calibrate_family(fam)
         assert got == want and got is not want
         assert calibrate_family(fam) is got
@@ -423,10 +451,10 @@ class TestStructuralChecks:
 
     def test_mgf_half(self):
         # the estimator's second moment (1 - 4a^2)^(-1/2) diverges at a = 1/2
-        # in the Gaussian limit, so no standard error is reported
-        rep = mgf_cross_term_check(0.5, 1e4, 300_000, derive(53, "m5"))
-        assert rep["ok"]
-        assert rep["se"] == math.inf
+        # in the Gaussian limit: no pass rule there scales with trials
+        for a in (0.5, 0.9):
+            with pytest.raises(BadParams, match="needs 0 <= a < 1/2"):
+                mgf_cross_term_check(a, 1e4, 1000, derive(53, "m5"))
 
     def test_mgf_bad_a(self):
         with pytest.raises(BadParams):

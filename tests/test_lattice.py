@@ -64,6 +64,18 @@ class TestIntegerKernelBasis:
         with pytest.raises(FullRank):
             integer_kernel_basis(IntMatrix.from_rows([[1, 0], [0, 1]]))
 
+    def test_length_past_float64_is_an_upper_bound(self):
+        # the kernel vector (2^600, -1) has squared length 2^1200 + 1, past
+        # float64; its length is taken from the exact integer, rounded up
+        A = IntMatrix.from_rows([[1, 2**600]])
+        for kb in (integer_kernel_basis(A), reduced_kernel_basis(A)):
+            assert [abs(x) for x in kb.vectors[0]] == [2**600, 1]
+            bound = kb.certified_max_len
+            assert math.isfinite(bound) and int(bound) ** 2 >= 2**1200 + 1
+            assert bound <= 2**600 * (1 + 2**-50)
+        assert lattice._length(2**2100) == math.inf
+        assert lattice._length(48) == math.sqrt(48)  # below 2^53 as before
+
     def test_exactness_random(self):
         rng = derive(5, "kern")
         for _ in range(20):

@@ -174,8 +174,41 @@ class TestBuildFamilies:
     ])
     def test_unknown_param_key_named(self, family, params, key):
         # a misspelt or foreign key is refused, not silently left at its default
-        with pytest.raises(BadParams, match=f"{family} param '{key}' is unknown"):
+        with pytest.raises(BadParams, match=f"config error at '{family}': '{key}' is unknown"):
             build_sketch(family, 64, 4, params, seed=9)
+
+    @pytest.mark.parametrize("family, params, why", [
+        ("sign", {"groups": 2.5}, "'sign/groups': must be an integer, got 2.5"),
+        ("sign", {"groups": True}, "'sign/groups': must be an integer, got True"),
+        ("countsketch", {"reps": 2.5}, "'countsketch/reps': must be an integer, got 2.5"),
+        ("projection-threshold", {"alpha": 800.0, "B": 8.0, "m_cal": 16.7},
+         "'projection-threshold/m_cal': must be an integer, got 16.7"),
+        ("sign", {"alpha": True}, "'sign/alpha': must be a finite number, got True"),
+        ("rounded-gaussian", {"entry_std": 0.0},
+         "'rounded-gaussian/entry_std': must be a finite number > 0, got 0.0"),
+    ], ids=["groups-2.5", "groups-true", "reps-2.5", "m_cal-16.7", "alpha-true", "entry_std-0"])
+    def test_non_integral_or_bool_params_refused(self, family, params, why):
+        # no value is truncated or read as a number by cast: 2.5 groups
+        # built 2, True built 1 and m_cal 16.7 calibrated on 16 draws
+        with pytest.raises(BadParams) as exc:
+            build_sketch(family, 64, 4, params, seed=9)
+        assert str(exc.value) == f"config error at {why}"
+
+    @pytest.mark.parametrize("family, given, same", [
+        ("sign", {"groups": 2.0}, {"groups": 2}),
+        ("countsketch", {"reps": np.int64(2)}, {"reps": 2}),
+        ("projection-threshold", {"alpha": 800, "B": 8, "m_cal": np.int32(16)},
+         {"alpha": 800.0, "B": 8.0, "m_cal": 16}),
+    ])
+    def test_integral_numbers_build_the_same_sketch(self, family, given, same):
+        # an integral float or a numpy integer reads as the int, an int
+        # number as the float, and the params record the values read
+        got = build_sketch(family, 64, 4, given, seed=9)
+        want = build_sketch(family, 64, 4, same, seed=9)
+        assert got.spec_json() == want.spec_json()
+        assert np.array_equal(got.A.entries, want.A.entries)
+        assert got.estimator.get("tau") == want.estimator.get("tau")
+        assert [type(v) for v in got.params.values()] == [type(v) for v in want.params.values()]
 
     def test_entry_cap(self):
         with pytest.raises(BadParams):
