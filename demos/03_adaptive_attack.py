@@ -40,7 +40,8 @@ if out.certificate is not None:
     rep = verify_certificate(oracle, c, trials=10_000, rng=derive(7, "verify"))
     ex = rep["exploits"][0]
     print(f"verified: {rep['exploit_count']} exploits "
-          f"({rep['failure_rate']:.1%} of fresh queries)")
+          f"({rep['failure_rate']:.1%} of fresh queries); "
+          f"{rep['promise_violations']} answers break the promise")
     print(f"example exploit: integer vector with ||x||^2 = {ex.norm_sq:.0f}, "
           f"oracle answered {ex.answer}")
 

@@ -39,7 +39,7 @@ print(f"\npmf ratio, n=10, C=2, sigma^2=1e4: max |ratio - 1| = "
       f"{rep['max_deviation']:.2e} <= 1/n^C = {rep['bound']}")
 
 # --- chi-square mixture bound ---------------------------------------------------
-rep = stats.chi_square_mixture_check(0.5, 1.0, 1, 200_000, derive(77, "chi2"))
+rep = stats.chi_square_mixture_check(0.5, 1.0, 200_000, derive(77, "chi2"))
 print(f"\nchi^2 mixture bound (mu = +-0.5 e1, sigma=1):")
 print(f"  chi^2 estimate {rep['lhs_chi2']:.5f} +- {rep['lhs_se']:.5f} vs "
       f"bound {rep['rhs_bound']:.5f} (cosh form; equality case): ok={rep['ok']}")

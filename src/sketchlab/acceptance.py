@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from . import dgauss, harddist, stats
-from .attack import AttackConfig, conditional_gap_estimate, map_runs, run_and_verify
+from .attack import KNOBS, AttackConfig, conditional_gap_estimate, map_runs, run_and_verify
 from .errors import BadParams, BoundViolated, LengthBoundUnachieved, TooManyRows
 from .fields import REQUIRED, config_error, read_fields, read_value
 from .lattice import (
@@ -64,8 +64,8 @@ def auto_alpha(sketch):
 
 
 # key -> (kinds, bound, default) for each key of a config block, read by
-# fields.read_fields
-GRID_FIELDS = {"kind": (("geometric",), (), "geometric"), "points": ((int,), ((">=", 2),), 16)}
+# fields.read_fields; the attack's own knobs by their attack.KNOBS entries
+GRID_FIELDS = {"kind": (("geometric",), (), "geometric"), "points": KNOBS["grid_points"]}
 ATTACK_FIELDS = {
     "n": ((int,), ((">=", 8),), REQUIRED),
     "r": ((int,), ((">=", 1),), REQUIRED),
@@ -73,12 +73,13 @@ ATTACK_FIELDS = {
     "B": ((float,), ((">=", 8),), REQUIRED),
     "family_params": ((dict,), (), {}),  # the family's params but alpha and B
     "alpha_policy": (("auto", float), ((">", 0),), "auto"),
-    "m": ((int,), ((">=", 100),), 2000),
+    "m": KNOBS["m"],
     "grid": ((dict,), (), {}),  # read by GRID_FIELDS
     "seeds": ((list,), (), [0]),  # distinct, each read as RUN_SEED
-    "round_cap": ((int, None), ((">=", 1),), None),
-    "zeta": ((float, None), ((">", 0), ("<=", 1)), None),  # no rate certifies above 1
-    "verify_trials": ((int,), ((">=", 100),), 10_000),
+    "round_cap": KNOBS["round_cap"],
+    # no rate certifies above 1, which a config refuses and AttackConfig takes
+    "zeta": (KNOBS["zeta"][0], KNOBS["zeta"][1] + (("<=", 1),), KNOBS["zeta"][2]),
+    "verify_trials": KNOBS["verify_trials"],
     "verify": ((bool,), (), True),
 }
 # a run seed keys its streams by its low 32 bits (rng._key): 2**32 would rerun 0
@@ -192,6 +193,7 @@ def _end_to_end_run(i):
                               derive(77, "attack", i), derive(77, "verify", i))
     return {"seed": 1000 + i, "win": bool(rep and rep["exploit_count"]),
             "outcome": out.outcome, "elapsed_s": round(time.time() - t_run, 2),
+            "promise_violations": rep["promise_violations"] if rep else None,
             **calibration_vs_zeta(sk, cfg)}
 
 

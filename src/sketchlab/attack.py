@@ -7,9 +7,9 @@ Round structure: per round the variance grid is swept in ascending order,
 m queries are drawn from D(V_t^perp, sigma^2) per grid point, and the first
 direction whose positive-sample singular score crosses
 sigma^2 + sigma^2/4 + slack is orthogonalized into the learned basis. Only
-the low side (sigma^2 <= 2 alpha) and the high side (sigma^2 >= alpha B / 2)
-can certify, so once the round's direction is decided the middle points
-between them are not drawn: the transcript holds the points a round drew.
+a point on a promise side (GapNormParams.side) can certify, so once the
+round's direction is decided the middle points between the sides are not
+drawn: the transcript holds the points a round drew.
 
 Verification streams its fresh queries in row blocks and counts every
 exploit, but keeps only the first EXPLOITS_KEPT as integer vectors, so its
@@ -30,6 +30,7 @@ from .errors import (
     NoPositives,
     OracleFailure,
 )
+from .fields import read_value
 from .numerics import OrthonormalBasis, gram_schmidt_residual, top_right_singular_vector
 from .rng import as_generator
 from .sketch import GapNormParams
@@ -43,22 +44,38 @@ def zeta_floor(B, n):
     return 1.0 / (20.0 * (B * n) ** 2 * math.log(B * n))
 
 
+# AttackConfig's knobs as key-table entries, key -> (kinds, bound, default)
+# (fields.read_fields); a config's attack block (acceptance.ATTACK_FIELDS)
+# reads its knobs by these entries
+KNOBS = {
+    "m": ((int,), ((">=", 100),), 2000),
+    "grid_points": ((int,), ((">=", 2),), 16),
+    "round_cap": ((int, None), ((">=", 1),), None),  # None: r_budget + 1
+    "zeta": ((float, None), ((">", 0),), None),  # None: max(zeta_floor, 5/sqrt(m))
+    "verify_trials": ((int,), ((">=", 100),), 10_000),
+}
+
+
 @dataclass
 class AttackConfig:
     """Tunable attack parameters. Defaults are desk-scale: the sample counts
     and grid resolution behind the asymptotic guarantees are astronomically
-    larger and matter only for the proofs, not the mechanism."""
+    larger and matter only for the proofs, not the mechanism.
+
+    Each knob is read by its KNOBS entry, BadParams naming the knob when it
+    is out of bounds. A zeta above 1 is accepted: no answer rate reaches it,
+    so certification is off; a config's attack block refuses it."""
 
     gap: GapNormParams
-    m: int = 2000
-    grid_points: int = 16
-    round_cap: int = None          # default r_budget + 1
-    zeta: float = None             # default max(zeta_floor, 5/sqrt(m))
-    verify_trials: int = 10_000
+    m: int = KNOBS["m"][2]
+    grid_points: int = KNOBS["grid_points"][2]
+    round_cap: int = None
+    zeta: float = None
+    verify_trials: int = KNOBS["verify_trials"][2]
 
     def __post_init__(self):
-        if self.m < 100:
-            raise BadParams(f"m must be >= 100, got {self.m}")
+        for key, (kinds, bound, _) in KNOBS.items():
+            setattr(self, key, read_value(getattr(self, key), kinds, bound, (key,)))
 
     def effective_zeta(self, n):
         if self.zeta is not None:
@@ -97,19 +114,22 @@ class FailureCertificate:
     round: int
 
     def __post_init__(self):
-        if self.side == "high" and not (self.sigma2 >= self.alpha * self.B / 2.0):
-            raise BadParams("high-side certificate needs sigma^2 >= alpha*B/2")
-        if self.side == "low" and not (self.sigma2 <= 2.0 * self.alpha):
-            raise BadParams("low-side certificate needs sigma^2 <= 2*alpha")
         if self.side not in ("high", "low"):
             raise BadParams(f"bad side {self.side}")
+        if GapNormParams(self.B, self.alpha).side(self.sigma2) != self.side:
+            needs = "sigma^2 >= alpha*B/2" if self.side == "high" else "sigma^2 <= 2*alpha"
+            raise BadParams(f"{self.side}-side certificate needs {needs}")
 
     @property
     def dim(self):
         return len(self.subspace)
 
     def basis(self, n):
-        return OrthonormalBasis(n, [np.asarray(v, float) for v in self.subspace])
+        try:
+            rows = [np.asarray(v, float) for v in self.subspace]
+        except (TypeError, ValueError) as exc:
+            raise BadParams(f"certificate subspace is not rows of numbers: {exc}") from None
+        return OrthonormalBasis(n, rows)
 
 
 @dataclass
@@ -138,23 +158,22 @@ def round_step(state: AttackState, oracle, n, r_budget, config: AttackConfig, rn
     """One attack round: sweep the grid, test termination per grid point,
     then fold the first above-threshold singular direction into the basis.
 
-    A grid point with 2 alpha < sigma^2 < alpha B / 2 can never certify; it
-    serves only to find the direction. Once the round's direction is
-    decided, such a point is skipped: no draw, no oracle query and no
-    transcript record. The low and high sides are always drawn and tested.
+    A grid point off the promise sides (GapNormParams.side) can never
+    certify; it serves only to find the direction. Once the round's
+    direction is decided, such a point is skipped: no draw, no oracle query
+    and no transcript record. The two sides are always drawn and tested.
 
     Returns ("certificate", cert) | ("direction", v_t) | ("no-progress", None).
     """
     rng = as_generator(rng)
     zeta = config.effective_zeta(n)
-    alpha, B = config.gap.alpha, config.gap.B
     t = state.t
     found = None
 
     for sigma2 in config.grid_for(n):
-        low, high = sigma2 <= 2.0 * alpha, sigma2 >= alpha * B / 2.0
+        side = config.gap.side(sigma2)
         decided = found is not None  # the round's direction is decided
-        if decided and not (low or high):
+        if decided and side is None:
             continue
         spec = SubspaceGaussianSpec(n, state.V, float(sigma2))
         X = sample_subspace_query(spec, "discrete", rng, size=config.m)
@@ -171,17 +190,16 @@ def round_step(state: AttackState, oracle, n, r_budget, config: AttackConfig, rn
         }
         state.transcript.append(rec)
 
-        high_fails = high and rate <= 1.0 - zeta
-        if high_fails or (low and rate >= zeta):
+        if (side == "high" and rate <= 1.0 - zeta) or (side == "low" and rate >= zeta):
             cert = FailureCertificate(
                 subspace=[list(map(float, v)) for v in state.V],
                 sigma2=float(sigma2),
-                side="high" if high_fails else "low",
+                side=side,
                 empirical_rate=rate,
                 sample_count=config.m,
                 zeta=zeta,
-                alpha=alpha,
-                B=B,
+                alpha=config.gap.alpha,
+                B=config.gap.B,
                 round=t,
             )
             return "certificate", cert
@@ -231,44 +249,41 @@ def run_attack(oracle, n, r_budget, config: AttackConfig, rng):
 
 def verify_certificate(oracle, cert: FailureCertificate, trials, rng):
     """Draw `trials` fresh queries at the certificate's (V, sigma^2) and
-    extract integer exploits.
+    extract integer exploits, by GapNormParams.exploits at n - d.
 
-    high side: exploits are queries answered 0 with ||x||^2 > alpha B (n-d)/3;
-    low side: answered 1 with ||x||^2 < 3 alpha (n-d). The queries are drawn
-    in blocks of about _VERIFY_BLOCK entries (at least one row), one
-    `sample_subspace_query` call per block on `rng`, and each block is
-    answered and reduced to its exploits before the next is drawn, so the
-    memory held does not grow with `trials`. Every exploit is counted
+    The queries are drawn in blocks of about _VERIFY_BLOCK entries (at least
+    one row), one `sample_subspace_query` call per block on `rng`, and each
+    block is answered and reduced to its exploits before the next is drawn,
+    so the memory held does not grow with `trials`. Every exploit is counted
     (`exploit_count`, `failure_rate` = exploit_count / trials); the first
-    EXPLOITS_KEPT, in draw order, are kept as Exploit objects. A spurious
-    certificate, with no exploit in `trials` queries, gets the zero report:
-    exploit_count 0, failure_rate 0.0 and no exploits. Raises BadParams when
-    trials < 1.
+    EXPLOITS_KEPT, in draw order, are kept as Exploit objects. Every query
+    that breaks the promise is counted too (`promise_violations`). A
+    spurious certificate, with no exploit in `trials` queries, gets the zero
+    report: exploit_count 0, failure_rate 0.0 and no exploits. Raises
+    BadParams when trials < 1.
     """
     if trials < 1:
         raise BadParams(f"verification needs trials >= 1, got {trials}")
     rng = as_generator(rng)
     trials = int(trials)
     n = oracle.n
-    d = cert.dim
+    gap = GapNormParams(cert.B, cert.alpha)
     spec = SubspaceGaussianSpec(n, cert.basis(n), cert.sigma2)
     rows = max(1, _VERIFY_BLOCK // n)
-    count, exploits = 0, []
+    count, violations, exploits = 0, 0, []
     for start in range(0, trials, rows):
         X = sample_subspace_query(spec, "discrete", rng, size=min(rows, trials - start))
         answers = _ask(oracle, X)
         norms = np.asarray(intlinalg.norms_sq(X))  # exact squared lengths
-        if cert.side == "high":
-            mask = (answers == 0) & (norms > cert.alpha * cert.B * (n - d) / 3.0)
-        else:
-            mask = (answers == 1) & (norms < 3.0 * cert.alpha * (n - d))
-        idx = np.flatnonzero(mask)
+        idx = np.flatnonzero(gap.exploits(cert.side, norms, answers, n - cert.dim))
         count += idx.size
+        violations += gap.violations(norms, answers, n)
         exploits += [
             Exploit(x=X[i].tolist(), norm_sq=float(norms[i]), answer=int(answers[i]), wrong=True)
             for i in idx[: EXPLOITS_KEPT - len(exploits)]
         ]
-    return {"failure_rate": count / trials, "exploit_count": count, "exploits": exploits}
+    return {"failure_rate": count / trials, "exploit_count": count,
+            "promise_violations": violations, "exploits": exploits}
 
 
 def run_and_verify(oracle, r_budget, config: AttackConfig, attack_rng, verify_rng):

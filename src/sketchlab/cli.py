@@ -16,10 +16,10 @@ spec by SPEC_FIELDS; each table holds each key's type, bound and default. An
 unknown or missing key, a wrong type or a value out of bounds is one
 `config error at '<path>'` line.
 
-Exit codes: 0 success, 1 error (including an unreadable or malformed config
-file, reported by name, a bad config field, reported with its path, and a bad
---params, --certificate, --sketch or --in, reported in one `error:` line), 2
-threshold failure in acceptance/check mode.
+Exit codes: 0 success, 1 error (including a usage error, reported by argparse,
+an unreadable or malformed config file, reported by name, a bad config field,
+reported with its path, and a bad --params, --certificate, --sketch or --in,
+reported in one `error:` line), 2 threshold failure in acceptance/check mode.
 
 Environment: SKETCHLAB_OUT overrides the output directory, SKETCHLAB_THREADS
 the worker count for independent seeded attack runs.
@@ -219,8 +219,8 @@ def cmd_attack_verify(args):
     sk = _load_sketch(args.sketch, "--sketch")
     oracle = GapNormOracle(sk, GapNormParams(B=cert.B, alpha=cert.alpha))
     rep = verify_certificate(oracle, cert, args.trials, derive(args.seed, "verify"))
-    print(json.dumps({"failure_rate": rep["failure_rate"],
-                      "exploits": rep["exploit_count"]}))
+    print(json.dumps({"failure_rate": rep["failure_rate"], "exploits": rep["exploit_count"],
+                      "promise_violations": rep["promise_violations"]}))
     return 0 if rep["exploit_count"] else 2
 
 
@@ -330,7 +330,7 @@ def cmd_stats_check(args):
         rep = stats.cell_lemma_check(sk, args.sigma2, args.trials, rng)
         ok = rep["pass"]
     elif name == "chi2-mixture":
-        rep = stats.chi_square_mixture_check(args.a, args.sigma2, args.d, args.trials, rng)
+        rep = stats.chi_square_mixture_check(args.a, args.sigma2, args.trials, rng)
         ok = rep["ok"]
     else:  # tvd-null; argparse's choices admit no other name
         x = rng.standard_normal(args.trials)
@@ -416,7 +416,6 @@ def build_parser():
     pc.add_argument("--n", type=int, default=10)
     pc.add_argument("--C", type=float, default=2.0)
     pc.add_argument("--r", type=int, default=2)
-    pc.add_argument("--d", type=int, default=1)
     pc.add_argument("--a", type=float, default=0.5)
     pc.add_argument("--trials", type=int, default=100_000)
     pc.add_argument("--values", default=None)
@@ -437,7 +436,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return 1 if exc.code else 0
     try:
         return args.fn(args)
     except SystemExit as exc:

@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonPositiveVariance, VarianceTooLarge, VarianceTooSmall
+from .errors import DimensionMismatch, NonPositiveVariance, VarianceTooLarge, VarianceTooSmall
 from .numerics import OrthonormalBasis
 from .rng import as_generator
 
@@ -302,7 +302,7 @@ class SubspaceGaussianSpec:
 
     def __post_init__(self):
         if self.V.dimension != self.n:
-            raise ValueError("subspace dimension mismatch")
+            raise DimensionMismatch("subspace dimension mismatch")
         if self.sigma2 <= 0:
             raise NonPositiveVariance(f"sigma2={self.sigma2}")
 

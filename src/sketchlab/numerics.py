@@ -7,7 +7,7 @@ All functions are pure and safe for concurrent invocation.
 
 import numpy as np
 
-from .errors import DegenerateResidual, RankDeficient
+from .errors import BadParams, DegenerateResidual, DimensionMismatch, RankDeficient
 
 ORTHO_TOL = 1e-10       # pairwise dot / unit-norm tolerance for a valid basis
 RESIDUAL_TOL = 1e-9     # below this residual norm a vector counts as in-span
@@ -40,15 +40,16 @@ class OrthonormalBasis:
         return np.vstack(self.vectors)
 
     def validate(self):
-        B = self.matrix
-        if B.shape[1] != self.dimension:
-            raise ValueError("basis vector dimension mismatch")
-        if B.shape[0] == 0:
+        """DimensionMismatch unless every vector has shape (dimension,),
+        BadParams unless the vectors are orthonormal to ORTHO_TOL."""
+        if any(v.shape != (self.dimension,) for v in self.vectors):
+            raise DimensionMismatch(f"basis vector dimension mismatch: need {self.dimension}")
+        if not self.vectors:
             return
-        G = B @ B.T
-        err = np.max(np.abs(G - np.eye(len(self.vectors))))
-        if err > ORTHO_TOL:
-            raise ValueError(f"basis not orthonormal: max Gram deviation {err:.3e}")
+        B = self.matrix
+        err = np.max(np.abs(B @ B.T - np.eye(len(B))))
+        if not err <= ORTHO_TOL:  # a NaN entry fails too
+            raise BadParams(f"basis not orthonormal: max Gram deviation {err:.3e}")
 
     def project(self, x):
         """Orthogonal projection of x (vector or batch of rows) onto span(basis)."""
@@ -75,7 +76,7 @@ def gram_schmidt_residual(v, basis: OrthonormalBasis):
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (basis.dimension,):
-        raise ValueError("vector dimension does not match basis")
+        raise DimensionMismatch("vector dimension does not match basis")
     r = basis.project_complement(v)
     # one re-orthogonalization pass; classical "twice is enough"
     r = basis.project_complement(r)

@@ -41,7 +41,8 @@ class GapNormParams:
     """Promise thresholds on the per-coordinate scale ||x||^2 / n: answer 1
     when ||x||^2 >= alpha*B*n, 0 when ||x||^2 <= alpha*n. A query drawn at
     variance sigma^2 has ||x||^2 ~ n sigma^2, so the attack's grid
-    sigma^2 in [alpha, alpha*B] spans the promise gap."""
+    sigma^2 in [alpha, alpha*B] spans the promise gap. What follows from
+    the promise is stated here once: `edges`, `side`, `exploits`, `violations`."""
 
     B: float
     alpha: float
@@ -51,6 +52,32 @@ class GapNormParams:
             raise BadParams(f"B must be >= 8, got {self.B}")
         if self.alpha <= 0:
             raise BadParams(f"alpha must be positive, got {self.alpha}")
+
+    @property
+    def edges(self):
+        """(2 alpha, alpha B / 2), the certifying sides' edges: apart, as B >= 8."""
+        return 2.0 * self.alpha, self.alpha * self.B / 2.0
+
+    def side(self, sigma2):
+        """"low" at sigma2 <= 2 alpha, "high" at sigma2 >= alpha B / 2, None
+        in between, where no answer rate certifies."""
+        low, high = self.edges
+        return "low" if sigma2 <= low else "high" if sigma2 >= high else None
+
+    def exploits(self, side, norms_sq, answers, free):
+        """The verifier's exploit mask over queries of exact squared lengths
+        `norms_sq`, `free` = n - d: answered 0 at ||x||^2 > alpha B free / 3
+        on the high side, 1 at ||x||^2 < 3 alpha free on the low side."""
+        if side == "high":
+            return (answers == 0) & (norms_sq > self.alpha * self.B * free / 3.0)
+        return (answers == 1) & (norms_sq < 3.0 * self.alpha * free)
+
+    def violations(self, norms_sq, answers, n):
+        """How many answers break the promise: 1 at ||x||^2 <= alpha n or 0
+        at ||x||^2 >= alpha B n."""
+        wrong_low = (answers == 1) & (norms_sq <= self.alpha * n)
+        wrong_high = (answers == 0) & (norms_sq >= self.alpha * self.B * n)
+        return int(np.count_nonzero(wrong_low | wrong_high))
 
 
 class StreamState:
@@ -214,14 +241,14 @@ def _sketched_energy(X, Q):
     return out
 
 
-def _calibrate_projection_threshold(Q, R, n, r, alpha, B, rng, m_cal):
+def _calibrate_projection_threshold(Q, n, r, gap, rng, m_cal):
     """Fit tau so false rates on both promise-side distributions (isotropic
-    discrete Gaussians at sigma^2 in {2 alpha, alpha B / 2}) are minimized.
+    discrete Gaussians at the variances `gap.edges`) are minimized.
 
     At desk-scale (small r, small B) a 1% target on both sides may be
     infeasible; the achieved rates are recorded, not asserted.
     """
-    lo_s2, hi_s2 = 2.0 * alpha, alpha * B / 2.0
+    lo_s2, hi_s2 = gap.edges
 
     def stat(sigma2):
         """||Q x||^2 for one side's batch, drawn and reduced before the next
@@ -241,7 +268,7 @@ def _calibrate_projection_threshold(Q, R, n, r, alpha, B, rng, m_cal):
     tau = float(cands[k])
     return {
         "tau": tau,
-        "c": tau / (alpha * B * r / n),
+        "c": tau / (gap.alpha * gap.B * r / n),
         "false_low": float(false_low[k]),
         "false_high": float(false_high[k]),
         "calibration_sigma2": [lo_s2, hi_s2],
@@ -267,7 +294,7 @@ def build_sketch(family, n, r, params=None, seed=0):
         if "alpha" not in params or "B" not in params:
             raise BadParams("projection-threshold needs params alpha and B")
         # tau separates the promise sides, so they must be ones an oracle accepts
-        GapNormParams(B=params["B"], alpha=params["alpha"])
+        gap = GapNormParams(B=params["B"], alpha=params["alpha"])
     rng = derive(seed, "sketch", family)
     est = {}
 
@@ -318,8 +345,7 @@ def build_sketch(family, n, r, params=None, seed=0):
     elif family == "projection-threshold":
         est.update(
             _calibrate_projection_threshold(
-                Q, R, n, r, params["alpha"], params["B"],
-                derive(seed, "sketch-cal", family),
+                Q, n, r, gap, derive(seed, "sketch-cal", family),
                 m_cal=params.get("m_cal", 4000),
             )
         )

@@ -116,6 +116,15 @@ class TestRunAttackControls:
         with pytest.raises(BadParams):
             AttackConfig(gap=_params(), m=50)
 
+    @pytest.mark.parametrize("knob, value", [
+        ("zeta", 0.0), ("round_cap", 0), ("grid_points", 1), ("verify_trials", 99),
+    ])
+    def test_meaningless_knobs_refused(self, knob, value):
+        # zeta 0 certifies from one low-side record against the exact oracle,
+        # round_cap 0 runs no round and one grid point never draws the high side
+        with pytest.raises(BadParams, match=f"'{knob}'"):
+            AttackConfig(gap=_params(), m=200, **{knob: value})
+
 
 class TestRoundStep:
     def test_no_positives_no_progress(self):
@@ -270,6 +279,34 @@ class TestVerifyCertificate:
         assert ex.answer == 0 and ex.wrong
         assert ex.norm_sq > ALPHA * 8.0 * n / 3.0
 
+    @pytest.mark.parametrize("bit, side, sigma2", [
+        (1, "low", ALPHA), (0, "high", ALPHA * 8.0),
+    ], ids=["low-answered-1", "high-answered-0"])
+    def test_promise_violations_counted_over_every_query(self, bit, side, sigma2):
+        # a constant oracle breaks the promise on exactly the queries past the
+        # edge its answer contradicts: ||x||^2 <= alpha n answered 1, or
+        # ||x||^2 >= alpha B n answered 0, exploit or not
+        n, trials = 64, 3000
+        seen = []
+
+        class Recording(_ConstOracle):
+            def query_batch(self, X):
+                seen.append(np.array(X))
+                return super().query_batch(X)
+
+        oracle = Recording(bit, n)
+        cert = FailureCertificate(
+            subspace=[], sigma2=sigma2, side=side, empirical_rate=0.5,
+            sample_count=200, zeta=0.1, alpha=ALPHA, B=8.0, round=1,
+        )
+        rep = verify_certificate(oracle, cert, trials, derive(46, side))
+        norms = [int(x @ x) for X in seen for x in X.astype(object)]
+        assert len(norms) == trials
+        want = sum(s <= ALPHA * n for s in norms) if bit else \
+            sum(s >= ALPHA * 8.0 * n for s in norms)
+        assert rep["promise_violations"] == want
+        assert 0.3 * trials < want < 0.7 * trials  # about half the draws pass the edge
+
     def test_truth_oracle_spurious_certificate(self):
         n = 64
         params = _params()
@@ -279,7 +316,8 @@ class TestVerifyCertificate:
             sample_count=200, zeta=0.1, alpha=ALPHA, B=8.0, round=1,
         )
         rep = verify_certificate(oracle, cert, trials=2000, rng=derive(43, "v1"))
-        assert rep == {"failure_rate": 0.0, "exploit_count": 0, "exploits": []}
+        assert rep == {"failure_rate": 0.0, "exploit_count": 0, "promise_violations": 0,
+                       "exploits": []}
 
     @pytest.mark.parametrize("trials", (0, -5))
     def test_trials_below_one_rejected(self, trials):
@@ -575,7 +613,8 @@ class TestRunAndVerify:
             sample_count=200, zeta=0.1, alpha=ALPHA, B=8.0, round=1,
         )
         rep = verify_certificate(oracle, cert, 2000, derive(43, "v1"))
-        assert rep == {"failure_rate": 0.0, "exploit_count": 0, "exploits": []}
+        assert rep == {"failure_rate": 0.0, "exploit_count": 0, "promise_violations": 0,
+                       "exploits": []}
 
     def test_map_runs_pool_keeps_job_order(self, monkeypatch):
         jobs = list(range(7))

@@ -337,7 +337,8 @@ class TestAttackRun:
                      "--sketch", str(sk_file), "--trials", "2000", "--seed", "3"]) == 0
         printed = json.loads(capsys.readouterr().out)
         want = verify_certificate(oracle, cert, 2000, derive(3, "verify"))
-        assert printed == {"failure_rate": want["failure_rate"], "exploits": want["exploit_count"]}
+        assert printed == {"failure_rate": want["failure_rate"], "exploits": want["exploit_count"],
+                           "promise_violations": want["promise_violations"]}
         assert printed["exploits"] > EXPLOITS_KEPT
 
     def test_json_artefacts_are_one_line(self, tmp_path):
@@ -674,6 +675,14 @@ class TestOtherCommands:
         (["sketch", "info", "--in", "cert.json"], "is not a sketch spec"),
         (["sketch", "build", "--family", "sign", "--n", "16", "--r", "2", "--seed", "-1"],
          "root seed must be in [0, 2^64), got -1"),
+        (["attack", "verify", "--certificate", "short.json", "--sketch", "sk.json"],
+         "basis vector dimension mismatch: need 16"),
+        (["attack", "verify", "--certificate", "equal.json", "--sketch", "sk.json"],
+         "basis not orthonormal"),
+        (["attack", "verify", "--certificate", "nan.json", "--sketch", "sk.json"],
+         "basis not orthonormal: max Gram deviation nan"),
+        (["attack", "verify", "--certificate", "text.json", "--sketch", "sk.json"],
+         "certificate subspace is not rows of numbers"),
     ], ids=["build-list", "build-json", "gen-list", "gen-json", "gap-list", "tvd-json",
             "cert-missing", "cert-malformed", "cert-not-certificate", "cert-bad-side",
             "sketch-missing", "sketch-malformed", "verify-trials-0", "verify-trials-5",
@@ -682,13 +691,19 @@ class TestOtherCommands:
             "lp-small-n-negative", "lp-large-n-below-t", "tvd-N-negative",
             "lp-large-eps-negative", "psd-p0-gen", "psd-p0-gap", "spike-past-int64",
             "N-past-ceiling", "gen-unknown-key", "in-missing", "in-malformed", "in-not-spec",
-            "build-seed-negative"])
+            "build-seed-negative", "verify-row-short", "verify-rows-equal", "verify-row-nan",
+            "verify-row-text"])
     def test_bad_input_exits_1_with_one_line(self, tmp_path, capsys, argv, why):
         cert = {"subspace": [[1.0] + [0.0] * 15], "sigma2": 4.0, "side": "high",
                 "empirical_rate": 0.2, "sample_count": 100, "zeta": 0.1, "alpha": 0.5,
                 "B": 8.0, "round": 1}
         (tmp_path / "cert.json").write_text(json.dumps([cert]))
         (tmp_path / "low.json").write_text(json.dumps(dict(cert, side="low")))
+        (tmp_path / "short.json").write_text(json.dumps(dict(cert, subspace=[[1.0, 0.0]])))
+        (tmp_path / "equal.json").write_text(json.dumps(dict(cert, subspace=cert["subspace"] * 2)))
+        nan_row = [float("nan")] + [0.0] * 15
+        (tmp_path / "nan.json").write_text(json.dumps(dict(cert, subspace=[nan_row])))
+        (tmp_path / "text.json").write_text(json.dumps(dict(cert, subspace=[["a"] * 16])))
         (tmp_path / "garbage.json").write_text("{")
         assert main(["sketch", "build", "--family", "sign", "--n", "16", "--r", "2",
                      "--out", str(tmp_path / "sk.json")]) == 0
@@ -744,11 +759,12 @@ class TestOtherCommands:
         (["cell-lemma", "--r", "0"], "cell-lemma sketch needs 1 <= r <= n, got r=0, n=10"),
         (["cell-lemma", "--r", "3", "--n", "2"], "needs 1 <= r <= n, got r=3, n=2"),
         (["cell-lemma", "--sigma2", "-1"], "least eigenvalue must be positive, got -1.0"),
-        (["chi2-mixture", "--d", "0"], "chi^2 mixture check needs d >= 1, got 0"),
         (["chi2-mixture", "--sigma2", "-1"], "sigma2 must be positive, got -1.0"),
         (["chi2-mixture", "--trials", "1"], "needs >= 2 trials, got 1"),
+        (["chi2-mixture", "--a", "nan"], "needs a finite a and sigma2, got nan, 10000.0"),
+        (["chi2-mixture", "--sigma2", "inf"], "needs a finite a and sigma2, got 0.5, inf"),
     ], ids=["values-abc", "values-nan", "values-negative", "pmf-n0", "cell-r0", "cell-r-above-n", "cell-sigma2-negative",
-            "chi2-d0", "chi2-sigma2-negative", "chi2-trials1"])
+            "chi2-sigma2-negative", "chi2-trials1", "chi2-a-nan", "chi2-sigma2-inf"])
     def test_stats_check_bad_numbers_exit_1(self, capsys, argv, why):
         assert main(["stats", "check", *argv]) == 1
         err = capsys.readouterr().err
@@ -783,6 +799,15 @@ class TestOtherCommands:
             assert rc == (0 if rep["pass"] else 2)
             if trials == 2000:
                 assert rep["tvd_noise_path"]["value"] > 0.05 and rc == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["stats", "check", "pmf-ratio", "--bogus"], ["stats", "check", "bogus"],
+    ], ids=["unknown-option", "unknown-check"])
+    def test_usage_error_exits_1(self, capsys, argv):
+        # 2 is a failed threshold, so argparse's usage exit is mapped to 1
+        assert main(argv) == 1
+        assert "usage:" in capsys.readouterr().err
+        assert main(["stats", "check", "--help"]) == 0
 
     def test_suite_acceptance_subset(self):
         assert main(["suite", "acceptance", "--fast", "--only", "5,6"]) == 0

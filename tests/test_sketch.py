@@ -264,6 +264,28 @@ def test_estimate_does_not_depend_on_the_batch(family, n):
         assert np.array_equal(np.concatenate(parts), whole), size
 
 
+class TestGapNormParams:
+    def test_sides_meet_their_edges_inclusively(self):
+        gap = GapNormParams(B=8.0, alpha=10.0)
+        low, high = gap.edges
+        assert (low, high) == (20.0, 40.0)
+        assert gap.side(low) == "low" and gap.side(high) == "high"
+        assert gap.side(np.nextafter(low, np.inf)) is None
+        assert gap.side(np.nextafter(high, -np.inf)) is None
+
+    def test_windows_and_violations_on_exact_lengths(self):
+        # n = 4: the promise asks for 0 at ||x||^2 <= 40 and 1 at >= 320; at
+        # d = 0 the high window is ||x||^2 > 320/3 answered 0, the low one
+        # < 120 answered 1
+        gap = GapNormParams(B=8.0, alpha=10.0)
+        norms = np.array([40, 41, 319, 320])
+        answers = np.array([1, 1, 0, 0], dtype=np.int8)
+        assert gap.exploits("high", norms, answers, 4).tolist() == [False, False, True, True]
+        assert gap.exploits("low", norms, answers, 4).tolist() == [True, True, False, False]
+        assert gap.violations(norms, answers, 4) == 2
+        assert gap.violations(norms, 1 - answers, 4) == 0
+
+
 class TestGapNormOracle:
     def setup_method(self):
         self.alpha, self.B = 789.0, 8.0

@@ -147,21 +147,17 @@ class TestCellLemma:
 class TestChiSquareMixture:
     def test_point_mass_zero(self):
         # at a = 0 the mixture is the point mass at 0: no divergence, bound 0
-        rep = stats.chi_square_mixture_check(0.0, 1.0, 1, 1000, derive(63, "p0"))
+        rep = stats.chi_square_mixture_check(0.0, 1.0, 1000, derive(63, "p0"))
         assert rep["lhs_chi2"] == 0.0 and rep["rhs_bound"] == 0.0 and rep["ok"]
 
     def test_pm_mixture_vs_quadrature_oracle(self):
         a, sigma = 0.5, 1.0
-        rep = stats.chi_square_mixture_check(a, sigma**2, 1, 400_000, derive(63, "pm"))
+        rep = stats.chi_square_mixture_check(a, sigma**2, 400_000, derive(63, "pm"))
         assert rep["ok"] and rep["mixture"] == ["pm", a]
         truth = chi2_divergence_mixture_quadrature(a, sigma)
         assert abs(rep["lhs_chi2"] - truth) <= 4 * rep["lhs_se"] + 1e-4
         # closed-form RHS: cosh(a^2/sigma^2) - 1, and the bound truly holds
         assert truth <= math.cosh(a * a / sigma**2) - 1.0 + 1e-12
-
-    def test_dimension_guard(self):
-        with pytest.raises(DimensionTooLarge):
-            stats.chi_square_mixture_check(0.5, 1.0, 3, 2000, derive(63, "dg"))
 
 
 class TestEnergyTwoSample:
