@@ -5,11 +5,8 @@ chi-square mixture bound.
 Run: python demos/05_statistical_harnesses.py
 """
 
-import numpy as np
-
 from sketchlab import stats
 from sketchlab.rng import derive
-from sketchlab.sketch import IntegerSketch
 
 rng = derive(77, "demo5")
 
@@ -18,11 +15,7 @@ rng = derive(77, "demo5")
 # the lattice scale, A x plus uniform cell noise is statistically close to
 # N(0, sigma^2 I) in the orthonormal row basis; and the cell-rounded image of
 # a continuous Gaussian is close to the exact discrete image.
-while True:
-    A = rng.integers(-10, 11, size=(2, 8))
-    if np.linalg.matrix_rank(A.astype(float)) == 2:
-        break
-sk = IntegerSketch.from_matrix(A)
+sk = stats.cell_lemma_sketch(2, 8, rng, seed=0)
 rep = stats.cell_lemma_check(sk, 1e8, trials=50_000, rng=rng)
 print("cell lemma, r=2, n=8, sigma^2=1e8:")
 print(f"  certified kernel length: {rep['certified_kernel_length']:.2f}")

@@ -174,6 +174,12 @@ def _squeeze_buckets(sigma2, c_env, bound):
     return lo, hi, SQUEEZE_BUCKETS / bound
 
 
+def _check_ceiling(sigma2):
+    """Raise VarianceTooLarge above MAX_SIGMA2."""
+    if sigma2 > MAX_SIGMA2:
+        raise VarianceTooLarge(f"sigma^2 = {sigma2:.4g} above the sampling ceiling {MAX_SIGMA2:g}")
+
+
 @lru_cache(maxsize=256)
 def _envelope(sigma2, bound):
     """(c_env, bound, squeeze) for rejection from round(center + N(0, sigma2))
@@ -181,8 +187,7 @@ def _envelope(sigma2, bound):
     _acceptance_ratio), so its maximum over every offset is 1/q(0), and
     c_env = 1/q(0) plus 1e-9 relative bounds it; the squeeze is the ratio at
     the bound less 1e-9 relative. Raises VarianceTooLarge above MAX_SIGMA2."""
-    if sigma2 > MAX_SIGMA2:
-        raise VarianceTooLarge(f"sigma^2 = {sigma2:.4g} above the sampling ceiling {MAX_SIGMA2:g}")
+    _check_ceiling(sigma2)
     c_env = 1.0 / float(_rounded_gaussian_pmf(0.0, math.sqrt(sigma2))) * (1.0 + 1e-9)
     return c_env, bound, float(_acceptance_ratio(bound, sigma2, c_env)) * (1.0 - 1e-9)
 
@@ -281,8 +286,9 @@ def sample_dgauss_1d(sigma2, rng, size=None):
     support |z| <= ceil(12 sigma) + 1. The ratio w/q falls with |z| at any
     sigma, so the envelope constant 1/q(0) is exact for small variances too.
     """
-    if sigma2 <= 0:
+    if not sigma2 > 0:  # NaN included
         raise NonPositiveVariance(f"sigma2={sigma2}")
+    _check_ceiling(sigma2)  # before K, which an infinite sigma2 overflows
     rng = as_generator(rng)
     K = int(math.ceil(TAIL_SIGMAS * math.sqrt(sigma2))) + 1
     out = _sample_at_centers(None, sigma2, _envelope(sigma2, K), rng,
@@ -303,7 +309,7 @@ class SubspaceGaussianSpec:
     def __post_init__(self):
         if self.V.dimension != self.n:
             raise DimensionMismatch("subspace dimension mismatch")
-        if self.sigma2 <= 0:
+        if not self.sigma2 > 0:  # NaN included
             raise NonPositiveVariance(f"sigma2={self.sigma2}")
 
     def covariance(self):

@@ -703,7 +703,8 @@ def sketched_indistinguishability(family: HardFamily, d, trials, rng):
     """Empirical TVD between the d-dimensional sketched images of the two
     sides under a fixed random orthonormal sketch.
 
-    Histogram TVD estimation is only feasible in low dimension (d <= 3).
+    Histogram TVD estimation is only feasible in low dimension
+    (d <= stats.TVD_MAX_DIM).
     Both sides are drawn by the one instance generator in chunks of
     min(_TVD_CHUNK, _TVD_CHUNK_ENTRIES // dim) instances, at least one.
     """
@@ -711,8 +712,8 @@ def sketched_indistinguishability(family: HardFamily, d, trials, rng):
         raise BadParams(f"sketch dimension d must be at least 1, got {d}")
     if trials < 1:
         raise BadParams(f"trials must be at least 1, got {trials}")
-    if d > 3:
-        raise DimensionTooLarge("histogram TVD estimation needs d <= 3")
+    if d > stats.TVD_MAX_DIM:
+        raise DimensionTooLarge(f"histogram TVD estimation needs d <= {stats.TVD_MAX_DIM}")
     rng = as_generator(rng)
     probe = gen_hard_instance(family, "D1", rng)
     dim = probe.payload.size

@@ -33,7 +33,6 @@ _FIELDS = {
     "projection-threshold": {"m_cal": ((int,), ((">=", 1),), OPTIONAL), **_PROMISE},
 }
 FAMILIES = tuple(_FIELDS)
-_CAL_BLOCK = 65_536  # float64 entries per block of the calibration product
 
 
 @dataclass
@@ -222,28 +221,11 @@ def _median_correction(group_sizes, rng, trials=4000):
     return 1.0 / float(np.mean(np.median(vals, axis=1)))
 
 
-def _sketched_energy(X, Q):
-    """||Q x||^2 for the integer rows x of X. The float64 product is formed
-    one block of about _CAL_BLOCK entries at a time, so no float copy of X
-    is held. Each row's value equals the whole-batch product's bit for bit
-    (checked in the tests at n = 64, 128 and 256): every block has at least
-    two rows unless X has one, since a lone row takes numpy's matrix-vector
-    product, whose sums round differently."""
-    m = len(X)
-    step = max(2, _CAL_BLOCK // X.shape[1])
-    out = np.empty(m)
-    start = 0
-    while start < m:
-        stop = m if m - start <= step + 1 else start + step
-        Y = X[start:stop].astype(float) @ Q.T
-        out[start:stop] = np.sum(Y * Y, axis=1)
-        start = stop
-    return out
-
-
-def _calibrate_projection_threshold(Q, n, r, gap, rng, m_cal):
+def _calibrate_projection_threshold(sk, gap, rng, m_cal):
     """Fit tau so false rates on both promise-side distributions (isotropic
-    discrete Gaussians at the variances `gap.edges`) are minimized.
+    discrete Gaussians at the variances `gap.edges`) are minimized, and fill
+    the sketch's estimator with it. Each draw is scored by the estimate the
+    oracle thresholds, so a recorded rate is the oracle's own on its draws.
 
     At desk-scale (small r, small B) a 1% target on both sides may be
     infeasible; the achieved rates are recorded, not asserted.
@@ -251,9 +233,10 @@ def _calibrate_projection_threshold(Q, n, r, gap, rng, m_cal):
     lo_s2, hi_s2 = gap.edges
 
     def stat(sigma2):
-        """||Q x||^2 for one side's batch, drawn and reduced before the next
-        side is drawn."""
-        return _sketched_energy(dgauss.sample_dgauss_1d(sigma2, rng, size=(m_cal, n)), Q)
+        """The estimates of one side's batch, drawn and reduced before the
+        next side is drawn."""
+        X = dgauss.sample_dgauss_1d(sigma2, rng, size=(m_cal, sk.n))
+        return sk.l2_estimates(sk.apply_batch(X))
 
     low_stat = stat(lo_s2)
     high_stat = stat(hi_s2)
@@ -266,14 +249,14 @@ def _calibrate_projection_threshold(Q, n, r, gap, rng, m_cal):
     worst = np.maximum(false_low, false_high)
     k = int(np.argmin(worst))
     tau = float(cands[k])
-    return {
+    sk.estimator.update({
         "tau": tau,
-        "c": tau / (gap.alpha * gap.B * r / n),
+        "c": tau / (gap.alpha * gap.B * sk.r / sk.n),
         "false_low": float(false_low[k]),
         "false_high": float(false_high[k]),
         "calibration_sigma2": [lo_s2, hi_s2],
         "m_cal": m_cal,
-    }
+    })
 
 
 def build_sketch(family, n, r, params=None, seed=0):
@@ -342,13 +325,6 @@ def build_sketch(family, n, r, params=None, seed=0):
             [r // params["reps"]] * params["reps"],
             derive(seed, "sketch-cal", family),
         )
-    elif family == "projection-threshold":
-        est.update(
-            _calibrate_projection_threshold(
-                Q, n, r, gap, derive(seed, "sketch-cal", family),
-                m_cal=params.get("m_cal", 4000),
-            )
-        )
 
     sk = IntegerSketch(
         A=IntMatrix.from_rows(A),
@@ -359,6 +335,9 @@ def build_sketch(family, n, r, params=None, seed=0):
         R=R,
         estimator=est,
     )
+    if family == "projection-threshold":
+        _calibrate_projection_threshold(sk, gap, derive(seed, "sketch-cal", family),
+                                        m_cal=params.get("m_cal", 4000))
     return sk
 
 

@@ -24,6 +24,7 @@ from .sketch import IntegerSketch
 TVD_BOOTSTRAP = 200  # multinomial resamples behind empirical_tvd's CI
 TVD_NULL_LEVEL = 0.01  # tvd_null_bound's false-fail rate under the null
 TVD_NULL_PERMS = 999  # relabellings behind tvd_null_bound
+TVD_MAX_DIM = 4  # the most dimensions the histogram TVD bins
 
 
 @dataclass
@@ -70,8 +71,8 @@ def _bin_counts(X, Y, cells_per_axis):
 def _binned(samples1, samples2):
     """Both samples' counts in empirical_tvd's equal-mass cells, and the
     binning: the total cell budget is ceil(min(n1,n2)^(1/3)), split evenly
-    across axes; dimensions above 3 raise DimensionTooLarge (a caller
-    projects first)."""
+    across axes; dimensions above TVD_MAX_DIM raise DimensionTooLarge (a
+    caller projects first)."""
     X = np.asarray(samples1, dtype=float)
     Y = np.asarray(samples2, dtype=float)
     if X.ndim == 1:
@@ -79,9 +80,9 @@ def _binned(samples1, samples2):
     if Y.ndim == 1:
         Y = Y[:, None]
     d = X.shape[1]
-    if d > 3:
+    if d > TVD_MAX_DIM:
         raise DimensionTooLarge(
-            f"histogram mode handles d <= 3 (got {d}); project the samples first"
+            f"histogram mode handles d <= {TVD_MAX_DIM} (got {d}); project the samples first"
         )
     n1, n2 = len(X), len(Y)
     if min(n1, n2) < 1000:
@@ -134,39 +135,6 @@ def tvd_null_bound(samples1, samples2, rng=None):
     return float(np.sort(null)[k - 1])
 
 
-def energy_two_sample(X, Y, sub=2000, perms=60, rng=None):
-    """Multivariate energy-distance two-sample test on subsamples, with a
-    permutation reference. Returns the statistic and its permutation q95."""
-    rng = as_generator(rng)
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if len(X) > sub:
-        X = X[rng.choice(len(X), sub, replace=False)]
-    if len(Y) > sub:
-        Y = Y[rng.choice(len(Y), sub, replace=False)]
-
-    def mean_dist(A, B):
-        d2 = (
-            np.sum(A * A, axis=1)[:, None]
-            + np.sum(B * B, axis=1)[None, :]
-            - 2.0 * A @ B.T
-        )
-        return float(np.mean(np.sqrt(np.maximum(d2, 0.0))))
-
-    def energy(A, B):
-        return 2 * mean_dist(A, B) - mean_dist(A, A) - mean_dist(B, B)
-
-    stat = energy(X, Y)
-    pooled = np.vstack([X, Y])
-    nx = len(X)
-    ref = np.empty(perms)
-    for i in range(perms):
-        perm = rng.permutation(len(pooled))
-        ref[i] = energy(pooled[perm[:nx]], pooled[perm[nx:]])
-    return {"stat": stat, "perm_q95": float(np.quantile(ref, 0.95)),
-            "pass": bool(stat <= float(np.quantile(ref, 0.95)))}
-
-
 def pmf_ratio_check(sigma2, n, C, z_range=None):
     """Exact 1-D rendering of the discrete-vs-rounded-continuous pmf ratio.
 
@@ -180,6 +148,8 @@ def pmf_ratio_check(sigma2, n, C, z_range=None):
     """
     if n < 1:
         raise BadParams(f"pmf ratio needs n >= 1, got {n}")
+    if not (math.isfinite(sigma2) and math.isfinite(C)):
+        raise BadParams(f"pmf ratio needs a finite sigma2 and C, got {sigma2}, {C}")
     if sigma2 <= n ** (C + 1):
         raise PreconditionUnmet(
             f"need sigma^2 > n^(C+1) = {n ** (C + 1)}, got {sigma2}"
@@ -224,13 +194,12 @@ def cell_lemma_check(sketch, sigma2, trials, rng):
     Draws x ~ D(0, sigma^2 I_n), forms Q x + R eta with eta uniform over the
     fundamental cell of the column lattice, and compares against
     N(0, sigma^2 I_r), the image under Q's orthonormal rows, via histogram
-    TVD (r <= 3) or an energy test (r = 4). Also runs the rounding-path
-    variant: the cell-rounded image of a continuous Gaussian versus the
-    exact discrete image.
+    TVD. Also runs the rounding-path variant: the cell-rounded image of a
+    continuous Gaussian versus the exact discrete image.
 
     sigma2 must be positive, else NonPositiveVariance. Preconditions
-    (PreconditionUnmet): r <= 4 and sigma >= certified kernel length *
-    10 ln(n). A histogram path passes while its TVD is at most
+    (PreconditionUnmet): r <= TVD_MAX_DIM and sigma >= certified kernel
+    length * 10 ln(n). A path passes while its TVD is at most
     `tvd_null_bound` of its own samples (recorded as its "null_bound"), so
     each path false-fails with probability at most TVD_NULL_LEVEL whatever
     `trials` is.
@@ -238,8 +207,9 @@ def cell_lemma_check(sketch, sigma2, trials, rng):
     rng = as_generator(rng)
     A = sketch.A
     r, n = A.rows, A.cols
-    if r > 4:
-        raise PreconditionUnmet(f"the cell lemma's two-sample tests need r <= 4, got {r}")
+    if r > TVD_MAX_DIM:
+        raise PreconditionUnmet(
+            f"the cell lemma's two-sample tests need r <= {TVD_MAX_DIM}, got {r}")
     sigma2 = float(sigma2)
     if not sigma2 > 0:
         raise NonPositiveVariance(
@@ -270,29 +240,19 @@ def cell_lemma_check(sketch, sigma2, trials, rng):
         "trials": m,
         "certified_kernel_length": lam,
     }
-    if r <= 3:
-        report["tvd_noise_path"] = empirical_tvd(obs, ref, rng=rng).as_dict()
-    else:
-        res = energy_two_sample(obs, ref, rng=rng)
-        report["energy_noise_path"] = res
-        report["pass_noise_path"] = res["pass"]
+    report["tvd_noise_path"] = empirical_tvd(obs, ref, rng=rng).as_dict()
 
     # path 2: cell-rounded continuous image vs exact discrete image
     G = rng.standard_normal((m, n)) * math.sqrt(sigma2)
     Y_round = rounder.cell_base_batch(G @ Af).astype(float)
-    if r <= 3:
-        report["tvd_round_path"] = empirical_tvd(Y_round, Y_disc, rng=rng).as_dict()
-        # the bounds draw after both estimates, so the paths' samples and
-        # TVDs do not depend on them
-        for path, a, b in (("noise", obs, ref), ("round", Y_round, Y_disc)):
-            tvd = report[f"tvd_{path}_path"]
-            tvd["null_bound"] = tvd_null_bound(a, b, rng=rng)
-            report[f"pass_{path}_path"] = bool(tvd["value"] <= tvd["null_bound"])
-        report["false_fail_rate"] = TVD_NULL_LEVEL
-    else:
-        res2 = energy_two_sample(Y_round, Y_disc, rng=rng)
-        report["energy_round_path"] = res2
-        report["pass_round_path"] = res2["pass"]
+    report["tvd_round_path"] = empirical_tvd(Y_round, Y_disc, rng=rng).as_dict()
+    # the bounds draw after both estimates, so the paths' samples and TVDs do
+    # not depend on them
+    for path, a, b in (("noise", obs, ref), ("round", Y_round, Y_disc)):
+        tvd = report[f"tvd_{path}_path"]
+        tvd["null_bound"] = tvd_null_bound(a, b, rng=rng)
+        report[f"pass_{path}_path"] = bool(tvd["value"] <= tvd["null_bound"])
+    report["false_fail_rate"] = TVD_NULL_LEVEL
 
     report["pass"] = bool(report["pass_noise_path"] and report["pass_round_path"])
     return report

@@ -763,8 +763,12 @@ class TestOtherCommands:
         (["chi2-mixture", "--trials", "1"], "needs >= 2 trials, got 1"),
         (["chi2-mixture", "--a", "nan"], "needs a finite a and sigma2, got nan, 10000.0"),
         (["chi2-mixture", "--sigma2", "inf"], "needs a finite a and sigma2, got 0.5, inf"),
+        (["cell-lemma", "--sigma2", "inf"], "sigma^2 = inf above the sampling ceiling"),
+        (["pmf-ratio", "--C", "nan"], "needs a finite sigma2 and C, got 10000.0, nan"),
+        (["pmf-ratio", "--sigma2", "nan"], "needs a finite sigma2 and C, got nan, 2.0"),
     ], ids=["values-abc", "values-nan", "values-negative", "pmf-n0", "cell-r0", "cell-r-above-n", "cell-sigma2-negative",
-            "chi2-sigma2-negative", "chi2-trials1", "chi2-a-nan", "chi2-sigma2-inf"])
+            "chi2-sigma2-negative", "chi2-trials1", "chi2-a-nan", "chi2-sigma2-inf", "cell-sigma2-inf",
+            "pmf-C-nan", "pmf-sigma2-nan"])
     def test_stats_check_bad_numbers_exit_1(self, capsys, argv, why):
         assert main(["stats", "check", *argv]) == 1
         err = capsys.readouterr().err

@@ -93,8 +93,12 @@ class TestPmf:
     def test_nonpositive_variance(self):
         with pytest.raises(NonPositiveVariance):
             dgauss.pmf_dgauss_1d(0, 0.0)
+        # NaN is not positive either
+        for s2 in (-1.0, math.nan):
+            with pytest.raises(NonPositiveVariance):
+                dgauss.sample_dgauss_1d(s2, derive(0, "x"))
         with pytest.raises(NonPositiveVariance):
-            dgauss.sample_dgauss_1d(-1.0, derive(0, "x"))
+            dgauss.SubspaceGaussianSpec(2, OrthonormalBasis(2, []), math.nan)
 
 
 class TestSample1d:
@@ -149,7 +153,8 @@ class TestCeiling:
 
     def test_above_the_ceiling_raises(self):
         above = math.nextafter(dgauss.MAX_SIGMA2, math.inf)
-        for s2 in (above, 1e32):
+        # inf is refused before the support's bound is computed from it
+        for s2 in (above, 1e32, math.inf):
             with pytest.raises(VarianceTooLarge):
                 dgauss.sample_dgauss_1d(s2, derive(21, "above"))
         # a subspace query with V != {} rounds at sigma^2/4

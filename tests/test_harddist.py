@@ -555,7 +555,7 @@ class TestSketchedIndistinguishability:
     def test_dimension_guard(self):
         fam = HardFamily("opnorm-alpha", {"n": 16})
         with pytest.raises(DimensionTooLarge):
-            sketched_indistinguishability(fam, d=4, trials=2000, rng=derive(54, "d"))
+            sketched_indistinguishability(fam, d=5, trials=2000, rng=derive(54, "d"))
         for d in (0, -1):
             with pytest.raises(BadParams):
                 sketched_indistinguishability(fam, d=d, trials=2000, rng=derive(54, "d"))

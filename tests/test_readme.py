@@ -1,15 +1,26 @@
 """README's three field tables against the key tables the program reads:
 the attack block (acceptance.ATTACK_FIELDS), a sketch family's params
-(sketch._FIELDS) and a hard family's params (harddist._FIELDS)."""
+(sketch._FIELDS) and a hard family's params (harddist._FIELDS); and every
+backticked sketchlab name in README, the demos and the package's own source
+against the package."""
 
+import functools
+import importlib
 import json
+import pkgutil
 import re
 from pathlib import Path
 
+import sketchlab
 from sketchlab import acceptance, harddist, sketch
 from sketchlab.fields import OPTIONAL, REQUIRED
 
-README = (Path(__file__).parent.parent / "README.md").read_text()
+ROOT = Path(__file__).parent.parent
+README = (ROOT / "README.md").read_text()
+MODULES = {m.name for m in pkgutil.iter_modules(sketchlab.__path__)}
+# `module.name` or `sketchlab.module.name`, a dotted path after the name
+# allowed; the closing backtick may follow call arguments
+REFERENCE = re.compile(r"`(?:sketchlab\.)?([a-z_]+)\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)")
 
 
 def tables(header):
@@ -78,3 +89,20 @@ def test_family_tables_list_each_key_and_default():
                 for key, spec in module._FIELDS[fam].items()}
         assert sorted(got) == sorted(want)
         assert all(same(got[k], want[k]) for k in want), module.__name__
+
+
+def test_backticked_names_resolve():
+    refs, missing = 0, []
+    for path in [ROOT / "README.md", *sorted((ROOT / "demos").glob("*.py")),
+                 *sorted((ROOT / "src" / "sketchlab").glob("*.py"))]:
+        for m in REFERENCE.finditer(path.read_text()):
+            module, name = m.groups()
+            if module not in MODULES:
+                continue
+            refs += 1
+            try:
+                functools.reduce(getattr, name.split("."),
+                                 importlib.import_module(f"sketchlab.{module}"))
+            except AttributeError:
+                missing.append(f"{path.name}: {m.group(0)}`")
+    assert refs and not missing, missing

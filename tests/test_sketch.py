@@ -234,19 +234,20 @@ class TestBuildFamilies:
         _, peak = traced_peak(build_sketch, "projection-threshold", n, 8, params, seed=3)
         assert peak <= m_cal * n * 8 + 2**20
 
-    @pytest.mark.parametrize("n", (64, 128, 256))
-    def test_blocked_energy_is_the_whole_product(self, n):
-        # blocks of 1024, 512 and 256 rows: 4001 rows end in a short block,
-        # 4 blocks + 1 row in a row that joins the block before it, and a
-        # one-row batch is one block
-        sk = build_sketch("projection-threshold", n, 8,
-                          {"alpha": 789.0, "B": 8.0, "m_cal": 16}, seed=5)
-        step = sketch_mod._CAL_BLOCK // n
-        X = dgauss.sample_dgauss_1d(2 * 789.0, derive(5, "energy", n), size=(4001, n))
-        for rows in (X, X[: 4 * step + 1], X[:1]):
-            assert len(rows) == 1 or len(rows) % step
-            whole = np.sum((rows.astype(float) @ sk.Q.T) ** 2, axis=1)
-            assert np.array_equal(sketch_mod._sketched_energy(rows, sk.Q), whole)
+    @pytest.mark.parametrize("n, r, seed", [(64, 4, 0), (128, 8, 5), (256, 8, 0)])
+    def test_calibration_rates_are_the_oracles_own(self, n, r, seed):
+        # the oracle, answering tau's own calibration draws, gives the counts
+        # the fit recorded: a draw at tau is answered 1 by both
+        alpha, B, m_cal = 197.2, 8.0, 2000
+        sk = build_sketch("projection-threshold", n, r,
+                          {"alpha": alpha, "B": B, "m_cal": m_cal}, seed=seed)
+        gap = GapNormParams(B=B, alpha=alpha)
+        oracle = GapNormOracle(sk, gap)
+        rng = derive(seed, "sketch-cal", "projection-threshold")
+        low, high = [oracle.query_batch(dgauss.sample_dgauss_1d(s2, rng, size=(m_cal, n)))
+                     for s2 in gap.edges]
+        assert int(np.count_nonzero(low == 1)) == round(sk.estimator["false_low"] * m_cal)
+        assert int(np.count_nonzero(high == 0)) == round(sk.estimator["false_high"] * m_cal)
 
 
 @pytest.mark.parametrize("n", (64, 128, 256))

@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -40,7 +39,7 @@ class TestEmpiricalTvd:
             stats.empirical_tvd(np.zeros(100), np.zeros(100))
 
     def test_dimension_guard_and_projection(self):
-        # past d = 3 the caller projects the samples first
+        # past d = TVD_MAX_DIM the caller projects the samples first
         rng = derive(61, "proj")
         X = rng.standard_normal((5000, 5))
         Y = rng.standard_normal((5000, 5))
@@ -132,15 +131,17 @@ class TestCellLemma:
             stats.cell_lemma_check(sk, 1e8, trials=5000,
                                    rng=derive(62, "c3"))
 
-    def test_four_rows_take_the_energy_path(self, monkeypatch):
-        # r = 4 holds both paths to the energy test, here at the sizes
-        # TestEnergyTwoSample uses
-        monkeypatch.setattr(stats, "energy_two_sample",
-                            functools.partial(stats.energy_two_sample, sub=800, perms=40))
+    def test_four_rows_take_the_tvd_path(self):
+        # r = TVD_MAX_DIM holds both paths to the permutation null bound of
+        # their own samples, as at r <= 3
         sk = stats.cell_lemma_sketch(4, 16, derive(62, "c4-A"), seed=4)
         rep = stats.cell_lemma_check(sk, 1e8, trials=5000, rng=derive(62, "c4"))
-        assert rep["r"] == 4 and "tvd_noise_path" not in rep
-        assert rep["energy_noise_path"]["pass"] and rep["energy_round_path"]["pass"]
+        assert rep["r"] == stats.TVD_MAX_DIM == 4
+        assert rep["false_fail_rate"] == stats.TVD_NULL_LEVEL
+        for path in ("noise", "round"):
+            tvd = rep[f"tvd_{path}_path"]
+            assert tvd["binning"]["dims"] == 4 and tvd["n1"] == tvd["n2"] == 5000
+            assert tvd["value"] <= tvd["null_bound"]
         assert rep["pass_noise_path"] and rep["pass_round_path"] and rep["pass"]
 
 
@@ -160,17 +161,18 @@ class TestChiSquareMixture:
         assert truth <= math.cosh(a * a / sigma**2) - 1.0 + 1e-12
 
 
-class TestEnergyTwoSample:
+class TestTvdAtFourDimensions:
     def test_null_passes(self):
         rng = derive(64, "en")
         X = rng.standard_normal((3000, 4))
         Y = rng.standard_normal((3000, 4))
-        rep = stats.energy_two_sample(X, Y, sub=800, perms=40, rng=rng)
-        assert rep["pass"]
+        est = stats.empirical_tvd(X, Y, rng=rng)
+        assert est.binning["dims"] == 4
+        assert est.value <= stats.tvd_null_bound(X, Y, rng=rng)
 
     def test_shift_detected(self):
         rng = derive(64, "es")
         X = rng.standard_normal((3000, 4))
         Y = rng.standard_normal((3000, 4)) + 0.5
-        rep = stats.energy_two_sample(X, Y, sub=800, perms=40, rng=rng)
-        assert not rep["pass"]
+        est = stats.empirical_tvd(X, Y, rng=rng)
+        assert est.value > stats.tvd_null_bound(X, Y, rng=rng)
