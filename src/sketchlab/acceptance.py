@@ -110,26 +110,16 @@ def attack_setup(acfg, seed):
     acfg = read_attack_block(acfg)
     n, r, family, B = acfg["n"], acfg["r"], acfg["family"], acfg["B"]
     fam_params, policy = acfg["family_params"], acfg["alpha_policy"]
-    # projection-threshold is the one family whose build reads alpha (its
-    # threshold calibration); any other sketch is final before alpha is set
-    calibrated = family == "projection-threshold"
-
-    def build(alpha, **extra):
-        params = dict(fam_params, alpha=alpha, B=B, **extra) if calibrated else fam_params
-        return build_sketch(family, n, r, params, seed=seed)
-
     if policy == "auto":
-        # auto_alpha reads only A; a projection-threshold probe's cheap
-        # calibration (m_cal=16) is discarded with it
-        sk = build(1.0, m_cal=16)
-        alpha, ell = auto_alpha(sk)
+        # auto_alpha reads only A, so its probe is built without the promise:
+        # no tau, and no m_cal, which needs one
+        own = {k: v for k, v in fam_params.items() if k != "m_cal"}
+        alpha, ell = auto_alpha(build_sketch(family, n, r, own, seed=seed))
         lattice_term = dgauss.smoothing_sigma2(n, ell**2)
         binds = "lattice" if alpha == lattice_term else "floor"
-        if calibrated:
-            sk = build(alpha)
     else:
         alpha, lattice_term, binds = policy, None, "fixed"
-        sk = build(alpha)
+    sk = build_sketch(family, n, r, dict(fam_params, alpha=alpha, B=B), seed=seed)
     alpha_report = {
         "alpha_floor": dgauss.smoothing_sigma2(n, dgauss.SAMPLING_FLOOR_ELL_SQ),
         "alpha_lattice_term": lattice_term,
@@ -144,15 +134,15 @@ def attack_setup(acfg, seed):
 
 def calibration_vs_zeta(sketch, cfg):
     """The sketch's calibrated promise-side error rates next to the attack's
-    termination rate: {"zeta", "false_low", "false_high"}, the rates None for
-    a family without a calibration. A rate above zeta lets a round certify on
-    the sketch's isotropic error alone, with nothing learned, so that case
-    prints one line to stderr (stdout carries the CLI's report)."""
+    termination rate: {"zeta", "false_low", "false_high"}. A rate above zeta
+    lets a round certify on the sketch's isotropic error alone, with nothing
+    learned, so that case prints one line to stderr (stdout carries the
+    CLI's report)."""
     rates = {"zeta": cfg.effective_zeta(sketch.n),
-             "false_low": sketch.estimator.get("false_low"),
-             "false_high": sketch.estimator.get("false_high")}
+             "false_low": sketch.estimator["false_low"],
+             "false_high": sketch.estimator["false_high"]}
     over = [f"{k} {rates[k]:.3g}" for k in ("false_low", "false_high")
-            if rates[k] is not None and rates[k] > rates["zeta"]]
+            if rates[k] > rates["zeta"]]
     if over:
         print(f"sketchlab: {sketch.family} sketch seed {sketch.seed}: calibration "
               f"{' and '.join(over)} above zeta {rates['zeta']:.3g}; a certificate "

@@ -333,6 +333,7 @@ def cmd_stats_check(args):
         rep = stats.chi_square_mixture_check(args.a, args.sigma2, args.trials, rng)
         ok = rep["ok"]
     else:  # tvd-null; argparse's choices admit no other name
+        stats.require_tvd_samples(args.trials)
         x = rng.standard_normal(args.trials)
         y = rng.standard_normal(args.trials)
         est = stats.empirical_tvd(x, y, rng=rng)

@@ -51,6 +51,9 @@ SAMPLING_FLOOR_ELL_SQ = 32
 # is within about 2e-7 relative of its exact value on |u| <= 8 sigma; the
 # error grows with sigma, and q(0) rounds to 0 by sigma^2 = 1e32
 MAX_SIGMA2 = 1e16
+# verify_normalization_fact's ceiling: past it the rounding of its mpmath sum
+# fails a true bound (1e8 passes in about 8 s and 90 MB, 1e9 fails)
+NORMALIZATION_MAX_SIGMA2 = 1e8
 SQUEEZE_BUCKETS = 1024  # buckets of |u| in the two-sided squeeze
 _BLOCK = 65_536  # normals per block of a pass's proposal stream (512 KB)
 _SQRT_HALF = math.sqrt(0.5)
@@ -97,10 +100,15 @@ def verify_normalization_fact(sigma2):
     Poisson-summation remainder ~ 2 exp(-2 pi^2 sigma^2), which for large
     sigma^2 is below any finite precision; it is therefore certified to
     10^(2-dps) relative. Returns bracketing values and `ok`. Raises
-    NonPositiveVariance for sigma2 <= 0.
+    NonPositiveVariance for sigma2 <= 0, and VarianceTooLarge above
+    NORMALIZATION_MAX_SIGMA2 = 1e8 (and for inf), where the sum's own
+    rounding would fail a true bound.
     """
     if not sigma2 > 0:
         raise NonPositiveVariance(f"sigma2 must be positive, got {sigma2}")
+    if not sigma2 <= NORMALIZATION_MAX_SIGMA2:
+        raise VarianceTooLarge(f"sigma2 = {sigma2:g} above the normalization ceiling "
+                               f"{NORMALIZATION_MAX_SIGMA2:g}")
     import mpmath as mp
 
     dps = 50

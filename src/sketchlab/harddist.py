@@ -468,7 +468,7 @@ def _fit_calibration(name, key):
 
     elif name in _MATRIX:
         shape = _block_shape(family)
-        svs = [_singular_values(_dg_matrix(N ** 2, shape, rng)) for _ in range(trials)]
+        svs = [_singular_values(_dg_matrix(N * N, shape, rng)) for _ in range(trials)]
         tops = np.array([s[0] for s in svs])
         scale = N * math.sqrt(shape[0])
         # top singular values concentrate tightly; max-over-batch plus 4%

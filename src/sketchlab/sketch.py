@@ -23,14 +23,15 @@ from .numerics import orthonormalize_rows
 from .rng import derive
 
 # each family's params as a key table (fields.read_fields): its own param,
-# whose default build_sketch computes from n and r, and the promise
-# thresholds alpha and B, which only projection-threshold's calibration reads
-_PROMISE = {"alpha": ((float,), (), OPTIONAL), "B": ((float,), (), OPTIONAL)}
+# whose default build_sketch computes from n and r, and the promise alpha and
+# B that tau is fit between, on m_cal draws per side
+_PROMISE = {"alpha": ((float,), (), OPTIONAL), "B": ((float,), (), OPTIONAL),
+            "m_cal": ((int,), ((">=", 1),), OPTIONAL)}
 _FIELDS = {
     "sign": {"groups": ((int,), ((">=", 1),), OPTIONAL), **_PROMISE},
     "rounded-gaussian": {"entry_std": ((float,), ((">", 0),), OPTIONAL), **_PROMISE},
     "countsketch": {"reps": ((int,), ((">=", 1),), OPTIONAL), **_PROMISE},
-    "projection-threshold": {"m_cal": ((int,), ((">=", 1),), OPTIONAL), **_PROMISE},
+    "projection-threshold": _PROMISE,
 }
 FAMILIES = tuple(_FIELDS)
 
@@ -184,13 +185,10 @@ class IntegerSketch:
             return scale * np.sum(self.working_value(Y) ** 2, axis=1)
         raise BadParams(f"unknown family {kind}")
 
-    def gap_bits(self, Y, params: GapNormParams):
+    def gap_bits(self, Y):
         """Thresholded GapNorm answers (int8) for the rows y = A x of Y: the
-        calibrated tau for projection-threshold, else the geometric midpoint
-        alpha*sqrt(B)*n of the promise sides."""
-        mid = (self.estimator["tau"] if self.family == "projection-threshold"
-               else params.alpha * math.sqrt(params.B) * self.n)
-        return (self.l2_estimates(Y) >= mid).astype(np.int8)
+        estimate against the calibrated tau."""
+        return (self.l2_estimates(Y) >= self.estimator["tau"]).astype(np.int8)
 
     def spec_json(self):
         """Replayable build spec (family, n, r, seed, params)."""
@@ -221,7 +219,7 @@ def _median_correction(group_sizes, rng, trials=4000):
     return 1.0 / float(np.mean(np.median(vals, axis=1)))
 
 
-def _calibrate_projection_threshold(sk, gap, rng, m_cal):
+def _calibrate_tau(sk, gap, rng, m_cal):
     """Fit tau so false rates on both promise-side distributions (isotropic
     discrete Gaussians at the variances `gap.edges`) are minimized, and fill
     the sketch's estimator with it. Each draw is scored by the estimate the
@@ -251,7 +249,6 @@ def _calibrate_projection_threshold(sk, gap, rng, m_cal):
     tau = float(cands[k])
     sk.estimator.update({
         "tau": tau,
-        "c": tau / (gap.alpha * gap.B * sk.r / sk.n),
         "false_low": float(false_low[k]),
         "false_high": float(false_high[k]),
         "calibration_sigma2": [lo_s2, hi_s2],
@@ -265,20 +262,24 @@ def build_sketch(family, n, r, params=None, seed=0):
     sign: +-1 entries, median over row-groups of mean squared entries.
     rounded-gaussian: entries round(N(0, s^2)), estimate (n/r) ||Q x||^2.
     countsketch: one +-1 per column per repetition block.
-    projection-threshold: GapNorm bit ||Q x||^2 >= tau with tau calibrated
-    from params {"alpha": float, "B": float}.
+    projection-threshold: +-1 entries, estimate ||Q x||^2.
+    Given params alpha and B (and m_cal), every family fits its threshold tau
+    between that promise's sides (`_calibrate_tau`); without them, no tau.
     """
     if family not in FAMILIES:
         raise BadParams(f"unknown family {family!r}; choose from {FAMILIES}")
     if not (1 <= r <= n):
         raise BadParams(f"need 1 <= r <= n, got r={r}, n={n}")
     params = read_fields(params or {}, _FIELDS[family], (family,))
-    if family == "projection-threshold":
-        if "alpha" not in params or "B" not in params:
-            raise BadParams("projection-threshold needs params alpha and B")
+    gap = None
+    if params.keys() & _PROMISE:
+        if not params.keys() >= {"alpha", "B"}:
+            raise BadParams(f"{family} param {sorted(params.keys() & _PROMISE)} "
+                            "needs params alpha and B")
         # tau separates the promise sides, so they must be ones an oracle accepts
         gap = GapNormParams(B=params["B"], alpha=params["alpha"])
     rng = derive(seed, "sketch", family)
+    cal_rng = derive(seed, "sketch-cal", family)
     est = {}
 
     if family in ("sign", "projection-threshold"):
@@ -316,15 +317,11 @@ def build_sketch(family, n, r, params=None, seed=0):
             raise BadParams(f"sign param 'groups' must be in [1, r={r}], got {g}")
         groups = np.array_split(np.arange(r), g)
         est["groups"] = groups
-        est["median_correction"] = _median_correction(
-            [len(grp) for grp in groups], derive(seed, "sketch-cal", family)
-        )
+        est["median_correction"] = _median_correction([len(grp) for grp in groups], cal_rng)
         params["groups"] = g
     elif family == "countsketch":
-        est["median_correction"] = _median_correction(
-            [r // params["reps"]] * params["reps"],
-            derive(seed, "sketch-cal", family),
-        )
+        est["median_correction"] = _median_correction([r // params["reps"]] * params["reps"],
+                                                      cal_rng)
 
     sk = IntegerSketch(
         A=IntMatrix.from_rows(A),
@@ -335,9 +332,8 @@ def build_sketch(family, n, r, params=None, seed=0):
         R=R,
         estimator=est,
     )
-    if family == "projection-threshold":
-        _calibrate_projection_threshold(sk, gap, derive(seed, "sketch-cal", family),
-                                        m_cal=params.get("m_cal", 4000))
+    if gap is not None:
+        _calibrate_tau(sk, gap, cal_rng, m_cal=params.get("m_cal", 4000))
     return sk
 
 
@@ -345,10 +341,15 @@ class GapNormOracle:
     """Query interface handed to the attack: bits only, no access to A.
 
     A batch of queries X is answered from the exact sketched values A X^T
-    (`IntegerSketch.apply_batch`) through the sketch's estimator.
-    """
+    (`IntegerSketch.apply_batch`) through the sketch's estimator, against
+    the tau fit for `params`; a sketch fit for another promise, or none, is
+    refused."""
 
     def __init__(self, sketch: IntegerSketch, params: GapNormParams):
+        fit = (sketch.params.get("alpha"), sketch.params.get("B"))
+        if fit != (params.alpha, params.B):
+            raise BadParams(f"the {sketch.family} sketch's tau is fit for (alpha, B) = {fit}, "
+                            f"not the oracle's promise {(params.alpha, params.B)}")
         self._sketch = sketch
         self.params = params
         self.query_count = 0
@@ -360,7 +361,7 @@ class GapNormOracle:
     def query_batch(self, X):
         Y = self._sketch.apply_batch(X)
         self.query_count += Y.shape[0]
-        return self._sketch.gap_bits(Y, self.params)
+        return self._sketch.gap_bits(Y)
 
 
 class ExactNormOracle:

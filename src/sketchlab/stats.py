@@ -25,6 +25,14 @@ TVD_BOOTSTRAP = 200  # multinomial resamples behind empirical_tvd's CI
 TVD_NULL_LEVEL = 0.01  # tvd_null_bound's false-fail rate under the null
 TVD_NULL_PERMS = 999  # relabellings behind tvd_null_bound
 TVD_MAX_DIM = 4  # the most dimensions the histogram TVD bins
+TVD_MIN_SAMPLES = 1000  # the fewest samples per side the histogram TVD bins
+
+
+def require_tvd_samples(*counts):
+    """Raise TooFewSamples unless each sample holds at least TVD_MIN_SAMPLES."""
+    if min(counts) < TVD_MIN_SAMPLES:
+        raise TooFewSamples(f"need >= {TVD_MIN_SAMPLES} samples per side, got "
+                            f"{', '.join(map(str, counts))}")
 
 
 @dataclass
@@ -85,8 +93,7 @@ def _binned(samples1, samples2):
             f"histogram mode handles d <= {TVD_MAX_DIM} (got {d}); project the samples first"
         )
     n1, n2 = len(X), len(Y)
-    if min(n1, n2) < 1000:
-        raise TooFewSamples(f"need >= 1000 samples per side, got {n1}, {n2}")
+    require_tvd_samples(n1, n2)
     total_cells = int(math.ceil(min(n1, n2) ** (1 / 3)))
     per_axis = max(2, int(math.ceil(total_cells ** (1 / d))))
     cx, cy, ncells = _bin_counts(X, Y, per_axis)
@@ -150,6 +157,8 @@ def pmf_ratio_check(sigma2, n, C, z_range=None):
         raise BadParams(f"pmf ratio needs n >= 1, got {n}")
     if not (math.isfinite(sigma2) and math.isfinite(C)):
         raise BadParams(f"pmf ratio needs a finite sigma2 and C, got {sigma2}, {C}")
+    if C <= 0:  # the bound 1/n^C would be at least 1, which every ratio meets
+        raise BadParams(f"pmf ratio needs C > 0, got {C}")
     if sigma2 <= n ** (C + 1):
         raise PreconditionUnmet(
             f"need sigma^2 > n^(C+1) = {n ** (C + 1)}, got {sigma2}"
@@ -197,7 +206,8 @@ def cell_lemma_check(sketch, sigma2, trials, rng):
     TVD. Also runs the rounding-path variant: the cell-rounded image of a
     continuous Gaussian versus the exact discrete image.
 
-    sigma2 must be positive, else NonPositiveVariance. Preconditions
+    sigma2 must be positive, else NonPositiveVariance; trials below
+    TVD_MIN_SAMPLES raise TooFewSamples before any draw. Preconditions
     (PreconditionUnmet): r <= TVD_MAX_DIM and sigma >= certified kernel
     length * 10 ln(n). A path passes while its TVD is at most
     `tvd_null_bound` of its own samples (recorded as its "null_bound"), so
@@ -214,6 +224,8 @@ def cell_lemma_check(sketch, sigma2, trials, rng):
     if not sigma2 > 0:
         raise NonPositiveVariance(
             f"Sigma = sigma2 I: its least eigenvalue must be positive, got {sigma2}")
+    m = int(trials)
+    require_tvd_samples(m)
     lam = reduced_kernel_basis(A).certified_max_len
     floor = lam * 10.0 * math.log(n)
     if math.sqrt(sigma2) < floor:
@@ -222,7 +234,6 @@ def cell_lemma_check(sketch, sigma2, trials, rng):
         )
 
     rounder = CellRounder(A.entries)
-    m = int(trials)
     Af = A.entries.T.astype(float)
 
     # path 1: discrete image plus cell noise vs continuous image

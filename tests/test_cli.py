@@ -97,8 +97,8 @@ class TestAttackRun:
     @pytest.mark.parametrize("family,zeta,warned", [
         ("projection-threshold", None, True),  # both rates 0.326 > zeta 0.289
         ("projection-threshold", 0.5, False),
-        ("sign", None, False),                 # no calibration: null rates
-    ], ids=["projection-over", "projection-under", "sign-null"])
+        ("sign", None, True),                  # both rates 0.36 > zeta 0.289
+    ], ids=["projection-over", "projection-under", "sign-over"])
     def test_report_records_calibration_against_zeta(self, tmp_path, capsys,
                                                      family, zeta, warned):
         doc = json.loads(json.dumps(ATTACK_CFG))
@@ -110,12 +110,9 @@ class TestAttackRun:
         assert json.loads(printed.out) == report
         sk, _, cfg, _ = acceptance.attack_setup(doc["attack"], 7)
         assert report["zeta"] == cfg.effective_zeta(64)
-        assert report["false_low"] == sk.estimator.get("false_low")
-        assert report["false_high"] == sk.estimator.get("false_high")
-        if family == "sign":
-            assert report["false_low"] is None and report["false_high"] is None
-        assert (max(report["false_low"] or 0, report["false_high"] or 0)
-                > report["zeta"]) == warned
+        assert report["false_low"] == sk.estimator["false_low"]
+        assert report["false_high"] == sk.estimator["false_high"]
+        assert (max(report["false_low"], report["false_high"]) > report["zeta"]) == warned
         assert printed.err.count("above zeta") == int(warned)
 
     def test_alpha_decomposition(self):
@@ -380,7 +377,7 @@ class TestAttackRun:
 class TestAttackSetup:
     @pytest.mark.parametrize("family,policy,builds", [
         ("projection-threshold", "auto", 2),  # the alpha probe, then the calibrated sketch
-        ("sign", "auto", 1),
+        ("sign", "auto", 2),
         ("projection-threshold", 900.0, 1),
         ("sign", 900.0, 1),
     ], ids=["projection-auto", "sign-auto", "projection-fixed", "sign-fixed"])
@@ -394,10 +391,20 @@ class TestAttackSetup:
         assert len(calls) == builds
         assert cfg.gap is params and sk.family == family
         # the attacked sketch is the one a direct build at the final alpha gives
-        fam_params = {"alpha": params.alpha, "B": 8.0} if family == "projection-threshold" else None
-        direct = real_build(family, 64, 4, fam_params, seed=7)
+        direct = real_build(family, 64, 4, {"alpha": params.alpha, "B": 8.0}, seed=7)
         assert np.array_equal(sk.A.entries, direct.A.entries)
-        assert sk.estimator.get("tau") == direct.estimator.get("tau")
+        assert sk.estimator["tau"] == direct.estimator["tau"]
+
+    def test_auto_probe_is_built_without_the_promise(self):
+        # m_cal needs alpha and B, so the alpha probe leaves it out and the
+        # attacked sketch is fit on m_cal draws per side
+        acfg = dict(ATTACK_CFG["attack"], family="sign", family_params={"m_cal": 16})
+        sk, params, _, _ = acceptance.attack_setup(acfg, 7)
+        direct = acceptance.build_sketch("sign", 64, 4, {"alpha": params.alpha, "B": 8.0,
+                                                         "m_cal": 16}, seed=7)
+        assert sk.estimator["m_cal"] == 16
+        assert sk.spec_json() == direct.spec_json()
+        assert sk.estimator["tau"] == direct.estimator["tau"]
 
     def test_criteria_attack_block_validates(self, tmp_path):
         path = write_cfg(tmp_path, {"seed": 0, "attack": acceptance.ATTACK})
@@ -683,6 +690,8 @@ class TestOtherCommands:
          "basis not orthonormal: max Gram deviation nan"),
         (["attack", "verify", "--certificate", "text.json", "--sketch", "sk.json"],
          "certificate subspace is not rows of numbers"),
+        (["harddist", "gen", "--family", "opnorm-alpha", "--params", '{"N": 1e200, "n": 8}'],
+         "sigma^2 = inf above the sampling ceiling 1e+16"),
     ], ids=["build-list", "build-json", "gen-list", "gen-json", "gap-list", "tvd-json",
             "cert-missing", "cert-malformed", "cert-not-certificate", "cert-bad-side",
             "sketch-missing", "sketch-malformed", "verify-trials-0", "verify-trials-5",
@@ -692,7 +701,7 @@ class TestOtherCommands:
             "lp-large-eps-negative", "psd-p0-gen", "psd-p0-gap", "spike-past-int64",
             "N-past-ceiling", "gen-unknown-key", "in-missing", "in-malformed", "in-not-spec",
             "build-seed-negative", "verify-row-short", "verify-rows-equal", "verify-row-nan",
-            "verify-row-text"])
+            "verify-row-text", "N-past-float64"])
     def test_bad_input_exits_1_with_one_line(self, tmp_path, capsys, argv, why):
         cert = {"subspace": [[1.0] + [0.0] * 15], "sigma2": 4.0, "side": "high",
                 "empirical_rate": 0.2, "sample_count": 100, "zeta": 0.1, "alpha": 0.5,
@@ -705,13 +714,29 @@ class TestOtherCommands:
         (tmp_path / "nan.json").write_text(json.dumps(dict(cert, subspace=[nan_row])))
         (tmp_path / "text.json").write_text(json.dumps(dict(cert, subspace=[["a"] * 16])))
         (tmp_path / "garbage.json").write_text("{")
+        # the sketch's tau is fit for the certificate's promise
         assert main(["sketch", "build", "--family", "sign", "--n", "16", "--r", "2",
-                     "--out", str(tmp_path / "sk.json")]) == 0
+                     "--params", '{"alpha": 0.5, "B": 8}', "--out", str(tmp_path / "sk.json")]) == 0
         capsys.readouterr()
         argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and why in err
+
+    def test_verify_refuses_a_sketch_fit_for_another_promise(self, tmp_path, capsys):
+        # a spec built at another alpha would answer from the wrong tau
+        cert = {"subspace": [[1.0] + [0.0] * 15], "sigma2": 4.0, "side": "high",
+                "empirical_rate": 0.2, "sample_count": 100, "zeta": 0.1, "alpha": 0.5,
+                "B": 8.0, "round": 1}
+        (tmp_path / "cert.json").write_text(json.dumps(cert))
+        assert main(["sketch", "build", "--family", "sign", "--n", "16", "--r", "2",
+                     "--params", '{"alpha": 1.0, "B": 8}', "--out", str(tmp_path / "sk.json")]) == 0
+        capsys.readouterr()
+        assert main(["attack", "verify", "--certificate", str(tmp_path / "cert.json"),
+                     "--sketch", str(tmp_path / "sk.json")]) == 1
+        assert capsys.readouterr().err == (
+            "error: the sign sketch's tau is fit for (alpha, B) = (1.0, 8.0), "
+            "not the oracle's promise (0.5, 8.0)\n")
 
     @pytest.mark.parametrize("via, family, params, why", [
         (via, *case) for via in ("sketch-build", "attack-run") for case in BAD_FAMILY_PARAMS
@@ -766,9 +791,14 @@ class TestOtherCommands:
         (["cell-lemma", "--sigma2", "inf"], "sigma^2 = inf above the sampling ceiling"),
         (["pmf-ratio", "--C", "nan"], "needs a finite sigma2 and C, got 10000.0, nan"),
         (["pmf-ratio", "--sigma2", "nan"], "needs a finite sigma2 and C, got nan, 2.0"),
+        (["normalization", "--values", "1e10"], "sigma2 = 1e+10 above the normalization ceiling"),
+        (["tvd-null", "--trials", "-3"], "need >= 1000 samples per side, got -3"),
+        (["cell-lemma", "--trials", "-5"], "need >= 1000 samples per side, got -5"),
+        (["pmf-ratio", "--C", "-1"], "pmf ratio needs C > 0, got -1.0"),
     ], ids=["values-abc", "values-nan", "values-negative", "pmf-n0", "cell-r0", "cell-r-above-n", "cell-sigma2-negative",
             "chi2-sigma2-negative", "chi2-trials1", "chi2-a-nan", "chi2-sigma2-inf", "cell-sigma2-inf",
-            "pmf-C-nan", "pmf-sigma2-nan"])
+            "pmf-C-nan", "pmf-sigma2-nan", "values-1e10", "tvd-trials-negative",
+            "cell-trials-negative", "pmf-C-negative"])
     def test_stats_check_bad_numbers_exit_1(self, capsys, argv, why):
         assert main(["stats", "check", *argv]) == 1
         err = capsys.readouterr().err

@@ -90,6 +90,14 @@ class TestPmf:
             rep = dgauss.verify_normalization_fact(s2)
             assert rep["ok"], rep
 
+    @pytest.mark.parametrize("s2", [math.nextafter(1e8, math.inf), 1e10, math.inf])
+    def test_normalization_fact_refuses_what_it_cannot_check(self, s2):
+        # past the ceiling the mpmath sum's own rounding would fail a true
+        # bound (a false FAIL at 1e9), and inf has no sum at all; nothing is
+        # summed before the refusal
+        with pytest.raises(VarianceTooLarge, match="above the normalization ceiling 1e"):
+            dgauss.verify_normalization_fact(s2)
+
     def test_nonpositive_variance(self):
         with pytest.raises(NonPositiveVariance):
             dgauss.pmf_dgauss_1d(0, 0.0)

@@ -151,9 +151,9 @@ class TestBuildFamilies:
         assert query_one(GapNormOracle(sk, params), np.zeros(64, dtype=int)) == 0
 
     # tau is fitted between the promise sides of GapNormParams(B, alpha), so
-    # a pair that no oracle accepts is refused before any draw
+    # half a pair, or a pair that no oracle accepts, is refused before any draw
     @pytest.mark.parametrize("params, why", [
-        (None, "needs params alpha and B"),
+        ({"alpha": 800.0}, r"param \['alpha'\] needs params alpha and B"),
         ({"alpha": 1, "B": 2}, "B must be >= 8, got 2"),
         ({"alpha": -1, "B": 8}, "alpha must be positive, got -1"),
         ({"alpha": 0, "B": 8}, "alpha must be positive, got 0"),
@@ -169,7 +169,7 @@ class TestBuildFamilies:
     @pytest.mark.parametrize("family, params, key", [
         ("sign", {"grops": 2}, "grops"),
         ("rounded-gaussian", {"groups": 2}, "groups"),
-        ("countsketch", {"reps": 2, "m_cal": 16}, "m_cal"),
+        ("countsketch", {"reps": 2, "tau": 1.0}, "tau"),
         ("projection-threshold", {"alpha": 800.0, "B": 8.0, "tau": 1.0}, "tau"),
     ])
     def test_unknown_param_key_named(self, family, params, key):
@@ -236,18 +236,40 @@ class TestBuildFamilies:
 
     @pytest.mark.parametrize("n, r, seed", [(64, 4, 0), (128, 8, 5), (256, 8, 0)])
     def test_calibration_rates_are_the_oracles_own(self, n, r, seed):
-        # the oracle, answering tau's own calibration draws, gives the counts
-        # the fit recorded: a draw at tau is answered 1 by both
+        # for every family, the oracle answering tau's own calibration draws
+        # gives the counts the fit recorded: a draw at tau is answered 1 by
+        # both. The draws follow the median correction's on one generator.
         alpha, B, m_cal = 197.2, 8.0, 2000
-        sk = build_sketch("projection-threshold", n, r,
-                          {"alpha": alpha, "B": B, "m_cal": m_cal}, seed=seed)
         gap = GapNormParams(B=B, alpha=alpha)
-        oracle = GapNormOracle(sk, gap)
-        rng = derive(seed, "sketch-cal", "projection-threshold")
-        low, high = [oracle.query_batch(dgauss.sample_dgauss_1d(s2, rng, size=(m_cal, n)))
-                     for s2 in gap.edges]
-        assert int(np.count_nonzero(low == 1)) == round(sk.estimator["false_low"] * m_cal)
-        assert int(np.count_nonzero(high == 0)) == round(sk.estimator["false_high"] * m_cal)
+        for family in sketch_mod.FAMILIES:
+            sk = build_sketch(family, n, r, {"alpha": alpha, "B": B, "m_cal": m_cal}, seed=seed)
+            oracle = GapNormOracle(sk, gap)
+            rng = derive(seed, "sketch-cal", family)
+            if family in ("sign", "countsketch"):
+                parts = sk.estimator["groups" if family == "sign" else "blocks"]
+                sketch_mod._median_correction([len(p) for p in parts], rng)
+            low, high = [oracle.query_batch(dgauss.sample_dgauss_1d(s2, rng, size=(m_cal, n)))
+                         for s2 in gap.edges]
+            assert (int(np.count_nonzero(low == 1)), int(np.count_nonzero(high == 0))) == (
+                round(sk.estimator["false_low"] * m_cal),
+                round(sk.estimator["false_high"] * m_cal)), family
+
+    @pytest.mark.parametrize("family, params, fit", [
+        ("sign", None, (None, None)),
+        ("projection-threshold", None, (None, None)),
+        ("raw", None, (None, None)),
+        ("sign", {"alpha": 800.0, "B": 8.0}, (800.0, 8.0)),
+        ("projection-threshold", {"alpha": 789.0, "B": 64.0}, (789.0, 64.0)),
+    ], ids=["sign-no-promise", "projection-no-promise", "raw", "other-alpha", "other-B"])
+    def test_oracle_refuses_a_sketch_fit_for_another_promise(self, family, params, fit):
+        # a sketch built without alpha and B has no tau, and one fit for
+        # another promise would answer from the wrong tau
+        sk = (IntegerSketch.from_matrix(np.eye(4, 64, dtype=np.int64)) if family == "raw"
+              else build_sketch(family, 64, 4, params, seed=9))
+        with pytest.raises(BadParams) as exc:
+            GapNormOracle(sk, GapNormParams(B=8.0, alpha=789.0))
+        assert str(exc.value) == (f"the {family} sketch's tau is fit for (alpha, B) = {fit}, "
+                                  "not the oracle's promise (789.0, 8.0)")
 
 
 @pytest.mark.parametrize("n", (64, 128, 256))
@@ -325,7 +347,7 @@ class TestGapNormOracle:
         rot[:2, :2] = [[math.cos(theta), -math.sin(theta)],
                        [math.sin(theta), math.cos(theta)]]
         y2 = np.linalg.solve(self.sk.R, rot @ w)
-        bit, bit2 = (self.sk.gap_bits(v[None, :], self.params)[0] for v in (y, y2))
+        bit, bit2 = (self.sk.gap_bits(v[None, :])[0] for v in (y, y2))
         assert bit == bit2
 
     def test_measured_spike_rate_reported(self):
@@ -344,12 +366,13 @@ class TestGapNormOracle:
 @pytest.mark.parametrize("family", ["sign", "countsketch", "rounded-gaussian"])
 def test_estimator_families_separate_the_promise_sides(family):
     # isotropic queries at the attack's certificate variances 2 alpha and
-    # alpha B / 2: at B = 64 the estimator's threshold alpha sqrt(B) n
-    # answers them right beyond the termination resolution zeta
+    # alpha B / 2: at B = 64 the estimate against its fitted tau answers
+    # them right beyond the termination resolution zeta
     n, alpha, m = 128, 200.0, 2000
     params = GapNormParams(B=64.0, alpha=alpha)
     zeta = AttackConfig(params, m=m).effective_zeta(n)
-    oracle = GapNormOracle(build_sketch(family, n, 8, seed=3), params)
+    sk = build_sketch(family, n, 8, {"alpha": alpha, "B": params.B}, seed=3)
+    oracle = GapNormOracle(sk, params)
     rng = derive(36, "sides", family)
     low = oracle.query_batch(dgauss.sample_dgauss_1d(2.0 * alpha, rng, size=(m, n)))
     high = oracle.query_batch(dgauss.sample_dgauss_1d(alpha * params.B / 2.0, rng, size=(m, n)))
@@ -357,22 +380,21 @@ def test_estimator_families_separate_the_promise_sides(family):
     assert float(np.mean(high)) > 1.0 - zeta
 
 
+# each family's own params; the tests build it with the promise PROMISE
 FAMILY_PARAMS = (
     ("sign", None),
     ("rounded-gaussian", None),
     ("countsketch", {"reps": 2}),
     ("projection-threshold", {"alpha": 300.0, "B": 8.0}),
 )
+PROMISE = {"alpha": 300.0, "B": 8.0}
 
 
-def straddling_queries(sk, params, k, rng):
-    """Integer queries whose estimates spread across the family's threshold:
-    each row is scaled so its estimate lands at a random factor in
-    [1/4, 4] of the threshold."""
-    if sk.family == "projection-threshold":
-        mid = sk.estimator["tau"]
-    else:
-        mid = params.alpha * math.sqrt(params.B) * sk.n
+def straddling_queries(sk, k, rng):
+    """Integer queries whose estimates spread across the sketch's tau: each
+    row is scaled so its estimate lands at a random factor in [1/4, 4] of
+    tau."""
+    mid = sk.estimator["tau"]
     X = rng.integers(-20, 21, size=(k, sk.n))
     est = np.array([sk.l2_estimates(sk.apply_batch(x[None, :]))[0] for x in X])
     factor = np.exp(rng.uniform(np.log(0.25), np.log(4.0), size=k))
@@ -396,9 +418,9 @@ def reference_estimate(sk, y):
 class TestBatchOracle:
     @pytest.mark.parametrize("family,fam_params", FAMILY_PARAMS)
     def test_batch_matches_stream(self, family, fam_params):
-        sk = build_sketch(family, 64, 8, fam_params, seed=41)
-        params = GapNormParams(B=8.0, alpha=300.0)
-        X = straddling_queries(sk, params, 400, derive(35, "straddle", family))
+        sk = build_sketch(family, 64, 8, dict(fam_params or {}, **PROMISE), seed=41)
+        params = GapNormParams(**PROMISE)
+        X = straddling_queries(sk, 400, derive(35, "straddle", family))
         oracle = GapNormOracle(sk, params)
         bits = oracle.query_batch(X)
         assert oracle.query_count == len(X)
@@ -406,12 +428,11 @@ class TestBatchOracle:
         for x in X:
             st = sk.new_stream()
             st.ingest_vector(x)
-            streamed.append(int(sk.gap_bits(st.value[None, :], params)[0]))
+            streamed.append(int(sk.gap_bits(st.value[None, :])[0]))
         assert bits.dtype == np.int8
         assert bits.tolist() == streamed
         assert 0.2 <= float(np.mean(bits)) <= 0.8  # the batch straddles the threshold
-        mid = sk.estimator["tau"] if family == "projection-threshold" \
-            else params.alpha * math.sqrt(params.B) * sk.n
+        mid = sk.estimator["tau"]
         ref = np.array([reference_estimate(sk, apply_one(sk, x)) for x in X])
         differ = bits != (ref >= mid)
         assert np.all(np.abs(ref[differ] - mid) <= 1e-9 * mid)
@@ -421,7 +442,7 @@ class TestBatchOracle:
     def test_projection_bits_match_rowspan_energy(self):
         sk = build_sketch("projection-threshold", 64, 8, {"alpha": 300.0, "B": 8.0}, seed=42)
         params = GapNormParams(B=8.0, alpha=300.0)
-        X = straddling_queries(sk, params, 1000, derive(35, "rowspan"))
+        X = straddling_queries(sk, 1000, derive(35, "rowspan"))
         bits = GapNormOracle(sk, params).query_batch(X)
         # ||P_rowspan(A) x||^2 from A alone, by least squares
         A = sk.A.entries.astype(float)
@@ -435,8 +456,8 @@ class TestBatchOracle:
 
     @pytest.mark.parametrize("family,fam_params", FAMILY_PARAMS)
     def test_int64_guard_object_fallback(self, family, fam_params):
-        sk = build_sketch(family, 64, 8, fam_params, seed=43)
-        params = GapNormParams(B=8.0, alpha=300.0)
+        sk = build_sketch(family, 64, 8, dict(fam_params or {}, **PROMISE), seed=43)
+        params = GapNormParams(**PROMISE)
         big = 2**62 // (sk.A.max_abs_entry() * sk.n) + 1
         rng = derive(35, "guard", family)
         X = rng.integers(-3, 4, size=(6, sk.n)).astype(object) * big
@@ -451,7 +472,7 @@ class TestBatchOracle:
         oracle = GapNormOracle(sk, params)
         bits = oracle.query_batch(X)
         assert oracle.query_count == 6
-        assert bits.tolist() == [sk.gap_bits(np.array([y], dtype=object), params)[0]
+        assert bits.tolist() == [sk.gap_bits(np.array([y], dtype=object))[0]
                                 for y in exact]
         assert bits[0] == 0
         # below the guard the same rows take the int64 path and agree exactly

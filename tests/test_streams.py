@@ -165,18 +165,18 @@ def test_auto_alpha(family, n):
 
 
 # GapNormOracle bits of each family's sketch (r = 8, seed n, alpha = 200,
-# B = 8) on 4,000 queries whose squared norms run from alpha/2 to 2 alpha B,
-# across the promise gap and tau
+# B = 8, tau fit for that promise) on 4,000 queries whose squared norms run
+# from alpha/2 to 2 alpha B, across the promise gap and tau
 ORACLE_BITS = {
-    ("sign", 64): "cfd0b544c7adc07c3b8fabf4425ca73cb0b1e729bec2add3dda5abdb31648fb1",
-    ("sign", 128): "afa889d278ea4189ae9a93a37f833ff5e2d8a06ac6c9f2a08afcc50d50370891",
-    ("sign", 256): "953c4326829f33e735cb85d82deaa0c940167620d66c529075cfbb907e53c944",
-    ("rounded-gaussian", 64): "4b49fdd495e3e578ef49a098b149751345cb951abb28a7bab6e496769458e92e",
-    ("rounded-gaussian", 128): "131f4e6504775de6aaf9289981e9364bed6c77fe13497aca75d99f4475fc138b",
-    ("rounded-gaussian", 256): "e240a0289edbef2c39d9e20db46dcc2bd39f53bcdbd8dcfef3ccf5f75195a12a",
-    ("countsketch", 64): "a56ff5d3b415979cb047ac8775a03ca33f7404582bec84cf1ef5a9e0eaf9222c",
-    ("countsketch", 128): "54b12493ac61c8ed36ab5bb575818512c6bdd8a6e76c20241737c67c7b438f6f",
-    ("countsketch", 256): "3d862f08ba882474cd5942eb2346a72a46d26a0df0c07e2b39a9fdc98d5cf3ec",
+    ("sign", 64): "e0f202a9973c6aad60adb117a319add83e177a5f71cf243620af7c2d3714ff98",
+    ("sign", 128): "b0ed687ed8fe6902326f5e1d3f9eda7d57bd744e96933adbb762ffa326843dd7",
+    ("sign", 256): "bc46a28cb84417a19d5a0f55f65dabe0d4f173e4eb618c84eca225fabc259b13",
+    ("rounded-gaussian", 64): "53dbe88630fbe51b3b753f12fb8c6518f797d83e3a0005ced13b076f92e243bb",
+    ("rounded-gaussian", 128): "6dc211db7373adfd4cf9c2f2a26bce02b314e7440ab8eb80b3b5e78b5c01f247",
+    ("rounded-gaussian", 256): "38fd03c6200784988dd8db9e6cba647f93e077ebb9cef6666249af3b310f0ad3",
+    ("countsketch", 64): "e93694d02bb0db8c51aea682fae9f2f8ae4e617fd379becf880e14005aa53b7a",
+    ("countsketch", 128): "d9c8a2b559e6b89feec740708b98ebb78c1d9bb40c31e2bad6f454e7ec6cdb1c",
+    ("countsketch", 256): "398c2a61579f69a6296ef6e9e2a1d86a0fe6f9f824b7185f00203be0279480d3",
     ("projection-threshold", 64): "93ccddb2f503f64c69e84c445feb06df5d32f0746b3ff872acd35ff4bc51f617",
     ("projection-threshold", 128): "594bbbbce7faa4c110e5a7f13d9f754bf8a21ef8a9de90e5f846a995b8968cb0",
     ("projection-threshold", 256): "1d0ef565040e30f5abc5c2c22d89d1f3ab8fec478547f15c9d90c2de0debce46",
