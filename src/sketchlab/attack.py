@@ -36,6 +36,7 @@ from .rng import as_generator
 from .sketch import GapNormParams
 
 EXPLOITS_KEPT = 200  # exploits a verification report keeps, in draw order
+SCORE_DIGITS = 12  # significant digits of a transcript record's score
 _VERIFY_BLOCK = 65_536  # query entries per verification block (512 KB of int64)
 
 
@@ -211,7 +212,10 @@ def round_step(state: AttackState, oracle, n, r_budget, config: AttackConfig, rn
             positives = X[answers == 1].astype(float)
             v_sigma, s = top_right_singular_vector(positives)
             score = s * s / m_prime
-            rec["score"] = score
+            # the record keeps SCORE_DIGITS significant digits, as the last
+            # bits of s follow the BLAS pool's summation order; the threshold
+            # test reads the unrounded score
+            rec["score"] = float(f"{score:.{SCORE_DIGITS}g}")
             threshold = sigma2 + sigma2 / 4.0 + config.slack(sigma2, r_budget)
             if score >= threshold:
                 rec["accepted"] = True

@@ -4,11 +4,11 @@ Subcommands: attack run|verify, sketch build|info, harddist gen|gap|tvd,
 stats check, suite acceptance. All randomness flows from one 64-bit root seed
 through the counter-based splitting scheme in sketchlab.rng. Outputs are a
 JSON-lines transcript, a CSV summary, and JSON certificate, exploit and report
-files; reruns with the same config and seed reproduce every file byte for byte
-at a fixed BLAS thread count (the transcript's `score`, a float product, rounds
-as the BLAS pool sums it). JSON artefacts are compact and key-sorted, one line
-each (written by the C encoder); the report is still printed indented on
-stdout.
+files; reruns with the same config and seed reproduce every file byte for byte,
+at any BLAS thread count (the transcript's `score` is written to
+attack.SCORE_DIGITS significant digits). JSON artefacts are compact and
+key-sorted, one line each (written by the C encoder); the report is still
+printed indented on stdout.
 
 A config is read key by key (fields.read_fields): its top level by
 CONFIG_FIELDS, its attack block by acceptance.read_attack_block, a sketch

@@ -2,8 +2,14 @@
 
 All randomness in the package flows from a single 64-bit root seed through a
 counter-based splitting scheme: a child stream for purpose ``p`` and counter
-``c`` is ``numpy.random.Generator(PCG64(SeedSequence(root, spawn_key=(crc32(p), c))))``.
+``c`` is ``numpy.random.Generator(SFC64(SeedSequence(root, spawn_key=(crc32(p), c))))``.
 Identical (root, purpose, counter) triples always yield identical streams.
+
+The bit generator is SFC64, the cheapest of numpy's: ``Generator.standard_normal``
+on it costs about a sixth less per value than on PCG64, and the exact
+discrete-Gaussian samplers spend most of their time in that call. The law of
+every draw is the generator's; only the bits behind a seed depend on the
+choice. Fresh-entropy generators (``as_generator(None)``) are SFC64 too.
 """
 
 import zlib
@@ -19,6 +25,10 @@ def _key(part) -> int:
     return int(part) & 0xFFFFFFFF
 
 
+def _generator(seed_sequence) -> np.random.Generator:
+    return np.random.Generator(np.random.SFC64(seed_sequence))
+
+
 def derive(root_seed: int, *path) -> np.random.Generator:
     """Derive an independent generator for (root_seed, *path).
 
@@ -29,8 +39,7 @@ def derive(root_seed: int, *path) -> np.random.Generator:
     if not 0 <= root_seed < 2**64:
         raise BadParams(f"root seed must be in [0, 2^64), got {root_seed}")
     spawn_key = tuple(_key(p) for p in path)
-    ss = np.random.SeedSequence(root_seed, spawn_key=spawn_key)
-    return np.random.Generator(np.random.PCG64(ss))
+    return _generator(np.random.SeedSequence(root_seed, spawn_key=spawn_key))
 
 
 def as_generator(rng) -> np.random.Generator:
@@ -38,5 +47,5 @@ def as_generator(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     if rng is None:
-        return np.random.default_rng()
+        return _generator(np.random.SeedSequence())
     return derive(int(rng))

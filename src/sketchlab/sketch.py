@@ -187,7 +187,11 @@ class IntegerSketch:
 
     def gap_bits(self, Y):
         """Thresholded GapNorm answers (int8) for the rows y = A x of Y: the
-        estimate against the calibrated tau."""
+        estimate against the calibrated tau. A sketch built without a
+        promise has no tau and raises BadParams."""
+        if "tau" not in self.estimator:
+            raise BadParams(f"the {self.family} sketch has no tau: build it with "
+                            "params alpha and B to answer GapNorm queries")
         return (self.l2_estimates(Y) >= self.estimator["tau"]).astype(np.int8)
 
     def spec_json(self):

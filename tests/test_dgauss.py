@@ -23,6 +23,18 @@ from sketchlab.rng import derive
 GOF_FLOOR = 1e-3
 
 
+def assert_same_state(rng_a, rng_b):
+    """Two generators are at the same point of their stream: equal scalar
+    fields and equal state arrays (SFC64 holds its state in an array)."""
+    a, b = rng_a.bit_generator.state, rng_b.bit_generator.state
+    assert a.keys() == b.keys() and a["state"].keys() == b["state"].keys()
+    for key in a:
+        if key != "state":
+            assert a[key] == b[key], key
+    for key, value in a["state"].items():
+        assert np.array_equal(value, b["state"][key]), key
+
+
 def gof_pvalue(samples, sigma2, support_radius, center=0.0, width=1):
     """Chi-square goodness of fit of integer samples against D(center,
     sigma^2) on Z, over cells of `width` consecutive integers from
@@ -400,7 +412,7 @@ class TestBlockStream:
         a = dgauss._sample_at_centers(centers, s2, envelope, rng_new, shape=(k,))
         b = ref_sample_at_centers(centers, s2, envelope, rng_ref, shape=(k,))
         assert np.array_equal(a, b)
-        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+        assert_same_state(rng_new, rng_ref)
 
     @pytest.mark.parametrize("kind", ("centered", "at-centers"))
     @pytest.mark.parametrize("s2", (0.3, 2.5, 400.0, 1e8))
@@ -509,7 +521,7 @@ class TestTwoSidedSqueeze:
         rng_a, rng_b = derive(4, "seeded"), derive(4, "seeded")
         a, b = draw(rng_a), draw(rng_b)
         assert np.array_equal(a, b)
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        assert_same_state(rng_a, rng_b)
         assert not np.array_equal(a, draw(derive(5, "seeded")))
 
     @pytest.mark.parametrize("k", (0, 8))
@@ -691,7 +703,7 @@ class TestSubspaceQuery:
         a = dgauss.sample_subspace_query(spec, "discrete", rng_a, size=m)
         b = dgauss.sample_dgauss_1d(spec.sigma2, rng_b, size=(m, n))
         assert np.array_equal(a, b)
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        assert_same_state(rng_a, rng_b)
         one = dgauss.sample_subspace_query(spec, "discrete", derive(24, "one"))
         assert np.array_equal(one, dgauss.sample_dgauss_1d(spec.sigma2, derive(24, "one"),
                                                            size=(1, n))[0])

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from sketchlab.errors import BadParams
@@ -13,3 +14,17 @@ def test_root_seed_is_read_in_64_bits():
             derive(seed, "x")
     with pytest.raises(BadParams):
         as_generator(-1)
+
+
+def test_every_generator_is_sfc64():
+    # derived and fresh-entropy generators share one bit generator family
+    assert isinstance(derive(3, "x", 1).bit_generator, np.random.SFC64)
+    assert isinstance(as_generator(None).bit_generator, np.random.SFC64)
+
+
+def test_equal_paths_give_equal_draws():
+    a, b = derive(3, "x", 1), derive(3, "x", 1)
+    assert np.array_equal(a.standard_normal(64), b.standard_normal(64))
+    assert np.array_equal(a.integers(2**62, size=64), b.integers(2**62, size=64))
+    assert not np.array_equal(derive(3, "x", 2).standard_normal(64),
+                              derive(3, "x", 1).standard_normal(64))

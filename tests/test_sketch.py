@@ -271,6 +271,14 @@ class TestBuildFamilies:
         assert str(exc.value) == (f"the {family} sketch's tau is fit for (alpha, B) = {fit}, "
                                   "not the oracle's promise (789.0, 8.0)")
 
+    @pytest.mark.parametrize("family", ("sign", "projection-threshold", "raw"))
+    def test_gap_bits_refuses_a_sketch_without_tau(self, family):
+        # the public method, called past the oracle, gives a typed error
+        sk = (IntegerSketch.from_matrix(np.eye(2, 16, dtype=np.int64)) if family == "raw"
+              else build_sketch(family, 16, 2, seed=1))
+        with pytest.raises(BadParams, match=f"the {family} sketch has no tau"):
+            sk.gap_bits(np.zeros((1, 2)))
+
 
 @pytest.mark.parametrize("n", (64, 128, 256))
 @pytest.mark.parametrize("family", sketch_mod.FAMILIES)
