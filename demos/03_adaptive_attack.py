@@ -11,17 +11,17 @@ from sketchlab.rng import derive
 from sketchlab.sketch import ExactNormOracle, GapNormOracle
 
 # the attack block of a config (its keys: acceptance.ATTACK_FIELDS);
-# alpha_policy "auto" sets alpha from the certified length of a reduced basis
-# of the sketch's orthogonal lattice ker(A) (pairwise-reduced, else
-# LLL-reduced; no pre-processing), squared, times ln(2n(1+1/eps))/pi, floored
-# at the sampling margin
+# alpha_policy "auto" sets alpha from n and the entry bound M alone: n M^2,
+# the squared length pre-processing certifies for the sketch's orthogonal
+# lattice, times ln(2n(1+1/eps))/pi, floored at the sampling margin
 sketch, params, config, how = attack_setup(
     {"n": 128, "r": 8, "family": "projection-threshold", "B": 8.0,
      "alpha_policy": "auto", "m": 2000, "grid": {"points": 16}},
     seed=1,
 )
 n, r, alpha = sketch.n, sketch.r, params.alpha
-print(f"lattice term {how['alpha_lattice_term']:.1f}, sampling floor "
+print(f"lattice term at ell^2 = n M^2 = {n * sketch.A.max_abs_entry() ** 2}: "
+      f"{how['alpha_lattice_term']:.1f}, sampling floor "
       f"{how['alpha_floor']:.1f}  ->  alpha = {alpha:.1f} ({how['alpha_binds']} binds)")
 
 est = sketch.estimator

@@ -17,13 +17,7 @@ from . import dgauss, harddist, stats
 from .attack import KNOBS, AttackConfig, conditional_gap_estimate, map_runs, run_and_verify
 from .errors import BadParams, BoundViolated, LengthBoundUnachieved, TooManyRows
 from .fields import REQUIRED, config_error, read_fields, read_value
-from .lattice import (
-    IntMatrix,
-    pairwise_reduced_kernel,
-    preprocess_sketch,
-    reduced_kernel_basis,
-    short_kernel_vector,
-)
+from .lattice import IntMatrix, preprocess_sketch, short_kernel_vector
 from .numerics import OrthonormalBasis, top_right_singular_vector
 from .rng import derive
 from .sketch import _FIELDS as _SKETCH_FIELDS
@@ -37,30 +31,23 @@ from .sketch import (
 
 
 def auto_alpha(sketch):
-    """Automatic alpha policy: the smoothing variance of the sketch's
-    orthogonal lattice, `dgauss.smoothing_sigma2(n, ell^2)` for a certified
-    length ell, floored at the sampling floor 8 r0^2 (its value at
-    SAMPLING_FLOOR_ELL_SQ). Returns (alpha, ell).
+    """Automatic alpha policy, from the public parameters n and M (the
+    largest |entry| of A, 1 for the +-1 families): the smoothing variance
+    `dgauss.smoothing_sigma2(n, n M^2)`, floored at the sampling floor
+    8 r0^2 (its value at SAMPLING_FLOOR_ELL_SQ). Returns (alpha, ell) with
+    ell = sqrt(n) M.
 
-    The lattice term holds for any n - r independent orthogonal-lattice
-    vectors (the lambda_n smoothing bound), not only an LLL basis. So ell
-    comes first from the pairwise-reduced HNF kernel basis
-    (`lattice.pairwise_reduced_kernel`), kept when every squared length is
-    below SAMPLING_FLOOR_ELL_SQ, where the floor binds, and at most n M^2,
-    the pre-processing target. Otherwise ell is the longest vector of the
-    LLL-reduced kernel basis of A (`lattice.reduced_kernel_basis`). Raises
+    Pre-processing certifies n - 4r independent vectors of the orthogonal
+    lattice, each of length at most sqrt(n) M, and the lambda_n smoothing
+    bound holds for any such vectors, so this alpha covers every sketch that
+    pre-processing accepts; nothing about the lattice is computed. Raises
     TooManyRows if r > n/4, as pre-processing would."""
     A, n = sketch.A, sketch.n
     if 4 * A.rows > n:
         raise TooManyRows(f"pre-processing requires r <= n/4 (got r={A.rows}, n={n})")
     M = A.max_abs_entry()
-    floor_ell_sq = dgauss.SAMPLING_FLOOR_ELL_SQ
-    kb = pairwise_reduced_kernel(A, min(floor_ell_sq, n * M * M + 1))
-    if kb is None:
-        kb = reduced_kernel_basis(A)
-    ell = max(kb.certified_max_len, 1.0)
-    floor = dgauss.smoothing_sigma2(n, floor_ell_sq)
-    return max(dgauss.smoothing_sigma2(n, ell**2), floor), ell
+    floor = dgauss.smoothing_sigma2(n, dgauss.SAMPLING_FLOOR_ELL_SQ)
+    return max(dgauss.smoothing_sigma2(n, n * M * M), floor), math.sqrt(n) * M
 
 
 # key -> (kinds, bound, default) for each key of a config block, read by
@@ -105,17 +92,19 @@ def read_attack_block(block):
 def attack_setup(acfg, seed):
     """The attacked sketch, its GapNormParams and AttackConfig for a config's
     `attack` block (read by read_attack_block) and sketch seed, and how alpha
-    was set: the sampling floor, the lattice term (None for a fixed alpha)
-    and which of floor, lattice or fixed binds."""
+    was set: the sampling floor, the lattice term smoothing_sigma2(n, n M^2)
+    (None for a fixed alpha) and which of floor, lattice or fixed binds."""
     acfg = read_attack_block(acfg)
     n, r, family, B = acfg["n"], acfg["r"], acfg["family"], acfg["B"]
     fam_params, policy = acfg["family_params"], acfg["alpha_policy"]
     if policy == "auto":
-        # auto_alpha reads only A, so its probe is built without the promise:
-        # no tau, and no m_cal, which needs one
+        # auto_alpha reads only A's shape and entry bound, so its probe is
+        # built without the promise: no tau, and no m_cal, which needs one
         own = {k: v for k, v in fam_params.items() if k != "m_cal"}
-        alpha, ell = auto_alpha(build_sketch(family, n, r, own, seed=seed))
-        lattice_term = dgauss.smoothing_sigma2(n, ell**2)
+        probe = build_sketch(family, n, r, own, seed=seed)
+        alpha, _ = auto_alpha(probe)
+        # from the exact integer n M^2, as auto_alpha forms it, not from ell^2
+        lattice_term = dgauss.smoothing_sigma2(n, n * probe.A.max_abs_entry() ** 2)
         binds = "lattice" if alpha == lattice_term else "floor"
     else:
         alpha, lattice_term, binds = policy, None, "fixed"

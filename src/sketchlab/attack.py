@@ -301,11 +301,24 @@ def run_and_verify(oracle, r_budget, config: AttackConfig, attack_rng, verify_rn
     return out, verify_certificate(oracle, out.certificate, config.verify_trials, verify_rng)
 
 
+def worker_count():
+    """SKETCHLAB_THREADS as an integer >= 1, 1 when unset; BadParams naming
+    the variable otherwise."""
+    text = os.environ.get("SKETCHLAB_THREADS", "1")
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise BadParams(f"SKETCHLAB_THREADS must be an integer >= 1, got {text!r}")
+    return threads
+
+
 def map_runs(fn, jobs):
-    """[fn(job) for job in jobs], on a pool of SKETCHLAB_THREADS worker
+    """[fn(job) for job in jobs], on a pool of worker_count() worker
     processes when that is above 1 and there are several jobs: `fn` must be
     module-level and the jobs must pickle. Each job derives its own streams."""
-    threads = int(os.environ.get("SKETCHLAB_THREADS", "1"))
+    threads = worker_count()
     if threads > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 

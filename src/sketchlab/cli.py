@@ -37,7 +37,13 @@ from dataclasses import asdict
 import numpy as np
 
 from . import acceptance, dgauss, harddist, stats
-from .attack import FailureCertificate, map_runs, run_and_verify, verify_certificate
+from .attack import (
+    FailureCertificate,
+    map_runs,
+    run_and_verify,
+    verify_certificate,
+    worker_count,
+)
 from .errors import BadParams, SketchLabError
 from .fields import REQUIRED, read_fields
 from .rng import derive
@@ -117,11 +123,13 @@ def _single_attack_run(args):
         "certificate": asdict(out.certificate) if out.certificate else None,
         "exploits": [dict(vars(e)) for e in rep["exploits"]] if rep else None,
         "failure_rate": rep["failure_rate"] if rep else None,
+        "promise_violations": rep["promise_violations"] if rep else None,
     }
 
 
 def cmd_attack_run(args):
     cfg = load_config(args.config)
+    worker_count()  # a bad SKETCHLAB_THREADS fails before anything is built or made
     acfg = acceptance.read_attack_block(cfg["attack"])
     root_seed = int(args.seed if args.seed is not None else cfg["seed"])
     # the sketch depends only on the root seed: build it once for all runs
@@ -160,12 +168,14 @@ def cmd_attack_run(args):
     _write_json(
         os.path.join(out_dir, "exploits.json"),
         [{"run_seed": r["run_seed"], "failure_rate": r["failure_rate"],
-          "exploits": r["exploits"] or []} for r in results],
+          "promise_violations": r["promise_violations"], "exploits": r["exploits"] or []}
+         for r in results],
     )
     report = {
         "runs": len(results),
         "certificates": sum(c is not None for c in certs),
         "verified": sum(1 for r in results if r["exploits"]),
+        "promise_violations": sum(r["promise_violations"] or 0 for r in results),
         "alpha": results[0]["alpha"],
         **alpha_report,
         **calibration,

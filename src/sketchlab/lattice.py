@@ -5,8 +5,7 @@ the fundamental cells of the column lattice.
 All kernel/HNF arithmetic is exact (int64 under a guard, Python big integers
 past it); A @ v = 0 holds exactly, never within tolerance. Floating point
 appears only in the cell floor and cell noise, where cell sizes dwarf
-representation error, and in picking the multipliers of the pairwise
-reduction, whose results are exact.
+representation error.
 """
 
 import math
@@ -109,46 +108,6 @@ def integer_kernel_basis(A: IntMatrix) -> KernelBasis:
     if not vecs:
         raise FullRank("matrix has full column rank; integer kernel is trivial")
     kb = KernelBasis(A.cols, vecs, _length(max(intlinalg.norms_sq(vecs))))
-    kb.check_against(A)
-    return kb
-
-
-def pairwise_reduced_kernel(A: IntMatrix, max_len_sq: int):
-    """A certified basis of ker(A) ∩ Z^n whose squared lengths all lie below
-    max_len_sq, or None.
-
-    One exact pairwise size-reduction pass over the HNF kernel basis, longest
-    vector first: v_i <- v_i - m v_j with m = round(<v_i, v_j>/<v_j, v_j>),
-    the single step that shortens v_i most, while one does. The steps are
-    unimodular, so the lattice is unchanged. Floats only pick m; every kept
-    vector and every length is exact int64 under `intlinalg.int64_rows`'
-    guard. Returns None as soon as a vector ends its reduction at squared
-    length >= max_len_sq, or when a vector leaves the guard.
-    """
-    V = intlinalg.int64_rows(integer_kernel_basis(A).vectors)
-    if V is None:
-        return None
-    n = V.shape[1]
-    norms = np.einsum("ij,ij->i", V, V)
-    for i in np.argsort(-norms, kind="stable"):
-        while True:
-            g = V @ V[i]
-            m = np.rint(g / norms)
-            m[i] = 0.0
-            j = int(np.argmax(m * (2.0 * g - m * norms)))  # float estimate of the gain
-            if m[j] == 0.0:
-                break
-            w = V[i] - int(m[j]) * V[j]
-            w_max = int(np.max(np.abs(w)))
-            if n * w_max * w_max >= intlinalg.INT64_GUARD:
-                return None
-            s = int(w @ w)
-            if s >= norms[i]:
-                break
-            V[i], norms[i] = w, s
-        if norms[i] >= max_len_sq:
-            return None
-    kb = KernelBasis(n, V.tolist(), _length(int(norms.max())))
     kb.check_against(A)
     return kb
 

@@ -8,9 +8,13 @@ development; the default is the full battery.
 import os
 
 import pytest
+from scipy.stats import binom, chi2
 
 from sketchlab import acceptance
+from sketchlab.attack import run_attack
 from sketchlab.errors import BoundViolated
+from sketchlab.rng import derive
+from sketchlab.sketch import GapNormOracle
 
 FAST = os.environ.get("SKETCHLAB_FAST_ACCEPTANCE", "0") == "1"
 
@@ -66,6 +70,30 @@ def test_end_to_end_runs_on_the_seed_pool(monkeypatch):
     pooled = acceptance.criterion_1_attack_end_to_end(fast=True)
     assert _without_times(pooled) == _without_times(serial)
     assert serial["detail"]["runs"] == len(serial["detail"]["per_run"]) == 3
+
+
+def test_rates_follow_chi2_at_empty_subspace():
+    # at V = {} a projection-threshold estimate ||Q x||^2 is sigma^2 chi^2_r
+    # (Q has orthonormal rows), so chi2 predicts every answer rate of
+    # criterion 1's sketches: the calibration's false_low and false_high at
+    # the promise edges, and each round-1 record of criterion 1's runs. Each
+    # count lies in its exact binomial band, at a 1% false-fail rate split
+    # over the counts (Bonferroni)
+    counts = []  # (count, trials, predicted rate)
+    for i in range(10):
+        sk, params, cfg, _ = acceptance.attack_setup(acceptance.ATTACK, 1000 + i)
+        tau, r, m_cal = sk.estimator["tau"], sk.r, sk.estimator["m_cal"]
+        low, high = params.edges
+        counts.append((round(sk.estimator["false_low"] * m_cal), m_cal, chi2.sf(tau / low, r)))
+        counts.append((round(sk.estimator["false_high"] * m_cal), m_cal, chi2.cdf(tau / high, r)))
+        out = run_attack(GapNormOracle(sk, params), sk.n, sk.r, cfg, derive(77, "attack", i))
+        counts += [(rec["m_prime"], cfg.m, chi2.sf(tau / rec["sigma2"], r))
+                   for rec in out.state.transcript if rec["round"] == 1]
+    assert len(counts) >= 30
+    level = 0.01 / len(counts)
+    for k, m, p in counts:
+        lo, hi = binom.interval(1 - level, m, p)
+        assert lo <= k <= hi, f"{k} of {m} outside [{lo}, {hi}] at predicted rate {p:.4f}"
 
 
 def test_siegel_counts_only_bound_violations(monkeypatch):

@@ -30,7 +30,6 @@ from sketchlab.lattice import (
     KernelBasis,
     fundamental_cell_uniform,
     integer_kernel_basis,
-    pairwise_reduced_kernel,
     preprocess_sketch,
     reduce_basis,
     reduced_kernel_basis,
@@ -458,84 +457,69 @@ def family_sketch(family, n, seed=0):
     return build_sketch(family, n, 8, params, seed=seed)
 
 
-def lll_alpha(sketch):
-    """auto_alpha's value when ell always comes from kernel + LLL."""
-    kb = reduced_kernel_basis(sketch.A)
-    ell = max(kb.certified_max_len, 1.0)
-    return max(dgauss.smoothing_sigma2(sketch.n, ell**2), floor(sketch.n))
-
-
 def floor(n):
     return dgauss.smoothing_sigma2(n, dgauss.SAMPLING_FLOOR_ELL_SQ)
 
 
 @pytest.fixture
-def lll_calls(monkeypatch):
-    """Counts lattice.reduce_basis calls."""
-    calls = []
-    real = lattice.reduce_basis
-    monkeypatch.setattr(lattice, "reduce_basis",
-                        lambda *a, **k: calls.append(1) or real(*a, **k))
-    return calls
+def no_lattice(monkeypatch):
+    """Every kernel, LLL and pre-processing entry point fails when called."""
+    for mod, name in ((lattice, "integer_kernel_basis"), (lattice, "reduce_basis"),
+                      (lattice, "preprocess_sketch"), (acceptance, "preprocess_sketch")):
+        monkeypatch.setattr(mod, name, lambda *a, **k: pytest.fail("auto_alpha ran a lattice step"))
 
 
 class TestAutoAlpha:
-    """auto_alpha certifies the sampling floor from the pairwise-reduced
-    kernel basis and runs LLL only when that basis does not reach it."""
+    """auto_alpha is max(sampling floor, smoothing_sigma2(n, n M^2)), from n
+    and the entry bound M alone, and computes nothing about the lattice."""
 
     @pytest.mark.parametrize("n", [64, 128])
-    @pytest.mark.parametrize("family,lll", [("projection-threshold", 0), ("sign", 0),
-                                            ("countsketch", 0), ("rounded-gaussian", 1)])
-    def test_alpha_equals_lll_alpha(self, monkeypatch, lll_calls, family, lll, n):
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_alpha_is_closed_form(self, no_lattice, family, n):
         sk = family_sketch(family, n)
-        monkeypatch.setattr(acceptance, "preprocess_sketch",
-                            lambda A: pytest.fail("auto_alpha pre-processed"))
-        alpha, _ = acceptance.auto_alpha(sk)
-        assert len(lll_calls) == lll
-        assert alpha == lll_alpha(sk)
+        M = sk.A.max_abs_entry()
+        assert (M == 1) == (family != "rounded-gaussian")
+        alpha, ell = acceptance.auto_alpha(sk)
+        assert alpha == max(floor(n), dgauss.smoothing_sigma2(n, n * M * M))
+        assert ell == math.sqrt(n) * M
 
-    def test_cli_n256_config(self, lll_calls):
-        # the sketch `attack-cli-n256` attacks at root seed 7
+    def test_cli_n256_config(self, no_lattice):
+        # the sketch `attack-cli-n256` attacks at root seed 7: the lattice
+        # term n M^2 = 256 binds
         sk = family_sketch("projection-threshold", 256, seed=7)
         alpha, ell = acceptance.auto_alpha(sk)
-        assert lll_calls == []
-        assert alpha == lll_alpha(sk) == floor(256)
-        assert ell * ell < 32
+        assert alpha == dgauss.smoothing_sigma2(256, 256) > floor(256)
+        assert ell == 16.0
 
-    @pytest.mark.parametrize("family", ["projection-threshold", "sign", "countsketch"])
-    def test_fast_path_basis_is_certified(self, family):
-        A = family_sketch(family, 64).A
-        kb = pairwise_reduced_kernel(A, 32)
-        assert kb is not None and len(kb) == 64 - 8
-        rows = A.to_lists()
-        assert all(intlinalg.dot(a, v) == 0 for a in rows for v in kb.vectors)
-        norms = [norm_sq(v) for v in kb.vectors]
-        assert max(norms) < 32
-        assert kb.certified_max_len == math.sqrt(max(norms))
-        assert same_lattice(kb.vectors, integer_kernel_basis(A).vectors)
+    @pytest.mark.parametrize("n,binds", [(16, "floor"), (32, "lattice"), (64, "lattice")])
+    def test_floor_binds_below_32(self, no_lattice, n, binds):
+        # a +-1 sketch has n M^2 = n: the floor binds at n < 32, and at 32
+        # the two terms are one value
+        block = {"n": n, "r": n // 4, "family": "sign", "B": 8.0}
+        _, params, _, how = acceptance.attack_setup(block, 3)
+        assert how["alpha_floor"] == floor(n)
+        assert how["alpha_lattice_term"] == dgauss.smoothing_sigma2(n, n)
+        assert params.alpha == max(floor(n), how["alpha_lattice_term"])
+        assert how["alpha_binds"] == binds
 
     def test_too_many_rows_still_raises(self):
         with pytest.raises(TooManyRows):
             acceptance.auto_alpha(family_sketch("sign", 16))
 
-    def test_lattice_bound_sketch_returns_none(self):
-        assert pairwise_reduced_kernel(family_sketch("rounded-gaussian", 64).A, 32) is None
-
-    @pytest.mark.parametrize("shift,lll", [(2**10, 0), (2**40, 1)])
-    def test_basis_past_int64_guard_falls_back_to_lll(self, monkeypatch, lll_calls, shift, lll):
-        # the same lattice from a basis v_0, v_k + shift v_0: below the guard
-        # the pass undoes the shift; past it the pass is abandoned for LLL
-        sk = family_sketch("sign", 32)
-        kb = integer_kernel_basis(sk.A)
-        v0 = kb.vectors[0]
-        skewed = [v0] + [[a + shift * b for a, b in zip(v, v0)] for v in kb.vectors[1:]]
-        assert (intlinalg.int64_rows(skewed) is None) == (shift > 2**20)
-        monkeypatch.setattr(lattice, "integer_kernel_basis",
-                            lambda A: KernelBasis(A.cols, skewed, 0.0))
-        assert (pairwise_reduced_kernel(sk.A, 32) is None) == bool(lll)
-        alpha, _ = acceptance.auto_alpha(sk)
-        assert len(lll_calls) == lll
-        assert alpha == floor(32) == lll_alpha(sk)
+    @pytest.mark.parametrize("seed", [1000, 4242])
+    def test_preprocessing_certifies_the_bound_alpha_takes(self, seed):
+        # the fact auto_alpha rests on, on the sketches of acceptance
+        # criteria 1 and 2: pre-processing keeps n - 4r vectors of the
+        # orthogonal lattice of A', each of squared length <= n M^2, checked
+        # in Python integers
+        A = family_sketch("projection-threshold", 128, seed=seed).A
+        A_prime, S = preprocess_sketch(A)
+        M = A.max_abs_entry()
+        assert M == 1 and len(S) == 128 - 4 * 8
+        rows = A_prime.to_lists()
+        assert rows[:8] == A.to_lists()
+        assert all(intlinalg.dot(a, s) == 0 for a in rows for s in S.vectors)
+        assert max(norm_sq(s) for s in S.vectors) <= 128 * M * M
 
 
 class TestCellRounder:

@@ -25,7 +25,7 @@ from sketchlab.attack import AttackConfig, run_attack
 from sketchlab.cli import main
 from sketchlab.harddist import (FAMILY_NAMES, HardFamily, calibrate_family, gen_hard_instance,
                                 planted_spike, sketched_indistinguishability, support_family)
-from sketchlab.lattice import integer_kernel_basis, pairwise_reduced_kernel
+from sketchlab.lattice import integer_kernel_basis
 from sketchlab.numerics import OrthonormalBasis
 from sketchlab.rng import derive
 from sketchlab.sketch import GapNormOracle, GapNormParams, IntegerSketch, build_sketch
@@ -123,37 +123,34 @@ def test_turnstile_value_past_int64():
 
 def test_n256_kernels_and_auto_alpha():
     # the probe sketch `acceptance.attack_setup` hands auto_alpha for the
-    # n = 256 projection-threshold config of the attack-cli-n256 benchmark
+    # n = 256 projection-threshold config of the attack-cli-n256 benchmark;
+    # auto_alpha reads only n and M = 1: 1634.13 at ell = 16
     sk = build_sketch("projection-threshold", 256, 8,
                       {"alpha": 1.0, "B": 8.0, "m_cal": 16}, seed=1)
-    M = sk.A.max_abs_entry()
     kernel = integer_kernel_basis(sk.A)
-    reduced = pairwise_reduced_kernel(sk.A, min(dgauss.SAMPLING_FLOOR_ELL_SQ, 256 * M * M + 1))
-    assert reduced is not None
     got = {
         "kernel": json_digest([kernel.vectors, kernel.certified_max_len]),
-        "pairwise": json_digest([reduced.vectors, reduced.certified_max_len]),
         "auto_alpha": json_digest(auto_alpha(sk)),
     }
     assert got == {
         "kernel": "639a9b8d87f0abe44742f71cb46dd23dc6e7373439f21a0fe5961765d6bfb07d",
-        "pairwise": "de27009c5c371cacbdd6f9b808158c96cbd640daa79a0f5c92406a433dcebb17",
-        "auto_alpha": "e13797c47fe3329bc4425d4c331ccc3e975b2f34bf3972d413cfbbf1a14e0c6b",
+        "auto_alpha": "93fe4945805a48a90e2d0493fff890fbd596ac6d9a468e0f38f06c5f5053511a",
     }
 
 
 # auto_alpha of each family's probe sketch (r = 8, seed 0, as
-# test_lattice.family_sketch builds it) at n = 64 and 128; rounded-gaussian
-# reads 190.15 (ell^2 = 32, at the floor) and 265.00, through LLL
+# test_lattice.family_sketch builds it) at n = 64 and 128: 380.29 and 788.83
+# for the +-1 families (M = 1); rounded-gaussian reads 257,077.4 (M = 26)
+# and 1,139,063.9 (M = 38)
 AUTO_ALPHA = {
-    ("projection-threshold", 64): "6b132b5e07c1847d8cbe695bf8dbdd53ba8d84f478af1118615c5a1dbb6a410b",
-    ("projection-threshold", 128): "a38e216a7a7cd34f958b01812b3da8a550e6e4c792a08ea9127b3a6ee874a8c5",
-    ("sign", 64): "1518d652bcc602df9a7b4647b1a3b59ccebfcae6c4e99636622158bcbddf0b48",
-    ("sign", 128): "6ae70f847e4f52322854c5612b78ccb8823040d9d594a60a9867933284713f39",
-    ("countsketch", 64): "cf9fe42db723330d91895a84b0633c6ba0eb157b9755164ae6878d64c831f2ff",
-    ("countsketch", 128): "27bb37d9646f460d23efb425ccc9ab7ce16ddf2aad5f686180ed334cce7da5f9",
-    ("rounded-gaussian", 64): "2cce309d879818d8051927891afd755a3c464dcd66b500f7a2c0d7d0fed51151",
-    ("rounded-gaussian", 128): "3d1f2d7f4502aa0ade5f9b102098910990cc42a542f283f8ebb40bb6dea2bbb6",
+    ("projection-threshold", 64): "606047a7bdfd146e22533c5eed41b01cacf4b31c1e6f15fc7c4f278c1c763af7",
+    ("projection-threshold", 128): "064c4bb825a17a0b86bab5e80139bb5046a09c147c623956ed14a0198e620883",
+    ("sign", 64): "606047a7bdfd146e22533c5eed41b01cacf4b31c1e6f15fc7c4f278c1c763af7",
+    ("sign", 128): "064c4bb825a17a0b86bab5e80139bb5046a09c147c623956ed14a0198e620883",
+    ("countsketch", 64): "606047a7bdfd146e22533c5eed41b01cacf4b31c1e6f15fc7c4f278c1c763af7",
+    ("countsketch", 128): "064c4bb825a17a0b86bab5e80139bb5046a09c147c623956ed14a0198e620883",
+    ("rounded-gaussian", 64): "8e6e997253bdcd7518716fc74242b94328404c9a012872666b79770745ad7ba0",
+    ("rounded-gaussian", 128): "2d6a1fb06f71d051a9cee0f52842d2740de5aa1210facd6666c985056a9a9d13",
 }
 
 
