@@ -32,10 +32,11 @@ from .sketch import (
 
 def auto_alpha(sketch):
     """Automatic alpha policy, from the public parameters n and M (the
-    largest |entry| of A, 1 for the +-1 families): the smoothing variance
+    largest |entry| of A, 1 for the +-1 families): the lattice term
     `dgauss.smoothing_sigma2(n, n M^2)`, floored at the sampling floor
-    8 r0^2 (its value at SAMPLING_FLOOR_ELL_SQ). Returns (alpha, ell) with
-    ell = sqrt(n) M.
+    8 r0^2 (its value at SAMPLING_FLOOR_ELL_SQ). Returns (alpha, report),
+    the report holding "alpha_floor", "alpha_lattice_term" and which of the
+    two binds, "alpha_binds" ("lattice" where they are equal).
 
     Pre-processing certifies n - 4r independent vectors of the orthogonal
     lattice, each of length at most sqrt(n) M, and the lambda_n smoothing
@@ -47,7 +48,10 @@ def auto_alpha(sketch):
         raise TooManyRows(f"pre-processing requires r <= n/4 (got r={A.rows}, n={n})")
     M = A.max_abs_entry()
     floor = dgauss.smoothing_sigma2(n, dgauss.SAMPLING_FLOOR_ELL_SQ)
-    return max(dgauss.smoothing_sigma2(n, n * M * M), floor), math.sqrt(n) * M
+    term = dgauss.smoothing_sigma2(n, n * M * M)
+    binds = "lattice" if term >= floor else "floor"
+    return max(term, floor), {"alpha_floor": floor, "alpha_lattice_term": term,
+                              "alpha_binds": binds}
 
 
 # key -> (kinds, bound, default) for each key of a config block, read by
@@ -101,19 +105,12 @@ def attack_setup(acfg, seed):
         # auto_alpha reads only A's shape and entry bound, so its probe is
         # built without the promise: no tau, and no m_cal, which needs one
         own = {k: v for k, v in fam_params.items() if k != "m_cal"}
-        probe = build_sketch(family, n, r, own, seed=seed)
-        alpha, _ = auto_alpha(probe)
-        # from the exact integer n M^2, as auto_alpha forms it, not from ell^2
-        lattice_term = dgauss.smoothing_sigma2(n, n * probe.A.max_abs_entry() ** 2)
-        binds = "lattice" if alpha == lattice_term else "floor"
+        alpha, alpha_report = auto_alpha(build_sketch(family, n, r, own, seed=seed))
     else:
-        alpha, lattice_term, binds = policy, None, "fixed"
+        alpha = policy
+        alpha_report = {"alpha_floor": dgauss.smoothing_sigma2(n, dgauss.SAMPLING_FLOOR_ELL_SQ),
+                        "alpha_lattice_term": None, "alpha_binds": "fixed"}
     sk = build_sketch(family, n, r, dict(fam_params, alpha=alpha, B=B), seed=seed)
-    alpha_report = {
-        "alpha_floor": dgauss.smoothing_sigma2(n, dgauss.SAMPLING_FLOOR_ELL_SQ),
-        "alpha_lattice_term": lattice_term,
-        "alpha_binds": binds,
-    }
     params = GapNormParams(B=B, alpha=alpha)
     cfg = AttackConfig(gap=params, m=acfg["m"], grid_points=acfg["grid"]["points"],
                        round_cap=acfg["round_cap"], zeta=acfg["zeta"],

@@ -17,19 +17,22 @@ whenever s^2 is at least the smoothing margin r0^2 of Z, and the sampler
 requires s^2 >= 2 r0^2.
 
 Every draw, at any variance, centered or at real centers, comes from one
-exact rejection loop (`_sample_at_centers`): the proposal rounds a
-continuous Gaussian, the envelope constant is the exact maximum 1/q(0) of
-target over proposal, and a squeeze accepts most proposals outright. Only the
+exact rejection loop (`_sample_at_centers`) under one envelope per variance
+and support bound (`_envelope`, cached): the proposal rounds a continuous
+Gaussian, the envelope constant is the exact maximum 1/q(0) of target over
+proposal, and a squeeze accepts most proposals outright. Only the
 candidates, the proposals the squeeze cannot decide, are drawn as Bernoulli
 positions and take a uniform (the squeeze method, Devroye 1986), so a draw
-costs about one normal per coordinate. The normals stream through one buffer
-of _BLOCK floats, each block rounded straight into the int64 output, so the
+costs about one normal per coordinate. The envelope's one margin,
+max(1e-9, PMF_ERROR_ULPS 2^-52 sigma), covers the error of the proposal's
+pmf, a difference of float64 tails. The normals stream through one buffer of
+_BLOCK floats, each block rounded straight into the int64 output, so the
 output is the only batch-sized array a draw holds. A rounding variance above
-MAX_SIGMA2 raises VarianceTooLarge: past it the proposal's pmf, a difference
-of float64 tails, loses its relative precision.
+MAX_SIGMA2 raises VarianceTooLarge.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -47,9 +50,12 @@ SMOOTHING_EPS = 1e-6
 # the attack's sampling floor, sigma^2/4 >= 2 r0^2, is smoothing_sigma2 at
 # this squared length: 8 r0^2
 SAMPLING_FLOOR_ELL_SQ = 32
-# the samplers' ceiling on a rounding variance: up to it the proposal's pmf
-# is within about 2e-7 relative of its exact value on |u| <= 8 sigma; the
-# error grows with sigma, and q(0) rounds to 0 by sigma^2 = 1e32
+# the proposal pmf's relative error in units of 2^-52 sigma: the rounding of
+# its tails' arguments bounds it by about 24 on |u| <= 12 sigma, and it reads
+# 6-15 against mpmath at sigma^2 = 1e8 ... 1e16 (the margin is 1e-9 to ~2e10)
+PMF_ERROR_ULPS = 32
+# the samplers' ceiling on a rounding variance: there the pmf's error, 1.8e-7
+# relative, lies inside the envelope's margin, 7.1e-7
 MAX_SIGMA2 = 1e16
 # verify_normalization_fact's ceiling: past it the rounding of its mpmath sum
 # fails a true bound (1e8 passes in about 8 s and 90 MB, 1e9 fails)
@@ -161,7 +167,7 @@ def _rounded_gaussian_pmf(u, sigma):
 def _acceptance_ratio(au, sigma2, c_env):
     """min(w/(c_env q), 1) at offsets |u| = au, 0 where q underflows. It falls
     as |u| grows (q/w ~ int_{-1/2}^{1/2} e^{-s^2/2sigma^2} cosh(us/sigma^2) ds),
-    so its value at the support bound less 1e-9 relative, the squeeze, is a
+    so its value at the support bound, less the envelope's margin, is a
     lower bound over the whole support."""
     w = np.exp(-au * au / (2.0 * sigma2))
     q = _rounded_gaussian_pmf(au, math.sqrt(sigma2))
@@ -169,35 +175,35 @@ def _acceptance_ratio(au, sigma2, c_env):
         return np.where(q > 0, np.minimum(w / (c_env * q), 1.0), 0.0)
 
 
+_Envelope = namedtuple("_Envelope", "c_env bound squeeze lo hi scale")
+
+
 @lru_cache(maxsize=256)
-def _squeeze_buckets(sigma2, c_env, bound):
-    """(lo, hi, scale): |u| in [0, bound] falls in bucket j = int(|u| * scale)
-    of SQUEEZE_BUCKETS equal ones (the last j is |u| = bound). As the ratio
-    falls with |u|, lo[j] (its value at the right edge, less 1e-9 relative)
-    <= ratio(u) <= hi[j] (at the left edge, plus 1e-9 for rounding)."""
-    r = _acceptance_ratio(np.linspace(0.0, bound, SQUEEZE_BUCKETS + 1), sigma2, c_env)
-    lo = np.append(r[1:], r[-1]) * (1.0 - 1e-9)
-    hi = np.append(r[:-1], r[-1]) * (1.0 + 1e-9)
-    lo.flags.writeable = hi.flags.writeable = False
-    return lo, hi, SQUEEZE_BUCKETS / bound
+def _envelope(sigma2, bound=None):
+    """The rejection constants (c_env, bound, squeeze, lo, hi, scale) for
+    round(center + N(0, sigma2)) on the support |u| <= bound (None: the
+    centered support ceil(12 sigma) + 1). Raises VarianceTooLarge above
+    MAX_SIGMA2.
 
-
-def _check_ceiling(sigma2):
-    """Raise VarianceTooLarge above MAX_SIGMA2."""
+    The ratio w/q falls with |u| (see _acceptance_ratio), so c_env = 1/q(0)
+    bounds it at every offset, and its value at the bound, the squeeze,
+    bounds it from below on the support. In bucket j = int(|u| scale) of
+    SQUEEZE_BUCKETS equal ones (the last j is |u| = bound) it lies between
+    lo[j], its value at the right edge, and hi[j], at the left edge. Each
+    constant carries one relative margin, max(1e-9, PMF_ERROR_ULPS 2^-52
+    sigma), which covers the error of _rounded_gaussian_pmf."""
     if sigma2 > MAX_SIGMA2:
         raise VarianceTooLarge(f"sigma^2 = {sigma2:.4g} above the sampling ceiling {MAX_SIGMA2:g}")
-
-
-@lru_cache(maxsize=256)
-def _envelope(sigma2, bound):
-    """(c_env, bound, squeeze) for rejection from round(center + N(0, sigma2))
-    on the support |u| <= bound. The ratio w/q falls with |u| (see
-    _acceptance_ratio), so its maximum over every offset is 1/q(0), and
-    c_env = 1/q(0) plus 1e-9 relative bounds it; the squeeze is the ratio at
-    the bound less 1e-9 relative. Raises VarianceTooLarge above MAX_SIGMA2."""
-    _check_ceiling(sigma2)
-    c_env = 1.0 / float(_rounded_gaussian_pmf(0.0, math.sqrt(sigma2))) * (1.0 + 1e-9)
-    return c_env, bound, float(_acceptance_ratio(bound, sigma2, c_env)) * (1.0 - 1e-9)
+    sigma = math.sqrt(sigma2)
+    if bound is None:
+        bound = int(math.ceil(TAIL_SIGMAS * sigma)) + 1
+    margin = max(1e-9, PMF_ERROR_ULPS * 2.0**-52 * sigma)
+    c_env = 1.0 / float(_rounded_gaussian_pmf(0.0, sigma)) * (1.0 + margin)
+    r = _acceptance_ratio(np.linspace(0.0, bound, SQUEEZE_BUCKETS + 1), sigma2, c_env)
+    lo = np.append(r[1:], r[-1]) * (1.0 - margin)  # lo[-1]: the squeeze
+    hi = np.append(r[:-1], r[-1]) * (1.0 + margin)
+    lo.flags.writeable = hi.flags.writeable = False
+    return _Envelope(c_env, bound, float(lo[-1]), lo, hi, SQUEEZE_BUCKETS / bound)
 
 
 def _candidates(k, p, rng):
@@ -241,8 +247,7 @@ def _propose(flat_out, pending, k, centers, sigma, bound, rng):
 def _sample_at_centers(centers, sigma2, envelope, rng, shape=None):
     """Exact discrete Gaussians of variance sigma2, one at each real entry of
     `centers` (None: at 0 in `shape`, with no center arithmetic): rejection
-    from round(center + N(0, sigma2)) under envelope = (c_env, support
-    bound, squeeze).
+    from round(center + N(0, sigma2)) under `_envelope(sigma2, bound)`.
 
     The plain test draws U ~ U[0, 1) per proposal and accepts a proposal in
     the support if U < ratio(u). As squeeze <= ratio, U < squeeze accepts,
@@ -259,8 +264,7 @@ def _sample_at_centers(centers, sigma2, envelope, rng, shape=None):
     output (`_propose`). A candidate reads its |u| back as |out - center|,
     exact as the output holds the rounded float. So the output is the only
     batch-sized array: the rest is one block and k p candidates."""
-    c_env, bound, squeeze = envelope
-    lo, hi, scale = _squeeze_buckets(sigma2, c_env, bound)
+    c_env, bound, squeeze, lo, hi, scale = envelope
     p = 1.0 - squeeze
     if centers is not None:
         shape = np.shape(centers)
@@ -296,10 +300,7 @@ def sample_dgauss_1d(sigma2, rng, size=None):
     """
     if not sigma2 > 0:  # NaN included
         raise NonPositiveVariance(f"sigma2={sigma2}")
-    _check_ceiling(sigma2)  # before K, which an infinite sigma2 overflows
-    rng = as_generator(rng)
-    K = int(math.ceil(TAIL_SIGMAS * math.sqrt(sigma2))) + 1
-    out = _sample_at_centers(None, sigma2, _envelope(sigma2, K), rng,
+    out = _sample_at_centers(None, sigma2, _envelope(sigma2), as_generator(rng),
                              shape=size if size is not None else ())
     return out if size is not None else int(out)
 

@@ -137,12 +137,11 @@ def ref_centered_envelope(sigma2):
 # integer product as they were before they streamed through fixed-size
 # blocks: each pass draws all its normals as one batch-sized float array, and
 # the product converts the whole batch to float64 at once. The loop takes the
-# sampler's own envelope, squeeze and candidate helpers, so a difference in
+# sampler's own envelope record and candidate helper, so a difference in
 # output or generator state can only come from the loop itself.
 
 def ref_sample_at_centers(centers, sigma2, envelope, rng, shape=None):
-    c_env, bound, squeeze = envelope
-    lo, hi, scale = dgauss._squeeze_buckets(sigma2, c_env, bound)
+    c_env, bound, squeeze, lo, hi, scale = envelope
     p = 1.0 - squeeze
     if centers is not None:
         shape = np.shape(centers)

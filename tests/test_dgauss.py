@@ -167,6 +167,26 @@ class TestCeiling:
                 got = float(dgauss._rounded_gaussian_pmf(u, sigma))
                 assert abs(got / float(exact) - 1.0) <= 5e-7, k
 
+    @pytest.mark.parametrize("s2", (1e10, 1e12, 1e13, dgauss.MAX_SIGMA2))
+    def test_margin_covers_pmf_error(self, s2):
+        # against the exact pmf, at 41 offsets over each support: c_env q
+        # bounds w, the squeeze and each bucket's lo stay below the ratio
+        # w/(c_env q) and hi above it; a fixed 1e-9 margin fails from 1e12 up
+        import mpmath as mp
+
+        with mp.workdps(40):
+            root2s = mp.sqrt(2 * mp.mpf(s2))
+            for env in (dgauss._envelope(s2), _offset_envelope(s2)):
+                us = np.append(np.round(np.linspace(0.0, env.bound, 41)[:-1]), env.bound)
+                for u in map(mp.mpf, us):
+                    w = mp.exp(-u * u / (2 * mp.mpf(s2)))
+                    q = (mp.erfc((u - 0.5) / root2s) - mp.erfc((u + 0.5) / root2s)) / 2
+                    cq = env.c_env * q
+                    j = int(u * env.scale)
+                    assert cq >= w, u
+                    assert env.squeeze * cq <= w and env.lo[j] * cq <= w, u
+                    assert w <= env.hi[j] * cq, u
+
     def test_draws_at_the_ceiling(self):
         x = dgauss.sample_dgauss_1d(dgauss.MAX_SIGMA2, derive(21, "ceil"), size=20_000)
         assert abs(float(x.std()) / math.sqrt(dgauss.MAX_SIGMA2) - 1.0) <= 0.03
@@ -193,11 +213,6 @@ R0SQ_128 = r0sq(128)  # the smoothing margin at n = 128
 OFFSETS = (0.0, 0.3, 0.5, -0.5, 7.77)
 
 
-def _centered_envelope(s2):
-    """The envelope sample_dgauss_1d uses: support ceil(12 sigma) + 1."""
-    return dgauss._envelope(s2, int(math.ceil(dgauss.TAIL_SIGMAS * math.sqrt(s2))) + 1)
-
-
 def _offset_envelope(s2):
     """The envelope the convolution step uses: support 8 sigma."""
     return dgauss._envelope(s2, dgauss.OFFSET_SIGMAS * math.sqrt(s2))
@@ -208,13 +223,6 @@ def _ratio(u, s2, c_env):
     w = np.exp(-u * u / (2.0 * s2))
     q = dgauss._rounded_gaussian_pmf(u, math.sqrt(s2))
     return np.minimum(w / (c_env * q), 1.0)
-
-
-def _narrow_envelope(s2, sigmas):
-    """The offset envelope cut to a support bound of `sigmas` sigma."""
-    c_env = _offset_envelope(s2)[0]
-    bound = sigmas * math.sqrt(s2)
-    return c_env, bound, float(_ratio(bound, s2, c_env)) * (1.0 - 1e-9)
 
 
 class _Recorder:
@@ -300,7 +308,7 @@ class TestRejectionBits:
         # none of them may slip through the squeeze, and what is accepted
         # follows the target law cut at the bound
         s2, c = 24.65, 0.3
-        envelope = _narrow_envelope(s2, 1.5)
+        envelope = dgauss._envelope(s2, 1.5 * math.sqrt(s2))
         bound = envelope[1]
         centers = np.random.default_rng(18).uniform(-100.0, 100.0, (100, 64))
         a = dgauss._sample_at_centers(centers, s2, envelope, derive(3, "pin-bound"))
@@ -320,7 +328,7 @@ class TestRejectionBits:
         # at sigma^2 = 4 the ratio falls from 1 to 0.28 over the support
         envelope = _offset_envelope(s2)
         if squeeze == "forced-0":
-            envelope = envelope[:2] + (0.0,)
+            envelope = envelope._replace(squeeze=0.0)
         _assert_acceptance_is_ratio(s2, envelope, 0.3, 500_000,
                                     derive(5, "frac", str(s2), squeeze))
 
@@ -328,7 +336,7 @@ class TestRejectionBits:
     def test_candidates_are_bernoulli_p(self, s2):
         # one uniform per candidate; the candidates of k proposals number
         # k p within 5 standard errors, p = 1 - squeeze
-        for envelope, centers in ((_centered_envelope(s2), None),
+        for envelope, centers in ((dgauss._envelope(s2), None),
                                   (_offset_envelope(s2), np.full(200_000, 0.3))):
             rec = _Recorder(derive(6, "cand", str(s2)))
             dgauss._sample_at_centers(centers, s2, envelope, rec, shape=(200_000,))
@@ -341,7 +349,7 @@ class TestRejectionBits:
         # the centered c_env = 1/q(0) (1 + 1e-9) is the old full or
         # subsampled scan's maximum; above 1e4 the scan's maximum sits a
         # rounding error of q (< 2e-12 relative) above 1/q(0), at some z != 0
-        c_env, K, _ = _centered_envelope(s2)
+        c_env, K, *_ = dgauss._envelope(s2)
         ref_c_env, ref_K = ref_centered_envelope(s2)
         assert K == ref_K
         if s2 <= 1e4:
@@ -356,7 +364,7 @@ class TestRejectionBits:
         sigma = math.sqrt(s2)
         assert (float(dgauss._rounded_gaussian_pmf(0.0, sigma))
                 == float(_ref_rounded_gaussian_pmf(0.0, sigma)))
-        for c_env, bound, _ in (_centered_envelope(s2), _offset_envelope(s2)):
+        for c_env, bound, *_ in (dgauss._envelope(s2), _offset_envelope(s2)):
             assert c_env == 1.0 / float(_ref_rounded_gaussian_pmf(0.0, sigma)) * (1.0 + 1e-9)
             u = np.linspace(0.0, bound, dgauss.SQUEEZE_BUCKETS + 1)
             q, ref = dgauss._rounded_gaussian_pmf(u, sigma), _ref_rounded_gaussian_pmf(u, sigma)
@@ -365,7 +373,7 @@ class TestRejectionBits:
 
     @pytest.mark.parametrize("s2", PINNED_SIGMA2 + (2.5e6,))
     def test_centered_squeeze_bounds_ratio_on_support(self, s2):
-        c_env, K, squeeze = _centered_envelope(s2)
+        c_env, K, squeeze, *_ = dgauss._envelope(s2)
         z = np.arange(0, K + 1, dtype=float)
         w = np.exp(-z * z / (2.0 * s2))
         q = dgauss._rounded_gaussian_pmf(z, math.sqrt(s2))
@@ -378,7 +386,7 @@ class TestRejectionBits:
         # 2 r0^2 and 128 r0^2 are the ends of the rounding variance sigma^2/4
         # over a B = 64 grid
         for s2 in (r0sq(n), 2.0 * r0sq(n), 128.0 * r0sq(n), 50.0, 1e4):
-            c_env, lim, squeeze = _offset_envelope(s2)
+            c_env, lim, squeeze, *_ = _offset_envelope(s2)
             u = np.linspace(0.0, lim, 200_001)
             w = np.exp(-u * u / (2.0 * s2))
             q = dgauss._rounded_gaussian_pmf(u, math.sqrt(s2))
@@ -421,7 +429,7 @@ class TestBlockStream:
         # the re-passes re-draw entries scattered over every block of the
         # first pass
         if kind == "centered":
-            envelope, centers = _centered_envelope(s2), None
+            envelope, centers = dgauss._envelope(s2), None
         else:
             envelope = _offset_envelope(s2)
             centers = np.random.default_rng(31).uniform(-100.0, 100.0, k)
@@ -435,7 +443,7 @@ class TestBlockStream:
         # rejects ~62 % of proposals outright, so the second pass of the
         # largest size spans blocks of its own
         s2 = 24.65
-        envelope = _narrow_envelope(s2, sigmas)
+        envelope = dgauss._envelope(s2, sigmas * math.sqrt(s2))
         centers = np.random.default_rng(18).uniform(-100.0, 100.0, k)
         self.assert_same_as_reference(centers, s2, envelope, k, "narrow", str(sigmas), str(k))
         if k == 3 * dgauss._BLOCK + 7 and sigmas == 0.5:
@@ -465,7 +473,7 @@ class TestBatchMemory:
         dgauss.sample_dgauss_1d(s2, derive(32, "warm"))  # fill the envelope caches
         X, peak = traced_peak(dgauss.sample_dgauss_1d, s2, derive(32, "mem"),
                               size=(self.M, self.N))
-        p = 1.0 - _centered_envelope(s2)[2]
+        p = 1.0 - dgauss._envelope(s2)[2]
         assert peak <= X.nbytes + MB + 48 * X.size * p
 
     @pytest.mark.parametrize("mult", (1, 8), ids=["alpha", "alpha-B"])
@@ -487,8 +495,7 @@ class TestTwoSidedSqueeze:
 
     @staticmethod
     def assert_brackets(s2, envelope, u):
-        c_env, bound, squeeze = envelope
-        lo, hi, scale = dgauss._squeeze_buckets(s2, c_env, bound)
+        c_env, bound, squeeze, lo, hi, scale = envelope
         j = (u * scale).astype(np.intp)
         ratio = _ratio(u, s2, c_env)
         assert squeeze <= float(np.min(lo))
@@ -497,7 +504,7 @@ class TestTwoSidedSqueeze:
 
     @pytest.mark.parametrize("s2", PINNED_SIGMA2 + (2.5e6,))
     def test_buckets_bracket_centered_ratio(self, s2):
-        envelope = _centered_envelope(s2)
+        envelope = dgauss._envelope(s2)
         self.assert_brackets(s2, envelope, np.arange(0, envelope[1] + 1, dtype=float))
 
     @pytest.mark.parametrize("n", (8, 64, 128, 256, 4096))
@@ -510,7 +517,7 @@ class TestTwoSidedSqueeze:
 
     def test_buckets_bracket_ratio_under_cut_support(self):
         s2 = 24.65
-        envelope = _narrow_envelope(s2, 1.5)
+        envelope = dgauss._envelope(s2, 1.5 * math.sqrt(s2))
         u = np.linspace(0.0, envelope[1], 64 * dgauss.SQUEEZE_BUCKETS + 1)
         self.assert_brackets(s2, envelope, u)
 
@@ -561,10 +568,9 @@ class TestTwoSidedSqueeze:
         # a seventh of the proposals is decided by the ratio itself, and
         # accepted with probability the ratio
         s2 = 24.65
-        c_env = _offset_envelope(s2)[0]
-        envelope = (c_env, 1e4 * math.sqrt(s2), 0.0)
+        envelope = dgauss._envelope(s2, 1e4 * math.sqrt(s2))  # cached before the spy
+        assert envelope.squeeze == 0.0  # q underflows at the bound
         centers = np.random.default_rng(21).uniform(-100.0, 100.0, (200, 64))
-        dgauss._squeeze_buckets(s2, c_env, envelope[1])  # cached before the spy
         seen = self.count_ratio_points(monkeypatch)
         dgauss._sample_at_centers(centers, s2, envelope, derive(5, "pin-band"))
         monkeypatch.undo()

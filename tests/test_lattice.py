@@ -479,17 +479,20 @@ class TestAutoAlpha:
         sk = family_sketch(family, n)
         M = sk.A.max_abs_entry()
         assert (M == 1) == (family != "rounded-gaussian")
-        alpha, ell = acceptance.auto_alpha(sk)
-        assert alpha == max(floor(n), dgauss.smoothing_sigma2(n, n * M * M))
-        assert ell == math.sqrt(n) * M
+        alpha, how = acceptance.auto_alpha(sk)
+        term = dgauss.smoothing_sigma2(n, n * M * M)
+        assert alpha == max(floor(n), term) == term
+        assert how == {"alpha_floor": floor(n), "alpha_lattice_term": term,
+                       "alpha_binds": "lattice"}
 
     def test_cli_n256_config(self, no_lattice):
         # the sketch `attack-cli-n256` attacks at root seed 7: the lattice
         # term n M^2 = 256 binds
         sk = family_sketch("projection-threshold", 256, seed=7)
-        alpha, ell = acceptance.auto_alpha(sk)
+        alpha, how = acceptance.auto_alpha(sk)
         assert alpha == dgauss.smoothing_sigma2(256, 256) > floor(256)
-        assert ell == 16.0
+        assert how["alpha_lattice_term"] == dgauss.smoothing_sigma2(256, 16.0**2)
+        assert how["alpha_binds"] == "lattice"
 
     @pytest.mark.parametrize("n,binds", [(16, "floor"), (32, "lattice"), (64, "lattice")])
     def test_floor_binds_below_32(self, no_lattice, n, binds):

@@ -1,18 +1,20 @@
 """README's three field tables against the key tables the program reads:
 the attack block (acceptance.ATTACK_FIELDS), a sketch family's params
-(sketch._FIELDS) and a hard family's params (harddist._FIELDS); and every
+(sketch._FIELDS) and a hard family's params (harddist._FIELDS); its sampler
+table against the envelopes it quotes (dgauss._envelope); and every
 backticked sketchlab name in README, the demos and the package's own source
 against the package."""
 
 import functools
 import importlib
 import json
+import math
 import pkgutil
 import re
 from pathlib import Path
 
 import sketchlab
-from sketchlab import acceptance, harddist, sketch
+from sketchlab import acceptance, dgauss, harddist, sketch
 from sketchlab.fields import OPTIONAL, REQUIRED
 
 ROOT = Path(__file__).parent.parent
@@ -106,3 +108,16 @@ def test_backticked_names_resolve():
             except AttributeError:
                 missing.append(f"{path.name}: {m.group(0)}`")
     assert refs and not missing, missing
+
+
+def test_sampler_table_is_one_minus_squeeze():
+    # each row's p is 1 - squeeze of the envelope its draw rounds under, at
+    # n = 128, to the three significant digits quoted
+    [rows] = tables("| draw | rounding variance | support | p |")
+    r0sq = dgauss.smoothing_sigma2(128, 4)
+    assert f"r0² = r0²(128) = {r0sq:.2f}" in README
+    assert len(rows) == 4
+    for _draw, variance, support, p in rows:
+        s2 = int(re.fullmatch(r"(\d+)·r0²", variance).group(1)) * r0sq
+        bound = {"⌈12σ⌉ + 1": None, "8σ": dgauss.OFFSET_SIGMAS * math.sqrt(s2)}[support]
+        assert float(p) == float(f"{1.0 - dgauss._envelope(s2, bound).squeeze:.3g}"), variance

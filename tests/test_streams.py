@@ -40,16 +40,25 @@ def json_digest(obj):
     return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
 
 
+# 0.5 is summed directly in the partition function, 1e12 is the lp
+# families' N^2 and 1e15 lies just under the ceiling MAX_SIGMA2
 DGAUSS_1D = {
+    0.5: "09de569ba71fff02c5f88035d09768a5796097c9d4204d36e9baa9fe51f35713",
     24.65: "b7aeb4207ed93844239954818e45d5ecc73222219bfb0ae8ea5dd12987490934",
     1e4: "f3c704e891c8a0a1aa62b800853585c8cc81c1572de5c10427e1bd68bc065924",
     1e8: "d75cd1bc5ec8d71aa402d43ea0c64d380a85fc45bd4dccf338ad1daf4f844402",
+    1e12: "698e4da7abcfef3b8983dd127dc53b0e2c5ec58b5d776e6a921108aa11a0c138",
+    1e15: "9918072701459b6cdb772ca4310eb7145f48845a7b9e1cad3af41d4c0a419edb",
 }
-# keyed by dim V
+# keyed by dim V, at the sampling floor 8 r0^2 (n = 128), which a query with
+# V != {} rounds at 2 r0^2
 SUBSPACE_QUERY = {
     0: "45f72047744b8fd5c8b24fd9799ececd1c5ff5cc50a56b728e45522bd9a0fc67",
     4: "9e687c2f971538fd84341160f957bd7367fd7b823e1e1f9dd5ab9d46be598391",
 }
+# dim V = 4 at 32 r0^2, auto alpha at n = 128 and the low end of the
+# attack's grid: it rounds at 8 r0^2
+SUBSPACE_QUERY_AT_ALPHA = "4912b2dc0d340c3950b46769f5e5b30c30362e26139ba8cdb066ff76125e00b9"
 
 
 @pytest.mark.parametrize("s2", DGAUSS_1D)
@@ -58,15 +67,23 @@ def test_dgauss_1d(s2):
     assert digest(x) == DGAUSS_1D[s2]
 
 
-@pytest.mark.parametrize("k", SUBSPACE_QUERY)
-def test_subspace_query(k):
+def subspace_digest(k, r0_units):
+    """Digest of 64 draws at n = 128 with dim V = k, at sigma^2 = r0_units r0^2."""
     n = 128
     basis = np.linalg.qr(np.random.default_rng(14).standard_normal((n, 4)))[0].T
     V = OrthonormalBasis(n, list(basis[:k])) if k else OrthonormalBasis.empty(n)
-    spec = dgauss.SubspaceGaussianSpec(n, V, 8.0 * dgauss.smoothing_sigma2(n, 4))
-    X = dgauss.sample_subspace_query(spec, "discrete",
-                                     derive(14, "streams", "subspace", str(k)), size=64)
-    assert digest(X) == SUBSPACE_QUERY[k]
+    spec = dgauss.SubspaceGaussianSpec(n, V, r0_units * dgauss.smoothing_sigma2(n, 4))
+    return digest(dgauss.sample_subspace_query(spec, "discrete",
+                                               derive(14, "streams", "subspace", str(k)), size=64))
+
+
+@pytest.mark.parametrize("k", SUBSPACE_QUERY)
+def test_subspace_query(k):
+    assert subspace_digest(k, 8.0) == SUBSPACE_QUERY[k]
+
+
+def test_subspace_query_at_auto_alpha():
+    assert subspace_digest(4, 32.0) == SUBSPACE_QUERY_AT_ALPHA
 
 
 def test_attack_transcript():
@@ -121,6 +138,12 @@ def test_turnstile_value_past_int64():
             == "e3811879c7849ebd8db6f0f45eefc0363dd10a4645e7a928e2eff902cfab8105")
 
 
+def alpha_at_length(sk):
+    """auto_alpha's alpha beside the length sqrt(n) M it is the smoothing
+    variance of."""
+    return [auto_alpha(sk)[0], math.sqrt(sk.n) * sk.A.max_abs_entry()]
+
+
 def test_n256_kernels_and_auto_alpha():
     # the probe sketch `acceptance.attack_setup` hands auto_alpha for the
     # n = 256 projection-threshold config of the attack-cli-n256 benchmark;
@@ -130,7 +153,7 @@ def test_n256_kernels_and_auto_alpha():
     kernel = integer_kernel_basis(sk.A)
     got = {
         "kernel": json_digest([kernel.vectors, kernel.certified_max_len]),
-        "auto_alpha": json_digest(auto_alpha(sk)),
+        "auto_alpha": json_digest(alpha_at_length(sk)),
     }
     assert got == {
         "kernel": "639a9b8d87f0abe44742f71cb46dd23dc6e7373439f21a0fe5961765d6bfb07d",
@@ -138,7 +161,7 @@ def test_n256_kernels_and_auto_alpha():
     }
 
 
-# auto_alpha of each family's probe sketch (r = 8, seed 0, as
+# alpha_at_length of each family's probe sketch (r = 8, seed 0, as
 # test_lattice.family_sketch builds it) at n = 64 and 128: 380.29 and 788.83
 # for the +-1 families (M = 1); rounded-gaussian reads 257,077.4 (M = 26)
 # and 1,139,063.9 (M = 38)
@@ -158,7 +181,7 @@ AUTO_ALPHA = {
 def test_auto_alpha(family, n):
     params = {"alpha": 1.0, "B": 8.0, "m_cal": 16} if family == "projection-threshold" else {}
     sk = build_sketch(family, n, 8, params, seed=0)
-    assert json_digest(auto_alpha(sk)) == AUTO_ALPHA[family, n]
+    assert json_digest(alpha_at_length(sk)) == AUTO_ALPHA[family, n]
 
 
 # GapNormOracle bits of each family's sketch (r = 8, seed n, alpha = 200,
