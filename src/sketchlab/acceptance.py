@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from . import dgauss, harddist, stats
-from .attack import KNOBS, AttackConfig, conditional_gap_estimate, map_runs, run_and_verify
+from .attack import KNOBS, AttackConfig, conditional_gap_estimate, run_and_verify
 from .errors import BadParams, BoundViolated, LengthBoundUnachieved, TooManyRows
 from .fields import REQUIRED, config_error, read_fields, read_value
 from .lattice import IntMatrix, preprocess_sketch, short_kernel_vector
@@ -179,19 +179,11 @@ def criterion_1_attack_end_to_end(fast):
     against the projection-threshold sketch (n=128, r=8, B=8, m=2000,
     16-point geometric grid); each run <= 5 minutes."""
     runs = 3 if fast else 10
-    per_run = map_runs(_end_to_end_run, list(range(runs)))
+    per_run = [_end_to_end_run(i) for i in range(runs)]
     wins = sum(r["win"] for r in per_run)
     need = 2 if fast else 8
     ok = wins >= need and all(r["elapsed_s"] <= 300 for r in per_run)
     return ok, {"wins": wins, "runs": runs, "per_run": per_run}
-
-
-def _negative_control_run(job):
-    """Criterion 2's run i against the exact oracle: (certified, verified)."""
-    n, r, params, cfg, i = job
-    out, rep = run_and_verify(ExactNormOracle(n, params), r, cfg,
-                              derive(88, "neg", i), derive(88, "neg-verify", i))
-    return out.certificate is not None, bool(rep and rep["exploit_count"])
 
 
 @criterion(2, "negative control (ground-truth oracle)")
@@ -200,10 +192,12 @@ def criterion_2_negative_control(fast):
     ground-truth oracle, all on the seed-4242 sketch."""
     runs = 10 if fast else 100
     sk, params, cfg, _ = attack_setup(ATTACK, 4242)
-    results = map_runs(_negative_control_run,
-                       [(sk.n, sk.r, params, cfg, i) for i in range(runs)])
-    certs = sum(c for c, _ in results)
-    verified = sum(v for _, v in results)
+    certs = verified = 0
+    for i in range(runs):
+        out, rep = run_and_verify(ExactNormOracle(sk.n, params), sk.r, cfg,
+                                  derive(88, "neg", i), derive(88, "neg-verify", i))
+        certs += out.certificate is not None
+        verified += bool(rep and rep["exploit_count"])
     return verified == 0, {"runs": runs, "certificates": certs, "verified": verified}
 
 

@@ -21,8 +21,7 @@ an unreadable or malformed config file, reported by name, a bad config field,
 reported with its path, and a bad --params, --certificate, --sketch or --in,
 reported in one `error:` line), 2 threshold failure in acceptance/check mode.
 
-Environment: SKETCHLAB_OUT overrides the output directory, SKETCHLAB_THREADS
-the worker count for independent seeded attack runs.
+Environment: SKETCHLAB_OUT overrides the output directory.
 """
 
 import argparse
@@ -37,13 +36,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import acceptance, dgauss, harddist, stats
-from .attack import (
-    FailureCertificate,
-    map_runs,
-    run_and_verify,
-    verify_certificate,
-    worker_count,
-)
+from .attack import FailureCertificate, run_and_verify, verify_certificate
 from .errors import BadParams, SketchLabError
 from .fields import REQUIRED, read_fields
 from .rng import derive
@@ -108,9 +101,8 @@ def _write_json(path, obj):
         fh.write(json.dumps(obj, sort_keys=True, default=_json_default) + "\n")
 
 
-def _single_attack_run(args):
-    """One seeded attack run (top-level so a process pool can pickle it)."""
-    (sk, params, cfg), root_seed, run_seed, do_verify = args
+def _single_attack_run(sk, params, cfg, root_seed, run_seed, do_verify):
+    """The attack run of seed `run_seed` on the config's one sketch."""
     out, rep = run_and_verify(
         GapNormOracle(sk, params), sk.r, cfg, derive(root_seed, "attack", run_seed),
         derive(root_seed, "verify", run_seed) if do_verify else None,
@@ -129,15 +121,14 @@ def _single_attack_run(args):
 
 def cmd_attack_run(args):
     cfg = load_config(args.config)
-    worker_count()  # a bad SKETCHLAB_THREADS fails before anything is built or made
     acfg = acceptance.read_attack_block(cfg["attack"])
     root_seed = int(args.seed if args.seed is not None else cfg["seed"])
     # the sketch depends only on the root seed: build it once for all runs
     sk, params, attack_cfg, alpha_report = acceptance.attack_setup(acfg, root_seed)
     out_dir = _out_dir(cfg.get("out"), args.out)
     calibration = acceptance.calibration_vs_zeta(sk, attack_cfg)
-    jobs = [((sk, params, attack_cfg), root_seed, s, acfg["verify"]) for s in acfg["seeds"]]
-    results = map_runs(_single_attack_run, jobs)
+    results = [_single_attack_run(sk, params, attack_cfg, root_seed, s, acfg["verify"])
+               for s in acfg["seeds"]]
 
     # transcript.jsonl: one record per (run, round, sigma2) that the round
     # drew; a round whose direction is decided skips its middle grid points

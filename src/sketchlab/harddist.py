@@ -67,6 +67,9 @@ _SV_TAIL_T = 4.3
 _TVD_CHUNK, _TVD_CHUNK_ENTRIES = 250, 256_000
 # float64 spike entries (512 KB) that a plant forms at once
 _SPIKE_BLOCK = 65_536
+# log2 of the most k-subsets a cs support family holds: support_family
+# checks each new subset against every kept one, and 2^14 take seconds
+MAX_SUPPORT_LOG2 = 14
 
 
 @dataclass
@@ -87,6 +90,10 @@ class HardFamily:
         elif name == "cs":
             if p["k"] >= p["n"]:
                 raise BadParams(f"cs param 'k' must be below n = {p['n']}, got {p['k']}")
+            log_count = default_support_count(p["n"], p["k"]).bit_length() - 1
+            if log_count > MAX_SUPPORT_LOG2:
+                raise BadParams(f"cs (n, k) = ({p['n']}, {p['k']}) needs 2^{log_count} support "
+                                f"sets, above the cap 2^{MAX_SUPPORT_LOG2}")
             if math.isqrt(int(p["N"])) ** 2 != p["N"]:
                 raise BadParams("cs needs N to be a perfect square (entries +-sqrt(N))")
             noise_var = p["eps"] * p["N"] * p["k"] / p["n"]
@@ -704,7 +711,7 @@ def sketched_indistinguishability(family: HardFamily, d, trials, rng):
     sides under a fixed random orthonormal sketch.
 
     Histogram TVD estimation is only feasible in low dimension
-    (d <= stats.TVD_MAX_DIM).
+    (d <= stats.TVD_MAX_DIM), and d may not exceed the payload size.
     Both sides are drawn by the one instance generator in chunks of
     min(_TVD_CHUNK, _TVD_CHUNK_ENTRIES // dim) instances, at least one.
     """
@@ -717,6 +724,8 @@ def sketched_indistinguishability(family: HardFamily, d, trials, rng):
     rng = as_generator(rng)
     probe = gen_hard_instance(family, "D1", rng)
     dim = probe.payload.size
+    if d > dim:
+        raise BadParams(f"sketch dimension d = {d} exceeds the payload size {dim}")
     Braw = rng.standard_normal((dim, d))
     Bq, _ = np.linalg.qr(Braw)
     B = Bq.T  # (d, dim) orthonormal rows

@@ -36,6 +36,9 @@ def _run(criterion_id):
 def test_acceptance_criterion(cid):
     rec = _run(cid)
     assert rec["ok"], f"criterion {cid} failed: {rec['detail']}"
+    if cid == 1:
+        detail = rec["detail"]
+        assert detail["runs"] == len(detail["per_run"]) == (3 if FAST else 10)
 
 
 def test_criteria_registered_in_id_order():
@@ -53,23 +56,6 @@ def test_preprocessing_rows_and_entries():
     assert detail["good"] == detail["trials"]
     assert all(run["rows"] == 12 for run in detail["runs"])
     assert detail["max_bound"] ** 2 <= 32 * 50**2
-
-
-def _without_times(rec):
-    detail = dict(rec["detail"], per_run=[{k: v for k, v in run.items() if k != "elapsed_s"}
-                                          for run in rec["detail"]["per_run"]])
-    return {k: v for k, v in dict(rec, detail=detail).items() if k != "elapsed_s"}
-
-
-def test_end_to_end_runs_on_the_seed_pool(monkeypatch):
-    # criterion 1's runs map through the SKETCHLAB_THREADS pool: the same
-    # record, serially and on two workers, apart from the times
-    monkeypatch.delenv("SKETCHLAB_THREADS", raising=False)
-    serial = acceptance.criterion_1_attack_end_to_end(fast=True)
-    monkeypatch.setenv("SKETCHLAB_THREADS", "2")
-    pooled = acceptance.criterion_1_attack_end_to_end(fast=True)
-    assert _without_times(pooled) == _without_times(serial)
-    assert serial["detail"]["runs"] == len(serial["detail"]["per_run"]) == 3
 
 
 def test_rates_follow_chi2_at_empty_subspace():

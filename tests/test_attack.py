@@ -14,7 +14,6 @@ from sketchlab.attack import (
     FailureCertificate,
     conditional_gap_estimate,
     invariant_diagnostic,
-    map_runs,
     round_step,
     run_and_verify,
     run_attack,
@@ -578,10 +577,6 @@ class TestTvdMonotonicitySurrogate:
         assert tvds[0.1] >= 0.04  # visible signal at d = 0.1
 
 
-def _square(x):
-    return x * x
-
-
 class TestRunAndVerify:
     def test_is_run_attack_then_verify_certificate(self):
         # the same streams give the same outcome and the same report as the
@@ -615,13 +610,6 @@ class TestRunAndVerify:
         rep = verify_certificate(oracle, cert, 2000, derive(43, "v1"))
         assert rep == {"failure_rate": 0.0, "exploit_count": 0, "promise_violations": 0,
                        "exploits": []}
-
-    def test_map_runs_pool_keeps_job_order(self, monkeypatch):
-        jobs = list(range(7))
-        monkeypatch.delenv("SKETCHLAB_THREADS", raising=False)
-        serial = map_runs(_square, jobs)
-        monkeypatch.setenv("SKETCHLAB_THREADS", "2")
-        assert map_runs(_square, jobs) == serial == [j * j for j in jobs]
 
 
 class TestGridKinds:

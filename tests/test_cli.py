@@ -1,4 +1,4 @@
-import concurrent.futures
+import csv
 import hashlib
 import json
 import os
@@ -150,61 +150,45 @@ class TestAttackRun:
         report = read_json(out, "report.json")
         assert report["verified"] == sum(1 for e in exploits if e["exploits"])
 
-    def test_process_pool_matches_serial(self, tmp_path, monkeypatch):
-        # SKETCHLAB_THREADS > 1 runs the seeds in worker processes; results
-        # are still written in seed order, so every artefact is the serial
-        # run's, byte for byte
-        doc = json.loads(json.dumps(ATTACK_CFG))
-        doc["attack"]["seeds"] = [0, 1]
-        cfg, out = write_cfg(tmp_path, doc), str(tmp_path / "out")
-        files = ("transcript.jsonl", "summary.csv", "certificate.json",
-                 "exploits.json", "report.json")
-        pools = []
+    def test_runs_written_in_config_order(self, tmp_path):
+        # seeds [2, 0, 1] list their runs in that order in every artefact,
+        # each run the one that seeds [0, 1, 2] write for its seed
+        written = {}
+        for seeds in ([0, 1, 2], [2, 0, 1]):
+            doc = json.loads(json.dumps(ATTACK_CFG))
+            doc["attack"]["seeds"] = seeds
+            out = tmp_path / "".join(map(str, seeds))
+            assert main(["attack", "run", "--config", write_cfg(tmp_path, doc),
+                         "--out", str(out)]) == 0
+            rows = [json.loads(line) for line in (out / "transcript.jsonl").read_text().splitlines()]
+            with open(out / "summary.csv", newline="") as fh:
+                summary = list(csv.DictReader(fh))
+            written[tuple(seeds)] = {
+                "transcript": {s: [r for r in rows if r["run_seed"] == s] for s in seeds},
+                "certificate": dict(zip(seeds, read_json(out, "certificate.json"))),
+                "exploits": {e["run_seed"]: e for e in read_json(out, "exploits.json")},
+            }
+            run_seeds = [r["run_seed"] for r in rows]
+            assert run_seeds == sorted(run_seeds, key=seeds.index)
+            assert [(int(r["run_id"]), int(r["seed"])) for r in summary] == [
+                (seeds.index(r["run_seed"]), r["run_seed"]) for r in rows]
+            assert [e["run_seed"] for e in read_json(out, "exploits.json")] == seeds
+        assert written[(0, 1, 2)] == written[(2, 0, 1)]
+        certs = written[(0, 1, 2)]["certificate"]
+        assert len({json.dumps(c, sort_keys=True) for c in certs.values()}) == 3
 
-        class Pool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-        written = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("SKETCHLAB_THREADS", threads)
-            assert main(["attack", "run", "--config", cfg, "--out", out]) == 0
-            written.append({f: Path(out, f).read_bytes() for f in files})
-        assert pools == [2]
-        assert written[0] == written[1]
-        rows = Path(out, "transcript.jsonl").read_text().splitlines()
-        seeds = [json.loads(line)["run_seed"] for line in rows]
-        assert seeds == sorted(seeds) and set(seeds) == {0, 1}
-
-    @pytest.mark.parametrize("threads", ["two", "0", "1.5", ""],
-                             ids=["word", "zero", "fraction", "empty"])
-    def test_bad_thread_count_is_one_error_line(self, tmp_path, capsys, monkeypatch, threads):
-        # SKETCHLAB_THREADS is read before the sketch is built or the output
-        # directory is made
-        monkeypatch.setenv("SKETCHLAB_THREADS", threads)
-        out = tmp_path / "o"
-        assert main(["attack", "run", "--config", write_cfg(tmp_path, ATTACK_CFG),
-                     "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err == f"error: SKETCHLAB_THREADS must be an integer >= 1, got {threads!r}\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize("threads", ("1", "2"), ids=("serial", "pooled"))
     @pytest.mark.parametrize("config", ARTEFACT_PINS)
-    def test_artefacts_pinned(self, tmp_path, config, threads):
-        # `attack run --seed 7` writes these bytes, serially and on the seed
-        # pool, at one and at two BLAS threads: the attack-cli-n256
-        # benchmark's config and the demo config. The transcript's singular
-        # scores are float sums whose last bits follow the BLAS pool, so the
-        # records keep attack.SCORE_DIGITS of them
+    def test_artefacts_pinned(self, tmp_path, config):
+        # `attack run --seed 7` writes these bytes at one and at two BLAS
+        # threads: the attack-cli-n256 benchmark's config and the demo config.
+        # The transcript's singular scores are float sums whose last bits
+        # follow the BLAS pool, so the records keep attack.SCORE_DIGITS of them
         path = CONFIGS[config] if config in CONFIGS else write_cfg(tmp_path, N256_CFG)
         src = os.path.dirname(os.path.dirname(sketchlab.__file__))
         got = {}
         for blas in ("1", "2"):
             out = tmp_path / f"out-blas{blas}"
-            env = dict(os.environ, PYTHONPATH=src, SKETCHLAB_THREADS=threads,
+            env = dict(os.environ, PYTHONPATH=src,
                        OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas, MKL_NUM_THREADS=blas)
             subprocess.run([sys.executable, "-m", "sketchlab.cli", "attack", "run",
                             "--config", path, "--seed", "7", "--out", str(out)],
@@ -606,6 +590,12 @@ class TestOtherCommands:
                      "--params", '{"n": 16, "s1": 0.0}', "--d", "1",
                      "--trials", "3000"]) == 0
 
+    def test_harddist_tvd_at_the_payload_size(self, capsys):
+        # d may equal the payload size: lp-small's n = 2 payload, sketched whole
+        assert main(["harddist", "tvd", "--family", "lp-small", "--params", '{"n": 2}',
+                     "--d", "2", "--trials", "2000"]) == 0
+        assert json.loads(capsys.readouterr().out)["tvd"]["binning"]["dims"] == 2
+
     @pytest.mark.parametrize("argv, why", [
         (["harddist", "tvd", "--family", "opnorm-alpha", "--params", '{"n": 16}',
           "--d", "0"], "d must be at least 1"),
@@ -711,6 +701,12 @@ class TestOtherCommands:
          "certificate subspace is not rows of numbers"),
         (["harddist", "gen", "--family", "opnorm-alpha", "--params", '{"N": 1e200, "n": 8}'],
          "sigma^2 = inf above the sampling ceiling 1e+16"),
+        (["harddist", "gen", "--family", "cs", "--params", '{"n": 4096, "k": 64}'],
+         "cs (n, k) = (4096, 64) needs 2^96 support sets, above the cap 2^14"),
+        (["harddist", "tvd", "--family", "lp-small", "--params", '{"n": 1}', "--d", "3",
+          "--trials", "2000"], "sketch dimension d = 3 exceeds the payload size 1"),
+        (["harddist", "tvd", "--family", "lp-small", "--params", '{"n": 2}', "--d", "3",
+          "--trials", "2000"], "sketch dimension d = 3 exceeds the payload size 2"),
     ], ids=["build-list", "build-json", "gen-list", "gen-json", "gap-list", "tvd-json",
             "cert-missing", "cert-malformed", "cert-not-certificate", "cert-bad-side",
             "sketch-missing", "sketch-malformed", "verify-trials-0", "verify-trials-5",
@@ -720,7 +716,8 @@ class TestOtherCommands:
             "lp-large-eps-negative", "psd-p0-gen", "psd-p0-gap", "spike-past-int64",
             "N-past-ceiling", "gen-unknown-key", "in-missing", "in-malformed", "in-not-spec",
             "build-seed-negative", "verify-row-short", "verify-rows-equal", "verify-row-nan",
-            "verify-row-text", "N-past-float64"])
+            "verify-row-text", "N-past-float64", "cs-support-past-cap", "tvd-d-above-n1",
+            "tvd-d-above-n2"])
     def test_bad_input_exits_1_with_one_line(self, tmp_path, capsys, argv, why):
         cert = {"subspace": [[1.0] + [0.0] * 15], "sigma2": 4.0, "side": "high",
                 "empirical_rate": 0.2, "sample_count": 100, "zeta": 0.1, "alpha": 0.5,
@@ -875,8 +872,8 @@ class TestOtherCommands:
 
 class TestImportHygiene:
     def test_cold_import_loads_no_scipy_and_no_process_pool(self):
-        # the package runs on numpy and the standard library; the process
-        # pool is imported only when SKETCHLAB_THREADS asks for it
+        # the package runs on numpy and the standard library, and every
+        # seeded run stays in the caller's process
         code = ("import sys, sketchlab, sketchlab.cli, sketchlab.acceptance; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
                 "or m == 'concurrent.futures.process'))")

@@ -3,7 +3,8 @@ the attack block (acceptance.ATTACK_FIELDS), a sketch family's params
 (sketch._FIELDS) and a hard family's params (harddist._FIELDS); its sampler
 table against the envelopes it quotes (dgauss._envelope); and every
 backticked sketchlab name in README, the demos and the package's own source
-against the package."""
+against the package; and README's Environment paragraph against the
+environment variables the package reads."""
 
 import functools
 import importlib
@@ -121,3 +122,16 @@ def test_sampler_table_is_one_minus_squeeze():
         s2 = int(re.fullmatch(r"(\d+)·r0²", variance).group(1)) * r0sq
         bound = {"⌈12σ⌉ + 1": None, "8σ": dgauss.OFFSET_SIGMAS * math.sqrt(s2)}[support]
         assert float(p) == float(f"{1.0 - dgauss._envelope(s2, bound).squeeze:.3g}"), variance
+
+
+def test_environment_paragraph_names_every_variable_read():
+    # every environment variable the package reads, each by a literal name,
+    # is named in README's Environment paragraph
+    reads, names = 0, []
+    for path in sorted((ROOT / "src" / "sketchlab").glob("*.py")):
+        text = path.read_text()
+        reads += len(re.findall(r"\bos\.(?:environ|getenv)\b", text))
+        names += re.findall(r"\bos\.(?:environ\.get\(|environ\[|getenv\()[\"']([A-Z_]\w*)", text)
+    [paragraph] = re.findall(r"^Environment: .*?(?=\n\n)", README, re.M | re.S)
+    assert names and reads == len(names)
+    assert {n for n in names if f"`{n}`" not in paragraph} == set()
