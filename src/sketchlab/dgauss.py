@@ -29,9 +29,23 @@ pmf, a difference of float64 tails. The normals stream through one buffer of
 _BLOCK floats, each block rounded straight into the int64 output, so the
 output is the only batch-sized array a draw holds. A rounding variance above
 MAX_SIGMA2 raises VarianceTooLarge.
+
+A batch of more than _BLOCK entries splits into blocks of _BLOCK flat
+entries (a query with V != {}: of whole rows, whose centers are drawn,
+projected and rounded block by block), and each block is an exact draw by
+the same loop on its own child stream of the caller's generator
+(`rng.children`). The blocks run on one thread pool, one thread per CPU of
+the process's affinity mask, made on first use and rebuilt in a forked
+child; numpy releases the GIL in the draws and ufuncs. The bits follow from
+the seed and the batch shape alone, never from the thread count, and a batch
+of one block runs on the caller's generator itself. There is no option:
+restricting the affinity mask (taskset) gives one thread, which draws the
+blocks in turn in the caller's thread.
 """
 
 import math
+import os
+import threading
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,7 +54,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonPositiveVariance, VarianceTooLarge, VarianceTooSmall
 from .numerics import OrthonormalBasis
-from .rng import as_generator
+from .rng import as_generator, children
 
 TAIL_SIGMAS = 12.0
 # support bound, in sigmas, of the sampler at real centers: the target mass
@@ -61,9 +75,11 @@ MAX_SIGMA2 = 1e16
 # fails a true bound (1e8 passes in about 8 s and 90 MB, 1e9 fails)
 NORMALIZATION_MAX_SIGMA2 = 1e8
 SQUEEZE_BUCKETS = 1024  # buckets of |u| in the two-sided squeeze
-_BLOCK = 65_536  # normals per block of a pass's proposal stream (512 KB)
+_BLOCK = 65_536  # entries per block of a batch, normals per proposal buffer (512 KB)
 _SQRT_HALF = math.sqrt(0.5)
 _erfc = np.vectorize(math.erfc, otypes=[float])
+_pool = (None, None)  # (pid, thread pool): a forked child builds its own
+_pool_lock = threading.Lock()
 
 
 def smoothing_sigma2(n, ell_sq):
@@ -218,16 +234,16 @@ def _candidates(k, p, rng):
     return pos[: np.searchsorted(pos, k)]
 
 
-def _propose(flat_out, pending, k, centers, sigma, bound, rng):
+def _propose(flat_out, pending, k, centers, sigma, bound, rng, buf):
     """One pass of proposals round(center + sigma g), written into flat_out
     at the k pending positions (None: all of them, in order). The normals g
-    stream through one buffer of at most _BLOCK floats: consecutive draws
-    into it give the values of one draw of k. Returns the pass positions
-    whose proposal lies beyond the support bound."""
-    buf = np.empty(min(k, _BLOCK))
+    stream through `buf`, at most _BLOCK of them at a time: consecutive
+    draws into it give the values of one draw of k. Returns the pass
+    positions whose proposal lies beyond the support bound."""
     beyond = []
-    for start in range(0, k, _BLOCK):
-        z = buf[: min(k - start, _BLOCK)]
+    step = min(buf.size, _BLOCK)
+    for start in range(0, k, step):
+        z = buf[: min(k - start, step)]
         rng.standard_normal(out=z)
         z *= sigma
         at = slice(start, start + z.size) if pending is None else pending[start:start + z.size]
@@ -244,10 +260,13 @@ def _propose(flat_out, pending, k, centers, sigma, bound, rng):
     return beyond
 
 
-def _sample_at_centers(centers, sigma2, envelope, rng, shape=None):
+def _sample_at_centers(centers, sigma2, envelope, rng, shape=None, out=None, buf=None):
     """Exact discrete Gaussians of variance sigma2, one at each real entry of
     `centers` (None: at 0 in `shape`, with no center arithmetic): rejection
     from round(center + N(0, sigma2)) under `_envelope(sigma2, bound)`.
+    They fill `out`, an int64 array of the batch's size, and the normals
+    stream through `buf` (`_propose`); each is allocated here when not
+    given.
 
     The plain test draws U ~ U[0, 1) per proposal and accepts a proposal in
     the support if U < ratio(u). As squeeze <= ratio, U < squeeze accepts,
@@ -269,11 +288,14 @@ def _sample_at_centers(centers, sigma2, envelope, rng, shape=None):
     if centers is not None:
         shape = np.shape(centers)
         centers = np.asarray(centers, dtype=float).ravel()
-    out = np.empty(shape, dtype=np.int64)
+    if out is None:
+        out = np.empty(shape, dtype=np.int64)
     flat_out = out.reshape(-1)
     pending, k = None, out.size  # None: every entry, in order
+    if buf is None:
+        buf = np.empty(min(k, _BLOCK))
     while k:
-        beyond = _propose(flat_out, pending, k, centers, math.sqrt(sigma2), bound, rng)
+        beyond = _propose(flat_out, pending, k, centers, math.sqrt(sigma2), bound, rng, buf)
         cand = _candidates(k, p, rng)
         at = cand if pending is None else pending[cand]
         a = flat_out[at] if centers is None else flat_out[at] - centers[at]
@@ -292,16 +314,69 @@ def _sample_at_centers(centers, sigma2, envelope, rng, shape=None):
     return out
 
 
+def _workers():
+    """The CPUs this process may run on: the size of its affinity mask."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform with no affinity mask
+        return os.cpu_count() or 1
+
+
+def _executor():
+    """The process's thread pool of _workers() threads, made on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool[0] != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = (os.getpid(), ThreadPoolExecutor(_workers()))
+        return _pool[1]
+
+
+def _run_blocks(rng, blocks, bufs, draw):
+    """Call draw(b, gen, buf) for each block b in range(blocks): one block on
+    rng itself, more on block b's child stream (`rng.children`) across the
+    thread pool, so the bits do not depend on the thread count. At most
+    len(bufs) calls run at once, each with its own row of bufs, which the
+    caller allocated: the calls allocate nothing batch-sized."""
+    if blocks == 1:
+        draw(0, rng, bufs[0])
+        return
+    gens = children(rng, blocks)
+    pending = iter(range(blocks))  # shared by the calls below: next() holds the GIL
+
+    def run(buf):
+        for b in pending:
+            draw(b, gens[b], buf)
+
+    if len(bufs) == 1:
+        run(bufs[0])
+    else:
+        list(_executor().map(run, bufs))
+
+
 def sample_dgauss_1d(sigma2, rng, size=None):
     """Exact sample(s) from D(0, sigma^2) on Z, at every 0 < sigma^2 <=
     MAX_SIGMA2, by rejection from a rounded-continuous proposal on the
     support |z| <= ceil(12 sigma) + 1. The ratio w/q falls with |z| at any
     sigma, so the envelope constant 1/q(0) is exact for small variances too.
+    A batch is drawn in blocks of _BLOCK flat entries (`_run_blocks`).
     """
     if not sigma2 > 0:  # NaN included
         raise NonPositiveVariance(f"sigma2={sigma2}")
-    out = _sample_at_centers(None, sigma2, _envelope(sigma2), as_generator(rng),
-                             shape=size if size is not None else ())
+    envelope = _envelope(sigma2)
+    out = np.empty(size if size is not None else (), dtype=np.int64)
+    flat = out.reshape(-1)
+
+    def draw(b, gen, buf):
+        _sample_at_centers(None, sigma2, envelope, gen,
+                           out=flat[b * _BLOCK:(b + 1) * _BLOCK], buf=buf)
+
+    # the blocks drawn at once share one proposal buffer's worth of floats
+    blocks = max(1, -(-flat.size // _BLOCK))
+    slots = min(blocks, _workers())
+    _run_blocks(as_generator(rng), blocks,
+                np.empty((slots, -(-min(flat.size, _BLOCK) // slots))), draw)
     return out if size is not None else int(out)
 
 
@@ -373,11 +448,25 @@ def sample_subspace_query(spec: SubspaceGaussianSpec, kind, rng, size=None):
     if not len(spec.V):
         z = sample_dgauss_1d(s2, rng, size=(m, n))
         return z[0] if size is None else z
-    G = rng.standard_normal((m, n))
-    G -= (G @ V.T) @ V
-    G *= math.sqrt(0.75 * s2)
     # the rounding step: D(Z - c, sigma^2/4) at each center, on the support
-    # |u| <= OFFSET_SIGMAS sigma/2
-    s2 /= 4.0
-    z = _sample_at_centers(G, s2, _envelope(s2, OFFSET_SIGMAS * math.sqrt(s2)), rng)
+    # |u| <= OFFSET_SIGMAS sigma/2, in blocks of whole rows; a block's
+    # centers and its projection scratch, then its normals, live in buf
+    rows = max(1, _BLOCK // n)
+    width = min(m, rows) * n
+    scale, s2 = math.sqrt(0.75 * s2), s2 / 4.0
+    envelope = _envelope(s2, OFFSET_SIGMAS * math.sqrt(s2))
+    z = np.empty((m, n), dtype=np.int64)
+
+    def draw(b, gen, buf):
+        out = z[b * rows:(b + 1) * rows]
+        G = buf[:out.size].reshape(out.shape)
+        scratch = buf[width:width + out.size].reshape(out.shape)
+        gen.standard_normal(out=G)
+        np.matmul(G @ V.T, V, out=scratch)
+        G -= scratch
+        G *= scale
+        _sample_at_centers(G, s2, envelope, gen, out=out, buf=buf[width:])
+
+    blocks = max(1, -(-m // rows))
+    _run_blocks(rng, blocks, np.empty((min(blocks, _workers()), 2 * width)), draw)
     return z[0] if size is None else z

@@ -10,6 +10,13 @@ on it costs about a sixth less per value than on PCG64, and the exact
 discrete-Gaussian samplers spend most of their time in that call. The law of
 every draw is the generator's; only the bits behind a seed depend on the
 choice. Fresh-entropy generators (``as_generator(None)``) are SFC64 too.
+
+A batch drawn in independent blocks takes one child stream per block
+(``children``): child ``i`` is ``Generator(SFC64(SeedSequence(w_i)))`` for the
+``i``-th of the 64-bit words ``w_0 ... w_{count-1}`` drawn, in order, from the
+caller's generator. The children and the caller's state afterwards follow from
+the caller's state and the block count alone, never from the thread that
+draws a block.
 """
 
 import zlib
@@ -40,6 +47,13 @@ def derive(root_seed: int, *path) -> np.random.Generator:
         raise BadParams(f"root seed must be in [0, 2^64), got {root_seed}")
     spawn_key = tuple(_key(p) for p in path)
     return _generator(np.random.SeedSequence(root_seed, spawn_key=spawn_key))
+
+
+def children(rng: np.random.Generator, count: int) -> list:
+    """``count`` child generators of ``rng``, one per block of a batch: child
+    i is SFC64 seeded with the i-th of ``count`` raw 64-bit words of rng."""
+    return [_generator(np.random.SeedSequence(int(word)))
+            for word in rng.bit_generator.random_raw(count)]
 
 
 def as_generator(rng) -> np.random.Generator:

@@ -6,8 +6,9 @@ product and a planted hard instance's spike as whole-batch passes,
 certificate verification as a per-query loop over its blocks, row
 orthonormalization by Cholesky QR2, the all-integer LLL with its inner
 products on Python integers, and the HNF kernel, canonical HNF and lattice
-equality with row operations on Python integer lists, and E ||g||_p by
-mpmath quadrature. These deliberately avoid the code paths they check."""
+equality with row operations on Python integer lists, E ||g||_p by
+mpmath quadrature, and the cs support family with each proposal checked
+against a mask of every kept subset. These deliberately avoid the code paths they check."""
 
 import itertools
 import math
@@ -19,6 +20,7 @@ from scipy.special import ndtr
 from scipy.stats import norm
 
 from sketchlab import dgauss
+from sketchlab.rng import derive
 
 
 def jacobi_svd(M, sweeps=60, tol=1e-14):
@@ -193,6 +195,27 @@ def ref_planted_spike(us, vs, s1):
     for i in range(1, us.shape[1]):
         spike += s1 * (uf[:, i, :, None] * vf[:, i, None, :])
     return np.rint(spike, out=spike).astype(np.int64)
+
+
+def ref_support_family(n, k, count):
+    """harddist.support_family as it was before it indexed the kept subsets
+    by coordinate: each proposal's overlap with every kept subset is summed
+    over a 0/1 mask per kept subset, so a family of count subsets costs
+    count^2 k / 2 mask reads."""
+    rng = derive(11, "cs-family", n, k)
+    usable = (n // k) * k
+    kept = []
+    masks = np.zeros((count, n), dtype=np.int8)  # row i: kept subset i
+    while len(kept) < count:
+        perm = rng.permutation(n)[:usable].reshape(-1, k)
+        for block in perm:
+            if kept and masks[:len(kept), block].sum(axis=1).max() > k // 2:
+                continue
+            masks[len(kept), block] = 1
+            kept.append(tuple(sorted(int(i) for i in block)))
+            if len(kept) == count:
+                break
+    return tuple(kept)
 
 
 def ref_partition_1d(sigma2, dps=50):

@@ -61,18 +61,18 @@ CONFIGS = {"demo": "demos/projection_r8_n128.json"}
 # sha256 prefixes of each artefact that `attack run --seed 7` writes
 ARTEFACT_PINS = {
     "n256": {
-        "certificate.json": "17e76f89f3a08ab5",
-        "exploits.json": "88260c2bf74e8a66",
-        "report.json": "c76319397d592866",
-        "summary.csv": "54b2e1558d30b152",
-        "transcript.jsonl": "11c0ac0a28c09af7",
+        "certificate.json": "5d29d6dd2082e3dd",
+        "exploits.json": "30c7e95f52e69de1",
+        "report.json": "776e83a604419649",
+        "summary.csv": "772dd88d93dc2381",
+        "transcript.jsonl": "9d50bbc61433880b",
     },
     "demo": {
-        "certificate.json": "5fc1e17096a393ee",
-        "exploits.json": "4236463d2c60c8ad",
-        "report.json": "8db4fa34b5bd2fe4",
-        "summary.csv": "ffdd317d17fdc2c0",
-        "transcript.jsonl": "2a89e61054c8732d",
+        "certificate.json": "c8a9aa20372f3688",
+        "exploits.json": "92e5a3e5a84856ab",
+        "report.json": "0d5a12f1e291f0a3",
+        "summary.csv": "7629f5875148c987",
+        "transcript.jsonl": "5785146eef82d49a",
     },
 }
 
@@ -872,11 +872,12 @@ class TestOtherCommands:
 
 class TestImportHygiene:
     def test_cold_import_loads_no_scipy_and_no_process_pool(self):
-        # the package runs on numpy and the standard library, and every
-        # seeded run stays in the caller's process
+        # the package runs on numpy and the standard library, every seeded
+        # run stays in the caller's process, and the sampler's thread pool
+        # (concurrent.futures) loads on the first draw of more than one block
         code = ("import sys, sketchlab, sketchlab.cli, sketchlab.acceptance; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
-                "or m == 'concurrent.futures.process'))")
+                "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+                "('scipy', 'concurrent')))")
         src = os.path.dirname(os.path.dirname(sketchlab.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run([sys.executable, "-c", code], env=env,

@@ -1,4 +1,9 @@
+import hashlib
 import math
+import os
+import select
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +18,7 @@ from oracles import (
 from sketchlab import dgauss
 from sketchlab.errors import NonPositiveVariance, VarianceTooLarge, VarianceTooSmall
 from sketchlab.numerics import OrthonormalBasis
-from sketchlab.rng import derive
+from sketchlab.rng import children, derive
 
 # Every chi-square check below passes above this p-value. The samplers are
 # exact, so under the target law each p-value is uniform on [0, 1]. The sample
@@ -687,9 +692,9 @@ class TestSubspaceLaw:
         seen = []
         inner = dgauss._sample_at_centers
 
-        def spy(centers, sigma2, envelope, rng, shape=None):
+        def spy(centers, sigma2, envelope, rng, *args, **kwargs):
             seen.append((np.array(centers), sigma2, envelope))
-            return inner(centers, sigma2, envelope, rng, shape)
+            return inner(centers, sigma2, envelope, rng, *args, **kwargs)
 
         monkeypatch.setattr(dgauss, "_sample_at_centers", spy)
         spec = dgauss.SubspaceGaussianSpec(n, V, s2)
@@ -755,3 +760,105 @@ class TestSubspaceQuery:
         spec = dgauss.SubspaceGaussianSpec(n, OrthonormalBasis.empty(n), s2)
         X = dgauss.sample_subspace_query(spec, "discrete", derive(23, "int"), size=10)
         assert np.issubdtype(X.dtype, np.integer)
+
+
+class TestBlocksAcrossThreads:
+    """A batch of more than _BLOCK entries is drawn in blocks, each an exact
+    draw on its own child stream of the caller's generator, spread over a
+    thread pool. The bits and the caller's state afterwards follow from the
+    seed and the batch shape alone: one worker and two give the same draws,
+    and one worker draws inline, with no pool."""
+
+    @staticmethod
+    def assert_same_at_one_and_two_workers(monkeypatch, draw, threaded):
+        seen, executor = {}, dgauss._executor
+        for workers in (1, 2):
+            pools = []
+            monkeypatch.setattr(dgauss, "_workers", lambda: workers)
+            monkeypatch.setattr(dgauss, "_executor", lambda: pools.append(1) or executor())
+            rng = derive(40, "workers")
+            seen[workers] = draw(rng), rng
+            assert bool(pools) == (threaded and workers == 2)
+        (a, rng_a), (b, rng_b) = seen[1], seen[2]
+        assert np.array_equal(a, b)
+        assert_same_state(rng_a, rng_b)
+
+    @pytest.mark.parametrize("size", (dgauss._BLOCK, dgauss._BLOCK + 1, (250, 32, 32)))
+    def test_centered_bits_do_not_follow_the_worker_count(self, monkeypatch, size):
+        self.assert_same_at_one_and_two_workers(
+            monkeypatch, lambda rng: dgauss.sample_dgauss_1d(400.0, rng, size=size),
+            threaded=np.prod(size) > dgauss._BLOCK)
+
+    @pytest.mark.parametrize("n", (128, 256))
+    def test_subspace_bits_do_not_follow_the_worker_count(self, monkeypatch, n):
+        # m = 2000 rows: 4 blocks of 512 rows at n = 128, 8 of 256 at n = 256
+        basis = np.linalg.qr(np.random.default_rng(40).standard_normal((n, 4)))[0].T
+        spec = dgauss.SubspaceGaussianSpec(n, OrthonormalBasis(n, list(basis)), 8.0 * r0sq(n))
+        self.assert_same_at_one_and_two_workers(
+            monkeypatch, lambda rng: dgauss.sample_subspace_query(spec, "discrete", rng,
+                                                                  size=2000),
+            threaded=True)
+
+    def test_more_threads_than_cores_draw_every_block_once(self, monkeypatch):
+        # four threads on a short switch interval take the 7 blocks of an
+        # opnorm-eps payload from one shared iterator: a block drawn twice or
+        # skipped changes the draw
+        size, s2 = (1, 6400, 64), 1e12
+        monkeypatch.setattr(dgauss, "_workers", lambda: 1)
+        want = dgauss.sample_dgauss_1d(s2, derive(43, "stress"), size=size)
+        monkeypatch.setattr(dgauss, "_workers", lambda: 4)
+        monkeypatch.setattr(dgauss, "_pool", (None, None))  # a pool of 4 threads
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                got = dgauss.sample_dgauss_1d(s2, derive(43, "stress"), size=size)
+                assert np.array_equal(got, want)
+        finally:
+            sys.setswitchinterval(interval)
+            if dgauss._pool[1] is not None:
+                dgauss._pool[1].shutdown()
+
+    def test_blocks_are_exact_draws_on_child_streams(self):
+        # block b holds flat entries [b _BLOCK, (b + 1) _BLOCK), drawn by the
+        # whole-batch loop on child b of the caller's generator
+        s2, k = 400.0, 2 * dgauss._BLOCK + 5
+        rng, ref = derive(41, "children"), derive(41, "children")
+        x = dgauss.sample_dgauss_1d(s2, rng, size=k)
+        envelope = dgauss._envelope(s2)
+        parts = [ref_sample_at_centers(None, s2, envelope, gen, shape=(size,))
+                 for gen, size in zip(children(ref, 3), (dgauss._BLOCK, dgauss._BLOCK, 5))]
+        assert np.array_equal(x, np.concatenate(parts))
+        assert_same_state(rng, ref)
+
+    def test_forked_child_draws_the_parents_bits(self, monkeypatch):
+        # the parent's pool exists before the fork; the child builds its own
+        # (a pool whose threads stayed behind would never return the draw)
+        monkeypatch.setattr(dgauss, "_workers", lambda: 2)
+
+        def draw_digest():
+            x = dgauss.sample_dgauss_1d(400.0, derive(42, "fork"), size=(250, 32, 32))
+            return hashlib.sha256(x.tobytes()).hexdigest().encode()
+
+        want = draw_digest()
+        read, write = os.pipe()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork beside threads
+            pid = os.fork()
+        if pid == 0:
+            try:
+                os.write(write, draw_digest())
+            finally:
+                os._exit(0)
+        os.close(write)
+        got = b""
+        try:
+            ready, _, _ = select.select([read], [], [], 120.0)
+            if ready:
+                got = os.read(read, 256)
+        finally:
+            os.close(read)
+            if not got:
+                os.kill(pid, 9)
+            os.waitpid(pid, 0)
+        assert got == want

@@ -6,7 +6,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from oracles import jacobi_svd, ref_expected_p_norm, ref_planted_spike
+from oracles import jacobi_svd, ref_expected_p_norm, ref_planted_spike, ref_support_family
 
 from sketchlab import harddist, stats
 from sketchlab.errors import BadParams, DimensionTooLarge
@@ -274,6 +274,16 @@ class TestSupportFamily:
         inter = masks @ masks.T
         np.fill_diagonal(inter, 0)
         assert int(inter.max()) <= k // 2  # |S delta S'| >= k
+
+    @pytest.mark.parametrize("n, k, count", [
+        (256, 8, default_support_count(256, 8)),
+        (512, 8, default_support_count(512, 8)),
+        (24, 4, 80),  # dense: many proposals overlap a kept subset in 3 > k/2
+    ])
+    def test_matches_the_mask_loop(self, n, k, count):
+        # the per-coordinate index keeps the subsets the old loop kept, which
+        # checked each proposal against a mask of every kept subset
+        assert support_family.__wrapped__(n, k, count) == ref_support_family(n, k, count)
 
     def test_inclusion_frequency_band(self):
         n, k = 256, 8
@@ -563,10 +573,28 @@ class TestSketchedIndistinguishability:
             with pytest.raises(BadParams, match="trials must be at least 1"):
                 sketched_indistinguishability(fam, d=1, trials=trials, rng=derive(54, "d"))
 
+    @pytest.mark.parametrize("name, params, d", [
+        ("lp-large", {"n": 2}, 3),   # d above the payload size 2
+        ("psd", {"d": 1}, 5),        # the payload (2d)^2 is never below the cap 4
+        ("psd", {"d": 1}, 0),
+    ])
+    def test_refused_d_draws_and_calibrates_nothing(self, name, params, d, monkeypatch):
+        calibrations = []
+        monkeypatch.setattr(harddist, "calibrate_family",
+                            lambda family: calibrations.append(family))
+        fam = HardFamily(name, params)
+        rng, untouched = derive(54, "refused"), derive(54, "refused")
+        with pytest.raises((BadParams, DimensionTooLarge)):
+            sketched_indistinguishability(fam, d=d, trials=2000, rng=rng)
+        # the next raw words are equal: the refusal advanced no stream
+        assert np.array_equal(rng.bit_generator.random_raw(4),
+                              untouched.bit_generator.random_raw(4))
+        assert calibrations == []
+
     @pytest.mark.parametrize("name", FAMILY_NAMES)
     def test_every_family_draws_through_the_generator(self, name, monkeypatch):
-        # both sides come from the one instance generator, after the D1 probe
-        # that sizes the sketch, in chunks of 250 instances or 256,000
+        # both sides come from the one instance generator, with no probe
+        # draw (the params size the sketch), in chunks of 250 instances or 256,000
         # entries, whichever is fewer: opnorm-eps's 1600-entry blocks come
         # 160 at a time
         calls = []
@@ -584,8 +612,8 @@ class TestSketchedIndistinguishability:
         dim = calls[0][2]
         chunk = min(250, 256_000 // dim)
         chunks = [chunk] * (trials // chunk) + [trials % chunk] * (trials % chunk > 0)
-        assert calls == ([("D1", 1, dim)] + [("D1", c, dim) for c in chunks]
-                         + [("D2", c, dim) for c in chunks])
+        assert dim == harddist._payload_size(fam)
+        assert calls == [("D1", c, dim) for c in chunks] + [("D2", c, dim) for c in chunks]
         assert (chunk < 250) == (name == "opnorm-eps")
         tvd = rep["tvd"]
         assert tvd["n1"] == tvd["n2"] == trials and 0.0 <= tvd["value"] <= 1.0
@@ -605,8 +633,9 @@ class TestSketchedIndistinguishability:
         monkeypatch.setattr(harddist, "_draw", zeros)
         rep = sketched_indistinguishability(fam, d=1, trials=1000, rng=derive(54, "budget"))
         assert rep["tvd"]["n1"] == rep["tvd"]["n2"] == 1000
-        # 409,600 entries each: past the 256,000-entry budget, so one per call
-        assert sizes == [1] * 2001
+        # 409,600 entries each: past the 256,000-entry budget, so one per call,
+        # and no probe instance besides them
+        assert sizes == [1] * 2000
 
     @pytest.mark.parametrize("name", FAMILY_NAMES)
     def test_every_batched_row_is_planted(self, name):

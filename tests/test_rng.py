@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sketchlab.errors import BadParams
-from sketchlab.rng import as_generator, derive
+from sketchlab.rng import as_generator, children, derive
 
 
 def test_root_seed_is_read_in_64_bits():
@@ -28,3 +28,15 @@ def test_equal_paths_give_equal_draws():
     assert np.array_equal(a.integers(2**62, size=64), b.integers(2**62, size=64))
     assert not np.array_equal(derive(3, "x", 2).standard_normal(64),
                               derive(3, "x", 1).standard_normal(64))
+
+
+def test_children_take_one_raw_word_each():
+    # child i is SFC64 seeded with the caller's i-th next raw word, and the
+    # caller moves on by exactly count words
+    rng, ref = derive(3, "kids"), derive(3, "kids")
+    kids = children(rng, 3)
+    for kid, word in zip(kids, ref.bit_generator.random_raw(3)):
+        assert isinstance(kid.bit_generator, np.random.SFC64)
+        twin = np.random.Generator(np.random.SFC64(np.random.SeedSequence(int(word))))
+        assert np.array_equal(kid.standard_normal(8), twin.standard_normal(8))
+    assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
